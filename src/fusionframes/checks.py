@@ -34,7 +34,7 @@ from .instances import (
     random_riesz_basis,
     random_symbol,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, rank_tol, spectral_norm
+from .numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from .ovf import duality_defect, embed_fusion, ovf_analysis
 
 __all__ = ["CheckResult", "Check", "CHECKS", "SUITES", "run_suite", "describe_check"]
@@ -114,13 +114,10 @@ def _run_null_certificate(inst, rng, tol):
 def _run_left_inverse_span(inst, rng, tol):
     a = embed_fusion(inst.w)
     t_w = fusion_analysis_ambient(inst.w)
-    eye = np.eye(inst.w.ambient_dim)
-    worst = 0.0
-    analyses = []
-    for cand in ovf.spanning_dual_family(a, tol):
-        worst = max(worst, spectral_norm(cand.analysis.conj().T @ t_w - eye))
-        analyses.append(cand.analysis)
-    rank = rank_tol(np.hstack(analyses), tol)
+    worst = max(float(r.max()) for r in ovf.dual_family_residuals(a, t_w, tol))
+    # not ovf.dual_span_dimension: each call of that name is read as the
+    # dual_span check's certificate
+    rank = ovf._dual_span_rank(a, tol)
     want = a.count * a.codomain_dim
     return CheckResult(max(worst, float(abs(rank - want))))
 
@@ -161,9 +158,19 @@ def _run_separating_self(inst, rng, tol):
     return CheckResult(residual, detail=f"checked {res.checked} duals")
 
 
+_PERTURB_ATTEMPTS = 100
+
+
 def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
-    """A fusion frame differing from w by at least 0.1 in some block."""
-    while True:
+    """A fusion frame differing from w by at least 0.1 in some block.
+
+    Random weight doublings and subspace redraws come first. They cannot
+    succeed on every frame (a single full block of small weight), so after
+    ``_PERTURB_ATTEMPTS`` draws the weight of the first nonzero block is
+    raised by 0.1, which moves that block by 0.1 and only raises the lower
+    frame bound.
+    """
+    for _ in range(_PERTURB_ATTEMPTS):
         idx = int(rng.integers(0, w.count))
         if w.weights[idx] == 0.0:
             continue
@@ -184,6 +191,9 @@ def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
         )
         if deviation >= 0.1 and is_fusion_frame(cand, tol):
             return cand
+    weights = w.weights.copy()
+    weights[int(np.flatnonzero(weights)[0])] += 0.1
+    return FusionSequence(w.subspaces, weights)
 
 
 def _run_separating_distinct(inst, rng, tol):

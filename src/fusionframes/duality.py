@@ -43,6 +43,7 @@ from .numerics import (
 from .ovf import (
     DualCandidate,
     OVFrame,
+    dual_family_residuals,
     embed_fusion,
     kernel_projector,
     ovf_analysis,
@@ -354,9 +355,12 @@ def find_separating_dual(
     """Sweep the dual family of W for a dual that is not a dual of W'.
 
     The deterministic sweep tries the canonical dual first, then the
-    elementary-matrix kernel perturbations in row-major order. A candidate
-    separates when ||T_D^* T_{W'} - I|| exceeds 10 * eq_rel. When no
-    candidate separates, the two sequences agree blockwise up to tolerance.
+    elementary-matrix kernel perturbations in row-major order, at most
+    ``trials_bound`` of them. A candidate separates when
+    ||T_D^* T_{W'} - I|| exceeds 10 * eq_rel. Residuals are computed a
+    stacked row at a time by :func:`dual_family_residuals`; only the first
+    separating candidate is built as a DualCandidate. When no candidate
+    separates, the two sequences agree blockwise up to tolerance.
     """
     if w.count != w_prime.count or w.ambient_dim != w_prime.ambient_dim:
         raise ContractViolationError("sequences must share length and ambient dimension")
@@ -370,19 +374,27 @@ def find_separating_dual(
         for i in range(w.count)
     )
     a = embed_fusion(w)
-    t_prime = fusion_analysis_ambient(w_prime)
-    eye = np.eye(w.ambient_dim)
     threshold = 10.0 * tol.eq_rel
+    budget = None if trials_bound is None else max(trials_bound, 1)
     worst = 0.0
     checked = 0
-    for cand in spanning_dual_family(a, tol, limit=trials_bound):
-        checked += 1
-        residual = spectral_norm(cand.analysis.conj().T @ t_prime - eye)
-        if residual > threshold:
+    for residuals in dual_family_residuals(a, fusion_analysis_ambient(w_prime), tol):
+        if budget is not None:
+            residuals = residuals[: budget - checked]
+        above = np.flatnonzero(residuals > threshold)
+        if above.size:
+            index = checked + int(above[0])
+            witness = next(spanning_dual_family(a, tol, start=index))
             return SeparationResult(
-                witness=cand, residual=residual, block_deviation=deviation, checked=checked
+                witness=witness,
+                residual=float(residuals[above[0]]),
+                block_deviation=deviation,
+                checked=index + 1,
             )
-        worst = max(worst, residual)
+        worst = max(worst, float(residuals.max()))
+        checked += residuals.size
+        if checked == budget:
+            break
     return SeparationResult(
         witness=None, residual=worst, block_deviation=deviation, checked=checked
     )

@@ -26,13 +26,12 @@ __all__ = [
     "singular_values",
     "rank_tol",
     "spectral_norm",
+    "spectral_norms",
     "pinv",
     "inverse",
     "is_invertible",
     "hermitian_eig_bounds",
     "schatten_norm",
-    "operator_defect",
-    "matrices_close",
 ]
 
 
@@ -121,6 +120,27 @@ def spectral_norm(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix in an (m, r, c) stack.
+
+    Each entry is bit-for-bit the :func:`spectral_norm` of that matrix: the
+    batched SVD runs the same LAPACK routine on every matrix of the stack.
+    """
+    a = np.asarray(stack, dtype=np.complex128)
+    if a.ndim != 3:
+        raise ContractViolationError(f"expected an (m, r, c) stack, got shape {a.shape}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise ContractViolationError("matrix stack contains NaN or Inf entries")
+    if min(a.shape[1:]) == 0:
+        return np.zeros(a.shape[0])
+    try:
+        return np.linalg.svd(a, compute_uv=False)[:, 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(
+            f"svd did not converge on a stack of {a.shape[1]}x{a.shape[2]} matrices"
+        ) from exc
+
+
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse truncated at the rank cutoff."""
     m = as_matrix(a)
@@ -179,17 +199,3 @@ def schatten_norm(a, p: float) -> float:
         return 0.0
     return float(np.sum(s**p) ** (1.0 / p))
 
-
-def operator_defect(a, b) -> float:
-    """Spectral-norm distance between two operators of equal shape."""
-    return spectral_norm(as_matrix(a) - as_matrix(b))
-
-
-def matrices_close(a, b, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None) -> bool:
-    """Equality at tolerance: ``||a - b|| <= eq_rel * max(1, scale)``.
-
-    When ``scale`` is omitted the larger of the two spectral norms is used.
-    """
-    if scale is None:
-        scale = max(spectral_norm(a), spectral_norm(b))
-    return operator_defect(a, b) <= tol.eq_rel * max(1.0, float(scale))

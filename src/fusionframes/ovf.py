@@ -5,6 +5,14 @@ T_A S_A^-1 + L where L annihilates T_A from the left (L^* T_A = 0).
 In finite dimensions the coefficient space splits exactly as
 ran(T_A) + ker(T_A^*), which turns the density statements about the dual
 family into rank equalities that can be certified by a single SVD.
+
+The family is spanned by the canonical dual and the N*k*n members
+T_A S_A^-1 + P_ker E_rs, where P_ker projects onto ker(T_A^*). Each
+P_ker E_rs is zero except for column s, which is P_ker[:, r], so the
+certificates never materialise the family: the stacked analyses have the
+column space of [T_A S_A^-1 | P_ker] and their adjoints the row space of
+[(T_A S_A^-1)^* ; P_ker]. The reconstruction sweep over the family is
+batched one stacked row r at a time, n members per batched SVD.
 """
 
 from __future__ import annotations
@@ -23,13 +31,13 @@ from .numerics import (
     pinv,
     rank_tol,
     spectral_norm,
+    spectral_norms,
 )
 
 __all__ = [
     "OVFrame",
     "ovf_analysis",
     "ovf_frame_operator_bounds",
-    "is_ov_frame",
     "embed_ordinary",
     "embed_fusion",
     "DualCandidate",
@@ -38,6 +46,7 @@ __all__ = [
     "canonical_ov_dual",
     "sample_ov_dual",
     "spanning_dual_family",
+    "dual_family_residuals",
     "dual_span_dimension",
     "null_bessel_certificate",
 ]
@@ -89,11 +98,6 @@ def ovf_frame_operator_bounds(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL):
     if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
         lo = 0.0
     return s, lo, hi
-
-
-def is_ov_frame(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    _, lo, hi = ovf_frame_operator_bounds(a, tol)
-    return lo > tol.inv_rel * hi
 
 
 def embed_ordinary(phi: VectorFrame) -> OVFrame:
@@ -181,64 +185,100 @@ def sample_ov_dual(a: OVFrame, g, tol: ToleranceConfig = DEFAULT_TOL) -> DualCan
     return DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
 
 
-def _elementary_perturbations(a: OVFrame, tol: ToleranceConfig):
-    """Deterministic spanning family of the annihilator: projected E_rs."""
-    t = ovf_analysis(a)
-    rows, cols = t.shape
-    pker = kernel_projector(a, tol)
-    for r in range(rows):
-        for s in range(cols):
-            e = np.zeros((rows, cols), dtype=np.complex128)
-            e[r, s] = 1.0
-            yield pker @ e
-
-
-def spanning_dual_family(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL, limit: int | None = None):
+def spanning_dual_family(
+    a: OVFrame,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    limit: int | None = None,
+    start: int = 0,
+):
     """Canonical dual followed by the elementary-matrix kernel perturbations.
 
-    The sweep order is deterministic: L = 0 first, then the projections of
-    E_rs in row-major order. ``limit`` caps the number of candidates.
+    The sweep order is deterministic: L = 0 first, then the projections
+    P_ker E_rs in row-major order of (r, s). Candidates are produced from
+    index ``start`` of that order; ``limit`` caps how many are produced.
     """
     t, t_dual = _canonical_analysis(a, tol)
-    produced = 0
+    rows, cols = t.shape
+    stop = 1 + rows * cols
+    if limit is not None:
+        stop = min(stop, start + max(limit, 1))
+    pker = kernel_projector(a, tol)
+    for index in range(start, stop):
+        l = np.zeros_like(t)
+        if index:
+            r, s = divmod(index - 1, cols)
+            l[:, s] = pker[:, r]
+        yield DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
 
-    def _emit(l):
-        nonlocal produced
-        produced += 1
-        return DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
 
-    yield _emit(np.zeros_like(t))
-    if limit is not None and produced >= limit:
-        return
-    for l in _elementary_perturbations(a, tol):
-        yield _emit(l)
-        if limit is not None and produced >= limit:
-            return
+def _check_annihilator(t: np.ndarray, pker: np.ndarray) -> None:
+    """The DualCandidate condition L^* T = 0 for every L = P_ker E_rs at once.
+
+    (P_ker E_rs)^* T is zero except for row s, which is row r of
+    P_ker^* T, and ||P_ker E_rs|| = ||P_ker[:, r]||.
+    """
+    defects = np.linalg.norm(pker.conj().T @ t, axis=1)
+    scales = np.maximum(1.0, spectral_norm(t) * np.linalg.norm(pker, axis=0))
+    if np.any(defects > DEFAULT_TOL.eq_rel * scales):
+        raise ContractViolationError("perturbation does not annihilate the analysis operator")
+
+
+def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TOL):
+    """Residuals ||T_D^* T' - I|| over :func:`spanning_dual_family`, in its order.
+
+    Yields an array holding the canonical dual's residual, then one array
+    per stacked row r holding the residuals of the n candidates (r, s):
+    T_A S_A^-1 with P_ker[:, r] added to column s. Each row is one
+    (n, N*k, n) stack of analyses and one batched SVD, so memory stays at n
+    members. Each value is bit for bit the spectral norm computed from that
+    member of :func:`spanning_dual_family`.
+    """
+    t, t_dual = _canonical_analysis(a, tol)
+    t_prime = as_matrix(t_prime)
+    if t_prime.shape != t.shape:
+        raise ContractViolationError(
+            f"second analysis operator must have shape {t.shape}, got {t_prime.shape}"
+        )
+    rows, cols = t.shape
+    eye = np.eye(cols)
+
+    def residuals(d):
+        return spectral_norms(d.conj().transpose(0, 2, 1) @ t_prime - eye)
+
+    yield residuals(t_dual[None])
+    pker = kernel_projector(a, tol)
+    _check_annihilator(t, pker)
+    members = np.arange(cols)
+    for r in range(rows):
+        d = np.repeat(t_dual[None], cols, axis=0)
+        d[members, :, members] += pker[:, r]
+        yield residuals(d)
+
+
+def _dual_span_rank(a: OVFrame, tol: ToleranceConfig) -> int:
+    """rank[T_A S_A^-1 | P_ker], the rank of the family's stacked analyses."""
+    _, t_dual = _canonical_analysis(a, tol)
+    return rank_tol(np.hstack([t_dual, kernel_projector(a, tol)]), tol)
 
 
 def dual_span_dimension(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of the horizontally stacked dual family analyses.
 
-    Concatenates the canonical dual with every projected elementary
-    perturbation; the dual ranges exhaust the stacked space exactly when
-    this rank equals N*k.
+    The family's analyses T_A S_A^-1 + P_ker E_rs have the column space of
+    [T_A S_A^-1 | P_ker]; the dual ranges exhaust the stacked space exactly
+    when this rank equals N*k.
     """
-    _, t_dual = _canonical_analysis(a, tol)
-    pieces = [t_dual]
-    pieces.extend(_elementary_perturbations(a, tol))
-    return rank_tol(np.hstack(pieces), tol)
+    return _dual_span_rank(a, tol)
 
 
 def null_bessel_certificate(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of {B : T_B^* T_dual = 0 for the whole spanning family}.
 
-    Solves the joint linear system over the stacked unknown T_B; the dual
-    family annihilates only the zero sequence exactly when this is 0.
+    Solves the joint linear system over the stacked unknown T_B. The
+    family's adjoint analyses have the row space of [(T_A S_A^-1)^* ; P_ker];
+    the dual family annihilates only the zero sequence exactly when this is 0.
     """
     t, t_dual = _canonical_analysis(a, tol)
-    stacked_rows = [t_dual.conj().T]
-    for l in _elementary_perturbations(a, tol):
-        stacked_rows.append((t_dual + l).conj().T)
-    k = np.vstack(stacked_rows)
-    nullity = t.shape[0] - rank_tol(k, tol)
+    rows = np.vstack([t_dual.conj().T, kernel_projector(a, tol)])
+    nullity = t.shape[0] - rank_tol(rows, tol)
     return int(nullity * a.domain_dim)

@@ -1,10 +1,14 @@
 """CLI contract: determinism, golden files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fusionframes
 from fusionframes.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -128,3 +132,20 @@ def test_check_writes_to_stdout_without_report(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "ffv1-report"
+
+
+def test_single_small_full_block_gets_a_verdict(tmp_path):
+    # no random weight doubling or subspace redraw moves the only block by
+    # 0.1 here, so separating_dual_distinct needs its by-construction copy;
+    # the subprocess turns a hang into a failure after the stated bound
+    inst = tmp_path / "single.json"
+    assert main(["gen", "--dim", "3", "--blocks", "1", "--dims", "3",
+                 "--weights", "0.01,0.05", "-o", str(inst)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(fusionframes.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fusionframes.cli", "check", "--suite", "duals", str(inst)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    verdicts = {e["name"]: e["verdict"] for e in json.loads(done.stdout)["checks"]}
+    assert verdicts["separating_dual_distinct"] == "pass"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import coordinate_decomposition, line
+from conftest import coordinate_decomposition, line, reference_dual_perturbations
 from fusionframes.duality import (
     canonical_gavruta_dual,
     find_separating_dual,
@@ -23,8 +23,8 @@ from fusionframes.fusion import (
     fusion_analysis_ambient,
     projection,
 )
-from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import ovf_analysis
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
+from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis
 
 
 def _projection_blocks(f):
@@ -241,3 +241,57 @@ def test_separation_soundness_random(rng):
         res = find_separating_dual(w, w)
         assert res.witness is None
         assert res.block_deviation <= 100 * DEFAULT_TOL.eq_rel
+
+
+def _reference_separation(w, w_prime, trials_bound=None, tol=DEFAULT_TOL):
+    """The member-wise separating sweep the batched one replaced.
+
+    Returns (witness index, witness perturbation, residual, checked).
+    """
+    a = embed_fusion(w)
+    t_dual = canonical_ov_dual(a, tol).analysis
+    t_prime = fusion_analysis_ambient(w_prime)
+    eye = np.eye(w.ambient_dim)
+    worst = 0.0
+    checked = 0
+    for index, l in enumerate(reference_dual_perturbations(a, tol, limit=trials_bound)):
+        checked += 1
+        residual = spectral_norm((t_dual + l).conj().T @ t_prime - eye)
+        if residual > 10.0 * tol.eq_rel:
+            return index, l, residual, checked
+        worst = max(worst, residual)
+    return None, None, worst, checked
+
+
+def _assert_same_separation(w, w_prime, trials_bound, tol):
+    index, l, residual, checked = _reference_separation(w, w_prime, trials_bound, tol)
+    res = find_separating_dual(w, w_prime, trials_bound=trials_bound, tol=tol)
+    assert res.checked == checked
+    assert res.residual == residual
+    if index is None:
+        assert res.witness is None
+    else:
+        assert res.checked == index + 1
+        np.testing.assert_array_equal(res.witness.perturbation, l)
+    return index
+
+
+def test_batched_separation_matches_reference(rng):
+    from fusionframes.instances import random_fusion_frame
+
+    witnesses = set()
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        w = random_fusion_frame(n, int(rng.integers(1, 4)), rng)
+        total = 1 + w.count * n * n
+        # on w against itself every residual is rounding noise; an eq_rel
+        # just below one of them moves the witness to an arbitrary index
+        noise = _reference_separation(w, w, tol=ToleranceConfig(eq_rel=0.5))[2]
+        tols = [DEFAULT_TOL, ToleranceConfig(eq_rel=max(noise, 1e-300) / 10.0 * 0.999)]
+        draws = [0, 1, int(rng.integers(1, total + 1)), total, None]
+        for tol in tols:
+            for bound in draws:
+                witnesses.add(_assert_same_separation(w, w, bound, tol))
+        heavier = FusionSequence(w.subspaces, 1.5 * w.weights)
+        assert _assert_same_separation(w, heavier, None, DEFAULT_TOL) == 0
+    assert len(witnesses) > 5

@@ -1,15 +1,20 @@
 """Operator-valued frames, embeddings, and the dual family."""
 
+import time
+
 import numpy as np
 import pytest
 
+from conftest import coordinate_decomposition, reference_dual_perturbations
+from fusionframes import ovf
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
 from fusionframes.frames import VectorFrame, frame_bounds_ordinary
 from fusionframes.fusion import FusionSequence, Subspace, fusion_bounds
-from fusionframes.numerics import DEFAULT_TOL, spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, rank_tol, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
     canonical_ov_dual,
+    dual_family_residuals,
     dual_span_dimension,
     duality_defect,
     embed_fusion,
@@ -149,3 +154,116 @@ def test_ovframe_shape_validation():
         sample_ov_dual(
             OVFrame(np.eye(2)[None]), np.zeros((3, 2))
         )
+
+
+# Reference copies of the member-wise certificates and sweep that the
+# structured [T S^-1 | P_ker] forms and the batched sweep replaced.
+
+
+def _reference_dual_span_dimension(a, tol=DEFAULT_TOL):
+    t_dual = canonical_ov_dual(a, tol).analysis
+    pieces = [t_dual]
+    pieces.extend(list(reference_dual_perturbations(a, tol))[1:])
+    return rank_tol(np.hstack(pieces), tol)
+
+
+def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
+    t_dual = canonical_ov_dual(a, tol).analysis
+    stacked_rows = [t_dual.conj().T]
+    for l in list(reference_dual_perturbations(a, tol))[1:]:
+        stacked_rows.append((t_dual + l).conj().T)
+    nullity = ovf_analysis(a).shape[0] - rank_tol(np.vstack(stacked_rows), tol)
+    return int(nullity * a.domain_dim)
+
+
+def _reference_residuals(a, t_prime, tol=DEFAULT_TOL):
+    t_dual = canonical_ov_dual(a, tol).analysis
+    eye = np.eye(a.domain_dim)
+    return np.array(
+        [
+            spectral_norm((t_dual + l).conj().T @ t_prime - eye)
+            for l in reference_dual_perturbations(a, tol)
+        ]
+    )
+
+
+def _random_frames(rng, count=30):
+    """Small operator-valued frames, half of them embedded fusion frames."""
+    from fusionframes.instances import random_fusion_frame, random_ov_frame
+
+    frames = []
+    for i in range(count):
+        n = int(rng.integers(1, 5))
+        if i % 2:
+            frames.append(embed_fusion(random_fusion_frame(n, int(rng.integers(1, 4)), rng)))
+        else:
+            k = int(rng.integers(1, 4))
+            blocks = max(int(rng.integers(1, 4)), -(-n // k))
+            frames.append(random_ov_frame(n, k, blocks, rng))
+    return frames
+
+
+def _structured_frames():
+    """Coordinate-aligned frames, whose analyses have exact (and negative) zeros."""
+    return [
+        embed_fusion(coordinate_decomposition(2, [1.0, 2.0])),
+        embed_fusion(coordinate_decomposition(3, [1.0, 0.5, 2.0])),
+        embed_fusion(FusionSequence((Subspace.full(2), Subspace.zero(2)), np.array([1.0, 0.0]))),
+        embed_ordinary(VectorFrame(np.eye(3))),
+    ]
+
+
+def test_structured_certificates_match_reference(rng):
+    for a in _structured_frames() + _random_frames(rng):
+        assert dual_span_dimension(a) == _reference_dual_span_dimension(a)
+        assert null_bessel_certificate(a) == _reference_null_bessel_certificate(a)
+
+
+def test_batched_sweep_matches_reference_bitwise(rng):
+    for a in _structured_frames() + _random_frames(rng):
+        t = ovf_analysis(a)
+        others = (t, t + 0.1 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)))
+        for t_prime in others:
+            batches = list(dual_family_residuals(a, t_prime))
+            rows, cols = t.shape
+            assert [b.size for b in batches] == [1] + [cols] * rows
+            got = np.concatenate(batches)
+            np.testing.assert_array_equal(got, _reference_residuals(a, t_prime))
+
+
+def test_spanning_family_start_matches_reference(rng):
+    for a in _random_frames(rng, count=6):
+        reference = list(reference_dual_perturbations(a, DEFAULT_TOL))
+        start = int(rng.integers(0, len(reference)))
+        fam = list(spanning_dual_family(a, start=start))
+        assert len(fam) == len(reference) - start
+        for cand, l in zip(fam, reference[start:]):
+            np.testing.assert_array_equal(cand.perturbation, l)
+
+
+def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
+    a = embed_fusion(diag_pair)
+    m = ovf_analysis(a).shape[0]
+    monkeypatch.setattr(ovf, "kernel_projector", lambda a, tol=DEFAULT_TOL: np.eye(m))
+    batches = dual_family_residuals(a, ovf_analysis(a))
+    next(batches)  # the canonical dual has L = 0
+    with pytest.raises(ContractViolationError):
+        next(batches)
+    with pytest.raises(ContractViolationError):
+        list(spanning_dual_family(a))
+
+
+def test_structured_certificates_at_scale():
+    # the member-wise hstack here would hold 256 x 262,176 complex entries (~1 GB)
+    from fusionframes.duality import find_separating_dual
+    from fusionframes.instances import random_fusion_frame
+
+    w = random_fusion_frame(32, 8, np.random.default_rng(3))
+    a = embed_fusion(w)
+    start = time.perf_counter()
+    assert dual_span_dimension(a) == 256
+    assert null_bessel_certificate(a) == 0
+    res = find_separating_dual(w, w)
+    assert res.witness is None
+    assert res.checked == 1 + 256 * 32
+    assert time.perf_counter() - start < 30.0
