@@ -21,10 +21,10 @@ from . import duality, multipliers, ovf
 from .exceptions import ContractViolationError, FusionFrameError
 from .fusion import (
     FusionSequence,
+    block_deviation,
     build_local_frames,
     fusion_analysis_ambient,
     is_fusion_frame,
-    projection,
     random_subspace,
 )
 from .instances import (
@@ -182,14 +182,7 @@ def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
             subs = list(w.subspaces)
             subs[idx] = random_subspace(w.ambient_dim, subs[idx].dim, rng)
             cand = FusionSequence(tuple(subs), w.weights.copy())
-        deviation = max(
-            spectral_norm(
-                w.weights[i] * projection(w.subspaces[i])
-                - cand.weights[i] * projection(cand.subspaces[i])
-            )
-            for i in range(w.count)
-        )
-        if deviation >= 0.1 and is_fusion_frame(cand, tol):
+        if block_deviation(w, cand) >= 0.1 and is_fusion_frame(cand, tol):
             return cand
     weights = w.weights.copy()
     weights[int(np.flatnonzero(weights)[0])] += 0.1

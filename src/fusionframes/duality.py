@@ -7,9 +7,11 @@ some admissible sequence Q makes the composite
 
 equal to the identity (generalized dual: merely invertible). Admissibility
 pins Q_i to act from W_i into V_i with unit norm off the zero-index set.
-This module checks the definition for a given Q, checks the classical
-S^-1-weighted reconstruction, constructs duals from an invertible target
-operator, and searches the operator-valued dual family for a dual that
+The composite and the S_W^-1-weighted composite of the classical
+reconstruction are both :func:`fusion.sandwich` over the sequences' cached
+projections. This module checks the definition for a given Q, checks the
+classical S^-1-weighted reconstruction, constructs duals from an invertible
+target operator, and searches the operator-valued dual family for a dual that
 separates two fusion frames.
 """
 
@@ -24,19 +26,21 @@ from .exceptions import ContractViolationError, NotAFrameError
 from .fusion import (
     FusionSequence,
     Subspace,
+    block_deviation,
     fusion_analysis_ambient,
     fusion_frame_operator,
     fusion_synthesis_kw,
     is_fusion_frame,
-    projection,
+    sandwich,
 )
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    clears_inv_cutoff,
+    extreme_singular_values,
     inverse,
     rank_tol,
-    singular_values,
     spectral_norm,
     svd,
 )
@@ -113,8 +117,8 @@ def is_admissible(
             continue
         qi = q[i]
         norm_q = spectral_norm(qi)
-        kernel_defect = spectral_norm(qi @ projection(w.subspaces[i]) - qi)
-        range_defect = spectral_norm(projection(v.subspaces[i]) @ qi - qi)
+        kernel_defect = spectral_norm(qi @ w.projections[i] - qi)
+        range_defect = spectral_norm(v.projections[i] @ qi - qi)
         norm_defect = abs(norm_q - 1.0)
         rows.append((kernel_defect, range_defect, norm_defect))
         bound = tol.eq_rel * max(1.0, norm_q)
@@ -140,17 +144,6 @@ class DualVerdict:
     admissibility: AdmissibilityReport
 
 
-def _composite(v: FusionSequence, w: FusionSequence, q: np.ndarray) -> np.ndarray:
-    n = v.ambient_dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(v.count):
-        coeff = v.weights[i] * w.weights[i]
-        if coeff == 0.0:
-            continue
-        out += coeff * (projection(v.subspaces[i]) @ q[i] @ projection(w.subspaces[i]))
-    return out
-
-
 def kpp_dual_check(
     v: FusionSequence,
     w: FusionSequence,
@@ -160,16 +153,14 @@ def kpp_dual_check(
     """Assemble the composite for Q and classify it."""
     q = np.asarray(q_blocks, dtype=np.complex128)
     report = is_admissible(q, v, w, tol)
-    comp = _composite(v, w, q)
-    s = singular_values(comp)
-    sigma_max = float(s[0]) if s.size else 0.0
-    sigma_min = float(s[-1]) if s.size else 0.0
+    comp = sandwich(v, w, v.weights * w.weights, q)
+    sigma_min, sigma_max = extreme_singular_values(comp)
     residual = spectral_norm(comp - np.eye(v.ambient_dim))
     if not report.admissible:
         kind = "none"
     elif residual <= tol.eq_rel:
         kind = "dual"
-    elif sigma_min > tol.inv_rel * sigma_max:
+    elif clears_inv_cutoff(sigma_min, sigma_max, tol):
         kind = "generalized_dual"
     else:
         kind = "none"
@@ -195,12 +186,7 @@ def gavruta_dual_check(
         raise NotAFrameError("reconstruction requires the analyzed sequence to be a frame")
     n = w.ambient_dim
     s_inv = inverse(fusion_frame_operator(w), tol)
-    comp = np.zeros((n, n), dtype=np.complex128)
-    for i in range(w.count):
-        coeff = w.weights[i] * v.weights[i]
-        if coeff == 0.0:
-            continue
-        comp += coeff * (projection(v.subspaces[i]) @ s_inv @ projection(w.subspaces[i]))
+    comp = sandwich(v, w, w.weights * v.weights, s_inv)
     return float(np.linalg.norm(comp - np.eye(n)) / np.sqrt(n))
 
 
@@ -279,8 +265,7 @@ def generate_fusion_dual(
     u = as_matrix(u)
     if u.shape != (n, n):
         raise ContractViolationError(f"target operator must be {n} x {n}, got {u.shape}")
-    su = singular_values(u)
-    if su[0] == 0.0 or su[-1] <= tol.inv_rel * su[0]:
+    if not clears_inv_cutoff(*extreme_singular_values(u), tol):
         raise ContractViolationError("target operator must be invertible at tolerance")
     if l is None:
         l_blocks = np.zeros((w.count, n, n), dtype=np.complex128)
@@ -300,15 +285,15 @@ def generate_fusion_dual(
     s_inv = inverse(fusion_frame_operator(w), tol)
     subs, weights, q_blocks, ops = [], [], [], []
     for i in range(w.count):
-        a_i = (w.weights[i] * (u @ s_inv) + l_blocks[i].conj().T) @ projection(w.subspaces[i])
+        a_i = (w.weights[i] * (u @ s_inv) + l_blocks[i].conj().T) @ w.projections[i]
         ops.append(a_i)
-        if rank_tol(a_i, tol) == 0:
+        r = rank_tol(a_i, tol)
+        if r == 0:
             subs.append(Subspace.zero(n))
             weights.append(0.0)
             q_blocks.append(np.zeros((n, n), dtype=np.complex128))
             continue
         uu, ss, _ = svd(a_i)
-        r = rank_tol(a_i, tol)
         subs.append(Subspace(uu[:, :r]))
         nrm = float(ss[0])
         weights.append(nrm)
@@ -317,7 +302,7 @@ def generate_fusion_dual(
         raise ContractViolationError("degenerate construction: every operator collapsed to zero")
     v = FusionSequence(tuple(subs), np.asarray(weights))
     q = np.array(q_blocks)
-    comp = _composite(v, w, q)
+    comp = sandwich(v, w, v.weights * w.weights, q)
     return GeneratedDual(v=v, q=q, composite=comp, operators=np.array(ops))
 
 
@@ -366,13 +351,7 @@ def find_separating_dual(
         raise ContractViolationError("sequences must share length and ambient dimension")
     if not is_fusion_frame(w, tol) or not is_fusion_frame(w_prime, tol):
         raise NotAFrameError("separating-dual search requires two fusion frames")
-    deviation = max(
-        spectral_norm(
-            w.weights[i] * projection(w.subspaces[i])
-            - w_prime.weights[i] * projection(w_prime.subspaces[i])
-        )
-        for i in range(w.count)
-    )
+    deviation = block_deviation(w, w_prime)
     a = embed_fusion(w)
     threshold = 10.0 * tol.eq_rel
     budget = None if trials_bound is None else max(trials_bound, 1)

@@ -11,9 +11,11 @@ from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    clears_inv_cutoff,
+    clipped_eig_bounds,
+    extreme_singular_values,
     inverse,
     pinv,
-    singular_values,
     spectral_norm,
 )
 
@@ -61,16 +63,11 @@ def frame_bounds_ordinary(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL):
     """Extreme eigenvalues (alpha, beta) of the frame operator."""
     if phi.count == 0:
         raise ContractViolationError("frame bounds need at least one vector")
-    w = np.linalg.eigvalsh(frame_operator(phi))
-    lo, hi = float(w[0]), float(w[-1])
-    if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
-        lo = 0.0
-    return lo, hi
+    return clipped_eig_bounds(frame_operator(phi), tol)
 
 
 def is_frame(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    lo, hi = frame_bounds_ordinary(phi, tol)
-    return lo > tol.inv_rel * hi
+    return clears_inv_cutoff(*frame_bounds_ordinary(phi, tol), tol)
 
 
 def canonical_dual_ordinary(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL) -> VectorFrame:
@@ -138,11 +135,11 @@ def inverse_representation_ordinary(
     """
     m = np.asarray(m, dtype=np.complex128).ravel()
     mat = ordinary_multiplier(m, synth, anal)
-    s = singular_values(mat)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= tol.inv_rel * s[0]:
+    sigma_min, sigma_max = extreme_singular_values(mat)
+    if not clears_inv_cutoff(sigma_min, sigma_max, tol):
         raise NotInvertibleError(
-            f"multiplier is singular at tolerance (sigma_min={float(s[-1]) if s.size else 0.0:.3e})",
-            sigma_min=float(s[-1]) if s.size else 0.0,
+            f"multiplier is singular at tolerance (sigma_min={sigma_min:.3e})",
+            sigma_min=sigma_min,
         )
     if np.min(np.abs(m)) == 0.0:
         raise ContractViolationError("symbol is not semi-normalized: zero entry")

@@ -2,7 +2,10 @@
 
 A fusion sequence is a list of subspaces of C^n with non-negative weights,
 subject to the compatibility rule that a weight vanishes exactly when its
-subspace is zero. Two coefficient spaces appear throughout:
+subspace is zero. A sequence caches the (N, n, n) stack of its projections;
+:func:`sandwich` builds every block sum sum_i c_i P_{V_i} X_i P_{W_i} (dual
+composites and multipliers) from these stacks. Two coefficient spaces appear
+throughout:
 
 * the ambient stacked space C^(N*n), where block i of the analysis operator
   is w_i P_i, and
@@ -13,17 +16,21 @@ subspace is zero. Two coefficient spaces appear throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .exceptions import ContractViolationError
+from .exceptions import ContractViolationError, PreconditionError
 from .frames import VectorFrame, canonical_dual_ordinary
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    clears_inv_cutoff,
+    clipped_eig_bounds,
     rank_tol,
+    spectral_norms,
     svd,
 )
 
@@ -32,6 +39,8 @@ __all__ = [
     "random_subspace",
     "projection",
     "FusionSequence",
+    "sandwich",
+    "block_deviation",
     "fusion_analysis_ambient",
     "fusion_synthesis_kw",
     "fusion_frame_operator",
@@ -154,10 +163,46 @@ class FusionSequence:
     def dims(self):
         return tuple(s.dim for s in self.subspaces)
 
+    @cached_property
+    def projections(self) -> np.ndarray:
+        """Read-only (N, n, n) stack of the projections P_i, built on first use."""
+        stack = np.array([projection(s) for s in self.subspaces])
+        stack.flags.writeable = False
+        return stack
+
+
+def _weighted_sum(coeffs, stack: np.ndarray) -> np.ndarray:
+    # a running total in block order: for n = 1, .sum(axis=0) reduces a
+    # contiguous axis, where numpy sums pairwise and rounds differently
+    total = np.zeros(stack.shape[1:], dtype=np.complex128)
+    for term in np.asarray(coeffs)[:, None, None] * stack:
+        total += term
+    return total
+
+
+def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle=None) -> np.ndarray:
+    """sum_i coeffs_i P_{V_i} X_i P_{W_i}, with ``middle`` an (N, n, n) stack
+    of the X_i, one shared n x n matrix, or None for P_{V_i} P_{W_i}."""
+    if v.count != w.count or v.ambient_dim != w.ambient_dim:
+        raise ContractViolationError("sequences must share length and ambient dimension")
+    inner = v.projections if middle is None else v.projections @ middle
+    return _weighted_sum(coeffs, inner @ w.projections)
+
+
+def _weighted_projections(f: FusionSequence) -> np.ndarray:
+    return f.weights[:, None, None] * f.projections
+
+
+def block_deviation(f: FusionSequence, g: FusionSequence) -> float:
+    """max_i ||w_i P_i - w'_i P'_i||, the largest blockwise distance of two sequences."""
+    if f.count != g.count or f.ambient_dim != g.ambient_dim:
+        raise ContractViolationError("sequences must share length and ambient dimension")
+    return float(spectral_norms(_weighted_projections(f) - _weighted_projections(g)).max())
+
 
 def fusion_analysis_ambient(f: FusionSequence) -> np.ndarray:
     """(N*n) x n stack whose i-th block is w_i P_i."""
-    return np.vstack([w * projection(s) for s, w in zip(f.subspaces, f.weights)])
+    return _weighted_projections(f).reshape(f.count * f.ambient_dim, f.ambient_dim)
 
 
 def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
@@ -167,26 +212,16 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
 
 def fusion_frame_operator(f: FusionSequence) -> np.ndarray:
     """S = sum_i w_i^2 P_i."""
-    n = f.ambient_dim
-    s = np.zeros((n, n), dtype=np.complex128)
-    for sub, w in zip(f.subspaces, f.weights):
-        if sub.dim:
-            s += (w * w) * projection(sub)
-    return s
+    return _weighted_sum(f.weights * f.weights, f.projections)
 
 
 def fusion_bounds(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
     """Extreme eigenvalues (alpha, beta) of the fusion frame operator."""
-    w = np.linalg.eigvalsh(fusion_frame_operator(f))
-    lo, hi = float(w[0]), float(w[-1])
-    if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
-        lo = 0.0
-    return lo, hi
+    return clipped_eig_bounds(fusion_frame_operator(f), tol)
 
 
 def is_fusion_frame(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    lo, hi = fusion_bounds(f, tol)
-    return lo > tol.inv_rel * hi
+    return clears_inv_cutoff(*fusion_bounds(f, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -206,7 +241,7 @@ def classify(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> FusionCla
     having full rank n.
     """
     lo, hi = fusion_bounds(f, tol)
-    frame = lo > tol.inv_rel * hi
+    frame = clears_inv_cutoff(lo, hi, tol)
     total = sum(f.dims)
     riesz = total == f.ambient_dim and rank_tol(fusion_synthesis_kw(f), tol) == f.ambient_dim
     return FusionClassification(bessel=True, frame=frame, riesz_fusion_basis=riesz, lower=lo, upper=hi)
@@ -238,6 +273,9 @@ def scale_weights(f: FusionSequence, factors) -> FusionSequence:
     return FusionSequence(tuple(subs), new_w)
 
 
+MAX_DRAWS = 10_000
+
+
 @dataclass(frozen=True)
 class LocalFrameFamily:
     """Per-block vector frames spanning each nonzero subspace, with duals.
@@ -264,7 +302,8 @@ def build_local_frames(
 
     Coefficients are complex Gaussian against the stored basis with each
     vector normalized; a block is redrawn while its local lower bound falls
-    below ``min_lower`` so the family stays uniformly bounded below.
+    below ``min_lower`` so the family stays uniformly bounded below
+    (PreconditionError after ``MAX_DRAWS`` misses on one block).
     Canonical local duals are computed within each subspace through the
     pseudoinverse of the local frame operator.
     """
@@ -280,13 +319,15 @@ def build_local_frames(
             duals.append(None)
             continue
         count = d + redundancy
-        while True:
+        for _ in range(MAX_DRAWS):
             coeff = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
             coeff /= np.linalg.norm(coeff, axis=0, keepdims=True)
             local_s = coeff @ coeff.conj().T
             ev = np.linalg.eigvalsh(local_s)
             if ev[0] >= min_lower:
                 break
+        else:
+            raise PreconditionError(f"no local frame reached {min_lower} in {MAX_DRAWS} draws")
         alpha = min(alpha, float(ev[0]))
         beta = max(beta, float(ev[-1]))
         phi = VectorFrame((sub.basis @ coeff).T)

@@ -14,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ContractViolationError
+from .exceptions import ContractViolationError, FusionFrameError, PreconditionError
 from .fusion import (
+    MAX_DRAWS,
     FusionSequence,
     LocalFrameFamily,
     Subspace,
@@ -127,8 +128,8 @@ def random_fusion_frame(
     max_cond: float = 1e4,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> FusionSequence:
-    """A random fusion frame with a bounded condition number."""
-    while True:
+    """A random fusion frame with a bounded condition number (``MAX_DRAWS`` tries)."""
+    for _ in range(MAX_DRAWS):
         if dims is None:
             draw = [int(rng.integers(1, n + 1)) for _ in range(count)]
             while sum(draw) < n:
@@ -142,6 +143,7 @@ def random_fusion_frame(
         lo, hi = fusion_bounds(f, tol)
         if lo > 0.0 and hi / lo <= max_cond:
             return f
+    raise PreconditionError(f"no fusion frame of condition <= {max_cond} in {MAX_DRAWS} draws")
 
 
 def random_riesz_basis(
@@ -175,10 +177,10 @@ def random_ov_frame(
     rng: np.random.Generator,
     min_cond_ratio: float = 1e-2,
 ) -> OVFrame:
-    """Random operator-valued frame with sigma_min(T) >= ratio * sigma_max."""
+    """Random operator-valued frame with sigma_min(T) >= ratio * sigma_max (``MAX_DRAWS`` tries)."""
     if count * k < n:
         raise ContractViolationError("need count * k >= n for a frame")
-    while True:
+    for _ in range(MAX_DRAWS):
         blocks = (
             rng.standard_normal((count, k, n)) + 1j * rng.standard_normal((count, k, n))
         ) / np.sqrt(2.0 * count * k)
@@ -186,6 +188,7 @@ def random_ov_frame(
         s = singular_values(ovf_analysis(a))
         if s[-1] >= min_cond_ratio * s[0]:
             return a
+    raise PreconditionError(f"no frame of ratio {min_cond_ratio} in {MAX_DRAWS} draws")
 
 
 def random_invertible_matrix(
@@ -383,12 +386,24 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """Parse an ffv1 document; a missing key or malformed value is a ContractViolationError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ContractViolationError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != "ffv1":
         raise ContractViolationError("not an ffv1 instance document")
+    try:
+        return _instance_from_doc(doc)
+    except FusionFrameError:
+        raise
+    except KeyError as exc:
+        raise ContractViolationError(f"malformed ffv1 document: missing key {exc}") from exc
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ContractViolationError(f"malformed ffv1 document: {exc}") from exc
+
+
+def _instance_from_doc(doc: dict) -> Instance:
     n = int(doc["n"])
     w = _sequence_in(doc["w"], n)
     v = _sequence_in(doc["v"], n)

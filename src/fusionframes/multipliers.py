@@ -6,8 +6,10 @@ The multiplier attached to two weighted subspace sequences and a symbol
     M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i}
       = T_V,u^*  D_mR  T_W,w
 
-where D_mR acts blockwise as m_i R_i on the stacked space. The two-sided
-symbol hypothesis
+where D_mR acts blockwise as m_i R_i on the stacked space. It is the
+block sandwich of :func:`fusion.sandwich` with middle blocks R_i, as are
+the projection-composition (R_i = I) and S_W^-1-weighted (R_i = S_W^-1)
+forms it is contrasted with. The two-sided symbol hypothesis
 
     C(m, R):  gamma ||x|| <= ||conj(m_j) R_j^* x|| <= delta ||x||  for all j
 
@@ -33,13 +35,16 @@ from .fusion import (
     fusion_bounds,
     fusion_frame_operator,
     is_fusion_frame,
-    projection,
+    sandwich,
     scale_weights,
 )
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
+    clears_inv_cutoff,
+    extreme_singular_values,
     inverse,
+    near_inv_cutoff,
     rank_tol,
     schatten_norm,
     singular_values,
@@ -155,27 +160,22 @@ def condition_c(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionCRe
         raise ContractViolationError("empty symbol")
     gammas, deltas = [], []
     for i in range(sym.count):
-        s = singular_values(sym.r[i])
-        top = float(s[0]) if s.size else 0.0
-        bot = float(s[-1]) if s.size else 0.0
+        bot, top = extreme_singular_values(sym.r[i])
         gammas.append(abs(sym.m[i]) * bot)
         deltas.append(abs(sym.m[i]) * top)
     gamma = float(min(gammas))
     delta = float(max(deltas))
-    threshold = tol.inv_rel * delta
-    holds = gamma > threshold and delta > 0.0
     r_sup = sym.r_sup
     lower_witness = gamma / r_sup if r_sup > 0.0 else 0.0
     m_abs = np.abs(sym.m)
     semi = bool(np.min(m_abs) > 0.0 and np.all(np.isfinite(m_abs)))
-    near = bool(threshold > 0.0 and threshold / 10.0 < gamma <= 10.0 * threshold)
     return ConditionCReport(
         gamma=gamma,
         delta=delta,
-        holds=holds,
+        holds=clears_inv_cutoff(gamma, delta, tol),
         semi_normalized=semi,
         lower_witness=lower_witness,
-        near_threshold=near,
+        near_threshold=near_inv_cutoff(gamma, delta, tol),
     )
 
 
@@ -207,16 +207,8 @@ def assemble_multiplier(
 ) -> MultiplierReport:
     """Assemble sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and measure it."""
     _check_triple(sym, v, w)
-    n = w.ambient_dim
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for i in range(w.count):
-        coeff = sym.m[i] * v.weights[i] * w.weights[i]
-        if coeff == 0.0:
-            continue
-        mat += coeff * (projection(v.subspaces[i]) @ sym.r[i] @ projection(w.subspaces[i]))
-    s = singular_values(mat)
-    sigma_max = float(s[0]) if s.size else 0.0
-    sigma_min = float(s[-1]) if s.size else 0.0
+    mat = sandwich(v, w, sym.m * v.weights * w.weights, sym.r)
+    sigma_min, sigma_max = extreme_singular_values(mat)
     _, beta_v = fusion_bounds(v, tol)
     _, beta_w = fusion_bounds(w, tol)
     bound = float(np.sqrt(beta_v * beta_w) * sym.m_sup * sym.r_sup)
@@ -224,7 +216,7 @@ def assemble_multiplier(
         matrix=mat,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
-        invertible=bool(sigma_max > 0.0 and sigma_min > tol.inv_rel * sigma_max),
+        invertible=clears_inv_cutoff(sigma_min, sigma_max, tol),
         norm_bound=bound,
     )
 
@@ -320,8 +312,8 @@ def invertible_multiplier_consequences(
     w_scaled = scale_weights(w, sym.m)
     v_scaled = scale_weights(v, sym.m)
     bounds = [fusion_bounds(seq, tol) for seq in (w, v, w_scaled, v_scaled)]
-    all_frames = all(lo > tol.inv_rel * hi for lo, hi in bounds)
-    _, beta_v = fusion_bounds(v, tol)
+    all_frames = all(clears_inv_cutoff(lo, hi, tol) for lo, hi in bounds)
+    beta_v = bounds[1][1]
     rhs = 1.0 / (beta_v * sym.r_sup**2 * spectral_norm(m_inv) ** 2)
     lower_ok = bounds[2][0] >= (1.0 - slack) * rhs
     e_w = excess(w, tol)[0]
@@ -412,16 +404,13 @@ def inverse_multiplier_representation(
     m_inv = inverse(report.matrix, tol)
     m_star_inv = m_inv.conj().T
     s_inv = inverse(fusion_frame_operator(w), tol)
-    l_blocks, q_blocks = [], []
-    for i in range(w.count):
-        p_v = projection(v.subspaces[i])
-        p_w = projection(w.subspaces[i])
-        l_i = v.weights[i] * sym.r[i].conj().T @ p_v @ m_star_inv
-        if sym.m[i] != 0.0:
-            l_i = l_i - (w.weights[i] / np.conj(sym.m[i])) * (p_w @ s_inv)
-        l_blocks.append(l_i)
-        q_blocks.append(w.weights[i] * (p_w @ s_inv) + np.conj(sym.m[i]) * l_i)
-    q_dagger = np.array(q_blocks)
+    pw_s_inv = w.projections @ s_inv
+    m_conj = np.conj(sym.m)
+    r_adj = v.weights[:, None, None] * sym.r.conj().transpose(0, 2, 1)
+    l_blocks = r_adj @ v.projections @ m_star_inv
+    nz = sym.m != 0.0
+    l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
+    q_dagger = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
     stacked_q = q_dagger.reshape(w.count * n, n)
     t_w = fusion_analysis_ambient(w)
     duality_residual = spectral_norm(stacked_q.conj().T @ t_w - np.eye(n))
@@ -441,7 +430,7 @@ def inverse_multiplier_representation(
     )
     return InverseRepresentationReport(
         q_dagger=q_dagger,
-        l_blocks=np.array(l_blocks),
+        l_blocks=l_blocks,
         duality_residual=duality_residual,
         representation_residual=representation_residual,
         probe_residual=probe_residual,
@@ -477,7 +466,7 @@ def local_frame_equivalence(
             raise PreconditionError(f"block {i} has no local frame")
         if rank_tol(phi.vectors, tol) != sub.dim:
             raise PreconditionError(f"local frame of block {i} does not span its subspace")
-        p_v = projection(v.subspaces[i])
+        p_v = v.projections[i]
         for j in range(phi.count):
             anal_rows.append(w.weights[i] * phi.vectors[j])
             synth_rows.append(v.weights[i] * (p_v @ (sym.r[i] @ dual.vectors[j])))
@@ -496,14 +485,7 @@ def projection_composition_multiplier(m, v: FusionSequence, w: FusionSequence) -
     m = np.asarray(m, dtype=np.complex128).ravel()
     if not (m.size == v.count == w.count):
         raise ContractViolationError("lengths disagree")
-    n = w.ambient_dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(w.count):
-        coeff = m[i] * v.weights[i] * w.weights[i]
-        if coeff == 0.0:
-            continue
-        out += coeff * (projection(v.subspaces[i]) @ projection(w.subspaces[i]))
-    return out
+    return sandwich(v, w, m * v.weights * w.weights)
 
 
 def gavruta_multiplier(
@@ -516,14 +498,7 @@ def gavruta_multiplier(
     if not is_fusion_frame(w, tol):
         raise NotAFrameError("the S^-1-weighted multiplier needs a fusion frame")
     s_inv = inverse(fusion_frame_operator(w), tol)
-    n = w.ambient_dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(w.count):
-        coeff = m[i] * v.weights[i] * w.weights[i]
-        if coeff == 0.0:
-            continue
-        out += coeff * (projection(v.subspaces[i]) @ s_inv @ projection(w.subspaces[i]))
-    return out
+    return sandwich(v, w, m * v.weights * w.weights, s_inv)
 
 
 @dataclass(frozen=True)

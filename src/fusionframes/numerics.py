@@ -27,10 +27,12 @@ __all__ = [
     "rank_tol",
     "spectral_norm",
     "spectral_norms",
+    "extreme_singular_values",
+    "clears_inv_cutoff",
+    "near_inv_cutoff",
+    "clipped_eig_bounds",
     "pinv",
     "inverse",
-    "is_invertible",
-    "hermitian_eig_bounds",
     "schatten_norm",
 ]
 
@@ -141,6 +143,35 @@ def spectral_norms(stack) -> np.ndarray:
         ) from exc
 
 
+def extreme_singular_values(a):
+    """``(s_min, s_max)`` of a matrix; ``(0.0, 0.0)`` when it has no singular values."""
+    s = singular_values(a)
+    if not s.size:
+        return 0.0, 0.0
+    return float(s[-1]), float(s[0])
+
+
+def clears_inv_cutoff(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """The invertibility rule ``lo > inv_rel * hi`` on extreme singular values or bounds."""
+    return bool(lo > tol.inv_rel * hi)
+
+
+def near_inv_cutoff(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """``lo`` lies within a factor 10 of the cutoff ``inv_rel * hi``, on either side."""
+    cutoff = tol.inv_rel * hi
+    return bool(cutoff > 0.0 and cutoff / 10.0 < lo <= 10.0 * cutoff)
+
+
+def clipped_eig_bounds(a, tol: ToleranceConfig = DEFAULT_TOL):
+    """Extreme eigenvalues ``(lo, hi)`` of a Hermitian positive semidefinite matrix,
+    with a rounding-level negative ``lo`` (within ``eq_rel * max(1, hi)``) clipped to 0."""
+    w = np.linalg.eigvalsh(a)
+    lo, hi = float(w[0]), float(w[-1])
+    if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
+        lo = 0.0
+    return lo, hi
+
+
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse truncated at the rank cutoff."""
     m = as_matrix(a)
@@ -149,45 +180,18 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.pinv(m, rcond=tol.rank_rel * max(m.shape))
 
 
-def is_invertible(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        return False
-    s = singular_values(m)
-    return bool(s[0] > 0.0 and s[-1] > tol.inv_rel * s[0])
-
-
 def inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix, guarded by the invertibility cutoff."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"cannot invert a {m.shape[0]}x{m.shape[1]} matrix")
-    s = singular_values(m)
-    sigma_min = float(s[-1]) if s.size else 0.0
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= tol.inv_rel * s[0]:
+    sigma_min, sigma_max = extreme_singular_values(m)
+    if not clears_inv_cutoff(sigma_min, sigma_max, tol):
         raise NotInvertibleError(
             f"matrix is singular at tolerance (sigma_min={sigma_min:.3e})",
             sigma_min=sigma_min,
         )
     return np.linalg.inv(m)
-
-
-def hermitian_eig_bounds(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Extreme eigenvalues of a Hermitian matrix.
-
-    The input must be Hermitian up to ``eq_rel``; the eigenvalues of its
-    Hermitian part are returned as ``(smallest, largest)``.
-    """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ContractViolationError("eigenvalue bounds need a square matrix")
-    if m.shape[0] == 0:
-        raise ContractViolationError("eigenvalue bounds need a nonempty matrix")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if float(np.linalg.norm(m - m.conj().T)) > tol.eq_rel * scale:
-        raise ContractViolationError("matrix is not Hermitian at tolerance")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return float(w[0]), float(w[-1])
 
 
 def schatten_norm(a, p: float) -> float:

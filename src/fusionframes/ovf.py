@@ -23,11 +23,13 @@ import numpy as np
 
 from .exceptions import ContractViolationError, NotAFrameError
 from .frames import VectorFrame
-from .fusion import FusionSequence, projection
+from .fusion import FusionSequence, fusion_analysis_ambient
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    clears_inv_cutoff,
+    clipped_eig_bounds,
     pinv,
     rank_tol,
     spectral_norm,
@@ -66,10 +68,6 @@ class OVFrame:
             raise ContractViolationError("operator blocks contain NaN or Inf")
         object.__setattr__(self, "blocks", b)
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "OVFrame":
-        return cls(np.array([as_matrix(b) for b in blocks]))
-
     @property
     def count(self) -> int:
         return self.blocks.shape[0]
@@ -93,10 +91,7 @@ def ovf_frame_operator_bounds(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL):
     """Frame operator S_A = T_A^* T_A with its extreme eigenvalues."""
     t = ovf_analysis(a)
     s = t.conj().T @ t
-    w = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
-        lo = 0.0
+    lo, hi = clipped_eig_bounds((s + s.conj().T) / 2.0, tol)
     return s, lo, hi
 
 
@@ -107,9 +102,8 @@ def embed_ordinary(phi: VectorFrame) -> OVFrame:
 
 def embed_fusion(f: FusionSequence) -> OVFrame:
     """Fusion sequence as B(C^n)-valued frame: block i is w_i P_i."""
-    return OVFrame(
-        np.array([w * projection(s) for s, w in zip(f.subspaces, f.weights)])
-    )
+    n = f.ambient_dim
+    return OVFrame(fusion_analysis_ambient(f).reshape(f.count, n, n))
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,7 @@ def duality_defect(cand: DualCandidate) -> float:
 def _canonical_analysis(a: OVFrame, tol: ToleranceConfig):
     t = ovf_analysis(a)
     s, lo, hi = ovf_frame_operator_bounds(a, tol)
-    if not lo > tol.inv_rel * hi:
+    if not clears_inv_cutoff(lo, hi, tol):
         raise NotAFrameError(
             f"operator-valued sequence is not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})"
         )

@@ -88,6 +88,17 @@ def test_exit_code_invalid_file(tmp_path):
     assert main(["check", "--suite", "duals", str(bad)]) == 2
 
 
+def test_exit_code_malformed_instance_files(tmp_path):
+    no_keys = tmp_path / "no_keys.json"
+    no_keys.write_text('{"schema": "ffv1"}')
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    del doc["w"]["subspaces"][0]["basis"]
+    no_basis = tmp_path / "no_basis.json"
+    no_basis.write_text(json.dumps(doc))
+    for path in (no_keys, no_basis):
+        assert main(["check", "--suite", "duals", str(path)]) == 2
+
+
 def test_exit_code_bad_suite():
     with pytest.raises(SystemExit) as info:
         main(["check", "--suite", "bogus", str(GOLDEN_INSTANCE)])

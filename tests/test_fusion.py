@@ -1,10 +1,21 @@
 """Fusion sequences: projections, operators, bounds, excess, local frames."""
 
+import time
+
 import numpy as np
 import pytest
 
-from conftest import coordinate_decomposition, line
-from fusionframes.exceptions import ContractViolationError
+from conftest import (
+    coordinate_decomposition,
+    line,
+    reference_composite,
+    reference_gavruta_composite,
+    reference_gavruta_multiplier,
+    reference_multiplier,
+    reference_projection_composition,
+)
+from fusionframes import duality, fusion, multipliers
+from fusionframes.exceptions import ContractViolationError, PreconditionError
 from fusionframes.frames import ordinary_multiplier
 from fusionframes.fusion import (
     FusionSequence,
@@ -18,9 +29,11 @@ from fusionframes.fusion import (
     fusion_synthesis_kw,
     projection,
     random_subspace,
+    sandwich,
     scale_weights,
 )
-from fusionframes.numerics import DEFAULT_TOL, spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, inverse, spectral_norm
+from fusionframes.ovf import embed_fusion
 
 
 def test_projection_examples():
@@ -186,3 +199,89 @@ def test_local_reconstruction(rng):
             for x in basis:
                 err = np.linalg.norm(recon @ (p @ x) - p @ x)
                 assert err <= DEFAULT_TOL.eq_rel
+
+
+def test_local_frames_unreachable_lower_bound_is_typed():
+    # one unit vector in a line has local lower bound exactly 1 on every draw
+    f = FusionSequence((line([1.0, 0.0]),), np.array([1.0]))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        build_local_frames(f, 0, np.random.default_rng(0), min_lower=1.5)
+    assert time.perf_counter() - start < 10.0
+
+
+def _random_sequence(n, count, rng):
+    dims = [0 if rng.random() < 0.2 else int(rng.integers(1, n + 1)) for _ in range(count)]
+    subs = tuple(random_subspace(n, d, rng) for d in dims)
+    weights = np.array([float(rng.uniform(0.1, 3.0)) if d else 0.0 for d in dims])
+    return FusionSequence(subs, weights)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_sandwich_matches_the_per_block_loops(rng):
+    shapes = [(16, 24), (1, 24), (16, 1), (2, 1)] + [
+        (int(rng.integers(1, 17)), int(rng.integers(1, 25))) for _ in range(116)
+    ]
+    gavruta_cases = 0
+    for n, count in shapes:
+        v, w = _random_sequence(n, count, rng), _random_sequence(n, count, rng)
+        m = _complex(rng, count)
+        m[rng.random(count) < 0.2] = 0.0
+        r = _complex(rng, (count, n, n))
+        sym = multipliers.Symbol(m, r)
+
+        assert np.array_equal(
+            duality.kpp_dual_check(v, w, r).composite, reference_composite(v, w, r)
+        )
+        assert np.array_equal(
+            multipliers.assemble_multiplier(sym, v, w).matrix, reference_multiplier(m, r, v, w)
+        )
+        assert np.array_equal(
+            multipliers.projection_composition_multiplier(m, v, w),
+            reference_projection_composition(m, v, w),
+        )
+        assert np.array_equal(
+            sandwich(v, w, v.weights * w.weights, r), reference_composite(v, w, r)
+        )
+        if not fusion.is_fusion_frame(w):
+            continue
+        gavruta_cases += 1
+        s_inv = inverse(fusion_frame_operator(w))
+        assert np.array_equal(
+            multipliers.gavruta_multiplier(m, v, w), reference_gavruta_multiplier(m, v, w, s_inv)
+        )
+        comp = reference_gavruta_composite(v, w, s_inv)
+        assert duality.gavruta_dual_check(v, w) == float(
+            np.linalg.norm(comp - np.eye(n)) / np.sqrt(n)
+        )
+        assert np.array_equal(sandwich(v, w, w.weights * v.weights, s_inv), comp)
+    assert gavruta_cases >= 60
+
+
+def test_sandwich_rejects_mismatched_sequences():
+    with pytest.raises(ContractViolationError):
+        sandwich(coordinate_decomposition(2), coordinate_decomposition(3), np.ones(2))
+
+
+def test_projection_stack_is_cached_and_read_only(rng, monkeypatch):
+    calls = []
+    original = fusion.projection
+    monkeypatch.setattr(fusion, "projection", lambda sub: calls.append(sub) or original(sub))
+    v, w = _random_sequence(5, 7, rng), _random_sequence(5, 7, rng)
+    sym = multipliers.Symbol(_complex(rng, 7), _complex(rng, (7, 5, 5)))
+    stack = w.projections
+    assert stack.shape == (7, 5, 5) and w.projections is stack
+    for sub, p in zip(w.subspaces, stack):
+        assert np.array_equal(p, original(sub))
+    fusion_frame_operator(w)
+    fusion_analysis_ambient(w)
+    embed_fusion(w)
+    fusion.block_deviation(w, v)
+    multipliers.assemble_multiplier(sym, v, w)
+    multipliers.schatten_checks(sym, v, w, 2.0)
+    assert len(calls) == 2 * 7
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0

@@ -1,9 +1,11 @@
 """Instance specs, generators, and ffv1 round-trips."""
 
+import time
+
 import numpy as np
 import pytest
 
-from fusionframes.exceptions import ContractViolationError
+from fusionframes.exceptions import ContractViolationError, PreconditionError
 from fusionframes.fusion import fusion_bounds, is_fusion_frame
 from fusionframes.instances import (
     InstanceSpec,
@@ -166,3 +168,27 @@ def test_cross_swap_instance_shape():
     inst = cross_swap_instance()
     assert inst.w.ambient_dim == 2 and inst.w.count == 2
     assert is_fusion_frame(inst.w) and is_fusion_frame(inst.v)
+
+
+def test_random_fusion_frame_that_cannot_span_is_typed():
+    # a single 2-dim block never spans C^4, so every draw misses
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        random_fusion_frame(4, 1, np.random.default_rng(0), dims=(2,))
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": "ffv1"},
+        {"schema": "ffv1", "n": "three"},
+        {"schema": "ffv1", "n": 2, "w": {"subspaces": [{"dim": 1}], "weights": [1.0]}},
+        {"schema": "ffv1", "n": 2, "w": {"subspaces": [{"dim": 1, "basis": [[1.0]]}]}},
+    ],
+)
+def test_from_json_malformed_documents_are_typed(doc):
+    import json
+
+    with pytest.raises(ContractViolationError):
+        instance_from_json(json.dumps(doc))

@@ -8,8 +8,11 @@ from fusionframes.fusion import projection, random_subspace
 from fusionframes.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
-    hermitian_eig_bounds,
+    clears_inv_cutoff,
+    clipped_eig_bounds,
+    extreme_singular_values,
     inverse,
+    near_inv_cutoff,
     pinv,
     rank_tol,
     schatten_norm,
@@ -88,12 +91,24 @@ def test_pinv_moore_penrose_identities(rng):
         assert spectral_norm((ap @ a).conj().T - ap @ a) <= DEFAULT_TOL.eq_rel * scale
 
 
-def test_hermitian_eig_bounds():
-    assert hermitian_eig_bounds(np.diag([1.0, 4.0])) == (1.0, 4.0)
-    assert hermitian_eig_bounds(np.eye(5)) == (1.0, 1.0)
-    assert hermitian_eig_bounds(np.diag([0.0, 2.0, 5.0])) == (0.0, 5.0)
-    with pytest.raises(ContractViolationError):
-        hermitian_eig_bounds(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_clipped_eig_bounds():
+    assert clipped_eig_bounds(np.diag([1.0, 4.0])) == (1.0, 4.0)
+    assert clipped_eig_bounds(np.eye(5)) == (1.0, 1.0)
+    assert clipped_eig_bounds(np.diag([0.0, 2.0, 5.0])) == (0.0, 5.0)
+    # rounding below zero is clipped; a genuinely negative eigenvalue is not
+    assert clipped_eig_bounds(np.diag([-1e-12, 3.0])) == (0.0, 3.0)
+    assert clipped_eig_bounds(np.diag([-1e-3, 3.0])) == (-1e-3, 3.0)
+
+
+def test_inv_cutoff_rules():
+    assert extreme_singular_values(np.diag([3.0, 0.5])) == (0.5, 3.0)
+    assert extreme_singular_values(np.zeros((0, 2))) == (0.0, 0.0)
+    assert clears_inv_cutoff(1.0, 2.0)
+    assert not clears_inv_cutoff(0.0, 0.0)
+    assert not clears_inv_cutoff(1e-8, 1.0)
+    assert clears_inv_cutoff(2e-8, 1.0)
+    assert near_inv_cutoff(2e-8, 1.0) and near_inv_cutoff(1e-8, 1.0)
+    assert not near_inv_cutoff(1e-6, 1.0) and not near_inv_cutoff(0.0, 0.0)
 
 
 def test_schatten_norm():
