@@ -34,7 +34,7 @@ from .instances import (
     random_riesz_basis,
     random_symbol,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
+from .numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm, spectral_norms
 from .ovf import duality_defect, embed_fusion, ovf_analysis
 
 __all__ = ["CheckResult", "Check", "CHECKS", "SUITES", "run_suite", "describe_check"]
@@ -90,14 +90,16 @@ def _run_canonical_dual(inst, rng, tol):
     return CheckResult(duality_defect(cand))
 
 
+def _sampled_duals(a, count, rng, tol):
+    """``count`` kernel-perturbed duals of ``a``, each from a complex Gaussian seed."""
+    shape = ovf_analysis(a).shape
+    seeds = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count)]
+    return ovf.sample_ov_duals(a, seeds, tol)
+
+
 def _run_sampled_duals(inst, rng, tol):
-    a = embed_fusion(inst.w)
-    t = ovf_analysis(a)
-    worst = 0.0
-    for _ in range(5):
-        g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        worst = max(worst, duality_defect(ovf.sample_ov_dual(a, g, tol)))
-    return CheckResult(worst)
+    duals = _sampled_duals(embed_fusion(inst.w), 5, rng, tol)
+    return CheckResult(max(duality_defect(cand) for cand in duals))
 
 
 def _run_dual_span(inst, rng, tol):
@@ -218,20 +220,16 @@ def _run_assembly_routes(inst, rng, tol):
 
 
 def _run_condition_c_coherence(inst, rng, tol):
-    rep = multipliers.condition_c(inst.symbol, tol)
+    sym = inst.symbol
+    rep = multipliers.condition_c(sym, tol)
     if not rep.holds:
         return CheckResult(0.0, detail="two-sided bound does not hold; nothing to certify")
-    residual = 0.0
-    if not rep.semi_normalized:
-        residual = 1.0
-    min_m = float(np.min(np.abs(inst.symbol.m)))
+    residual = 0.0 if rep.semi_normalized else 1.0
+    min_m = float(np.min(np.abs(sym.m)))
     residual = max(residual, max(0.0, rep.lower_witness - min_m) / max(1.0, rep.lower_witness))
-    inv_blocks = multipliers.inverse_symbol_blocks(inst.symbol, tol)
-    eye = np.eye(inst.symbol.dim)
-    for i in range(inst.symbol.count):
-        defect = spectral_norm(inst.symbol.m[i] * inst.symbol.r[i] @ inv_blocks[i] - eye)
-        residual = max(residual, defect)
-    return CheckResult(residual)
+    inv_blocks = multipliers.inverse_symbol_blocks(sym, tol)
+    defects = spectral_norms(sym.m[:, None, None] * sym.r @ inv_blocks - np.eye(sym.dim))
+    return CheckResult(max(residual, float(defects.max())))
 
 
 def _riesz_pair(inst, rng):
@@ -280,31 +278,26 @@ def _run_excess_invariance(inst, rng, tol):
     return CheckResult(float(mismatch))
 
 
-def _sampled_v_duals(inst, rng, tol, count=5):
+def _inverse_representation(inst, rng, tol):
+    """The inverse representation through the canonical and four sampled duals of V."""
     a_v = embed_fusion(inst.v)
-    t = ovf_analysis(a_v)
-    duals = [ovf.canonical_ov_dual(a_v, tol)]
-    for _ in range(count - 1):
-        g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        duals.append(ovf.sample_ov_dual(a_v, g, tol))
-    return duals
+    duals = [ovf.canonical_ov_dual(a_v, tol)] + _sampled_duals(a_v, 4, rng, tol)
+    return multipliers.inverse_multiplier_representation(
+        inst.symbol, inst.v, inst.w, duals, tol, rng=rng
+    )
 
 
 def _run_inverse_representation(inst, rng, tol):
-    duals = _sampled_v_duals(inst, rng, tol)
-    rep = multipliers.inverse_multiplier_representation(
-        inst.symbol, inst.v, inst.w, duals, tol, rng=rng
-    )
-    return CheckResult(max(rep.duality_residual, rep.representation_residual))
+    rep = _inverse_representation(inst, rng, tol)
+    residual = max(rep.duality_residual, rep.representation_residual)
+    return CheckResult(residual, indeterminate=rep.indeterminate)
 
 
 def _run_inverse_uniqueness(inst, rng, tol):
-    duals = _sampled_v_duals(inst, rng, tol)
-    rep = multipliers.inverse_multiplier_representation(
-        inst.symbol, inst.v, inst.w, duals, tol, rng=rng
-    )
+    rep = _inverse_representation(inst, rng, tol)
     shortfall = max(0.0, (1e-4 - rep.probe_residual) / 1e-4)
-    return CheckResult(shortfall, detail=f"probe residual {rep.probe_residual:.3e}")
+    detail = f"probe residual {rep.probe_residual:.3e}"
+    return CheckResult(shortfall, indeterminate=rep.indeterminate, detail=detail)
 
 
 def _run_contrast(inst, rng, tol):
@@ -355,25 +348,17 @@ def _run_schatten_blocks(inst, rng, tol):
     return CheckResult(rep.block_sval_defect)
 
 
-def _run_schatten_composite(inst, rng, tol):
-    worst = 0.0
-    for p in (1.0, 2.0, 4.0):
-        rep = multipliers.schatten_checks(inst.symbol, inst.v, inst.w, p, tol)
-        worst = max(
-            worst,
-            max(0.0, rep.composite_norm - rep.composite_bound) / max(1.0, rep.composite_bound),
-        )
-    return CheckResult(worst)
+def _schatten_excess(value: str, bound: str):
+    """Runner: worst relative excess of SchattenReport ``value`` over ``bound``, p in {1, 2, 4}."""
+    def run(inst, rng, tol):
+        worst = 0.0
+        for p in (1.0, 2.0, 4.0):
+            rep = multipliers.schatten_checks(inst.symbol, inst.v, inst.w, p, tol)
+            lhs, rhs = getattr(rep, value), getattr(rep, bound)
+            worst = max(worst, max(0.0, lhs - rhs) / max(1.0, rhs))
+        return CheckResult(worst)
 
-
-def _run_schatten_rank(inst, rng, tol):
-    worst = 0.0
-    for p in (1.0, 2.0, 4.0):
-        rep = multipliers.schatten_checks(inst.symbol, inst.v, inst.w, p, tol)
-        worst = max(
-            worst, max(0.0, rep.block_power - rep.rank_bound) / max(1.0, rep.rank_bound)
-        )
-    return CheckResult(worst)
+    return run
 
 
 # --- registry --------------------------------------------------------------
@@ -628,7 +613,7 @@ _RAW_CHECKS = [
         _eq,
         "eq_rel",
         _always,
-        _run_schatten_composite,
+        _schatten_excess("composite_norm", "composite_bound"),
     ),
     (
         "schatten_rank_bound",
@@ -638,7 +623,7 @@ _RAW_CHECKS = [
         _eq,
         "eq_rel",
         _always,
-        _run_schatten_rank,
+        _schatten_excess("block_power", "rank_bound"),
     ),
 ]
 

@@ -108,12 +108,9 @@ def sample_ordinary_duals(
     from . import ovf  # deferred: ovf imports this module at load time
 
     a = ovf.embed_ordinary(phi)
-    duals = [ovf.canonical_ov_dual(a, tol)]
-    for _ in range(max(0, count - 1)):
-        g = rng.standard_normal((phi.count, phi.dim)) + 1j * rng.standard_normal(
-            (phi.count, phi.dim)
-        )
-        duals.append(ovf.sample_ov_dual(a, g, tol))
+    shape = phi.vectors.shape
+    seeds = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count - 1)]
+    duals = [ovf.canonical_ov_dual(a, tol)] + ovf.sample_ov_duals(a, seeds, tol)
     return [VectorFrame(d.analysis.conj()) for d in duals]
 
 

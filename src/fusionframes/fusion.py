@@ -39,6 +39,7 @@ __all__ = [
     "random_subspace",
     "projection",
     "FusionSequence",
+    "block_sum",
     "sandwich",
     "block_deviation",
     "fusion_analysis_ambient",
@@ -171,11 +172,11 @@ class FusionSequence:
         return stack
 
 
-def _weighted_sum(coeffs, stack: np.ndarray) -> np.ndarray:
-    # a running total in block order: for n = 1, .sum(axis=0) reduces a
-    # contiguous axis, where numpy sums pairwise and rounds differently
+def block_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum of an (N, r, c) stack of blocks, as a running total in block order."""
+    # for n = 1, .sum(axis=0) would sum pairwise and round differently
     total = np.zeros(stack.shape[1:], dtype=np.complex128)
-    for term in np.asarray(coeffs)[:, None, None] * stack:
+    for term in stack:
         total += term
     return total
 
@@ -186,7 +187,7 @@ def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle=None) -> np.nd
     if v.count != w.count or v.ambient_dim != w.ambient_dim:
         raise ContractViolationError("sequences must share length and ambient dimension")
     inner = v.projections if middle is None else v.projections @ middle
-    return _weighted_sum(coeffs, inner @ w.projections)
+    return block_sum(np.asarray(coeffs)[:, None, None] * (inner @ w.projections))
 
 
 def _weighted_projections(f: FusionSequence) -> np.ndarray:
@@ -212,7 +213,7 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
 
 def fusion_frame_operator(f: FusionSequence) -> np.ndarray:
     """S = sum_i w_i^2 P_i."""
-    return _weighted_sum(f.weights * f.weights, f.projections)
+    return block_sum((f.weights * f.weights)[:, None, None] * f.projections)
 
 
 def fusion_bounds(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):

@@ -25,7 +25,7 @@ from .fusion import (
     random_subspace,
 )
 from .frames import VectorFrame
-from .multipliers import Symbol
+from .multipliers import Symbol, condition_c
 from .numerics import DEFAULT_TOL, ToleranceConfig, singular_values
 from .ovf import OVFrame, ovf_analysis
 
@@ -244,8 +244,7 @@ def random_symbol(
         m[kill] = 0.0
         return Symbol(m, r)
     # adversarial: push gamma into the indeterminate band around the cutoff
-    sym = Symbol(m, r)
-    delta = max(abs(sym.m[i]) * singular_values(sym.r[i])[0] for i in range(count))
+    delta = condition_c(Symbol(m, r), tol).delta
     ratio = tol.inv_rel * float(np.exp(rng.uniform(np.log(1 / 3), np.log(3.0))))
     target = ratio * delta / abs(m[0])
     u, s, vh = np.linalg.svd(r[0])

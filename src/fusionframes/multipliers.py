@@ -14,21 +14,27 @@ forms it is contrasted with. The two-sided symbol hypothesis
     C(m, R):  gamma ||x|| <= ||conj(m_j) R_j^* x|| <= delta ||x||  for all j
 
 certifies blockwise invertibility of D_mR and semi-normalization of m, and
-drives the invertibility, excess, and inverse-representation checks below.
+drives the invertibility, excess, and inverse-representation checks below;
+near its cutoff their verdicts are flagged indeterminate. gamma, delta,
+||R||_inf and the Schatten facts are read from ``Symbol.svals``, the block
+singular values of one batched SVD cached on the symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .duality import random_annihilating_ovf
 from .exceptions import ContractViolationError, NotAFrameError, PreconditionError
 from .frames import VectorFrame, ordinary_multiplier
 from .fusion import (
     FusionSequence,
     LocalFrameFamily,
+    block_sum,
     classify,
     excess,
     fusion_analysis_ambient,
@@ -49,8 +55,10 @@ from .numerics import (
     schatten_norm,
     singular_values,
     spectral_norm,
+    spectrum_schatten_norm,
+    svals_rank,
 )
-from .ovf import DualCandidate, duality_defect, embed_fusion, kernel_projector
+from .ovf import DualCandidate, duality_defect, ovf_analysis
 
 __all__ = [
     "Symbol",
@@ -84,8 +92,8 @@ class Symbol:
     def __post_init__(self):
         m = np.asarray(self.m, dtype=np.complex128).ravel()
         r = np.asarray(self.r, dtype=np.complex128)
-        if r.ndim != 3 or r.shape[1] != r.shape[2]:
-            raise ContractViolationError(f"expected (N, n, n) operator blocks, got {r.shape}")
+        if r.ndim != 3 or r.shape[1] != r.shape[2] or r.shape[1] == 0:
+            raise ContractViolationError(f"expected (N, n, n) blocks with n >= 1, got {r.shape}")
         if m.size != r.shape[0]:
             raise ContractViolationError(
                 f"{m.size} scalars but {r.shape[0]} operator blocks"
@@ -111,19 +119,26 @@ class Symbol:
     def m_sup(self) -> float:
         return float(np.max(np.abs(self.m))) if self.count else 0.0
 
+    @cached_property
+    def svals(self) -> np.ndarray:
+        """Read-only (N, n) singular values of the R_i, non-increasing, from one batched
+        SVD on first use."""
+        s = np.linalg.svd(self.r, compute_uv=False)
+        s.flags.writeable = False
+        return s
+
     @property
     def r_sup(self) -> float:
         """sup_i ||R_i||, the ell-infinity norm of the operator sequence."""
-        return max((spectral_norm(ri) for ri in self.r), default=0.0)
+        return float(self.svals.max(initial=0.0))
 
 
 def block_diag_apply(sym: Symbol) -> np.ndarray:
     """(N*n) x (N*n) block diagonal with blocks m_i R_i."""
     n, count = sym.dim, sym.count
-    out = np.zeros((count * n, count * n), dtype=np.complex128)
-    for i in range(count):
-        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = sym.m[i] * sym.r[i]
-    return out
+    out = np.zeros((count, n, count, n), dtype=np.complex128)
+    out[np.arange(count), :, np.arange(count)] = sym.m[:, None, None] * sym.r
+    return out.reshape(count * n, count * n)
 
 
 def inverse_symbol_blocks(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -134,7 +149,7 @@ def inverse_symbol_blocks(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> np
             "blockwise inversion requires the two-sided symbol bound "
             f"(gamma={report.gamma:.3e}, delta={report.delta:.3e})"
         )
-    return np.array([np.linalg.inv(sym.m[i] * sym.r[i]) for i in range(sym.count)])
+    return np.linalg.inv(sym.m[:, None, None] * sym.r)
 
 
 @dataclass(frozen=True)
@@ -158,13 +173,10 @@ class ConditionCReport:
 def condition_c(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionCReport:
     if sym.count == 0:
         raise ContractViolationError("empty symbol")
-    gammas, deltas = [], []
-    for i in range(sym.count):
-        bot, top = extreme_singular_values(sym.r[i])
-        gammas.append(abs(sym.m[i]) * bot)
-        deltas.append(abs(sym.m[i]) * top)
-    gamma = float(min(gammas))
-    delta = float(max(deltas))
+    # np.hypot is abs() of each complex scalar; np.abs may differ by an ulp
+    m_mod = np.hypot(sym.m.real, sym.m.imag)
+    gamma = float(np.min(m_mod * sym.svals[:, -1]))
+    delta = float(np.max(m_mod * sym.svals[:, 0]))
     r_sup = sym.r_sup
     lower_witness = gamma / r_sup if r_sup > 0.0 else 0.0
     m_abs = np.abs(sym.m)
@@ -349,7 +361,8 @@ class InverseRepresentationReport:
     ``q_dagger`` is the operator-valued dual of {w_i P_{W_i}} through which
     M^-1 = T_qd^* D_(mR)^-1 T_D holds for every supplied dual D of
     {u_i P_{V_i}}. The probe residual measures how badly a perturbed
-    q_dagger breaks that representation.
+    q_dagger breaks that representation. ``indeterminate`` marks a symbol
+    near the invertibility cutoff, where neither residual is asserted.
     """
 
     q_dagger: np.ndarray
@@ -357,6 +370,7 @@ class InverseRepresentationReport:
     duality_residual: float
     representation_residual: float
     probe_residual: float
+    indeterminate: bool
 
 
 def _representation_residual(
@@ -364,19 +378,11 @@ def _representation_residual(
     inv_blocks: np.ndarray,
     duals: Sequence[DualCandidate],
     m_inv: np.ndarray,
-    n: int,
 ) -> float:
+    """max over the duals D of ||M^-1 - sum_i Q_i^* (m_i R_i)^-1 D_i|| / ||M^-1||."""
+    q_adj_inv = stacked_q.reshape(inv_blocks.shape).conj().transpose(0, 2, 1) @ inv_blocks
     scale = spectral_norm(m_inv)
-    worst = 0.0
-    count = stacked_q.shape[0] // n
-    q_blocks = stacked_q.reshape(count, n, n)
-    for cand in duals:
-        d_blocks = cand.blocks
-        rep = np.zeros((n, n), dtype=np.complex128)
-        for i in range(count):
-            rep += q_blocks[i].conj().T @ inv_blocks[i] @ d_blocks[i]
-        worst = max(worst, spectral_norm(m_inv - rep) / scale)
-    return worst
+    return max(spectral_norm(m_inv - block_sum(q_adj_inv @ cand.blocks)) / scale for cand in duals)
 
 
 def inverse_multiplier_representation(
@@ -415,25 +421,21 @@ def inverse_multiplier_representation(
     t_w = fusion_analysis_ambient(w)
     duality_residual = spectral_norm(stacked_q.conj().T @ t_w - np.eye(n))
     inv_blocks = inverse_symbol_blocks(sym, tol)
-    representation_residual = _representation_residual(
-        stacked_q, inv_blocks, sampled_duals, m_inv, n
-    )
+    representation_residual = _representation_residual(stacked_q, inv_blocks, sampled_duals, m_inv)
     if rng is None:
         rng = np.random.default_rng(0xD0A1)
-    g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
-    e = kernel_projector(embed_fusion(w), tol) @ g
+    e = ovf_analysis(random_annihilating_ovf(w, rng, tol))
     e_norm = spectral_norm(e)
     if e_norm > 0.0:
-        e *= probe_scale * spectral_norm(stacked_q) / e_norm
-    probe_residual = _representation_residual(
-        stacked_q + e, inv_blocks, sampled_duals, m_inv, n
-    )
+        e = e * (probe_scale * spectral_norm(stacked_q) / e_norm)
+    probe_residual = _representation_residual(stacked_q + e, inv_blocks, sampled_duals, m_inv)
     return InverseRepresentationReport(
         q_dagger=q_dagger,
         l_blocks=l_blocks,
         duality_residual=duality_residual,
         representation_residual=representation_residual,
         probe_residual=probe_residual,
+        indeterminate=cond.near_threshold,
     )
 
 
@@ -531,28 +533,24 @@ def schatten_checks(
     if p < 1:
         raise ContractViolationError(f"Schatten checks need p >= 1, got {p}")
     _check_triple(sym, v, w)
-    d = block_diag_apply(sym)
-    s_full = np.sort(singular_values(d))[::-1]
-    per_block = np.concatenate(
-        [np.abs(sym.m[i]) * singular_values(sym.r[i]) for i in range(sym.count)]
-    )
-    s_union = np.sort(per_block)[::-1]
+    s_d = singular_values(block_diag_apply(sym))
+    s_full = np.sort(s_d)[::-1]
+    s_union = np.sort((np.abs(sym.m)[:, None] * sym.svals).ravel())[::-1]
     scale = max(1.0, float(s_full[0]) if s_full.size else 0.0)
     block_defect = float(np.max(np.abs(s_full - s_union)) / scale) if s_full.size else 0.0
     mat = assemble_multiplier(sym, v, w, tol).matrix
     lhs = schatten_norm(mat, p)
+    d_norm = spectrum_schatten_norm(s_d, p)
     rhs = (
         spectral_norm(fusion_analysis_ambient(v))
         * spectral_norm(fusion_analysis_ambient(w))
-        * schatten_norm(d, p)
+        * d_norm
     )
     composite_ok = lhs <= rhs + tol.eq_rel * max(1.0, rhs)
-    lhs_c = schatten_norm(d, p) ** p
+    lhs_c = d_norm**p
+    ranks = svals_rank(sym.svals, sym.dim, tol)
     rhs_c = float(
-        sum(
-            rank_tol(sym.r[i], tol) * abs(sym.m[i]) ** p * spectral_norm(sym.r[i]) ** p
-            for i in range(sym.count)
-        )
+        sum(int(k) * abs(mi) ** p * s_max**p for k, mi, s_max in zip(ranks, sym.m, sym.svals[:, 0]))
     )
     rank_ok = lhs_c <= rhs_c + tol.eq_rel * max(1.0, rhs_c)
     return SchattenReport(

@@ -25,6 +25,7 @@ __all__ = [
     "svd",
     "singular_values",
     "rank_tol",
+    "svals_rank",
     "spectral_norm",
     "spectral_norms",
     "extreme_singular_values",
@@ -34,6 +35,7 @@ __all__ = [
     "pinv",
     "inverse",
     "schatten_norm",
+    "spectrum_schatten_norm",
 ]
 
 
@@ -110,11 +112,13 @@ def singular_values(a) -> np.ndarray:
 def rank_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above the relative cutoff."""
     m = as_matrix(a)
-    s = singular_values(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = tol.rank_rel * max(m.shape) * s[0]
-    return int(np.count_nonzero(s > cutoff))
+    return int(svals_rank(singular_values(m), max(m.shape), tol))
+
+
+def svals_rank(s: np.ndarray, size: int, tol: ToleranceConfig):
+    """:func:`rank_tol` along the last axis of non-increasing singular values ``s`` of
+    matrices whose larger side is ``size``."""
+    return np.count_nonzero(s > tol.rank_rel * size * s[..., :1], axis=-1)
 
 
 def spectral_norm(a) -> float:
@@ -196,10 +200,13 @@ def inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm ``(sum_i s_i**p) ** (1/p)`` for ``p >= 1``."""
+    return spectrum_schatten_norm(singular_values(a), p)
+
+
+def spectrum_schatten_norm(s: np.ndarray, p: float) -> float:
+    """``(sum_i s_i**p) ** (1/p)`` of singular values ``s``, summed in the order given."""
     if p < 1:
         raise ContractViolationError(f"Schatten norm needs p >= 1, got {p}")
-    s = singular_values(a)
     if s.size == 0:
         return 0.0
     return float(np.sum(s**p) ** (1.0 / p))
-

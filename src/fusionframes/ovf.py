@@ -12,7 +12,8 @@ P_ker E_rs is zero except for column s, which is P_ker[:, r], so the
 certificates never materialise the family: the stacked analyses have the
 column space of [T_A S_A^-1 | P_ker] and their adjoints the row space of
 [(T_A S_A^-1)^* ; P_ker]. The reconstruction sweep over the family is
-batched one stacked row r at a time, n members per batched SVD.
+batched one stacked row r at a time, n members per batched SVD. Sampled
+duals T_A S_A^-1 + P_ker G share one T_A S_A^-1 and one P_ker per call.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "duality_defect",
     "kernel_projector",
     "canonical_ov_dual",
+    "sample_ov_duals",
     "sample_ov_dual",
     "spanning_dual_family",
     "dual_family_residuals",
@@ -167,16 +169,24 @@ def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCan
     return DualCandidate(base=a, perturbation=zero, analysis=t_dual)
 
 
+def sample_ov_duals(a: OVFrame, seeds, tol: ToleranceConfig) -> list:
+    """Duals T_A S_A^-1 + P_ker G, one per seed G, sharing T_A S_A^-1 and P_ker."""
+    t, t_dual = _canonical_analysis(a, tol)
+    pker = kernel_projector(a, tol)
+    duals = []
+    for g in map(as_matrix, seeds):
+        if g.shape != t.shape:
+            raise ContractViolationError(
+                f"perturbation seed must have shape {t.shape}, got {g.shape}"
+            )
+        l = pker @ g
+        duals.append(DualCandidate(base=a, perturbation=l, analysis=t_dual + l))
+    return duals
+
+
 def sample_ov_dual(a: OVFrame, g, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
     """Dual obtained by projecting an arbitrary stacked matrix onto the annihilator."""
-    t, t_dual = _canonical_analysis(a, tol)
-    g = as_matrix(g)
-    if g.shape != t.shape:
-        raise ContractViolationError(
-            f"perturbation seed must have shape {t.shape}, got {g.shape}"
-        )
-    l = kernel_projector(a, tol) @ g
-    return DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
+    return sample_ov_duals(a, [g], tol)[0]
 
 
 def spanning_dual_family(

@@ -128,3 +128,140 @@ def reference_gavruta_multiplier(m, v, w, s_inv):
             continue
         out += coeff * (projection(v.subspaces[i]) @ s_inv @ projection(w.subspaces[i]))
     return out
+
+
+# The per-block symbol-spectrum loops that Symbol.svals replaced, and the
+# per-dual sampling loops that ovf.sample_ov_duals replaced, kept verbatim
+# as the references the new code must reproduce bit for bit.
+
+
+def reference_r_sup(sym):
+    """sup_i ||R_i||, as Symbol.r_sup computed it."""
+    from fusionframes.numerics import spectral_norm
+
+    return max((spectral_norm(ri) for ri in sym.r), default=0.0)
+
+
+def reference_condition_c_constants(sym):
+    """(gamma, delta), as condition_c's per-block loop computed them."""
+    from fusionframes.numerics import extreme_singular_values
+
+    gammas, deltas = [], []
+    for i in range(sym.count):
+        bot, top = extreme_singular_values(sym.r[i])
+        gammas.append(abs(sym.m[i]) * bot)
+        deltas.append(abs(sym.m[i]) * top)
+    return float(min(gammas)), float(max(deltas))
+
+
+def reference_inverse_symbol_blocks(sym):
+    """Blocks (m_i R_i)^-1, as inverse_symbol_blocks computed them."""
+    return np.array([np.linalg.inv(sym.m[i] * sym.r[i]) for i in range(sym.count)])
+
+
+def reference_block_diag(sym):
+    """Block diagonal with blocks m_i R_i, as block_diag_apply built it."""
+    n, count = sym.dim, sym.count
+    out = np.zeros((count * n, count * n), dtype=np.complex128)
+    for i in range(count):
+        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = sym.m[i] * sym.r[i]
+    return out
+
+
+def reference_schatten(sym, v, w, p, tol):
+    """(block_sval_defect, composite_bound, block_power, rank_bound), as
+    schatten_checks computed them with three SVDs of the block diagonal."""
+    from fusionframes.fusion import fusion_analysis_ambient
+    from fusionframes.numerics import rank_tol, schatten_norm, singular_values, spectral_norm
+
+    d = reference_block_diag(sym)
+    s_full = np.sort(singular_values(d))[::-1]
+    per_block = np.concatenate(
+        [np.abs(sym.m[i]) * singular_values(sym.r[i]) for i in range(sym.count)]
+    )
+    s_union = np.sort(per_block)[::-1]
+    scale = max(1.0, float(s_full[0]) if s_full.size else 0.0)
+    block_defect = float(np.max(np.abs(s_full - s_union)) / scale) if s_full.size else 0.0
+    rhs = (
+        spectral_norm(fusion_analysis_ambient(v))
+        * spectral_norm(fusion_analysis_ambient(w))
+        * schatten_norm(d, p)
+    )
+    lhs_c = schatten_norm(d, p) ** p
+    rhs_c = float(
+        sum(
+            rank_tol(sym.r[i], tol) * abs(sym.m[i]) ** p * spectral_norm(sym.r[i]) ** p
+            for i in range(sym.count)
+        )
+    )
+    return block_defect, float(rhs), float(lhs_c), rhs_c
+
+
+def reference_coherence_defects(sym, inv_blocks):
+    """||(m_i R_i)(m_i R_i)^-1 - I|| per block, as the coherence check looped them."""
+    from fusionframes.numerics import spectral_norm
+
+    eye = np.eye(sym.dim)
+    return [spectral_norm(sym.m[i] * sym.r[i] @ inv_blocks[i] - eye) for i in range(sym.count)]
+
+
+def reference_adversarial_symbol(n, count, rng, tol):
+    """random_symbol("adversarial", ...) with its per-block delta loop."""
+    from fusionframes.instances import _annulus, _conditioned_block
+    from fusionframes.multipliers import Symbol
+    from fusionframes.numerics import singular_values
+
+    r = np.array([_conditioned_block(n, rng) for _ in range(count)])
+    m = np.array([_annulus(rng) for _ in range(count)])
+    sym = Symbol(m, r)
+    delta = max(abs(sym.m[i]) * singular_values(sym.r[i])[0] for i in range(count))
+    ratio = tol.inv_rel * float(np.exp(rng.uniform(np.log(1 / 3), np.log(3.0))))
+    target = ratio * delta / abs(m[0])
+    u, s, vh = np.linalg.svd(r[0])
+    s[-1] = target
+    r = r.copy()
+    r[0] = u @ np.diag(s) @ vh
+    return Symbol(m, r)
+
+
+def reference_sampled_duals(a, count, rng, tol, canonical=False):
+    """(perturbation, analysis) pairs from the per-dual loop: each sampled dual
+    recomputed the canonical analysis and P_ker."""
+    from fusionframes.ovf import _canonical_analysis, kernel_projector, ovf_analysis
+
+    t = ovf_analysis(a)
+    out = []
+    if canonical:
+        out.append((np.zeros_like(t), _canonical_analysis(a, tol)[1]))
+    for _ in range(count):
+        g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+        _, t_dual = _canonical_analysis(a, tol)
+        l = kernel_projector(a, tol) @ g
+        out.append((l, t_dual + l))
+    return out
+
+
+def reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n):
+    """max over duals of ||M^-1 - sum_i Q_i^* (m_i R_i)^-1 D_i|| / ||M^-1||, block by block."""
+    from fusionframes.numerics import spectral_norm
+
+    scale = spectral_norm(m_inv)
+    worst = 0.0
+    count = stacked_q.shape[0] // n
+    q_blocks = stacked_q.reshape(count, n, n)
+    for cand in duals:
+        d_blocks = cand.blocks
+        rep = np.zeros((n, n), dtype=np.complex128)
+        for i in range(count):
+            rep += q_blocks[i].conj().T @ inv_blocks[i] @ d_blocks[i]
+        worst = max(worst, spectral_norm(m_inv - rep) / scale)
+    return worst
+
+
+def reference_probe(w, rng, tol):
+    """The uniqueness probe's kernel direction, as inverse_multiplier_representation drew it."""
+    from fusionframes.ovf import embed_fusion, kernel_projector
+
+    n = w.ambient_dim
+    g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
+    return kernel_projector(embed_fusion(w), tol) @ g

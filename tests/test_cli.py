@@ -160,3 +160,32 @@ def test_single_small_full_block_gets_a_verdict(tmp_path):
     assert done.returncode == 0, done.stderr
     verdicts = {e["name"]: e["verdict"] for e in json.loads(done.stdout)["checks"]}
     assert verdicts["separating_dual_distinct"] == "pass"
+
+
+# Adversarial instances whose symbol sits near the invertibility cutoff. Each
+# inverse check used to fail on one of them by rounding; the residual that
+# failed is still reported, with the verdict indeterminate.
+NEAR_CUTOFF_CASES = [
+    (
+        ["--dim", "2", "--blocks", "5", "--dims", "1,1,0,2,1", "--seed", "11", "--local", "1"],
+        "inverse_multiplier_dual",
+        1.1349369945118168e-08,
+    ),
+    (
+        ["--dim", "3", "--blocks", "2", "--dims", "3,0", "--seed", "30"],
+        "inverse_multiplier_uniqueness",
+        0.9999780492046312,
+    ),
+]
+
+
+@pytest.mark.parametrize("gen_args, name, residual", NEAR_CUTOFF_CASES)
+def test_near_cutoff_inverse_checks_are_indeterminate(tmp_path, gen_args, name, residual):
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", *gen_args, "--symbol", "adversarial", "-o", str(inst)]) == 0
+    assert main(["check", "--suite", "all", str(inst), "--report", str(report)]) == 0
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    for check in ("inverse_multiplier_dual", "inverse_multiplier_uniqueness"):
+        assert entries[check]["verdict"] == "indeterminate"
+    assert entries[name]["residual"] > entries[name]["tolerance"]
+    assert entries[name]["residual"] == pytest.approx(residual, rel=1e-6)

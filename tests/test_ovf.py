@@ -267,3 +267,49 @@ def test_structured_certificates_at_scale():
     assert res.witness is None
     assert res.checked == 1 + 256 * 32
     assert time.perf_counter() - start < 30.0
+
+
+def test_sampled_duals_match_per_dual_loop(rng):
+    from conftest import reference_sampled_duals
+    from fusionframes import checks
+    from fusionframes.instances import random_fusion_frame
+
+    for _ in range(30):
+        n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        a = embed_fusion(random_fusion_frame(n, count, rng))
+        seed = int(rng.integers(2**32))
+        got = checks._sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
+        want = reference_sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
+        assert len(got) == len(want) == 5
+        for cand, (l, analysis) in zip(got, want):
+            assert np.array_equal(cand.perturbation, l)
+            assert np.array_equal(cand.analysis, analysis)
+        g = want[0][0]
+        batched = ovf.sample_ov_duals(a, [g], DEFAULT_TOL)[0]
+        assert np.array_equal(sample_ov_dual(a, g).analysis, batched.analysis)
+
+
+def test_sampled_ordinary_duals_match_per_dual_loop(rng):
+    from conftest import reference_sampled_duals
+    from fusionframes.frames import sample_ordinary_duals
+
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        phi = VectorFrame(rng.standard_normal((n + int(rng.integers(0, 4)), n)) + 0j)
+        seed = int(rng.integers(2**32))
+        got = sample_ordinary_duals(phi, 5, np.random.default_rng(seed))
+        want = reference_sampled_duals(
+            embed_ordinary(phi), 4, np.random.default_rng(seed), DEFAULT_TOL, canonical=True
+        )
+        assert [d.vectors.tobytes() for d in got] == [a.conj().tobytes() for _, a in want]
+
+
+def test_sampled_duals_share_one_projector(monkeypatch, diag_pair, rng):
+    calls = []
+    real = ovf.kernel_projector
+    monkeypatch.setattr(ovf, "kernel_projector", lambda *args: calls.append(1) or real(*args))
+    seeds = [rng.standard_normal((4, 2)) for _ in range(4)]
+    duals = ovf.sample_ov_duals(embed_fusion(diag_pair), seeds, DEFAULT_TOL)
+    assert len(duals) == 4 and len(calls) == 1
+    with pytest.raises(ContractViolationError):
+        ovf.sample_ov_duals(embed_fusion(diag_pair), seeds + [np.zeros((2, 2))], DEFAULT_TOL)
