@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -332,11 +332,13 @@ def _run_local_equivalence(inst, rng, tol):
 
 def _run_local_negative(inst, rng, tol):
     family = build_local_frames(inst.w, 1 + int(rng.integers(0, 3)), rng, tol)
-    from .fusion import LocalFrameFamily
-
-    broken = LocalFrameFamily(family.frames, family.frames, family.alpha, family.beta)
+    broken = replace(family, duals=family.frames)
     residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, broken, tol)
     shortfall = max(0.0, (1e-3 - residual) / 1e-3)
+    if not np.any(inst.symbol.m[np.asarray(inst.w.dims) > 0]):
+        # the multiplier and its broken lift are then both exactly 0
+        detail = "m vanishes on every nonzero block of W, so the control cannot deviate"
+        return CheckResult(shortfall, indeterminate=True, detail=detail)
     return CheckResult(shortfall, detail=f"control residual {residual:.3e}")
 
 

@@ -19,6 +19,7 @@ from .instances import (
     InstanceSpec,
     generate_instance,
     load_instance,
+    random_spanning_dims,
     save_instance,
 )
 from .numerics import ToleranceConfig
@@ -82,10 +83,7 @@ def _cmd_gen(args) -> int:
         )
         inst = generate_instance(spec, local_redundancy=args.local)
         save_instance(inst, args.output)
-    except (FusionFrameError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (FusionFrameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -95,15 +93,10 @@ def _default_random_spec(seed: int) -> InstanceSpec:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     blocks = int(rng.integers(2, 6))
-    dims = [int(rng.integers(1, n + 1)) for _ in range(blocks)]
-    while sum(dims) < n:
-        dims[int(rng.integers(0, blocks))] = min(
-            n, dims[int(rng.integers(0, blocks))] + 1
-        )
     return InstanceSpec(
         n=n,
         blocks=blocks,
-        dims=tuple(dims),
+        dims=random_spanning_dims(n, blocks, rng),
         weight_range=(0.5, 2.0),
         symbol_mode="random_C_holding",
         seed=seed,
@@ -137,9 +130,6 @@ def _cmd_check(args) -> int:
                 for t in range(args.random)
             ]
             base_seed = args.seed
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FusionFrameError, OSError, ValueError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return EXIT_USAGE

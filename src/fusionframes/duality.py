@@ -236,13 +236,12 @@ def random_annihilating_ovf(
     w: FusionSequence,
     rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
-    scale: float = 1.0,
 ) -> OVFrame:
     """Random operator sequence L with T_L^* T_W,w = 0, for dual generation."""
     n = w.ambient_dim
     a = embed_fusion(w)
     g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
-    stacked = kernel_projector(a, tol) @ (scale * g)
+    stacked = kernel_projector(a, tol) @ g
     return OVFrame(stacked.reshape(w.count, n, n))
 
 

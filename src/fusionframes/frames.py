@@ -114,12 +114,14 @@ def sample_ordinary_duals(
     return [VectorFrame(d.analysis.conj()) for d in duals]
 
 
+SAMPLED_DUALS = 5  # duals over which the inverse representation residual is taken
+
+
 def inverse_representation_ordinary(
     m,
     synth: VectorFrame,
     anal: VectorFrame,
     tol: ToleranceConfig = DEFAULT_TOL,
-    num_duals: int = 5,
     rng: np.random.Generator | None = None,
 ):
     """Inverse of an invertible vector multiplier as a reciprocal multiplier.
@@ -146,7 +148,7 @@ def inverse_representation_ordinary(
         rng = np.random.default_rng(0x5EED)
     residual = 0.0
     scale = spectral_norm(minv)
-    for d in sample_ordinary_duals(synth, num_duals, rng, tol):
+    for d in sample_ordinary_duals(synth, SAMPLED_DUALS, rng, tol):
         rep = ordinary_multiplier(1.0 / m, psi_dag, d)
         residual = max(residual, spectral_norm(minv - rep) / scale)
     return psi_dag, residual

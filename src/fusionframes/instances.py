@@ -36,6 +36,7 @@ __all__ = [
     "generate_instance",
     "cross_swap_instance",
     "random_partition",
+    "random_spanning_dims",
     "random_fusion_frame",
     "random_riesz_basis",
     "random_ov_frame",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 SYMBOL_MODES = ("identity", "random_C_holding", "random_C_failing", "adversarial")
+MAX_COND = 1e4  # largest condition number of a random fusion frame
+MIN_COND_RATIO = 1e-2  # least sigma_min / sigma_max of a random operator-valued frame
 
 
 @dataclass(frozen=True)
@@ -64,27 +67,28 @@ class InstanceSpec:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "weight_range", tuple(float(x) for x in self.weight_range))
-        if not (1 <= self.n <= 64):
-            raise ContractViolationError(f"ambient dimension must be in 1..64, got {self.n}")
-        if not (1 <= self.blocks <= 64):
-            raise ContractViolationError(f"block count must be in 1..64, got {self.blocks}")
-        if len(self.dims) != self.blocks:
-            raise ContractViolationError(
-                f"{self.blocks} blocks but {len(self.dims)} dims"
-            )
-        if any(d < 0 or d > self.n for d in self.dims):
-            raise ContractViolationError("each subspace dimension must satisfy 0 <= d <= n")
+        _check_sizes(self.n, self.blocks, self.dims, self.symbol_mode, self.seed)
         lo, hi = self.weight_range
         if not (0.0 <= lo <= hi) or not np.isfinite(hi):
             raise ContractViolationError(f"invalid weight range {self.weight_range}")
         if lo <= 0.0 and any(d > 0 for d in self.dims):
             raise ContractViolationError("weight range must be positive for nonzero blocks")
-        if self.symbol_mode not in SYMBOL_MODES:
-            raise ContractViolationError(
-                f"unknown symbol mode {self.symbol_mode!r}; choose from {SYMBOL_MODES}"
-            )
-        if not (0 <= int(self.seed) < 2**64):
-            raise ContractViolationError("seed must be a 64-bit unsigned integer")
+
+
+def _check_sizes(n: int, blocks: int, dims, symbol_mode: str, seed: int) -> None:
+    """The size rules of every instance, whether from a spec or an ffv1 document."""
+    if not (1 <= n <= 64):
+        raise ContractViolationError(f"ambient dimension must be in 1..64, got {n}")
+    if not (1 <= blocks <= 64):
+        raise ContractViolationError(f"block count must be in 1..64, got {blocks}")
+    if len(dims) != blocks:
+        raise ContractViolationError(f"{blocks} blocks but {len(dims)} dims")
+    if any(d < 0 or d > n for d in dims):
+        raise ContractViolationError("each subspace dimension must satisfy 0 <= d <= n")
+    if symbol_mode not in SYMBOL_MODES:
+        raise ContractViolationError(f"unknown symbol mode {symbol_mode!r}, not in {SYMBOL_MODES}")
+    if not (0 <= int(seed) < 2**64):
+        raise ContractViolationError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -119,31 +123,30 @@ def _random_sequence(n, dims, weight_range, rng) -> FusionSequence:
     return FusionSequence(tuple(subs), np.asarray(weights))
 
 
+def random_spanning_dims(n: int, count: int, rng: np.random.Generator) -> tuple:
+    """count dimensions in 1..n summing to at least n, so the blocks can span C^n."""
+    dims = [int(rng.integers(1, n + 1)) for _ in range(count)]
+    while sum(dims) < n:
+        dims[int(rng.integers(0, count))] = min(n, dims[int(rng.integers(0, count))] + 1)
+    return tuple(dims)
+
+
 def random_fusion_frame(
     n: int,
     count: int,
     rng: np.random.Generator,
     dims: Optional[tuple] = None,
     weight_range: tuple = (0.5, 2.0),
-    max_cond: float = 1e4,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> FusionSequence:
-    """A random fusion frame with a bounded condition number (``MAX_DRAWS`` tries)."""
+    """A random fusion frame of condition at most ``MAX_COND`` (``MAX_DRAWS`` tries)."""
     for _ in range(MAX_DRAWS):
-        if dims is None:
-            draw = [int(rng.integers(1, n + 1)) for _ in range(count)]
-            while sum(draw) < n:
-                draw[int(rng.integers(0, count))] = min(
-                    n, draw[int(rng.integers(0, count))] + 1
-                )
-            use_dims = tuple(draw)
-        else:
-            use_dims = tuple(dims)
+        use_dims = random_spanning_dims(n, count, rng) if dims is None else tuple(dims)
         f = _random_sequence(n, use_dims, weight_range, rng)
         lo, hi = fusion_bounds(f, tol)
-        if lo > 0.0 and hi / lo <= max_cond:
+        if lo > 0.0 and hi / lo <= MAX_COND:
             return f
-    raise PreconditionError(f"no fusion frame of condition <= {max_cond} in {MAX_DRAWS} draws")
+    raise PreconditionError(f"no fusion frame of condition <= {MAX_COND} in {MAX_DRAWS} draws")
 
 
 def random_riesz_basis(
@@ -175,9 +178,9 @@ def random_ov_frame(
     k: int,
     count: int,
     rng: np.random.Generator,
-    min_cond_ratio: float = 1e-2,
 ) -> OVFrame:
-    """Random operator-valued frame with sigma_min(T) >= ratio * sigma_max (``MAX_DRAWS`` tries)."""
+    """Random operator-valued frame with sigma_min(T) >= ``MIN_COND_RATIO`` * sigma_max
+    (``MAX_DRAWS`` tries)."""
     if count * k < n:
         raise ContractViolationError("need count * k >= n for a frame")
     for _ in range(MAX_DRAWS):
@@ -186,9 +189,9 @@ def random_ov_frame(
         ) / np.sqrt(2.0 * count * k)
         a = OVFrame(blocks)
         s = singular_values(ovf_analysis(a))
-        if s[-1] >= min_cond_ratio * s[0]:
+        if s[-1] >= MIN_COND_RATIO * s[0]:
             return a
-    raise PreconditionError(f"no frame of ratio {min_cond_ratio} in {MAX_DRAWS} draws")
+    raise PreconditionError(f"no frame of ratio {MIN_COND_RATIO} in {MAX_DRAWS} draws")
 
 
 def random_invertible_matrix(
@@ -307,55 +310,37 @@ def cross_swap_instance(seed: int = 0) -> Instance:
 
 # ---------------------------------------------------------------------------
 # ffv1 serialization: complex entries as [re, im] pairs, matrices row-major.
-
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+# A document declares n, blocks and each subspace dim, and every array is
+# read against the shape these sizes give it.
 
 
-def _matrix_out(m) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m, dtype=np.complex128)]
+def _encode(a) -> list:
+    """A complex array as nested [re, im] pairs; an array with no entries as []."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist() if a.size else []
 
 
-def _matrix_in(rows, expect_cols: Optional[int] = None) -> np.ndarray:
-    data = np.array(
-        [[complex(p[0], p[1]) for p in row] for row in rows], dtype=np.complex128
-    )
-    if data.size == 0:
-        data = data.reshape(len(rows), expect_cols if expect_cols else 0)
-    return data
+def _floats(value, shape: tuple, field: str) -> np.ndarray:
+    """``value`` as a float64 array of exactly ``shape``; a None axis takes any length."""
+    try:
+        a = np.array(value)
+    except ValueError:
+        raise ContractViolationError(f"{field}: not a rectangular array of numbers") from None
+    if a.dtype.kind not in "iuf" or a.ndim != len(shape) or any(
+        want not in (None, got) for want, got in zip(shape, a.shape)
+    ):
+        raise ContractViolationError(
+            f"{field}: expected numbers in shape {shape}, got {a.dtype} in shape {a.shape}"
+        )
+    return a.astype(np.float64)
 
 
-def _sequence_out(f: FusionSequence) -> dict:
-    return {
-        "weights": [float(x) for x in f.weights],
-        "subspaces": [
-            {"dim": s.dim, "basis": _matrix_out(s.basis) if s.dim else []}
-            for s in f.subspaces
-        ],
-    }
-
-
-def _sequence_in(obj: dict, n: int) -> FusionSequence:
-    subs = []
-    for item in obj["subspaces"]:
-        if item["dim"] == 0:
-            subs.append(Subspace.zero(n))
-        else:
-            subs.append(Subspace(_matrix_in(item["basis"])))
-    return FusionSequence(tuple(subs), np.asarray(obj["weights"], dtype=np.float64))
-
-
-def _vecframe_out(frame: Optional[VectorFrame]) -> Optional[list]:
-    if frame is None:
-        return None
-    return _matrix_out(frame.vectors)
-
-
-def _vecframe_in(rows, n: int) -> Optional[VectorFrame]:
-    if rows is None:
-        return None
-    return VectorFrame(_matrix_in(rows, expect_cols=n))
+def _decode(value, shape: tuple, field: str) -> np.ndarray:
+    """The complex array of ``shape`` that :func:`_encode` wrote, its [re, im] pairs
+    reinterpreted bit for bit (``re + 1j * im`` would turn a real part -0.0 into 0.0)."""
+    if 0 in shape and value == []:
+        return np.zeros(shape, dtype=np.complex128)
+    return _floats(value, (*shape, 2), field).view(np.complex128)[..., 0]
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -365,30 +350,28 @@ def instance_to_json(inst: Instance) -> str:
         "symbol_mode": inst.symbol_mode,
         "n": inst.w.ambient_dim,
         "blocks": inst.w.count,
-        "w": _sequence_out(inst.w),
-        "v": _sequence_out(inst.v),
-        "symbol": {
-            "m": [_pair(z) for z in inst.symbol.m],
-            "r": [_matrix_out(ri) for ri in inst.symbol.r],
-        },
-        "local": None,
     }
-    if inst.local is not None:
-        doc["local"] = {
-            "redundancy": inst.local_redundancy,
-            "alpha": inst.local.alpha,
-            "beta": inst.local.beta,
-            "frames": [_vecframe_out(fr) for fr in inst.local.frames],
-            "duals": [_vecframe_out(du) for du in inst.local.duals],
+    for name, f in (("w", inst.w), ("v", inst.v)):
+        doc[name] = {
+            "weights": f.weights.tolist(),
+            "subspaces": [{"dim": s.dim, "basis": _encode(s.basis)} for s in f.subspaces],
         }
+    doc["symbol"] = {"m": _encode(inst.symbol.m), "r": _encode(inst.symbol.r)}
+    doc["local"] = None
+    if inst.local is not None:
+        fam = inst.local
+        doc["local"] = {"redundancy": inst.local_redundancy, "alpha": fam.alpha, "beta": fam.beta}
+        for key, frames in (("frames", fam.frames), ("duals", fam.duals)):
+            doc["local"][key] = [None if fr is None else _encode(fr.vectors) for fr in frames]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def instance_from_json(text: str) -> Instance:
-    """Parse an ffv1 document; a missing key or malformed value is a ContractViolationError."""
+    """Parse an ffv1 document; a missing key, a bad size or a misshapen array is a
+    ContractViolationError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ContractViolationError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != "ffv1":
         raise ContractViolationError("not an ffv1 instance document")
@@ -398,38 +381,51 @@ def instance_from_json(text: str) -> Instance:
         raise
     except KeyError as exc:
         raise ContractViolationError(f"malformed ffv1 document: missing key {exc}") from exc
-    except (TypeError, IndexError, ValueError) as exc:
+    except (AttributeError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ContractViolationError(f"malformed ffv1 document: {exc}") from exc
 
 
+def _integer(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:
+        raise ContractViolationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _instance_from_doc(doc: dict) -> Instance:
-    n = int(doc["n"])
-    w = _sequence_in(doc["w"], n)
-    v = _sequence_in(doc["v"], n)
+    n, blocks, seed = (_integer(doc, key) for key in ("n", "blocks", "seed"))
+    mode = doc["symbol_mode"]
+    sequences = []
+    for name in ("w", "v"):
+        obj = doc[name]
+        dims = [_integer(item, "dim") for item in obj["subspaces"]]
+        _check_sizes(n, blocks, dims, mode, seed)
+        subs = tuple(
+            Subspace(_decode(item["basis"], (n, d), f"{name}.subspaces[{i}].basis"))
+            for i, (item, d) in enumerate(zip(obj["subspaces"], dims))
+        )
+        weights = _floats(obj["weights"], (blocks,), f"{name}.weights")
+        sequences.append(FusionSequence(subs, weights))
+    w, v = sequences
     symbol = Symbol(
-        np.array([complex(p[0], p[1]) for p in doc["symbol"]["m"]]),
-        np.array([_matrix_in(ri) for ri in doc["symbol"]["r"]]),
+        _decode(doc["symbol"]["m"], (blocks,), "symbol.m"),
+        _decode(doc["symbol"]["r"], (blocks, n, n), "symbol.r"),
     )
-    local = None
-    redundancy = None
+    local = redundancy = None
     if doc.get("local"):
         obj = doc["local"]
         redundancy = obj.get("redundancy")
-        local = LocalFrameFamily(
-            frames=tuple(_vecframe_in(fr, n) for fr in obj["frames"]),
-            duals=tuple(_vecframe_in(du, n) for du in obj["duals"]),
-            alpha=float(obj["alpha"]),
-            beta=float(obj["beta"]),
-        )
-    return Instance(
-        seed=int(doc["seed"]),
-        symbol_mode=str(doc["symbol_mode"]),
-        w=w,
-        v=v,
-        symbol=symbol,
-        local=local,
-        local_redundancy=redundancy,
-    )
+        frames, duals = list(obj["frames"]), list(obj["duals"])
+        nulls = [d == 0 for d in w.dims]
+        if not [fr is None for fr in frames] == [du is None for du in duals] == nulls:
+            raise ContractViolationError("local: frames, duals null exactly on zero blocks")
+        for i in np.flatnonzero(w.dims):
+            phi = _decode(frames[i], (None, n), f"local.frames[{i}]")
+            frames[i] = VectorFrame(phi)
+            duals[i] = VectorFrame(_decode(duals[i], phi.shape, f"local.duals[{i}]"))
+        alpha, beta = float(obj["alpha"]), float(obj["beta"])
+        local = LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)
+    return Instance(seed, mode, w, v, symbol, local=local, local_redundancy=redundancy)
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -17,7 +17,8 @@ certifies blockwise invertibility of D_mR and semi-normalization of m, and
 drives the invertibility, excess, and inverse-representation checks below;
 near its cutoff their verdicts are flagged indeterminate. gamma, delta,
 ||R||_inf and the Schatten facts are read from ``Symbol.svals``, the block
-singular values of one batched SVD cached on the symbol.
+singular values of one batched SVD cached on the symbol, and from
+``Symbol.stacked_svals``, the cached spectrum of the block diagonal.
 """
 
 from __future__ import annotations
@@ -124,6 +125,13 @@ class Symbol:
         """Read-only (N, n) singular values of the R_i, non-increasing, from one batched
         SVD on first use."""
         s = np.linalg.svd(self.r, compute_uv=False)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def stacked_svals(self) -> np.ndarray:
+        """Read-only singular values of ``block_diag_apply(self)``, from one SVD on first use."""
+        s = singular_values(block_diag_apply(self))
         s.flags.writeable = False
         return s
 
@@ -385,6 +393,9 @@ def _representation_residual(
     return max(spectral_norm(m_inv - block_sum(q_adj_inv @ cand.blocks)) / scale for cand in duals)
 
 
+PROBE_SCALE = 0.01  # size of the uniqueness probe relative to ||Q_dagger||
+
+
 def inverse_multiplier_representation(
     sym: Symbol,
     v: FusionSequence,
@@ -392,7 +403,6 @@ def inverse_multiplier_representation(
     sampled_duals: Sequence[DualCandidate],
     tol: ToleranceConfig = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
-    probe_scale: float = 0.01,
 ) -> InverseRepresentationReport:
     _check_triple(sym, v, w)
     cond = condition_c(sym, tol)
@@ -427,7 +437,7 @@ def inverse_multiplier_representation(
     e = ovf_analysis(random_annihilating_ovf(w, rng, tol))
     e_norm = spectral_norm(e)
     if e_norm > 0.0:
-        e = e * (probe_scale * spectral_norm(stacked_q) / e_norm)
+        e = e * (PROBE_SCALE * spectral_norm(stacked_q) / e_norm)
     probe_residual = _representation_residual(stacked_q + e, inv_blocks, sampled_duals, m_inv)
     return InverseRepresentationReport(
         q_dagger=q_dagger,
@@ -533,11 +543,9 @@ def schatten_checks(
     if p < 1:
         raise ContractViolationError(f"Schatten checks need p >= 1, got {p}")
     _check_triple(sym, v, w)
-    s_d = singular_values(block_diag_apply(sym))
-    s_full = np.sort(s_d)[::-1]
+    s_d = sym.stacked_svals  # non-increasing, like the sorted union
     s_union = np.sort((np.abs(sym.m)[:, None] * sym.svals).ravel())[::-1]
-    scale = max(1.0, float(s_full[0]) if s_full.size else 0.0)
-    block_defect = float(np.max(np.abs(s_full - s_union)) / scale) if s_full.size else 0.0
+    block_defect = float(np.max(np.abs(s_d - s_union)) / max(1.0, float(s_d[0])))
     mat = assemble_multiplier(sym, v, w, tol).matrix
     lhs = schatten_norm(mat, p)
     d_norm = spectrum_schatten_norm(s_d, p)

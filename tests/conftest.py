@@ -1,7 +1,14 @@
+import json
+from typing import Optional
+
 import numpy as np
 import pytest
 
-from fusionframes.fusion import FusionSequence, Subspace
+from fusionframes.exceptions import ContractViolationError, FusionFrameError
+from fusionframes.frames import VectorFrame
+from fusionframes.fusion import FusionSequence, LocalFrameFamily, Subspace
+from fusionframes.instances import Instance
+from fusionframes.multipliers import Symbol
 
 
 @pytest.fixture
@@ -265,3 +272,133 @@ def reference_probe(w, rng, tol):
     n = w.ambient_dim
     g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
     return kernel_projector(embed_fusion(w), tol) @ g
+
+
+# The ffv1 reader and writer that instances._encode and instances._decode
+# replaced, kept verbatim (entry by entry through complex()) as the
+# references the shape-checked codec must reproduce byte for byte and bit
+# for bit on every valid document.
+
+
+def _pair(z) -> list:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def _matrix_out(m) -> list:
+    return [[_pair(z) for z in row] for row in np.asarray(m, dtype=np.complex128)]
+
+
+def _matrix_in(rows, expect_cols: Optional[int] = None) -> np.ndarray:
+    data = np.array(
+        [[complex(p[0], p[1]) for p in row] for row in rows], dtype=np.complex128
+    )
+    if data.size == 0:
+        data = data.reshape(len(rows), expect_cols if expect_cols else 0)
+    return data
+
+
+def _sequence_out(f: FusionSequence) -> dict:
+    return {
+        "weights": [float(x) for x in f.weights],
+        "subspaces": [
+            {"dim": s.dim, "basis": _matrix_out(s.basis) if s.dim else []}
+            for s in f.subspaces
+        ],
+    }
+
+
+def _sequence_in(obj: dict, n: int) -> FusionSequence:
+    subs = []
+    for item in obj["subspaces"]:
+        if item["dim"] == 0:
+            subs.append(Subspace.zero(n))
+        else:
+            subs.append(Subspace(_matrix_in(item["basis"])))
+    return FusionSequence(tuple(subs), np.asarray(obj["weights"], dtype=np.float64))
+
+
+def _vecframe_out(frame: Optional[VectorFrame]) -> Optional[list]:
+    if frame is None:
+        return None
+    return _matrix_out(frame.vectors)
+
+
+def _vecframe_in(rows, n: int) -> Optional[VectorFrame]:
+    if rows is None:
+        return None
+    return VectorFrame(_matrix_in(rows, expect_cols=n))
+
+
+def reference_instance_to_json(inst: Instance) -> str:
+    doc = {
+        "schema": "ffv1",
+        "seed": int(inst.seed),
+        "symbol_mode": inst.symbol_mode,
+        "n": inst.w.ambient_dim,
+        "blocks": inst.w.count,
+        "w": _sequence_out(inst.w),
+        "v": _sequence_out(inst.v),
+        "symbol": {
+            "m": [_pair(z) for z in inst.symbol.m],
+            "r": [_matrix_out(ri) for ri in inst.symbol.r],
+        },
+        "local": None,
+    }
+    if inst.local is not None:
+        doc["local"] = {
+            "redundancy": inst.local_redundancy,
+            "alpha": inst.local.alpha,
+            "beta": inst.local.beta,
+            "frames": [_vecframe_out(fr) for fr in inst.local.frames],
+            "duals": [_vecframe_out(du) for du in inst.local.duals],
+        }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_instance_from_json(text: str) -> Instance:
+    """Parse an ffv1 document; a missing key or malformed value is a ContractViolationError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractViolationError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("schema") != "ffv1":
+        raise ContractViolationError("not an ffv1 instance document")
+    try:
+        return _instance_from_doc(doc)
+    except FusionFrameError:
+        raise
+    except KeyError as exc:
+        raise ContractViolationError(f"malformed ffv1 document: missing key {exc}") from exc
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ContractViolationError(f"malformed ffv1 document: {exc}") from exc
+
+
+def _instance_from_doc(doc: dict) -> Instance:
+    n = int(doc["n"])
+    w = _sequence_in(doc["w"], n)
+    v = _sequence_in(doc["v"], n)
+    symbol = Symbol(
+        np.array([complex(p[0], p[1]) for p in doc["symbol"]["m"]]),
+        np.array([_matrix_in(ri) for ri in doc["symbol"]["r"]]),
+    )
+    local = None
+    redundancy = None
+    if doc.get("local"):
+        obj = doc["local"]
+        redundancy = obj.get("redundancy")
+        local = LocalFrameFamily(
+            frames=tuple(_vecframe_in(fr, n) for fr in obj["frames"]),
+            duals=tuple(_vecframe_in(du, n) for du in obj["duals"]),
+            alpha=float(obj["alpha"]),
+            beta=float(obj["beta"]),
+        )
+    return Instance(
+        seed=int(doc["seed"]),
+        symbol_mode=str(doc["symbol_mode"]),
+        w=w,
+        v=v,
+        symbol=symbol,
+        local=local,
+        local_redundancy=redundancy,
+    )

@@ -189,3 +189,38 @@ def test_near_cutoff_inverse_checks_are_indeterminate(tmp_path, gen_args, name, 
         assert entries[check]["verdict"] == "indeterminate"
     assert entries[name]["residual"] > entries[name]["tolerance"]
     assert entries[name]["residual"] == pytest.approx(residual, rel=1e-6)
+
+
+def _malformed(doc, case):
+    if case == "local_rows":
+        doc["local"]["frames"][0] = [[[1.0, 0.0]] * 3 for _ in doc["local"]["frames"][0]]
+    elif case == "negative_seed":
+        doc["seed"] = -1
+    elif case == "unknown_mode":
+        doc["symbol_mode"] = "bogus"
+    elif case == "scalar_triple":
+        doc["symbol"]["m"][0] = [1.0, 0.0, 5.0]
+    elif case == "blocks_and_dim":
+        doc["blocks"] = 7
+        doc["w"]["subspaces"][1]["dim"] = 1
+    else:
+        doc["w"]["subspaces"][1]["dim"] = 1
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["local_rows", "negative_seed", "unknown_mode", "scalar_triple", "blocks_and_dim", "dim_only"],
+)
+def test_malformed_documents_exit_2_with_one_error_line(tmp_path, capsys, case):
+    # each of these used to crash with a traceback or read as a check verdict
+    base = tmp_path / "base.json"
+    assert main(["gen", "--dim", "2", "--blocks", "2", "--dims", "1,2", "--seed", "3",
+                 "--local", "1", "-o", str(base)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed(json.loads(base.read_text()), case)))
+    capsys.readouterr()
+    assert main(["check", "--suite", "all", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in err[0]

@@ -85,6 +85,34 @@ def test_svals_read_only_and_computed_once(monkeypatch, rng):
     assert shapes == [(4, 3, 3)]
 
 
+def test_schatten_suite_takes_one_block_diagonal_svd(monkeypatch, rng):
+    # three Schatten checks make five schatten_checks calls; the block
+    # diagonal's spectrum is computed once, on the symbol
+    n, count = 3, 4
+    sym = random_symbol("random_C_holding", n, count, rng)
+    inst = Instance(
+        seed=0,
+        symbol_mode="random_C_holding",
+        w=_sequence(n, count, rng),
+        v=_sequence(n, count, rng),
+        symbol=sym,
+    )
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = checks.run_suite("schatten", [inst])
+    assert [e["name"] for e in report["checks"]] == checks.SUITES["schatten"]
+    assert shapes.count((count * n, count * n)) == 1
+    s = sym.stacked_svals
+    assert s.shape == (count * n,) and not s.flags.writeable
+    assert shapes.count((count * n, count * n)) == 1
+
+
 def test_spectrum_readers_match_per_block_loops(rng):
     syms = _symbol_population(rng)
     assert len(syms) >= 100 and any(np.any(s.m == 0.0) for s in syms)
