@@ -116,7 +116,8 @@ def _run_null_certificate(inst, rng, tol):
 def _run_left_inverse_span(inst, rng, tol):
     a = embed_fusion(inst.w)
     t_w = fusion_analysis_ambient(inst.w)
-    worst = max(float(r.max()) for r in ovf.dual_family_residuals(a, t_w, tol))
+    # an upper bound on every member's residual, or the first one above eq_rel
+    _, worst, _ = ovf.sweep_dual_family(a, t_w, tol.eq_rel, None, tol)
     # not ovf.dual_span_dimension: each call of that name is read as the
     # dual_span check's certificate
     rank = ovf._dual_span_rank(a, tol)
@@ -296,6 +297,10 @@ def _run_inverse_representation(inst, rng, tol):
 def _run_inverse_uniqueness(inst, rng, tol):
     rep = _inverse_representation(inst, rng, tol)
     shortfall = max(0.0, (1e-4 - rep.probe_residual) / 1e-4)
+    # W is a frame, so T_W has rank n and ker T_W^* has dimension (N - 1) n
+    if inst.w.count == 1:
+        detail = "ker T_W^* is trivial (one full block), so the probe has no direction"
+        return CheckResult(shortfall, indeterminate=True, detail=detail)
     detail = f"probe residual {rep.probe_residual:.3e}"
     return CheckResult(shortfall, indeterminate=rep.indeterminate, detail=detail)
 

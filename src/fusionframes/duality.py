@@ -47,11 +47,10 @@ from .numerics import (
 from .ovf import (
     DualCandidate,
     OVFrame,
-    dual_family_residuals,
     embed_fusion,
     kernel_projector,
     ovf_analysis,
-    spanning_dual_family,
+    sweep_dual_family,
 )
 
 __all__ = [
@@ -341,38 +340,22 @@ def find_separating_dual(
     The deterministic sweep tries the canonical dual first, then the
     elementary-matrix kernel perturbations in row-major order, at most
     ``trials_bound`` of them. A candidate separates when
-    ||T_D^* T_{W'} - I|| exceeds 10 * eq_rel. Residuals are computed a
-    stacked row at a time by :func:`dual_family_residuals`; only the first
-    separating candidate is built as a DualCandidate. When no candidate
-    separates, the two sequences agree blockwise up to tolerance.
+    ||T_D^* T_{W'} - I|| exceeds 10 * eq_rel. :func:`ovf.sweep_dual_family`
+    decides whole stacked rows of the family by rank-one bounds and takes
+    exact residuals only where the bounds leave a row undecided, so the
+    witness, its residual and ``checked`` are those of a member by member
+    sweep; only the witness is built as a DualCandidate. When no candidate
+    separates, ``residual`` is a certified upper bound on the swept
+    residuals, and the two sequences agree blockwise up to tolerance.
     """
     if w.count != w_prime.count or w.ambient_dim != w_prime.ambient_dim:
         raise ContractViolationError("sequences must share length and ambient dimension")
     if not is_fusion_frame(w, tol) or not is_fusion_frame(w_prime, tol):
         raise NotAFrameError("separating-dual search requires two fusion frames")
     deviation = block_deviation(w, w_prime)
-    a = embed_fusion(w)
-    threshold = 10.0 * tol.eq_rel
-    budget = None if trials_bound is None else max(trials_bound, 1)
-    worst = 0.0
-    checked = 0
-    for residuals in dual_family_residuals(a, fusion_analysis_ambient(w_prime), tol):
-        if budget is not None:
-            residuals = residuals[: budget - checked]
-        above = np.flatnonzero(residuals > threshold)
-        if above.size:
-            index = checked + int(above[0])
-            witness = next(spanning_dual_family(a, tol, start=index))
-            return SeparationResult(
-                witness=witness,
-                residual=float(residuals[above[0]]),
-                block_deviation=deviation,
-                checked=index + 1,
-            )
-        worst = max(worst, float(residuals.max()))
-        checked += residuals.size
-        if checked == budget:
-            break
+    witness, residual, checked = sweep_dual_family(
+        embed_fusion(w), fusion_analysis_ambient(w_prime), 10.0 * tol.eq_rel, trials_bound, tol
+    )
     return SeparationResult(
-        witness=None, residual=worst, block_deviation=deviation, checked=checked
+        witness=witness, residual=residual, block_deviation=deviation, checked=checked
     )

@@ -11,9 +11,12 @@ T_A S_A^-1 + P_ker E_rs, where P_ker projects onto ker(T_A^*). Each
 P_ker E_rs is zero except for column s, which is P_ker[:, r], so the
 certificates never materialise the family: the stacked analyses have the
 column space of [T_A S_A^-1 | P_ker] and their adjoints the row space of
-[(T_A S_A^-1)^* ; P_ker]. The reconstruction sweep over the family is
-batched one stacked row r at a time, n members per batched SVD. Sampled
-duals T_A S_A^-1 + P_ker G share one T_A S_A^-1 and one P_ker per call.
+[(T_A S_A^-1)^* ; P_ker]. The reconstruction residual of member (r, s) is
+that of the canonical dual updated by a rank-one term whose norm is the
+norm of row r of P_ker^* T', so the sweep decides each stacked row r by
+two bounds from one SVD and one product, and takes a batched SVD of a
+row's members only where the bounds leave it undecided. Sampled duals
+T_A S_A^-1 + P_ker G share one T_A S_A^-1 and one P_ker per call.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
     "sample_ov_duals",
     "sample_ov_dual",
     "spanning_dual_family",
-    "dual_family_residuals",
+    "sweep_dual_family",
     "dual_span_dimension",
     "null_bessel_certificate",
 ]
@@ -208,34 +211,60 @@ def spanning_dual_family(
         stop = min(stop, start + max(limit, 1))
     pker = kernel_projector(a, tol)
     for index in range(start, stop):
-        l = np.zeros_like(t)
-        if index:
-            r, s = divmod(index - 1, cols)
-            l[:, s] = pker[:, r]
-        yield DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
+        yield _family_member(a, t_dual, pker, index)
 
 
-def _check_annihilator(t: np.ndarray, pker: np.ndarray) -> None:
+def _family_member(a: OVFrame, t_dual: np.ndarray, pker, index: int) -> DualCandidate:
+    """Member ``index`` of :func:`spanning_dual_family`; ``pker`` is unused for index 0."""
+    l = np.zeros(t_dual.shape, dtype=np.complex128)
+    if index:
+        r, s = divmod(index - 1, t_dual.shape[1])
+        l[:, s] = pker[:, r]
+    return DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
+
+
+def _check_annihilator(t: np.ndarray, pker: np.ndarray) -> np.ndarray:
     """The DualCandidate condition L^* T = 0 for every L = P_ker E_rs at once.
 
     (P_ker E_rs)^* T is zero except for row s, which is row r of
-    P_ker^* T, and ||P_ker E_rs|| = ||P_ker[:, r]||.
+    P_ker^* T, and ||P_ker E_rs|| = ||P_ker[:, r]||. Returns P_ker^* T.
     """
-    defects = np.linalg.norm(pker.conj().T @ t, axis=1)
+    pt = pker.conj().T @ t
+    defects = np.linalg.norm(pt, axis=1)
     scales = np.maximum(1.0, spectral_norm(t) * np.linalg.norm(pker, axis=0))
     if np.any(defects > DEFAULT_TOL.eq_rel * scales):
         raise ContractViolationError("perturbation does not annihilate the analysis operator")
+    return pt
 
 
-def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TOL):
-    """Residuals ||T_D^* T' - I|| over :func:`spanning_dual_family`, in its order.
+def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: ToleranceConfig):
+    """First member of :func:`spanning_dual_family` with ||T_D^* T' - I|| > ``threshold``.
 
-    Yields an array holding the canonical dual's residual, then one array
-    per stacked row r holding the residuals of the n candidates (r, s):
-    T_A S_A^-1 with P_ker[:, r] added to column s. Each row is one
-    (n, N*k, n) stack of analyses and one batched SVD, so memory stays at n
-    members. Each value is bit for bit the spectral norm computed from that
-    member of :func:`spanning_dual_family`.
+    Sweeps the first ``budget`` members (all of them when ``budget`` is None,
+    at least one) and returns ``(witness, residual, checked)``: the first
+    member whose residual exceeds ``threshold`` as a DualCandidate with its
+    residual and ``checked`` = its index + 1, or None with a certified upper
+    bound on the ``checked`` residuals.
+
+    Member (r, s) adds P_ker[:, r] to column s of T_A S_A^-1, so its residual
+    matrix is the rank-one update A + e_s x_r^* of A = (T_A S_A^-1)^* T' - I,
+    where x_r^* is row r of P_ker^* T'. By Weyl's inequality every member of
+    stacked row r has a residual within ||x_r|| of ||A||, the canonical
+    dual's residual, so one product decides whole rows: a row is below the
+    threshold when ||A|| + ||x_r|| + margin <= threshold, and above it when
+    | ||A|| - ||x_r|| | - margin > threshold; only then is its first member
+    computed. Other rows go through a batched SVD of their members. Every
+    residual this returns for a member is the bit-for-bit spectral norm
+    of that member's residual matrix, so the witness is the one a member by
+    member sweep finds.
+
+    The margin covers the rounding in both the bound and the member-wise
+    residual. With u the unit roundoff, m x n the shape of T_A and
+    F = (||T_A S_A^-1||_F + max_r ||P_ker[:, r]||) ||T'||_F + sqrt(n), the
+    products are off by at most about m u F (standard dot-product bounds,
+    with a factor for complex arithmetic), forming a column of a member and
+    subtracting I by u F each, and each largest singular value by about n u F
+    (backward stable SVD); 8 (m + n) u F covers the sum for both.
     """
     t, t_dual = _canonical_analysis(a, tol)
     t_prime = as_matrix(t_prime)
@@ -244,19 +273,47 @@ def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TO
             f"second analysis operator must have shape {t.shape}, got {t_prime.shape}"
         )
     rows, cols = t.shape
+    stop = 1 + rows * cols
+    if budget is not None:
+        stop = min(stop, max(budget, 1))
     eye = np.eye(cols)
 
     def residuals(d):
         return spectral_norms(d.conj().transpose(0, 2, 1) @ t_prime - eye)
 
-    yield residuals(t_dual[None])
+    base = float(residuals(t_dual[None])[0])
+    if base > threshold:
+        return _family_member(a, t_dual, None, 0), base, 1
+    if stop == 1:
+        return None, base, 1
     pker = kernel_projector(a, tol)
-    _check_annihilator(t, pker)
-    members = np.arange(cols)
+    pt = _check_annihilator(t, pker)
+    x = pt if np.array_equal(t_prime, t) else pker.conj().T @ t_prime
+    x_norms = np.linalg.norm(x, axis=1)
+    size = (np.linalg.norm(t_dual) + np.linalg.norm(pker, axis=0).max()) * np.linalg.norm(t_prime)
+    margin = 8.0 * (rows + cols) * np.finfo(float).eps * (size + np.sqrt(cols))
+    upper = base + x_norms + margin
+    above_all = np.abs(base - x_norms) - margin > threshold
+    worst = base
+    checked = 1
     for r in range(rows):
-        d = np.repeat(t_dual[None], cols, axis=0)
-        d[members, :, members] += pker[:, r]
-        yield residuals(d)
+        width = min(cols, stop - checked)
+        if upper[r] <= threshold:
+            worst = max(worst, float(upper[r]))
+        else:
+            members = np.arange(1 if above_all[r] else width)
+            d = np.repeat(t_dual[None], members.size, axis=0)
+            d[members, :, members] += pker[:, r]
+            res = residuals(d)
+            above = np.flatnonzero(res > threshold)
+            if above.size:
+                index = checked + int(above[0])
+                return _family_member(a, t_dual, pker, index), float(res[above[0]]), index + 1
+            worst = max(worst, float(res.max()))
+        checked += width
+        if checked == stop:
+            break
+    return None, worst, checked
 
 
 def _dual_span_rank(a: OVFrame, tol: ToleranceConfig) -> int:

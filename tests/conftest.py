@@ -9,6 +9,13 @@ from fusionframes.frames import VectorFrame
 from fusionframes.fusion import FusionSequence, LocalFrameFamily, Subspace
 from fusionframes.instances import Instance
 from fusionframes.multipliers import Symbol
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norms
+from fusionframes.ovf import (
+    OVFrame,
+    _canonical_analysis,
+    _check_annihilator,
+    kernel_projector,
+)
 
 
 @pytest.fixture
@@ -61,6 +68,42 @@ def reference_dual_perturbations(a, tol, limit=None):
             produced += 1
             if limit is not None and produced >= limit:
                 return
+
+
+# The exact batched sweep that ovf.sweep_dual_family replaced, kept verbatim
+# as the reference its bounds must dominate and its witnesses must match.
+
+
+def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TOL):
+    """Residuals ||T_D^* T' - I|| over :func:`spanning_dual_family`, in its order.
+
+    Yields an array holding the canonical dual's residual, then one array
+    per stacked row r holding the residuals of the n candidates (r, s):
+    T_A S_A^-1 with P_ker[:, r] added to column s. Each row is one
+    (n, N*k, n) stack of analyses and one batched SVD, so memory stays at n
+    members. Each value is bit for bit the spectral norm computed from that
+    member of :func:`spanning_dual_family`.
+    """
+    t, t_dual = _canonical_analysis(a, tol)
+    t_prime = as_matrix(t_prime)
+    if t_prime.shape != t.shape:
+        raise ContractViolationError(
+            f"second analysis operator must have shape {t.shape}, got {t_prime.shape}"
+        )
+    rows, cols = t.shape
+    eye = np.eye(cols)
+
+    def residuals(d):
+        return spectral_norms(d.conj().transpose(0, 2, 1) @ t_prime - eye)
+
+    yield residuals(t_dual[None])
+    pker = kernel_projector(a, tol)
+    _check_annihilator(t, pker)
+    members = np.arange(cols)
+    for r in range(rows):
+        d = np.repeat(t_dual[None], cols, axis=0)
+        d[members, :, members] += pker[:, r]
+        yield residuals(d)
 
 
 # The per-block loops that fusion.sandwich replaced, kept verbatim as the

@@ -191,6 +191,24 @@ def test_near_cutoff_inverse_checks_are_indeterminate(tmp_path, gen_args, name, 
     assert entries[name]["residual"] == pytest.approx(residual, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "gen_args",
+    [
+        # the probe is exactly 0 here, so the check used to fail
+        ["--dim", "1", "--blocks", "1", "--dims", "1", "--symbol", "identity"],
+        # the probe is rounding noise here, so the check used to pass on it
+        ["--dim", "3", "--blocks", "1", "--dims", "3", "--seed", "0"],
+    ],
+    ids=["n1_identity", "single_full_block"],
+)
+def test_uniqueness_probe_without_kernel_is_indeterminate(tmp_path, gen_args):
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", *gen_args, "-o", str(inst)]) == 0
+    assert main(["check", "--suite", "all", str(inst), "--report", str(report)]) == 0
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    assert entries["inverse_multiplier_uniqueness"]["verdict"] == "indeterminate"
+
+
 def _malformed(doc, case):
     if case == "local_rows":
         doc["local"]["frames"][0] = [[[1.0, 0.0]] * 3 for _ in doc["local"]["frames"][0]]

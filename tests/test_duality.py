@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import coordinate_decomposition, line, reference_dual_perturbations
+from conftest import (
+    coordinate_decomposition,
+    dual_family_residuals,
+    line,
+    reference_dual_perturbations,
+)
 from fusionframes.duality import (
     canonical_gavruta_dual,
     find_separating_dual,
@@ -24,7 +29,7 @@ from fusionframes.fusion import (
     projection,
 )
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis
+from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis, spanning_dual_family
 
 
 def _projection_blocks(f):
@@ -267,10 +272,12 @@ def _assert_same_separation(w, w_prime, trials_bound, tol):
     index, l, residual, checked = _reference_separation(w, w_prime, trials_bound, tol)
     res = find_separating_dual(w, w_prime, trials_bound=trials_bound, tol=tol)
     assert res.checked == checked
-    assert res.residual == residual
     if index is None:
+        # without a witness the residual is a certified upper bound
+        assert res.residual >= residual
         assert res.witness is None
     else:
+        assert res.residual == residual
         assert res.checked == index + 1
         np.testing.assert_array_equal(res.witness.perturbation, l)
     return index
@@ -295,3 +302,122 @@ def test_batched_separation_matches_reference(rng):
         heavier = FusionSequence(w.subspaces, 1.5 * w.weights)
         assert _assert_same_separation(w, heavier, None, DEFAULT_TOL) == 0
     assert len(witnesses) > 5
+
+
+def _exact_separation(w, w_prime, trials_bound, tol):
+    """The exact batched sweep find_separating_dual ran before its row bounds.
+
+    Returns (witness index, witness perturbation, residual, checked).
+    """
+    a = embed_fusion(w)
+    threshold = 10.0 * tol.eq_rel
+    budget = None if trials_bound is None else max(trials_bound, 1)
+    worst, checked = 0.0, 0
+    for residuals in dual_family_residuals(a, fusion_analysis_ambient(w_prime), tol):
+        if budget is not None:
+            residuals = residuals[: budget - checked]
+        above = np.flatnonzero(residuals > threshold)
+        if above.size:
+            index = checked + int(above[0])
+            l = next(spanning_dual_family(a, tol, start=index)).perturbation
+            return index, l, float(residuals[above[0]]), index + 1
+        worst = max(worst, float(residuals.max()))
+        checked += residuals.size
+        if checked == budget:
+            break
+    return None, None, worst, checked
+
+
+def _soundness_frames(rng):
+    """n = 1, N = 1, zero blocks, coordinate-aligned and random fusion frames."""
+    from fusionframes.instances import random_fusion_frame
+
+    frames = []
+    for n in range(1, 5):
+        weights = rng.uniform(0.5, 2.0, size=n)
+        frames.append(coordinate_decomposition(n, weights))
+        # every coordinate line twice
+        doubled = coordinate_decomposition(n, weights)
+        frames.append(
+            FusionSequence(doubled.subspaces * 2, np.concatenate([weights, weights[::-1]]))
+        )
+        frames.append(FusionSequence((Subspace.full(n),), np.array([rng.uniform(0.5, 2.0)])))
+        frames.append(
+            FusionSequence((Subspace.zero(n), Subspace.full(n), Subspace.zero(n)),
+                           np.array([0.0, rng.uniform(0.5, 2.0), 0.0]))
+        )
+    while len(frames) < 110:
+        n = int(rng.integers(1, 6))
+        w = random_fusion_frame(n, int(rng.integers(1, 7 if n <= 2 else 5)), rng)
+        if rng.random() < 0.2:
+            w = FusionSequence(w.subspaces + (Subspace.zero(n),), np.append(w.weights, 0.0))
+        frames.append(w)
+    return frames
+
+
+def _blind_copy(w, size):
+    """W reweighted along c with sum_i c_i w_i P_i = 0, or None if no such c.
+
+    The canonical dual of W reconstructs the copy as well as W itself; the
+    kernel-perturbed members differ from it by about ``size``.
+    """
+    live = np.flatnonzero(w.weights)
+    blocks = w.weights[live, None, None] * w.projections[live]
+    m = np.concatenate([blocks.real, blocks.imag], axis=1).reshape(live.size, -1).T
+    _, s, vh = np.linalg.svd(m)
+    if live.size <= np.count_nonzero(s > 1e-10 * s[0]):
+        return None
+    c = vh[-1] / np.abs(vh[-1]).max()
+    weights = w.weights.copy()
+    weights[live] += min(size, 0.5 * weights[live].min()) * c
+    return FusionSequence(w.subspaces, weights)
+
+
+def _soundness_partners(w, rng):
+    """Fusion frames to separate w from: itself and perturbed copies."""
+    from fusionframes.checks import _perturbed_copy
+
+    partners = [w, _perturbed_copy(w, rng, DEFAULT_TOL)]
+    # residuals of every member straddle the threshold 10 * eq_rel
+    partners.append(FusionSequence(w.subspaces, w.weights * (1.0 + 10.0 * DEFAULT_TOL.eq_rel)))
+    for size in (1.0, 20.0 * DEFAULT_TOL.eq_rel):
+        blind = _blind_copy(w, size)
+        if blind is not None:
+            partners.append(blind)
+    return partners
+
+
+def test_separation_bound_soundness(monkeypatch, rng):
+    from fusionframes import ovf
+
+    exact_calls = []
+    real = ovf.spectral_norms
+    monkeypatch.setattr(ovf, "spectral_norms", lambda d: exact_calls.append(len(d)) or real(d))
+    witnesses = set()
+    frames = _soundness_frames(rng)
+    assert len(frames) >= 100
+    for w in frames:
+        total = 1 + w.count * w.ambient_dim**2
+        noise = _exact_separation(w, w, None, ToleranceConfig(eq_rel=0.5))[2]
+        near_noise = ToleranceConfig(eq_rel=max(noise, 1e-300) / 10.0 * 0.999)
+        cases = [(w, w, None, DEFAULT_TOL), (w, w, None, near_noise)]
+        cases += [(w, w, int(rng.integers(1, total + 1)), near_noise)]
+        for other in _soundness_partners(w, rng)[1:]:
+            cases += [(w, other, None, DEFAULT_TOL)]
+            cases += [(w, other, int(rng.integers(1, total + 1)), DEFAULT_TOL)]
+        for case_index, (w_, other, bound, tol) in enumerate(cases):
+            index, l, residual, checked = _exact_separation(w_, other, bound, tol)
+            exact_calls.clear()
+            res = find_separating_dual(w_, other, trials_bound=bound, tol=tol)
+            if case_index == 0:
+                # W against itself: the canonical dual's residual and no row
+                assert exact_calls == [1]
+            assert res.checked == checked
+            if index is None:
+                assert res.witness is None
+                assert res.residual >= residual
+            else:
+                assert res.residual == residual
+                np.testing.assert_array_equal(res.witness.perturbation, l)
+                witnesses.add(index)
+    assert len(witnesses) > 10

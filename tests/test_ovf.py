@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import coordinate_decomposition, reference_dual_perturbations
+from conftest import coordinate_decomposition, dual_family_residuals, reference_dual_perturbations
 from fusionframes import ovf
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
 from fusionframes.frames import VectorFrame, frame_bounds_ordinary
@@ -14,7 +14,6 @@ from fusionframes.numerics import DEFAULT_TOL, rank_tol, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
     canonical_ov_dual,
-    dual_family_residuals,
     dual_span_dimension,
     duality_defect,
     embed_fusion,
@@ -24,6 +23,7 @@ from fusionframes.ovf import (
     ovf_frame_operator_bounds,
     sample_ov_dual,
     spanning_dual_family,
+    sweep_dual_family,
 )
 
 
@@ -219,7 +219,7 @@ def test_structured_certificates_match_reference(rng):
         assert null_bessel_certificate(a) == _reference_null_bessel_certificate(a)
 
 
-def test_batched_sweep_matches_reference_bitwise(rng):
+def test_sweep_bound_dominates_reference(rng):
     for a in _structured_frames() + _random_frames(rng):
         t = ovf_analysis(a)
         others = (t, t + 0.1 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)))
@@ -227,8 +227,15 @@ def test_batched_sweep_matches_reference_bitwise(rng):
             batches = list(dual_family_residuals(a, t_prime))
             rows, cols = t.shape
             assert [b.size for b in batches] == [1] + [cols] * rows
-            got = np.concatenate(batches)
-            np.testing.assert_array_equal(got, _reference_residuals(a, t_prime))
+            exact = np.concatenate(batches)
+            np.testing.assert_array_equal(exact, _reference_residuals(a, t_prime))
+            # no member lies above an infinite threshold, so every row is
+            # decided by its bound alone
+            witness, bound, checked = sweep_dual_family(a, t_prime, np.inf, None, DEFAULT_TOL)
+            assert witness is None and checked == exact.size
+            assert bound >= exact.max()
+            if t_prime is t:
+                assert bound <= 1e-11
 
 
 def test_spanning_family_start_matches_reference(rng):
@@ -243,12 +250,12 @@ def test_spanning_family_start_matches_reference(rng):
 
 def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
     a = embed_fusion(diag_pair)
-    m = ovf_analysis(a).shape[0]
-    monkeypatch.setattr(ovf, "kernel_projector", lambda a, tol=DEFAULT_TOL: np.eye(m))
-    batches = dual_family_residuals(a, ovf_analysis(a))
-    next(batches)  # the canonical dual has L = 0
+    t = ovf_analysis(a)
+    monkeypatch.setattr(ovf, "kernel_projector", lambda a, tol=DEFAULT_TOL: np.eye(t.shape[0]))
+    # the canonical dual has L = 0 and needs no projector
+    assert sweep_dual_family(a, t, 1e-7, 1, DEFAULT_TOL)[1] <= 1e-15
     with pytest.raises(ContractViolationError):
-        next(batches)
+        sweep_dual_family(a, t, 1e-7, None, DEFAULT_TOL)
     with pytest.raises(ContractViolationError):
         list(spanning_dual_family(a))
 
