@@ -224,13 +224,24 @@ def _run_condition_c_coherence(inst, rng, tol):
     sym = inst.symbol
     rep = multipliers.condition_c(sym, tol)
     if not rep.holds:
-        return CheckResult(0.0, detail="two-sided bound does not hold; nothing to certify")
-    residual = 0.0 if rep.semi_normalized else 1.0
-    min_m = float(np.min(np.abs(sym.m)))
-    residual = max(residual, max(0.0, rep.lower_witness - min_m) / max(1.0, rep.lower_witness))
-    inv_blocks = multipliers.inverse_symbol_blocks(sym, tol)
-    defects = spectral_norms(sym.m[:, None, None] * sym.r @ inv_blocks - np.eye(sym.dim))
-    return CheckResult(max(residual, float(defects.max())))
+        result = CheckResult(0.0, detail="two-sided bound does not hold; nothing to certify")
+    else:
+        residual = 0.0 if rep.semi_normalized else 1.0
+        min_m = float(np.min(np.abs(sym.m)))
+        residual = max(residual, max(0.0, rep.lower_witness - min_m) / max(1.0, rep.lower_witness))
+        inv_blocks = multipliers.inverse_symbol_blocks(sym, tol)
+        defects = spectral_norms(sym.m[:, None, None] * sym.r @ inv_blocks - np.eye(sym.dim))
+        result = CheckResult(max(residual, float(defects.max())))
+    if rep.near_threshold:
+        # the policy of riesz_symbol_iff and the inverse checks: near the
+        # cutoff the blockwise inverses are as ill-conditioned as the cutoff
+        # allows, so their defects are tolerance noise
+        result.indeterminate = True
+        result.detail = (
+            f"gamma {rep.gamma:.3e} is within a factor 10 of the cutoff "
+            f"inv_rel * delta = {tol.inv_rel * rep.delta:.3e}"
+        )
+    return result
 
 
 def _riesz_pair(inst, rng):
@@ -343,6 +354,17 @@ def _run_local_negative(inst, rng, tol):
     if not np.any(inst.symbol.m[np.asarray(inst.w.dims) > 0]):
         # the multiplier and its broken lift are then both exactly 0
         detail = "m vanishes on every nonzero block of W, so the control cannot deviate"
+        return CheckResult(shortfall, indeterminate=True, detail=detail)
+    # ||M|| <= norm_bound = sqrt(beta_V beta_W) ||m||_inf ||R||_inf. The broken
+    # lift is sum_i m_i u_i w_i P_{V_i} R_i S_i P_{W_i}, with S_i = sum_j
+    # phi_ij phi_ij^* the local frame operator of block i, ||S_i|| <= beta; so
+    # it is T_V^* D T_W with blocks m_i R_i S_i and has norm at most
+    # norm_bound * beta. The residual ||M - M_b|| / max(1, ||M||) is then at
+    # most norm_bound * (1 + beta), and below 1e-3 the control cannot deviate.
+    norm_bound = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol).norm_bound
+    reach = norm_bound * (1.0 + family.beta)
+    if reach < 1e-3:
+        detail = f"the control is at most norm_bound * (1 + beta) = {reach:.3e} < 1e-3"
         return CheckResult(shortfall, indeterminate=True, detail=detail)
     return CheckResult(shortfall, detail=f"control residual {residual:.3e}")
 

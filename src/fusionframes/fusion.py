@@ -2,10 +2,14 @@
 
 A fusion sequence is a list of subspaces of C^n with non-negative weights,
 subject to the compatibility rule that a weight vanishes exactly when its
-subspace is zero. A sequence caches the (N, n, n) stack of its projections;
+subspace is zero. A sequence caches, read-only and on first use, the facts
+of it that no tolerance enters: the (N, n, n) stack of its projections, its
+frame operator S, the extreme eigenvalues of S and its embedding as an
+operator-valued frame. Tolerance rules (the eigenvalue clip, the
+invertibility cutoff, ranks) are applied at each call on top of these.
 :func:`sandwich` builds every block sum sum_i c_i P_{V_i} X_i P_{W_i} (dual
-composites and multipliers) from these stacks. Two coefficient spaces appear
-throughout:
+composites and multipliers) from the projection stacks. Two coefficient
+spaces appear throughout:
 
 * the ambient stacked space C^(N*n), where block i of the analysis operator
   is w_i P_i, and
@@ -28,7 +32,8 @@ from .numerics import (
     ToleranceConfig,
     as_matrix,
     clears_inv_cutoff,
-    clipped_eig_bounds,
+    clip_eig_bounds,
+    eig_extremes,
     rank_tol,
     spectral_norms,
     svd,
@@ -122,16 +127,22 @@ def projection(w: Subspace) -> np.ndarray:
     return w.basis @ w.basis.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionSequence:
-    """Weighted subspaces (W_i, w_i) sharing one ambient space."""
+    """Weighted subspaces (W_i, w_i) sharing one ambient space.
+
+    Equality and hashing are by identity, so a sequence can key the
+    multiplier memo of a :class:`multipliers.Symbol`. The weights are a
+    read-only copy of the array given.
+    """
 
     subspaces: tuple
     weights: np.ndarray
 
     def __post_init__(self):
         subs = tuple(self.subspaces)
-        wts = np.asarray(self.weights, dtype=np.float64).ravel()
+        wts = np.array(self.weights, dtype=np.float64).ravel()
+        wts.flags.writeable = False
         object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "weights", wts)
         if len(subs) == 0:
@@ -170,6 +181,27 @@ class FusionSequence:
         stack = np.array([projection(s) for s in self.subspaces])
         stack.flags.writeable = False
         return stack
+
+    @cached_property
+    def frame_operator(self) -> np.ndarray:
+        """Read-only S = sum_i w_i^2 P_i, built on first use."""
+        s = block_sum((self.weights * self.weights)[:, None, None] * self.projections)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def frame_eigs(self) -> tuple:
+        """Extreme eigenvalues (lo, hi) of S, unclipped, from one eigvalsh on first use."""
+        return eig_extremes(self.frame_operator)
+
+    @cached_property
+    def embedding(self):
+        """The B(C^n)-valued frame with blocks w_i P_i, read-only, built on first use."""
+        from .ovf import OVFrame  # deferred: ovf imports this module at load time
+
+        blocks = _weighted_projections(self)
+        blocks.flags.writeable = False
+        return OVFrame(blocks)
 
 
 def block_sum(stack: np.ndarray) -> np.ndarray:
@@ -212,13 +244,13 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
 
 
 def fusion_frame_operator(f: FusionSequence) -> np.ndarray:
-    """S = sum_i w_i^2 P_i."""
-    return block_sum((f.weights * f.weights)[:, None, None] * f.projections)
+    """S = sum_i w_i^2 P_i, the read-only array cached on ``f``."""
+    return f.frame_operator
 
 
 def fusion_bounds(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
-    """Extreme eigenvalues (alpha, beta) of the fusion frame operator."""
-    return clipped_eig_bounds(fusion_frame_operator(f), tol)
+    """Extreme eigenvalues (alpha, beta) of the fusion frame operator, clipped at ``tol``."""
+    return clip_eig_bounds(*f.frame_eigs, tol)
 
 
 def is_fusion_frame(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

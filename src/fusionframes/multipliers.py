@@ -18,7 +18,10 @@ drives the invertibility, excess, and inverse-representation checks below;
 near its cutoff their verdicts are flagged indeterminate. gamma, delta,
 ||R||_inf and the Schatten facts are read from ``Symbol.svals``, the block
 singular values of one batched SVD cached on the symbol, and from
-``Symbol.stacked_svals``, the cached spectrum of the block diagonal.
+``Symbol.stacked_svals``, the cached spectrum of the block diagonal. The
+symbol also memoizes, per (V, W) pair, the assembled multiplier and its
+extreme singular values (:meth:`Symbol.assembled`); invertibility and the
+norm bound are derived from these at each call's tolerance.
 """
 
 from __future__ import annotations
@@ -140,6 +143,23 @@ class Symbol:
         """sup_i ||R_i||, the ell-infinity norm of the operator sequence."""
         return float(self.svals.max(initial=0.0))
 
+    @cached_property
+    def _assembled(self) -> dict:
+        """(V, W) -> (M, sigma_min, sigma_max), filled by :meth:`assembled`."""
+        return {}
+
+    def assembled(self, v: FusionSequence, w: FusionSequence) -> tuple:
+        """``(M, sigma_min, sigma_max)`` for M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i},
+        with M read-only. Built on first use per (V, W) pair, keyed by the identity
+        of the two sequences, and kept as long as the symbol is."""
+        key = (v, w)
+        if key not in self._assembled:
+            _check_triple(self, v, w)
+            mat = sandwich(v, w, self.m * v.weights * w.weights, self.r)
+            mat.flags.writeable = False
+            self._assembled[key] = (mat, *extreme_singular_values(mat))
+        return self._assembled[key]
+
 
 def block_diag_apply(sym: Symbol) -> np.ndarray:
     """(N*n) x (N*n) block diagonal with blocks m_i R_i."""
@@ -225,10 +245,12 @@ def assemble_multiplier(
     w: FusionSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> MultiplierReport:
-    """Assemble sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and measure it."""
-    _check_triple(sym, v, w)
-    mat = sandwich(v, w, sym.m * v.weights * w.weights, sym.r)
-    sigma_min, sigma_max = extreme_singular_values(mat)
+    """Assemble sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and measure it.
+
+    The matrix and its extreme singular values are those memoized on ``sym``;
+    invertibility and the norm bound are derived from them at ``tol``.
+    """
+    mat, sigma_min, sigma_max = sym.assembled(v, w)
     _, beta_v = fusion_bounds(v, tol)
     _, beta_w = fusion_bounds(w, tol)
     bound = float(np.sqrt(beta_v * beta_w) * sym.m_sup * sym.r_sup)

@@ -31,6 +31,8 @@ __all__ = [
     "extreme_singular_values",
     "clears_inv_cutoff",
     "near_inv_cutoff",
+    "eig_extremes",
+    "clip_eig_bounds",
     "clipped_eig_bounds",
     "pinv",
     "inverse",
@@ -166,14 +168,24 @@ def near_inv_cutoff(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) ->
     return bool(cutoff > 0.0 and cutoff / 10.0 < lo <= 10.0 * cutoff)
 
 
-def clipped_eig_bounds(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Extreme eigenvalues ``(lo, hi)`` of a Hermitian positive semidefinite matrix,
-    with a rounding-level negative ``lo`` (within ``eq_rel * max(1, hi)``) clipped to 0."""
+def eig_extremes(a):
+    """Extreme eigenvalues ``(lo, hi)`` of a Hermitian matrix, from one ``eigvalsh``."""
     w = np.linalg.eigvalsh(a)
-    lo, hi = float(w[0]), float(w[-1])
+    return float(w[0]), float(w[-1])
+
+
+def clip_eig_bounds(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL):
+    """Frame bounds ``(lo, hi)`` from the extreme eigenvalues of a Hermitian positive
+    semidefinite matrix, with a rounding-level negative ``lo`` (within
+    ``eq_rel * max(1, hi)``) clipped to 0."""
     if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
         lo = 0.0
     return lo, hi
+
+
+def clipped_eig_bounds(a, tol: ToleranceConfig = DEFAULT_TOL):
+    """:func:`clip_eig_bounds` of the :func:`eig_extremes` of ``a``."""
+    return clip_eig_bounds(*eig_extremes(a), tol)
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

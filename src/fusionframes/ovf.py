@@ -17,23 +17,31 @@ norm of row r of P_ker^* T', so the sweep decides each stacked row r by
 two bounds from one SVD and one product, and takes a batched SVD of a
 row's members only where the bounds leave it undecided. Sampled duals
 T_A S_A^-1 + P_ker G share one T_A S_A^-1 and one P_ker per call.
+
+A frame caches, read-only and on first use, what no tolerance enters: its
+frame operator S_A with the extreme eigenvalues of its Hermitian part,
+T_A S_A^-1 and ||T_A||. The frame test is applied at each call on top of
+the cached eigenvalues. P_ker depends on the rank cutoff and holds
+(N k)^2 entries, so it is recomputed per call and never kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ContractViolationError, NotAFrameError
 from .frames import VectorFrame
-from .fusion import FusionSequence, fusion_analysis_ambient
+from .fusion import FusionSequence
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     clears_inv_cutoff,
-    clipped_eig_bounds,
+    clip_eig_bounds,
+    eig_extremes,
     pinv,
     rank_tol,
     spectral_norm,
@@ -85,6 +93,34 @@ class OVFrame:
     def domain_dim(self) -> int:
         return self.blocks.shape[2]
 
+    @cached_property
+    def frame_operator(self) -> np.ndarray:
+        """Read-only S_A = T_A^* T_A, built on first use."""
+        t = ovf_analysis(self)
+        s = t.conj().T @ t
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def frame_eigs(self) -> tuple:
+        """Extreme eigenvalues (lo, hi) of the Hermitian part of S_A, unclipped, on first use."""
+        s = self.frame_operator
+        return eig_extremes((s + s.conj().T) / 2.0)
+
+    @cached_property
+    def canonical_analysis(self) -> np.ndarray:
+        """Read-only T_A S_A^-1 from one solve on first use; read it only once the
+        frame test has passed (see :func:`canonical_ov_dual`)."""
+        # (S^-1 T^*)^* = T S^-1 since S is Hermitian
+        t_dual = np.linalg.solve(self.frame_operator, ovf_analysis(self).conj().T).conj().T
+        t_dual.flags.writeable = False
+        return t_dual
+
+    @cached_property
+    def analysis_norm(self) -> float:
+        """||T_A||, from one SVD on first use."""
+        return spectral_norm(ovf_analysis(self))
+
 
 def ovf_analysis(a: OVFrame) -> np.ndarray:
     """(N*k) x n stacked analysis matrix."""
@@ -93,11 +129,9 @@ def ovf_analysis(a: OVFrame) -> np.ndarray:
 
 
 def ovf_frame_operator_bounds(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL):
-    """Frame operator S_A = T_A^* T_A with its extreme eigenvalues."""
-    t = ovf_analysis(a)
-    s = t.conj().T @ t
-    lo, hi = clipped_eig_bounds((s + s.conj().T) / 2.0, tol)
-    return s, lo, hi
+    """Frame operator S_A = T_A^* T_A with its extreme eigenvalues, clipped at ``tol``."""
+    lo, hi = clip_eig_bounds(*a.frame_eigs, tol)
+    return a.frame_operator, lo, hi
 
 
 def embed_ordinary(phi: VectorFrame) -> OVFrame:
@@ -106,9 +140,9 @@ def embed_ordinary(phi: VectorFrame) -> OVFrame:
 
 
 def embed_fusion(f: FusionSequence) -> OVFrame:
-    """Fusion sequence as B(C^n)-valued frame: block i is w_i P_i."""
-    n = f.ambient_dim
-    return OVFrame(fusion_analysis_ambient(f).reshape(f.count, n, n))
+    """Fusion sequence as B(C^n)-valued frame: block i is w_i P_i. The frame is the
+    one cached on ``f``, so every caller shares its cached facts."""
+    return f.embedding
 
 
 @dataclass(frozen=True)
@@ -129,7 +163,7 @@ class DualCandidate:
         t = ovf_analysis(self.base)
         object.__setattr__(self, "perturbation", l)
         object.__setattr__(self, "analysis", as_matrix(self.analysis))
-        scale = max(1.0, spectral_norm(t) * spectral_norm(l))
+        scale = max(1.0, self.base.analysis_norm * spectral_norm(l))
         if spectral_norm(l.conj().T @ t) > DEFAULT_TOL.eq_rel * scale:
             raise ContractViolationError("perturbation does not annihilate the analysis operator")
 
@@ -147,15 +181,13 @@ def duality_defect(cand: DualCandidate) -> float:
 
 
 def _canonical_analysis(a: OVFrame, tol: ToleranceConfig):
-    t = ovf_analysis(a)
-    s, lo, hi = ovf_frame_operator_bounds(a, tol)
+    """``(T_A, T_A S_A^-1)`` after the frame test at ``tol``; T_A S_A^-1 is read-only."""
+    _, lo, hi = ovf_frame_operator_bounds(a, tol)
     if not clears_inv_cutoff(lo, hi, tol):
         raise NotAFrameError(
             f"operator-valued sequence is not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})"
         )
-    # (S^-1 T^*)^* = T S^-1 since S is Hermitian
-    t_dual = np.linalg.solve(s, t.conj().T).conj().T
-    return t, t_dual
+    return ovf_analysis(a), a.canonical_analysis
 
 
 def kernel_projector(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -242,3 +242,43 @@ def test_malformed_documents_exit_2_with_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in err[0]
+
+
+GOLDEN_REFERENCE = DATA / "golden_reference_report.json"
+
+
+def test_reference_command_matches_golden_reference(tmp_path):
+    # the reference command's report, written before the caches on the
+    # sequences, frames and symbols existed: caching changes no value
+    out = tmp_path / "report.json"
+    assert main(["check", "--suite", "all", "--random", "20", "--seed", "7", "--report", str(out)]) == 0
+    assert _strip_wall_time(out.read_text()) == _strip_wall_time(GOLDEN_REFERENCE.read_text())
+
+
+def test_condition_c_coherence_near_cutoff_is_indeterminate(tmp_path):
+    # used to fail at 1.088e-8 against eq_rel 1e-8 while the other
+    # near-cutoff checks on the same file read indeterminate
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--dim", "12", "--blocks", "5", "--dims", "12,11,1,9,7",
+                 "--symbol", "adversarial", "--seed", "756594", "-o", str(inst)]) == 0
+    assert main(["check", "--suite", "multipliers", str(inst), "--report", str(report)]) == 0
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    for name in ("condition_c_coherence", "riesz_symbol_iff", "inverse_multiplier_dual"):
+        assert entries[name]["verdict"] == "indeterminate"
+    coherence = entries["condition_c_coherence"]
+    assert coherence["residual"] > coherence["tolerance"]
+    assert coherence["residual"] == pytest.approx(1.0882491559364513e-08, rel=1e-6)
+
+
+def test_local_control_below_unit_scale_is_indeterminate(tmp_path):
+    # ||M|| is about 1e-8 here, so the broken lift cannot deviate by 1e-3;
+    # the control used to fail with shortfall 0.99983
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--dim", "1", "--blocks", "1", "--dims", "1",
+                 "--symbol", "adversarial", "-o", str(inst)]) == 0
+    assert main(["check", "--suite", "local", str(inst), "--report", str(report)]) == 0
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    control = entries["local_negative_control"]
+    assert control["verdict"] == "indeterminate"
+    assert control["residual"] == pytest.approx(0.9998342010845709, rel=1e-6)
+    assert entries["local_equivalence"]["verdict"] == "pass"
