@@ -24,6 +24,7 @@ from .fusion import (
     block_deviation,
     build_local_frames,
     fusion_analysis_ambient,
+    fusion_bounds,
     is_fusion_frame,
     random_subspace,
 )
@@ -351,20 +352,19 @@ def _run_local_negative(inst, rng, tol):
     broken = replace(family, duals=family.frames)
     residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, broken, tol)
     shortfall = max(0.0, (1e-3 - residual) / 1e-3)
-    if not np.any(inst.symbol.m[np.asarray(inst.w.dims) > 0]):
-        # the multiplier and its broken lift are then both exactly 0
-        detail = "m vanishes on every nonzero block of W, so the control cannot deviate"
-        return CheckResult(shortfall, indeterminate=True, detail=detail)
-    # ||M|| <= norm_bound = sqrt(beta_V beta_W) ||m||_inf ||R||_inf. The broken
-    # lift is sum_i m_i u_i w_i P_{V_i} R_i S_i P_{W_i}, with S_i = sum_j
-    # phi_ij phi_ij^* the local frame operator of block i, ||S_i|| <= beta; so
-    # it is T_V^* D T_W with blocks m_i R_i S_i and has norm at most
-    # norm_bound * beta. The residual ||M - M_b|| / max(1, ||M||) is then at
-    # most norm_bound * (1 + beta), and below 1e-3 the control cannot deviate.
-    norm_bound = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol).norm_bound
-    reach = norm_bound * (1.0 + family.beta)
+    # Only live blocks, u_i w_i > 0, enter M = T_V^* D T_W, D acting as m_i R_i
+    # there and as 0 elsewhere, so ||M|| <= sqrt(beta_V beta_W) max_live |m_i|
+    # ||R_i||. The broken lift is T_V^* D' T_W with blocks m_i R_i S_i, S_i the
+    # local frame operator of block i with ||S_i|| <= beta. So the residual
+    # ||M - M_b|| / max(1, ||M||) is at most reach = sqrt(beta_V beta_W)
+    # max_live |m_i| ||R_i|| (1 + beta), 0 if m vanishes on every live block.
+    live = inst.v.weights * inst.w.weights > 0.0
+    sym = inst.symbol
+    symbol_sup = float(np.max(np.abs(sym.m[live]) * sym.svals[live, 0], initial=0.0))
+    beta_v, beta_w = fusion_bounds(inst.v, tol)[1], fusion_bounds(inst.w, tol)[1]
+    reach = float(np.sqrt(beta_v * beta_w)) * symbol_sup * (1.0 + family.beta)
     if reach < 1e-3:
-        detail = f"the control is at most norm_bound * (1 + beta) = {reach:.3e} < 1e-3"
+        detail = f"the control can reach at most {reach:.3e} < 1e-3"
         return CheckResult(shortfall, indeterminate=True, detail=detail)
     return CheckResult(shortfall, detail=f"control residual {residual:.3e}")
 

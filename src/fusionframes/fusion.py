@@ -4,8 +4,8 @@ A fusion sequence is a list of subspaces of C^n with non-negative weights,
 subject to the compatibility rule that a weight vanishes exactly when its
 subspace is zero. A sequence caches, read-only and on first use, the facts
 of it that no tolerance enters: the (N, n, n) stack of its projections, its
-frame operator S, the extreme eigenvalues of S and its embedding as an
-operator-valued frame. Tolerance rules (the eigenvalue clip, the
+frame operator S, the extreme eigenvalues of S, S^-1 and its embedding as
+an operator-valued frame. Tolerance rules (the eigenvalue clip, the
 invertibility cutoff, ranks) are applied at each call on top of these.
 :func:`sandwich` builds every block sum sum_i c_i P_{V_i} X_i P_{W_i} (dual
 composites and multipliers) from the projection stacks. Two coefficient
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ContractViolationError, PreconditionError
+from .exceptions import ContractViolationError, NotAFrameError
 from .frames import VectorFrame, canonical_dual_ordinary
 from .numerics import (
     DEFAULT_TOL,
@@ -50,6 +50,7 @@ __all__ = [
     "fusion_analysis_ambient",
     "fusion_synthesis_kw",
     "fusion_frame_operator",
+    "inverse_frame_operator",
     "fusion_bounds",
     "is_fusion_frame",
     "FusionClassification",
@@ -190,6 +191,13 @@ class FusionSequence:
         return s
 
     @cached_property
+    def frame_operator_inv(self) -> np.ndarray:
+        """Read-only S^-1 from one inv on first use; read by :func:`inverse_frame_operator`."""
+        inv = np.linalg.inv(self.frame_operator)
+        inv.flags.writeable = False
+        return inv
+
+    @cached_property
     def frame_eigs(self) -> tuple:
         """Extreme eigenvalues (lo, hi) of S, unclipped, from one eigvalsh on first use."""
         return eig_extremes(self.frame_operator)
@@ -246,6 +254,13 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
 def fusion_frame_operator(f: FusionSequence) -> np.ndarray:
     """S = sum_i w_i^2 P_i, the read-only array cached on ``f``."""
     return f.frame_operator
+
+
+def inverse_frame_operator(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """S^-1, cached on ``f``, once ``f`` passes the frame test at ``tol``."""
+    if not is_fusion_frame(f, tol):
+        raise NotAFrameError("S^-1 requires a fusion frame")
+    return f.frame_operator_inv
 
 
 def fusion_bounds(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
@@ -306,9 +321,6 @@ def scale_weights(f: FusionSequence, factors) -> FusionSequence:
     return FusionSequence(tuple(subs), new_w)
 
 
-MAX_DRAWS = 10_000
-
-
 @dataclass(frozen=True)
 class LocalFrameFamily:
     """Per-block vector frames spanning each nonzero subspace, with duals.
@@ -329,16 +341,14 @@ def build_local_frames(
     redundancy: int,
     rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
-    min_lower: float = 0.1,
 ) -> LocalFrameFamily:
     """Random spanning frames of each W_i with d_i + redundancy unit vectors.
 
-    Coefficients are complex Gaussian against the stored basis with each
-    vector normalized; a block is redrawn while its local lower bound falls
-    below ``min_lower`` so the family stays uniformly bounded below
-    (PreconditionError after ``MAX_DRAWS`` misses on one block).
-    Canonical local duals are computed within each subspace through the
-    pseudoinverse of the local frame operator.
+    One complex Gaussian draw per block against its stored basis: the QR
+    factor of its first d_i columns, an orthonormal basis of W_i, and its
+    other columns normalized. The local frame operator is then I + sum e e^*,
+    with bounds in [1, 1 + redundancy]; ``alpha`` and ``beta`` are their exact
+    extremes. Canonical local duals are computed within each subspace.
     """
     if redundancy < 0:
         raise ContractViolationError("redundancy must be non-negative")
@@ -352,15 +362,10 @@ def build_local_frames(
             duals.append(None)
             continue
         count = d + redundancy
-        for _ in range(MAX_DRAWS):
-            coeff = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
-            coeff /= np.linalg.norm(coeff, axis=0, keepdims=True)
-            local_s = coeff @ coeff.conj().T
-            ev = np.linalg.eigvalsh(local_s)
-            if ev[0] >= min_lower:
-                break
-        else:
-            raise PreconditionError(f"no local frame reached {min_lower} in {MAX_DRAWS} draws")
+        coeff = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
+        coeff[:, :d] = np.linalg.qr(coeff[:, :d])[0]
+        coeff[:, d:] /= np.linalg.norm(coeff[:, d:], axis=0, keepdims=True)
+        ev = np.linalg.eigvalsh(coeff @ coeff.conj().T)
         alpha = min(alpha, float(ev[0]))
         beta = max(beta, float(ev[-1]))
         phi = VectorFrame((sub.basis @ coeff).T)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .exceptions import ContractViolationError, FusionFrameError, PreconditionError
 from .fusion import (
-    MAX_DRAWS,
     FusionSequence,
     LocalFrameFamily,
     Subspace,
@@ -51,6 +50,7 @@ __all__ = [
 SYMBOL_MODES = ("identity", "random_C_holding", "random_C_failing", "adversarial")
 MAX_COND = 1e4  # largest condition number of a random fusion frame
 MIN_COND_RATIO = 1e-2  # least sigma_min / sigma_max of a random operator-valued frame
+MAX_DRAWS = 10_000  # draws before a conditioned generator gives up
 
 
 @dataclass(frozen=True)

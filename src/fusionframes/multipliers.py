@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .duality import random_annihilating_ovf
-from .exceptions import ContractViolationError, NotAFrameError, PreconditionError
+from .exceptions import ContractViolationError, PreconditionError
 from .frames import VectorFrame, ordinary_multiplier
 from .fusion import (
     FusionSequence,
@@ -43,8 +43,7 @@ from .fusion import (
     excess,
     fusion_analysis_ambient,
     fusion_bounds,
-    fusion_frame_operator,
-    is_fusion_frame,
+    inverse_frame_operator,
     sandwich,
     scale_weights,
 )
@@ -441,7 +440,7 @@ def inverse_multiplier_representation(
             raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
     m_inv = inverse(report.matrix, tol)
     m_star_inv = m_inv.conj().T
-    s_inv = inverse(fusion_frame_operator(w), tol)
+    s_inv = inverse_frame_operator(w, tol)
     pw_s_inv = w.projections @ s_inv
     m_conj = np.conj(sym.m)
     r_adj = v.weights[:, None, None] * sym.r.conj().transpose(0, 2, 1)
@@ -529,9 +528,7 @@ def gavruta_multiplier(
     m = np.asarray(m, dtype=np.complex128).ravel()
     if not (m.size == v.count == w.count):
         raise ContractViolationError("lengths disagree")
-    if not is_fusion_frame(w, tol):
-        raise NotAFrameError("the S^-1-weighted multiplier needs a fusion frame")
-    s_inv = inverse(fusion_frame_operator(w), tol)
+    s_inv = inverse_frame_operator(w, tol)
     return sandwich(v, w, m * v.weights * w.weights, s_inv)
 
 

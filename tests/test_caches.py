@@ -1,9 +1,9 @@
 """Facts cached on the immutable objects: read-only, computed once, tolerance-free.
 
 A FusionSequence caches its projections, frame operator, the extreme
-eigenvalues of that operator and its operator-valued embedding; an OVFrame
-its frame operator, eigenvalues, T S^-1 and ||T||; a Symbol its spectra and,
-per (V, W) pair, the assembled multiplier. Tolerance rules are applied per
+eigenvalues and the inverse of that operator and its operator-valued
+embedding; an OVFrame its frame operator, eigenvalues, T S^-1 and ||T||; a
+Symbol its spectra and, per (V, W) pair, the assembled multiplier. Tolerance rules are applied per
 call on top of these, so one object can serve runs under any tolerance.
 """
 
@@ -17,6 +17,7 @@ from fusionframes.fusion import (
     classify,
     fusion_bounds,
     fusion_frame_operator,
+    inverse_frame_operator,
     is_fusion_frame,
     scale_weights,
 )
@@ -166,3 +167,14 @@ def test_invertibility_is_decided_per_call():
     assert rep.invertible
     assert not assemble_multiplier(sym, v, w, above).invertible
     assert assemble_multiplier(sym, v, w).invertible
+
+
+def test_one_inverse_frame_operator_per_sequence_across_duals_and_multipliers(monkeypatch):
+    inst = _instance()
+    calls = _counting(monkeypatch, "inv")
+    for suite in ("duals", "multipliers"):
+        report = run_suite(suite, [inst])
+        assert report["summary"]["fail"] == 0
+    s_w = fusion_frame_operator(inst.w)
+    assert sum(np.array_equal(args[0], s_w) for args in calls) == 1
+    assert inverse_frame_operator(inst.w) is inverse_frame_operator(inst.w, LOOSE)

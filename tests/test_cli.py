@@ -282,3 +282,26 @@ def test_local_control_below_unit_scale_is_indeterminate(tmp_path):
     assert control["verdict"] == "indeterminate"
     assert control["residual"] == pytest.approx(0.9998342010845709, rel=1e-6)
     assert entries["local_equivalence"]["verdict"] == "pass"
+
+
+def test_local_frames_of_a_full_twelve_dimensional_block(tmp_path):
+    # local frames used to be redrawn until their lower bound reached 0.1,
+    # which no draw did at d = 12: local_equivalence aborted
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--dim", "12", "--blocks", "1", "--dims", "12",
+                 "--seed", "855340", "-o", str(inst)]) == 0
+    assert main(["check", "--suite", "local", str(inst), "--report", str(report)]) == 0
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    assert entries["local_equivalence"]["residual"] < 1e-8
+
+
+def test_local_control_ignores_blocks_outside_the_multiplier(tmp_path):
+    # blocks 1 and 2 are zero, so their symbol never enters M (||M|| about
+    # 4e-8); the control used to fail with shortfall 0.99996
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--dim", "1", "--blocks", "3", "--dims", "1,0,0",
+                 "--symbol", "adversarial", "--seed", "2481027767", "-o", str(inst)]) == 0
+    assert main(["check", "--suite", "local", str(inst), "--report", str(report)]) == 0
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    assert entries["local_negative_control"]["verdict"] == "indeterminate"
+    assert entries["local_equivalence"]["verdict"] == "pass"

@@ -15,7 +15,7 @@ from conftest import (
     reference_projection_composition,
 )
 from fusionframes import duality, fusion, multipliers
-from fusionframes.exceptions import ContractViolationError, PreconditionError
+from fusionframes.exceptions import ContractViolationError
 from fusionframes.frames import ordinary_multiplier
 from fusionframes.fusion import (
     FusionSequence,
@@ -201,13 +201,18 @@ def test_local_reconstruction(rng):
                 assert err <= DEFAULT_TOL.eq_rel
 
 
-def test_local_frames_unreachable_lower_bound_is_typed():
-    # one unit vector in a line has local lower bound exactly 1 on every draw
-    f = FusionSequence((line([1.0, 0.0]),), np.array([1.0]))
+def test_local_frame_bounds_hold_by_construction():
+    # an orthonormal basis of each block plus unit vectors: I + sum e e^*
+    rng = np.random.default_rng(0)
     start = time.perf_counter()
-    with pytest.raises(PreconditionError):
-        build_local_frames(f, 0, np.random.default_rng(0), min_lower=1.5)
-    assert time.perf_counter() - start < 10.0
+    for d in (1, 12, 64):
+        f = FusionSequence((random_subspace(64, d, rng),), np.array([1.0]))
+        for redundancy in range(4):
+            fam = build_local_frames(f, redundancy, rng)
+            assert fam.frames[0].count == d + redundancy
+            assert fam.alpha >= 1.0 - 1e-12
+            assert fam.beta <= 1.0 + redundancy + 1e-12
+    assert time.perf_counter() - start < 5.0
 
 
 def _random_sequence(n, count, rng):
