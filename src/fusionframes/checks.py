@@ -30,6 +30,7 @@ from .fusion import (
 )
 from .instances import (
     Instance,
+    cross_swap_instance,
     random_invertible_matrix,
     random_partition,
     random_riesz_basis,
@@ -217,7 +218,7 @@ def _run_assembly_routes(inst, rng, tol):
     t_v = fusion_analysis_ambient(inst.v)
     t_w = fusion_analysis_ambient(inst.w)
     route = t_v.conj().T @ multipliers.block_diag_apply(inst.symbol) @ t_w
-    residual = spectral_norm(rep.matrix - route) / max(1.0, spectral_norm(rep.matrix))
+    residual = spectral_norm(rep.matrix - route) / max(1.0, rep.sigma_max)
     return CheckResult(residual)
 
 
@@ -317,15 +318,15 @@ def _run_inverse_uniqueness(inst, rng, tol):
     return CheckResult(shortfall, indeterminate=rep.indeterminate, detail=detail)
 
 
-def _run_contrast(inst, rng, tol):
-    from .instances import cross_swap_instance
+_CROSS = cross_swap_instance()  # the crossed pair in C^2, the same for every instance
 
-    cross = cross_swap_instance()
+
+def _run_contrast(inst, rng, tol):
     ones = np.ones(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    proj = multipliers.projection_composition_multiplier(ones, cross.v, cross.w)
-    gav = multipliers.gavruta_multiplier(ones, cross.v, cross.w, tol)
-    sym = multipliers.assemble_multiplier(cross.symbol, cross.v, cross.w, tol).matrix
+    proj = multipliers.projection_composition_multiplier(ones, _CROSS.v, _CROSS.w)
+    gav = multipliers.gavruta_multiplier(ones, _CROSS.v, _CROSS.w, tol)
+    sym = multipliers.assemble_multiplier(_CROSS.symbol, _CROSS.v, _CROSS.w, tol).matrix
     residual = max(spectral_norm(proj), spectral_norm(gav), spectral_norm(sym - swap))
     return CheckResult(residual)
 

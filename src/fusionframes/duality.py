@@ -39,8 +39,8 @@ from .numerics import (
     as_matrix,
     clears_inv_cutoff,
     extreme_singular_values,
-    rank_tol,
     spectral_norm,
+    svals_rank,
     svd,
 )
 from .ovf import (
@@ -278,13 +278,13 @@ def generate_fusion_dual(
     for i in range(w.count):
         a_i = (w.weights[i] * (u @ s_inv) + l_blocks[i].conj().T) @ w.projections[i]
         ops.append(a_i)
-        r = rank_tol(a_i, tol)
+        uu, ss, _ = svd(a_i)
+        r = int(svals_rank(ss, n, tol))
         if r == 0:
             subs.append(Subspace.zero(n))
             weights.append(0.0)
             q_blocks.append(np.zeros((n, n), dtype=np.complex128))
             continue
-        uu, ss, _ = svd(a_i)
         subs.append(Subspace(uu[:, :r]))
         nrm = float(ss[0])
         weights.append(nrm)

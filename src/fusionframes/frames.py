@@ -14,7 +14,6 @@ from .numerics import (
     clears_inv_cutoff,
     clipped_eig_bounds,
     extreme_singular_values,
-    inverse,
     pinv,
     spectral_norm,
 )
@@ -142,7 +141,7 @@ def inverse_representation_ordinary(
         )
     if np.min(np.abs(m)) == 0.0:
         raise ContractViolationError("symbol is not semi-normalized: zero entry")
-    minv = inverse(mat, tol)
+    minv = np.linalg.inv(mat)
     psi_dag = VectorFrame((minv @ (m[:, None] * synth.vectors).T).T)
     if rng is None:
         rng = np.random.default_rng(0x5EED)

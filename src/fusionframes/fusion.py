@@ -36,6 +36,7 @@ from .numerics import (
     eig_extremes,
     rank_tol,
     spectral_norms,
+    svals_rank,
     svd,
 )
 
@@ -90,10 +91,8 @@ class Subspace:
     @classmethod
     def span(cls, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
         """Orthonormalize a spanning set (columns) into a canonical basis."""
-        mat = as_matrix(vectors)
-        u, s, _ = svd(mat)
-        r = rank_tol(mat, tol)
-        return cls(u[:, :r])
+        u, s, _ = svd(vectors)
+        return cls(u[:, : int(svals_rank(s, max(np.shape(vectors)), tol))])
 
     @property
     def ambient_dim(self) -> int:

@@ -19,9 +19,10 @@ near its cutoff their verdicts are flagged indeterminate. gamma, delta,
 ||R||_inf and the Schatten facts are read from ``Symbol.svals``, the block
 singular values of one batched SVD cached on the symbol, and from
 ``Symbol.stacked_svals``, the cached spectrum of the block diagonal. The
-symbol also memoizes, per (V, W) pair, the assembled multiplier and its
-extreme singular values (:meth:`Symbol.assembled`); invertibility and the
-norm bound are derived from these at each call's tolerance.
+symbol also memoizes, per (V, W) pair, the assembled multiplier with its
+whole spectrum from one SVD (:meth:`Symbol.assembled`): ||M||, ||M||_p and
+||M^-1|| = 1 / sigma_min are read from it, and invertibility and the norm
+bound are derived from it at each call's tolerance.
 """
 
 from __future__ import annotations
@@ -51,17 +52,15 @@ from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     clears_inv_cutoff,
-    extreme_singular_values,
-    inverse,
+    finite_array,
     near_inv_cutoff,
     rank_tol,
-    schatten_norm,
     singular_values,
     spectral_norm,
     spectrum_schatten_norm,
     svals_rank,
 )
-from .ovf import DualCandidate, duality_defect, ovf_analysis
+from .ovf import DualCandidate, duality_defect, embed_fusion, ovf_analysis
 
 __all__ = [
     "Symbol",
@@ -93,16 +92,14 @@ class Symbol:
     r: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.complex128).ravel()
-        r = np.asarray(self.r, dtype=np.complex128)
-        if r.ndim != 3 or r.shape[1] != r.shape[2] or r.shape[1] == 0:
+        m = finite_array(np.ravel(self.m), 1, "symbol scalars")
+        r = finite_array(self.r, 3, "symbol blocks")
+        if r.shape[1] != r.shape[2] or r.shape[1] == 0:
             raise ContractViolationError(f"expected (N, n, n) blocks with n >= 1, got {r.shape}")
         if m.size != r.shape[0]:
             raise ContractViolationError(
                 f"{m.size} scalars but {r.shape[0]} operator blocks"
             )
-        if not np.all(np.isfinite(m)) or (r.size and not np.all(np.isfinite(r))):
-            raise ContractViolationError("symbol contains NaN or Inf")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "r", r)
 
@@ -144,19 +141,22 @@ class Symbol:
 
     @cached_property
     def _assembled(self) -> dict:
-        """(V, W) -> (M, sigma_min, sigma_max), filled by :meth:`assembled`."""
+        """(V, W) -> (M, singular values of M), filled by :meth:`assembled`."""
         return {}
 
     def assembled(self, v: FusionSequence, w: FusionSequence) -> tuple:
-        """``(M, sigma_min, sigma_max)`` for M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i},
-        with M read-only. Built on first use per (V, W) pair, keyed by the identity
-        of the two sequences, and kept as long as the symbol is."""
+        """``(M, s)`` for M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and its
+        non-increasing singular values s, both read-only. Built on first use per
+        (V, W) pair, keyed by the identity of the two sequences, and kept as long
+        as the symbol is."""
         key = (v, w)
         if key not in self._assembled:
             _check_triple(self, v, w)
             mat = sandwich(v, w, self.m * v.weights * w.weights, self.r)
+            s = singular_values(mat)
             mat.flags.writeable = False
-            self._assembled[key] = (mat, *extreme_singular_values(mat))
+            s.flags.writeable = False
+            self._assembled[key] = (mat, s)
         return self._assembled[key]
 
 
@@ -246,10 +246,11 @@ def assemble_multiplier(
 ) -> MultiplierReport:
     """Assemble sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and measure it.
 
-    The matrix and its extreme singular values are those memoized on ``sym``;
-    invertibility and the norm bound are derived from them at ``tol``.
+    The matrix and its spectrum are those memoized on ``sym``; invertibility
+    and the norm bound are derived from its extreme singular values at ``tol``.
     """
-    mat, sigma_min, sigma_max = sym.assembled(v, w)
+    mat, s = sym.assembled(v, w)
+    sigma_min, sigma_max = float(s[-1]), float(s[0])
     _, beta_v = fusion_bounds(v, tol)
     _, beta_w = fusion_bounds(w, tol)
     bound = float(np.sqrt(beta_v * beta_w) * sym.m_sup * sym.r_sup)
@@ -349,13 +350,13 @@ def invertible_multiplier_consequences(
     report = assemble_multiplier(sym, v, w, tol)
     if not report.invertible:
         raise PreconditionError("the multiplier must be invertible")
-    m_inv = inverse(report.matrix, tol)
     w_scaled = scale_weights(w, sym.m)
     v_scaled = scale_weights(v, sym.m)
     bounds = [fusion_bounds(seq, tol) for seq in (w, v, w_scaled, v_scaled)]
     all_frames = all(clears_inv_cutoff(lo, hi, tol) for lo, hi in bounds)
     beta_v = bounds[1][1]
-    rhs = 1.0 / (beta_v * sym.r_sup**2 * spectral_norm(m_inv) ** 2)
+    # ||M^-1|| = 1 / sigma_min(M)
+    rhs = report.sigma_min**2 / (beta_v * sym.r_sup**2)
     lower_ok = bounds[2][0] >= (1.0 - slack) * rhs
     e_w = excess(w, tol)[0]
     e_v = excess(v, tol)[0]
@@ -438,7 +439,7 @@ def inverse_multiplier_representation(
     for cand in sampled_duals:
         if cand.base.blocks.shape != (v.count, n, n) or duality_defect(cand) > 10 * tol.eq_rel:
             raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
-    m_inv = inverse(report.matrix, tol)
+    m_inv = np.linalg.inv(report.matrix)
     m_star_inv = m_inv.conj().T
     s_inv = inverse_frame_operator(w, tol)
     pw_s_inv = w.projections @ s_inv
@@ -565,14 +566,9 @@ def schatten_checks(
     s_d = sym.stacked_svals  # non-increasing, like the sorted union
     s_union = np.sort((np.abs(sym.m)[:, None] * sym.svals).ravel())[::-1]
     block_defect = float(np.max(np.abs(s_d - s_union)) / max(1.0, float(s_d[0])))
-    mat = assemble_multiplier(sym, v, w, tol).matrix
-    lhs = schatten_norm(mat, p)
+    lhs = spectrum_schatten_norm(sym.assembled(v, w)[1], p)
     d_norm = spectrum_schatten_norm(s_d, p)
-    rhs = (
-        spectral_norm(fusion_analysis_ambient(v))
-        * spectral_norm(fusion_analysis_ambient(w))
-        * d_norm
-    )
+    rhs = embed_fusion(v).analysis_norm * embed_fusion(w).analysis_norm * d_norm
     composite_ok = lhs <= rhs + tol.eq_rel * max(1.0, rhs)
     lhs_c = d_norm**p
     ranks = svals_rank(sym.svals, sym.dim, tol)

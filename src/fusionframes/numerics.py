@@ -1,9 +1,12 @@
 """Dense complex linear algebra with a single shared tolerance policy.
 
-Every matrix in the package is a numpy ``complex128`` array. All rank,
-equality, and invertibility decisions route through one
+Every matrix in the package is a numpy ``complex128`` array, coerced and
+checked for finiteness by :func:`finite_array`. Every SVD runs through one
+LAPACK call that reports non-convergence as :class:`NumericFailureError`.
+All rank, equality, and invertibility decisions route through one
 :class:`ToleranceConfig` so that no two checks can disagree about what
-counts as zero.
+counts as zero; an inverse is taken only where the caller has already
+applied the invertibility cutoff to the same singular values.
 """
 
 from __future__ import annotations
@@ -12,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    ContractViolationError,
-    NotInvertibleError,
-    NumericFailureError,
-)
+from .exceptions import ContractViolationError, NumericFailureError
 
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "finite_array",
     "as_matrix",
     "svd",
     "singular_values",
@@ -35,7 +35,6 @@ __all__ = [
     "clip_eig_bounds",
     "clipped_eig_bounds",
     "pinv",
-    "inverse",
     "schatten_norm",
     "spectrum_schatten_norm",
 ]
@@ -71,14 +70,30 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def finite_array(a, ndim: int, name: str) -> np.ndarray:
+    """Coerce to a finite complex128 array with ``ndim`` axes, or raise
+    :class:`ContractViolationError` naming ``name``."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != ndim:
+        raise ContractViolationError(f"{name} must have {ndim} axes, got shape {m.shape}")
+    if m.size and not np.all(np.isfinite(m)):
+        raise ContractViolationError(f"{name} contains NaN or Inf entries")
+    return m
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ContractViolationError(f"expected a 2-d array, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ContractViolationError("matrix contains NaN or Inf entries")
-    return m
+    return finite_array(a, 2, "matrix")
+
+
+def _lapack_svd(m: np.ndarray, **kwargs):
+    """``np.linalg.svd`` of a validated matrix or stack, with non-convergence
+    raised as :class:`NumericFailureError`."""
+    try:
+        return np.linalg.svd(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        what = "stack of matrices" if m.ndim == 3 else "matrix"
+        raise NumericFailureError(f"svd did not converge on a {what} of shape {m.shape}") from exc
 
 
 def svd(a):
@@ -90,31 +105,19 @@ def svd(a):
         ``u`` and ``vh.conj().T`` have orthonormal columns and ``s`` is
         non-increasing and non-negative.
     """
-    m = as_matrix(a)
-    try:
-        return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(
-            f"svd did not converge on a {m.shape[0]}x{m.shape[1]} matrix"
-        ) from exc
+    return _lapack_svd(as_matrix(a), full_matrices=False)
 
 
 def singular_values(a) -> np.ndarray:
     m = as_matrix(a)
     if min(m.shape) == 0:
         return np.zeros(0)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(
-            f"svd did not converge on a {m.shape[0]}x{m.shape[1]} matrix"
-        ) from exc
+    return _lapack_svd(m, compute_uv=False)
 
 
 def rank_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above the relative cutoff."""
-    m = as_matrix(a)
-    return int(svals_rank(singular_values(m), max(m.shape), tol))
+    return int(svals_rank(singular_values(a), max(np.shape(a)), tol))
 
 
 def svals_rank(s: np.ndarray, size: int, tol: ToleranceConfig):
@@ -134,19 +137,10 @@ def spectral_norms(stack) -> np.ndarray:
     Each entry is bit-for-bit the :func:`spectral_norm` of that matrix: the
     batched SVD runs the same LAPACK routine on every matrix of the stack.
     """
-    a = np.asarray(stack, dtype=np.complex128)
-    if a.ndim != 3:
-        raise ContractViolationError(f"expected an (m, r, c) stack, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ContractViolationError("matrix stack contains NaN or Inf entries")
+    a = finite_array(stack, 3, "matrix stack")
     if min(a.shape[1:]) == 0:
         return np.zeros(a.shape[0])
-    try:
-        return np.linalg.svd(a, compute_uv=False)[:, 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(
-            f"svd did not converge on a stack of {a.shape[1]}x{a.shape[2]} matrices"
-        ) from exc
+    return _lapack_svd(a, compute_uv=False)[:, 0]
 
 
 def extreme_singular_values(a):
@@ -194,20 +188,6 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if min(m.shape) == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     return np.linalg.pinv(m, rcond=tol.rank_rel * max(m.shape))
-
-
-def inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix, guarded by the invertibility cutoff."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ContractViolationError(f"cannot invert a {m.shape[0]}x{m.shape[1]} matrix")
-    sigma_min, sigma_max = extreme_singular_values(m)
-    if not clears_inv_cutoff(sigma_min, sigma_max, tol):
-        raise NotInvertibleError(
-            f"matrix is singular at tolerance (sigma_min={sigma_min:.3e})",
-            sigma_min=sigma_min,
-        )
-    return np.linalg.inv(m)
 
 
 def schatten_norm(a, p: float) -> float:

@@ -42,6 +42,7 @@ from .numerics import (
     clears_inv_cutoff,
     clip_eig_bounds,
     eig_extremes,
+    finite_array,
     pinv,
     rank_tol,
     spectral_norm,
@@ -74,12 +75,7 @@ class OVFrame:
     blocks: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=np.complex128)
-        if b.ndim != 3:
-            raise ContractViolationError(f"expected (N, k, n) blocks, got shape {b.shape}")
-        if b.size and not np.all(np.isfinite(b)):
-            raise ContractViolationError("operator blocks contain NaN or Inf")
-        object.__setattr__(self, "blocks", b)
+        object.__setattr__(self, "blocks", finite_array(self.blocks, 3, "operator blocks"))
 
     @property
     def count(self) -> int:

@@ -3,15 +3,17 @@
 A FusionSequence caches its projections, frame operator, the extreme
 eigenvalues and the inverse of that operator and its operator-valued
 embedding; an OVFrame its frame operator, eigenvalues, T S^-1 and ||T||; a
-Symbol its spectra and, per (V, W) pair, the assembled multiplier. Tolerance rules are applied per
-call on top of these, so one object can serve runs under any tolerance.
+Symbol its spectra and, per (V, W) pair, the assembled multiplier with its
+spectrum. Tolerance rules are applied per call on top of these, so one object
+can serve runs under any tolerance.
 """
 
 import numpy as np
 import pytest
 
-from fusionframes import checks
+from fusionframes import checks, multipliers
 from fusionframes.checks import run_suite
+from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
     FusionSequence,
     classify,
@@ -178,3 +180,40 @@ def test_one_inverse_frame_operator_per_sequence_across_duals_and_multipliers(mo
     s_w = fusion_frame_operator(inst.w)
     assert sum(np.array_equal(args[0], s_w) for args in calls) == 1
     assert inverse_frame_operator(inst.w) is inverse_frame_operator(inst.w, LOOSE)
+
+
+def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(monkeypatch):
+    inst = _instance()
+    svds = _counting(monkeypatch, "svd")
+    invs = _counting(monkeypatch, "inv")
+    windows = []  # inv-call positions spanned by each inverse representation
+    representation = multipliers.inverse_multiplier_representation
+
+    def traced(*args, **kwargs):
+        start = len(invs)
+        try:
+            return representation(*args, **kwargs)
+        finally:
+            windows.append((start, len(invs)))
+
+    monkeypatch.setattr(multipliers, "inverse_multiplier_representation", traced)
+    for suite in ("multipliers", "schatten"):
+        report = run_suite(suite, [inst])
+        assert report["summary"]["fail"] == 0
+    m = assemble_multiplier(inst.symbol, inst.v, inst.w).matrix
+    assert sum(np.array_equal(args[0], m) for args in svds) == 1
+    # M^-1 is formed only where the representation needs it, once per check
+    m_inverted = [k for k, args in enumerate(invs) if np.array_equal(args[0], m)]
+    assert len(windows) == len(m_inverted) == 2
+    assert all(any(lo <= k < hi for lo, hi in windows) for k in m_inverted)
+
+    # one SVD per nonzero block gives both its range and its rank
+    w = inst.w
+    nonzero = sum(d > 0 for d in w.dims)
+    svds.clear()
+    canonical_gavruta_dual(w)
+    assert len(svds) == nonzero
+    u = 2.0 * np.eye(w.ambient_dim)
+    svds.clear()
+    generate_fusion_dual(w, u)
+    assert sum(not np.array_equal(args[0], u) for args in svds) == nonzero

@@ -32,7 +32,7 @@ from fusionframes.fusion import (
     sandwich,
     scale_weights,
 )
-from fusionframes.numerics import DEFAULT_TOL, inverse, spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, spectral_norm
 from fusionframes.ovf import embed_fusion
 
 
@@ -254,7 +254,7 @@ def test_sandwich_matches_the_per_block_loops(rng):
         if not fusion.is_fusion_frame(w):
             continue
         gavruta_cases += 1
-        s_inv = inverse(fusion_frame_operator(w))
+        s_inv = np.linalg.inv(fusion_frame_operator(w))
         assert np.array_equal(
             multipliers.gavruta_multiplier(m, v, w), reference_gavruta_multiplier(m, v, w, s_inv)
         )

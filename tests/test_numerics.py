@@ -3,22 +3,25 @@
 import numpy as np
 import pytest
 
-from fusionframes.exceptions import ContractViolationError
+from fusionframes import numerics
+from fusionframes.exceptions import ContractViolationError, NumericFailureError
 from fusionframes.fusion import projection, random_subspace
+from fusionframes.multipliers import Symbol
 from fusionframes.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     clears_inv_cutoff,
     clipped_eig_bounds,
     extreme_singular_values,
-    inverse,
     near_inv_cutoff,
     pinv,
     rank_tol,
     schatten_norm,
     spectral_norm,
+    spectral_norms,
     svd,
 )
+from fusionframes.ovf import OVFrame
 
 
 def test_tolerance_config_validates():
@@ -48,6 +51,43 @@ def test_svd_nilpotent_jordan_block():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ContractViolationError):
         svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "name", ["svd", "singular_values", "spectral_norm", "spectral_norms", "rank_tol"]
+)
+def test_svd_non_convergence_is_a_numeric_failure(monkeypatch, name):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    operand = np.eye(2)[None] if name == "spectral_norms" else np.eye(2)
+    with pytest.raises(NumericFailureError):
+        getattr(numerics, name)(operand)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_stacks_and_symbols_reject_nonfinite_entries(bad):
+    stack = np.ones((2, 3, 3), dtype=np.complex128)
+    stack[1, 0, 2] = bad
+    with pytest.raises(ContractViolationError):
+        spectral_norms(stack)
+    with pytest.raises(ContractViolationError):
+        OVFrame(stack)
+    with pytest.raises(ContractViolationError):
+        Symbol(np.ones(2), stack)
+    with pytest.raises(ContractViolationError):
+        Symbol(np.array([1.0, bad]), np.ones((2, 3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 2, 3, 3)])
+def test_stacks_and_symbols_reject_a_wrong_number_of_axes(shape):
+    with pytest.raises(ContractViolationError):
+        spectral_norms(np.ones(shape))
+    with pytest.raises(ContractViolationError):
+        OVFrame(np.ones(shape))
+    with pytest.raises(ContractViolationError):
+        Symbol(np.ones(shape[0]), np.ones(shape))
 
 
 def test_svd_roundtrip_on_random_matrices(rng):
@@ -123,16 +163,6 @@ def test_schatten_two_equals_frobenius(rng):
     for _ in range(20):
         a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         assert schatten_norm(a, 2) == pytest.approx(float(np.linalg.norm(a)), rel=1e-12)
-
-
-def test_inverse_guarded(rng):
-    from fusionframes.exceptions import NotInvertibleError
-
-    with pytest.raises(NotInvertibleError) as info:
-        inverse(np.diag([1.0, 0.0]))
-    assert info.value.sigma_min == 0.0
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3 * np.eye(4)
-    np.testing.assert_allclose(inverse(a) @ a, np.eye(4), atol=1e-10)
 
 
 def test_random_subspace_contracts(rng):
