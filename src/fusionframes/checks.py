@@ -292,30 +292,32 @@ def _run_excess_invariance(inst, rng, tol):
     return CheckResult(float(mismatch))
 
 
-def _inverse_representation(inst, rng, tol):
-    """The inverse representation through the canonical and four sampled duals of V."""
+def _v_duals(inst, rng, tol):
+    """The canonical and four sampled duals of {u_i P_{V_i}}, drawn from ``rng``."""
     a_v = embed_fusion(inst.v)
-    duals = [ovf.canonical_ov_dual(a_v, tol)] + _sampled_duals(a_v, 4, rng, tol)
-    return multipliers.inverse_multiplier_representation(
-        inst.symbol, inst.v, inst.w, duals, tol, rng=rng
-    )
+    return [ovf.canonical_ov_dual(a_v, tol)] + _sampled_duals(a_v, 4, rng, tol)
 
 
 def _run_inverse_representation(inst, rng, tol):
-    rep = _inverse_representation(inst, rng, tol)
-    residual = max(rep.duality_residual, rep.representation_residual)
-    return CheckResult(residual, indeterminate=rep.indeterminate)
+    sym, v, w = inst.symbol, inst.v, inst.w
+    duals = _v_duals(inst, rng, tol)
+    residuals = multipliers.inverse_representation_residuals(sym, v, w, duals, tol)
+    near = multipliers.condition_c(sym, tol).near_threshold
+    return CheckResult(max(residuals), indeterminate=near)
 
 
 def _run_inverse_uniqueness(inst, rng, tol):
-    rep = _inverse_representation(inst, rng, tol)
-    shortfall = max(0.0, (1e-4 - rep.probe_residual) / 1e-4)
+    sym, v, w = inst.symbol, inst.v, inst.w
+    duals = _v_duals(inst, rng, tol)
+    probe = multipliers.inverse_representation_probe(sym, v, w, duals, tol, rng)  # draws after the duals
+    shortfall = max(0.0, (1e-4 - probe) / 1e-4)
     # W is a frame, so T_W has rank n and ker T_W^* has dimension (N - 1) n
-    if inst.w.count == 1:
+    if w.count == 1:
         detail = "ker T_W^* is trivial (one full block), so the probe has no direction"
         return CheckResult(shortfall, indeterminate=True, detail=detail)
-    detail = f"probe residual {rep.probe_residual:.3e}"
-    return CheckResult(shortfall, indeterminate=rep.indeterminate, detail=detail)
+    detail = f"probe residual {probe:.3e}"
+    near = multipliers.condition_c(sym, tol).near_threshold
+    return CheckResult(shortfall, indeterminate=near, detail=detail)
 
 
 _CROSS = cross_swap_instance()  # the crossed pair in C^2, the same for every instance

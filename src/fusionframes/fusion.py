@@ -4,8 +4,9 @@ A fusion sequence is a list of subspaces of C^n with non-negative weights,
 subject to the compatibility rule that a weight vanishes exactly when its
 subspace is zero. A sequence caches, read-only and on first use, the facts
 of it that no tolerance enters: the (N, n, n) stack of its projections, its
-frame operator S, the extreme eigenvalues of S, S^-1 and its embedding as
-an operator-valued frame. Tolerance rules (the eigenvalue clip, the
+frame operator S, the extreme eigenvalues of S, S^-1, the singular values
+of its stacked analysis and of its K_W synthesis, and its embedding as an
+operator-valued frame. Tolerance rules (the eigenvalue clip, the
 invertibility cutoff, ranks) are applied at each call on top of these.
 :func:`sandwich` builds every block sum sum_i c_i P_{V_i} X_i P_{W_i} (dual
 composites and multipliers) from the projection stacks. Two coefficient
@@ -34,7 +35,7 @@ from .numerics import (
     clears_inv_cutoff,
     clip_eig_bounds,
     eig_extremes,
-    rank_tol,
+    singular_values,
     spectral_norms,
     svals_rank,
     svd,
@@ -202,6 +203,22 @@ class FusionSequence:
         return eig_extremes(self.frame_operator)
 
     @cached_property
+    def analysis_svals(self) -> np.ndarray:
+        """Read-only singular values of :func:`fusion_analysis_ambient`, from one SVD
+        on first use."""
+        s = singular_values(fusion_analysis_ambient(self))
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def synthesis_svals(self) -> np.ndarray:
+        """Read-only singular values of :func:`fusion_synthesis_kw`, from one SVD on
+        first use."""
+        s = singular_values(fusion_synthesis_kw(self))
+        s.flags.writeable = False
+        return s
+
+    @cached_property
     def embedding(self):
         """The B(C^n)-valued frame with blocks w_i P_i, read-only, built on first use."""
         from .ovf import OVFrame  # deferred: ovf imports this module at load time
@@ -289,8 +306,8 @@ def classify(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> FusionCla
     """
     lo, hi = fusion_bounds(f, tol)
     frame = clears_inv_cutoff(lo, hi, tol)
-    total = sum(f.dims)
-    riesz = total == f.ambient_dim and rank_tol(fusion_synthesis_kw(f), tol) == f.ambient_dim
+    n, total = f.ambient_dim, sum(f.dims)
+    riesz = total == n and svals_rank(f.synthesis_svals, n, tol) == n
     return FusionClassification(bessel=True, frame=frame, riesz_fusion_basis=riesz, lower=lo, upper=hi)
 
 
@@ -299,11 +316,12 @@ def excess(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
 
     The ambient number is N*n minus the rank of the stacked analysis
     operator (the kernel dimension of its adjoint); the K_W number is
-    sum(d_i) minus the rank of the block-column synthesis.
+    sum(d_i) minus the rank of the block-column synthesis. Both ranks are taken
+    at ``tol`` from the singular values cached on ``f``.
     """
-    n, big_n = f.ambient_dim, f.count
-    ambient = big_n * n - rank_tol(fusion_analysis_ambient(f), tol)
-    kw = sum(f.dims) - rank_tol(fusion_synthesis_kw(f), tol)
+    size, total = f.count * f.ambient_dim, sum(f.dims)
+    ambient = size - svals_rank(f.analysis_svals, size, tol)
+    kw = total - svals_rank(f.synthesis_svals, max(f.ambient_dim, total), tol)
     return int(ambient), int(kw)
 
 
@@ -318,6 +336,9 @@ def scale_weights(f: FusionSequence, factors) -> FusionSequence:
         for s, wt in zip(f.subspaces, new_w)
     ]
     return FusionSequence(tuple(subs), new_w)
+
+
+MAX_REDUNDANCY = 64  # local vectors beyond a basis per block; the n and N limit of instances
 
 
 @dataclass(frozen=True)
@@ -348,9 +369,12 @@ def build_local_frames(
     other columns normalized. The local frame operator is then I + sum e e^*,
     with bounds in [1, 1 + redundancy]; ``alpha`` and ``beta`` are their exact
     extremes. Canonical local duals are computed within each subspace.
+    ``redundancy`` must lie in 0..MAX_REDUNDANCY, checked before any draw.
     """
-    if redundancy < 0:
-        raise ContractViolationError("redundancy must be non-negative")
+    if not 0 <= redundancy <= MAX_REDUNDANCY:
+        raise ContractViolationError(
+            f"local redundancy must be in 0..{MAX_REDUNDANCY}, got {redundancy}"
+        )
     frames: list[Optional[VectorFrame]] = []
     duals: list[Optional[VectorFrame]] = []
     alpha, beta = np.inf, 0.0

@@ -22,7 +22,16 @@ singular values of one batched SVD cached on the symbol, and from
 symbol also memoizes, per (V, W) pair, the assembled multiplier with its
 whole spectrum from one SVD (:meth:`Symbol.assembled`): ||M||, ||M||_p and
 ||M^-1|| = 1 / sigma_min are read from it, and invertibility and the norm
-bound are derived from it at each call's tolerance.
+bound are derived from it at each call's tolerance. Three more facts are
+kept on the symbol, each formed once: the blocks (m_i R_i)^-1, the
+|m|-scaled sequences (:meth:`Symbol.scaled`, whose cached bounds and
+singular values serve both consequence checks) and, per (V, W) pair, the
+closed-form inverse M^-1 with L and Q_dagger
+(:meth:`Symbol.inverse_closed_form`). The inverse and the closed form are
+read only after the caller's cutoffs have passed. The inverse representation
+splits into its two halves, :func:`inverse_representation_residuals` (duality
+and representation) and :func:`inverse_representation_probe` (uniqueness),
+one per check.
 """
 
 from __future__ import annotations
@@ -75,6 +84,8 @@ __all__ = [
     "InvertibleMultiplierReport",
     "invertible_multiplier_consequences",
     "InverseRepresentationReport",
+    "inverse_representation_residuals",
+    "inverse_representation_probe",
     "inverse_multiplier_representation",
     "local_frame_equivalence",
     "projection_composition_multiplier",
@@ -159,6 +170,55 @@ class Symbol:
             self._assembled[key] = (mat, s)
         return self._assembled[key]
 
+    @cached_property
+    def inverse_blocks(self) -> np.ndarray:
+        """Read-only blocks (m_i R_i)^-1 from one batched inv on first use; read them
+        only once the two-sided symbol bound has passed (see :func:`inverse_symbol_blocks`)."""
+        inv = np.linalg.inv(self.m[:, None, None] * self.r)
+        inv.flags.writeable = False
+        return inv
+
+    @cached_property
+    def _scaled(self) -> dict:
+        """f -> ``scale_weights(f, m)``, filled by :meth:`scaled`."""
+        return {}
+
+    def scaled(self, f: FusionSequence) -> FusionSequence:
+        """The sequence with weights |m_i| f_i, built on first use per sequence, keyed
+        by its identity, so its own cached facts serve every later caller."""
+        if f not in self._scaled:
+            self._scaled[f] = scale_weights(f, self.m)
+        return self._scaled[f]
+
+    @cached_property
+    def _inverses(self) -> dict:
+        """(V, W) -> (M^-1, L, Q_dagger), filled by :meth:`inverse_closed_form`."""
+        return {}
+
+    def inverse_closed_form(self, v: FusionSequence, w: FusionSequence) -> tuple:
+        """``(M^-1, L, Q_dagger)`` for the memoized M of (V, W), all read-only, from
+        one inv on first use per pair, keyed like :meth:`assembled`. Read it only
+        once M is invertible and W is a frame at the caller's tolerance (see
+        :func:`inverse_representation_residuals`).
+
+        L_i = u_i R_i^* P_{V_i} M^-* - (w_i / conj(m_i)) P_{W_i} S_W^-1, the second
+        term only where m_i != 0, and Q_dagger_i = w_i P_{W_i} S_W^-1 + conj(m_i) L_i.
+        """
+        key = (v, w)
+        if key not in self._inverses:
+            m_inv = np.linalg.inv(self.assembled(v, w)[0])
+            pw_s_inv = w.projections @ w.frame_operator_inv
+            m_conj = np.conj(self.m)
+            r_adj = v.weights[:, None, None] * self.r.conj().transpose(0, 2, 1)
+            l_blocks = r_adj @ v.projections @ m_inv.conj().T
+            nz = self.m != 0.0
+            l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
+            q_dagger = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
+            for arr in (m_inv, l_blocks, q_dagger):
+                arr.flags.writeable = False
+            self._inverses[key] = (m_inv, l_blocks, q_dagger)
+        return self._inverses[key]
+
 
 def block_diag_apply(sym: Symbol) -> np.ndarray:
     """(N*n) x (N*n) block diagonal with blocks m_i R_i."""
@@ -169,14 +229,15 @@ def block_diag_apply(sym: Symbol) -> np.ndarray:
 
 
 def inverse_symbol_blocks(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Blocks (m_i R_i)^-1, legitimate only under the two-sided hypothesis."""
+    """The read-only blocks (m_i R_i)^-1 cached on ``sym``, once the two-sided
+    hypothesis holds at ``tol``."""
     report = condition_c(sym, tol)
     if not report.holds:
         raise PreconditionError(
             "blockwise inversion requires the two-sided symbol bound "
             f"(gamma={report.gamma:.3e}, delta={report.delta:.3e})"
         )
-    return np.linalg.inv(sym.m[:, None, None] * sym.r)
+    return sym.inverse_blocks
 
 
 @dataclass(frozen=True)
@@ -350,8 +411,8 @@ def invertible_multiplier_consequences(
     report = assemble_multiplier(sym, v, w, tol)
     if not report.invertible:
         raise PreconditionError("the multiplier must be invertible")
-    w_scaled = scale_weights(w, sym.m)
-    v_scaled = scale_weights(v, sym.m)
+    w_scaled = sym.scaled(w)
+    v_scaled = sym.scaled(v)
     bounds = [fusion_bounds(seq, tol) for seq in (w, v, w_scaled, v_scaled)]
     all_frames = all(clears_inv_cutoff(lo, hi, tol) for lo, hi in bounds)
     beta_v = bounds[1][1]
@@ -393,6 +454,8 @@ class InverseRepresentationReport:
     {u_i P_{V_i}}. The probe residual measures how badly a perturbed
     q_dagger breaks that representation. ``indeterminate`` marks a symbol
     near the invertibility cutoff, where neither residual is asserted.
+    ``q_dagger`` and ``l_blocks`` are the read-only arrays memoized on the
+    symbol (:meth:`Symbol.inverse_closed_form`).
     """
 
     q_dagger: np.ndarray
@@ -418,6 +481,69 @@ def _representation_residual(
 PROBE_SCALE = 0.01  # size of the uniqueness probe relative to ||Q_dagger||
 
 
+def _closed_form(
+    sym: Symbol,
+    v: FusionSequence,
+    w: FusionSequence,
+    sampled_duals: Sequence[DualCandidate],
+    tol: ToleranceConfig,
+):
+    """``(M^-1, stacked Q_dagger, (m_i R_i)^-1)`` from the memos on ``sym``, once the
+    symbol bound, the invertibility of M, the duals and the frame test of W pass at
+    ``tol``."""
+    _check_triple(sym, v, w)
+    if not condition_c(sym, tol).holds:
+        raise PreconditionError("the two-sided symbol bound must hold")
+    if not assemble_multiplier(sym, v, w, tol).invertible:
+        raise PreconditionError("the multiplier must be invertible")
+    if not sampled_duals:
+        raise ContractViolationError("at least one sampled dual is required")
+    n = w.ambient_dim
+    for cand in sampled_duals:
+        if cand.base.blocks.shape != (v.count, n, n) or duality_defect(cand) > 10 * tol.eq_rel:
+            raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
+    inverse_frame_operator(w, tol)  # the frame test of W, raising NotAFrameError
+    m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
+    return m_inv, q_dagger.reshape(w.count * n, n), sym.inverse_blocks
+
+
+def inverse_representation_residuals(
+    sym: Symbol,
+    v: FusionSequence,
+    w: FusionSequence,
+    sampled_duals: Sequence[DualCandidate],
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple:
+    """``(duality, representation)`` residuals of the closed-form dual Q_dagger:
+    ||Q_dagger^* T_W - I|| and the worst relative gap of
+    M^-1 = T_Qd^* D_(mR)^-1 T_D over the supplied duals D of {u_i P_{V_i}}."""
+    m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
+    n = w.ambient_dim
+    duality_residual = spectral_norm(stacked_q.conj().T @ fusion_analysis_ambient(w) - np.eye(n))
+    return duality_residual, _representation_residual(stacked_q, inv_blocks, sampled_duals, m_inv)
+
+
+def inverse_representation_probe(
+    sym: Symbol,
+    v: FusionSequence,
+    w: FusionSequence,
+    sampled_duals: Sequence[DualCandidate],
+    tol: ToleranceConfig = DEFAULT_TOL,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Representation residual of Q_dagger + E, E a kernel direction of T_W^* drawn
+    from ``rng`` and scaled to PROBE_SCALE ||Q_dagger||: how badly a perturbed
+    closed-form dual breaks the inverse representation."""
+    m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
+    if rng is None:
+        rng = np.random.default_rng(0xD0A1)
+    e = ovf_analysis(random_annihilating_ovf(w, rng, tol))
+    e_norm = spectral_norm(e)
+    if e_norm > 0.0:
+        e = e * (PROBE_SCALE * spectral_norm(stacked_q) / e_norm)
+    return _representation_residual(stacked_q + e, inv_blocks, sampled_duals, m_inv)
+
+
 def inverse_multiplier_representation(
     sym: Symbol,
     v: FusionSequence,
@@ -426,48 +552,20 @@ def inverse_multiplier_representation(
     tol: ToleranceConfig = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
 ) -> InverseRepresentationReport:
-    _check_triple(sym, v, w)
-    cond = condition_c(sym, tol)
-    if not cond.holds:
-        raise PreconditionError("the two-sided symbol bound must hold")
-    report = assemble_multiplier(sym, v, w, tol)
-    if not report.invertible:
-        raise PreconditionError("the multiplier must be invertible")
-    if not sampled_duals:
-        raise ContractViolationError("at least one sampled dual is required")
-    n = w.ambient_dim
-    for cand in sampled_duals:
-        if cand.base.blocks.shape != (v.count, n, n) or duality_defect(cand) > 10 * tol.eq_rel:
-            raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
-    m_inv = np.linalg.inv(report.matrix)
-    m_star_inv = m_inv.conj().T
-    s_inv = inverse_frame_operator(w, tol)
-    pw_s_inv = w.projections @ s_inv
-    m_conj = np.conj(sym.m)
-    r_adj = v.weights[:, None, None] * sym.r.conj().transpose(0, 2, 1)
-    l_blocks = r_adj @ v.projections @ m_star_inv
-    nz = sym.m != 0.0
-    l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
-    q_dagger = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
-    stacked_q = q_dagger.reshape(w.count * n, n)
-    t_w = fusion_analysis_ambient(w)
-    duality_residual = spectral_norm(stacked_q.conj().T @ t_w - np.eye(n))
-    inv_blocks = inverse_symbol_blocks(sym, tol)
-    representation_residual = _representation_residual(stacked_q, inv_blocks, sampled_duals, m_inv)
-    if rng is None:
-        rng = np.random.default_rng(0xD0A1)
-    e = ovf_analysis(random_annihilating_ovf(w, rng, tol))
-    e_norm = spectral_norm(e)
-    if e_norm > 0.0:
-        e = e * (PROBE_SCALE * spectral_norm(stacked_q) / e_norm)
-    probe_residual = _representation_residual(stacked_q + e, inv_blocks, sampled_duals, m_inv)
+    """Both halves of the inverse representation in one report; the probe draws
+    from ``rng`` after the residuals."""
+    duality_residual, representation_residual = inverse_representation_residuals(
+        sym, v, w, sampled_duals, tol
+    )
+    probe_residual = inverse_representation_probe(sym, v, w, sampled_duals, tol, rng)
+    _, l_blocks, q_dagger = sym.inverse_closed_form(v, w)
     return InverseRepresentationReport(
         q_dagger=q_dagger,
         l_blocks=l_blocks,
         duality_residual=duality_residual,
         representation_residual=representation_residual,
         probe_residual=probe_residual,
-        indeterminate=cond.near_threshold,
+        indeterminate=condition_c(sym, tol).near_threshold,
     )
 
 

@@ -317,6 +317,35 @@ def reference_probe(w, rng, tol):
     return kernel_projector(embed_fusion(w), tol) @ g
 
 
+def reference_inverse_representation(sym, v, w, duals, tol, rng):
+    """(duality, representation, probe) residuals in one pass and without the
+    memos, as inverse_multiplier_representation computed them before its two
+    halves were split: M^-1, S^-1 and the (m_i R_i)^-1 are formed afresh."""
+    from fusionframes.fusion import fusion_analysis_ambient
+    from fusionframes.multipliers import assemble_multiplier
+    from fusionframes.numerics import spectral_norm
+
+    n, count = w.ambient_dim, w.count
+    m_inv = np.linalg.inv(np.array(assemble_multiplier(sym, v, w, tol).matrix))
+    pw_s_inv = w.projections @ np.linalg.inv(np.array(w.frame_operator))
+    m_conj = np.conj(sym.m)
+    r_adj = v.weights[:, None, None] * sym.r.conj().transpose(0, 2, 1)
+    l_blocks = r_adj @ v.projections @ m_inv.conj().T
+    nz = sym.m != 0.0
+    l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
+    q = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
+    stacked_q = q.reshape(count * n, n)
+    duality = spectral_norm(stacked_q.conj().T @ fusion_analysis_ambient(w) - np.eye(n))
+    inv_blocks = reference_inverse_symbol_blocks(sym)
+    representation = reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n)
+    e = reference_probe(w, rng, tol)
+    e_norm = spectral_norm(e)
+    if e_norm > 0.0:
+        e = e * (0.01 * spectral_norm(stacked_q) / e_norm)
+    probe = reference_representation_residual(stacked_q + e, inv_blocks, duals, m_inv, n)
+    return duality, representation, probe
+
+
 # The ffv1 reader and writer that instances._encode and instances._decode
 # replaced, kept verbatim (entry by entry through complex()) as the
 # references the shape-checked codec must reproduce byte for byte and bit

@@ -1,17 +1,22 @@
 """Facts cached on the immutable objects: read-only, computed once, tolerance-free.
 
 A FusionSequence caches its projections, frame operator, the extreme
-eigenvalues and the inverse of that operator and its operator-valued
-embedding; an OVFrame its frame operator, eigenvalues, T S^-1 and ||T||; a
-Symbol its spectra and, per (V, W) pair, the assembled multiplier with its
-spectrum. Tolerance rules are applied per call on top of these, so one object
-can serve runs under any tolerance.
+eigenvalues and the inverse of that operator, the singular values of its
+analysis and K_W synthesis and its operator-valued embedding; an OVFrame its
+frame operator, eigenvalues, T S^-1 and ||T||; a Symbol its spectra, its
+inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the assembled
+multiplier with its spectrum and the closed-form inverse representation.
+Tolerance rules are applied per call on top of these, so one object can serve
+runs under any tolerance.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from fusionframes import checks, multipliers
+from conftest import reference_inverse_representation
+from fusionframes import checks, duality, multipliers, ovf
 from fusionframes.checks import run_suite
 from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
@@ -23,8 +28,13 @@ from fusionframes.fusion import (
     is_fusion_frame,
     scale_weights,
 )
-from fusionframes.instances import InstanceSpec, generate_instance
-from fusionframes.multipliers import assemble_multiplier
+from fusionframes.instances import InstanceSpec, generate_instance, random_spanning_dims
+from fusionframes.multipliers import (
+    assemble_multiplier,
+    inverse_multiplier_representation,
+    inverse_representation_probe,
+    inverse_representation_residuals,
+)
 from fusionframes.numerics import ToleranceConfig
 from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_frame_operator_bounds
 
@@ -186,25 +196,29 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
     inst = _instance()
     svds = _counting(monkeypatch, "svd")
     invs = _counting(monkeypatch, "inv")
-    windows = []  # inv-call positions spanned by each inverse representation
-    representation = multipliers.inverse_multiplier_representation
+    windows = []  # inv-call positions spanned by each half of the inverse representation
 
-    def traced(*args, **kwargs):
-        start = len(invs)
-        try:
-            return representation(*args, **kwargs)
-        finally:
-            windows.append((start, len(invs)))
+    def traced(half):
+        def run(*args, **kwargs):
+            start = len(invs)
+            try:
+                return half(*args, **kwargs)
+            finally:
+                windows.append((start, len(invs)))
 
-    monkeypatch.setattr(multipliers, "inverse_multiplier_representation", traced)
+        return run
+
+    for name in ("inverse_representation_residuals", "inverse_representation_probe"):
+        monkeypatch.setattr(multipliers, name, traced(getattr(multipliers, name)))
     for suite in ("multipliers", "schatten"):
         report = run_suite(suite, [inst])
         assert report["summary"]["fail"] == 0
     m = assemble_multiplier(inst.symbol, inst.v, inst.w).matrix
     assert sum(np.array_equal(args[0], m) for args in svds) == 1
-    # M^-1 is formed only where the representation needs it, once per check
+    # M^-1 is formed only where the representation needs it, once per instance
     m_inverted = [k for k, args in enumerate(invs) if np.array_equal(args[0], m)]
-    assert len(windows) == len(m_inverted) == 2
+    assert len(windows) == 2
+    assert len(m_inverted) == 1
     assert all(any(lo <= k < hi for lo, hi in windows) for k in m_inverted)
 
     # one SVD per nonzero block gives both its range and its rank
@@ -217,3 +231,133 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
     svds.clear()
     generate_fusion_dual(w, u)
     assert sum(not np.array_equal(args[0], u) for args in svds) == nonzero
+
+
+def _per_check(monkeypatch):
+    """Record, per check of the registry, its calls of svd, eigvalsh, inv,
+    ``ovf.kernel_projector`` (with the frame) and ``multipliers.excess``."""
+    current = [None]
+    events = []
+
+    def recorder(kind, fn):
+        def wrapper(*args, **kwargs):
+            events.append((current[0], kind, args))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigvalsh", "inv"):
+        monkeypatch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
+    projector = recorder("kernel_projector", ovf.kernel_projector)
+    for module in (ovf, duality):
+        monkeypatch.setattr(module, "kernel_projector", projector)
+    monkeypatch.setattr(multipliers, "excess", recorder("excess", multipliers.excess))
+
+    def named(name, run):
+        def wrapper(inst, rng, tol):
+            current[0] = name
+            try:
+                return run(inst, rng, tol)
+            finally:
+                current[0] = None
+
+        return wrapper
+
+    for name, check in list(checks.CHECKS.items()):
+        monkeypatch.setitem(checks.CHECKS, name, dataclasses.replace(check, run=named(name, check.run)))
+    return events
+
+
+def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monkeypatch):
+    inst = _instance()
+    sym = inst.symbol
+    events = _per_check(monkeypatch)
+    report = run_suite("multipliers", [inst])
+    assert report["summary"]["fail"] == 0
+    assert len(report["checks"]) == len(checks.SUITES["multipliers"])
+
+    def calls(kind, check=None):
+        return [args for name, k, args in events if k == kind and check in (None, name)]
+
+    blocks = sym.m[:, None, None] * sym.r
+    assert sum(np.array_equal(args[0], blocks) for args in calls("inv")) == 1
+    projected = calls("kernel_projector")
+    assert len(projected) == 3
+    assert not any(
+        args[0] is embed_fusion(inst.w) for args in calls("kernel_projector", "inverse_multiplier_dual")
+    )
+    for name in ("invertible_multiplier_frames", "excess_invariance"):
+        assert len(calls("excess", name)) == 4
+    # the second consequence check reads every spectrum the first one took
+    assert calls("svd", "excess_invariance") == []
+    assert calls("eigvalsh", "excess_invariance") == []
+
+
+def test_invertible_multiplier_memos_are_read_only_and_small():
+    inst = _instance()
+    sym, v, w = inst.symbol, inst.v, inst.w
+    run_suite("multipliers", [inst])
+    n, count = w.ambient_dim, w.count
+    scaled = [sym.scaled(w), sym.scaled(v)]
+    assert sym.scaled(w) is scaled[0] and sym.scaled(v) is scaled[1]
+    assert multipliers.inverse_symbol_blocks(sym) is sym.inverse_blocks
+    memos = [sym.inverse_blocks, *sym.inverse_closed_form(v, w)]
+    assert sym.inverse_closed_form(v, w)[2] is memos[3]
+    for f in (w, v, *scaled):
+        memos += [f.analysis_svals, f.synthesis_svals]
+    for arr in memos:
+        assert not arr.flags.writeable
+        assert arr.size <= count * n * n
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def _c_holding_instances(count):
+    """``count`` seeded instances on which both inverse checks run, each with a
+    fresh twin built from the same spec (so with empty memos)."""
+    rng = np.random.default_rng(2018)
+    out = []
+    while len(out) < count:
+        n, blocks = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        spec = InstanceSpec(
+            n=n, blocks=blocks, dims=random_spanning_dims(n, blocks, rng),
+            weight_range=(0.5, 2.0), symbol_mode="random_C_holding",
+            seed=int(rng.integers(2**32)),
+        )
+        inst = generate_instance(spec)
+        if checks._c_holding_invertible(inst, ToleranceConfig()):
+            out.append((inst, generate_instance(spec)))
+    return out
+
+
+def test_split_inverse_checks_match_one_full_representation():
+    tol = ToleranceConfig()
+    dual, unique = "inverse_multiplier_dual", "inverse_multiplier_uniqueness"
+    for inst, twin in _c_holding_instances(20):
+        sym, v, w = inst.symbol, inst.v, inst.w
+        rng = checks._check_rng(inst.seed, dual)
+        residuals = inverse_representation_residuals(sym, v, w, checks._v_duals(inst, rng, tol), tol)
+        rng = checks._check_rng(inst.seed, unique)
+        probe = inverse_representation_probe(sym, v, w, checks._v_duals(inst, rng, tol), tol, rng)
+
+        # one full report per check rng, on the fresh twin
+        rng = checks._check_rng(inst.seed, dual)
+        full_dual = inverse_multiplier_representation(
+            twin.symbol, twin.v, twin.w, checks._v_duals(twin, rng, tol), tol, rng
+        )
+        rng = checks._check_rng(inst.seed, unique)
+        duals = checks._v_duals(twin, rng, tol)
+        state = rng.bit_generator.state
+        full_unique = inverse_multiplier_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
+        assert residuals == (full_dual.duality_residual, full_dual.representation_residual)
+        assert probe == full_unique.probe_residual
+
+        # and the memo-free one-pass computation the two halves replaced
+        rng.bit_generator.state = state
+        want = reference_inverse_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
+        assert (full_unique.duality_residual, full_unique.representation_residual, probe) == want
+
+        got = checks.CHECKS[dual].run(inst, checks._check_rng(inst.seed, dual), tol)
+        assert got.residual == max(residuals)
+        got = checks.CHECKS[unique].run(inst, checks._check_rng(inst.seed, unique), tol)
+        assert got.residual == max(0.0, (1e-4 - probe) / 1e-4)

@@ -138,6 +138,24 @@ def test_gen_with_local_frames(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("redundancy", ["65", "1000000000000", "-1"])
+def test_gen_rejects_local_redundancy_outside_the_limit(tmp_path, capsys, redundancy):
+    # the bound is checked before the d x (d + R) draw, so nothing is allocated;
+    # a huge R used to end in an uncaught MemoryError
+    out = tmp_path / "inst.json"
+    assert main(GEN_ARGS + ["--local", redundancy, "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: local redundancy must be in 0..64, got {redundancy}"]
+    assert not out.exists()
+
+
+def test_gen_accepts_the_largest_local_redundancy(tmp_path):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--dim", "1", "--blocks", "1", "--dims", "1",
+                 "--local", "64", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["local"]["redundancy"] == 64
+
+
 def test_check_writes_to_stdout_without_report(capsys):
     code = main(["check", "--suite", "schatten", str(GOLDEN_INSTANCE)])
     assert code == 0
