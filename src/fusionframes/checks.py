@@ -101,7 +101,7 @@ def _sampled_duals(a, count, rng, tol):
 
 def _run_sampled_duals(inst, rng, tol):
     duals = _sampled_duals(embed_fusion(inst.w), 5, rng, tol)
-    return CheckResult(max(duality_defect(cand) for cand in duals))
+    return CheckResult(float(ovf.duality_defects(duals).max()))
 
 
 def _run_dual_span(inst, rng, tol):
@@ -630,8 +630,9 @@ _RAW_CHECKS = [
     (
         "schatten_block_svals",
         "schatten",
-        "The block diagonal has exactly the union of the per-block singular values.",
-        "svals(D_mR) = union_i svals(m_i R_i)",
+        "The assembled block diagonal is exactly diag(m_i R_i), so its singular "
+        "values are the union of the per-block singular values.",
+        "D_mR = diag(m_i R_i), hence svals(D_mR) = union_i svals(m_i R_i)",
         _eq,
         "eq_rel",
         _always,

@@ -47,7 +47,7 @@ from .ovf import (
     DualCandidate,
     OVFrame,
     embed_fusion,
-    kernel_projector,
+    kernel_parts,
     ovf_analysis,
     sweep_dual_family,
 )
@@ -231,11 +231,11 @@ def random_annihilating_ovf(
     rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> OVFrame:
-    """Random operator sequence L with T_L^* T_W,w = 0, for dual generation."""
+    """Random operator sequence L with T_L^* T_W,w = 0, for dual generation: the
+    stacked L is P_ker G for a complex Gaussian G (see :func:`ovf.kernel_parts`)."""
     n = w.ambient_dim
-    a = embed_fusion(w)
     g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
-    stacked = kernel_projector(a, tol) @ g
+    (stacked,) = kernel_parts(embed_fusion(w), [g], tol)
     return OVFrame(stacked.reshape(w.count, n, n))
 
 

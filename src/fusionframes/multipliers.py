@@ -17,8 +17,13 @@ certifies blockwise invertibility of D_mR and semi-normalization of m, and
 drives the invertibility, excess, and inverse-representation checks below;
 near its cutoff their verdicts are flagged indeterminate. gamma, delta,
 ||R||_inf and the Schatten facts are read from ``Symbol.svals``, the block
-singular values of one batched SVD cached on the symbol, and from
-``Symbol.stacked_svals``, the cached spectrum of the block diagonal. The
+singular values of one batched SVD cached on the symbol. D_mR is block
+diagonal, so its spectrum is the union of the |m_i| sigma(R_i)
+(``Symbol.block_diag_svals``) and no (N n) x (N n) SVD is taken; what the
+``schatten_block_svals`` check certifies is the assembly behind that
+theorem: ``Symbol.assembly_defect`` measures, once per symbol and without an
+SVD, how far :func:`block_diag_apply` lies from diag(m_i R_i), which bounds
+how far its singular values lie from the union. The
 symbol also memoizes, per (V, W) pair, the assembled multiplier with its
 whole spectrum from one SVD (:meth:`Symbol.assembled`): ||M||, ||M||_p and
 ||M^-1|| = 1 / sigma_min are read from it, and invertibility and the norm
@@ -31,7 +36,10 @@ closed-form inverse M^-1 with L and Q_dagger
 read only after the caller's cutoffs have passed. The inverse representation
 splits into its two halves, :func:`inverse_representation_residuals` (duality
 and representation) and :func:`inverse_representation_probe` (uniqueness),
-one per check.
+one per check. The sampled duals they are handed are re-validated with one
+batched SVD (:func:`ovf.duality_defects`), and the probe's kernel direction
+is drawn through the cached range basis of T_W, so no (N n) x (N n)
+projector is formed on this path.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ from .numerics import (
     spectrum_schatten_norm,
     svals_rank,
 )
-from .ovf import DualCandidate, duality_defect, embed_fusion, ovf_analysis
+from .ovf import DualCandidate, duality_defects, embed_fusion, ovf_analysis
 
 __all__ = [
     "Symbol",
@@ -139,11 +147,26 @@ class Symbol:
         return s
 
     @cached_property
-    def stacked_svals(self) -> np.ndarray:
-        """Read-only singular values of ``block_diag_apply(self)``, from one SVD on first use."""
-        s = singular_values(block_diag_apply(self))
+    def block_diag_svals(self) -> np.ndarray:
+        """Read-only singular values of D_mR, non-increasing: the sorted union of the
+        |m_i| sigma(R_i), built from :attr:`svals` on first use. D_mR is block
+        diagonal with blocks m_i R_i, so this union is its spectrum."""
+        s = np.sort((np.abs(self.m)[:, None] * self.svals).ravel())[::-1]
         s.flags.writeable = False
         return s
+
+    @cached_property
+    def assembly_defect(self) -> float:
+        """||block_diag_apply(self) - diag(m_i R_i)||_F / max(1, ||D_mR||), computed
+        once, with no SVD, at O((N n)^2): 0 exactly when the assembled matrix has
+        exact zeros off the block diagonal and m_i R_i on block i. The Frobenius
+        norm bounds the spectral norm, so by Weyl's inequality the singular values
+        of the assembled matrix lie within this (relative) distance of
+        :attr:`block_diag_svals`."""
+        count, n = self.count, self.dim
+        deviation = block_diag_apply(self).reshape(count, n, count, n)
+        deviation[np.arange(count), :, np.arange(count)] -= self.m[:, None, None] * self.r
+        return float(np.linalg.norm(deviation)) / max(1.0, float(self.block_diag_svals[0]))
 
     @property
     def r_sup(self) -> float:
@@ -499,9 +522,9 @@ def _closed_form(
     if not sampled_duals:
         raise ContractViolationError("at least one sampled dual is required")
     n = w.ambient_dim
-    for cand in sampled_duals:
-        if cand.base.blocks.shape != (v.count, n, n) or duality_defect(cand) > 10 * tol.eq_rel:
-            raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
+    shapes_ok = all(cand.base.blocks.shape == (v.count, n, n) for cand in sampled_duals)
+    if not shapes_ok or np.any(duality_defects(sampled_duals) > 10 * tol.eq_rel):
+        raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
     inverse_frame_operator(w, tol)  # the frame test of W, raising NotAFrameError
     m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
     return m_inv, q_dagger.reshape(w.count * n, n), sym.inverse_blocks
@@ -635,10 +658,12 @@ def gavruta_multiplier(
 class SchattenReport:
     """Finite-dimensional Schatten-norm facts about a multiplier.
 
-    block_sval_defect compares the singular values of the block diagonal
-    with the sorted union of per-block singular values; the two bound checks
-    compare ||M||_p against ||T_V|| ||T_W|| ||D_mR||_p and ||D_mR||_p^p
-    against sum_i rank(R_i) |m_i|^p ||R_i||^p.
+    block_sval_defect is :attr:`Symbol.assembly_defect`: the relative
+    distance of the assembled block diagonal from diag(m_i R_i), which
+    bounds how far its singular values lie from the sorted union of the
+    per-block singular values. ||D_mR||_p is read from that union. The two
+    bound checks compare ||M||_p against ||T_V|| ||T_W|| ||D_mR||_p and
+    ||D_mR||_p^p against sum_i rank(R_i) |m_i|^p ||R_i||^p.
     """
 
     p: float
@@ -661,11 +686,8 @@ def schatten_checks(
     if p < 1:
         raise ContractViolationError(f"Schatten checks need p >= 1, got {p}")
     _check_triple(sym, v, w)
-    s_d = sym.stacked_svals  # non-increasing, like the sorted union
-    s_union = np.sort((np.abs(sym.m)[:, None] * sym.svals).ravel())[::-1]
-    block_defect = float(np.max(np.abs(s_d - s_union)) / max(1.0, float(s_d[0])))
     lhs = spectrum_schatten_norm(sym.assembled(v, w)[1], p)
-    d_norm = spectrum_schatten_norm(s_d, p)
+    d_norm = spectrum_schatten_norm(sym.block_diag_svals, p)
     rhs = embed_fusion(v).analysis_norm * embed_fusion(w).analysis_norm * d_norm
     composite_ok = lhs <= rhs + tol.eq_rel * max(1.0, rhs)
     lhs_c = d_norm**p
@@ -676,7 +698,7 @@ def schatten_checks(
     rank_ok = lhs_c <= rhs_c + tol.eq_rel * max(1.0, rhs_c)
     return SchattenReport(
         p=float(p),
-        block_sval_defect=block_defect,
+        block_sval_defect=sym.assembly_defect,
         composite_norm=float(lhs),
         composite_bound=float(rhs),
         composite_ok=bool(composite_ok),

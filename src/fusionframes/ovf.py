@@ -15,14 +15,20 @@ column space of [T_A S_A^-1 | P_ker] and their adjoints the row space of
 that of the canonical dual updated by a rank-one term whose norm is the
 norm of row r of P_ker^* T', so the sweep decides each stacked row r by
 two bounds from one SVD and one product, and takes a batched SVD of a
-row's members only where the bounds leave it undecided. Sampled duals
-T_A S_A^-1 + P_ker G share one T_A S_A^-1 and one P_ker per call.
+row's members only where the bounds leave it undecided.
+
+P_ker = I - Q Q^* for Q, an orthonormal basis of ran(T_A): the leading
+left singular vectors of T_A up to the rank cutoff. Sampled duals
+T_A S_A^-1 + P_ker G and the annihilating draws of the dual generator
+apply it implicitly (:func:`kernel_parts`), as G - Q (Q^* G), at
+O(N k n^2) work and memory; only the sweep and the two rank certificates
+form P_ker densely.
 
 A frame caches, read-only and on first use, what no tolerance enters: its
 frame operator S_A with the extreme eigenvalues of its Hermitian part,
-T_A S_A^-1 and ||T_A||. The frame test is applied at each call on top of
-the cached eigenvalues. P_ker depends on the rank cutoff and holds
-(N k)^2 entries, so it is recomputed per call and never kept.
+T_A S_A^-1 and the thin SVD factors (U, s) of T_A, from which ||T_A|| = s_0
+is read. The frame test and the rank cutoff that cuts Q from U are applied
+at each call on top of the cached facts.
 """
 
 from __future__ import annotations
@@ -43,10 +49,11 @@ from .numerics import (
     clip_eig_bounds,
     eig_extremes,
     finite_array,
-    pinv,
     rank_tol,
     spectral_norm,
     spectral_norms,
+    svals_rank,
+    svd,
 )
 
 __all__ = [
@@ -57,6 +64,9 @@ __all__ = [
     "embed_fusion",
     "DualCandidate",
     "duality_defect",
+    "duality_defects",
+    "range_basis",
+    "kernel_parts",
     "kernel_projector",
     "canonical_ov_dual",
     "sample_ov_duals",
@@ -113,9 +123,19 @@ class OVFrame:
         return t_dual
 
     @cached_property
+    def analysis_svd(self) -> tuple:
+        """Read-only thin SVD factors ``(U, s)`` of T_A, non-increasing s, from one
+        SVD on first use."""
+        u, s, _ = svd(ovf_analysis(self))
+        u.flags.writeable = False
+        s.flags.writeable = False
+        return u, s
+
+    @property
     def analysis_norm(self) -> float:
-        """||T_A||, from one SVD on first use."""
-        return spectral_norm(ovf_analysis(self))
+        """||T_A||, the largest cached singular value."""
+        s = self.analysis_svd[1]
+        return float(s[0]) if s.size else 0.0
 
 
 def ovf_analysis(a: OVFrame) -> np.ndarray:
@@ -171,9 +191,21 @@ class DualCandidate:
 
 def duality_defect(cand: DualCandidate) -> float:
     """Spectral norm of T_dual^* T_A - I."""
-    t = ovf_analysis(cand.base)
-    n = cand.base.domain_dim
-    return spectral_norm(cand.analysis.conj().T @ t - np.eye(n))
+    return float(duality_defects([cand])[0])
+
+
+def duality_defects(cands) -> np.ndarray:
+    """:func:`duality_defect` of each candidate, from one batched SVD over the stack
+    of T_dual^* T_A - I; each entry is bit-for-bit the single computation."""
+    dims = {cand.base.domain_dim for cand in cands}
+    if len(dims) != 1:
+        raise ContractViolationError(
+            f"candidates must share one domain dimension, got {sorted(dims)}"
+        )
+    eye = np.eye(dims.pop())
+    return spectral_norms(
+        [cand.analysis.conj().T @ ovf_analysis(cand.base) - eye for cand in cands]
+    )
 
 
 def _canonical_analysis(a: OVFrame, tol: ToleranceConfig):
@@ -186,11 +218,18 @@ def _canonical_analysis(a: OVFrame, tol: ToleranceConfig):
     return ovf_analysis(a), a.canonical_analysis
 
 
+def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis Q of ran(T_A): the cached left singular vectors of T_A
+    whose singular values clear the rank cutoff at ``tol``."""
+    u, s = a.analysis_svd
+    return u[:, : svals_rank(s, max(ovf_analysis(a).shape), tol)]
+
+
 def kernel_projector(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto ker(T_A^*) inside the stacked space."""
-    t = ovf_analysis(a)
-    m = t.shape[0]
-    return np.eye(m) - t @ pinv(t, tol)
+    """Orthogonal projector I - Q Q^* onto ker(T_A^*) inside the stacked space,
+    formed densely ((N k)^2 entries) for the sweep and the rank certificates."""
+    q = range_basis(a, tol)
+    return np.eye(q.shape[0]) - q @ q.conj().T
 
 
 def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
@@ -200,19 +239,27 @@ def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCan
     return DualCandidate(base=a, perturbation=zero, analysis=t_dual)
 
 
+def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """P_ker G for each stacked matrix G, as G - Q (Q^* G) from one range basis Q,
+    without forming P_ker."""
+    q = range_basis(a, tol)
+    return [g - q @ (q.conj().T @ g) for g in stacked]
+
+
 def sample_ov_duals(a: OVFrame, seeds, tol: ToleranceConfig) -> list:
-    """Duals T_A S_A^-1 + P_ker G, one per seed G, sharing T_A S_A^-1 and P_ker."""
+    """Duals T_A S_A^-1 + P_ker G, one per seed G, sharing T_A S_A^-1 and the range
+    basis (see :func:`kernel_parts`)."""
     t, t_dual = _canonical_analysis(a, tol)
-    pker = kernel_projector(a, tol)
-    duals = []
-    for g in map(as_matrix, seeds):
+    seeds = [as_matrix(g) for g in seeds]
+    for g in seeds:
         if g.shape != t.shape:
             raise ContractViolationError(
                 f"perturbation seed must have shape {t.shape}, got {g.shape}"
             )
-        l = pker @ g
-        duals.append(DualCandidate(base=a, perturbation=l, analysis=t_dual + l))
-    return duals
+    return [
+        DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
+        for l in kernel_parts(a, seeds, tol)
+    ]
 
 
 def sample_ov_dual(a: OVFrame, g, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:

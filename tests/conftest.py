@@ -219,19 +219,12 @@ def reference_block_diag(sym):
 
 
 def reference_schatten(sym, v, w, p, tol):
-    """(block_sval_defect, composite_bound, block_power, rank_bound), as
-    schatten_checks computed them with three SVDs of the block diagonal."""
+    """(composite_bound, block_power, rank_bound), as schatten_checks computed
+    them with SVDs of the dense block diagonal and of both analysis operators."""
     from fusionframes.fusion import fusion_analysis_ambient
-    from fusionframes.numerics import rank_tol, schatten_norm, singular_values, spectral_norm
+    from fusionframes.numerics import rank_tol, schatten_norm, spectral_norm
 
     d = reference_block_diag(sym)
-    s_full = np.sort(singular_values(d))[::-1]
-    per_block = np.concatenate(
-        [np.abs(sym.m[i]) * singular_values(sym.r[i]) for i in range(sym.count)]
-    )
-    s_union = np.sort(per_block)[::-1]
-    scale = max(1.0, float(s_full[0]) if s_full.size else 0.0)
-    block_defect = float(np.max(np.abs(s_full - s_union)) / scale) if s_full.size else 0.0
     rhs = (
         spectral_norm(fusion_analysis_ambient(v))
         * spectral_norm(fusion_analysis_ambient(w))
@@ -244,7 +237,20 @@ def reference_schatten(sym, v, w, p, tol):
             for i in range(sym.count)
         )
     )
-    return block_defect, float(rhs), float(lhs_c), rhs_c
+    return float(rhs), float(lhs_c), rhs_c
+
+
+def reference_block_sval_defect(sym):
+    """max_k |sigma_k(D) - union_k| / max(1, sigma_max(D)), from a dense SVD of the
+    block diagonal against per-block SVDs, as schatten_block_svals measured it."""
+    from fusionframes.numerics import singular_values
+
+    s_full = singular_values(reference_block_diag(sym))
+    per_block = np.concatenate(
+        [np.abs(sym.m[i]) * singular_values(sym.r[i]) for i in range(sym.count)]
+    )
+    s_union = np.sort(per_block)[::-1]
+    return float(np.max(np.abs(s_full - s_union)) / max(1.0, float(s_full[0])))
 
 
 def reference_coherence_defects(sym, inv_blocks):
@@ -276,8 +282,9 @@ def reference_adversarial_symbol(n, count, rng, tol):
 
 def reference_sampled_duals(a, count, rng, tol, canonical=False):
     """(perturbation, analysis) pairs from the per-dual loop: each sampled dual
-    recomputed the canonical analysis and P_ker."""
-    from fusionframes.ovf import _canonical_analysis, kernel_projector, ovf_analysis
+    recomputed the canonical analysis and the range basis Q, and applied
+    P_ker G = G - Q (Q^* G) as sample_ov_duals does."""
+    from fusionframes.ovf import _canonical_analysis, ovf_analysis, range_basis
 
     t = ovf_analysis(a)
     out = []
@@ -286,7 +293,8 @@ def reference_sampled_duals(a, count, rng, tol, canonical=False):
     for _ in range(count):
         g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
         _, t_dual = _canonical_analysis(a, tol)
-        l = kernel_projector(a, tol) @ g
+        q = range_basis(a, tol)
+        l = g - q @ (q.conj().T @ g)
         out.append((l, t_dual + l))
     return out
 
@@ -309,12 +317,25 @@ def reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n):
 
 
 def reference_probe(w, rng, tol):
-    """The uniqueness probe's kernel direction, as inverse_multiplier_representation drew it."""
-    from fusionframes.ovf import embed_fusion, kernel_projector
+    """The uniqueness probe's kernel direction, as inverse_multiplier_representation
+    drew it, with P_ker G applied as G - Q (Q^* G)."""
+    from fusionframes.ovf import embed_fusion, range_basis
 
     n = w.ambient_dim
     g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
-    return kernel_projector(embed_fusion(w), tol) @ g
+    q = range_basis(embed_fusion(w), tol)
+    return g - q @ (q.conj().T @ g)
+
+
+def reference_kernel_projector(a, tol):
+    """The dense projector I - T T^+ onto ker(T_A^*), as kernel_projector built it
+    from a pseudoinverse before the range basis was cached: the reference the
+    implicit P_ker G = G - Q (Q^* G) must meet within rounding."""
+    from fusionframes.numerics import pinv
+    from fusionframes.ovf import ovf_analysis
+
+    t = ovf_analysis(a)
+    return np.eye(t.shape[0]) - t @ pinv(t, tol)
 
 
 def reference_inverse_representation(sym, v, w, duals, tol, rng):

@@ -3,7 +3,8 @@
 A FusionSequence caches its projections, frame operator, the extreme
 eigenvalues and the inverse of that operator, the singular values of its
 analysis and K_W synthesis and its operator-valued embedding; an OVFrame its
-frame operator, eigenvalues, T S^-1 and ||T||; a Symbol its spectra, its
+frame operator, eigenvalues, T S^-1 and the thin SVD factors of T, which give
+||T|| and the range basis; a Symbol its spectra, its
 inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the assembled
 multiplier with its spectrum and the closed-form inverse representation.
 Tolerance rules are applied per call on top of these, so one object can serve
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_inverse_representation
-from fusionframes import checks, duality, multipliers, ovf
+from fusionframes import checks, multipliers, ovf
 from fusionframes.checks import run_suite
 from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
@@ -78,8 +79,9 @@ def test_cached_arrays_are_read_only():
         a.blocks,
         a.frame_operator,
         a.canonical_analysis,
+        *a.analysis_svd,
         sym.svals,
-        sym.stacked_svals,
+        sym.block_diag_svals,
         assemble_multiplier(sym, inst.v, w).matrix,
     ]
     for arr in arrays:
@@ -135,14 +137,25 @@ def test_one_solve_per_embedded_sequence_across_the_duals_suite(monkeypatch):
 
 
 def test_no_kernel_projector_is_kept():
-    # P_ker has (N n)^2 entries; only arrays of at most N n * n entries stay
+    # P_ker has (N n)^2 entries; only arrays of at most N n * n entries stay,
+    # the range basis among them
     inst = _instance()
-    run_suite("duals", [inst])
+    for suite in ("duals", "multipliers"):
+        run_suite(suite, [inst])
     a = embed_fusion(inst.w)
     n, count = inst.w.ambient_dim, inst.w.count
-    kept = [v for obj in (a, inst.w) for v in vars(obj).values() if isinstance(v, np.ndarray)]
-    assert kept
+    kept = [
+        item
+        for obj in (a, inst.w)
+        for v in vars(obj).values()
+        for item in (v if isinstance(v, tuple) else (v,))
+        if isinstance(item, np.ndarray)
+    ]
+    assert any(arr is a.analysis_svd[0] for arr in kept)
     assert max(v.size for v in kept) <= count * n * n
+    u, s = a.analysis_svd
+    assert u.shape == (count * n, n) and s.shape == (n,)
+    assert np.shares_memory(ovf.range_basis(a), u)
 
 
 @pytest.mark.parametrize("order", [(ToleranceConfig(), LOOSE), (LOOSE, ToleranceConfig())])
@@ -235,7 +248,8 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
 
 def _per_check(monkeypatch):
     """Record, per check of the registry, its calls of svd, eigvalsh, inv,
-    ``ovf.kernel_projector`` (with the frame) and ``multipliers.excess``."""
+    ``ovf.kernel_projector`` and ``ovf.range_basis`` (with the frame) and
+    ``multipliers.excess``."""
     current = [None]
     events = []
 
@@ -249,8 +263,9 @@ def _per_check(monkeypatch):
     for name in ("svd", "eigvalsh", "inv"):
         monkeypatch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
     projector = recorder("kernel_projector", ovf.kernel_projector)
-    for module in (ovf, duality):
-        monkeypatch.setattr(module, "kernel_projector", projector)
+    basis = recorder("range_basis", ovf.range_basis)
+    monkeypatch.setattr(ovf, "kernel_projector", projector)
+    monkeypatch.setattr(ovf, "range_basis", basis)
     monkeypatch.setattr(multipliers, "excess", recorder("excess", multipliers.excess))
 
     def named(name, run):
@@ -281,11 +296,17 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
 
     blocks = sym.m[:, None, None] * sym.r
     assert sum(np.array_equal(args[0], blocks) for args in calls("inv")) == 1
-    projected = calls("kernel_projector")
-    assert len(projected) == 3
+    # P_ker is applied implicitly from the range basis, never formed: one basis
+    # read per sampling of the V duals (two checks) and one for the probe's
+    # draw from ker T_W^*
+    assert calls("kernel_projector") == []
+    assert len(calls("range_basis")) == 3
     assert not any(
-        args[0] is embed_fusion(inst.w) for args in calls("kernel_projector", "inverse_multiplier_dual")
+        args[0] is embed_fusion(inst.w) for args in calls("range_basis", "inverse_multiplier_dual")
     )
+    probed = [args[0] for args in calls("range_basis", "inverse_multiplier_uniqueness")]
+    assert len(probed) == 2
+    assert probed[0] is embed_fusion(inst.v) and probed[1] is embed_fusion(inst.w)
     for name in ("invertible_multiplier_frames", "excess_invariance"):
         assert len(calls("excess", name)) == 4
     # the second consequence check reads every spectrum the first one took

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     reference_adversarial_symbol,
     reference_block_diag,
+    reference_block_sval_defect,
     reference_coherence_defects,
     reference_condition_c_constants,
     reference_inverse_symbol_blocks,
@@ -17,7 +18,7 @@ from conftest import (
     reference_representation_residual,
     reference_schatten,
 )
-from fusionframes import checks, duality, ovf
+from fusionframes import checks, duality, multipliers, ovf
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, random_subspace
 from fusionframes.instances import (
@@ -35,7 +36,7 @@ from fusionframes.multipliers import (
     inverse_symbol_blocks,
     schatten_checks,
 )
-from fusionframes.numerics import DEFAULT_TOL, spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, singular_values, spectral_norm
 
 
 def _symbol_population(rng):
@@ -85,18 +86,24 @@ def test_svals_read_only_and_computed_once(monkeypatch, rng):
     assert shapes == [(4, 3, 3)]
 
 
-def test_schatten_suite_takes_one_block_diagonal_svd(monkeypatch, rng):
-    # three Schatten checks make five schatten_checks calls; the block
-    # diagonal's spectrum is computed once, on the symbol
-    n, count = 3, 4
+def _schatten_instance(rng, n=3, count=4):
     sym = random_symbol("random_C_holding", n, count, rng)
-    inst = Instance(
+    return Instance(
         seed=0,
         symbol_mode="random_C_holding",
         w=_sequence(n, count, rng),
         v=_sequence(n, count, rng),
         symbol=sym,
     )
+
+
+def test_schatten_suite_takes_no_block_diagonal_svd(monkeypatch, rng):
+    # three Schatten checks make five schatten_checks calls; the block
+    # diagonal's spectrum is the cached union of the block spectra, and its
+    # assembly is checked once per symbol without an SVD
+    n, count = 3, 4
+    inst = _schatten_instance(rng, n, count)
+    sym = inst.symbol
     shapes = []
     real_svd = np.linalg.svd
 
@@ -105,12 +112,53 @@ def test_schatten_suite_takes_one_block_diagonal_svd(monkeypatch, rng):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assemblies = []
+    real_apply = multipliers.block_diag_apply
+    monkeypatch.setattr(
+        multipliers, "block_diag_apply", lambda s: assemblies.append(s) or real_apply(s)
+    )
     report = checks.run_suite("schatten", [inst])
     assert [e["name"] for e in report["checks"]] == checks.SUITES["schatten"]
-    assert shapes.count((count * n, count * n)) == 1
-    s = sym.stacked_svals
+    assert report["summary"]["fail"] == 0
+    assert shapes and not any(shape[-2:] == (count * n, count * n) for shape in shapes)
+    assert assemblies == [sym]
+    s = sym.block_diag_svals
     assert s.shape == (count * n,) and not s.flags.writeable
-    assert shapes.count((count * n, count * n)) == 1
+    assert report["checks"][0]["residual"] == sym.assembly_defect == 0.0
+
+
+@pytest.mark.parametrize("where", ["off_diagonal", "diagonal_block"])
+def test_schatten_block_svals_fails_on_a_broken_assembly(monkeypatch, rng, where):
+    n, count = 3, 4
+    inst = _schatten_instance(rng, n, count)
+    real_apply = multipliers.block_diag_apply
+
+    def broken(sym):
+        d = real_apply(sym)
+        if where == "off_diagonal":
+            d[0, n] += 1.0  # row block 0, column block 1
+        else:
+            d[n : 2 * n, n : 2 * n] = 0.5 * d[n : 2 * n, n : 2 * n]  # block 1 halved
+        return d
+
+    monkeypatch.setattr(multipliers, "block_diag_apply", broken)
+    report = checks.run_suite("schatten", [inst])
+    entry = report["checks"][0]
+    assert entry["name"] == "schatten_block_svals"
+    assert entry["verdict"] == "fail" and entry["residual"] > 1e-3
+
+
+def test_block_diag_union_matches_dense_svd(rng):
+    eps = np.finfo(float).eps
+    for sym in _symbol_population(rng):
+        size = sym.count * sym.dim
+        s_dense = singular_values(reference_block_diag(sym))
+        s = sym.block_diag_svals
+        scale = max(1.0, float(s_dense[0]))
+        assert float(np.max(np.abs(s - s_dense))) <= DEFAULT_TOL.eq_rel * scale
+        # both are backward-stable spectra of the same matrix
+        assert float(np.max(np.abs(s - s_dense))) <= 100 * size * eps * scale
+        assert reference_block_sval_defect(sym) <= DEFAULT_TOL.eq_rel
 
 
 def test_spectrum_readers_match_per_block_loops(rng):
@@ -128,12 +176,20 @@ def test_spectrum_readers_match_per_block_loops(rng):
 
 
 def test_schatten_checks_match_three_svd_reference(rng):
+    # ||D_mR||_p and ||T_V||, ||T_W|| come from different SVDs than the dense
+    # reference's, so they agree to within rounding: 100 (N n) eps relative
+    # per factor; the rank bound reads the same spectra and matches exactly
+    eps = np.finfo(float).eps
     for sym in _symbol_population(rng):
         v, w = _sequence(sym.dim, sym.count, rng), _sequence(sym.dim, sym.count, rng)
+        rel = 100 * sym.count * sym.dim * eps
         for p in (1.0, 2.0, 4.0):
             rep = schatten_checks(sym, v, w, p)
-            got = (rep.block_sval_defect, rep.composite_bound, rep.block_power, rep.rank_bound)
-            assert got == reference_schatten(sym, v, w, p, DEFAULT_TOL)
+            composite, power, rank_bound = reference_schatten(sym, v, w, p, DEFAULT_TOL)
+            assert rep.block_sval_defect == 0.0
+            assert rep.composite_bound == pytest.approx(composite, rel=3 * rel, abs=1e-300)
+            assert rep.block_power == pytest.approx(power, rel=p * rel, abs=1e-300)
+            assert rep.rank_bound == rank_bound
 
 
 def test_coherence_check_matches_per_block_loop(rng):
