@@ -48,7 +48,6 @@ from .ovf import (
     null_bessel_certificate,
     ovf_analysis,
     ovf_frame_operator_bounds,
-    sample_ov_dual,
 )
 from .duality import (
     find_separating_dual,
@@ -65,7 +64,6 @@ from .multipliers import (
     block_diag_apply,
     condition_c,
     gavruta_multiplier,
-    inverse_multiplier_representation,
     invertible_multiplier_consequences,
     local_frame_equivalence,
     projection_composition_multiplier,

@@ -22,6 +22,7 @@ from .exceptions import ContractViolationError, FusionFrameError
 from .fusion import (
     FusionSequence,
     block_deviation,
+    block_sum,
     build_local_frames,
     fusion_analysis_ambient,
     fusion_bounds,
@@ -215,9 +216,12 @@ def _run_norm_bound(inst, rng, tol):
 
 def _run_assembly_routes(inst, rng, tol):
     rep = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol)
-    t_v = fusion_analysis_ambient(inst.v)
-    t_w = fusion_analysis_ambient(inst.w)
-    route = t_v.conj().T @ multipliers.block_diag_apply(inst.symbol) @ t_w
+    # T_V^* D_mR T_W block by block: D_mR is block diagonal with blocks m_i R_i
+    n = inst.w.ambient_dim
+    t_v = fusion_analysis_ambient(inst.v).reshape(-1, n, n)
+    t_w = fusion_analysis_ambient(inst.w).reshape(-1, n, n)
+    d_blocks = inst.symbol.m[:, None, None] * inst.symbol.r
+    route = block_sum(t_v.conj().transpose(0, 2, 1) @ d_blocks @ t_w)
     residual = spectral_norm(rep.matrix - route) / max(1.0, rep.sigma_max)
     return CheckResult(residual)
 

@@ -91,10 +91,8 @@ __all__ = [
     "riesz_multiplier_verdict",
     "InvertibleMultiplierReport",
     "invertible_multiplier_consequences",
-    "InverseRepresentationReport",
     "inverse_representation_residuals",
     "inverse_representation_probe",
-    "inverse_multiplier_representation",
     "local_frame_equivalence",
     "projection_composition_multiplier",
     "gavruta_multiplier",
@@ -468,27 +466,6 @@ def invertible_multiplier_consequences(
     )
 
 
-@dataclass(frozen=True)
-class InverseRepresentationReport:
-    """Inverse of an invertible multiplier as a reciprocal-symbol multiplier.
-
-    ``q_dagger`` is the operator-valued dual of {w_i P_{W_i}} through which
-    M^-1 = T_qd^* D_(mR)^-1 T_D holds for every supplied dual D of
-    {u_i P_{V_i}}. The probe residual measures how badly a perturbed
-    q_dagger breaks that representation. ``indeterminate`` marks a symbol
-    near the invertibility cutoff, where neither residual is asserted.
-    ``q_dagger`` and ``l_blocks`` are the read-only arrays memoized on the
-    symbol (:meth:`Symbol.inverse_closed_form`).
-    """
-
-    q_dagger: np.ndarray
-    l_blocks: np.ndarray
-    duality_residual: float
-    representation_residual: float
-    probe_residual: float
-    indeterminate: bool
-
-
 def _representation_residual(
     stacked_q: np.ndarray,
     inv_blocks: np.ndarray,
@@ -565,31 +542,6 @@ def inverse_representation_probe(
     if e_norm > 0.0:
         e = e * (PROBE_SCALE * spectral_norm(stacked_q) / e_norm)
     return _representation_residual(stacked_q + e, inv_blocks, sampled_duals, m_inv)
-
-
-def inverse_multiplier_representation(
-    sym: Symbol,
-    v: FusionSequence,
-    w: FusionSequence,
-    sampled_duals: Sequence[DualCandidate],
-    tol: ToleranceConfig = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
-) -> InverseRepresentationReport:
-    """Both halves of the inverse representation in one report; the probe draws
-    from ``rng`` after the residuals."""
-    duality_residual, representation_residual = inverse_representation_residuals(
-        sym, v, w, sampled_duals, tol
-    )
-    probe_residual = inverse_representation_probe(sym, v, w, sampled_duals, tol, rng)
-    _, l_blocks, q_dagger = sym.inverse_closed_form(v, w)
-    return InverseRepresentationReport(
-        q_dagger=q_dagger,
-        l_blocks=l_blocks,
-        duality_residual=duality_residual,
-        representation_residual=representation_residual,
-        probe_residual=probe_residual,
-        indeterminate=condition_c(sym, tol).near_threshold,
-    )
 
 
 def local_frame_equivalence(

@@ -6,29 +6,31 @@ In finite dimensions the coefficient space splits exactly as
 ran(T_A) + ker(T_A^*), which turns the density statements about the dual
 family into rank equalities that can be certified by a single SVD.
 
-The family is spanned by the canonical dual and the N*k*n members
-T_A S_A^-1 + P_ker E_rs, where P_ker projects onto ker(T_A^*). Each
-P_ker E_rs is zero except for column s, which is P_ker[:, r], so the
-certificates never materialise the family: the stacked analyses have the
-column space of [T_A S_A^-1 | P_ker] and their adjoints the row space of
-[(T_A S_A^-1)^* ; P_ker]. The reconstruction residual of member (r, s) is
-that of the canonical dual updated by a rank-one term whose norm is the
-norm of row r of P_ker^* T', so the sweep decides each stacked row r by
-two bounds from one SVD and one product, and takes a batched SVD of a
-row's members only where the bounds leave it undecided.
+P_ker, the projector onto ker(T_A^*), is never formed. It is I - Q Q^* for
+Q, an orthonormal basis of ran(T_A): the leading left singular vectors of
+T_A up to the rank cutoff (:func:`range_basis`). Everything reads P_ker
+through Q: P_ker G = G - Q (Q^* G) (:func:`kernel_parts`), its column r is
+e_r - Q Q[r, :]^* and that column's norm is sqrt(1 - ||Q[r, :]||^2), at
+O(N k n^2) work and O(N k n) memory.
 
-P_ker = I - Q Q^* for Q, an orthonormal basis of ran(T_A): the leading
-left singular vectors of T_A up to the rank cutoff. Sampled duals
-T_A S_A^-1 + P_ker G and the annihilating draws of the dual generator
-apply it implicitly (:func:`kernel_parts`), as G - Q (Q^* G), at
-O(N k n^2) work and memory; only the sweep and the two rank certificates
-form P_ker densely.
+The family is spanned by the canonical dual and the N*k*n members
+T_A S_A^-1 + P_ker E_rs. Each P_ker E_rs is zero except for column s, which
+is P_ker[:, r], so the certificates never materialise the family: the
+stacked analyses have the column space of B = [T_A S_A^-1 | P_ker] and
+their adjoints the row space of B^*. Both rank certificates read one
+spectrum of B per frame and rank cut, taken from a matrix of at most
+(r + n) rows (:func:`_dual_family_svals`). The reconstruction residual of
+member (r, s) is that of the canonical dual updated by a rank-one term
+whose norm is the norm of row r of P_ker^* T', so the sweep decides each
+stacked row r by two bounds from one SVD and one product, and takes a
+batched SVD of a row's members only where the bounds leave it undecided.
 
 A frame caches, read-only and on first use, what no tolerance enters: its
 frame operator S_A with the extreme eigenvalues of its Hermitian part,
 T_A S_A^-1 and the thin SVD factors (U, s) of T_A, from which ||T_A|| = s_0
-is read. The frame test and the rank cutoff that cuts Q from U are applied
-at each call on top of the cached facts.
+is read, and, per rank cut of Q, the spectrum of B. The frame test and the
+rank cutoff that cuts Q from U are applied at each call on top of the
+cached facts.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .numerics import (
     clip_eig_bounds,
     eig_extremes,
     finite_array,
-    rank_tol,
+    singular_values,
     spectral_norm,
     spectral_norms,
     svals_rank,
@@ -67,11 +69,8 @@ __all__ = [
     "duality_defects",
     "range_basis",
     "kernel_parts",
-    "kernel_projector",
     "canonical_ov_dual",
     "sample_ov_duals",
-    "sample_ov_dual",
-    "spanning_dual_family",
     "sweep_dual_family",
     "dual_span_dimension",
     "null_bessel_certificate",
@@ -130,6 +129,12 @@ class OVFrame:
         u.flags.writeable = False
         s.flags.writeable = False
         return u, s
+
+    @cached_property
+    def _family_svals(self) -> dict:
+        """Rank cut of Q -> spectrum of [T_A S_A^-1 | P_ker], filled by
+        :func:`_dual_family_svals`."""
+        return {}
 
     @property
     def analysis_norm(self) -> float:
@@ -225,13 +230,6 @@ def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return u[:, : svals_rank(s, max(ovf_analysis(a).shape), tol)]
 
 
-def kernel_projector(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector I - Q Q^* onto ker(T_A^*) inside the stacked space,
-    formed densely ((N k)^2 entries) for the sweep and the rank certificates."""
-    q = range_basis(a, tol)
-    return np.eye(q.shape[0]) - q @ q.conj().T
-
-
 def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
     """The dual with L = 0, read off from T_A S_A^-1."""
     t, t_dual = _canonical_analysis(a, tol)
@@ -262,58 +260,42 @@ def sample_ov_duals(a: OVFrame, seeds, tol: ToleranceConfig) -> list:
     ]
 
 
-def sample_ov_dual(a: OVFrame, g, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
-    """Dual obtained by projecting an arbitrary stacked matrix onto the annihilator."""
-    return sample_ov_duals(a, [g], tol)[0]
+def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
+    """P_ker[:, r] = e_r - Q Q[r, :]^* for the range basis ``q``."""
+    e_r = np.zeros(q.shape[0], dtype=np.complex128)
+    e_r[r] = 1.0
+    return e_r - q @ q[r].conj()
 
 
-def spanning_dual_family(
-    a: OVFrame,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    limit: int | None = None,
-    start: int = 0,
-):
-    """Canonical dual followed by the elementary-matrix kernel perturbations.
-
-    The sweep order is deterministic: L = 0 first, then the projections
-    P_ker E_rs in row-major order of (r, s). Candidates are produced from
-    index ``start`` of that order; ``limit`` caps how many are produced.
-    """
-    t, t_dual = _canonical_analysis(a, tol)
-    rows, cols = t.shape
-    stop = 1 + rows * cols
-    if limit is not None:
-        stop = min(stop, start + max(limit, 1))
-    pker = kernel_projector(a, tol)
-    for index in range(start, stop):
-        yield _family_member(a, t_dual, pker, index)
-
-
-def _family_member(a: OVFrame, t_dual: np.ndarray, pker, index: int) -> DualCandidate:
-    """Member ``index`` of :func:`spanning_dual_family`; ``pker`` is unused for index 0."""
+def _family_member(a: OVFrame, t_dual: np.ndarray, q, index: int) -> DualCandidate:
+    """Member ``index`` of the dual family: L = 0 for index 0, then P_ker E_rs in
+    row-major order of (r, s); ``q`` is the range basis, unused for index 0."""
     l = np.zeros(t_dual.shape, dtype=np.complex128)
     if index:
         r, s = divmod(index - 1, t_dual.shape[1])
-        l[:, s] = pker[:, r]
+        l[:, s] = _kernel_column(q, r)
     return DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
 
 
-def _check_annihilator(t: np.ndarray, pker: np.ndarray) -> np.ndarray:
-    """The DualCandidate condition L^* T = 0 for every L = P_ker E_rs at once.
+def _check_annihilator(a: OVFrame, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
+    """The DualCandidate condition L^* T = 0 for every L = P_ker E_rs at once,
+    given the range basis ``q`` and ``pt`` = P_ker^* T_A.
 
-    (P_ker E_rs)^* T is zero except for row s, which is row r of
-    P_ker^* T, and ||P_ker E_rs|| = ||P_ker[:, r]||. Returns P_ker^* T.
+    (P_ker E_rs)^* T is zero except for row s, which is row r of P_ker^* T,
+    and ||P_ker E_rs|| = ||P_ker[:, r]|| = sqrt(1 - ||Q[r, :]||^2). Returns
+    these column norms.
     """
-    pt = pker.conj().T @ t
+    col_norms = np.sqrt(np.maximum(0.0, 1.0 - np.linalg.norm(q, axis=1) ** 2))
     defects = np.linalg.norm(pt, axis=1)
-    scales = np.maximum(1.0, spectral_norm(t) * np.linalg.norm(pker, axis=0))
+    scales = np.maximum(1.0, a.analysis_norm * col_norms)
     if np.any(defects > DEFAULT_TOL.eq_rel * scales):
         raise ContractViolationError("perturbation does not annihilate the analysis operator")
-    return pt
+    return col_norms
 
 
 def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: ToleranceConfig):
-    """First member of :func:`spanning_dual_family` with ||T_D^* T' - I|| > ``threshold``.
+    """First member of the dual family (see :func:`_family_member`) with
+    ||T_D^* T' - I|| > ``threshold``.
 
     Sweeps the first ``budget`` members (all of them when ``budget`` is None,
     at least one) and returns ``(witness, residual, checked)``: the first
@@ -361,11 +343,11 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: Tolera
         return _family_member(a, t_dual, None, 0), base, 1
     if stop == 1:
         return None, base, 1
-    pker = kernel_projector(a, tol)
-    pt = _check_annihilator(t, pker)
-    x = pt if np.array_equal(t_prime, t) else pker.conj().T @ t_prime
+    q = range_basis(a, tol)
+    pt, x = kernel_parts(a, [t, t_prime], tol)
+    col_norms = _check_annihilator(a, q, pt)
     x_norms = np.linalg.norm(x, axis=1)
-    size = (np.linalg.norm(t_dual) + np.linalg.norm(pker, axis=0).max()) * np.linalg.norm(t_prime)
+    size = (np.linalg.norm(t_dual) + col_norms.max()) * np.linalg.norm(t_prime)
     margin = 8.0 * (rows + cols) * np.finfo(float).eps * (size + np.sqrt(cols))
     upper = base + x_norms + margin
     above_all = np.abs(base - x_norms) - margin > threshold
@@ -378,12 +360,12 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: Tolera
         else:
             members = np.arange(1 if above_all[r] else width)
             d = np.repeat(t_dual[None], members.size, axis=0)
-            d[members, :, members] += pker[:, r]
+            d[members, :, members] += _kernel_column(q, r)
             res = residuals(d)
             above = np.flatnonzero(res > threshold)
             if above.size:
                 index = checked + int(above[0])
-                return _family_member(a, t_dual, pker, index), float(res[above[0]]), index + 1
+                return _family_member(a, t_dual, q, index), float(res[above[0]]), index + 1
             worst = max(worst, float(res.max()))
         checked += width
         if checked == stop:
@@ -391,10 +373,35 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: Tolera
     return None, worst, checked
 
 
-def _dual_span_rank(a: OVFrame, tol: ToleranceConfig) -> int:
-    """rank[T_A S_A^-1 | P_ker], the rank of the family's stacked analyses."""
+def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:
+    """Read-only non-increasing singular values of B = [T_A S_A^-1 | P_ker], taken
+    once per frame and rank cut of Q, the only input ``tol`` enters, without
+    forming B.
+
+    With C = T_A S_A^-1, BB^* - I = C C^* - Q Q^*, whose range lies in
+    span[Q | C]. So for Z, the orthonormal QR factor of [Q | C] with p <= r + n
+    columns, the singular values of B are those of
+    Z^* B = [Z^* C | Z^* - (Z^* Q) Q^*] together with N k - p ones, exactly. B^* = [C^* ; P_ker] has the same
+    spectrum.
+    """
     _, t_dual = _canonical_analysis(a, tol)
-    return rank_tol(np.hstack([t_dual, kernel_projector(a, tol)]), tol)
+    q = range_basis(a, tol)
+    cut = q.shape[1]
+    if cut not in a._family_svals:
+        z_adj = np.linalg.qr(np.hstack([q, t_dual]))[0].conj().T
+        zb = np.hstack([z_adj @ t_dual, z_adj - (z_adj @ q) @ q.conj().T])
+        ones = np.ones(q.shape[0] - z_adj.shape[0])
+        s = np.sort(np.concatenate([singular_values(zb), ones]))[::-1]
+        s.flags.writeable = False
+        a._family_svals[cut] = s
+    return a._family_svals[cut]
+
+
+def _dual_span_rank(a: OVFrame, tol: ToleranceConfig) -> int:
+    """rank[T_A S_A^-1 | P_ker], the rank of the family's stacked analyses, by the
+    rank rule for its larger side N k + n."""
+    s = _dual_family_svals(a, tol)
+    return int(svals_rank(s, s.size + a.domain_dim, tol))
 
 
 def dual_span_dimension(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -411,10 +418,9 @@ def null_bessel_certificate(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> i
     """Dimension of {B : T_B^* T_dual = 0 for the whole spanning family}.
 
     Solves the joint linear system over the stacked unknown T_B. The
-    family's adjoint analyses have the row space of [(T_A S_A^-1)^* ; P_ker];
+    family's adjoint analyses have the row space of [(T_A S_A^-1)^* ; P_ker],
+    the adjoint of the matrix whose rank :func:`dual_span_dimension` takes;
     the dual family annihilates only the zero sequence exactly when this is 0.
     """
-    t, t_dual = _canonical_analysis(a, tol)
-    rows = np.vstack([t_dual.conj().T, kernel_projector(a, tol)])
-    nullity = t.shape[0] - rank_tol(rows, tol)
+    nullity = ovf_analysis(a).shape[0] - _dual_span_rank(a, tol)
     return int(nullity * a.domain_dim)

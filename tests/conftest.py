@@ -14,7 +14,8 @@ from fusionframes.ovf import (
     OVFrame,
     _canonical_analysis,
     _check_annihilator,
-    kernel_projector,
+    kernel_parts,
+    range_basis,
 )
 
 
@@ -43,31 +44,31 @@ def diag_pair():
     return coordinate_decomposition(2, [1.0, 2.0])
 
 
-def reference_dual_perturbations(a, tol, limit=None):
+def reference_kernel_column(q, r):
+    """Column r of P_ker = I - Q Q^*, built as e_r - Q Q[r, :]^*."""
+    e_r = np.zeros(q.shape[0], dtype=np.complex128)
+    e_r[r] = 1.0
+    return e_r - q @ q[r].conj()
+
+
+def reference_dual_perturbations(a, tol):
     """The member-wise dual family sweep the structured code replaced.
 
-    Yields L = 0, then P_ker E_rs as a full product with the elementary
-    matrix, in row-major order of (r, s); like ``spanning_dual_family``
-    it yields at least one member whatever ``limit`` is.
+    Yields L = 0, then P_ker E_rs, zero except for column s, which is
+    P_ker[:, r], in row-major order of (r, s).
     """
-    from fusionframes.ovf import kernel_projector, ovf_analysis
+    from fusionframes.ovf import ovf_analysis
 
     t = ovf_analysis(a)
     rows, cols = t.shape
-    produced = 0
     yield np.zeros_like(t)
-    produced += 1
-    if limit is not None and produced >= limit:
-        return
-    pker = kernel_projector(a, tol)
+    q = range_basis(a, tol)
     for r in range(rows):
+        col = reference_kernel_column(q, r)
         for s in range(cols):
-            e = np.zeros((rows, cols), dtype=np.complex128)
-            e[r, s] = 1.0
-            yield pker @ e
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+            l = np.zeros((rows, cols), dtype=np.complex128)
+            l[:, s] = col
+            yield l
 
 
 # The exact batched sweep that ovf.sweep_dual_family replaced, kept verbatim
@@ -75,14 +76,15 @@ def reference_dual_perturbations(a, tol, limit=None):
 
 
 def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TOL):
-    """Residuals ||T_D^* T' - I|| over :func:`spanning_dual_family`, in its order.
+    """Residuals ||T_D^* T' - I|| over the dual family, in the order of
+    :func:`reference_dual_perturbations`.
 
     Yields an array holding the canonical dual's residual, then one array
     per stacked row r holding the residuals of the n candidates (r, s):
-    T_A S_A^-1 with P_ker[:, r] added to column s. Each row is one
-    (n, N*k, n) stack of analyses and one batched SVD, so memory stays at n
-    members. Each value is bit for bit the spectral norm computed from that
-    member of :func:`spanning_dual_family`.
+    T_A S_A^-1 with P_ker[:, r] = e_r - Q Q[r, :]^* added to column s. Each
+    row is one (n, N*k, n) stack of analyses and one batched SVD, so memory
+    stays at n members. Each value is bit for bit the spectral norm computed
+    from that member.
     """
     t, t_dual = _canonical_analysis(a, tol)
     t_prime = as_matrix(t_prime)
@@ -97,12 +99,12 @@ def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TO
         return spectral_norms(d.conj().transpose(0, 2, 1) @ t_prime - eye)
 
     yield residuals(t_dual[None])
-    pker = kernel_projector(a, tol)
-    _check_annihilator(t, pker)
+    q = range_basis(a, tol)
+    _check_annihilator(a, q, kernel_parts(a, [t], tol)[0])
     members = np.arange(cols)
     for r in range(rows):
         d = np.repeat(t_dual[None], cols, axis=0)
-        d[members, :, members] += pker[:, r]
+        d[members, :, members] += reference_kernel_column(q, r)
         yield residuals(d)
 
 
@@ -317,8 +319,8 @@ def reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n):
 
 
 def reference_probe(w, rng, tol):
-    """The uniqueness probe's kernel direction, as inverse_multiplier_representation
-    drew it, with P_ker G applied as G - Q (Q^* G)."""
+    """The uniqueness probe's kernel direction, as the one-pass inverse
+    representation drew it, with P_ker G applied as G - Q (Q^* G)."""
     from fusionframes.ovf import embed_fusion, range_basis
 
     n = w.ambient_dim
@@ -328,9 +330,10 @@ def reference_probe(w, rng, tol):
 
 
 def reference_kernel_projector(a, tol):
-    """The dense projector I - T T^+ onto ker(T_A^*), as kernel_projector built it
-    from a pseudoinverse before the range basis was cached: the reference the
-    implicit P_ker G = G - Q (Q^* G) must meet within rounding."""
+    """The dense projector I - T T^+ onto ker(T_A^*), built from a pseudoinverse:
+    the reference the implicit P_ker G = G - Q (Q^* G), its columns
+    e_r - Q Q[r, :]^* and the spectrum of [T_A S_A^-1 | P_ker] must meet within
+    rounding."""
     from fusionframes.numerics import pinv
     from fusionframes.ovf import ovf_analysis
 
@@ -340,8 +343,9 @@ def reference_kernel_projector(a, tol):
 
 def reference_inverse_representation(sym, v, w, duals, tol, rng):
     """(duality, representation, probe) residuals in one pass and without the
-    memos, as inverse_multiplier_representation computed them before its two
-    halves were split: M^-1, S^-1 and the (m_i R_i)^-1 are formed afresh."""
+    memos, as the inverse representation was computed before its two halves
+    were split: M^-1, S^-1 and the (m_i R_i)^-1 are formed afresh; the probe
+    draws from ``rng`` after the residuals."""
     from fusionframes.fusion import fusion_analysis_ambient
     from fusionframes.multipliers import assemble_multiplier
     from fusionframes.numerics import spectral_norm

@@ -39,14 +39,15 @@ from fusionframes.multipliers import (
     Symbol,
     assemble_multiplier,
     gavruta_multiplier,
-    inverse_multiplier_representation,
+    inverse_representation_probe,
+    inverse_representation_residuals,
     invertible_multiplier_consequences,
     local_frame_equivalence,
     projection_composition_multiplier,
     riesz_multiplier_verdict,
     schatten_checks,
 )
-from fusionframes.numerics import spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, spectral_norm
 from fusionframes.ovf import (
     canonical_ov_dual,
     dual_span_dimension,
@@ -54,7 +55,7 @@ from fusionframes.ovf import (
     embed_fusion,
     null_bessel_certificate,
     ovf_analysis,
-    sample_ov_dual,
+    sample_ov_duals,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -91,9 +92,9 @@ def test_criterion_01_dual_reconstruction():
         a = random_ov_frame(n, k, count, rng)
         worst = max(worst, duality_defect(canonical_ov_dual(a)))
         t = ovf_analysis(a)
-        for _ in range(20):
-            g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-            worst = max(worst, duality_defect(sample_ov_dual(a, g)))
+        seeds = [rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(20)]
+        for dual in sample_ov_duals(a, seeds, DEFAULT_TOL):
+            worst = max(worst, duality_defect(dual))
     _verdict(1, "dual reconstruction", worst <= EQ, f"max residual {worst:.3e}")
 
 
@@ -249,13 +250,10 @@ def test_criterion_09_inverse_representation():
             continue
         a_v = embed_fusion(v)
         t = ovf_analysis(a_v)
-        duals = [canonical_ov_dual(a_v)]
-        for _ in range(4):
-            g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-            duals.append(sample_ov_dual(a_v, g))
-        rep = inverse_multiplier_representation(sym, v, w, duals, rng=rng)
-        worst = max(worst, rep.duality_residual, rep.representation_residual)
-        probe_min = min(probe_min, rep.probe_residual)
+        seeds = [rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(4)]
+        duals = [canonical_ov_dual(a_v)] + sample_ov_duals(a_v, seeds, DEFAULT_TOL)
+        worst = max(worst, *inverse_representation_residuals(sym, v, w, duals))
+        probe_min = min(probe_min, inverse_representation_probe(sym, v, w, duals, rng=rng))
         checked += 1
     _verdict(
         9,

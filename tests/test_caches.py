@@ -3,8 +3,9 @@
 A FusionSequence caches its projections, frame operator, the extreme
 eigenvalues and the inverse of that operator, the singular values of its
 analysis and K_W synthesis and its operator-valued embedding; an OVFrame its
-frame operator, eigenvalues, T S^-1 and the thin SVD factors of T, which give
-||T|| and the range basis; a Symbol its spectra, its
+frame operator, eigenvalues, T S^-1, the thin SVD factors of T, which give
+||T|| and the range basis, and per rank cut the spectrum of [T S^-1 | P_ker]
+that the dual-family certificates read; a Symbol its spectra, its
 inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the assembled
 multiplier with its spectrum and the closed-form inverse representation.
 Tolerance rules are applied per call on top of these, so one object can serve
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_inverse_representation
-from fusionframes import checks, multipliers, ovf
+from fusionframes import checks, duality, multipliers, ovf
 from fusionframes.checks import run_suite
 from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
@@ -32,7 +33,6 @@ from fusionframes.fusion import (
 from fusionframes.instances import InstanceSpec, generate_instance, random_spanning_dims
 from fusionframes.multipliers import (
     assemble_multiplier,
-    inverse_multiplier_representation,
     inverse_representation_probe,
     inverse_representation_residuals,
 )
@@ -148,10 +148,11 @@ def test_no_kernel_projector_is_kept():
         item
         for obj in (a, inst.w)
         for v in vars(obj).values()
-        for item in (v if isinstance(v, tuple) else (v,))
+        for item in (v if isinstance(v, tuple) else v.values() if isinstance(v, dict) else (v,))
         if isinstance(item, np.ndarray)
     ]
     assert any(arr is a.analysis_svd[0] for arr in kept)
+    assert any(arr is s for s in a._family_svals.values() for arr in kept)
     assert max(v.size for v in kept) <= count * n * n
     u, s = a.analysis_svd
     assert u.shape == (count * n, n) and s.shape == (n,)
@@ -248,7 +249,7 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
 
 def _per_check(monkeypatch):
     """Record, per check of the registry, its calls of svd, eigvalsh, inv,
-    ``ovf.kernel_projector`` and ``ovf.range_basis`` (with the frame) and
+    ``ovf.kernel_parts`` and ``ovf.range_basis`` (with the frame) and
     ``multipliers.excess``."""
     current = [None]
     events = []
@@ -262,9 +263,10 @@ def _per_check(monkeypatch):
 
     for name in ("svd", "eigvalsh", "inv"):
         monkeypatch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
-    projector = recorder("kernel_projector", ovf.kernel_projector)
+    parts = recorder("kernel_parts", ovf.kernel_parts)
     basis = recorder("range_basis", ovf.range_basis)
-    monkeypatch.setattr(ovf, "kernel_projector", projector)
+    monkeypatch.setattr(ovf, "kernel_parts", parts)
+    monkeypatch.setattr(duality, "kernel_parts", parts)
     monkeypatch.setattr(ovf, "range_basis", basis)
     monkeypatch.setattr(multipliers, "excess", recorder("excess", multipliers.excess))
 
@@ -298,8 +300,8 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     assert sum(np.array_equal(args[0], blocks) for args in calls("inv")) == 1
     # P_ker is applied implicitly from the range basis, never formed: one basis
     # read per sampling of the V duals (two checks) and one for the probe's
-    # draw from ker T_W^*
-    assert calls("kernel_projector") == []
+    # draw from ker T_W^*, each by one kernel_parts call
+    assert len(calls("kernel_parts")) == 3
     assert len(calls("range_basis")) == 3
     assert not any(
         args[0] is embed_fusion(inst.w) for args in calls("range_basis", "inverse_multiplier_dual")
@@ -361,24 +363,55 @@ def test_split_inverse_checks_match_one_full_representation():
         rng = checks._check_rng(inst.seed, unique)
         probe = inverse_representation_probe(sym, v, w, checks._v_duals(inst, rng, tol), tol, rng)
 
-        # one full report per check rng, on the fresh twin
+        # the memo-free one-pass computation the two halves replaced, per
+        # check rng, on the fresh twin
         rng = checks._check_rng(inst.seed, dual)
-        full_dual = inverse_multiplier_representation(
-            twin.symbol, twin.v, twin.w, checks._v_duals(twin, rng, tol), tol, rng
-        )
+        duals = checks._v_duals(twin, rng, tol)
+        full_dual = reference_inverse_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
         rng = checks._check_rng(inst.seed, unique)
         duals = checks._v_duals(twin, rng, tol)
-        state = rng.bit_generator.state
-        full_unique = inverse_multiplier_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
-        assert residuals == (full_dual.duality_residual, full_dual.representation_residual)
-        assert probe == full_unique.probe_residual
-
-        # and the memo-free one-pass computation the two halves replaced
-        rng.bit_generator.state = state
-        want = reference_inverse_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
-        assert (full_unique.duality_residual, full_unique.representation_residual, probe) == want
+        full_unique = reference_inverse_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
+        assert residuals == full_dual[:2]
+        assert probe == full_unique[2]
 
         got = checks.CHECKS[dual].run(inst, checks._check_rng(inst.seed, dual), tol)
         assert got.residual == max(residuals)
         got = checks.CHECKS[unique].run(inst, checks._check_rng(inst.seed, unique), tol)
         assert got.residual == max(0.0, (1e-4 - probe) / 1e-4)
+
+
+def test_one_certificate_spectrum_per_frame_and_cut_across_the_duals_suite(monkeypatch):
+    # dual_span, null_dual_certificate and left_inverse_span read one spectrum
+    # of [T S^-1 | P_ker], taken by dual_span, the first of them; a tolerance
+    # with another rank_rel but the same cut of Q reads it again
+    inst = _instance()
+    a = embed_fusion(inst.w)
+    m, n = ovf.ovf_analysis(a).shape
+    events = _per_check(monkeypatch)
+    for tol in (ToleranceConfig(), LOOSE):
+        report = run_suite("duals", [inst], tol)
+        assert report["summary"]["fail"] == 0
+    spectra = [
+        name for name, kind, args in events if kind == "svd" and np.shape(args[0])[-1] == m + n
+    ]
+    assert spectra == ["dual_span"]
+    assert list(a._family_svals) == [n]
+
+
+@pytest.mark.parametrize("suite", ["duals", "multipliers"])
+def test_no_dense_kernel_operand_in_the_suite(monkeypatch, suite):
+    # no LAPACK call of either suite takes an operand with (N n)^2 entries
+    inst = _instance()
+    size = (inst.w.count * inst.w.ambient_dim) ** 2
+    operands = []
+    for name in ("svd", "qr", "solve", "inv", "eigvalsh", "pinv"):
+        real = getattr(np.linalg, name)
+
+        def recorded(*args, _real=real, **kwargs):
+            operands.append(np.size(args[0]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    report = run_suite(suite, [inst])
+    assert report["summary"]["fail"] == 0
+    assert operands and max(operands) < size

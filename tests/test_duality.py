@@ -1,5 +1,7 @@
 """Admissibility, dual verdicts, the constructive generator, separation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from fusionframes.fusion import (
     projection,
 )
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis, spanning_dual_family
+from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis
 
 
 def _projection_blocks(f):
@@ -259,7 +261,8 @@ def _reference_separation(w, w_prime, trials_bound=None, tol=DEFAULT_TOL):
     eye = np.eye(w.ambient_dim)
     worst = 0.0
     checked = 0
-    for index, l in enumerate(reference_dual_perturbations(a, tol, limit=trials_bound)):
+    stop = None if trials_bound is None else max(trials_bound, 1)
+    for index, l in enumerate(itertools.islice(reference_dual_perturbations(a, tol), stop)):
         checked += 1
         residual = spectral_norm((t_dual + l).conj().T @ t_prime - eye)
         if residual > 10.0 * tol.eq_rel:
@@ -319,7 +322,7 @@ def _exact_separation(w, w_prime, trials_bound, tol):
         above = np.flatnonzero(residuals > threshold)
         if above.size:
             index = checked + int(above[0])
-            l = next(spanning_dual_family(a, tol, start=index)).perturbation
+            l = next(itertools.islice(reference_dual_perturbations(a, tol), index, None))
             return index, l, float(residuals[above[0]]), index + 1
         worst = max(worst, float(residuals.max()))
         checked += residuals.size

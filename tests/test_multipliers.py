@@ -12,7 +12,8 @@ from fusionframes.multipliers import (
     block_diag_apply,
     condition_c,
     gavruta_multiplier,
-    inverse_multiplier_representation,
+    inverse_representation_probe,
+    inverse_representation_residuals,
     inverse_symbol_blocks,
     invertible_multiplier_consequences,
     local_frame_equivalence,
@@ -21,7 +22,7 @@ from fusionframes.multipliers import (
     schatten_checks,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis, sample_ov_dual
+from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis, sample_ov_duals
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -45,11 +46,10 @@ def unitary_swap_symbol():
 def _sampled_duals(v, rng, count=5):
     a = embed_fusion(v)
     t = ovf_analysis(a)
-    duals = [canonical_ov_dual(a)]
-    for _ in range(count - 1):
-        g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        duals.append(sample_ov_dual(a, g))
-    return duals
+    seeds = [
+        rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(count - 1)
+    ]
+    return [canonical_ov_dual(a)] + sample_ov_duals(a, seeds, DEFAULT_TOL)
 
 
 def test_block_diag_examples():
@@ -256,33 +256,32 @@ def test_invertible_multiplier_bound_random_population(rng):
 
 def test_inverse_representation_identity_case(diag_pair, rng):
     duals = _sampled_duals(diag_pair, rng)
-    rep = inverse_multiplier_representation(
-        Symbol.identity(2, 2), diag_pair, diag_pair, duals, rng=rng
-    )
-    assert spectral_norm(rep.l_blocks[0]) <= 1e-13
-    assert spectral_norm(rep.l_blocks[1]) <= 1e-13
+    sym = Symbol.identity(2, 2)
+    residuals = inverse_representation_residuals(sym, diag_pair, diag_pair, duals)
+    _, l_blocks, q_dagger = sym.inverse_closed_form(diag_pair, diag_pair)
+    assert spectral_norm(l_blocks[0]) <= 1e-13
+    assert spectral_norm(l_blocks[1]) <= 1e-13
     s_inv = np.diag([1.0, 0.25])
-    np.testing.assert_allclose(rep.q_dagger[0], np.diag([1.0, 0.0]) @ s_inv, atol=1e-13)
-    np.testing.assert_allclose(rep.q_dagger[1], 2 * np.diag([0.0, 1.0]) @ s_inv, atol=1e-13)
-    assert rep.duality_residual <= DEFAULT_TOL.eq_rel
-    assert rep.representation_residual <= DEFAULT_TOL.eq_rel
+    np.testing.assert_allclose(q_dagger[0], np.diag([1.0, 0.0]) @ s_inv, atol=1e-13)
+    np.testing.assert_allclose(q_dagger[1], 2 * np.diag([0.0, 1.0]) @ s_inv, atol=1e-13)
+    assert max(residuals) <= DEFAULT_TOL.eq_rel
 
 
 def test_inverse_representation_swap_case(rng):
     v, w = cross_pair()
     duals = _sampled_duals(v, rng)
-    rep = inverse_multiplier_representation(unitary_swap_symbol(), v, w, duals, rng=rng)
-    assert rep.duality_residual <= DEFAULT_TOL.eq_rel
-    assert rep.representation_residual <= DEFAULT_TOL.eq_rel
-    assert rep.probe_residual >= 1e-4
+    sym = unitary_swap_symbol()
+    assert max(inverse_representation_residuals(sym, v, w, duals)) <= DEFAULT_TOL.eq_rel
+    assert inverse_representation_probe(sym, v, w, duals, rng=rng) >= 1e-4
 
 
 def test_inverse_representation_preconditions(diag_pair, rng):
     duals = _sampled_duals(diag_pair, rng)
+    sym = Symbol([1.0, 0.0], np.array([np.eye(2)] * 2))
     with pytest.raises(PreconditionError):
-        inverse_multiplier_representation(
-            Symbol([1.0, 0.0], np.array([np.eye(2)] * 2)), diag_pair, diag_pair, duals
-        )
+        inverse_representation_residuals(sym, diag_pair, diag_pair, duals)
+    with pytest.raises(PreconditionError):
+        inverse_representation_probe(sym, diag_pair, diag_pair, duals)
 
 
 def test_inverse_representation_random_population(rng):
@@ -299,10 +298,8 @@ def test_inverse_representation_random_population(rng):
         if not rep0.invertible or rep0.sigma_min < 1e-3 * rep0.sigma_max:
             continue
         duals = _sampled_duals(v, rng)
-        rep = inverse_multiplier_representation(sym, v, w, duals, rng=rng)
-        assert rep.duality_residual <= DEFAULT_TOL.eq_rel
-        assert rep.representation_residual <= DEFAULT_TOL.eq_rel
-        assert rep.probe_residual >= 1e-4
+        assert max(inverse_representation_residuals(sym, v, w, duals)) <= DEFAULT_TOL.eq_rel
+        assert inverse_representation_probe(sym, v, w, duals, rng=rng) >= 1e-4
         checked += 1
 
 

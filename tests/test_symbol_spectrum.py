@@ -32,7 +32,8 @@ from fusionframes.multipliers import (
     assemble_multiplier,
     block_diag_apply,
     condition_c,
-    inverse_multiplier_representation,
+    inverse_representation_probe,
+    inverse_representation_residuals,
     inverse_symbol_blocks,
     schatten_checks,
 )
@@ -240,21 +241,19 @@ def test_representation_residuals_match_block_loop(rng):
         a_v = ovf.embed_fusion(v)
         duals = [ovf.canonical_ov_dual(a_v)] + checks._sampled_duals(a_v, 4, rng, DEFAULT_TOL)
         seed = int(rng.integers(2**32))
-        rep = inverse_multiplier_representation(
-            sym, v, w, duals, rng=np.random.default_rng(seed)
-        )
-        assert rep.indeterminate is False
-        stacked_q = rep.q_dagger.reshape(count * n, n)
+        representation = inverse_representation_residuals(sym, v, w, duals)[1]
+        probe = inverse_representation_probe(sym, v, w, duals, rng=np.random.default_rng(seed))
+        stacked_q = sym.inverse_closed_form(v, w)[2].reshape(count * n, n)
         inv_blocks = reference_inverse_symbol_blocks(sym)
         m_inv = np.linalg.inv(assemble_multiplier(sym, v, w).matrix)
         want = reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n)
-        assert rep.representation_residual == want
+        assert representation == want
         e = reference_probe(w, np.random.default_rng(seed), DEFAULT_TOL)
         e_norm = spectral_norm(e)
         if e_norm > 0.0:
             e *= 0.01 * spectral_norm(stacked_q) / e_norm
         want = reference_representation_residual(stacked_q + e, inv_blocks, duals, m_inv, n)
-        assert rep.probe_residual == want
+        assert probe == want
         checked += 1
 
 
@@ -264,9 +263,12 @@ def test_near_cutoff_symbol_makes_inverse_representation_indeterminate(rng):
     w = random_fusion_frame(n, count, rng, dims=v.dims)
     syms = (random_symbol("adversarial", n, count, rng) for _ in range(100))
     sym = next(s for s in syms if condition_c(s).holds and assemble_multiplier(s, v, w).invertible)
-    duals = [ovf.canonical_ov_dual(ovf.embed_fusion(v))]
-    rep = inverse_multiplier_representation(sym, v, w, duals, rng=rng)
-    assert condition_c(sym).near_threshold and rep.indeterminate
+    inst = Instance(seed=0, symbol_mode="adversarial", w=w, v=v, symbol=sym)
+    assert condition_c(sym).near_threshold
+    for name in ("inverse_multiplier_dual", "inverse_multiplier_uniqueness"):
+        check = checks.CHECKS[name]
+        assert check.applies(inst, DEFAULT_TOL)
+        assert check.run(inst, checks._check_rng(0, name), DEFAULT_TOL).indeterminate
 
 
 def test_symbol_rejects_zero_dimensional_blocks():
