@@ -340,22 +340,20 @@ def _run_contrast(inst, rng, tol):
 # --- local suite -----------------------------------------------------------
 
 
-def _local_family(inst, rng, tol, redundancy=None):
+def _local_family(inst, rng):
     if inst.local is not None:
         return inst.local
-    if redundancy is None:
-        redundancy = int(rng.integers(0, 4))
-    return build_local_frames(inst.w, redundancy, rng, tol)
+    return build_local_frames(inst.w, int(rng.integers(0, 4)), rng)
 
 
 def _run_local_equivalence(inst, rng, tol):
-    family = _local_family(inst, rng, tol)
+    family = _local_family(inst, rng)
     residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, family, tol)
     return CheckResult(residual)
 
 
 def _run_local_negative(inst, rng, tol):
-    family = build_local_frames(inst.w, 1 + int(rng.integers(0, 3)), rng, tol)
+    family = build_local_frames(inst.w, 1 + int(rng.integers(0, 3)), rng)
     broken = replace(family, duals=family.frames)
     residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, broken, tol)
     shortfall = max(0.0, (1e-3 - residual) / 1e-3)

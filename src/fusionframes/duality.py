@@ -40,12 +40,14 @@ from .numerics import (
     clears_inv_cutoff,
     extreme_singular_values,
     spectral_norm,
+    spectral_norms,
+    stacked_svd,
     svals_rank,
-    svd,
 )
 from .ovf import (
     DualCandidate,
     OVFrame,
+    annihilation_defects,
     embed_fusion,
     kernel_parts,
     ovf_analysis,
@@ -100,29 +102,28 @@ def is_admissible(
     w: FusionSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> AdmissibilityReport:
-    """Check W_i-perp in ker(Q_i), ran(Q_i) in V_i, and ||Q_i|| = 1 off I_0."""
+    """Check W_i-perp in ker(Q_i), ran(Q_i) in V_i, and ||Q_i|| = 1 off I_0, each
+    condition by one batched SVD over the blocks off I_0."""
     q = np.asarray(q_blocks, dtype=np.complex128)
     if q.ndim != 3 or q.shape[0] != v.count or q.shape[1:] != (v.ambient_dim,) * 2:
         raise ContractViolationError(
             f"expected {v.count} square blocks of size {v.ambient_dim}, got shape {q.shape}"
         )
     zero_set = index_zero_set(v, w)
-    rows = []
-    ok = True
-    for i in range(v.count):
-        if i in zero_set:
-            rows.append((0.0, 0.0, 0.0))
-            continue
-        qi = q[i]
-        norm_q = spectral_norm(qi)
-        kernel_defect = spectral_norm(qi @ w.projections[i] - qi)
-        range_defect = spectral_norm(v.projections[i] @ qi - qi)
-        norm_defect = abs(norm_q - 1.0)
-        rows.append((kernel_defect, range_defect, norm_defect))
-        bound = tol.eq_rel * max(1.0, norm_q)
-        if kernel_defect > bound or range_defect > bound or norm_defect > bound:
-            ok = False
-    return AdmissibilityReport(admissible=ok, defects=tuple(rows))
+    live = np.array([i not in zero_set for i in range(v.count)])
+    q_live = q[live]
+    norms = spectral_norms(q_live)
+    defects = np.zeros((v.count, 3))
+    defects[live] = np.column_stack(
+        [
+            spectral_norms(q_live @ w.projections[live] - q_live),
+            spectral_norms(v.projections[live] @ q_live - q_live),
+            np.abs(norms - 1.0),
+        ]
+    )
+    bound = tol.eq_rel * np.maximum(1.0, norms)
+    ok = not np.any(defects[live] > bound[:, None])
+    return AdmissibilityReport(admissible=ok, defects=tuple(map(tuple, defects.tolist())))
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,8 @@ def generate_fusion_dual(
     """Construct a (generalized) dual of W whose composite equals U.
 
     Builds A_i = (w_i U S_W^-1 + L_i^*) P_{W_i}, then takes V_i as the range
-    of A_i, u_i = ||A_i||, and Q_i = A_i / u_i. The returned Q is admissible
+    of A_i, u_i = ||A_i||, and Q_i = A_i / u_i, from one batched product and one
+    stacked SVD over the blocks. The returned Q is admissible
     by construction and the composite reproduces U; with U = I the output
     passes :func:`kpp_dual_check` with kind "dual".
     """
@@ -266,35 +268,22 @@ def generate_fusion_dual(
             raise ContractViolationError(
                 f"annihilating sequence must have shape {(w.count, n, n)}, got {l.blocks.shape}"
             )
-        t_w = fusion_analysis_ambient(w)
-        t_l = ovf_analysis(l)
-        defect = spectral_norm(t_l.conj().T @ t_w)
-        if defect > tol.eq_rel * max(1.0, spectral_norm(t_l) * spectral_norm(t_w)):
-            raise ContractViolationError(
-                f"sequence does not annihilate the analysis operator (defect {defect:.3e})"
-            )
+        annihilation_defects(embed_fusion(w), ovf_analysis(l)[None], tol)
         l_blocks = l.blocks
-    subs, weights, q_blocks, ops = [], [], [], []
-    for i in range(w.count):
-        a_i = (w.weights[i] * (u @ s_inv) + l_blocks[i].conj().T) @ w.projections[i]
-        ops.append(a_i)
-        uu, ss, _ = svd(a_i)
-        r = int(svals_rank(ss, n, tol))
-        if r == 0:
-            subs.append(Subspace.zero(n))
-            weights.append(0.0)
-            q_blocks.append(np.zeros((n, n), dtype=np.complex128))
-            continue
-        subs.append(Subspace(uu[:, :r]))
-        nrm = float(ss[0])
-        weights.append(nrm)
-        q_blocks.append(a_i / nrm)
-    if all(wt == 0.0 for wt in weights):
+    l_adj = l_blocks.conj().transpose(0, 2, 1)
+    ops = (w.weights[:, None, None] * (u @ s_inv) + l_adj) @ w.projections
+    uu, ss, _ = stacked_svd(ops)
+    ranks = svals_rank(ss, n, tol)
+    if not ranks.any():
         raise ContractViolationError("degenerate construction: every operator collapsed to zero")
-    v = FusionSequence(tuple(subs), np.asarray(weights))
-    q = np.array(q_blocks)
-    comp = sandwich(v, w, v.weights * w.weights, q)
-    return GeneratedDual(v=v, q=q, composite=comp, operators=np.array(ops))
+    subs, q_blocks = [], np.zeros_like(ops)
+    for i, r in enumerate(ranks):
+        subs.append(Subspace(uu[i, :, :r]) if r else Subspace.zero(n))
+        if r:
+            q_blocks[i] = ops[i] / ss[i, 0]
+    v = FusionSequence(tuple(subs), np.where(ranks > 0, ss[:, 0], 0.0))
+    comp = sandwich(v, w, v.weights * w.weights, q_blocks)
+    return GeneratedDual(v=v, q=q_blocks, composite=comp, operators=ops)
 
 
 def fusion_dual_to_ovf(v: FusionSequence, q_blocks) -> OVFrame:

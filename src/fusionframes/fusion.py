@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ContractViolationError, NotAFrameError
-from .frames import VectorFrame, canonical_dual_ordinary
+from .frames import VectorFrame
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -45,6 +45,7 @@ __all__ = [
     "Subspace",
     "random_subspace",
     "projection",
+    "frame_operator_fits",
     "FusionSequence",
     "block_sum",
     "sandwich",
@@ -128,6 +129,19 @@ def projection(w: Subspace) -> np.ndarray:
     return w.basis @ w.basis.conj().T
 
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def frame_operator_fits(weights) -> bool:
+    """sum_i w_i^2, which bounds every entry of S = sum_i w_i^2 P_i, is at most the
+    largest float, for finite non-negative weights. Compared as
+    max_i w_i <= sqrt(max float / sum_i (w_i / max_i w_i)^2), which cannot overflow."""
+    top = float(np.max(weights, initial=0.0))
+    if top == 0.0:
+        return True
+    return top <= np.sqrt(_FLOAT_MAX / float(np.sum((weights / top) ** 2)))
+
+
 @dataclass(frozen=True, eq=False)
 class FusionSequence:
     """Weighted subspaces (W_i, w_i) sharing one ambient space.
@@ -154,6 +168,10 @@ class FusionSequence:
             )
         if not np.all(np.isfinite(wts)) or np.any(wts < 0):
             raise ContractViolationError("weights must be finite and non-negative")
+        if not frame_operator_fits(wts):
+            raise ContractViolationError(
+                "weights too large: sum_i w_i^2, the scale of the frame operator, overflows"
+            )
         n = subs[0].ambient_dim
         for i, (sub, wt) in enumerate(zip(subs, wts)):
             if sub.ambient_dim != n:
@@ -360,7 +378,6 @@ def build_local_frames(
     f: FusionSequence,
     redundancy: int,
     rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> LocalFrameFamily:
     """Random spanning frames of each W_i with d_i + redundancy unit vectors.
 
@@ -368,8 +385,14 @@ def build_local_frames(
     factor of its first d_i columns, an orthonormal basis of W_i, and its
     other columns normalized. The local frame operator is then I + sum e e^*,
     with bounds in [1, 1 + redundancy]; ``alpha`` and ``beta`` are their exact
-    extremes. Canonical local duals are computed within each subspace.
-    ``redundancy`` must lie in 0..MAX_REDUNDANCY, checked before any draw.
+    extremes. ``redundancy`` must lie in 0..MAX_REDUNDANCY, checked before any
+    draw.
+
+    The canonical local duals are taken in coordinates. With B the stored basis
+    and C the coefficients, the frame is B C and its frame operator on C^n is
+    B (C C^*) B^*, whose pseudoinverse is B (C C^*)^-1 B^*, so the duals are
+    B (C C^*)^-1 C: one d x d solve against the Gram matrix C C^*, whose
+    eigenvalues are the bounds, and no n x n pseudoinverse.
     """
     if not 0 <= redundancy <= MAX_REDUNDANCY:
         raise ContractViolationError(
@@ -388,12 +411,12 @@ def build_local_frames(
         coeff = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
         coeff[:, :d] = np.linalg.qr(coeff[:, :d])[0]
         coeff[:, d:] /= np.linalg.norm(coeff[:, d:], axis=0, keepdims=True)
-        ev = np.linalg.eigvalsh(coeff @ coeff.conj().T)
+        gram = coeff @ coeff.conj().T
+        ev = np.linalg.eigvalsh(gram)
         alpha = min(alpha, float(ev[0]))
         beta = max(beta, float(ev[-1]))
-        phi = VectorFrame((sub.basis @ coeff).T)
-        frames.append(phi)
-        duals.append(canonical_dual_ordinary(phi, tol))
+        frames.append(VectorFrame((sub.basis @ coeff).T))
+        duals.append(VectorFrame((sub.basis @ np.linalg.solve(gram, coeff)).T))
     if not np.isfinite(alpha):
         alpha = 0.0
     return LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)

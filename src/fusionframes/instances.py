@@ -20,6 +20,7 @@ from .fusion import (
     LocalFrameFamily,
     Subspace,
     build_local_frames,
+    frame_operator_fits,
     fusion_bounds,
     random_subspace,
 )
@@ -73,6 +74,11 @@ class InstanceSpec:
             raise ContractViolationError(f"invalid weight range {self.weight_range}")
         if lo <= 0.0 and any(d > 0 for d in self.dims):
             raise ContractViolationError("weight range must be positive for nonzero blocks")
+        if not frame_operator_fits(np.full(sum(d > 0 for d in self.dims), hi)):
+            raise ContractViolationError(
+                f"weight range {self.weight_range}: "
+                f"weights up to {hi!r} overflow the frame operator"
+            )
 
 
 def _check_sizes(n: int, blocks: int, dims, symbol_mode: str, seed: int) -> None:
@@ -276,7 +282,7 @@ def generate_instance(
     symbol = random_symbol(spec.symbol_mode, spec.n, spec.blocks, rng, tol)
     local = None
     if local_redundancy is not None:
-        local = build_local_frames(w, local_redundancy, rng, tol)
+        local = build_local_frames(w, local_redundancy, rng)
     return Instance(
         seed=spec.seed,
         symbol_mode=spec.symbol_mode,
@@ -405,6 +411,10 @@ def _instance_from_doc(doc: dict) -> Instance:
             for i, (item, d) in enumerate(zip(obj["subspaces"], dims))
         )
         weights = _floats(obj["weights"], (blocks,), f"{name}.weights")
+        # other invalid weights are left to the FusionSequence check
+        valid = np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        if valid and not frame_operator_fits(weights):
+            raise ContractViolationError(f"{name}.weights: they overflow the frame operator")
         sequences.append(FusionSequence(subs, weights))
     w, v = sequences
     symbol = Symbol(

@@ -56,7 +56,6 @@ from .frames import VectorFrame, ordinary_multiplier
 from .fusion import (
     FusionSequence,
     LocalFrameFamily,
-    block_sum,
     classify,
     excess,
     fusion_analysis_ambient,
@@ -74,6 +73,7 @@ from .numerics import (
     rank_tol,
     singular_values,
     spectral_norm,
+    spectral_norms,
     spectrum_schatten_norm,
     svals_rank,
 )
@@ -472,10 +472,14 @@ def _representation_residual(
     duals: Sequence[DualCandidate],
     m_inv: np.ndarray,
 ) -> float:
-    """max over the duals D of ||M^-1 - sum_i Q_i^* (m_i R_i)^-1 D_i|| / ||M^-1||."""
+    """max over the duals D of ||M^-1 - sum_i Q_i^* (m_i R_i)^-1 D_i|| / ||M^-1||, the
+    sums of all duals formed together, block by block in block order, and their
+    norms taken by one batched SVD."""
     q_adj_inv = stacked_q.reshape(inv_blocks.shape).conj().transpose(0, 2, 1) @ inv_blocks
-    scale = spectral_norm(m_inv)
-    return max(spectral_norm(m_inv - block_sum(q_adj_inv @ cand.blocks)) / scale for cand in duals)
+    reps = np.zeros((len(duals), *m_inv.shape), dtype=np.complex128)
+    for i, term in enumerate(q_adj_inv):
+        reps += term @ np.array([cand.blocks[i] for cand in duals])
+    return float(spectral_norms(m_inv - reps).max()) / spectral_norm(m_inv)
 
 
 PROBE_SCALE = 0.01  # size of the uniqueness probe relative to ||Q_dagger||
@@ -558,12 +562,15 @@ def local_frame_equivalence(
     with analysis vectors w_i phi_ij, synthesis vectors
     u_i P_{V_i} R_i dual_ij, and the symbol entry m_i repeated per local
     vector. The returned value is ||M_fusion - M_lifted|| relative to
-    max(1, ||M_fusion||).
+    max(1, ||M_fusion||). Each block's synthesis vectors are one matrix
+    product, u_i P_{V_i} R_i [dual_i1 ... dual_ik].
     """
     _check_triple(sym, v, w)
     if len(family.frames) != w.count:
         raise ContractViolationError("local family length does not match the sequences")
-    anal_rows, synth_rows, m_hat = [], [], []
+    n = w.ambient_dim
+    # one (0, n) start per list, so a W without nonzero blocks lifts to 0
+    anal_rows, synth_rows, m_hat = [np.zeros((0, n))], [np.zeros((0, n))], [np.zeros(0)]
     for i, sub in enumerate(w.subspaces):
         if sub.dim == 0:
             continue
@@ -573,16 +580,14 @@ def local_frame_equivalence(
             raise PreconditionError(f"block {i} has no local frame")
         if rank_tol(phi.vectors, tol) != sub.dim:
             raise PreconditionError(f"local frame of block {i} does not span its subspace")
-        p_v = v.projections[i]
-        for j in range(phi.count):
-            anal_rows.append(w.weights[i] * phi.vectors[j])
-            synth_rows.append(v.weights[i] * (p_v @ (sym.r[i] @ dual.vectors[j])))
-            m_hat.append(sym.m[i])
+        anal_rows.append(w.weights[i] * phi.vectors)
+        synth_rows.append(v.weights[i] * (v.projections[i] @ (sym.r[i] @ dual.vectors.T)).T)
+        m_hat.append(np.full(phi.count, sym.m[i]))
     m_fusion = assemble_multiplier(sym, v, w, tol).matrix
     m_lifted = ordinary_multiplier(
-        np.asarray(m_hat),
-        VectorFrame(np.array(synth_rows)),
-        VectorFrame(np.array(anal_rows)),
+        np.concatenate(m_hat),
+        VectorFrame(np.vstack(synth_rows)),
+        VectorFrame(np.vstack(anal_rows)),
     )
     return spectral_norm(m_fusion - m_lifted) / max(1.0, spectral_norm(m_fusion))
 

@@ -1,8 +1,10 @@
 """Dense complex linear algebra with a single shared tolerance policy.
 
 Every matrix in the package is a numpy ``complex128`` array, coerced and
-checked for finiteness by :func:`finite_array`. Every SVD runs through one
-LAPACK call that reports non-convergence as :class:`NumericFailureError`.
+checked for finiteness by :func:`finite_array`. Every SVD, of one matrix or
+of a stack, runs through one LAPACK call that reports non-convergence as
+:class:`NumericFailureError`, and so does the ``eigvalsh`` of
+:func:`eig_extremes`.
 All rank, equality, and invertibility decisions route through one
 :class:`ToleranceConfig` so that no two checks can disagree about what
 counts as zero; an inverse is taken only where the caller has already
@@ -23,6 +25,7 @@ __all__ = [
     "finite_array",
     "as_matrix",
     "svd",
+    "stacked_svd",
     "singular_values",
     "rank_tol",
     "svals_rank",
@@ -108,6 +111,13 @@ def svd(a):
     return _lapack_svd(as_matrix(a), full_matrices=False)
 
 
+def stacked_svd(stack):
+    """Thin singular value decompositions of an (m, r, c) stack, from one LAPACK
+    call: ``(u, s, vh)`` with a leading axis of length m. Each matrix's factors
+    are bit-for-bit those :func:`svd` returns for it."""
+    return _lapack_svd(finite_array(stack, 3, "matrix stack"), full_matrices=False)
+
+
 def singular_values(a) -> np.ndarray:
     m = as_matrix(a)
     if min(m.shape) == 0:
@@ -163,8 +173,14 @@ def near_inv_cutoff(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 
 def eig_extremes(a):
-    """Extreme eigenvalues ``(lo, hi)`` of a Hermitian matrix, from one ``eigvalsh``."""
-    w = np.linalg.eigvalsh(a)
+    """Extreme eigenvalues ``(lo, hi)`` of a Hermitian matrix, from one ``eigvalsh``,
+    with non-convergence raised as :class:`NumericFailureError`."""
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(
+            f"eigvalsh did not converge on a matrix of shape {np.shape(a)}"
+        ) from exc
     return float(w[0]), float(w[-1])
 
 

@@ -25,6 +25,12 @@ whose norm is the norm of row r of P_ker^* T', so the sweep decides each
 stacked row r by two bounds from one SVD and one product, and takes a
 batched SVD of a row's members only where the bounds leave it undecided.
 
+Each dual candidate is checked to annihilate T_A exactly once. Canonical,
+sampled and swept candidates are built a stack at a time and checked by
+two stacked SVDs of n x n matrices per stack (:func:`annihilation_defects`),
+||L^* T_A|| and ||L^* L||, and by none for the canonical dual's L = 0; a
+candidate constructed directly is checked the same way, as a stack of one.
+
 A frame caches, read-only and on first use, what no tolerance enters: its
 frame operator S_A with the extreme eigenvalues of its Hermitian part,
 T_A S_A^-1 and the thin SVD factors (U, s) of T_A, from which ||T_A|| = s_0
@@ -52,7 +58,6 @@ from .numerics import (
     eig_extremes,
     finite_array,
     singular_values,
-    spectral_norm,
     spectral_norms,
     svals_rank,
     svd,
@@ -65,6 +70,7 @@ __all__ = [
     "embed_ordinary",
     "embed_fusion",
     "DualCandidate",
+    "annihilation_defects",
     "duality_defect",
     "duality_defects",
     "range_basis",
@@ -172,7 +178,8 @@ class DualCandidate:
 
     ``perturbation`` is the stacked L and ``analysis`` the stacked analysis
     of the dual itself. Membership of L in the annihilator of T_A is checked
-    at construction.
+    once per candidate: at construction here, and by :func:`_candidates` for
+    the candidates this module builds a stack at a time.
     """
 
     base: OVFrame
@@ -181,17 +188,49 @@ class DualCandidate:
 
     def __post_init__(self):
         l = as_matrix(self.perturbation)
-        t = ovf_analysis(self.base)
         object.__setattr__(self, "perturbation", l)
         object.__setattr__(self, "analysis", as_matrix(self.analysis))
-        scale = max(1.0, self.base.analysis_norm * spectral_norm(l))
-        if spectral_norm(l.conj().T @ t) > DEFAULT_TOL.eq_rel * scale:
-            raise ContractViolationError("perturbation does not annihilate the analysis operator")
+        annihilation_defects(self.base, l[None])
 
     @property
     def blocks(self) -> np.ndarray:
         n_blocks, k, n = self.base.blocks.shape
         return self.analysis.reshape(n_blocks, k, n)
+
+
+def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The DualCandidate condition ||L^* T_A|| <= eq_rel max(1, ||T_A|| ||L||), at
+    ``tol``, for each L of a (c, N k, n) stack, from two stacked SVDs of n x n matrices:
+    ||L^* T_A|| and ||L|| = ||L^* L||^(1/2). Returns the defects ||L^* T_A||, or
+    raises :class:`ContractViolationError` naming the worst one. A stack of zeros,
+    such as the canonical dual's L = 0, has zero defects and takes no SVD."""
+    if not stack.any():
+        return np.zeros(len(stack))
+    adj = stack.conj().transpose(0, 2, 1)
+    defects = spectral_norms(adj @ ovf_analysis(a))
+    l_norms = np.sqrt(spectral_norms(adj @ stack))
+    bad = defects > tol.eq_rel * np.maximum(1.0, a.analysis_norm * l_norms)
+    if np.any(bad):
+        raise ContractViolationError(
+            "perturbation does not annihilate the analysis operator "
+            f"(defect {defects[bad].max():.3e})"
+        )
+    return defects
+
+
+def _candidates(a: OVFrame, stack: np.ndarray, analyses: np.ndarray) -> list:
+    """DualCandidates of ``a`` with the perturbations of a (c, N k, n) stack and
+    their analyses, the annihilator condition checked once for the whole stack
+    (:func:`annihilation_defects`) and not again per candidate."""
+    analyses = finite_array(analyses, 3, "dual analyses")
+    annihilation_defects(a, stack)
+    out = []
+    for l, d in zip(stack, analyses):
+        cand = object.__new__(DualCandidate)
+        for name, value in (("base", a), ("perturbation", l), ("analysis", d)):
+            object.__setattr__(cand, name, value)
+        out.append(cand)
+    return out
 
 
 def duality_defect(cand: DualCandidate) -> float:
@@ -233,8 +272,7 @@ def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
     """The dual with L = 0, read off from T_A S_A^-1."""
     t, t_dual = _canonical_analysis(a, tol)
-    zero = np.zeros_like(t)
-    return DualCandidate(base=a, perturbation=zero, analysis=t_dual)
+    return _candidates(a, np.zeros((1, *t.shape), dtype=np.complex128), t_dual[None])[0]
 
 
 def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -254,10 +292,8 @@ def sample_ov_duals(a: OVFrame, seeds, tol: ToleranceConfig) -> list:
             raise ContractViolationError(
                 f"perturbation seed must have shape {t.shape}, got {g.shape}"
             )
-    return [
-        DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
-        for l in kernel_parts(a, seeds, tol)
-    ]
+    stack = np.array(kernel_parts(a, seeds, tol), dtype=np.complex128).reshape(len(seeds), *t.shape)
+    return _candidates(a, stack, t_dual + stack)
 
 
 def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
@@ -270,11 +306,11 @@ def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
 def _family_member(a: OVFrame, t_dual: np.ndarray, q, index: int) -> DualCandidate:
     """Member ``index`` of the dual family: L = 0 for index 0, then P_ker E_rs in
     row-major order of (r, s); ``q`` is the range basis, unused for index 0."""
-    l = np.zeros(t_dual.shape, dtype=np.complex128)
+    l = np.zeros((1, *t_dual.shape), dtype=np.complex128)
     if index:
         r, s = divmod(index - 1, t_dual.shape[1])
-        l[:, s] = _kernel_column(q, r)
-    return DualCandidate(base=a, perturbation=l, analysis=t_dual + l)
+        l[0, :, s] = _kernel_column(q, r)
+    return _candidates(a, l, t_dual + l)[0]
 
 
 def _check_annihilator(a: OVFrame, q: np.ndarray, pt: np.ndarray) -> np.ndarray:

@@ -235,7 +235,8 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
     assert len(m_inverted) == 1
     assert all(any(lo <= k < hi for lo, hi in windows) for k in m_inverted)
 
-    # one SVD per nonzero block gives both its range and its rank
+    # one SVD per nonzero block gives both its range and its rank; the dual
+    # generator takes every block's range and rank from one stacked SVD
     w = inst.w
     nonzero = sum(d > 0 for d in w.dims)
     svds.clear()
@@ -244,7 +245,8 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
     u = 2.0 * np.eye(w.ambient_dim)
     svds.clear()
     generate_fusion_dual(w, u)
-    assert sum(not np.array_equal(args[0], u) for args in svds) == nonzero
+    stacked = [args[0] for args in svds if not np.array_equal(args[0], u)]
+    assert len(stacked) == 1 and np.shape(stacked[0]) == (w.count, w.ambient_dim, w.ambient_dim)
 
 
 def _per_check(monkeypatch):

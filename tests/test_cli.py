@@ -262,6 +262,26 @@ def test_malformed_documents_exit_2_with_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err[0]
 
 
+def test_weights_that_overflow_the_frame_operator_exit_2_with_one_error_line(tmp_path, capsys):
+    # w_i^2 overflows: gen used to write this file and check to crash in eigvalsh
+    out = tmp_path / "e.json"
+    args = ["gen", "--dim", "4", "--blocks", "2", "--dims", "2,2", "--weights", "1e308,1e308"]
+    capsys.readouterr()
+    assert main(args + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "overflow" in err[0]
+    assert not out.exists()
+    # the file the old gen wrote: the same instance with every weight 1e308
+    assert main(["gen", "--dim", "4", "--blocks", "2", "--dims", "2,2", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["w"]["weights"] = doc["v"]["weights"] = [1e308, 1e308]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "--suite", "all", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "overflow" in err[0]
+
+
 GOLDEN_REFERENCE = DATA / "golden_reference_report.json"
 
 

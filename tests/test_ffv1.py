@@ -148,6 +148,8 @@ def _drop(path):
         (_set(("v", "subspaces", 2, "dim"), 3), "0 <= d <= n"),
         (_set(("w", "weights"), [1.0, 0.0]), "w.weights"),
         (_set(("v", "weights", 0), "1.0"), "v.weights"),
+        (_set(("w", "weights", 2), 1e308), "w.weights: they overflow the frame operator"),
+        (_set(("v", "weights", 0), 2e154), "v.weights: they overflow the frame operator"),
         (_set(("symbol", "m", 1), [1.0, 0.0, 5.0]), "symbol.m"),
         (_set(("symbol", "m", 1), 1.0), "symbol.m"),
         (_set(("symbol", "r", 0, 0), [[1.0, 0.0]]), "symbol.r"),

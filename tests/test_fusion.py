@@ -58,6 +58,19 @@ def test_weight_compatibility_enforced():
         FusionSequence((Subspace.full(2),), np.array([0.0]))
 
 
+def test_weights_whose_frame_operator_overflows_are_rejected():
+    # sum_i w_i^2 is compared with the largest float without overflowing
+    big = float(np.sqrt(np.finfo(np.float64).max))
+    full = (Subspace.full(2), Subspace.full(2))
+    FusionSequence(full[:1], np.array([big]))
+    FusionSequence(full, np.array([0.7 * big, 0.7 * big]))
+    FusionSequence((Subspace.full(2), Subspace.zero(2)), np.array([big, 0.0]))
+    for weights in ([1e308, 1e308], [0.75 * big, 0.75 * big], [1.1 * big, 1e-300]):
+        with pytest.raises(ContractViolationError, match="overflows"):
+            FusionSequence(full, np.array(weights))
+    assert fusion.frame_operator_fits(np.zeros(3))
+
+
 def test_analysis_ambient_examples(diag_pair):
     single = FusionSequence((Subspace.full(2),), np.array([1.0]))
     np.testing.assert_allclose(fusion_analysis_ambient(single), np.eye(2))

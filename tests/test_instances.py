@@ -49,6 +49,11 @@ def test_spec_validation():
         spec(weight_range=(0.0, 1.0))
     with pytest.raises(ContractViolationError):
         spec(symbol_mode="nope")
+    # sum_i w_i^2 must stay finite: two blocks of weight 9e153 fit, 1e154 do not
+    spec(weight_range=(0.5, 9e153))
+    for hi in (1e308, 1e154):
+        with pytest.raises(ContractViolationError, match="overflow the frame operator"):
+            spec(weight_range=(0.5, hi))
     InstanceSpec(
         n=2, blocks=2, dims=(0, 2), weight_range=(0.5, 1.0),
         symbol_mode="identity", seed=1,

@@ -54,16 +54,36 @@ def test_svd_rejects_nonfinite():
 
 
 @pytest.mark.parametrize(
-    "name", ["svd", "singular_values", "spectral_norm", "spectral_norms", "rank_tol"]
+    "name",
+    ["svd", "stacked_svd", "singular_values", "spectral_norm", "spectral_norms", "rank_tol"],
 )
 def test_svd_non_convergence_is_a_numeric_failure(monkeypatch, name):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    operand = np.eye(2)[None] if name == "spectral_norms" else np.eye(2)
+    operand = np.eye(2)[None] if name in ("spectral_norms", "stacked_svd") else np.eye(2)
     with pytest.raises(NumericFailureError):
         getattr(numerics, name)(operand)
+
+
+def test_eigvalsh_failure_is_a_numeric_failure():
+    # the frame operator of weights whose squares overflow, as it was formed
+    # before FusionSequence rejected them: eigvalsh raises LinAlgError on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.full((4, 4), np.inf) * np.eye(4)
+    with pytest.raises(NumericFailureError, match="eigvalsh"):
+        numerics.eig_extremes(s)
+
+
+def test_stacked_svd_matches_svd_per_matrix(rng):
+    for shape in ((5, 4, 4), (3, 6, 2), (2, 1, 1), (0, 3, 3)):
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u, s, vh = numerics.stacked_svd(stack)
+        assert u.shape[0] == s.shape[0] == vh.shape[0] == shape[0]
+        for k, matrix in enumerate(stack):
+            for got, want in zip((u[k], s[k], vh[k]), svd(matrix)):
+                assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
