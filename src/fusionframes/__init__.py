@@ -61,7 +61,6 @@ from .duality import (
 from .multipliers import (
     Symbol,
     assemble_multiplier,
-    block_diag_apply,
     condition_c,
     gavruta_multiplier,
     invertible_multiplier_consequences,

@@ -77,6 +77,10 @@ def _invertible_multiplier(inst: Instance, tol: ToleranceConfig) -> bool:
     return multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol).invertible
 
 
+def _invertible_over_frames(inst: Instance, tol: ToleranceConfig) -> bool:
+    return _both_frames(inst, tol) and _invertible_multiplier(inst, tol)
+
+
 def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
     return (
         _both_frames(inst, tol)
@@ -120,7 +124,7 @@ def _run_left_inverse_span(inst, rng, tol):
     a = embed_fusion(inst.w)
     t_w = fusion_analysis_ambient(inst.w)
     # an upper bound on every member's residual, or the first one above eq_rel
-    _, worst, _ = ovf.sweep_dual_family(a, t_w, tol.eq_rel, None, tol)
+    _, worst, _ = ovf.sweep_dual_family(a, t_w, tol.eq_rel, tol)
     # not ovf.dual_span_dimension: each call of that name is read as the
     # dual_span check's certificate
     rank = ovf._dual_span_rank(a, tol)
@@ -157,7 +161,7 @@ def _run_gavruta_canonical(inst, rng, tol):
 
 
 def _run_separating_self(inst, rng, tol):
-    res = duality.find_separating_dual(inst.w, inst.w, tol=tol)
+    res = duality.find_separating_dual(inst.w, inst.w, tol)
     residual = res.block_deviation
     if res.witness is not None:
         residual = max(residual, 1.0)
@@ -197,7 +201,7 @@ def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
 
 def _run_separating_distinct(inst, rng, tol):
     other = _perturbed_copy(inst.w, rng, tol)
-    res = duality.find_separating_dual(inst.w, other, tol=tol)
+    res = duality.find_separating_dual(inst.w, other, tol)
     ok = res.witness is not None
     return CheckResult(
         0.0 if ok else 1.0,
@@ -220,8 +224,7 @@ def _run_assembly_routes(inst, rng, tol):
     n = inst.w.ambient_dim
     t_v = fusion_analysis_ambient(inst.v).reshape(-1, n, n)
     t_w = fusion_analysis_ambient(inst.w).reshape(-1, n, n)
-    d_blocks = inst.symbol.m[:, None, None] * inst.symbol.r
-    route = block_sum(t_v.conj().transpose(0, 2, 1) @ d_blocks @ t_w)
+    route = block_sum(t_v.conj().transpose(0, 2, 1) @ inst.symbol.blocks @ t_w)
     residual = spectral_norm(rep.matrix - route) / max(1.0, rep.sigma_max)
     return CheckResult(residual)
 
@@ -236,7 +239,7 @@ def _run_condition_c_coherence(inst, rng, tol):
         min_m = float(np.min(np.abs(sym.m)))
         residual = max(residual, max(0.0, rep.lower_witness - min_m) / max(1.0, rep.lower_witness))
         inv_blocks = multipliers.inverse_symbol_blocks(sym, tol)
-        defects = spectral_norms(sym.m[:, None, None] * sym.r @ inv_blocks - np.eye(sym.dim))
+        defects = spectral_norms(sym.blocks @ inv_blocks - np.eye(sym.dim))
         result = CheckResult(max(residual, float(defects.max())))
     if rep.near_threshold:
         # the policy of riesz_symbol_iff and the inverse checks: near the
@@ -313,7 +316,7 @@ def _run_inverse_representation(inst, rng, tol):
 def _run_inverse_uniqueness(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
     duals = _v_duals(inst, rng, tol)
-    probe = multipliers.inverse_representation_probe(sym, v, w, duals, tol, rng)  # draws after the duals
+    probe = multipliers.inverse_representation_probe(sym, v, w, duals, rng, tol)  # draws after the duals
     shortfall = max(0.0, (1e-4 - probe) / 1e-4)
     # W is a frame, so T_W has rank n and ker T_W^* has dimension (N - 1) n
     if w.count == 1:
@@ -558,8 +561,8 @@ _RAW_CHECKS = [
         "with a quantified reweighted lower bound.",
         "alpha(W,|m|w) >= 1/(beta_V ||R||_inf^2 ||M^-1||^2)",
         _exact,
-        "boolean with 1e-6 slack in the bound",
-        lambda inst, tol: _both_frames(inst, tol) and _invertible_multiplier(inst, tol),
+        "boolean with a 1e-6 relative margin in the bound",
+        _invertible_over_frames,
         _run_invertible_consequences,
     ),
     (
@@ -570,7 +573,7 @@ _RAW_CHECKS = [
         "dim ker T^* invariant under semi-normalized reweighting",
         _exact,
         "exact integers",
-        lambda inst, tol: _both_frames(inst, tol) and _invertible_multiplier(inst, tol),
+        _invertible_over_frames,
         _run_excess_invariance,
     ),
     (
@@ -632,9 +635,9 @@ _RAW_CHECKS = [
     (
         "schatten_block_svals",
         "schatten",
-        "The assembled block diagonal is exactly diag(m_i R_i), so its singular "
-        "values are the union of the per-block singular values.",
-        "D_mR = diag(m_i R_i), hence svals(D_mR) = union_i svals(m_i R_i)",
+        "Each block m_i R_i of the block diagonal has the singular values of R_i "
+        "scaled by |m_i|, so the spectrum of D_mR is the union of the scaled block spectra.",
+        "svals(m_i R_i) = |m_i| svals(R_i), hence svals(D_mR) = union_i |m_i| svals(R_i)",
         _eq,
         "eq_rel",
         _always,
@@ -704,13 +707,14 @@ def run_suite(
     for trial, inst in enumerate(instances):
         for name in SUITES[suite]:
             check = CHECKS[name]
-            if not check.applies(inst, tol):
-                continue
             tol_value = float(check.tolerance(tol))
             try:
+                if not check.applies(inst, tol):
+                    continue
                 result = check.run(inst, _check_rng(inst.seed, name), tol)
             except (FusionFrameError, np.linalg.LinAlgError) as exc:
-                # an aborted check is a failed check, not a crashed report
+                # a check that aborts, in its predicate or its run, is a failed
+                # check, not a crashed report
                 result = CheckResult(residual=1e300, detail=f"aborted: {exc}")
             if result.indeterminate:
                 verdict = "indeterminate"

@@ -314,15 +314,13 @@ class SeparationResult:
 def find_separating_dual(
     w: FusionSequence,
     w_prime: FusionSequence,
-    trials_bound: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SeparationResult:
     """Sweep the dual family of W for a dual that is not a dual of W'.
 
-    The deterministic sweep tries the canonical dual first, then the
-    elementary-matrix kernel perturbations in row-major order, at most
-    ``trials_bound`` of them. A candidate separates when
-    ||T_D^* T_{W'} - I|| exceeds 10 * eq_rel. :func:`ovf.sweep_dual_family`
+    The deterministic sweep tries the canonical dual first, then all the
+    elementary-matrix kernel perturbations in row-major order. A candidate
+    separates when ||T_D^* T_{W'} - I|| exceeds 10 * eq_rel. :func:`ovf.sweep_dual_family`
     decides whole stacked rows of the family by rank-one bounds and takes
     exact residuals only where the bounds leave a row undecided, so the
     witness, its residual and ``checked`` are those of a member by member
@@ -336,7 +334,7 @@ def find_separating_dual(
         raise NotAFrameError("separating-dual search requires two fusion frames")
     deviation = block_deviation(w, w_prime)
     witness, residual, checked = sweep_dual_family(
-        embed_fusion(w), fusion_analysis_ambient(w_prime), 10.0 * tol.eq_rel, trials_bound, tol
+        embed_fusion(w), fusion_analysis_ambient(w_prime), 10.0 * tol.eq_rel, tol
     )
     return SeparationResult(
         witness=witness, residual=residual, block_deviation=deviation, checked=checked

@@ -6,10 +6,11 @@ The multiplier attached to two weighted subspace sequences and a symbol
     M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i}
       = T_V,u^*  D_mR  T_W,w
 
-where D_mR acts blockwise as m_i R_i on the stacked space. It is the
-block sandwich of :func:`fusion.sandwich` with middle blocks R_i, as are
-the projection-composition (R_i = I) and S_W^-1-weighted (R_i = S_W^-1)
-forms it is contrasted with. The two-sided symbol hypothesis
+where D_mR acts blockwise as m_i R_i on the stacked space and is kept only
+as that (N, n, n) stack (``Symbol.blocks``). M is the block sandwich of
+:func:`fusion.sandwich` with middle blocks R_i, as are the
+projection-composition (R_i = I) and S_W^-1-weighted (R_i = S_W^-1) forms
+it is contrasted with. The two-sided symbol hypothesis
 
     C(m, R):  gamma ||x|| <= ||conj(m_j) R_j^* x|| <= delta ||x||  for all j
 
@@ -19,12 +20,11 @@ near its cutoff their verdicts are flagged indeterminate. gamma, delta,
 ||R||_inf and the Schatten facts are read from ``Symbol.svals``, the block
 singular values of one batched SVD cached on the symbol. D_mR is block
 diagonal, so its spectrum is the union of the |m_i| sigma(R_i)
-(``Symbol.block_diag_svals``) and no (N n) x (N n) SVD is taken; what the
-``schatten_block_svals`` check certifies is the assembly behind that
-theorem: ``Symbol.assembly_defect`` measures, once per symbol and without an
-SVD, how far :func:`block_diag_apply` lies from diag(m_i R_i), which bounds
-how far its singular values lie from the union. The
-symbol also memoizes, per (V, W) pair, the assembled multiplier with its
+(``Symbol.block_diag_svals``) and no (N n) x (N n) matrix is formed; what the
+``schatten_block_svals`` check certifies is the scaling identity behind that
+union, sigma(m_i R_i) = |m_i| sigma(R_i): ``Symbol.block_sval_defect`` compares
+one batched SVD of the stack with the scaled block spectra, once per symbol.
+The symbol also memoizes, per (V, W) pair, the assembled multiplier with its
 whole spectrum from one SVD (:meth:`Symbol.assembled`): ||M||, ||M||_p and
 ||M^-1|| = 1 / sigma_min are read from it, and invertibility and the norm
 bound are derived from it at each call's tolerance. Three more facts are
@@ -81,7 +81,6 @@ from .ovf import DualCandidate, duality_defects, embed_fusion, ovf_analysis
 
 __all__ = [
     "Symbol",
-    "block_diag_apply",
     "inverse_symbol_blocks",
     "ConditionCReport",
     "condition_c",
@@ -154,17 +153,20 @@ class Symbol:
         return s
 
     @cached_property
-    def assembly_defect(self) -> float:
-        """||block_diag_apply(self) - diag(m_i R_i)||_F / max(1, ||D_mR||), computed
-        once, with no SVD, at O((N n)^2): 0 exactly when the assembled matrix has
-        exact zeros off the block diagonal and m_i R_i on block i. The Frobenius
-        norm bounds the spectral norm, so by Weyl's inequality the singular values
-        of the assembled matrix lie within this (relative) distance of
-        :attr:`block_diag_svals`."""
-        count, n = self.count, self.dim
-        deviation = block_diag_apply(self).reshape(count, n, count, n)
-        deviation[np.arange(count), :, np.arange(count)] -= self.m[:, None, None] * self.r
-        return float(np.linalg.norm(deviation)) / max(1.0, float(self.block_diag_svals[0]))
+    def blocks(self) -> np.ndarray:
+        """Read-only (N, n, n) stack of the blocks m_i R_i of D_mR, formed on first use."""
+        b = self.m[:, None, None] * self.r
+        b.flags.writeable = False
+        return b
+
+    @cached_property
+    def block_sval_defect(self) -> float:
+        """max_i ||sigma(m_i R_i) - |m_i| sigma(R_i)||_inf / max(1, ||D_mR||), from one
+        batched SVD of :attr:`blocks` on first use: how far the stack that is applied
+        as D_mR lies from the scaled block spectra :attr:`block_diag_svals` is built from."""
+        s = np.linalg.svd(self.blocks, compute_uv=False)
+        defect = float(np.max(np.abs(s - np.abs(self.m)[:, None] * self.svals)))
+        return defect / max(1.0, float(self.block_diag_svals[0]))
 
     @property
     def r_sup(self) -> float:
@@ -195,7 +197,7 @@ class Symbol:
     def inverse_blocks(self) -> np.ndarray:
         """Read-only blocks (m_i R_i)^-1 from one batched inv on first use; read them
         only once the two-sided symbol bound has passed (see :func:`inverse_symbol_blocks`)."""
-        inv = np.linalg.inv(self.m[:, None, None] * self.r)
+        inv = np.linalg.inv(self.blocks)
         inv.flags.writeable = False
         return inv
 
@@ -239,14 +241,6 @@ class Symbol:
                 arr.flags.writeable = False
             self._inverses[key] = (m_inv, l_blocks, q_dagger)
         return self._inverses[key]
-
-
-def block_diag_apply(sym: Symbol) -> np.ndarray:
-    """(N*n) x (N*n) block diagonal with blocks m_i R_i."""
-    n, count = sym.dim, sym.count
-    out = np.zeros((count, n, count, n), dtype=np.complex128)
-    out[np.arange(count), :, np.arange(count)] = sym.m[:, None, None] * sym.r
-    return out.reshape(count * n, count * n)
 
 
 def inverse_symbol_blocks(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -422,12 +416,15 @@ class InvertibleMultiplierReport:
     excess_pair_equal: Optional[bool]
 
 
+PROBE_SCALE = 0.01  # size of the uniqueness probe relative to ||Q_dagger||
+LOWER_BOUND_REL = 1e-6  # relative margin allowed below the reweighted lower bound
+
+
 def invertible_multiplier_consequences(
     sym: Symbol,
     v: FusionSequence,
     w: FusionSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
-    slack: float = 1e-6,
 ) -> InvertibleMultiplierReport:
     report = assemble_multiplier(sym, v, w, tol)
     if not report.invertible:
@@ -439,7 +436,7 @@ def invertible_multiplier_consequences(
     beta_v = bounds[1][1]
     # ||M^-1|| = 1 / sigma_min(M)
     rhs = report.sigma_min**2 / (beta_v * sym.r_sup**2)
-    lower_ok = bounds[2][0] >= (1.0 - slack) * rhs
+    lower_ok = bounds[2][0] >= (1.0 - LOWER_BOUND_REL) * rhs
     e_w = excess(w, tol)[0]
     e_v = excess(v, tol)[0]
     e_ws = excess(w_scaled, tol)[0]
@@ -480,9 +477,6 @@ def _representation_residual(
     for i, term in enumerate(q_adj_inv):
         reps += term @ np.array([cand.blocks[i] for cand in duals])
     return float(spectral_norms(m_inv - reps).max()) / spectral_norm(m_inv)
-
-
-PROBE_SCALE = 0.01  # size of the uniqueness probe relative to ||Q_dagger||
 
 
 def _closed_form(
@@ -532,15 +526,13 @@ def inverse_representation_probe(
     v: FusionSequence,
     w: FusionSequence,
     sampled_duals: Sequence[DualCandidate],
+    rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Representation residual of Q_dagger + E, E a kernel direction of T_W^* drawn
     from ``rng`` and scaled to PROBE_SCALE ||Q_dagger||: how badly a perturbed
     closed-form dual breaks the inverse representation."""
     m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
-    if rng is None:
-        rng = np.random.default_rng(0xD0A1)
     e = ovf_analysis(random_annihilating_ovf(w, rng, tol))
     e_norm = spectral_norm(e)
     if e_norm > 0.0:
@@ -615,10 +607,10 @@ def gavruta_multiplier(
 class SchattenReport:
     """Finite-dimensional Schatten-norm facts about a multiplier.
 
-    block_sval_defect is :attr:`Symbol.assembly_defect`: the relative
-    distance of the assembled block diagonal from diag(m_i R_i), which
-    bounds how far its singular values lie from the sorted union of the
-    per-block singular values. ||D_mR||_p is read from that union. The two
+    block_sval_defect is :attr:`Symbol.block_sval_defect`: the relative
+    distance of the singular values of the blocks m_i R_i from the scaled
+    block spectra |m_i| sigma(R_i), whose sorted union ||D_mR||_p is read
+    from. The two
     bound checks compare ||M||_p against ||T_V|| ||T_W|| ||D_mR||_p and
     ||D_mR||_p^p against sum_i rank(R_i) |m_i|^p ||R_i||^p.
     """
@@ -655,7 +647,7 @@ def schatten_checks(
     rank_ok = lhs_c <= rhs_c + tol.eq_rel * max(1.0, rhs_c)
     return SchattenReport(
         p=float(p),
-        block_sval_defect=sym.assembly_defect,
+        block_sval_defect=sym.block_sval_defect,
         composite_norm=float(lhs),
         composite_bound=float(rhs),
         composite_ok=bool(composite_ok),

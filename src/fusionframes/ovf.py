@@ -329,15 +329,15 @@ def _check_annihilator(a: OVFrame, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
     return col_norms
 
 
-def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: ToleranceConfig):
+def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfig):
     """First member of the dual family (see :func:`_family_member`) with
     ||T_D^* T' - I|| > ``threshold``.
 
-    Sweeps the first ``budget`` members (all of them when ``budget`` is None,
-    at least one) and returns ``(witness, residual, checked)``: the first
-    member whose residual exceeds ``threshold`` as a DualCandidate with its
-    residual and ``checked`` = its index + 1, or None with a certified upper
-    bound on the ``checked`` residuals.
+    Sweeps the whole family and returns ``(witness, residual, checked)``: the
+    first member whose residual exceeds ``threshold`` as a DualCandidate with
+    its residual and ``checked`` = its index + 1, or None with a certified
+    upper bound on every member's residual and ``checked`` = 1 + N k n, the
+    family's size.
 
     Member (r, s) adds P_ker[:, r] to column s of T_A S_A^-1, so its residual
     matrix is the rank-one update A + e_s x_r^* of A = (T_A S_A^-1)^* T' - I,
@@ -366,9 +366,6 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: Tolera
             f"second analysis operator must have shape {t.shape}, got {t_prime.shape}"
         )
     rows, cols = t.shape
-    stop = 1 + rows * cols
-    if budget is not None:
-        stop = min(stop, max(budget, 1))
     eye = np.eye(cols)
 
     def residuals(d):
@@ -377,8 +374,6 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: Tolera
     base = float(residuals(t_dual[None])[0])
     if base > threshold:
         return _family_member(a, t_dual, None, 0), base, 1
-    if stop == 1:
-        return None, base, 1
     q = range_basis(a, tol)
     pt, x = kernel_parts(a, [t, t_prime], tol)
     col_norms = _check_annihilator(a, q, pt)
@@ -388,25 +383,20 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, budget, tol: Tolera
     upper = base + x_norms + margin
     above_all = np.abs(base - x_norms) - margin > threshold
     worst = base
-    checked = 1
     for r in range(rows):
-        width = min(cols, stop - checked)
         if upper[r] <= threshold:
             worst = max(worst, float(upper[r]))
         else:
-            members = np.arange(1 if above_all[r] else width)
+            members = np.arange(1 if above_all[r] else cols)
             d = np.repeat(t_dual[None], members.size, axis=0)
             d[members, :, members] += _kernel_column(q, r)
             res = residuals(d)
             above = np.flatnonzero(res > threshold)
             if above.size:
-                index = checked + int(above[0])
+                index = 1 + r * cols + int(above[0])
                 return _family_member(a, t_dual, q, index), float(res[above[0]]), index + 1
             worst = max(worst, float(res.max()))
-        checked += width
-        if checked == stop:
-            break
-    return None, worst, checked
+    return None, worst, 1 + rows * cols
 
 
 def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:

@@ -212,7 +212,8 @@ def reference_inverse_symbol_blocks(sym):
 
 
 def reference_block_diag(sym):
-    """Block diagonal with blocks m_i R_i, as block_diag_apply built it."""
+    """The dense (N n) x (N n) block diagonal D_mR with blocks m_i R_i, the oracle
+    for the stack ``Symbol.blocks`` and the union ``Symbol.block_diag_svals``."""
     n, count = sym.dim, sym.count
     out = np.zeros((count * n, count * n), dtype=np.complex128)
     for i in range(count):
@@ -242,9 +243,22 @@ def reference_schatten(sym, v, w, p, tol):
     return float(rhs), float(lhs_c), rhs_c
 
 
+def reference_block_scaling_defect(sym):
+    """max_i ||sigma(m_i R_i) - |m_i| sigma(R_i)||_inf / max(1, max_i |m_i| ||R_i||),
+    from two SVDs per block, as schatten_block_svals measures it from one batched
+    SVD of the stack m_i R_i."""
+    gaps, top = [], 1.0
+    for i in range(sym.count):
+        s_r = np.linalg.svd(sym.r[i], compute_uv=False)
+        s_block = np.linalg.svd(sym.m[i] * sym.r[i], compute_uv=False)
+        gaps.append(float(np.max(np.abs(s_block - np.abs(sym.m[i]) * s_r))))
+        top = max(top, float(np.abs(sym.m[i]) * s_r[0]))
+    return max(gaps) / top
+
+
 def reference_block_sval_defect(sym):
     """max_k |sigma_k(D) - union_k| / max(1, sigma_max(D)), from a dense SVD of the
-    block diagonal against per-block SVDs, as schatten_block_svals measured it."""
+    block diagonal against per-block SVDs: the dense check of the union."""
     from fusionframes.numerics import singular_values
 
     s_full = singular_values(reference_block_diag(sym))

@@ -231,7 +231,7 @@ def test_criterion_08_invertible_multiplier_consequences():
         sym, v, w = _pair_with_symbol(rng)
         if not assemble_multiplier(sym, v, w).invertible:
             continue
-        rep = invertible_multiplier_consequences(sym, v, w, slack=1e-6)
+        rep = invertible_multiplier_consequences(sym, v, w)
         ok = ok and rep.all_frames and rep.lower_bound_ok
         ok = ok and rep.excess_w_preserved and rep.excess_v_preserved
         ok = ok and rep.excess_pair_equal

@@ -363,7 +363,7 @@ def test_split_inverse_checks_match_one_full_representation():
         rng = checks._check_rng(inst.seed, dual)
         residuals = inverse_representation_residuals(sym, v, w, checks._v_duals(inst, rng, tol), tol)
         rng = checks._check_rng(inst.seed, unique)
-        probe = inverse_representation_probe(sym, v, w, checks._v_duals(inst, rng, tol), tol, rng)
+        probe = inverse_representation_probe(sym, v, w, checks._v_duals(inst, rng, tol), rng, tol)
 
         # the memo-free one-pass computation the two halves replaced, per
         # check rng, on the fresh twin

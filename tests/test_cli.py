@@ -343,3 +343,26 @@ def test_local_control_ignores_blocks_outside_the_multiplier(tmp_path):
     entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
     assert entries["local_negative_control"]["verdict"] == "indeterminate"
     assert entries["local_equivalence"]["verdict"] == "pass"
+
+
+def test_abort_while_deciding_applicability_is_a_failed_entry(tmp_path):
+    # an overflowing symbol makes the multiplier non-finite, so assembling it
+    # raises inside the applies predicate of the invertible-multiplier checks;
+    # that used to escape run_suite as a traceback. The overflow also warns,
+    # so the CLI runs in a subprocess, outside the suite's warning filters.
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    doc["symbol"]["m"][0] = [1e300, 0.0]
+    doc["symbol"]["r"][0][0][0] = [1e300, 0.0]
+    inst = tmp_path / "overflow.json"
+    inst.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(fusionframes.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fusionframes.cli", "check", "--suite", "multipliers", str(inst)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    entries = {e["name"]: e for e in json.loads(done.stdout)["checks"]}
+    for name in ("invertible_multiplier_frames", "excess_invariance"):
+        assert entries[name]["verdict"] == "fail"
+        assert entries[name]["residual"] == 1e300

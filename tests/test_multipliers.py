@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import coordinate_decomposition, line
+from conftest import coordinate_decomposition, line, reference_block_diag
 from fusionframes.exceptions import ContractViolationError, PreconditionError
 from fusionframes.fusion import FusionSequence, Subspace, build_local_frames, fusion_analysis_ambient
 from fusionframes.multipliers import (
     Symbol,
     assemble_multiplier,
-    block_diag_apply,
     condition_c,
     gavruta_multiplier,
     inverse_representation_probe,
@@ -53,11 +52,12 @@ def _sampled_duals(v, rng, count=5):
 
 
 def test_block_diag_examples():
-    np.testing.assert_allclose(block_diag_apply(Symbol.identity(2, 2)), np.eye(4))
+    np.testing.assert_array_equal(Symbol.identity(2, 2).blocks, np.array([np.eye(2)] * 2))
     sym = Symbol([2.0, 3.0], np.array([np.eye(2)] * 2))
-    d = block_diag_apply(sym)
-    np.testing.assert_allclose(d[:2, :2], 2 * np.eye(2))
-    np.testing.assert_allclose(d[2:, 2:], 3 * np.eye(2))
+    d = sym.blocks
+    assert d.shape == (2, 2, 2) and not d.flags.writeable and sym.blocks is d
+    np.testing.assert_array_equal(d[0], 2 * np.eye(2))
+    np.testing.assert_array_equal(d[1], 3 * np.eye(2))
     inv = inverse_symbol_blocks(sym)
     for i in range(2):
         np.testing.assert_allclose(sym.m[i] * sym.r[i] @ inv[i], np.eye(2), atol=1e-14)
@@ -67,9 +67,12 @@ def test_block_diag_adjoint_blocks(rng):
     r = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
     m = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     sym = Symbol(m, r)
-    adj = block_diag_apply(sym).conj().T
-    adj_blocks = Symbol(m.conj(), np.array([ri.conj().T for ri in r]))
-    np.testing.assert_allclose(adj, block_diag_apply(adj_blocks), atol=1e-14)
+    adj_sym = Symbol(m.conj(), np.array([ri.conj().T for ri in r]))
+    # D_mR^* is block diagonal with blocks (m_i R_i)^* = conj(m_i) R_i^*
+    np.testing.assert_allclose(sym.blocks.conj().transpose(0, 2, 1), adj_sym.blocks, atol=1e-14)
+    np.testing.assert_allclose(
+        reference_block_diag(sym).conj().T, reference_block_diag(adj_sym), atol=1e-14
+    )
 
 
 def test_assemble_examples(diag_pair):
@@ -142,7 +145,7 @@ def test_assembly_route_equivalence(rng):
         rep = assemble_multiplier(sym, v, w)
         route = (
             fusion_analysis_ambient(v).conj().T
-            @ block_diag_apply(sym)
+            @ reference_block_diag(sym)
             @ fusion_analysis_ambient(w)
         )
         assert spectral_norm(rep.matrix - route) <= DEFAULT_TOL.eq_rel * max(
@@ -281,7 +284,7 @@ def test_inverse_representation_preconditions(diag_pair, rng):
     with pytest.raises(PreconditionError):
         inverse_representation_residuals(sym, diag_pair, diag_pair, duals)
     with pytest.raises(PreconditionError):
-        inverse_representation_probe(sym, diag_pair, diag_pair, duals)
+        inverse_representation_probe(sym, diag_pair, diag_pair, duals, rng)
 
 
 def test_inverse_representation_random_population(rng):
@@ -385,8 +388,7 @@ def test_comparison_multipliers_vanish_on_cross():
 
 def test_schatten_examples(diag_pair):
     rep = schatten_checks(Symbol.identity(2, 2), diag_pair, diag_pair, 2.0)
-    d = block_diag_apply(Symbol.identity(2, 2))
-    assert np.linalg.norm(d, "fro") == pytest.approx(2.0)
+    assert np.linalg.norm(Symbol.identity(2, 2).blocks) == pytest.approx(2.0)
     assert rep.block_sval_defect <= DEFAULT_TOL.eq_rel
     assert rep.composite_ok and rep.rank_ok
 

@@ -221,7 +221,7 @@ def test_sweep_bound_dominates_reference(rng):
             np.testing.assert_array_equal(exact, _reference_residuals(a, t_prime))
             # no member lies above an infinite threshold, so every row is
             # decided by its bound alone
-            witness, bound, checked = sweep_dual_family(a, t_prime, np.inf, None, DEFAULT_TOL)
+            witness, bound, checked = sweep_dual_family(a, t_prime, np.inf, DEFAULT_TOL)
             assert witness is None and checked == exact.size
             assert bound >= exact.max()
             if t_prime is t:
@@ -242,10 +242,12 @@ def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
     a = embed_fusion(diag_pair)
     t = ovf_analysis(a)
     monkeypatch.setattr(ovf, "range_basis", lambda a, tol=DEFAULT_TOL: np.zeros((t.shape[0], 0)))
-    # the canonical dual has L = 0 and needs no projector
-    assert sweep_dual_family(a, t, 1e-7, 1, DEFAULT_TOL)[1] <= 1e-15
+    # the canonical dual has L = 0 and needs no projector: below a negative
+    # threshold it is the witness, and nothing else is swept
+    witness, residual, checked = sweep_dual_family(a, t, -1.0, DEFAULT_TOL)
+    assert witness is not None and residual <= 1e-15 and checked == 1
     with pytest.raises(ContractViolationError):
-        sweep_dual_family(a, t, 1e-7, None, DEFAULT_TOL)
+        sweep_dual_family(a, t, 1e-7, DEFAULT_TOL)
     with pytest.raises(ContractViolationError):
         ovf._family_member(a, canonical_ov_dual(a).analysis, ovf.range_basis(a), 1)
     # sampled duals project through the range basis: a wrong one is caught too

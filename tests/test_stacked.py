@@ -94,7 +94,7 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
     DualCandidate(a, cands[2].perturbation, cands[2].analysis)
     assert checked == [1]
     checked.clear()
-    witness = ovf.sweep_dual_family(a, 2.0 * ovf_analysis(a), 0.5, None, DEFAULT_TOL)[0]
+    witness = ovf.sweep_dual_family(a, 2.0 * ovf_analysis(a), 0.5, DEFAULT_TOL)[0]
     assert witness is not None and checked == [1]
 
 

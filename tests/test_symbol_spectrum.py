@@ -2,6 +2,7 @@
 per-block loops it replaced (references in conftest), bit for bit."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import (
     reference_adversarial_symbol,
     reference_block_diag,
+    reference_block_scaling_defect,
     reference_block_sval_defect,
     reference_coherence_defects,
     reference_condition_c_constants,
@@ -18,19 +20,20 @@ from conftest import (
     reference_representation_residual,
     reference_schatten,
 )
-from fusionframes import checks, duality, multipliers, ovf
+from fusionframes import checks, duality, ovf
+from fusionframes.cli import main
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, random_subspace
 from fusionframes.instances import (
     SYMBOL_MODES,
     Instance,
+    load_instance,
     random_fusion_frame,
     random_symbol,
 )
 from fusionframes.multipliers import (
     Symbol,
     assemble_multiplier,
-    block_diag_apply,
     condition_c,
     inverse_representation_probe,
     inverse_representation_residuals,
@@ -99,9 +102,9 @@ def _schatten_instance(rng, n=3, count=4):
 
 
 def test_schatten_suite_takes_no_block_diagonal_svd(monkeypatch, rng):
-    # three Schatten checks make five schatten_checks calls; the block
-    # diagonal's spectrum is the cached union of the block spectra, and its
-    # assembly is checked once per symbol without an SVD
+    # three Schatten checks make seven schatten_checks calls; the block
+    # diagonal's spectrum is the cached union of the block spectra, and the
+    # scaling identity behind it is checked once per symbol by one batched SVD
     n, count = 3, 4
     inst = _schatten_instance(rng, n, count)
     sym = inst.symbol
@@ -113,36 +116,33 @@ def test_schatten_suite_takes_no_block_diagonal_svd(monkeypatch, rng):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    assemblies = []
-    real_apply = multipliers.block_diag_apply
-    monkeypatch.setattr(
-        multipliers, "block_diag_apply", lambda s: assemblies.append(s) or real_apply(s)
-    )
     report = checks.run_suite("schatten", [inst])
     assert [e["name"] for e in report["checks"]] == checks.SUITES["schatten"]
     assert report["summary"]["fail"] == 0
     assert shapes and not any(shape[-2:] == (count * n, count * n) for shape in shapes)
-    assert assemblies == [sym]
+    # the block spectra svals and the defect's SVD of the stack m_i R_i
+    assert shapes.count((count, n, n)) == 2
     s = sym.block_diag_svals
     assert s.shape == (count * n,) and not s.flags.writeable
-    assert report["checks"][0]["residual"] == sym.assembly_defect == 0.0
+    residual = report["checks"][0]["residual"]
+    assert residual == sym.block_sval_defect == reference_block_scaling_defect(sym)
+    assert residual <= DEFAULT_TOL.eq_rel
 
 
-@pytest.mark.parametrize("where", ["off_diagonal", "diagonal_block"])
+@pytest.mark.parametrize("where", ["misaligned_scalar", "diagonal_block"])
 def test_schatten_block_svals_fails_on_a_broken_assembly(monkeypatch, rng, where):
+    # a conjugated scalar conj(m_i) R_i keeps the block's singular values, so
+    # the broken stacks change a block's scale instead
     n, count = 3, 4
     inst = _schatten_instance(rng, n, count)
-    real_apply = multipliers.block_diag_apply
-
-    def broken(sym):
-        d = real_apply(sym)
-        if where == "off_diagonal":
-            d[0, n] += 1.0  # row block 0, column block 1
-        else:
-            d[n : 2 * n, n : 2 * n] = 0.5 * d[n : 2 * n, n : 2 * n]  # block 1 halved
-        return d
-
-    monkeypatch.setattr(multipliers, "block_diag_apply", broken)
+    sym = inst.symbol
+    blocks = sym.blocks.copy()
+    if where == "misaligned_scalar":
+        blocks[0] = sym.m[1] * sym.r[0]  # block 0 scaled by the scalar of block 1
+        assert abs(abs(sym.m[1]) - abs(sym.m[0])) > 1e-2 * abs(sym.m[0])
+    else:
+        blocks[1] = 0.5 * blocks[1]  # block 1 halved
+    monkeypatch.setitem(sym.__dict__, "blocks", blocks)
     report = checks.run_suite("schatten", [inst])
     entry = report["checks"][0]
     assert entry["name"] == "schatten_block_svals"
@@ -170,7 +170,9 @@ def test_spectrum_readers_match_per_block_loops(rng):
         assert sym.r_sup == reference_r_sup(sym)
         rep = condition_c(sym)
         assert (rep.gamma, rep.delta) == reference_condition_c_constants(sym)
-        assert np.array_equal(block_diag_apply(sym), reference_block_diag(sym))
+        assert np.array_equal(sym.blocks, [sym.m[i] * sym.r[i] for i in range(sym.count)])
+        assert sym.block_sval_defect == reference_block_scaling_defect(sym)
+        assert sym.block_sval_defect <= DEFAULT_TOL.eq_rel
         if rep.holds:
             inv_blocks = inverse_symbol_blocks(sym)
             assert np.array_equal(inv_blocks, reference_inverse_symbol_blocks(sym))
@@ -187,7 +189,7 @@ def test_schatten_checks_match_three_svd_reference(rng):
         for p in (1.0, 2.0, 4.0):
             rep = schatten_checks(sym, v, w, p)
             composite, power, rank_bound = reference_schatten(sym, v, w, p, DEFAULT_TOL)
-            assert rep.block_sval_defect == 0.0
+            assert rep.block_sval_defect == reference_block_scaling_defect(sym)
             assert rep.composite_bound == pytest.approx(composite, rel=3 * rel, abs=1e-300)
             assert rep.block_power == pytest.approx(power, rel=p * rel, abs=1e-300)
             assert rep.rank_bound == rank_bound
@@ -274,3 +276,23 @@ def test_near_cutoff_symbol_makes_inverse_representation_indeterminate(rng):
 def test_symbol_rejects_zero_dimensional_blocks():
     with pytest.raises(ContractViolationError):
         Symbol(np.ones(2), np.zeros((2, 0, 0)))
+
+
+def test_schatten_suite_memory_stays_below_the_dense_block_diagonal(tmp_path):
+    # at n = N = 32 the dense (N n) x (N n) block diagonal would take 16.8 MB;
+    # the stack m_i R_i and its block spectra take (N n) n, and the suite's
+    # traced peak must stay below half of the dense matrix
+    path = tmp_path / "l32.json"
+    dims = ",".join(str(d) for d in range(1, 33))
+    assert main(["gen", "--dim", "32", "--blocks", "32", "--dims", dims, "--seed", "1",
+                 "-o", str(path)]) == 0
+    inst = load_instance(path)
+    dense_bytes = (32 * 32) ** 2 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        report = checks.run_suite("schatten", [inst])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["summary"]["fail"] == 0
+    assert peak < dense_bytes / 2, f"peak {peak / 1e6:.1f} MB"
