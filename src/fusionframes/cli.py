@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a verification suite")
     check.add_argument("--suite", choices=sorted(SUITES), required=True)
-    check.add_argument("instance", nargs="?", default=None, help="ffv1 instance file")
+    check.add_argument("instance", nargs="?", default=None, help="ffv2 or ffv1 instance file")
     check.add_argument("--random", type=int, default=None, metavar="COUNT",
                        help="run on COUNT freshly generated instances instead of a file")
     check.add_argument("--seed", type=int, default=0, help="base seed for --random")

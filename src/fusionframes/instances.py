@@ -1,4 +1,4 @@
-"""Instance generation and the ffv1 on-disk format.
+"""Instance generation and the ffv2 on-disk format (ffv1 is still read).
 
 Generators are deterministic in the supplied seed or generator object.
 Populations meant for theorem checks enforce a conditioning floor, since a
@@ -8,7 +8,9 @@ draws; the floors are generous (condition numbers up to 1e4).
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .exceptions import ContractViolationError, FusionFrameError, PreconditionError
 from .fusion import (
+    MAX_REDUNDANCY,
     FusionSequence,
     LocalFrameFamily,
     Subspace,
@@ -26,7 +29,7 @@ from .fusion import (
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
-from .numerics import DEFAULT_TOL, ToleranceConfig, singular_values
+from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, singular_values
 from .ovf import OVFrame, ovf_analysis
 
 __all__ = [
@@ -82,7 +85,7 @@ class InstanceSpec:
 
 
 def _check_sizes(n: int, blocks: int, dims, symbol_mode: str, seed: int) -> None:
-    """The size rules of every instance, whether from a spec or an ffv1 document."""
+    """The size rules of every instance, whether from a spec or a document."""
     if not (1 <= n <= 64):
         raise ContractViolationError(f"ambient dimension must be in 1..64, got {n}")
     if not (1 <= blocks <= 64):
@@ -280,6 +283,7 @@ def generate_instance(
     w = _random_sequence(spec.n, spec.dims, spec.weight_range, rng)
     v = _random_sequence(spec.n, spec.dims, spec.weight_range, rng)
     symbol = random_symbol(spec.symbol_mode, spec.n, spec.blocks, rng, tol)
+    _check_symbol(symbol)
     local = None
     if local_redundancy is not None:
         local = build_local_frames(w, local_redundancy, rng)
@@ -315,15 +319,16 @@ def cross_swap_instance(seed: int = 0) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# ffv1 serialization: complex entries as [re, im] pairs, matrices row-major.
-# A document declares n, blocks and each subspace dim, and every array is
-# read against the shape these sizes give it.
+# Instance documents. ffv2 writes each complex array as one base64 string of
+# its little-endian complex128 bytes in C order; ffv1, still read, wrote
+# [re, im] pairs. The two share every other rule: a document declares n,
+# blocks and each subspace dim, and every array is read against the shape
+# these sizes give it.
 
 
-def _encode(a) -> list:
-    """A complex array as nested [re, im] pairs; an array with no entries as []."""
-    a = np.asarray(a, dtype=np.complex128)
-    return np.stack([a.real, a.imag], axis=-1).tolist() if a.size else []
+def _encode(a) -> str:
+    """A complex array as base64 of its little-endian complex128 bytes in C order."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
 
 
 def _floats(value, shape: tuple, field: str) -> np.ndarray:
@@ -341,17 +346,52 @@ def _floats(value, shape: tuple, field: str) -> np.ndarray:
     return a.astype(np.float64)
 
 
-def _decode(value, shape: tuple, field: str) -> np.ndarray:
-    """The complex array of ``shape`` that :func:`_encode` wrote, its [re, im] pairs
-    reinterpreted bit for bit (``re + 1j * im`` would turn a real part -0.0 into 0.0)."""
+def _decode_pairs(value, shape: tuple, field: str) -> np.ndarray:
+    """The ffv1 complex array of ``shape``: its [re, im] pairs reinterpreted bit for
+    bit (``re + 1j * im`` would turn a real part -0.0 into 0.0), or [] when empty."""
     if 0 in shape and value == []:
         return np.zeros(shape, dtype=np.complex128)
     return _floats(value, (*shape, 2), field).view(np.complex128)[..., 0]
 
 
+def _decode_bytes(value, shape: tuple, field: str) -> np.ndarray:
+    """The ffv2 complex array of ``shape`` that :func:`_encode` wrote, as an owned
+    native copy; a None axis takes the length the byte count gives, at least 1."""
+    if type(value) is not str:
+        raise ContractViolationError(
+            f"{field}: expected a base64 string, got {type(value).__name__}"
+        )
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:
+        raise ContractViolationError(f"{field}: not base64: {exc}") from None
+    fixed = 16 * math.prod(k for k in shape if k is not None)  # bytes per step of a None axis
+    if None in shape:
+        rows, rest = divmod(len(raw), fixed)
+        if rest or rows < 1:
+            raise ContractViolationError(
+                f"{field}: {len(raw)} bytes are not one or more rows of {fixed} bytes"
+            )
+        shape = tuple(rows if k is None else k for k in shape)
+    elif len(raw) != fixed:
+        raise ContractViolationError(
+            f"{field}: {len(raw)} bytes, expected {fixed} for complex128 shape {shape}"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
+
+
+_DECODERS = {"ffv1": _decode_pairs, "ffv2": _decode_bytes}
+
+
+def _finite(decode, value, shape: tuple, field: str) -> np.ndarray:
+    """The decoded array, or a ContractViolationError naming ``field`` if any entry
+    is NaN or infinite."""
+    return finite_array(decode(value, shape, field), len(shape), field)
+
+
 def instance_to_json(inst: Instance) -> str:
     doc = {
-        "schema": "ffv1",
+        "schema": "ffv2",
         "seed": int(inst.seed),
         "symbol_mode": inst.symbol_mode,
         "n": inst.w.ambient_dim,
@@ -373,22 +413,23 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    """Parse an ffv1 document; a missing key, a bad size or a misshapen array is a
-    ContractViolationError."""
+    """Parse an ffv1 or ffv2 document; a missing key, a bad size or a misshapen
+    array is a ContractViolationError."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ContractViolationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != "ffv1":
-        raise ContractViolationError("not an ffv1 instance document")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if type(schema) is not str or schema not in _DECODERS:
+        raise ContractViolationError("not an ffv1 or ffv2 instance document")
     try:
-        return _instance_from_doc(doc)
+        return _instance_from_doc(doc, _DECODERS[schema])
     except FusionFrameError:
         raise
     except KeyError as exc:
-        raise ContractViolationError(f"malformed ffv1 document: missing key {exc}") from exc
+        raise ContractViolationError(f"malformed {schema} document: missing key {exc}") from exc
     except (AttributeError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise ContractViolationError(f"malformed ffv1 document: {exc}") from exc
+        raise ContractViolationError(f"malformed {schema} document: {exc}") from exc
 
 
 def _integer(obj: dict, key: str) -> int:
@@ -398,7 +439,26 @@ def _integer(obj: dict, key: str) -> int:
     return value
 
 
-def _instance_from_doc(doc: dict) -> Instance:
+def _number(obj: dict, key: str, field: str) -> float:
+    value = obj[key]
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ContractViolationError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _check_symbol(symbol: Symbol) -> None:
+    """Every product |m_i| sigma_max(R_i) must be a finite float, or D_mR overflows;
+    read from the cached block spectra, which the checks reuse."""
+    with np.errstate(over="ignore"):
+        norms = np.abs(symbol.m) * symbol.svals[:, 0]
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ContractViolationError(
+            f"symbol: |m_i| sigma_max(R_i) overflows on block {int(bad[0])}"
+        )
+
+
+def _instance_from_doc(doc: dict, decode) -> Instance:
     n, blocks, seed = (_integer(doc, key) for key in ("n", "blocks", "seed"))
     mode = doc["symbol_mode"]
     sequences = []
@@ -407,7 +467,7 @@ def _instance_from_doc(doc: dict) -> Instance:
         dims = [_integer(item, "dim") for item in obj["subspaces"]]
         _check_sizes(n, blocks, dims, mode, seed)
         subs = tuple(
-            Subspace(_decode(item["basis"], (n, d), f"{name}.subspaces[{i}].basis"))
+            Subspace(_finite(decode, item["basis"], (n, d), f"{name}.subspaces[{i}].basis"))
             for i, (item, d) in enumerate(zip(obj["subspaces"], dims))
         )
         weights = _floats(obj["weights"], (blocks,), f"{name}.weights")
@@ -418,22 +478,32 @@ def _instance_from_doc(doc: dict) -> Instance:
         sequences.append(FusionSequence(subs, weights))
     w, v = sequences
     symbol = Symbol(
-        _decode(doc["symbol"]["m"], (blocks,), "symbol.m"),
-        _decode(doc["symbol"]["r"], (blocks, n, n), "symbol.r"),
+        _finite(decode, doc["symbol"]["m"], (blocks,), "symbol.m"),
+        _finite(decode, doc["symbol"]["r"], (blocks, n, n), "symbol.r"),
     )
+    _check_symbol(symbol)
     local = redundancy = None
     if doc.get("local"):
         obj = doc["local"]
         redundancy = obj.get("redundancy")
+        if type(redundancy) is not int or not 0 <= redundancy <= MAX_REDUNDANCY:
+            raise ContractViolationError(
+                f"local.redundancy must be an integer in 0..{MAX_REDUNDANCY}, got {redundancy!r}"
+            )
         frames, duals = list(obj["frames"]), list(obj["duals"])
         nulls = [d == 0 for d in w.dims]
         if not [fr is None for fr in frames] == [du is None for du in duals] == nulls:
             raise ContractViolationError("local: frames, duals null exactly on zero blocks")
         for i in np.flatnonzero(w.dims):
-            phi = _decode(frames[i], (None, n), f"local.frames[{i}]")
+            phi = _finite(decode, frames[i], (None, n), f"local.frames[{i}]")
             frames[i] = VectorFrame(phi)
-            duals[i] = VectorFrame(_decode(duals[i], phi.shape, f"local.duals[{i}]"))
-        alpha, beta = float(obj["alpha"]), float(obj["beta"])
+            duals[i] = VectorFrame(_finite(decode, duals[i], phi.shape, f"local.duals[{i}]"))
+        alpha, beta = (_number(obj, key, f"local.{key}") for key in ("alpha", "beta"))
+        # with no nonzero block the bounds are over nothing, and gen writes 0 and 0
+        if not (0.0 < alpha <= beta if any(w.dims) else alpha == beta == 0.0):
+            raise ContractViolationError(
+                f"local.alpha, local.beta must satisfy 0 < alpha <= beta, got {alpha!r}, {beta!r}"
+            )
         local = LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)
     return Instance(seed, mode, w, v, symbol, local=local, local_redundancy=redundancy)
 

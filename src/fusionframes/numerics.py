@@ -79,7 +79,7 @@ def finite_array(a, ndim: int, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != ndim:
         raise ContractViolationError(f"{name} must have {ndim} axes, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ContractViolationError(f"{name} contains NaN or Inf entries")
     return m
 

@@ -1,11 +1,13 @@
 """CLI contract: determinism, golden files, exit codes."""
 
+import base64
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fusionframes
@@ -13,6 +15,7 @@ from fusionframes.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
+GOLDEN_INSTANCE_FFV1 = DATA / "golden_instance_ffv1.json"
 GOLDEN_REPORT = DATA / "golden_report.json"
 GEN_ARGS = [
     "gen", "--dim", "3", "--blocks", "3", "--dims", "1,2,2",
@@ -42,6 +45,15 @@ def test_gen_matches_golden(tmp_path):
 def test_check_report_matches_golden(tmp_path):
     out = tmp_path / "report.json"
     code = main(["check", "--suite", "all", str(GOLDEN_INSTANCE), "--report", str(out)])
+    assert code == 0
+    assert _strip_wall_time(out.read_text()) == _strip_wall_time(GOLDEN_REPORT.read_text())
+
+
+def test_check_report_on_the_ffv1_golden_instance_matches_golden(tmp_path):
+    # the same instance written by the earlier [re, im] writer gives the same report
+    assert json.loads(GOLDEN_INSTANCE_FFV1.read_text())["schema"] == "ffv1"
+    out = tmp_path / "report.json"
+    code = main(["check", "--suite", "all", str(GOLDEN_INSTANCE_FFV1), "--report", str(out)])
     assert code == 0
     assert _strip_wall_time(out.read_text()) == _strip_wall_time(GOLDEN_REPORT.read_text())
 
@@ -97,6 +109,23 @@ def test_exit_code_malformed_instance_files(tmp_path):
     no_basis.write_text(json.dumps(doc))
     for path in (no_keys, no_basis):
         assert main(["check", "--suite", "duals", str(path)]) == 2
+
+
+def test_exit_code_symbol_whose_products_overflow(tmp_path, capsys):
+    # a large scalar alone is a valid symbol; with a block of the same size
+    # |m_0| sigma_max(R_0) is inf, which used to abort four multiplier checks
+    doc = json.loads(GOLDEN_INSTANCE_FFV1.read_text())
+    doc["symbol"]["m"][0] = [1e300, 0.0]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    args = ["check", "--suite", "multipliers", str(path), "--report", str(tmp_path / "r.json")]
+    assert main(args) == 0
+    capsys.readouterr()
+    doc["symbol"]["r"][0][0][0] = [1e300, 0.0]
+    path.write_text(json.dumps(doc))
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot load instance: symbol: ")
 
 
 def test_exit_code_bad_suite():
@@ -227,15 +256,20 @@ def test_uniqueness_probe_without_kernel_is_indeterminate(tmp_path, gen_args):
     assert entries["inverse_multiplier_uniqueness"]["verdict"] == "indeterminate"
 
 
+def _b64(a) -> str:
+    return base64.b64encode(np.asarray(a, dtype="<c16").tobytes()).decode("ascii")
+
+
 def _malformed(doc, case):
     if case == "local_rows":
-        doc["local"]["frames"][0] = [[[1.0, 0.0]] * 3 for _ in doc["local"]["frames"][0]]
+        # three rows of three entries where rows of n = 2 are declared
+        doc["local"]["frames"][0] = _b64(np.ones((3, 3)))
     elif case == "negative_seed":
         doc["seed"] = -1
     elif case == "unknown_mode":
         doc["symbol_mode"] = "bogus"
     elif case == "scalar_triple":
-        doc["symbol"]["m"][0] = [1.0, 0.0, 5.0]
+        doc["symbol"]["m"] = _b64([1.0, 0.0, 5.0])
     elif case == "blocks_and_dim":
         doc["blocks"] = 7
         doc["w"]["subspaces"][1]["dim"] = 1
@@ -346,13 +380,15 @@ def test_local_control_ignores_blocks_outside_the_multiplier(tmp_path):
 
 
 def test_abort_while_deciding_applicability_is_a_failed_entry(tmp_path):
-    # an overflowing symbol makes the multiplier non-finite, so assembling it
-    # raises inside the applies predicate of the invertible-multiplier checks;
-    # that used to escape run_suite as a traceback. The overflow also warns,
-    # so the CLI runs in a subprocess, outside the suite's warning filters.
-    doc = json.loads(GOLDEN_INSTANCE.read_text())
-    doc["symbol"]["m"][0] = [1e300, 0.0]
-    doc["symbol"]["r"][0][0][0] = [1e300, 0.0]
+    # an overflowing coefficient m_0 v_0 w_0 makes the multiplier non-finite, so
+    # assembling it raises inside the applies predicate of the invertible-
+    # multiplier checks; that used to escape run_suite as a traceback. The
+    # symbol itself loads: sigma_max(R_0) = 2, so |m_0| sigma_max(R_0) = 1e308.
+    # The overflow also warns, so the CLI runs in a subprocess, outside the
+    # suite's warning filters.
+    doc = json.loads(GOLDEN_INSTANCE_FFV1.read_text())
+    doc["symbol"]["m"][0] = [5e307, 0.0]
+    doc["w"]["weights"][0] = doc["v"]["weights"][0] = 2.0
     inst = tmp_path / "overflow.json"
     inst.write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=str(Path(fusionframes.__file__).parents[1]))

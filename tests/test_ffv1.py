@@ -1,7 +1,10 @@
-"""The shape-checked ffv1 codec: byte- and bit-identity with the per-entry
-reader and writer it replaced (references in conftest), the declared sizes,
-and typed errors for every malformed document."""
+"""The shape-checked instance codec: the ffv2 writer is the per-entry ffv1
+writer it replaced (reference in conftest) with each array as base64 bytes,
+the ffv1 reader is bit-identical to the per-entry reader, ffv1 documents
+reload through ffv2 bit for bit, the declared sizes hold, and every
+malformed document of either schema gets a typed error."""
 
+import base64
 import json
 import re
 
@@ -80,30 +83,74 @@ def test_population_covers_the_corners():
     assert any(inst.local_redundancy == 0 for inst in POPULATION)
 
 
-def test_writer_bytes_match_the_per_entry_writer():
+def _pairs_to_base64(doc):
+    """An ffv1 document with each [re, im] array replaced by base64 of its
+    little-endian complex128 bytes: the ffv2 document of the same instance."""
+    def encode(pairs):
+        a = np.array(pairs, dtype=np.float64)
+        return base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")
+
+    doc = dict(doc, schema="ffv2")
+    for name in ("w", "v"):
+        for item in doc[name]["subspaces"]:
+            item["basis"] = encode(item["basis"])
+    doc["symbol"] = {key: encode(value) for key, value in doc["symbol"].items()}
+    if doc["local"] is not None:
+        for key in ("frames", "duals"):
+            doc["local"][key] = [fr if fr is None else encode(fr) for fr in doc["local"][key]]
+    return doc
+
+
+def test_ffv2_writer_bytes_match_the_per_entry_writer_with_base64_arrays():
     for inst in POPULATION:
-        assert instance_to_json(inst) == reference_instance_to_json(inst)
+        doc = _pairs_to_base64(json.loads(reference_instance_to_json(inst)))
+        assert instance_to_json(inst) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_loaded_arrays_match_the_per_entry_reader():
     for inst in POPULATION:
-        text = instance_to_json(inst)
+        text = reference_instance_to_json(inst)
         _assert_bit_identical(instance_from_json(text), reference_instance_from_json(text))
         _assert_bit_identical(instance_from_json(text), inst)
 
 
-def test_signed_zeros_survive_the_reader():
-    doc = json.loads(instance_to_json(POPULATION[1]))
+def _signed_zero_text():
+    """An ffv1 document whose symbol holds -0.0 real and imaginary parts."""
+    doc = json.loads(reference_instance_to_json(POPULATION[1]))
     doc["symbol"]["r"][0][0][0] = [-0.0, -0.0]
     doc["symbol"]["m"][0] = [1.5, -0.0]
-    text = json.dumps(doc)
+    return json.dumps(doc)
+
+
+def test_signed_zeros_survive_the_reader():
+    text = _signed_zero_text()
     got = instance_from_json(text)
     _assert_bit_identical(got, reference_instance_from_json(text))
     assert np.signbit(got.symbol.r[0, 0, 0].real) and np.signbit(got.symbol.r[0, 0, 0].imag)
     assert np.signbit(got.symbol.m[0].imag)
 
 
-def _base_doc():
+def test_ffv1_documents_reload_through_ffv2_bit_for_bit():
+    texts = [reference_instance_to_json(inst) for inst in POPULATION] + [_signed_zero_text()]
+    for text in texts:
+        want = reference_instance_from_json(text)
+        ffv2 = instance_to_json(instance_from_json(text))
+        assert json.loads(ffv2)["schema"] == "ffv2"
+        got = instance_from_json(ffv2)
+        _assert_bit_identical(got, want)
+        for a in _arrays(got):
+            if isinstance(a, np.ndarray) and a.dtype.kind == "c":
+                assert a.dtype.isnative and a.flags.writeable
+                while a.base is not None:  # a view of a native copy, not of the bytes
+                    a = a.base
+                assert isinstance(a, np.ndarray) and a.flags.owndata
+    # the last text is the signed-zero document
+    assert np.signbit(got.symbol.r[0, 0, 0].real) and np.signbit(got.symbol.m[0].imag)
+
+
+def _base_doc(schema="ffv1"):
+    """A small instance with a zero block and local frames, as an ffv1 document
+    from the per-entry writer or as the ffv2 document the writer makes."""
     inst = generate_instance(
         InstanceSpec(
             n=2, blocks=3, dims=(1, 0, 2), weight_range=(0.5, 2.0),
@@ -111,7 +158,8 @@ def _base_doc():
         ),
         local_redundancy=1,
     )
-    return json.loads(instance_to_json(inst))
+    write = reference_instance_to_json if schema == "ffv1" else instance_to_json
+    return json.loads(write(inst))
 
 
 def _parent(doc, path):
@@ -131,6 +179,25 @@ def _drop(path):
     def mutate(doc):
         del _parent(doc, path)[path[-1]]
     return mutate
+
+
+def _ffv2(mutate):
+    """Mark a mutation to start from the ffv2 base document."""
+    mutate.schema = "ffv2"
+    return mutate
+
+
+def _b64(a) -> str:
+    return base64.b64encode(np.asarray(a, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _poison(path):
+    """Set one entry of the base64 array at ``path`` to NaN, keeping its length."""
+    def mutate(doc):
+        raw = bytearray(base64.b64decode(_parent(doc, path)[path[-1]]))
+        raw[:16] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
+        _parent(doc, path)[path[-1]] = base64.b64encode(bytes(raw)).decode("ascii")
+    return _ffv2(mutate)
 
 
 @pytest.mark.parametrize(
@@ -160,10 +227,38 @@ def _drop(path):
         (_set(("local", "duals", 0), None), "null exactly on zero blocks"),
         (_drop(("local", "frames", 2)), "null exactly on zero blocks"),
         (_set(("local",), "x"), "malformed ffv1 document"),
+        pytest.param(_set(("local", "redundancy"), "x"), "local.redundancy",
+                     id="local.redundancy a string"),
+        pytest.param(_set(("local", "redundancy"), 65), "local.redundancy",
+                     id="local.redundancy above 64"),
+        pytest.param(_set(("local", "redundancy"), True), "local.redundancy",
+                     id="local.redundancy a boolean"),
+        pytest.param(_drop(("local", "redundancy")), "redundancy", id="local.redundancy missing"),
+        pytest.param(_set(("local", "alpha"), "nan"), "local.alpha", id="local.alpha a string"),
+        pytest.param(_set(("local", "alpha"), 0.0), "local.alpha", id="local.alpha zero"),
+        pytest.param(_set(("local", "beta"), -5.0), "local.beta", id="local.beta negative"),
+        pytest.param(_set(("local", "beta"), 0.5), "local.beta", id="local.beta below alpha"),
+        pytest.param(_set(("local", "beta"), 1e999), "local.beta", id="local.beta infinite"),
+        pytest.param(_ffv2(_set(("symbol", "r"), [[[[1.0, 0.0]]]])), "symbol.r",
+                     id="ffv2 array not a string"),
+        pytest.param(_ffv2(_set(("w", "subspaces", 2, "basis"), "not base64!")),
+                     "w.subspaces[2].basis", id="ffv2 array not base64"),
+        pytest.param(_ffv2(_set(("symbol", "m"), _b64([1.0, 2.0]))), "symbol.m",
+                     id="ffv2 array of the wrong byte length"),
+        pytest.param(_ffv2(_set(("w", "subspaces", 1, "basis"), _b64([0.0]))),
+                     "w.subspaces[1].basis", id="ffv2 zero block with bytes"),
+        pytest.param(_ffv2(_set(("local", "frames", 0), base64.b64encode(bytes(40)).decode("ascii"))),
+                     "local.frames[0]", id="ffv2 local frame not whole rows"),
+        pytest.param(_ffv2(_set(("local", "frames", 2), "")), "local.frames[2]",
+                     id="ffv2 local frame without rows"),
+        pytest.param(_ffv2(_set(("local", "duals", 2), _b64(np.ones((2, 2))))),
+                     "local.duals[2]", id="ffv2 local dual not its frame's shape"),
+        pytest.param(_poison(("local", "duals", 2)), "local.duals[2]", id="ffv2 NaN payload"),
+        pytest.param(_poison(("symbol", "r")), "symbol.r", id="ffv2 NaN symbol"),
     ],
 )
 def test_malformed_documents_name_what_is_wrong(mutate, field):
-    doc = _base_doc()
+    doc = _base_doc(getattr(mutate, "schema", "ffv1"))
     instance_from_json(json.dumps(doc))
     mutate(doc)
     with pytest.raises(ContractViolationError, match=re.escape(field)):
@@ -178,8 +273,10 @@ def test_deeply_nested_json_is_typed():
 # --- property: whatever a mutation does, only ContractViolationError escapes
 
 BASE_TEXTS = [
-    instance_to_json(inst) for inst in (POPULATION[0], POPULATION[2], POPULATION[5])
-] + [json.dumps(_base_doc())]
+    write(inst)
+    for write in (reference_instance_to_json, instance_to_json)
+    for inst in (POPULATION[0], POPULATION[2], POPULATION[5])
+] + [json.dumps(_base_doc(schema)) for schema in ("ffv1", "ffv2")]
 OUT_OF_RANGE = {
     "n": [0, 65, -1],
     "blocks": [0, 65],

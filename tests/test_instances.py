@@ -1,4 +1,4 @@
-"""Instance specs, generators, and ffv1 round-trips."""
+"""Instance specs, generators, and ffv2 round-trips."""
 
 import time
 
@@ -133,7 +133,7 @@ def test_round_trip_revalidates_invariants():
     import json
 
     doc = json.loads(text)
-    doc["w"]["subspaces"][0] = {"dim": 0, "basis": []}
+    doc["w"]["subspaces"][0] = {"dim": 0, "basis": ""}
     with pytest.raises(ContractViolationError):
         instance_from_json(json.dumps(doc))
 
