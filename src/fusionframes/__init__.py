@@ -18,7 +18,6 @@ from .numerics import DEFAULT_TOL, ToleranceConfig
 from .frames import (
     VectorFrame,
     canonical_dual_ordinary,
-    frame_bounds_ordinary,
     frame_operator,
     inverse_representation_ordinary,
     ordinary_multiplier,
@@ -32,7 +31,6 @@ from .fusion import (
     excess,
     fusion_analysis_ambient,
     fusion_bounds,
-    fusion_frame_operator,
     fusion_synthesis_kw,
     is_fusion_frame,
     projection,

@@ -187,16 +187,21 @@ def gavruta_dual_check(
     return float(np.linalg.norm(comp - np.eye(n)) / np.sqrt(n))
 
 
+def _ranges(ops: np.ndarray, tol: ToleranceConfig):
+    """``(subspaces, ranks, singular values)`` of an (N, n, n) stack from one stacked
+    SVD: block i has rank r_i at ``tol``, and its range is spanned by its first r_i
+    left singular vectors."""
+    uu, ss, _ = stacked_svd(ops)
+    ranks = svals_rank(ss, ops.shape[1], tol)
+    return tuple(Subspace(u[:, :r]) for u, r in zip(uu, ranks)), ranks, ss
+
+
 def canonical_gavruta_dual(
     w: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL
 ) -> FusionSequence:
-    """The classical dual (S_W^-1 W_i, w_i)."""
-    s_inv = inverse_frame_operator(w, tol)
-    subs = [
-        Subspace.span(s_inv @ sub.basis, tol) if sub.dim else Subspace.zero(w.ambient_dim)
-        for sub in w.subspaces
-    ]
-    return FusionSequence(tuple(subs), w.weights.copy())
+    """The classical dual (S_W^-1 W_i, w_i), with S_W^-1 W_i the range of S_W^-1 P_{W_i}."""
+    subs, _, _ = _ranges(inverse_frame_operator(w, tol) @ w.projections, tol)
+    return FusionSequence(subs, w.weights.copy())
 
 
 def hmbz_dual_check(
@@ -249,8 +254,8 @@ def generate_fusion_dual(
     """Construct a (generalized) dual of W whose composite equals U.
 
     Builds A_i = (w_i U S_W^-1 + L_i^*) P_{W_i}, then takes V_i as the range
-    of A_i, u_i = ||A_i||, and Q_i = A_i / u_i, from one batched product and one
-    stacked SVD over the blocks. The returned Q is admissible
+    of A_i, u_i = ||A_i||, and Q_i = A_i / u_i, from one batched product and the
+    one stacked SVD of :func:`_ranges`. The returned Q is admissible
     by construction and the composite reproduces U; with U = I the output
     passes :func:`kpp_dual_check` with kind "dual".
     """
@@ -272,16 +277,14 @@ def generate_fusion_dual(
         l_blocks = l.blocks
     l_adj = l_blocks.conj().transpose(0, 2, 1)
     ops = (w.weights[:, None, None] * (u @ s_inv) + l_adj) @ w.projections
-    uu, ss, _ = stacked_svd(ops)
-    ranks = svals_rank(ss, n, tol)
-    if not ranks.any():
+    subs, ranks, ss = _ranges(ops, tol)
+    live = ranks > 0
+    if not live.any():
         raise ContractViolationError("degenerate construction: every operator collapsed to zero")
-    subs, q_blocks = [], np.zeros_like(ops)
-    for i, r in enumerate(ranks):
-        subs.append(Subspace(uu[i, :, :r]) if r else Subspace.zero(n))
-        if r:
-            q_blocks[i] = ops[i] / ss[i, 0]
-    v = FusionSequence(tuple(subs), np.where(ranks > 0, ss[:, 0], 0.0))
+    norms = np.where(live, ss[:, 0], 0.0)
+    q_blocks = np.zeros_like(ops)
+    q_blocks[live] = ops[live] / norms[live, None, None]
+    v = FusionSequence(subs, norms)
     comp = sandwich(v, w, v.weights * w.weights, q_blocks)
     return GeneratedDual(v=v, q=q_blocks, composite=comp, operators=ops)
 

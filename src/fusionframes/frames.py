@@ -1,4 +1,7 @@
-"""Ordinary vector frames in C^n: bounds, canonical duals, multipliers."""
+"""Ordinary vector frames in C^n: canonical duals, multipliers, inverse representation.
+
+Bounds and the frame test of a vector frame are those of its embedding
+(:func:`ovf.embed_ordinary`)."""
 
 from __future__ import annotations
 
@@ -6,13 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ovf
 from .exceptions import ContractViolationError, NotInvertibleError
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     clears_inv_cutoff,
-    clipped_eig_bounds,
     extreme_singular_values,
     pinv,
     spectral_norm,
@@ -21,8 +24,6 @@ from .numerics import (
 __all__ = [
     "VectorFrame",
     "frame_operator",
-    "frame_bounds_ordinary",
-    "is_frame",
     "canonical_dual_ordinary",
     "ordinary_multiplier",
     "sample_ordinary_duals",
@@ -39,10 +40,6 @@ class VectorFrame:
     def __post_init__(self):
         object.__setattr__(self, "vectors", as_matrix(self.vectors))
 
-    @classmethod
-    def from_vectors(cls, vecs) -> "VectorFrame":
-        return cls(np.array([np.asarray(v, dtype=np.complex128) for v in vecs]))
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
@@ -56,17 +53,6 @@ def frame_operator(phi: VectorFrame) -> np.ndarray:
     """S = sum_i phi_i phi_i^*, Hermitian positive semidefinite."""
     v = phi.vectors
     return v.T @ v.conj()
-
-
-def frame_bounds_ordinary(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL):
-    """Extreme eigenvalues (alpha, beta) of the frame operator."""
-    if phi.count == 0:
-        raise ContractViolationError("frame bounds need at least one vector")
-    return clipped_eig_bounds(frame_operator(phi), tol)
-
-
-def is_frame(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return clears_inv_cutoff(*frame_bounds_ordinary(phi, tol), tol)
 
 
 def canonical_dual_ordinary(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL) -> VectorFrame:
@@ -104,8 +90,6 @@ def sample_ordinary_duals(
     embedded frame, so each returned frame ``d`` satisfies
     ``sum_i <x, d_i> phi_i = x``.
     """
-    from . import ovf  # deferred: ovf imports this module at load time
-
     a = ovf.embed_ordinary(phi)
     shape = phi.vectors.shape
     seeds = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count - 1)]

@@ -2,15 +2,23 @@
 
 A fusion sequence is a list of subspaces of C^n with non-negative weights,
 subject to the compatibility rule that a weight vanishes exactly when its
-subspace is zero. A sequence caches, read-only and on first use, the facts
-of it that no tolerance enters: the (N, n, n) stack of its projections, its
-frame operator S, the extreme eigenvalues of S, S^-1, the singular values
-of its stacked analysis and of its K_W synthesis, and its embedding as an
-operator-valued frame. Tolerance rules (the eigenvalue clip, the
-invertibility cutoff, ranks) are applied at each call on top of these.
-:func:`sandwich` builds every block sum sum_i c_i P_{V_i} X_i P_{W_i} (dual
-composites and multipliers) from the projection stacks. Two coefficient
-spaces appear throughout:
+subspace is zero. Each fact that no tolerance enters has one owner, which
+builds it read-only on first use:
+
+* the sequence owns the (N, n, n) stack of its projections P_i, S^-1 (one
+  inv of its embedding's S), the singular values of its stacked analysis
+  and of its K_W synthesis, and its embedding;
+* the embedding, the operator-valued frame {w_i P_i} (:class:`ovf.OVFrame`),
+  owns the blocks w_i P_i, which are the stacked analysis, the frame
+  operator S, the extreme eigenvalues of S and the thin SVD of the analysis.
+
+Bounds, the frame test and S^-1 are read through the embedding
+(:func:`ovf.ovf_frame_operator_bounds`, :func:`ovf.is_ovf_frame`), so a
+sequence and its embedding cannot disagree about being a frame. Tolerance
+rules (the eigenvalue clip, the invertibility cutoff, ranks) are applied at
+each call on top of the cached facts. :func:`sandwich` builds every block
+sum sum_i c_i P_{V_i} X_i P_{W_i} (dual composites and multipliers) from the
+projection stacks. Two coefficient spaces appear throughout:
 
 * the ambient stacked space C^(N*n), where block i of the analysis operator
   is w_i P_i, and
@@ -32,14 +40,11 @@ from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
-    clears_inv_cutoff,
-    clip_eig_bounds,
-    eig_extremes,
     singular_values,
     spectral_norms,
     svals_rank,
-    svd,
 )
+from .ovf import OVFrame, is_ovf_frame, ovf_analysis, ovf_frame_operator_bounds
 
 __all__ = [
     "Subspace",
@@ -52,7 +57,6 @@ __all__ = [
     "block_deviation",
     "fusion_analysis_ambient",
     "fusion_synthesis_kw",
-    "fusion_frame_operator",
     "inverse_frame_operator",
     "fusion_bounds",
     "is_fusion_frame",
@@ -89,12 +93,6 @@ class Subspace:
     @classmethod
     def full(cls, n: int) -> "Subspace":
         return cls(np.eye(n, dtype=np.complex128))
-
-    @classmethod
-    def span(cls, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
-        """Orthonormalize a spanning set (columns) into a canonical basis."""
-        u, s, _ = svd(vectors)
-        return cls(u[:, : int(svals_rank(s, max(np.shape(vectors)), tol))])
 
     @property
     def ambient_dim(self) -> int:
@@ -202,28 +200,17 @@ class FusionSequence:
         return stack
 
     @cached_property
-    def frame_operator(self) -> np.ndarray:
-        """Read-only S = sum_i w_i^2 P_i, built on first use."""
-        s = block_sum((self.weights * self.weights)[:, None, None] * self.projections)
-        s.flags.writeable = False
-        return s
-
-    @cached_property
     def frame_operator_inv(self) -> np.ndarray:
-        """Read-only S^-1 from one inv on first use; read by :func:`inverse_frame_operator`."""
-        inv = np.linalg.inv(self.frame_operator)
+        """Read-only S^-1, from one inv of the embedding's S on first use; read by
+        :func:`inverse_frame_operator`."""
+        inv = np.linalg.inv(self.embedding.frame_operator)
         inv.flags.writeable = False
         return inv
 
     @cached_property
-    def frame_eigs(self) -> tuple:
-        """Extreme eigenvalues (lo, hi) of S, unclipped, from one eigvalsh on first use."""
-        return eig_extremes(self.frame_operator)
-
-    @cached_property
     def analysis_svals(self) -> np.ndarray:
-        """Read-only singular values of :func:`fusion_analysis_ambient`, from one SVD
-        on first use."""
+        """Read-only singular values of :func:`fusion_analysis_ambient`, from one
+        values-only SVD on first use."""
         s = singular_values(fusion_analysis_ambient(self))
         s.flags.writeable = False
         return s
@@ -237,11 +224,9 @@ class FusionSequence:
         return s
 
     @cached_property
-    def embedding(self):
-        """The B(C^n)-valued frame with blocks w_i P_i, read-only, built on first use."""
-        from .ovf import OVFrame  # deferred: ovf imports this module at load time
-
-        blocks = _weighted_projections(self)
+    def embedding(self) -> OVFrame:
+        """The B(C^n)-valued frame with read-only blocks w_i P_i, built on first use."""
+        blocks = self.weights[:, None, None] * self.projections
         blocks.flags.writeable = False
         return OVFrame(blocks)
 
@@ -264,30 +249,21 @@ def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle=None) -> np.nd
     return block_sum(np.asarray(coeffs)[:, None, None] * (inner @ w.projections))
 
 
-def _weighted_projections(f: FusionSequence) -> np.ndarray:
-    return f.weights[:, None, None] * f.projections
-
-
 def block_deviation(f: FusionSequence, g: FusionSequence) -> float:
     """max_i ||w_i P_i - w'_i P'_i||, the largest blockwise distance of two sequences."""
     if f.count != g.count or f.ambient_dim != g.ambient_dim:
         raise ContractViolationError("sequences must share length and ambient dimension")
-    return float(spectral_norms(_weighted_projections(f) - _weighted_projections(g)).max())
+    return float(spectral_norms(f.embedding.blocks - g.embedding.blocks).max())
 
 
 def fusion_analysis_ambient(f: FusionSequence) -> np.ndarray:
-    """(N*n) x n stack whose i-th block is w_i P_i."""
-    return _weighted_projections(f).reshape(f.count * f.ambient_dim, f.ambient_dim)
+    """Read-only (N*n) x n stack whose i-th block is w_i P_i: the embedding's analysis."""
+    return ovf_analysis(f.embedding)
 
 
 def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
     """n x (sum d_i) block column [w_1 B_1 | ... | w_N B_N] on K_W coordinates."""
     return np.hstack([w * s.basis for s, w in zip(f.subspaces, f.weights)])
-
-
-def fusion_frame_operator(f: FusionSequence) -> np.ndarray:
-    """S = sum_i w_i^2 P_i, the read-only array cached on ``f``."""
-    return f.frame_operator
 
 
 def inverse_frame_operator(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -298,12 +274,13 @@ def inverse_frame_operator(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL
 
 
 def fusion_bounds(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
-    """Extreme eigenvalues (alpha, beta) of the fusion frame operator, clipped at ``tol``."""
-    return clip_eig_bounds(*f.frame_eigs, tol)
+    """Frame bounds (alpha, beta) of ``f``: those of its embedding, clipped at ``tol``."""
+    return ovf_frame_operator_bounds(f.embedding, tol)[1:]
 
 
 def is_fusion_frame(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return clears_inv_cutoff(*fusion_bounds(f, tol), tol)
+    """The frame test of :func:`ovf.is_ovf_frame` on the embedding of ``f``."""
+    return is_ovf_frame(f.embedding, tol)
 
 
 @dataclass(frozen=True)
@@ -323,10 +300,11 @@ def classify(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> FusionCla
     having full rank n.
     """
     lo, hi = fusion_bounds(f, tol)
-    frame = clears_inv_cutoff(lo, hi, tol)
     n, total = f.ambient_dim, sum(f.dims)
     riesz = total == n and svals_rank(f.synthesis_svals, n, tol) == n
-    return FusionClassification(bessel=True, frame=frame, riesz_fusion_basis=riesz, lower=lo, upper=hi)
+    return FusionClassification(
+        bessel=True, frame=is_fusion_frame(f, tol), riesz_fusion_basis=riesz, lower=lo, upper=hi
+    )
 
 
 def excess(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):

@@ -283,7 +283,7 @@ def generate_instance(
     w = _random_sequence(spec.n, spec.dims, spec.weight_range, rng)
     v = _random_sequence(spec.n, spec.dims, spec.weight_range, rng)
     symbol = random_symbol(spec.symbol_mode, spec.n, spec.blocks, rng, tol)
-    _check_symbol(symbol)
+    _check_symbol(symbol, v, w)
     local = None
     if local_redundancy is not None:
         local = build_local_frames(w, local_redundancy, rng)
@@ -446,16 +446,21 @@ def _number(obj: dict, key: str, field: str) -> float:
     return float(value)
 
 
-def _check_symbol(symbol: Symbol) -> None:
-    """Every product |m_i| sigma_max(R_i) must be a finite float, or D_mR overflows;
-    read from the cached block spectra, which the checks reuse."""
-    with np.errstate(over="ignore"):
+def _check_symbol(symbol: Symbol, v: FusionSequence, w: FusionSequence) -> None:
+    """Every |m_i| sigma_max(R_i), every |m_i| v_i w_i sigma_max(R_i) and the sum of
+    the latter, which bounds ||M||, must be finite floats, or D_mR or the multiplier
+    overflows; read from the cached block spectra, which the checks reuse."""
+    # an infinite norm on a zero block gives inf * 0 = nan, caught with the inf
+    with np.errstate(over="ignore", invalid="ignore"):
         norms = np.abs(symbol.m) * symbol.svals[:, 0]
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise ContractViolationError(
-            f"symbol: |m_i| sigma_max(R_i) overflows on block {int(bad[0])}"
-        )
+        terms = norms * v.weights * w.weights
+        total = np.sum(terms)
+    for what, values in (("|m_i| sigma_max(R_i)", norms), ("|m_i| v_i w_i sigma_max(R_i)", terms)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ContractViolationError(f"symbol: {what} overflows on block {int(bad[0])}")
+    if not np.isfinite(total):
+        raise ContractViolationError("symbol: sum_i |m_i| v_i w_i sigma_max(R_i) overflows")
 
 
 def _instance_from_doc(doc: dict, decode) -> Instance:
@@ -481,7 +486,7 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
         _finite(decode, doc["symbol"]["m"], (blocks,), "symbol.m"),
         _finite(decode, doc["symbol"]["r"], (blocks, n, n), "symbol.r"),
     )
-    _check_symbol(symbol)
+    _check_symbol(symbol, v, w)
     local = redundancy = None
     if doc.get("local"):
         obj = doc["local"]

@@ -61,6 +61,7 @@ from .fusion import (
     fusion_analysis_ambient,
     fusion_bounds,
     inverse_frame_operator,
+    is_fusion_frame,
     sandwich,
     scale_weights,
 )
@@ -431,8 +432,9 @@ def invertible_multiplier_consequences(
         raise PreconditionError("the multiplier must be invertible")
     w_scaled = sym.scaled(w)
     v_scaled = sym.scaled(v)
-    bounds = [fusion_bounds(seq, tol) for seq in (w, v, w_scaled, v_scaled)]
-    all_frames = all(clears_inv_cutoff(lo, hi, tol) for lo, hi in bounds)
+    seqs = (w, v, w_scaled, v_scaled)
+    bounds = [fusion_bounds(seq, tol) for seq in seqs]
+    all_frames = all(is_fusion_frame(seq, tol) for seq in seqs)
     beta_v = bounds[1][1]
     # ||M^-1|| = 1 / sigma_min(M)
     rhs = report.sigma_min**2 / (beta_v * sym.r_sup**2)

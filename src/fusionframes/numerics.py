@@ -36,7 +36,6 @@ __all__ = [
     "near_inv_cutoff",
     "eig_extremes",
     "clip_eig_bounds",
-    "clipped_eig_bounds",
     "pinv",
     "schatten_norm",
     "spectrum_schatten_norm",
@@ -191,11 +190,6 @@ def clip_eig_bounds(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL):
     if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
         lo = 0.0
     return lo, hi
-
-
-def clipped_eig_bounds(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """:func:`clip_eig_bounds` of the :func:`eig_extremes` of ``a``."""
-    return clip_eig_bounds(*eig_extremes(a), tol)
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

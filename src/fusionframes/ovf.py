@@ -25,30 +25,39 @@ whose norm is the norm of row r of P_ker^* T', so the sweep decides each
 stacked row r by two bounds from one SVD and one product, and takes a
 batched SVD of a row's members only where the bounds leave it undecided.
 
-Each dual candidate is checked to annihilate T_A exactly once. Canonical,
-sampled and swept candidates are built a stack at a time and checked by
-two stacked SVDs of n x n matrices per stack (:func:`annihilation_defects`),
-||L^* T_A|| and ||L^* L||, and by none for the canonical dual's L = 0; a
-candidate constructed directly is checked the same way, as a stack of one.
+Each dual candidate is checked to annihilate T_A exactly once, at the
+caller's eq_rel. Canonical, sampled and swept candidates are built a stack
+at a time and checked by two stacked SVDs of n x n matrices per stack
+(:func:`annihilation_defects`), ||L^* T_A|| and ||L^* L||, and by none for
+the canonical dual's L = 0; a candidate constructed directly is checked the
+same way, as a stack of one, at the default eq_rel.
 
-A frame caches, read-only and on first use, what no tolerance enters: its
-frame operator S_A with the extreme eigenvalues of its Hermitian part,
-T_A S_A^-1 and the thin SVD factors (U, s) of T_A, from which ||T_A|| = s_0
-is read, and, per rank cut of Q, the spectrum of B. The frame test and the
-rank cutoff that cuts Q from U are applied at each call on top of the
-cached facts.
+Which object caches which fact, each read-only, built on first use and free
+of any tolerance:
+
+* an :class:`OVFrame` caches its frame operator S_A = T_A^* T_A, the
+  extreme eigenvalues of its Hermitian part, T_A S_A^-1, the thin SVD
+  factors (U, s) of T_A, from which ||T_A|| = s_0 is read, and, per rank
+  cut of Q, the spectrum of B;
+* a fusion sequence caches no operator fact beside these: its embedding
+  {w_i P_i} (:func:`embed_fusion`) is the OVFrame that owns its blocks, its
+  S, its eigenvalues and so its bounds and frame test.
+
+Tolerance rules are applied per call on top of the cached facts: the
+eigenvalue clip of :func:`ovf_frame_operator_bounds`, the one place frame
+bounds are read; the invertibility cutoff of :func:`is_ovf_frame`, the one
+frame test; and the rank cutoff that cuts Q from U.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import ContractViolationError, NotAFrameError
-from .frames import VectorFrame
-from .fusion import FusionSequence
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -63,15 +72,19 @@ from .numerics import (
     svd,
 )
 
+if TYPE_CHECKING:  # fusion imports this module at load time
+    from .frames import VectorFrame
+    from .fusion import FusionSequence
+
 __all__ = [
     "OVFrame",
     "ovf_analysis",
     "ovf_frame_operator_bounds",
+    "is_ovf_frame",
     "embed_ordinary",
     "embed_fusion",
     "DualCandidate",
     "annihilation_defects",
-    "duality_defect",
     "duality_defects",
     "range_basis",
     "kernel_parts",
@@ -156,9 +169,15 @@ def ovf_analysis(a: OVFrame) -> np.ndarray:
 
 
 def ovf_frame_operator_bounds(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL):
-    """Frame operator S_A = T_A^* T_A with its extreme eigenvalues, clipped at ``tol``."""
+    """Frame operator S_A = T_A^* T_A with its extreme eigenvalues, clipped at ``tol``:
+    the frame bounds of every frame and fusion sequence are read here."""
     lo, hi = clip_eig_bounds(*a.frame_eigs, tol)
     return a.frame_operator, lo, hi
+
+
+def is_ovf_frame(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """The frame test: the clipped bounds clear the invertibility cutoff at ``tol``."""
+    return clears_inv_cutoff(*ovf_frame_operator_bounds(a, tol)[1:], tol)
 
 
 def embed_ordinary(phi: VectorFrame) -> OVFrame:
@@ -218,12 +237,14 @@ def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) 
     return defects
 
 
-def _candidates(a: OVFrame, stack: np.ndarray, analyses: np.ndarray) -> list:
+def _candidates(
+    a: OVFrame, stack: np.ndarray, analyses: np.ndarray, tol: ToleranceConfig
+) -> list:
     """DualCandidates of ``a`` with the perturbations of a (c, N k, n) stack and
-    their analyses, the annihilator condition checked once for the whole stack
-    (:func:`annihilation_defects`) and not again per candidate."""
+    their analyses, the annihilator condition checked at ``tol`` once for the whole
+    stack (:func:`annihilation_defects`) and not again per candidate."""
     analyses = finite_array(analyses, 3, "dual analyses")
-    annihilation_defects(a, stack)
+    annihilation_defects(a, stack, tol)
     out = []
     for l, d in zip(stack, analyses):
         cand = object.__new__(DualCandidate)
@@ -233,14 +254,9 @@ def _candidates(a: OVFrame, stack: np.ndarray, analyses: np.ndarray) -> list:
     return out
 
 
-def duality_defect(cand: DualCandidate) -> float:
-    """Spectral norm of T_dual^* T_A - I."""
-    return float(duality_defects([cand])[0])
-
-
 def duality_defects(cands) -> np.ndarray:
-    """:func:`duality_defect` of each candidate, from one batched SVD over the stack
-    of T_dual^* T_A - I; each entry is bit-for-bit the single computation."""
+    """||T_dual^* T_A - I|| of each candidate, from one batched SVD over the stack;
+    each entry is bit-for-bit the spectral norm of that candidate's matrix."""
     dims = {cand.base.domain_dim for cand in cands}
     if len(dims) != 1:
         raise ContractViolationError(
@@ -254,8 +270,8 @@ def duality_defects(cands) -> np.ndarray:
 
 def _canonical_analysis(a: OVFrame, tol: ToleranceConfig):
     """``(T_A, T_A S_A^-1)`` after the frame test at ``tol``; T_A S_A^-1 is read-only."""
-    _, lo, hi = ovf_frame_operator_bounds(a, tol)
-    if not clears_inv_cutoff(lo, hi, tol):
+    if not is_ovf_frame(a, tol):
+        _, lo, hi = ovf_frame_operator_bounds(a, tol)
         raise NotAFrameError(
             f"operator-valued sequence is not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})"
         )
@@ -272,7 +288,7 @@ def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
     """The dual with L = 0, read off from T_A S_A^-1."""
     t, t_dual = _canonical_analysis(a, tol)
-    return _candidates(a, np.zeros((1, *t.shape), dtype=np.complex128), t_dual[None])[0]
+    return _candidates(a, np.zeros((1, *t.shape), dtype=np.complex128), t_dual[None], tol)[0]
 
 
 def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -293,7 +309,7 @@ def sample_ov_duals(a: OVFrame, seeds, tol: ToleranceConfig) -> list:
                 f"perturbation seed must have shape {t.shape}, got {g.shape}"
             )
     stack = np.array(kernel_parts(a, seeds, tol), dtype=np.complex128).reshape(len(seeds), *t.shape)
-    return _candidates(a, stack, t_dual + stack)
+    return _candidates(a, stack, t_dual + stack, tol)
 
 
 def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
@@ -303,19 +319,24 @@ def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
     return e_r - q @ q[r].conj()
 
 
-def _family_member(a: OVFrame, t_dual: np.ndarray, q, index: int) -> DualCandidate:
-    """Member ``index`` of the dual family: L = 0 for index 0, then P_ker E_rs in
-    row-major order of (r, s); ``q`` is the range basis, unused for index 0."""
+def _family_member(
+    a: OVFrame, t_dual: np.ndarray, q, index: int, tol: ToleranceConfig
+) -> DualCandidate:
+    """Member ``index`` of the dual family, checked at ``tol``: L = 0 for index 0,
+    then P_ker E_rs in row-major order of (r, s); ``q`` is the range basis, unused
+    for index 0."""
     l = np.zeros((1, *t_dual.shape), dtype=np.complex128)
     if index:
         r, s = divmod(index - 1, t_dual.shape[1])
         l[0, :, s] = _kernel_column(q, r)
-    return _candidates(a, l, t_dual + l)[0]
+    return _candidates(a, l, t_dual + l, tol)[0]
 
 
-def _check_annihilator(a: OVFrame, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
-    """The DualCandidate condition L^* T = 0 for every L = P_ker E_rs at once,
-    given the range basis ``q`` and ``pt`` = P_ker^* T_A.
+def _check_annihilator(
+    a: OVFrame, q: np.ndarray, pt: np.ndarray, tol: ToleranceConfig
+) -> np.ndarray:
+    """The DualCandidate condition L^* T = 0 at ``tol`` for every L = P_ker E_rs at
+    once, given the range basis ``q`` and ``pt`` = P_ker^* T_A.
 
     (P_ker E_rs)^* T is zero except for row s, which is row r of P_ker^* T,
     and ||P_ker E_rs|| = ||P_ker[:, r]|| = sqrt(1 - ||Q[r, :]||^2). Returns
@@ -324,7 +345,7 @@ def _check_annihilator(a: OVFrame, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
     col_norms = np.sqrt(np.maximum(0.0, 1.0 - np.linalg.norm(q, axis=1) ** 2))
     defects = np.linalg.norm(pt, axis=1)
     scales = np.maximum(1.0, a.analysis_norm * col_norms)
-    if np.any(defects > DEFAULT_TOL.eq_rel * scales):
+    if np.any(defects > tol.eq_rel * scales):
         raise ContractViolationError("perturbation does not annihilate the analysis operator")
     return col_norms
 
@@ -373,10 +394,10 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
 
     base = float(residuals(t_dual[None])[0])
     if base > threshold:
-        return _family_member(a, t_dual, None, 0), base, 1
+        return _family_member(a, t_dual, None, 0, tol), base, 1
     q = range_basis(a, tol)
     pt, x = kernel_parts(a, [t, t_prime], tol)
-    col_norms = _check_annihilator(a, q, pt)
+    col_norms = _check_annihilator(a, q, pt, tol)
     x_norms = np.linalg.norm(x, axis=1)
     size = (np.linalg.norm(t_dual) + col_norms.max()) * np.linalg.norm(t_prime)
     margin = 8.0 * (rows + cols) * np.finfo(float).eps * (size + np.sqrt(cols))
@@ -394,7 +415,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
             above = np.flatnonzero(res > threshold)
             if above.size:
                 index = 1 + r * cols + int(above[0])
-                return _family_member(a, t_dual, q, index), float(res[above[0]]), index + 1
+                return _family_member(a, t_dual, q, index, tol), float(res[above[0]]), index + 1
             worst = max(worst, float(res.max()))
     return None, worst, 1 + rows * cols
 

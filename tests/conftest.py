@@ -100,7 +100,7 @@ def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TO
 
     yield residuals(t_dual[None])
     q = range_basis(a, tol)
-    _check_annihilator(a, q, kernel_parts(a, [t], tol)[0])
+    _check_annihilator(a, q, kernel_parts(a, [t], tol)[0], tol)
     members = np.arange(cols)
     for r in range(rows):
         d = np.repeat(t_dual[None], cols, axis=0)
@@ -366,7 +366,7 @@ def reference_inverse_representation(sym, v, w, duals, tol, rng):
 
     n, count = w.ambient_dim, w.count
     m_inv = np.linalg.inv(np.array(assemble_multiplier(sym, v, w, tol).matrix))
-    pw_s_inv = w.projections @ np.linalg.inv(np.array(w.frame_operator))
+    pw_s_inv = w.projections @ np.linalg.inv(np.array(w.embedding.frame_operator))
     m_conj = np.conj(sym.m)
     r_adj = v.weights[:, None, None] * sym.r.conj().transpose(0, 2, 1)
     l_blocks = r_adj @ v.projections @ m_inv.conj().T
@@ -590,6 +590,25 @@ def reference_generated_dual(w, u, l_blocks, tol):
     q = np.array(q_blocks)
     comp = sandwich(v, w, v.weights * w.weights, q)
     return v, q, comp, np.array(ops)
+
+
+def reference_canonical_gavruta_dual(w, tol):
+    """(S_W^-1 W_i, w_i) as canonical_gavruta_dual built it before its ranges came
+    from one stacked SVD: one SVD of S_W^-1 B_i per nonzero block, cut at the rank
+    rule for its larger side."""
+    from fusionframes.fusion import inverse_frame_operator
+    from fusionframes.numerics import svals_rank, svd
+
+    s_inv = inverse_frame_operator(w, tol)
+    subs = []
+    for sub in w.subspaces:
+        if not sub.dim:
+            subs.append(Subspace.zero(w.ambient_dim))
+            continue
+        vectors = s_inv @ sub.basis
+        u, s, _ = svd(vectors)
+        subs.append(Subspace(u[:, : int(svals_rank(s, max(vectors.shape), tol))]))
+    return FusionSequence(tuple(subs), w.weights.copy())
 
 
 def reference_dual_representation_residual(stacked_q, inv_blocks, duals, m_inv):

@@ -1,15 +1,17 @@
-"""Facts cached on the immutable objects: read-only, computed once, tolerance-free.
+"""Facts cached on the immutable objects: read-only, computed once, tolerance-free,
+each by one owner.
 
-A FusionSequence caches its projections, frame operator, the extreme
-eigenvalues and the inverse of that operator, the singular values of its
-analysis and K_W synthesis and its operator-valued embedding; an OVFrame its
-frame operator, eigenvalues, T S^-1, the thin SVD factors of T, which give
-||T|| and the range basis, and per rank cut the spectrum of [T S^-1 | P_ker]
-that the dual-family certificates read; a Symbol its spectra, its
-inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the assembled
-multiplier with its spectrum and the closed-form inverse representation.
-Tolerance rules are applied per call on top of these, so one object can serve
-runs under any tolerance.
+A FusionSequence caches its projections, S^-1, the singular values of its
+analysis and K_W synthesis and its operator-valued embedding {w_i P_i}. The
+embedding, an OVFrame, owns the sequence's operator facts: its blocks (the
+stacked analysis), the frame operator S, the extreme eigenvalues of S, so the
+bounds and the frame test of both, T S^-1, the thin SVD factors of T, which
+give ||T|| and the range basis, and per rank cut the spectrum of
+[T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
+spectra, its inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the
+assembled multiplier with its spectrum and the closed-form inverse
+representation. Tolerance rules are applied per call on top of these, so one
+object can serve runs under any tolerance.
 """
 
 import dataclasses
@@ -24,8 +26,8 @@ from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
     FusionSequence,
     classify,
+    fusion_analysis_ambient,
     fusion_bounds,
-    fusion_frame_operator,
     inverse_frame_operator,
     is_fusion_frame,
     scale_weights,
@@ -75,7 +77,8 @@ def test_cached_arrays_are_read_only():
     arrays = [
         w.weights,
         w.projections,
-        w.frame_operator,
+        w.frame_operator_inv,
+        fusion_analysis_ambient(w),
         a.blocks,
         a.frame_operator,
         a.canonical_analysis,
@@ -99,32 +102,39 @@ def test_weights_are_a_copy_of_the_array_given():
 
 
 def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeypatch):
+    # the sequence and its embedding share one S, one eigvalsh and one inv
     inst = _instance()
-    calls = _counting(monkeypatch, "eigvalsh")
+    eigs = _counting(monkeypatch, "eigvalsh")
+    invs = _counting(monkeypatch, "inv")
     for tol in (ToleranceConfig(), LOOSE):
         for f in (inst.w, inst.v):
             fusion_bounds(f, tol)
             is_fusion_frame(f, tol)
             classify(f, tol)
-    assert len(calls) == 2
+            inverse_frame_operator(f, tol)
+            canonical_ov_dual(embed_fusion(f), tol)
+    assert len(eigs) == 2
+    assert len(invs) == 2
 
 
 def test_bounds_are_clipped_per_call_on_the_cached_eigenvalues():
     inst = _instance()
     for f in (inst.w, inst.v):
-        assert f.frame_eigs[0] > 0.0  # a frame: no clip applies
-        assert fusion_bounds(f) == fusion_bounds(f, LOOSE) == f.frame_eigs
         a = embed_fusion(f)
+        assert a.frame_eigs[0] > 0.0  # a frame: no clip applies
+        assert fusion_bounds(f) == fusion_bounds(f, LOOSE) == a.frame_eigs
         s, lo_a, hi_a = ovf_frame_operator_bounds(a)
         assert s is a.frame_operator
-        assert (lo_a, hi_a) == ovf_frame_operator_bounds(a, LOOSE)[1:]
+        assert (lo_a, hi_a) == ovf_frame_operator_bounds(a, LOOSE)[1:] == a.frame_eigs
 
 
 def test_frame_operator_and_embedding_are_shared():
     inst = _instance()
-    assert fusion_frame_operator(inst.w) is fusion_frame_operator(inst.w)
-    assert embed_fusion(inst.w) is embed_fusion(inst.w)
+    assert embed_fusion(inst.w) is embed_fusion(inst.w) is inst.w.embedding
     assert embed_fusion(inst.w) is not embed_fusion(inst.v)
+    assert not any(hasattr(inst.w, name) for name in ("frame_operator", "frame_eigs"))
+    t = fusion_analysis_ambient(inst.w)
+    assert np.shares_memory(t, inst.w.embedding.blocks) and not t.flags.writeable
 
 
 def test_one_solve_per_embedded_sequence_across_the_duals_suite(monkeypatch):
@@ -201,7 +211,7 @@ def test_one_inverse_frame_operator_per_sequence_across_duals_and_multipliers(mo
     for suite in ("duals", "multipliers"):
         report = run_suite(suite, [inst])
         assert report["summary"]["fail"] == 0
-    s_w = fusion_frame_operator(inst.w)
+    s_w = embed_fusion(inst.w).frame_operator
     assert sum(np.array_equal(args[0], s_w) for args in calls) == 1
     assert inverse_frame_operator(inst.w) is inverse_frame_operator(inst.w, LOOSE)
 
@@ -235,18 +245,18 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
     assert len(m_inverted) == 1
     assert all(any(lo <= k < hi for lo, hi in windows) for k in m_inverted)
 
-    # one SVD per nonzero block gives both its range and its rank; the dual
-    # generator takes every block's range and rank from one stacked SVD
+    # both dual constructions take every block's range and rank from one
+    # stacked SVD
     w = inst.w
-    nonzero = sum(d > 0 for d in w.dims)
+    stack_shape = (w.count, w.ambient_dim, w.ambient_dim)
     svds.clear()
     canonical_gavruta_dual(w)
-    assert len(svds) == nonzero
+    assert [np.shape(args[0]) for args in svds] == [stack_shape]
     u = 2.0 * np.eye(w.ambient_dim)
     svds.clear()
     generate_fusion_dual(w, u)
     stacked = [args[0] for args in svds if not np.array_equal(args[0], u)]
-    assert len(stacked) == 1 and np.shape(stacked[0]) == (w.count, w.ambient_dim, w.ambient_dim)
+    assert len(stacked) == 1 and np.shape(stacked[0]) == stack_shape
 
 
 def _per_check(monkeypatch):

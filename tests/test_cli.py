@@ -1,10 +1,12 @@
 """CLI contract: determinism, golden files, exit codes."""
 
 import base64
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 import fusionframes
 from fusionframes.cli import main
+from fusionframes.exceptions import NumericFailureError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
@@ -113,7 +116,10 @@ def test_exit_code_malformed_instance_files(tmp_path):
 
 def test_exit_code_symbol_whose_products_overflow(tmp_path, capsys):
     # a large scalar alone is a valid symbol; with a block of the same size
-    # |m_0| sigma_max(R_0) is inf, which used to abort four multiplier checks
+    # |m_0| sigma_max(R_0) is inf, and with m_0 = 5e307 and both block-0
+    # weights 2, |m_0| sigma_max(R_0) = 1e308 is finite but |m_0| v_0 w_0
+    # sigma_max(R_0) is not; each used to abort four multiplier checks, the
+    # second with an overflow warning
     doc = json.loads(GOLDEN_INSTANCE_FFV1.read_text())
     doc["symbol"]["m"][0] = [1e300, 0.0]
     path = tmp_path / "inst.json"
@@ -121,11 +127,18 @@ def test_exit_code_symbol_whose_products_overflow(tmp_path, capsys):
     args = ["check", "--suite", "multipliers", str(path), "--report", str(tmp_path / "r.json")]
     assert main(args) == 0
     capsys.readouterr()
-    doc["symbol"]["r"][0][0][0] = [1e300, 0.0]
-    path.write_text(json.dumps(doc))
-    assert main(args) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: cannot load instance: symbol: ")
+    big_block = json.loads(json.dumps(doc))
+    big_block["symbol"]["r"][0][0][0] = [1e300, 0.0]
+    big_weights = json.loads(json.dumps(doc))
+    big_weights["symbol"]["m"][0] = [5e307, 0.0]
+    big_weights["w"]["weights"][0] = big_weights["v"]["weights"][0] = 2.0
+    for bad in (big_block, big_weights):
+        path.write_text(json.dumps(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load instance: symbol: ")
 
 
 def test_exit_code_bad_suite():
@@ -210,18 +223,18 @@ def test_single_small_full_block_gets_a_verdict(tmp_path):
 
 
 # Adversarial instances whose symbol sits near the invertibility cutoff. Each
-# inverse check used to fail on one of them by rounding; the residual that
-# failed is still reported, with the verdict indeterminate.
+# inverse check fails on one of them by rounding; the residual that fails is
+# still reported, with the verdict indeterminate.
 NEAR_CUTOFF_CASES = [
     (
-        ["--dim", "2", "--blocks", "5", "--dims", "1,1,0,2,1", "--seed", "11", "--local", "1"],
+        ["--dim", "2", "--blocks", "5", "--dims", "1,1,0,2,1", "--seed", "17", "--local", "1"],
         "inverse_multiplier_dual",
-        1.1349369945118168e-08,
+        2.621457157962188e-08,
     ),
     (
         ["--dim", "3", "--blocks", "2", "--dims", "3,0", "--seed", "30"],
         "inverse_multiplier_uniqueness",
-        0.9999780492046312,
+        0.9999780492066329,
     ),
 ]
 
@@ -379,26 +392,24 @@ def test_local_control_ignores_blocks_outside_the_multiplier(tmp_path):
     assert entries["local_equivalence"]["verdict"] == "pass"
 
 
-def test_abort_while_deciding_applicability_is_a_failed_entry(tmp_path):
-    # an overflowing coefficient m_0 v_0 w_0 makes the multiplier non-finite, so
-    # assembling it raises inside the applies predicate of the invertible-
-    # multiplier checks; that used to escape run_suite as a traceback. The
-    # symbol itself loads: sigma_max(R_0) = 2, so |m_0| sigma_max(R_0) = 1e308.
-    # The overflow also warns, so the CLI runs in a subprocess, outside the
-    # suite's warning filters.
-    doc = json.loads(GOLDEN_INSTANCE_FFV1.read_text())
-    doc["symbol"]["m"][0] = [5e307, 0.0]
-    doc["w"]["weights"][0] = doc["v"]["weights"][0] = 2.0
-    inst = tmp_path / "overflow.json"
-    inst.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(Path(fusionframes.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "fusionframes.cli", "check", "--suite", "multipliers", str(inst)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 1, done.stderr
-    assert "Traceback" not in done.stderr
-    entries = {e["name"]: e for e in json.loads(done.stdout)["checks"]}
-    for name in ("invertible_multiplier_frames", "excess_invariance"):
+def test_abort_while_deciding_applicability_is_a_failed_entry(tmp_path, monkeypatch):
+    # a check whose applies predicate raises used to escape run_suite as a
+    # traceback; it is a failed entry carrying the residual sentinel
+    from fusionframes import checks
+
+    def raising(inst, tol):
+        raise NumericFailureError("svd did not converge")
+
+    aborted = ("invertible_multiplier_frames", "excess_invariance")
+    for name in aborted:
+        monkeypatch.setitem(
+            checks.CHECKS, name, dataclasses.replace(checks.CHECKS[name], applies=raising)
+        )
+    report = tmp_path / "report.json"
+    args = ["check", "--suite", "multipliers", str(GOLDEN_INSTANCE), "--report", str(report)]
+    assert main(args) == 1
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    for name in aborted:
         assert entries[name]["verdict"] == "fail"
         assert entries[name]["residual"] == 1e300
+    assert all(e["verdict"] == "pass" for name, e in entries.items() if name not in aborted)

@@ -31,7 +31,7 @@ from fusionframes.fusion import (
     projection,
 )
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis
+from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis, sweep_dual_family
 
 
 def _projection_blocks(f):
@@ -250,11 +250,14 @@ def test_separation_soundness_random(rng):
         assert res.block_deviation <= 100 * DEFAULT_TOL.eq_rel
 
 
-def _reference_separation(w, w_prime, tol=DEFAULT_TOL):
-    """The member-wise separating sweep the batched one replaced.
+def _reference_separation(w, w_prime, tol=DEFAULT_TOL, threshold=None):
+    """The member-wise separating sweep the batched one replaced, at ``threshold``
+    (by default find_separating_dual's 10 eq_rel).
 
     Returns (witness index, witness perturbation, residual, checked).
     """
+    if threshold is None:
+        threshold = 10.0 * tol.eq_rel
     a = embed_fusion(w)
     t_dual = canonical_ov_dual(a, tol).analysis
     t_prime = fusion_analysis_ambient(w_prime)
@@ -264,24 +267,33 @@ def _reference_separation(w, w_prime, tol=DEFAULT_TOL):
     for index, l in enumerate(reference_dual_perturbations(a, tol)):
         checked += 1
         residual = spectral_norm((t_dual + l).conj().T @ t_prime - eye)
-        if residual > 10.0 * tol.eq_rel:
+        if residual > threshold:
             return index, l, residual, checked
         worst = max(worst, residual)
     return None, None, worst, checked
 
 
-def _assert_same_separation(w, w_prime, tol):
-    index, l, residual, checked = _reference_separation(w, w_prime, tol)
-    res = find_separating_dual(w, w_prime, tol)
-    assert res.checked == checked
+def _separate(w, w_prime, tol, threshold=None):
+    """``(witness, residual, checked)`` of find_separating_dual, or, at an explicit
+    ``threshold``, of the sweep it runs."""
+    if threshold is None:
+        res = find_separating_dual(w, w_prime, tol)
+        return res.witness, res.residual, res.checked
+    return sweep_dual_family(embed_fusion(w), fusion_analysis_ambient(w_prime), threshold, tol)
+
+
+def _assert_same_separation(w, w_prime, tol, threshold=None):
+    index, l, residual, checked = _reference_separation(w, w_prime, tol, threshold)
+    witness, got, swept = _separate(w, w_prime, tol, threshold)
+    assert swept == checked
     if index is None:
         # without a witness the residual is a certified upper bound
-        assert res.residual >= residual
-        assert res.witness is None
+        assert got >= residual
+        assert witness is None
     else:
-        assert res.residual == residual
-        assert res.checked == index + 1
-        np.testing.assert_array_equal(res.witness.perturbation, l)
+        assert got == residual
+        assert swept == index + 1
+        np.testing.assert_array_equal(witness.perturbation, l)
     return index
 
 
@@ -292,24 +304,27 @@ def test_batched_separation_matches_reference(rng):
     for _ in range(30):
         n = int(rng.integers(1, 5))
         w = random_fusion_frame(n, int(rng.integers(1, 4)), rng)
-        # on w against itself every residual is rounding noise; an eq_rel
-        # just below one of them moves the witness to an arbitrary index
+        # on w against itself every residual is rounding noise; a threshold
+        # just below one of them moves the witness to an arbitrary index. The
+        # sweep takes that threshold directly: an eq_rel of a tenth of it would
+        # also fail the members' annihilator check, which is taken at eq_rel
         noise = _reference_separation(w, w, tol=ToleranceConfig(eq_rel=0.5))[2]
-        tols = [DEFAULT_TOL, ToleranceConfig(eq_rel=max(noise, 1e-300) / 10.0 * 0.999)]
-        for tol in tols:
-            witnesses.add(_assert_same_separation(w, w, tol))
+        witnesses.add(_assert_same_separation(w, w, DEFAULT_TOL))
+        witnesses.add(_assert_same_separation(w, w, DEFAULT_TOL, max(noise, 1e-300) * 0.999))
         heavier = FusionSequence(w.subspaces, 1.5 * w.weights)
         assert _assert_same_separation(w, heavier, DEFAULT_TOL) == 0
     assert len(witnesses) > 5
 
 
-def _exact_separation(w, w_prime, tol):
-    """The exact batched sweep find_separating_dual ran before its row bounds.
+def _exact_separation(w, w_prime, tol, threshold=None):
+    """The exact batched sweep find_separating_dual ran before its row bounds, at
+    ``threshold`` (by default 10 eq_rel).
 
     Returns (witness index, witness perturbation, residual, checked).
     """
     a = embed_fusion(w)
-    threshold = 10.0 * tol.eq_rel
+    if threshold is None:
+        threshold = 10.0 * tol.eq_rel
     worst, checked = 0.0, 0
     for residuals in dual_family_residuals(a, fusion_analysis_ambient(w_prime), tol):
         above = np.flatnonzero(residuals > threshold)
@@ -392,22 +407,23 @@ def test_separation_bound_soundness(monkeypatch, rng):
     assert len(frames) >= 100
     for w in frames:
         noise = _exact_separation(w, w, ToleranceConfig(eq_rel=0.5))[2]
-        near_noise = ToleranceConfig(eq_rel=max(noise, 1e-300) / 10.0 * 0.999)
-        cases = [(w, w, DEFAULT_TOL), (w, w, near_noise)]
-        cases += [(w, other, DEFAULT_TOL) for other in _soundness_partners(w, rng)[1:]]
-        for case_index, (w_, other, tol) in enumerate(cases):
-            index, l, residual, checked = _exact_separation(w_, other, tol)
+        # a threshold in the noise, passed to the sweep directly (see
+        # test_batched_separation_matches_reference)
+        cases = [(w, w, None), (w, w, max(noise, 1e-300) * 0.999)]
+        cases += [(w, other, None) for other in _soundness_partners(w, rng)[1:]]
+        for case_index, (w_, other, threshold) in enumerate(cases):
+            index, l, residual, checked = _exact_separation(w_, other, DEFAULT_TOL, threshold)
             exact_calls.clear()
-            res = find_separating_dual(w_, other, tol)
+            witness, got, swept = _separate(w_, other, DEFAULT_TOL, threshold)
             if case_index == 0:
                 # W against itself: the canonical dual's residual and no row
                 assert exact_calls == [1]
-            assert res.checked == checked
+            assert swept == checked
             if index is None:
-                assert res.witness is None
-                assert res.residual >= residual
+                assert witness is None
+                assert got >= residual
             else:
-                assert res.residual == residual
-                np.testing.assert_array_equal(res.witness.perturbation, l)
+                assert got == residual
+                np.testing.assert_array_equal(witness.perturbation, l)
                 witnesses.add(index)
     assert len(witnesses) > 10

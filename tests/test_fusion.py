@@ -25,7 +25,6 @@ from fusionframes.fusion import (
     excess,
     fusion_analysis_ambient,
     fusion_bounds,
-    fusion_frame_operator,
     fusion_synthesis_kw,
     projection,
     random_subspace,
@@ -94,12 +93,16 @@ def test_synthesis_kw_examples():
     assert fusion_synthesis_kw(with_zero).shape == (2, 2)
 
 
+def _frame_operator(f):
+    return embed_fusion(f).frame_operator
+
+
 def test_frame_operator_examples(diag_pair):
-    np.testing.assert_allclose(fusion_frame_operator(diag_pair), np.diag([1.0, 4.0]))
+    np.testing.assert_allclose(_frame_operator(diag_pair), np.diag([1.0, 4.0]))
     single = FusionSequence((Subspace.full(2),), np.array([1.0]))
-    np.testing.assert_allclose(fusion_frame_operator(single), np.eye(2))
+    np.testing.assert_allclose(_frame_operator(single), np.eye(2))
     double = FusionSequence((Subspace.full(2), Subspace.full(2)), np.array([1.0, 1.0]))
-    np.testing.assert_allclose(fusion_frame_operator(double), 2 * np.eye(2))
+    np.testing.assert_allclose(_frame_operator(double), 2 * np.eye(2))
 
 
 def test_bounds_examples(diag_pair):
@@ -149,14 +152,15 @@ def test_frame_operator_is_analysis_gram(rng):
     for _ in range(20):
         n = int(rng.integers(2, 7))
         f = random_fusion_frame(n, int(rng.integers(1, 5)), rng)
-        t = fusion_analysis_ambient(f)
-        assert spectral_norm(t.conj().T @ t - fusion_frame_operator(f)) <= DEFAULT_TOL.eq_rel
+        # the embedding's S = T^* T against sum_i w_i^2 P_i
+        direct = sum(wt * wt * projection(sub) for sub, wt in zip(f.subspaces, f.weights))
+        assert spectral_norm(_frame_operator(f) - direct) <= DEFAULT_TOL.eq_rel
 
 
 def test_scale_weights_zeroes_blocks(diag_pair):
     scaled = scale_weights(diag_pair, [1.0, 0.0])
     assert scaled.weights[1] == 0.0 and scaled.subspaces[1].dim == 0
-    np.testing.assert_allclose(fusion_frame_operator(scaled), np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(_frame_operator(scaled), np.diag([1.0, 0.0]))
 
 
 def test_local_frames_redundancy_zero_on_lines():
@@ -267,7 +271,7 @@ def test_sandwich_matches_the_per_block_loops(rng):
         if not fusion.is_fusion_frame(w):
             continue
         gavruta_cases += 1
-        s_inv = np.linalg.inv(fusion_frame_operator(w))
+        s_inv = np.linalg.inv(_frame_operator(w))
         assert np.array_equal(
             multipliers.gavruta_multiplier(m, v, w), reference_gavruta_multiplier(m, v, w, s_inv)
         )
@@ -294,7 +298,7 @@ def test_projection_stack_is_cached_and_read_only(rng, monkeypatch):
     assert stack.shape == (7, 5, 5) and w.projections is stack
     for sub, p in zip(w.subspaces, stack):
         assert np.array_equal(p, original(sub))
-    fusion_frame_operator(w)
+    fusion_bounds(w)
     fusion_analysis_ambient(w)
     embed_fusion(w)
     fusion.block_deviation(w, v)

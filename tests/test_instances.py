@@ -1,12 +1,14 @@
 """Instance specs, generators, and ffv2 round-trips."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from fusionframes.exceptions import ContractViolationError, PreconditionError
-from fusionframes.fusion import fusion_bounds, is_fusion_frame
+from fusionframes import instances
+from fusionframes.fusion import FusionSequence, Subspace, fusion_bounds, is_fusion_frame
 from fusionframes.instances import (
     InstanceSpec,
     cross_swap_instance,
@@ -19,7 +21,7 @@ from fusionframes.instances import (
     random_riesz_basis,
     random_symbol,
 )
-from fusionframes.multipliers import condition_c
+from fusionframes.multipliers import Symbol, condition_c
 from fusionframes.numerics import singular_values
 
 
@@ -197,3 +199,13 @@ def test_from_json_malformed_documents_are_typed(doc):
 
     with pytest.raises(ContractViolationError):
         instance_from_json(json.dumps(doc))
+
+
+def test_symbol_overflowing_on_a_zero_block_is_named_without_a_warning():
+    # |m_1| sigma_max(R_1) is inf on a block whose weights are 0
+    f = FusionSequence((Subspace.full(2), Subspace.zero(2)), np.array([1.0, 0.0]))
+    sym = Symbol(np.array([1.0, 1e300]), np.array([np.eye(2), 1e300 * np.eye(2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match=r"sigma_max\(R_i\) overflows on block 1"):
+            instances._check_symbol(sym, f, f)

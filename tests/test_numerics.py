@@ -11,7 +11,7 @@ from fusionframes.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     clears_inv_cutoff,
-    clipped_eig_bounds,
+    clip_eig_bounds,
     extreme_singular_values,
     near_inv_cutoff,
     pinv,
@@ -152,12 +152,12 @@ def test_pinv_moore_penrose_identities(rng):
 
 
 def test_clipped_eig_bounds():
-    assert clipped_eig_bounds(np.diag([1.0, 4.0])) == (1.0, 4.0)
-    assert clipped_eig_bounds(np.eye(5)) == (1.0, 1.0)
-    assert clipped_eig_bounds(np.diag([0.0, 2.0, 5.0])) == (0.0, 5.0)
+    assert clip_eig_bounds(1.0, 4.0) == (1.0, 4.0)
+    assert clip_eig_bounds(1.0, 1.0) == (1.0, 1.0)
+    assert clip_eig_bounds(0.0, 5.0) == (0.0, 5.0)
     # rounding below zero is clipped; a genuinely negative eigenvalue is not
-    assert clipped_eig_bounds(np.diag([-1e-12, 3.0])) == (0.0, 3.0)
-    assert clipped_eig_bounds(np.diag([-1e-3, 3.0])) == (-1e-3, 3.0)
+    assert clip_eig_bounds(-1e-12, 3.0) == (0.0, 3.0)
+    assert clip_eig_bounds(-1e-3, 3.0) == (-1e-3, 3.0)
 
 
 def test_inv_cutoff_rules():

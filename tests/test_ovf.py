@@ -8,14 +8,13 @@ import pytest
 from conftest import coordinate_decomposition, dual_family_residuals, reference_dual_perturbations
 from fusionframes import ovf
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
-from fusionframes.frames import VectorFrame, frame_bounds_ordinary
+from fusionframes.frames import VectorFrame, frame_operator
 from fusionframes.fusion import FusionSequence, Subspace, fusion_bounds
-from fusionframes.numerics import DEFAULT_TOL, rank_tol, spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, rank_tol, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
     canonical_ov_dual,
     dual_span_dimension,
-    duality_defect,
     embed_fusion,
     embed_ordinary,
     null_bessel_certificate,
@@ -54,7 +53,8 @@ def test_embeddings_preserve_bounds(rng):
     vecs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     phi = VectorFrame(vecs)
     _, lo, hi = ovf_frame_operator_bounds(embed_ordinary(phi))
-    assert (lo, hi) == pytest.approx(frame_bounds_ordinary(phi), rel=1e-12)
+    ev = np.linalg.eigvalsh(frame_operator(phi))
+    assert (lo, hi) == pytest.approx((ev[0], ev[-1]), rel=1e-12)
     np.testing.assert_allclose(
         ovf_frame_operator_bounds(embed_ordinary(VectorFrame(np.array([[2.0, 0.0]]))))[0],
         np.diag([4.0, 0.0]),
@@ -108,7 +108,7 @@ def test_sample_dual_noncanonical_still_dual(diag_pair, rng):
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     cand = sample_ov_duals(a, [g], DEFAULT_TOL)[0]
     assert spectral_norm(cand.perturbation) > 1e-3
-    assert duality_defect(cand) <= DEFAULT_TOL.eq_rel
+    assert ovf.duality_defects([cand])[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_dual_span_examples(diag_pair):
@@ -136,7 +136,7 @@ def test_dual_family_population(rng):
         assert dual_span_dimension(a) == count * k
         assert null_bessel_certificate(a) == 0
         g = rng.standard_normal((count * k, n)) + 1j * rng.standard_normal((count * k, n))
-        assert duality_defect(sample_ov_duals(a, [g], DEFAULT_TOL)[0]) <= DEFAULT_TOL.eq_rel
+        assert ovf.duality_defects(sample_ov_duals(a, [g], DEFAULT_TOL))[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_ovframe_shape_validation():
@@ -234,7 +234,23 @@ def test_family_members_match_reference(rng):
         t_dual = canonical_ov_dual(a).analysis
         q = ovf.range_basis(a)
         for index, l in enumerate(reference):
-            np.testing.assert_array_equal(ovf._family_member(a, t_dual, q, index).perturbation, l)
+            member = ovf._family_member(a, t_dual, q, index, DEFAULT_TOL)
+            np.testing.assert_array_equal(member.perturbation, l)
+
+
+def test_sweep_annihilator_check_uses_the_call_tolerance(diag_pair):
+    # ||T|| = 2 and every kernel column has norm at most 1, so each scale is at
+    # most 2: row defects of sqrt(2) 1e-7 exceed the default eq_rel and stay
+    # within 1e-6
+    a = embed_fusion(diag_pair)
+    t = ovf_analysis(a)
+    q = ovf.range_basis(a)
+    exact = ovf.kernel_parts(a, [t])[0]
+    norms = ovf._check_annihilator(a, q, exact, DEFAULT_TOL)
+    pt = exact + 1e-7
+    assert np.array_equal(ovf._check_annihilator(a, q, pt, ToleranceConfig(eq_rel=1e-6)), norms)
+    with pytest.raises(ContractViolationError, match="does not annihilate"):
+        ovf._check_annihilator(a, q, pt, DEFAULT_TOL)
 
 
 def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
@@ -249,7 +265,7 @@ def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
     with pytest.raises(ContractViolationError):
         sweep_dual_family(a, t, 1e-7, DEFAULT_TOL)
     with pytest.raises(ContractViolationError):
-        ovf._family_member(a, canonical_ov_dual(a).analysis, ovf.range_basis(a), 1)
+        ovf._family_member(a, canonical_ov_dual(a).analysis, ovf.range_basis(a), 1, DEFAULT_TOL)
     # sampled duals project through the range basis: a wrong one is caught too
     with pytest.raises(ContractViolationError):
         ovf.sample_ov_duals(a, [np.ones(t.shape)], DEFAULT_TOL)
@@ -345,7 +361,7 @@ def test_implicit_kernel_projection_matches_dense_reference(rng):
     for w in _projector_population(rng):
         a = embed_fusion(w)
         t = ovf_analysis(a)
-        lo, hi = w.frame_eigs
+        lo, hi = a.frame_eigs
         pker = reference_kernel_projector(a, DEFAULT_TOL)
         bound = 8 * t.shape[0] * eps * np.sqrt(hi / lo)
         seed = int(rng.integers(2**32))
@@ -383,7 +399,7 @@ def test_duality_defects_match_per_dual_loop(rng):
         t = ovf_analysis(a)
         want = [spectral_norm(d.analysis.conj().T @ t - np.eye(n)) for d in duals]
         assert ovf.duality_defects(duals).tolist() == want
-        assert [duality_defect(d) for d in duals] == want
+        assert [ovf.duality_defects([d])[0] for d in duals] == want
     other = canonical_ov_dual(embed_fusion(coordinate_decomposition(n + 1)))
     with pytest.raises(ContractViolationError):
         ovf.duality_defects(duals + [other])
@@ -448,11 +464,11 @@ def test_kernel_columns_match_dense_reference(rng):
     for w in _projector_population(rng):
         a = embed_fusion(w)
         t = ovf_analysis(a)
-        lo, hi = w.frame_eigs
+        lo, hi = a.frame_eigs
         bound = 8 * t.shape[0] * eps * np.sqrt(hi / lo)
         pker = reference_kernel_projector(a, DEFAULT_TOL)
         q = ovf.range_basis(a)
-        norms = ovf._check_annihilator(a, q, ovf.kernel_parts(a, [t])[0])
+        norms = ovf._check_annihilator(a, q, ovf.kernel_parts(a, [t])[0], DEFAULT_TOL)
         for r in range(t.shape[0]):
             col = ovf._kernel_column(q, r)
             assert np.array_equal(col, reference_kernel_column(q, r))

@@ -10,17 +10,23 @@ from conftest import (
     reference_admissibility,
     reference_annihilation_defects,
     reference_dual_representation_residual,
+    reference_canonical_gavruta_dual,
     reference_generated_dual,
     reference_local_duals,
     reference_local_frame_equivalence,
     reference_representation_residual,
 )
 from fusionframes import multipliers, ovf
-from fusionframes.duality import generate_fusion_dual, is_admissible, random_annihilating_ovf
+from fusionframes.duality import (
+    canonical_gavruta_dual,
+    generate_fusion_dual,
+    is_admissible,
+    random_annihilating_ovf,
+)
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, build_local_frames, is_fusion_frame, random_subspace
 from fusionframes.instances import InstanceSpec, generate_instance, random_invertible_matrix
-from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norms
 from fusionframes.ovf import DualCandidate, embed_fusion, ovf_analysis
 
 LAPACK = ("svd", "eigvalsh", "solve", "inv", "qr", "pinv")
@@ -78,9 +84,9 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
     checked = []
     real = ovf.annihilation_defects
 
-    def counted(a, stack):
+    def counted(a, stack, tol=DEFAULT_TOL):
         checked.append(len(stack))
-        return real(a, stack)
+        return real(a, stack, tol)
 
     monkeypatch.setattr(ovf, "annihilation_defects", counted)
     inst = POPULATION[-1]
@@ -105,11 +111,11 @@ def test_one_non_annihilating_perturbation_in_a_valid_stack_is_rejected():
         rng = np.random.default_rng(inst.seed)
         seeds = [_complex(rng, t.shape) for _ in range(5)]
         stack = np.array([cand.perturbation for cand in ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)])
-        ovf._candidates(a, stack, t_dual + stack)
+        ovf._candidates(a, stack, t_dual + stack, DEFAULT_TOL)
         # T_A^* T_A = S_A is invertible, so L = T_A annihilates nothing
         stack[3] = t
         for check in (
-            lambda: ovf._candidates(a, stack, t_dual + stack),
+            lambda: ovf._candidates(a, stack, t_dual + stack, DEFAULT_TOL),
             lambda: ovf.annihilation_defects(a, stack),
             lambda: reference_annihilation_defects(a, stack),
         ):
@@ -146,6 +152,19 @@ def test_stacked_dual_generator_matches_the_per_block_loop():
                 assert np.array_equal(got.basis, want.basis)
             for got, want in ((gd.q, q), (gd.composite, comp), (gd.operators, ops)):
                 assert np.array_equal(got, want)
+
+
+def test_canonical_gavruta_dual_matches_the_per_block_spans():
+    # the ranges of the S_W^-1 P_{W_i} from one stacked SVD against the per-block
+    # spans of S_W^-1 B_i: the bases differ, the subspaces agree to rounding
+    eps = np.finfo(float).eps
+    for inst in POPULATION:
+        w, n = inst.w, inst.w.ambient_dim
+        got = canonical_gavruta_dual(w)
+        want = reference_canonical_gavruta_dual(w, DEFAULT_TOL)
+        assert got.dims == want.dims
+        assert np.array_equal(got.weights, want.weights)
+        assert spectral_norms(got.projections - want.projections).max() <= 10 * n * eps
 
 
 def test_batched_representation_residual_matches_the_per_dual_loop():
