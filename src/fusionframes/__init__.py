@@ -17,8 +17,6 @@ from .exceptions import (
 from .numerics import DEFAULT_TOL, ToleranceConfig
 from .frames import (
     VectorFrame,
-    canonical_dual_ordinary,
-    frame_operator,
     inverse_representation_ordinary,
     ordinary_multiplier,
 )

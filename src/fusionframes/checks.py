@@ -93,8 +93,9 @@ def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
 
 
 def _run_canonical_dual(inst, rng, tol):
-    cand = ovf.canonical_ov_dual(embed_fusion(inst.w), tol)
-    return CheckResult(float(ovf.duality_defects([cand])[0]))
+    a = embed_fusion(inst.w)
+    cand = ovf.canonical_ov_dual(a, tol)
+    return CheckResult(float(ovf.duality_defects([cand.analysis], ovf_analysis(a))[0]))
 
 
 def _sampled_duals(a, count, rng, tol):
@@ -105,8 +106,10 @@ def _sampled_duals(a, count, rng, tol):
 
 
 def _run_sampled_duals(inst, rng, tol):
-    duals = _sampled_duals(embed_fusion(inst.w), 5, rng, tol)
-    return CheckResult(float(ovf.duality_defects(duals).max()))
+    a = embed_fusion(inst.w)
+    duals = _sampled_duals(a, 5, rng, tol)
+    defects = ovf.duality_defects([d.analysis for d in duals], ovf_analysis(a))
+    return CheckResult(float(defects.max()))
 
 
 def _run_dual_span(inst, rng, tol):

@@ -41,8 +41,8 @@ from .numerics import (
     extreme_singular_values,
     spectral_norm,
     spectral_norms,
-    stacked_svd,
     svals_rank,
+    svd,
 )
 from .ovf import (
     DualCandidate,
@@ -191,7 +191,7 @@ def _ranges(ops: np.ndarray, tol: ToleranceConfig):
     """``(subspaces, ranks, singular values)`` of an (N, n, n) stack from one stacked
     SVD: block i has rank r_i at ``tol``, and its range is spanned by its first r_i
     left singular vectors."""
-    uu, ss, _ = stacked_svd(ops)
+    uu, ss, _ = svd(ops)
     ranks = svals_rank(ss, ops.shape[1], tol)
     return tuple(Subspace(u[:, :r]) for u, r in zip(uu, ranks)), ranks, ss
 

@@ -1,4 +1,4 @@
-"""Ordinary vector frames in C^n: canonical duals, multipliers, inverse representation.
+"""Ordinary vector frames in C^n: multipliers, sampled duals, inverse representation.
 
 Bounds and the frame test of a vector frame are those of its embedding
 (:func:`ovf.embed_ordinary`)."""
@@ -17,14 +17,11 @@ from .numerics import (
     as_matrix,
     clears_inv_cutoff,
     extreme_singular_values,
-    pinv,
     spectral_norm,
 )
 
 __all__ = [
     "VectorFrame",
-    "frame_operator",
-    "canonical_dual_ordinary",
     "ordinary_multiplier",
     "sample_ordinary_duals",
     "inverse_representation_ordinary",
@@ -47,18 +44,6 @@ class VectorFrame:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
-
-
-def frame_operator(phi: VectorFrame) -> np.ndarray:
-    """S = sum_i phi_i phi_i^*, Hermitian positive semidefinite."""
-    v = phi.vectors
-    return v.T @ v.conj()
-
-
-def canonical_dual_ordinary(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL) -> VectorFrame:
-    """Dual vectors psi_i = pinv(S) phi_i, computed within the span of phi."""
-    sp = pinv(frame_operator(phi), tol)
-    return VectorFrame((sp @ phi.vectors.T).T)
 
 
 def ordinary_multiplier(m, synth: VectorFrame, anal: VectorFrame) -> np.ndarray:

@@ -5,15 +5,17 @@ subject to the compatibility rule that a weight vanishes exactly when its
 subspace is zero. Each fact that no tolerance enters has one owner, which
 builds it read-only on first use:
 
-* the sequence owns the (N, n, n) stack of its projections P_i, S^-1 (one
-  inv of its embedding's S), the singular values of its stacked analysis
-  and of its K_W synthesis, and its embedding;
+* the sequence owns the (N, n, n) stack of its projections P_i, the
+  singular values of its stacked analysis and of its K_W synthesis, and its
+  embedding;
 * the embedding, the operator-valued frame {w_i P_i} (:class:`ovf.OVFrame`),
   owns the blocks w_i P_i, which are the stacked analysis, the frame
-  operator S, the extreme eigenvalues of S and the thin SVD of the analysis.
+  operator S, the extreme eigenvalues of S (so the bounds and ||T||), S^-1
+  from one inv, and the thin SVD of the analysis that the range basis needs.
 
 Bounds, the frame test and S^-1 are read through the embedding
-(:func:`ovf.ovf_frame_operator_bounds`, :func:`ovf.is_ovf_frame`), so a
+(:func:`ovf.ovf_frame_operator_bounds`, :func:`ovf.is_ovf_frame`,
+:attr:`ovf.OVFrame.frame_operator_inv`), so a
 sequence and its embedding cannot disagree about being a frame. Tolerance
 rules (the eigenvalue clip, the invertibility cutoff, ranks) are applied at
 each call on top of the cached facts. :func:`sandwich` builds every block
@@ -200,14 +202,6 @@ class FusionSequence:
         return stack
 
     @cached_property
-    def frame_operator_inv(self) -> np.ndarray:
-        """Read-only S^-1, from one inv of the embedding's S on first use; read by
-        :func:`inverse_frame_operator`."""
-        inv = np.linalg.inv(self.embedding.frame_operator)
-        inv.flags.writeable = False
-        return inv
-
-    @cached_property
     def analysis_svals(self) -> np.ndarray:
         """Read-only singular values of :func:`fusion_analysis_ambient`, from one
         values-only SVD on first use."""
@@ -267,10 +261,10 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
 
 
 def inverse_frame_operator(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """S^-1, cached on ``f``, once ``f`` passes the frame test at ``tol``."""
+    """S^-1, cached on the embedding of ``f``, once ``f`` passes the frame test at ``tol``."""
     if not is_fusion_frame(f, tol):
         raise NotAFrameError("S^-1 requires a fusion frame")
-    return f.frame_operator_inv
+    return f.embedding.frame_operator_inv
 
 
 def fusion_bounds(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):

@@ -29,7 +29,7 @@ from .fusion import (
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
-from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, singular_values
+from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, singular_values, svd
 from .ovf import OVFrame, ovf_analysis
 
 __all__ = [
@@ -211,7 +211,7 @@ def random_invertible_matrix(
 ) -> np.ndarray:
     """Random matrix with singular values rescaled into [s_min, s_max]."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    u, s, vh = np.linalg.svd(g)
+    u, s, vh = svd(g)
     if s[0] == s[-1]:
         scaled = np.full(n, s_max)
     else:
@@ -259,7 +259,7 @@ def random_symbol(
     delta = condition_c(Symbol(m, r), tol).delta
     ratio = tol.inv_rel * float(np.exp(rng.uniform(np.log(1 / 3), np.log(3.0))))
     target = ratio * delta / abs(m[0])
-    u, s, vh = np.linalg.svd(r[0])
+    u, s, vh = svd(r[0])
     s[-1] = target
     r = r.copy()
     r[0] = u @ np.diag(s) @ vh

@@ -36,8 +36,8 @@ closed-form inverse M^-1 with L and Q_dagger
 read only after the caller's cutoffs have passed. The inverse representation
 splits into its two halves, :func:`inverse_representation_residuals` (duality
 and representation) and :func:`inverse_representation_probe` (uniqueness),
-one per check. The sampled duals they are handed are re-validated with one
-batched SVD (:func:`ovf.duality_defects`), and the probe's kernel direction
+one per check. The sampled duals they are handed are re-validated against
+T_V with one batched SVD (:func:`ovf.duality_defects`), and the probe's kernel direction
 is drawn through the cached range basis of T_W, so no (N n) x (N n)
 projector is formed on this path.
 """
@@ -71,7 +71,6 @@ from .numerics import (
     clears_inv_cutoff,
     finite_array,
     near_inv_cutoff,
-    rank_tol,
     singular_values,
     spectral_norm,
     spectral_norms,
@@ -140,7 +139,7 @@ class Symbol:
     def svals(self) -> np.ndarray:
         """Read-only (N, n) singular values of the R_i, non-increasing, from one batched
         SVD on first use."""
-        s = np.linalg.svd(self.r, compute_uv=False)
+        s = singular_values(self.r)
         s.flags.writeable = False
         return s
 
@@ -165,7 +164,7 @@ class Symbol:
         """max_i ||sigma(m_i R_i) - |m_i| sigma(R_i)||_inf / max(1, ||D_mR||), from one
         batched SVD of :attr:`blocks` on first use: how far the stack that is applied
         as D_mR lies from the scaled block spectra :attr:`block_diag_svals` is built from."""
-        s = np.linalg.svd(self.blocks, compute_uv=False)
+        s = singular_values(self.blocks)
         defect = float(np.max(np.abs(s - np.abs(self.m)[:, None] * self.svals)))
         return defect / max(1.0, float(self.block_diag_svals[0]))
 
@@ -231,7 +230,7 @@ class Symbol:
         key = (v, w)
         if key not in self._inverses:
             m_inv = np.linalg.inv(self.assembled(v, w)[0])
-            pw_s_inv = w.projections @ w.frame_operator_inv
+            pw_s_inv = w.projections @ w.embedding.frame_operator_inv
             m_conj = np.conj(self.m)
             r_adj = v.weights[:, None, None] * self.r.conj().transpose(0, 2, 1)
             l_blocks = r_adj @ v.projections @ m_inv.conj().T
@@ -500,7 +499,9 @@ def _closed_form(
         raise ContractViolationError("at least one sampled dual is required")
     n = w.ambient_dim
     shapes_ok = all(cand.base.blocks.shape == (v.count, n, n) for cand in sampled_duals)
-    if not shapes_ok or np.any(duality_defects(sampled_duals) > 10 * tol.eq_rel):
+    analyses = [cand.analysis for cand in sampled_duals]
+    t_v = ovf_analysis(embed_fusion(v))
+    if not shapes_ok or np.any(duality_defects(analyses, t_v) > 10 * tol.eq_rel):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
     inverse_frame_operator(w, tol)  # the frame test of W, raising NotAFrameError
     m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
@@ -572,7 +573,7 @@ def local_frame_equivalence(
         dual = family.duals[i]
         if phi is None or dual is None:
             raise PreconditionError(f"block {i} has no local frame")
-        if rank_tol(phi.vectors, tol) != sub.dim:
+        if svals_rank(singular_values(phi.vectors), max(phi.vectors.shape), tol) != sub.dim:
             raise PreconditionError(f"local frame of block {i} does not span its subspace")
         anal_rows.append(w.weights[i] * phi.vectors)
         synth_rows.append(v.weights[i] * (v.projections[i] @ (sym.r[i] @ dual.vectors.T)).T)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra with a single shared tolerance policy.
 
 Every matrix in the package is a numpy ``complex128`` array, coerced and
-checked for finiteness by :func:`finite_array`. Every SVD, of one matrix or
-of a stack, runs through one LAPACK call that reports non-convergence as
-:class:`NumericFailureError`, and so does the ``eigvalsh`` of
-:func:`eig_extremes`.
+checked for finiteness by :func:`finite_array`. Every SVD in the package, of
+one matrix or of an (m, r, c) stack, goes through :func:`svd` or
+:func:`singular_values`, which take either and report non-convergence as
+:class:`NumericFailureError`; so does the ``eigvalsh`` of :func:`eig_extremes`.
 All rank, equality, and invertibility decisions route through one
 :class:`ToleranceConfig` so that no two checks can disagree about what
 counts as zero; an inverse is taken only where the caller has already
@@ -25,9 +25,7 @@ __all__ = [
     "finite_array",
     "as_matrix",
     "svd",
-    "stacked_svd",
     "singular_values",
-    "rank_tol",
     "svals_rank",
     "spectral_norm",
     "spectral_norms",
@@ -36,8 +34,6 @@ __all__ = [
     "near_inv_cutoff",
     "eig_extremes",
     "clip_eig_bounds",
-    "pinv",
-    "schatten_norm",
     "spectrum_schatten_norm",
 ]
 
@@ -48,7 +44,7 @@ class ToleranceConfig:
 
     rank_rel
         Singular values below ``rank_rel * max(rows, cols) * s_max`` are
-        treated as zero when ranking and pseudo-inverting.
+        treated as zero when ranking.
     eq_rel
         Two operators are equal when their difference has norm at most
         ``eq_rel`` times the comparison scale.
@@ -88,6 +84,12 @@ def as_matrix(a) -> np.ndarray:
     return finite_array(a, 2, "matrix")
 
 
+def _matrix_or_stack(a) -> np.ndarray:
+    """Coerce to a finite complex128 matrix or (m, r, c) stack of matrices."""
+    a = np.asarray(a, dtype=np.complex128)
+    return finite_array(a, 3 if a.ndim == 3 else 2, "matrix or matrix stack")
+
+
 def _lapack_svd(m: np.ndarray, **kwargs):
     """``np.linalg.svd`` of a validated matrix or stack, with non-convergence
     raised as :class:`NumericFailureError`."""
@@ -99,7 +101,10 @@ def _lapack_svd(m: np.ndarray, **kwargs):
 
 
 def svd(a):
-    """Thin singular value decomposition ``a = u @ diag(s) @ vh``.
+    """Thin singular value decomposition ``a = u @ diag(s) @ vh`` of a matrix, or of
+    each matrix of an (m, r, c) stack from one LAPACK call, with a leading axis of
+    length m on every factor; each matrix's factors are bit-for-bit those of the
+    matrix alone.
 
     Returns
     -------
@@ -107,36 +112,29 @@ def svd(a):
         ``u`` and ``vh.conj().T`` have orthonormal columns and ``s`` is
         non-increasing and non-negative.
     """
-    return _lapack_svd(as_matrix(a), full_matrices=False)
+    return _lapack_svd(_matrix_or_stack(a), full_matrices=False)
 
 
-def stacked_svd(stack):
-    """Thin singular value decompositions of an (m, r, c) stack, from one LAPACK
-    call: ``(u, s, vh)`` with a leading axis of length m. Each matrix's factors
-    are bit-for-bit those :func:`svd` returns for it."""
-    return _lapack_svd(finite_array(stack, 3, "matrix stack"), full_matrices=False)
-
-
-def singular_values(a) -> np.ndarray:
-    m = as_matrix(a)
-    if min(m.shape) == 0:
-        return np.zeros(0)
+def _svals(m: np.ndarray) -> np.ndarray:
+    """Singular values of a validated matrix or stack, from one values-only SVD."""
+    if min(m.shape[-2:]) == 0:
+        return np.zeros((*m.shape[:-2], 0))
     return _lapack_svd(m, compute_uv=False)
 
 
-def rank_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank: count of singular values above the relative cutoff."""
-    return int(svals_rank(singular_values(a), max(np.shape(a)), tol))
+def singular_values(a) -> np.ndarray:
+    """Non-increasing singular values of a matrix, or (m, min(r, c)) of a stack."""
+    return _svals(_matrix_or_stack(a))
 
 
 def svals_rank(s: np.ndarray, size: int, tol: ToleranceConfig):
-    """:func:`rank_tol` along the last axis of non-increasing singular values ``s`` of
-    matrices whose larger side is ``size``."""
+    """Numerical rank along the last axis of non-increasing singular values ``s`` of
+    matrices whose larger side is ``size``: the count above the relative cutoff."""
     return np.count_nonzero(s > tol.rank_rel * size * s[..., :1], axis=-1)
 
 
 def spectral_norm(a) -> float:
-    s = singular_values(a)
+    s = _svals(as_matrix(a))
     return float(s[0]) if s.size else 0.0
 
 
@@ -146,15 +144,13 @@ def spectral_norms(stack) -> np.ndarray:
     Each entry is bit-for-bit the :func:`spectral_norm` of that matrix: the
     batched SVD runs the same LAPACK routine on every matrix of the stack.
     """
-    a = finite_array(stack, 3, "matrix stack")
-    if min(a.shape[1:]) == 0:
-        return np.zeros(a.shape[0])
-    return _lapack_svd(a, compute_uv=False)[:, 0]
+    s = _svals(finite_array(stack, 3, "matrix stack"))
+    return s[:, 0] if s.shape[1] else np.zeros(len(s))
 
 
 def extreme_singular_values(a):
     """``(s_min, s_max)`` of a matrix; ``(0.0, 0.0)`` when it has no singular values."""
-    s = singular_values(a)
+    s = _svals(as_matrix(a))
     if not s.size:
         return 0.0, 0.0
     return float(s[-1]), float(s[0])
@@ -190,19 +186,6 @@ def clip_eig_bounds(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL):
     if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
         lo = 0.0
     return lo, hi
-
-
-def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse truncated at the rank cutoff."""
-    m = as_matrix(a)
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return np.linalg.pinv(m, rcond=tol.rank_rel * max(m.shape))
-
-
-def schatten_norm(a, p: float) -> float:
-    """Schatten p-norm ``(sum_i s_i**p) ** (1/p)`` for ``p >= 1``."""
-    return spectrum_schatten_norm(singular_values(a), p)
 
 
 def spectrum_schatten_norm(s: np.ndarray, p: float) -> float:

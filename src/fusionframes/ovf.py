@@ -36,12 +36,13 @@ Which object caches which fact, each read-only, built on first use and free
 of any tolerance:
 
 * an :class:`OVFrame` caches its frame operator S_A = T_A^* T_A, the
-  extreme eigenvalues of its Hermitian part, T_A S_A^-1, the thin SVD
-  factors (U, s) of T_A, from which ||T_A|| = s_0 is read, and, per rank
-  cut of Q, the spectrum of B;
+  extreme eigenvalues of its Hermitian part, from which its bounds, its
+  frame test and ||T_A|| = sqrt(beta) are read, S_A^-1 from one inv,
+  T_A S_A^-1 from that inverse, the thin SVD factors (U, s) of T_A, taken
+  only for the range basis, and, per rank cut of Q, the spectrum of B;
 * a fusion sequence caches no operator fact beside these: its embedding
   {w_i P_i} (:func:`embed_fusion`) is the OVFrame that owns its blocks, its
-  S, its eigenvalues and so its bounds and frame test.
+  S, its eigenvalues, its S^-1 and so its bounds and frame test.
 
 Tolerance rules are applied per call on top of the cached facts: the
 eigenvalue clip of :func:`ovf_frame_operator_bounds`, the one place frame
@@ -132,18 +133,25 @@ class OVFrame:
         return eig_extremes((s + s.conj().T) / 2.0)
 
     @cached_property
+    def frame_operator_inv(self) -> np.ndarray:
+        """Read-only S_A^-1 from one inv on first use; read it only once the frame
+        test has passed (see :func:`_canonical_analysis`)."""
+        inv = np.linalg.inv(self.frame_operator)
+        inv.flags.writeable = False
+        return inv
+
+    @cached_property
     def canonical_analysis(self) -> np.ndarray:
-        """Read-only T_A S_A^-1 from one solve on first use; read it only once the
-        frame test has passed (see :func:`canonical_ov_dual`)."""
-        # (S^-1 T^*)^* = T S^-1 since S is Hermitian
-        t_dual = np.linalg.solve(self.frame_operator, ovf_analysis(self).conj().T).conj().T
+        """Read-only T_A S_A^-1, from the cached inverse on first use; read it only once
+        the frame test has passed (see :func:`canonical_ov_dual`)."""
+        t_dual = ovf_analysis(self) @ self.frame_operator_inv
         t_dual.flags.writeable = False
         return t_dual
 
     @cached_property
     def analysis_svd(self) -> tuple:
         """Read-only thin SVD factors ``(U, s)`` of T_A, non-increasing s, from one
-        SVD on first use."""
+        SVD on first use; taken only for the range basis (see :func:`range_basis`)."""
         u, s, _ = svd(ovf_analysis(self))
         u.flags.writeable = False
         s.flags.writeable = False
@@ -157,9 +165,8 @@ class OVFrame:
 
     @property
     def analysis_norm(self) -> float:
-        """||T_A||, the largest cached singular value."""
-        s = self.analysis_svd[1]
-        return float(s[0]) if s.size else 0.0
+        """||T_A|| = sqrt(beta), beta the largest cached eigenvalue of S_A = T_A^* T_A."""
+        return float(np.sqrt(max(self.frame_eigs[1], 0.0)))
 
 
 def ovf_analysis(a: OVFrame) -> np.ndarray:
@@ -254,18 +261,18 @@ def _candidates(
     return out
 
 
-def duality_defects(cands) -> np.ndarray:
-    """||T_dual^* T_A - I|| of each candidate, from one batched SVD over the stack;
-    each entry is bit-for-bit the spectral norm of that candidate's matrix."""
-    dims = {cand.base.domain_dim for cand in cands}
-    if len(dims) != 1:
+def duality_defects(analyses, t: np.ndarray) -> np.ndarray:
+    """||D^* T - I|| for each dual analysis D of ``analyses``, a (c, m, n) stack or a
+    list of m x n matrices, against the m x n analysis ``t``, from one n x n product
+    per member and one batched SVD; each entry is bit-for-bit the spectral norm of
+    that member's matrix. Only n x n products are stacked, so no copy of the
+    analyses is made."""
+    if len(analyses) == 0 or any(np.shape(d) != t.shape for d in analyses):
         raise ContractViolationError(
-            f"candidates must share one domain dimension, got {sorted(dims)}"
+            f"dual analyses must be one or more {t.shape} matrices, "
+            f"got shapes {sorted({np.shape(d) for d in analyses})}"
         )
-    eye = np.eye(dims.pop())
-    return spectral_norms(
-        [cand.analysis.conj().T @ ovf_analysis(cand.base) - eye for cand in cands]
-    )
+    return spectral_norms(np.array([d.conj().T @ t for d in analyses]) - np.eye(t.shape[1]))
 
 
 def _canonical_analysis(a: OVFrame, tol: ToleranceConfig):
@@ -387,12 +394,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
             f"second analysis operator must have shape {t.shape}, got {t_prime.shape}"
         )
     rows, cols = t.shape
-    eye = np.eye(cols)
-
-    def residuals(d):
-        return spectral_norms(d.conj().transpose(0, 2, 1) @ t_prime - eye)
-
-    base = float(residuals(t_dual[None])[0])
+    base = float(duality_defects(t_dual[None], t_prime)[0])
     if base > threshold:
         return _family_member(a, t_dual, None, 0, tol), base, 1
     q = range_basis(a, tol)
@@ -411,7 +413,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
             members = np.arange(1 if above_all[r] else cols)
             d = np.repeat(t_dual[None], members.size, axis=0)
             d[members, :, members] += _kernel_column(q, r)
-            res = residuals(d)
+            res = duality_defects(d, t_prime)
             above = np.flatnonzero(res > threshold)
             if above.size:
                 index = 1 + r * cols + int(above[0])

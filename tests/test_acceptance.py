@@ -93,7 +93,7 @@ def test_criterion_01_dual_reconstruction():
         t = ovf_analysis(a)
         seeds = [rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(20)]
         duals = [canonical_ov_dual(a)] + sample_ov_duals(a, seeds, DEFAULT_TOL)
-        worst = max(worst, float(duality_defects(duals).max()))
+        worst = max(worst, float(duality_defects([d.analysis for d in duals], t).max()))
     _verdict(1, "dual reconstruction", worst <= EQ, f"max residual {worst:.3e}")
 
 

@@ -1,13 +1,13 @@
 """Facts cached on the immutable objects: read-only, computed once, tolerance-free,
 each by one owner.
 
-A FusionSequence caches its projections, S^-1, the singular values of its
-analysis and K_W synthesis and its operator-valued embedding {w_i P_i}. The
-embedding, an OVFrame, owns the sequence's operator facts: its blocks (the
-stacked analysis), the frame operator S, the extreme eigenvalues of S, so the
-bounds and the frame test of both, T S^-1, the thin SVD factors of T, which
-give ||T|| and the range basis, and per rank cut the spectrum of
-[T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
+A FusionSequence caches its projections, the singular values of its analysis
+and K_W synthesis and its operator-valued embedding {w_i P_i}. The embedding,
+an OVFrame, owns the sequence's operator facts: its blocks (the stacked
+analysis), the frame operator S, the extreme eigenvalues of S, so the bounds,
+the frame test and ||T|| of both, S^-1 from one inv and T S^-1 from it, the
+thin SVD factors of T, taken only for the range basis, and per rank cut the
+spectrum of [T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
 spectra, its inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the
 assembled multiplier with its spectrum and the closed-form inverse
 representation. Tolerance rules are applied per call on top of these, so one
@@ -15,6 +15,7 @@ object can serve runs under any tolerance.
 """
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_cached_arrays_are_read_only():
     arrays = [
         w.weights,
         w.projections,
-        w.frame_operator_inv,
+        a.frame_operator_inv,
         fusion_analysis_ambient(w),
         a.blocks,
         a.frame_operator,
@@ -132,18 +133,48 @@ def test_frame_operator_and_embedding_are_shared():
     inst = _instance()
     assert embed_fusion(inst.w) is embed_fusion(inst.w) is inst.w.embedding
     assert embed_fusion(inst.w) is not embed_fusion(inst.v)
-    assert not any(hasattr(inst.w, name) for name in ("frame_operator", "frame_eigs"))
+    cached = {k for k, v in vars(FusionSequence).items() if isinstance(v, cached_property)}
+    assert cached == {"projections", "embedding", "analysis_svals", "synthesis_svals"}
     t = fusion_analysis_ambient(inst.w)
     assert np.shares_memory(t, inst.w.embedding.blocks) and not t.flags.writeable
 
 
-def test_one_solve_per_embedded_sequence_across_the_duals_suite(monkeypatch):
+def test_one_inv_and_no_solve_per_embedded_frame_across_the_duals_and_multipliers_suites(
+    monkeypatch,
+):
+    # S^-1, T S^-1 and the closed-form inverse all read the one inv of S cached
+    # on the embedding
     inst = _instance()
-    calls = _counting(monkeypatch, "solve")
-    report = run_suite("duals", [inst])
+    solves = _counting(monkeypatch, "solve")
+    invs = _counting(monkeypatch, "inv")
+    for suite in ("duals", "multipliers"):
+        report = run_suite(suite, [inst])
+        assert report["summary"]["fail"] == 0
+        assert len(report["checks"]) == len(checks.SUITES[suite])
+    assert solves == []
+    for f in (inst.w, inst.v):
+        a = embed_fusion(f)
+        assert sum(np.array_equal(args[0], a.frame_operator) for args in invs) == 1
+        assert inverse_frame_operator(f) is a.frame_operator_inv
+        t_dual = ovf.ovf_analysis(a) @ a.frame_operator_inv
+        np.testing.assert_array_equal(a.canonical_analysis, t_dual)
+
+
+def test_the_schatten_suite_takes_no_svd_with_u_of_a_tall_operand(monkeypatch):
+    # ||T_V|| and ||T_W|| are read from the cached eigenvalues of S, not from a
+    # thin SVD of the (N n) x n analysis
+    inst = _instance()
+    kwargs = []
+    real = np.linalg.svd
+
+    def recorded(*args, **kw):
+        kwargs.append((np.shape(args[0]), kw.get("compute_uv", True)))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    report = run_suite("schatten", [inst])
     assert report["summary"]["fail"] == 0
-    assert len(report["checks"]) == len(checks.SUITES["duals"])
-    assert len(calls) == 1
+    assert kwargs and not [shape for shape, uv in kwargs if uv and shape[-2] > shape[-1]]
 
 
 def test_no_kernel_projector_is_kept():

@@ -4,13 +4,13 @@ representation."""
 import numpy as np
 import pytest
 
+from conftest import canonical_dual_ordinary
 from fusionframes.exceptions import ContractViolationError, NotInvertibleError
 from fusionframes.frames import (
     VectorFrame,
-    canonical_dual_ordinary,
-    frame_operator,
     inverse_representation_ordinary,
     ordinary_multiplier,
+    sample_ordinary_duals,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
 from fusionframes.ovf import embed_ordinary, is_ovf_frame, ovf_frame_operator_bounds
@@ -30,7 +30,7 @@ def test_bounds_parseval():
 
 def test_bounds_redundant():
     phi = VectorFrame(np.array([E1, E1, E2]))
-    np.testing.assert_allclose(frame_operator(phi), np.diag([2.0, 1.0]))
+    np.testing.assert_allclose(embed_ordinary(phi).frame_operator, np.diag([2.0, 1.0]))
     assert _bounds(phi) == pytest.approx((1.0, 2.0))
 
 
@@ -65,6 +65,11 @@ def test_canonical_dual_reconstructs_random_frames(rng):
         dual = canonical_dual_ordinary(phi)
         recon = ordinary_multiplier(np.ones(count), phi, dual)
         assert spectral_norm(recon - np.eye(n)) <= 1e-7
+        # the library's canonical dual, T S^-1 of the embedding, is the same frame
+        (canonical,) = sample_ordinary_duals(phi, 1, rng)
+        assert spectral_norm(canonical.vectors - dual.vectors) <= 1e-7 * max(
+            1.0, spectral_norm(dual.vectors)
+        )
 
 
 def test_multiplier_examples():

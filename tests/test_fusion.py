@@ -175,7 +175,8 @@ def test_local_frames_redundancy_zero_on_lines():
 def test_local_duals_for_repeated_vector():
     w = line([1.0, 0.0])
     v = w.basis[:, 0]
-    from fusionframes.frames import VectorFrame, canonical_dual_ordinary
+    from conftest import canonical_dual_ordinary
+    from fusionframes.frames import VectorFrame
 
     phi = VectorFrame(np.array([v, v]))
     dual = canonical_dual_ordinary(phi)

@@ -1,8 +1,12 @@
 """Tolerance policy and dense kernel contracts."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import pinv, rank_tol, schatten_norm
 from fusionframes import numerics
 from fusionframes.exceptions import ContractViolationError, NumericFailureError
 from fusionframes.fusion import projection, random_subspace
@@ -14,9 +18,7 @@ from fusionframes.numerics import (
     clip_eig_bounds,
     extreme_singular_values,
     near_inv_cutoff,
-    pinv,
-    rank_tol,
-    schatten_norm,
+    singular_values,
     spectral_norm,
     spectral_norms,
     svd,
@@ -55,16 +57,34 @@ def test_svd_rejects_nonfinite():
 
 @pytest.mark.parametrize(
     "name",
-    ["svd", "stacked_svd", "singular_values", "spectral_norm", "spectral_norms", "rank_tol"],
+    [
+        "svd",
+        "stacked_svd",
+        "singular_values",
+        "stacked_singular_values",
+        "spectral_norm",
+        "spectral_norms",
+        "extreme_singular_values",
+    ],
 )
 def test_svd_non_convergence_is_a_numeric_failure(monkeypatch, name):
+    # svd and singular_values take a matrix or a stack; "stacked_" names the stack
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    operand = np.eye(2)[None] if name in ("spectral_norms", "stacked_svd") else np.eye(2)
+    stacked = name.startswith("stacked_") or name == "spectral_norms"
+    operand = np.eye(2)[None] if stacked else np.eye(2)
     with pytest.raises(NumericFailureError):
-        getattr(numerics, name)(operand)
+        getattr(numerics, name.removeprefix("stacked_"))(operand)
+
+
+def test_every_svd_of_the_package_goes_through_numerics():
+    # so each reports non-convergence as NumericFailureError (see above)
+    package = Path(numerics.__file__).parent
+    direct = re.compile(r"linalg\.svd\b|from\s+numpy\.linalg\s+import[^\n]*\bsvd\b")
+    callers = sorted(p.name for p in package.glob("*.py") if direct.search(p.read_text()))
+    assert callers == ["numerics.py"]
 
 
 def test_eigvalsh_failure_is_a_numeric_failure():
@@ -76,14 +96,29 @@ def test_eigvalsh_failure_is_a_numeric_failure():
         numerics.eig_extremes(s)
 
 
-def test_stacked_svd_matches_svd_per_matrix(rng):
-    for shape in ((5, 4, 4), (3, 6, 2), (2, 1, 1), (0, 3, 3)):
+def test_svd_of_a_stack_matches_svd_per_matrix(rng):
+    for shape in ((5, 4, 4), (3, 6, 2), (2, 1, 1), (0, 3, 3), (2, 3, 0)):
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u, s, vh = numerics.stacked_svd(stack)
-        assert u.shape[0] == s.shape[0] == vh.shape[0] == shape[0]
+        s_only = singular_values(stack)
+        assert s_only.shape == (shape[0], min(shape[1:]))
+        if min(shape[1:]):
+            u, s, vh = svd(stack)
+            assert u.shape[0] == s.shape[0] == vh.shape[0] == shape[0]
         for k, matrix in enumerate(stack):
-            for got, want in zip((u[k], s[k], vh[k]), svd(matrix)):
-                assert np.array_equal(got, want)
+            assert np.array_equal(s_only[k], singular_values(matrix))
+            if min(shape[1:]):
+                for got, want in zip((u[k], s[k], vh[k]), svd(matrix)):
+                    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3, 3)])
+def test_svd_takes_only_a_matrix_or_a_stack(shape):
+    for fn in (svd, singular_values):
+        with pytest.raises(ContractViolationError):
+            fn(np.ones(shape))
+    for fn in (spectral_norm, extreme_singular_values):
+        with pytest.raises(ContractViolationError):
+            fn(np.ones((2, 3, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -5,12 +5,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import coordinate_decomposition, dual_family_residuals, reference_dual_perturbations
+from conftest import (
+    coordinate_decomposition,
+    dual_family_residuals,
+    rank_tol,
+    reference_dual_perturbations,
+)
 from fusionframes import ovf
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
-from fusionframes.frames import VectorFrame, frame_operator
-from fusionframes.fusion import FusionSequence, Subspace, fusion_bounds
-from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, rank_tol, spectral_norm
+from fusionframes.frames import VectorFrame
+from fusionframes.fusion import FusionSequence, Subspace, fusion_bounds, random_subspace
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
     canonical_ov_dual,
@@ -53,7 +58,7 @@ def test_embeddings_preserve_bounds(rng):
     vecs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     phi = VectorFrame(vecs)
     _, lo, hi = ovf_frame_operator_bounds(embed_ordinary(phi))
-    ev = np.linalg.eigvalsh(frame_operator(phi))
+    ev = np.linalg.eigvalsh(vecs.T @ vecs.conj())
     assert (lo, hi) == pytest.approx((ev[0], ev[-1]), rel=1e-12)
     np.testing.assert_allclose(
         ovf_frame_operator_bounds(embed_ordinary(VectorFrame(np.array([[2.0, 0.0]]))))[0],
@@ -108,7 +113,7 @@ def test_sample_dual_noncanonical_still_dual(diag_pair, rng):
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     cand = sample_ov_duals(a, [g], DEFAULT_TOL)[0]
     assert spectral_norm(cand.perturbation) > 1e-3
-    assert ovf.duality_defects([cand])[0] <= DEFAULT_TOL.eq_rel
+    assert ovf.duality_defects([cand.analysis], ovf_analysis(a))[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_dual_span_examples(diag_pair):
@@ -136,7 +141,8 @@ def test_dual_family_population(rng):
         assert dual_span_dimension(a) == count * k
         assert null_bessel_certificate(a) == 0
         g = rng.standard_normal((count * k, n)) + 1j * rng.standard_normal((count * k, n))
-        assert ovf.duality_defects(sample_ov_duals(a, [g], DEFAULT_TOL))[0] <= DEFAULT_TOL.eq_rel
+        (cand,) = sample_ov_duals(a, [g], DEFAULT_TOL)
+        assert ovf.duality_defects([cand.analysis], ovf_analysis(a))[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_ovframe_shape_validation():
@@ -387,6 +393,23 @@ def test_implicit_kernel_projection_matches_dense_reference(rng):
         assert verdicts["inverse_multiplier_uniqueness"] == "indeterminate"
 
 
+def test_analysis_norm_is_the_largest_singular_value_of_the_analysis():
+    # ||T|| = sqrt(beta) from the cached eigenvalues of S, against a direct SVD
+    # of T, on 20 seeded fusion sequences with n = 1, N = 1 and zero blocks
+    rng = np.random.default_rng(17)
+    for k in range(20):
+        n = 1 if k % 5 == 0 else int(rng.integers(2, 9))
+        count = 1 if k % 4 == 0 else int(rng.integers(2, 7))
+        dims = rng.integers(0, n + 1, count)
+        if k % 7 == 0:
+            dims[:] = 0  # every block zero: T = 0
+        weights = np.where(dims > 0, rng.uniform(0.5, 2.0, count), 0.0)
+        subs = tuple(random_subspace(n, int(d), rng) for d in dims)
+        a = embed_fusion(FusionSequence(subs, weights))
+        want = np.linalg.svd(ovf_analysis(a), compute_uv=False)[0]
+        assert abs(a.analysis_norm - want) <= 4 * n * np.finfo(float).eps * want
+
+
 def test_duality_defects_match_per_dual_loop(rng):
     # one batched SVD gives bit for bit the per-dual spectral norms
     from fusionframes import checks
@@ -397,12 +420,15 @@ def test_duality_defects_match_per_dual_loop(rng):
         a = embed_fusion(random_fusion_frame(n, count, rng))
         duals = [canonical_ov_dual(a)] + checks._sampled_duals(a, 4, rng, DEFAULT_TOL)
         t = ovf_analysis(a)
-        want = [spectral_norm(d.analysis.conj().T @ t - np.eye(n)) for d in duals]
-        assert ovf.duality_defects(duals).tolist() == want
-        assert [ovf.duality_defects([d])[0] for d in duals] == want
+        analyses = [d.analysis for d in duals]
+        want = [spectral_norm(d.conj().T @ t - np.eye(n)) for d in analyses]
+        assert ovf.duality_defects(analyses, t).tolist() == want
+        assert ovf.duality_defects(np.array(analyses), t).tolist() == want
+        assert [ovf.duality_defects([d], t)[0] for d in analyses] == want
     other = canonical_ov_dual(embed_fusion(coordinate_decomposition(n + 1)))
-    with pytest.raises(ContractViolationError):
-        ovf.duality_defects(duals + [other])
+    for bad in (analyses + [other.analysis], []):
+        with pytest.raises(ContractViolationError):
+            ovf.duality_defects(bad, t)
 
 
 def _certificate_population(rng):
