@@ -27,10 +27,7 @@ from .fusion import (
     build_local_frames,
     classify,
     excess,
-    fusion_analysis_ambient,
-    fusion_bounds,
     fusion_synthesis_kw,
-    is_fusion_frame,
     projection,
     random_subspace,
 )
@@ -39,11 +36,10 @@ from .ovf import (
     OVFrame,
     canonical_ov_dual,
     dual_span_dimension,
-    embed_fusion,
     embed_ordinary,
+    frame_bounds,
+    is_frame,
     null_bessel_certificate,
-    ovf_analysis,
-    ovf_frame_operator_bounds,
 )
 from .duality import (
     find_separating_dual,

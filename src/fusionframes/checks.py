@@ -24,9 +24,6 @@ from .fusion import (
     block_deviation,
     block_sum,
     build_local_frames,
-    fusion_analysis_ambient,
-    fusion_bounds,
-    is_fusion_frame,
     random_subspace,
 )
 from .instances import (
@@ -38,7 +35,7 @@ from .instances import (
     random_symbol,
 )
 from .numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm, spectral_norms
-from .ovf import embed_fusion, ovf_analysis
+from .ovf import frame_bounds, is_frame
 
 __all__ = ["CheckResult", "Check", "CHECKS", "SUITES", "run_suite", "describe_check"]
 
@@ -66,11 +63,11 @@ def _always(inst: Instance, tol: ToleranceConfig) -> bool:
 
 
 def _w_frame(inst: Instance, tol: ToleranceConfig) -> bool:
-    return is_fusion_frame(inst.w, tol)
+    return is_frame(inst.w.embedding, tol)
 
 
 def _both_frames(inst: Instance, tol: ToleranceConfig) -> bool:
-    return is_fusion_frame(inst.w, tol) and is_fusion_frame(inst.v, tol)
+    return is_frame(inst.w.embedding, tol) and is_frame(inst.v.embedding, tol)
 
 
 def _invertible_multiplier(inst: Instance, tol: ToleranceConfig) -> bool:
@@ -93,41 +90,40 @@ def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
 
 
 def _run_canonical_dual(inst, rng, tol):
-    a = embed_fusion(inst.w)
+    a = inst.w.embedding
     cand = ovf.canonical_ov_dual(a, tol)
-    return CheckResult(float(ovf.duality_defects([cand.analysis], ovf_analysis(a))[0]))
+    return CheckResult(float(ovf.duality_defects([cand.analysis], a.analysis)[0]))
 
 
 def _sampled_duals(a, count, rng, tol):
     """``count`` kernel-perturbed duals of ``a``, each from a complex Gaussian seed."""
-    shape = ovf_analysis(a).shape
+    shape = a.analysis.shape
     seeds = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count)]
     return ovf.sample_ov_duals(a, seeds, tol)
 
 
 def _run_sampled_duals(inst, rng, tol):
-    a = embed_fusion(inst.w)
+    a = inst.w.embedding
     duals = _sampled_duals(a, 5, rng, tol)
-    defects = ovf.duality_defects([d.analysis for d in duals], ovf_analysis(a))
+    defects = ovf.duality_defects([d.analysis for d in duals], a.analysis)
     return CheckResult(float(defects.max()))
 
 
 def _run_dual_span(inst, rng, tol):
-    a = embed_fusion(inst.w)
+    a = inst.w.embedding
     want = a.count * a.codomain_dim
     got = ovf.dual_span_dimension(a, tol)
     return CheckResult(float(abs(got - want)), detail=f"rank {got}, expected {want}")
 
 
 def _run_null_certificate(inst, rng, tol):
-    return CheckResult(float(ovf.null_bessel_certificate(embed_fusion(inst.w), tol)))
+    return CheckResult(float(ovf.null_bessel_certificate(inst.w.embedding, tol)))
 
 
 def _run_left_inverse_span(inst, rng, tol):
-    a = embed_fusion(inst.w)
-    t_w = fusion_analysis_ambient(inst.w)
+    a = inst.w.embedding
     # an upper bound on every member's residual, or the first one above eq_rel
-    _, worst, _ = ovf.sweep_dual_family(a, t_w, tol.eq_rel, tol)
+    _, worst, _ = ovf.sweep_dual_family(a, a.analysis, tol.eq_rel, tol)
     # not ovf.dual_span_dimension: each call of that name is read as the
     # dual_span check's certificate
     rank = ovf._dual_span_rank(a, tol)
@@ -195,7 +191,7 @@ def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
             subs = list(w.subspaces)
             subs[idx] = random_subspace(w.ambient_dim, subs[idx].dim, rng)
             cand = FusionSequence(tuple(subs), w.weights.copy())
-        if block_deviation(w, cand) >= 0.1 and is_fusion_frame(cand, tol):
+        if block_deviation(w, cand) >= 0.1 and is_frame(cand.embedding, tol):
             return cand
     weights = w.weights.copy()
     weights[int(np.flatnonzero(weights)[0])] += 0.1
@@ -223,10 +219,9 @@ def _run_norm_bound(inst, rng, tol):
 
 def _run_assembly_routes(inst, rng, tol):
     rep = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol)
-    # T_V^* D_mR T_W block by block: D_mR is block diagonal with blocks m_i R_i
-    n = inst.w.ambient_dim
-    t_v = fusion_analysis_ambient(inst.v).reshape(-1, n, n)
-    t_w = fusion_analysis_ambient(inst.w).reshape(-1, n, n)
+    # T_V^* D_mR T_W block by block: D_mR is block diagonal with blocks m_i R_i,
+    # and block i of T_V, T_W is an embedding's block u_i P_{V_i}, w_i P_{W_i}
+    t_v, t_w = inst.v.embedding.blocks, inst.w.embedding.blocks
     route = block_sum(t_v.conj().transpose(0, 2, 1) @ inst.symbol.blocks @ t_w)
     residual = spectral_norm(rep.matrix - route) / max(1.0, rep.sigma_max)
     return CheckResult(residual)
@@ -304,7 +299,7 @@ def _run_excess_invariance(inst, rng, tol):
 
 def _v_duals(inst, rng, tol):
     """The canonical and four sampled duals of {u_i P_{V_i}}, drawn from ``rng``."""
-    a_v = embed_fusion(inst.v)
+    a_v = inst.v.embedding
     return [ovf.canonical_ov_dual(a_v, tol)] + _sampled_duals(a_v, 4, rng, tol)
 
 
@@ -372,7 +367,7 @@ def _run_local_negative(inst, rng, tol):
     live = inst.v.weights * inst.w.weights > 0.0
     sym = inst.symbol
     symbol_sup = float(np.max(np.abs(sym.m[live]) * sym.svals[live, 0], initial=0.0))
-    beta_v, beta_w = fusion_bounds(inst.v, tol)[1], fusion_bounds(inst.w, tol)[1]
+    beta_v, beta_w = frame_bounds(inst.v.embedding, tol)[1], frame_bounds(inst.w.embedding, tol)[1]
     reach = float(np.sqrt(beta_v * beta_w)) * symbol_sup * (1.0 + family.beta)
     if reach < 1e-3:
         detail = f"the control can reach at most {reach:.3e} < 1e-3"

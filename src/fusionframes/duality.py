@@ -27,10 +27,7 @@ from .fusion import (
     FusionSequence,
     Subspace,
     block_deviation,
-    fusion_analysis_ambient,
     fusion_synthesis_kw,
-    inverse_frame_operator,
-    is_fusion_frame,
     sandwich,
 )
 from .numerics import (
@@ -48,9 +45,9 @@ from .ovf import (
     DualCandidate,
     OVFrame,
     annihilation_defects,
-    embed_fusion,
+    frame_operator_inverse,
+    is_frame,
     kernel_parts,
-    ovf_analysis,
     sweep_dual_family,
 )
 
@@ -181,7 +178,7 @@ def gavruta_dual_check(
     """Normalized residual of sum_i w_i u_i P_{V_i} S_W^-1 P_{W_i} = I."""
     if v.count != w.count:
         raise ContractViolationError("sequences have different lengths")
-    s_inv = inverse_frame_operator(w, tol)
+    s_inv = frame_operator_inverse(w.embedding, tol)
     n = w.ambient_dim
     comp = sandwich(v, w, w.weights * v.weights, s_inv)
     return float(np.linalg.norm(comp - np.eye(n)) / np.sqrt(n))
@@ -200,7 +197,7 @@ def canonical_gavruta_dual(
     w: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL
 ) -> FusionSequence:
     """The classical dual (S_W^-1 W_i, w_i), with S_W^-1 W_i the range of S_W^-1 P_{W_i}."""
-    subs, _, _ = _ranges(inverse_frame_operator(w, tol) @ w.projections, tol)
+    subs, _, _ = _ranges(frame_operator_inverse(w.embedding, tol) @ w.projections, tol)
     return FusionSequence(subs, w.weights.copy())
 
 
@@ -241,7 +238,7 @@ def random_annihilating_ovf(
     stacked L is P_ker G for a complex Gaussian G (see :func:`ovf.kernel_parts`)."""
     n = w.ambient_dim
     g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
-    (stacked,) = kernel_parts(embed_fusion(w), [g], tol)
+    (stacked,) = kernel_parts(w.embedding, [g], tol)
     return OVFrame(stacked.reshape(w.count, n, n))
 
 
@@ -259,7 +256,7 @@ def generate_fusion_dual(
     by construction and the composite reproduces U; with U = I the output
     passes :func:`kpp_dual_check` with kind "dual".
     """
-    s_inv = inverse_frame_operator(w, tol)
+    s_inv = frame_operator_inverse(w.embedding, tol)
     n = w.ambient_dim
     u = as_matrix(u)
     if u.shape != (n, n):
@@ -273,7 +270,7 @@ def generate_fusion_dual(
             raise ContractViolationError(
                 f"annihilating sequence must have shape {(w.count, n, n)}, got {l.blocks.shape}"
             )
-        annihilation_defects(embed_fusion(w), ovf_analysis(l)[None], tol)
+        annihilation_defects(w.embedding, l.analysis[None], tol)
         l_blocks = l.blocks
     l_adj = l_blocks.conj().transpose(0, 2, 1)
     ops = (w.weights[:, None, None] * (u @ s_inv) + l_adj) @ w.projections
@@ -333,11 +330,11 @@ def find_separating_dual(
     """
     if w.count != w_prime.count or w.ambient_dim != w_prime.ambient_dim:
         raise ContractViolationError("sequences must share length and ambient dimension")
-    if not is_fusion_frame(w, tol) or not is_fusion_frame(w_prime, tol):
+    if not is_frame(w.embedding, tol) or not is_frame(w_prime.embedding, tol):
         raise NotAFrameError("separating-dual search requires two fusion frames")
     deviation = block_deviation(w, w_prime)
     witness, residual, checked = sweep_dual_family(
-        embed_fusion(w), fusion_analysis_ambient(w_prime), 10.0 * tol.eq_rel, tol
+        w.embedding, w_prime.embedding.analysis, 10.0 * tol.eq_rel, tol
     )
     return SeparationResult(
         witness=witness, residual=residual, block_deviation=deviation, checked=checked

@@ -13,14 +13,15 @@ builds it read-only on first use:
   operator S, the extreme eigenvalues of S (so the bounds and ||T||), S^-1
   from one inv, and the thin SVD of the analysis that the range basis needs.
 
-Bounds, the frame test and S^-1 are read through the embedding
-(:func:`ovf.ovf_frame_operator_bounds`, :func:`ovf.is_ovf_frame`,
-:attr:`ovf.OVFrame.frame_operator_inv`), so a
-sequence and its embedding cannot disagree about being a frame. Tolerance
-rules (the eigenvalue clip, the invertibility cutoff, ranks) are applied at
-each call on top of the cached facts. :func:`sandwich` builds every block
-sum sum_i c_i P_{V_i} X_i P_{W_i} (dual composites and multipliers) from the
-projection stacks. Two coefficient spaces appear throughout:
+Every caller reads these facts through ``f.embedding``: the analysis
+``f.embedding.analysis``, the bounds :func:`ovf.frame_bounds`, the frame test
+:func:`ovf.is_frame` and S^-1 behind that test
+(:func:`ovf.frame_operator_inverse`), so a sequence and its embedding cannot
+disagree about being a frame. Tolerance rules (the eigenvalue clip, the
+invertibility cutoff, ranks) are applied at each call on top of the cached
+facts. :func:`sandwich` builds every block sum sum_i c_i P_{V_i} X_i P_{W_i}
+(dual composites and multipliers) from the projection stacks. Two
+coefficient spaces appear throughout:
 
 * the ambient stacked space C^(N*n), where block i of the analysis operator
   is w_i P_i, and
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ContractViolationError, NotAFrameError
+from .exceptions import ContractViolationError
 from .frames import VectorFrame
 from .numerics import (
     DEFAULT_TOL,
@@ -46,7 +47,7 @@ from .numerics import (
     spectral_norms,
     svals_rank,
 )
-from .ovf import OVFrame, is_ovf_frame, ovf_analysis, ovf_frame_operator_bounds
+from .ovf import OVFrame, frame_bounds, is_frame
 
 __all__ = [
     "Subspace",
@@ -57,11 +58,7 @@ __all__ = [
     "block_sum",
     "sandwich",
     "block_deviation",
-    "fusion_analysis_ambient",
     "fusion_synthesis_kw",
-    "inverse_frame_operator",
-    "fusion_bounds",
-    "is_fusion_frame",
     "FusionClassification",
     "classify",
     "excess",
@@ -203,9 +200,9 @@ class FusionSequence:
 
     @cached_property
     def analysis_svals(self) -> np.ndarray:
-        """Read-only singular values of :func:`fusion_analysis_ambient`, from one
-        values-only SVD on first use."""
-        s = singular_values(fusion_analysis_ambient(self))
+        """Read-only singular values of the stacked analysis ``embedding.analysis``,
+        from one values-only SVD on first use."""
+        s = singular_values(self.embedding.analysis)
         s.flags.writeable = False
         return s
 
@@ -250,31 +247,9 @@ def block_deviation(f: FusionSequence, g: FusionSequence) -> float:
     return float(spectral_norms(f.embedding.blocks - g.embedding.blocks).max())
 
 
-def fusion_analysis_ambient(f: FusionSequence) -> np.ndarray:
-    """Read-only (N*n) x n stack whose i-th block is w_i P_i: the embedding's analysis."""
-    return ovf_analysis(f.embedding)
-
-
 def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
     """n x (sum d_i) block column [w_1 B_1 | ... | w_N B_N] on K_W coordinates."""
     return np.hstack([w * s.basis for s, w in zip(f.subspaces, f.weights)])
-
-
-def inverse_frame_operator(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """S^-1, cached on the embedding of ``f``, once ``f`` passes the frame test at ``tol``."""
-    if not is_fusion_frame(f, tol):
-        raise NotAFrameError("S^-1 requires a fusion frame")
-    return f.embedding.frame_operator_inv
-
-
-def fusion_bounds(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
-    """Frame bounds (alpha, beta) of ``f``: those of its embedding, clipped at ``tol``."""
-    return ovf_frame_operator_bounds(f.embedding, tol)[1:]
-
-
-def is_fusion_frame(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """The frame test of :func:`ovf.is_ovf_frame` on the embedding of ``f``."""
-    return is_ovf_frame(f.embedding, tol)
 
 
 @dataclass(frozen=True)
@@ -293,11 +268,11 @@ def classify(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> FusionCla
     requires the subspace dimensions to sum to n with the K_W synthesis
     having full rank n.
     """
-    lo, hi = fusion_bounds(f, tol)
+    lo, hi = frame_bounds(f.embedding, tol)
     n, total = f.ambient_dim, sum(f.dims)
     riesz = total == n and svals_rank(f.synthesis_svals, n, tol) == n
     return FusionClassification(
-        bessel=True, frame=is_fusion_frame(f, tol), riesz_fusion_basis=riesz, lower=lo, upper=hi
+        bessel=True, frame=is_frame(f.embedding, tol), riesz_fusion_basis=riesz, lower=lo, upper=hi
     )
 
 

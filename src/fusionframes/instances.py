@@ -24,13 +24,12 @@ from .fusion import (
     Subspace,
     build_local_frames,
     frame_operator_fits,
-    fusion_bounds,
     random_subspace,
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
 from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, singular_values, svd
-from .ovf import OVFrame, ovf_analysis
+from .ovf import OVFrame, frame_bounds
 
 __all__ = [
     "SYMBOL_MODES",
@@ -152,7 +151,7 @@ def random_fusion_frame(
     for _ in range(MAX_DRAWS):
         use_dims = random_spanning_dims(n, count, rng) if dims is None else tuple(dims)
         f = _random_sequence(n, use_dims, weight_range, rng)
-        lo, hi = fusion_bounds(f, tol)
+        lo, hi = frame_bounds(f.embedding, tol)
         if lo > 0.0 and hi / lo <= MAX_COND:
             return f
     raise PreconditionError(f"no fusion frame of condition <= {MAX_COND} in {MAX_DRAWS} draws")
@@ -197,7 +196,7 @@ def random_ov_frame(
             rng.standard_normal((count, k, n)) + 1j * rng.standard_normal((count, k, n))
         ) / np.sqrt(2.0 * count * k)
         a = OVFrame(blocks)
-        s = singular_values(ovf_analysis(a))
+        s = singular_values(a.analysis)
         if s[-1] >= MIN_COND_RATIO * s[0]:
             return a
     raise PreconditionError(f"no frame of ratio {MIN_COND_RATIO} in {MAX_DRAWS} draws")
@@ -219,12 +218,9 @@ def random_invertible_matrix(
     return u @ np.diag(scaled) @ vh
 
 
-def _conditioned_block(n, rng, s_min=0.5, s_max=2.0) -> np.ndarray:
-    return random_invertible_matrix(n, rng, s_min=s_min, s_max=s_max)
-
-
-def _annulus(rng, lo=0.5, hi=2.0) -> complex:
-    radius = rng.uniform(lo, hi)
+def _annulus(rng) -> complex:
+    """A random point of the annulus 0.5 <= |z| <= 2, radius and angle uniform."""
+    radius = rng.uniform(0.5, 2.0)
     angle = rng.uniform(0.0, 2.0 * np.pi)
     return complex(radius * np.cos(angle), radius * np.sin(angle))
 
@@ -247,7 +243,7 @@ def random_symbol(
         raise ContractViolationError(f"unknown symbol mode {mode!r}")
     if mode == "identity":
         return Symbol.identity(n, count)
-    r = np.array([_conditioned_block(n, rng) for _ in range(count)])
+    r = np.array([random_invertible_matrix(n, rng, 0.5, 2.0) for _ in range(count)])
     m = np.array([_annulus(rng) for _ in range(count)])
     if mode == "random_C_holding":
         return Symbol(m, r)
@@ -501,8 +497,16 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
             raise ContractViolationError("local: frames, duals null exactly on zero blocks")
         for i in np.flatnonzero(w.dims):
             phi = _finite(decode, frames[i], (None, n), f"local.frames[{i}]")
-            frames[i] = VectorFrame(phi)
-            duals[i] = VectorFrame(_finite(decode, duals[i], phi.shape, f"local.duals[{i}]"))
+            dual = _finite(decode, duals[i], phi.shape, f"local.duals[{i}]")
+            # the Subspace rule: sum_j dual_j phi_j^* must be P_{W_i} in Frobenius norm
+            defect = float(np.linalg.norm(dual.T @ phi.conj() - w.projections[i]))
+            limit = DEFAULT_TOL.eq_rel * max(1.0, w.dims[i])
+            if defect > limit:
+                raise ContractViolationError(
+                    f"local.frames[{i}], local.duals[{i}]: sum_j dual_j phi_j^* is "
+                    f"{defect:.3e} from P_W_{i} in Frobenius norm (limit {limit:.3e})"
+                )
+            frames[i], duals[i] = VectorFrame(phi), VectorFrame(dual)
         alpha, beta = (_number(obj, key, f"local.{key}") for key in ("alpha", "beta"))
         # with no nonzero block the bounds are over nothing, and gen writes 0 and 0
         if not (0.0 < alpha <= beta if any(w.dims) else alpha == beta == 0.0):

@@ -39,7 +39,11 @@ and representation) and :func:`inverse_representation_probe` (uniqueness),
 one per check. The sampled duals they are handed are re-validated against
 T_V with one batched SVD (:func:`ovf.duality_defects`), and the probe's kernel direction
 is drawn through the cached range basis of T_W, so no (N n) x (N n)
-projector is formed on this path.
+projector is formed on this path. The frame facts of V and W are read
+through their embeddings: beta_V and beta_W of the norm bound from
+:func:`ovf.frame_bounds`, ||T_V|| and ||T_W|| from
+:attr:`ovf.OVFrame.analysis_norm`, and S_W^-1 only behind the frame test of
+:func:`ovf.frame_operator_inverse`.
 """
 
 from __future__ import annotations
@@ -58,10 +62,6 @@ from .fusion import (
     LocalFrameFamily,
     classify,
     excess,
-    fusion_analysis_ambient,
-    fusion_bounds,
-    inverse_frame_operator,
-    is_fusion_frame,
     sandwich,
     scale_weights,
 )
@@ -77,7 +77,7 @@ from .numerics import (
     spectrum_schatten_norm,
     svals_rank,
 )
-from .ovf import DualCandidate, duality_defects, embed_fusion, ovf_analysis
+from .ovf import DualCandidate, duality_defects, frame_bounds, frame_operator_inverse, is_frame
 
 __all__ = [
     "Symbol",
@@ -327,8 +327,8 @@ def assemble_multiplier(
     """
     mat, s = sym.assembled(v, w)
     sigma_min, sigma_max = float(s[-1]), float(s[0])
-    _, beta_v = fusion_bounds(v, tol)
-    _, beta_w = fusion_bounds(w, tol)
+    _, beta_v = frame_bounds(v.embedding, tol)
+    _, beta_w = frame_bounds(w.embedding, tol)
     bound = float(np.sqrt(beta_v * beta_w) * sym.m_sup * sym.r_sup)
     return MultiplierReport(
         matrix=mat,
@@ -432,8 +432,8 @@ def invertible_multiplier_consequences(
     w_scaled = sym.scaled(w)
     v_scaled = sym.scaled(v)
     seqs = (w, v, w_scaled, v_scaled)
-    bounds = [fusion_bounds(seq, tol) for seq in seqs]
-    all_frames = all(is_fusion_frame(seq, tol) for seq in seqs)
+    bounds = [frame_bounds(seq.embedding, tol) for seq in seqs]
+    all_frames = all(is_frame(seq.embedding, tol) for seq in seqs)
     beta_v = bounds[1][1]
     # ||M^-1|| = 1 / sigma_min(M)
     rhs = report.sigma_min**2 / (beta_v * sym.r_sup**2)
@@ -500,10 +500,10 @@ def _closed_form(
     n = w.ambient_dim
     shapes_ok = all(cand.base.blocks.shape == (v.count, n, n) for cand in sampled_duals)
     analyses = [cand.analysis for cand in sampled_duals]
-    t_v = ovf_analysis(embed_fusion(v))
+    t_v = v.embedding.analysis
     if not shapes_ok or np.any(duality_defects(analyses, t_v) > 10 * tol.eq_rel):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
-    inverse_frame_operator(w, tol)  # the frame test of W, raising NotAFrameError
+    frame_operator_inverse(w.embedding, tol)  # the frame test of W, raising NotAFrameError
     m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
     return m_inv, q_dagger.reshape(w.count * n, n), sym.inverse_blocks
 
@@ -520,7 +520,7 @@ def inverse_representation_residuals(
     M^-1 = T_Qd^* D_(mR)^-1 T_D over the supplied duals D of {u_i P_{V_i}}."""
     m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
     n = w.ambient_dim
-    duality_residual = spectral_norm(stacked_q.conj().T @ fusion_analysis_ambient(w) - np.eye(n))
+    duality_residual = spectral_norm(stacked_q.conj().T @ w.embedding.analysis - np.eye(n))
     return duality_residual, _representation_residual(stacked_q, inv_blocks, sampled_duals, m_inv)
 
 
@@ -536,7 +536,7 @@ def inverse_representation_probe(
     from ``rng`` and scaled to PROBE_SCALE ||Q_dagger||: how badly a perturbed
     closed-form dual breaks the inverse representation."""
     m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
-    e = ovf_analysis(random_annihilating_ovf(w, rng, tol))
+    e = random_annihilating_ovf(w, rng, tol).analysis
     e_norm = spectral_norm(e)
     if e_norm > 0.0:
         e = e * (PROBE_SCALE * spectral_norm(stacked_q) / e_norm)
@@ -558,7 +558,10 @@ def local_frame_equivalence(
     u_i P_{V_i} R_i dual_ij, and the symbol entry m_i repeated per local
     vector. The returned value is ||M_fusion - M_lifted|| relative to
     max(1, ||M_fusion||). Each block's synthesis vectors are one matrix
-    product, u_i P_{V_i} R_i [dual_i1 ... dual_ik].
+    product, u_i P_{V_i} R_i [dual_i1 ... dual_ik]. That the local frames span
+    their subspaces is not re-tested here: :func:`fusion.build_local_frames`
+    spans by construction, and loading a stored family checks that each frame
+    and its duals reconstruct P_{W_i}.
     """
     _check_triple(sym, v, w)
     if len(family.frames) != w.count:
@@ -573,8 +576,6 @@ def local_frame_equivalence(
         dual = family.duals[i]
         if phi is None or dual is None:
             raise PreconditionError(f"block {i} has no local frame")
-        if svals_rank(singular_values(phi.vectors), max(phi.vectors.shape), tol) != sub.dim:
-            raise PreconditionError(f"local frame of block {i} does not span its subspace")
         anal_rows.append(w.weights[i] * phi.vectors)
         synth_rows.append(v.weights[i] * (v.projections[i] @ (sym.r[i] @ dual.vectors.T)).T)
         m_hat.append(np.full(phi.count, sym.m[i]))
@@ -602,7 +603,7 @@ def gavruta_multiplier(
     m = np.asarray(m, dtype=np.complex128).ravel()
     if not (m.size == v.count == w.count):
         raise ContractViolationError("lengths disagree")
-    s_inv = inverse_frame_operator(w, tol)
+    s_inv = frame_operator_inverse(w.embedding, tol)
     return sandwich(v, w, m * v.weights * w.weights, s_inv)
 
 
@@ -640,7 +641,7 @@ def schatten_checks(
     _check_triple(sym, v, w)
     lhs = spectrum_schatten_norm(sym.assembled(v, w)[1], p)
     d_norm = spectrum_schatten_norm(sym.block_diag_svals, p)
-    rhs = embed_fusion(v).analysis_norm * embed_fusion(w).analysis_norm * d_norm
+    rhs = v.embedding.analysis_norm * w.embedding.analysis_norm * d_norm
     composite_ok = lhs <= rhs + tol.eq_rel * max(1.0, rhs)
     lhs_c = d_norm**p
     ranks = svals_rank(sym.svals, sym.dim, tol)

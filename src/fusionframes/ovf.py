@@ -41,13 +41,14 @@ of any tolerance:
   T_A S_A^-1 from that inverse, the thin SVD factors (U, s) of T_A, taken
   only for the range basis, and, per rank cut of Q, the spectrum of B;
 * a fusion sequence caches no operator fact beside these: its embedding
-  {w_i P_i} (:func:`embed_fusion`) is the OVFrame that owns its blocks, its
-  S, its eigenvalues, its S^-1 and so its bounds and frame test.
+  ``f.embedding``, the OVFrame {w_i P_i}, owns its blocks, its stacked
+  analysis, its S, its eigenvalues, its S^-1 and so its bounds and frame test.
 
 Tolerance rules are applied per call on top of the cached facts: the
-eigenvalue clip of :func:`ovf_frame_operator_bounds`, the one place frame
-bounds are read; the invertibility cutoff of :func:`is_ovf_frame`, the one
-frame test; and the rank cutoff that cuts Q from U.
+eigenvalue clip of :func:`frame_bounds`, the one place frame bounds are
+read; the invertibility cutoff of :func:`is_frame`, the one frame test,
+which :func:`frame_operator_inverse` applies before S_A^-1 or T_A S_A^-1 is
+read; and the rank cutoff that cuts Q from U.
 """
 
 from __future__ import annotations
@@ -73,17 +74,15 @@ from .numerics import (
     svd,
 )
 
-if TYPE_CHECKING:  # fusion imports this module at load time
+if TYPE_CHECKING:  # frames imports this module at load time
     from .frames import VectorFrame
-    from .fusion import FusionSequence
 
 __all__ = [
     "OVFrame",
-    "ovf_analysis",
-    "ovf_frame_operator_bounds",
-    "is_ovf_frame",
+    "frame_bounds",
+    "is_frame",
+    "frame_operator_inverse",
     "embed_ordinary",
-    "embed_fusion",
     "DualCandidate",
     "annihilation_defects",
     "duality_defects",
@@ -118,10 +117,16 @@ class OVFrame:
     def domain_dim(self) -> int:
         return self.blocks.shape[2]
 
+    @property
+    def analysis(self) -> np.ndarray:
+        """The (N*k) x n stacked analysis T_A, a view of the blocks."""
+        n_blocks, k, n = self.blocks.shape
+        return self.blocks.reshape(n_blocks * k, n)
+
     @cached_property
     def frame_operator(self) -> np.ndarray:
         """Read-only S_A = T_A^* T_A, built on first use."""
-        t = ovf_analysis(self)
+        t = self.analysis
         s = t.conj().T @ t
         s.flags.writeable = False
         return s
@@ -135,7 +140,7 @@ class OVFrame:
     @cached_property
     def frame_operator_inv(self) -> np.ndarray:
         """Read-only S_A^-1 from one inv on first use; read it only once the frame
-        test has passed (see :func:`_canonical_analysis`)."""
+        test has passed (see :func:`frame_operator_inverse`)."""
         inv = np.linalg.inv(self.frame_operator)
         inv.flags.writeable = False
         return inv
@@ -143,8 +148,8 @@ class OVFrame:
     @cached_property
     def canonical_analysis(self) -> np.ndarray:
         """Read-only T_A S_A^-1, from the cached inverse on first use; read it only once
-        the frame test has passed (see :func:`canonical_ov_dual`)."""
-        t_dual = ovf_analysis(self) @ self.frame_operator_inv
+        the frame test has passed (see :func:`frame_operator_inverse`)."""
+        t_dual = self.analysis @ self.frame_operator_inv
         t_dual.flags.writeable = False
         return t_dual
 
@@ -152,7 +157,7 @@ class OVFrame:
     def analysis_svd(self) -> tuple:
         """Read-only thin SVD factors ``(U, s)`` of T_A, non-increasing s, from one
         SVD on first use; taken only for the range basis (see :func:`range_basis`)."""
-        u, s, _ = svd(ovf_analysis(self))
+        u, s, _ = svd(self.analysis)
         u.flags.writeable = False
         s.flags.writeable = False
         return u, s
@@ -169,33 +174,29 @@ class OVFrame:
         return float(np.sqrt(max(self.frame_eigs[1], 0.0)))
 
 
-def ovf_analysis(a: OVFrame) -> np.ndarray:
-    """(N*k) x n stacked analysis matrix."""
-    n_blocks, k, n = a.blocks.shape
-    return a.blocks.reshape(n_blocks * k, n)
+def frame_bounds(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """Frame bounds (alpha, beta): the extreme eigenvalues of S_A, clipped at ``tol``.
+    The bounds of every frame and fusion sequence are read here."""
+    return clip_eig_bounds(*a.frame_eigs, tol)
 
 
-def ovf_frame_operator_bounds(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL):
-    """Frame operator S_A = T_A^* T_A with its extreme eigenvalues, clipped at ``tol``:
-    the frame bounds of every frame and fusion sequence are read here."""
-    lo, hi = clip_eig_bounds(*a.frame_eigs, tol)
-    return a.frame_operator, lo, hi
-
-
-def is_ovf_frame(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_frame(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """The frame test: the clipped bounds clear the invertibility cutoff at ``tol``."""
-    return clears_inv_cutoff(*ovf_frame_operator_bounds(a, tol)[1:], tol)
+    return clears_inv_cutoff(*frame_bounds(a, tol), tol)
+
+
+def frame_operator_inverse(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The read-only S_A^-1 cached on ``a``, once ``a`` passes the frame test at
+    ``tol``; the one gate in front of S_A^-1 and T_A S_A^-1."""
+    if not is_frame(a, tol):
+        lo, hi = frame_bounds(a, tol)
+        raise NotAFrameError(f"not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})")
+    return a.frame_operator_inv
 
 
 def embed_ordinary(phi: VectorFrame) -> OVFrame:
     """Vectors as rank-one analysis functionals: block i is the row phi_i^*."""
     return OVFrame(phi.vectors.conj()[:, None, :])
-
-
-def embed_fusion(f: FusionSequence) -> OVFrame:
-    """Fusion sequence as B(C^n)-valued frame: block i is w_i P_i. The frame is the
-    one cached on ``f``, so every caller shares its cached facts."""
-    return f.embedding
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) 
     if not stack.any():
         return np.zeros(len(stack))
     adj = stack.conj().transpose(0, 2, 1)
-    defects = spectral_norms(adj @ ovf_analysis(a))
+    defects = spectral_norms(adj @ a.analysis)
     l_norms = np.sqrt(spectral_norms(adj @ stack))
     bad = defects > tol.eq_rel * np.maximum(1.0, a.analysis_norm * l_norms)
     if np.any(bad):
@@ -275,27 +276,18 @@ def duality_defects(analyses, t: np.ndarray) -> np.ndarray:
     return spectral_norms(np.array([d.conj().T @ t for d in analyses]) - np.eye(t.shape[1]))
 
 
-def _canonical_analysis(a: OVFrame, tol: ToleranceConfig):
-    """``(T_A, T_A S_A^-1)`` after the frame test at ``tol``; T_A S_A^-1 is read-only."""
-    if not is_ovf_frame(a, tol):
-        _, lo, hi = ovf_frame_operator_bounds(a, tol)
-        raise NotAFrameError(
-            f"operator-valued sequence is not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})"
-        )
-    return ovf_analysis(a), a.canonical_analysis
-
-
 def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis Q of ran(T_A): the cached left singular vectors of T_A
     whose singular values clear the rank cutoff at ``tol``."""
     u, s = a.analysis_svd
-    return u[:, : svals_rank(s, max(ovf_analysis(a).shape), tol)]
+    return u[:, : svals_rank(s, max(a.analysis.shape), tol)]
 
 
 def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
     """The dual with L = 0, read off from T_A S_A^-1."""
-    t, t_dual = _canonical_analysis(a, tol)
-    return _candidates(a, np.zeros((1, *t.shape), dtype=np.complex128), t_dual[None], tol)[0]
+    frame_operator_inverse(a, tol)
+    t_dual = a.canonical_analysis
+    return _candidates(a, np.zeros((1, *t_dual.shape), dtype=np.complex128), t_dual[None], tol)[0]
 
 
 def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -308,14 +300,15 @@ def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> lis
 def sample_ov_duals(a: OVFrame, seeds, tol: ToleranceConfig) -> list:
     """Duals T_A S_A^-1 + P_ker G, one per seed G, sharing T_A S_A^-1 and the range
     basis (see :func:`kernel_parts`)."""
-    t, t_dual = _canonical_analysis(a, tol)
+    frame_operator_inverse(a, tol)
+    t_dual = a.canonical_analysis
     seeds = [as_matrix(g) for g in seeds]
     for g in seeds:
-        if g.shape != t.shape:
+        if g.shape != t_dual.shape:
             raise ContractViolationError(
-                f"perturbation seed must have shape {t.shape}, got {g.shape}"
+                f"perturbation seed must have shape {t_dual.shape}, got {g.shape}"
             )
-    stack = np.array(kernel_parts(a, seeds, tol), dtype=np.complex128).reshape(len(seeds), *t.shape)
+    stack = np.array(kernel_parts(a, seeds, tol), dtype=np.complex128).reshape(-1, *t_dual.shape)
     return _candidates(a, stack, t_dual + stack, tol)
 
 
@@ -387,7 +380,8 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
     subtracting I by u F each, and each largest singular value by about n u F
     (backward stable SVD); 8 (m + n) u F covers the sum for both.
     """
-    t, t_dual = _canonical_analysis(a, tol)
+    frame_operator_inverse(a, tol)
+    t, t_dual = a.analysis, a.canonical_analysis
     t_prime = as_matrix(t_prime)
     if t_prime.shape != t.shape:
         raise ContractViolationError(
@@ -433,7 +427,8 @@ def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:
     Z^* B = [Z^* C | Z^* - (Z^* Q) Q^*] together with N k - p ones, exactly. B^* = [C^* ; P_ker] has the same
     spectrum.
     """
-    _, t_dual = _canonical_analysis(a, tol)
+    frame_operator_inverse(a, tol)
+    t_dual = a.canonical_analysis
     q = range_basis(a, tol)
     cut = q.shape[1]
     if cut not in a._family_svals:
@@ -471,5 +466,5 @@ def null_bessel_certificate(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> i
     the adjoint of the matrix whose rank :func:`dual_span_dimension` takes;
     the dual family annihilates only the zero sequence exactly when this is 0.
     """
-    nullity = ovf_analysis(a).shape[0] - _dual_span_rank(a, tol)
+    nullity = a.analysis.shape[0] - _dual_span_rank(a, tol)
     return int(nullity * a.domain_dim)

@@ -20,8 +20,8 @@ from fusionframes.numerics import (
 )
 from fusionframes.ovf import (
     OVFrame,
-    _canonical_analysis,
     _check_annihilator,
+    frame_operator_inverse,
     kernel_parts,
     range_basis,
 )
@@ -94,9 +94,7 @@ def reference_dual_perturbations(a, tol):
     Yields L = 0, then P_ker E_rs, zero except for column s, which is
     P_ker[:, r], in row-major order of (r, s).
     """
-    from fusionframes.ovf import ovf_analysis
-
-    t = ovf_analysis(a)
+    t = a.analysis
     rows, cols = t.shape
     yield np.zeros_like(t)
     q = range_basis(a, tol)
@@ -123,7 +121,8 @@ def dual_family_residuals(a: OVFrame, t_prime, tol: ToleranceConfig = DEFAULT_TO
     stays at n members. Each value is bit for bit the spectral norm computed
     from that member.
     """
-    t, t_dual = _canonical_analysis(a, tol)
+    frame_operator_inverse(a, tol)
+    t, t_dual = a.analysis, a.canonical_analysis
     t_prime = as_matrix(t_prime)
     if t_prime.shape != t.shape:
         raise ContractViolationError(
@@ -261,13 +260,12 @@ def reference_block_diag(sym):
 def reference_schatten(sym, v, w, p, tol):
     """(composite_bound, block_power, rank_bound), as schatten_checks computed
     them with SVDs of the dense block diagonal and of both analysis operators."""
-    from fusionframes.fusion import fusion_analysis_ambient
     from fusionframes.numerics import spectral_norm
 
     d = reference_block_diag(sym)
     rhs = (
-        spectral_norm(fusion_analysis_ambient(v))
-        * spectral_norm(fusion_analysis_ambient(w))
+        spectral_norm(v.embedding.analysis)
+        * spectral_norm(w.embedding.analysis)
         * schatten_norm(d, p)
     )
     lhs_c = schatten_norm(d, p) ** p
@@ -316,11 +314,11 @@ def reference_coherence_defects(sym, inv_blocks):
 
 def reference_adversarial_symbol(n, count, rng, tol):
     """random_symbol("adversarial", ...) with its per-block delta loop."""
-    from fusionframes.instances import _annulus, _conditioned_block
+    from fusionframes.instances import _annulus, random_invertible_matrix
     from fusionframes.multipliers import Symbol
     from fusionframes.numerics import singular_values
 
-    r = np.array([_conditioned_block(n, rng) for _ in range(count)])
+    r = np.array([random_invertible_matrix(n, rng, 0.5, 2.0) for _ in range(count)])
     m = np.array([_annulus(rng) for _ in range(count)])
     sym = Symbol(m, r)
     delta = max(abs(sym.m[i]) * singular_values(sym.r[i])[0] for i in range(count))
@@ -337,15 +335,15 @@ def reference_sampled_duals(a, count, rng, tol, canonical=False):
     """(perturbation, analysis) pairs from the per-dual loop: each sampled dual
     recomputed the canonical analysis and the range basis Q, and applied
     P_ker G = G - Q (Q^* G) as sample_ov_duals does."""
-    from fusionframes.ovf import _canonical_analysis, ovf_analysis, range_basis
-
-    t = ovf_analysis(a)
+    t = a.analysis
     out = []
     if canonical:
-        out.append((np.zeros_like(t), _canonical_analysis(a, tol)[1]))
+        frame_operator_inverse(a, tol)
+        out.append((np.zeros_like(t), a.canonical_analysis))
     for _ in range(count):
         g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        _, t_dual = _canonical_analysis(a, tol)
+        frame_operator_inverse(a, tol)
+        t_dual = a.canonical_analysis
         q = range_basis(a, tol)
         l = g - q @ (q.conj().T @ g)
         out.append((l, t_dual + l))
@@ -372,11 +370,9 @@ def reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n):
 def reference_probe(w, rng, tol):
     """The uniqueness probe's kernel direction, as the one-pass inverse
     representation drew it, with P_ker G applied as G - Q (Q^* G)."""
-    from fusionframes.ovf import embed_fusion, range_basis
-
     n = w.ambient_dim
     g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
-    q = range_basis(embed_fusion(w), tol)
+    q = range_basis(w.embedding, tol)
     return g - q @ (q.conj().T @ g)
 
 
@@ -385,9 +381,7 @@ def reference_kernel_projector(a, tol):
     the reference the implicit P_ker G = G - Q (Q^* G), its columns
     e_r - Q Q[r, :]^* and the spectrum of [T_A S_A^-1 | P_ker] must meet within
     rounding."""
-    from fusionframes.ovf import ovf_analysis
-
-    t = ovf_analysis(a)
+    t = a.analysis
     return np.eye(t.shape[0]) - t @ pinv(t, tol)
 
 
@@ -396,7 +390,6 @@ def reference_inverse_representation(sym, v, w, duals, tol, rng):
     memos, as the inverse representation was computed before its two halves
     were split: M^-1, S^-1 and the (m_i R_i)^-1 are formed afresh; the probe
     draws from ``rng`` after the residuals."""
-    from fusionframes.fusion import fusion_analysis_ambient
     from fusionframes.multipliers import assemble_multiplier
     from fusionframes.numerics import spectral_norm
 
@@ -410,7 +403,7 @@ def reference_inverse_representation(sym, v, w, duals, tol, rng):
     l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
     q = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
     stacked_q = q.reshape(count * n, n)
-    duality = spectral_norm(stacked_q.conj().T @ fusion_analysis_ambient(w) - np.eye(n))
+    duality = spectral_norm(stacked_q.conj().T @ w.embedding.analysis - np.eye(n))
     inv_blocks = reference_inverse_symbol_blocks(sym)
     representation = reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n)
     e = reference_probe(w, rng, tol)
@@ -561,9 +554,8 @@ def reference_annihilation_defects(a, perturbations):
     """||L^* T_A|| of each perturbation, checked one candidate at a time as
     DualCandidate.__post_init__ did, with ||L|| from the whole (N k) x n L."""
     from fusionframes.numerics import spectral_norm
-    from fusionframes.ovf import ovf_analysis
 
-    t = ovf_analysis(a)
+    t = a.analysis
     defects = []
     for l in perturbations:
         scale = max(1.0, a.analysis_norm * spectral_norm(l))
@@ -602,10 +594,10 @@ def reference_admissibility(q_blocks, v, w, tol):
 def reference_generated_dual(w, u, l_blocks, tol):
     """(V, Q, composite, operators), as generate_fusion_dual built them with one
     product and one SVD per block; ``l_blocks`` is the (N, n, n) stack of L_i."""
-    from fusionframes.fusion import inverse_frame_operator, sandwich
+    from fusionframes.fusion import sandwich
     from fusionframes.numerics import svals_rank, svd
 
-    s_inv = inverse_frame_operator(w, tol)
+    s_inv = frame_operator_inverse(w.embedding, tol)
     n = w.ambient_dim
     subs, weights, q_blocks, ops = [], [], [], []
     for i in range(w.count):
@@ -632,10 +624,9 @@ def reference_canonical_gavruta_dual(w, tol):
     """(S_W^-1 W_i, w_i) as canonical_gavruta_dual built it before its ranges came
     from one stacked SVD: one SVD of S_W^-1 B_i per nonzero block, cut at the rank
     rule for its larger side."""
-    from fusionframes.fusion import inverse_frame_operator
     from fusionframes.numerics import svals_rank, svd
 
-    s_inv = inverse_frame_operator(w, tol)
+    s_inv = frame_operator_inverse(w.embedding, tol)
     subs = []
     for sub in w.subspaces:
         if not sub.dim:

@@ -52,9 +52,8 @@ from fusionframes.ovf import (
     canonical_ov_dual,
     dual_span_dimension,
     duality_defects,
-    embed_fusion,
+    is_frame,
     null_bessel_certificate,
-    ovf_analysis,
     sample_ov_duals,
 )
 
@@ -90,7 +89,7 @@ def test_criterion_01_dual_reconstruction():
         if count * k < n:
             count = int(np.ceil(n / k))
         a = random_ov_frame(n, k, count, rng)
-        t = ovf_analysis(a)
+        t = a.analysis
         seeds = [rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(20)]
         duals = [canonical_ov_dual(a)] + sample_ov_duals(a, seeds, DEFAULT_TOL)
         worst = max(worst, float(duality_defects([d.analysis for d in duals], t).max()))
@@ -166,9 +165,7 @@ def test_criterion_05_separating_duals():
                 )
                 for i in range(w.count)
             )
-            from fusionframes.fusion import is_fusion_frame
-
-            if deviation >= 0.1 and is_fusion_frame(other):
+            if deviation >= 0.1 and is_frame(other.embedding):
                 break
         if find_separating_dual(w, other).witness is not None:
             found += 1
@@ -247,8 +244,8 @@ def test_criterion_09_inverse_representation():
         rep0 = assemble_multiplier(sym, v, w)
         if not rep0.invertible or rep0.sigma_min < 1e-3 * rep0.sigma_max:
             continue
-        a_v = embed_fusion(v)
-        t = ovf_analysis(a_v)
+        a_v = v.embedding
+        t = a_v.analysis
         seeds = [rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(4)]
         duals = [canonical_ov_dual(a_v)] + sample_ov_duals(a_v, seeds, DEFAULT_TOL)
         worst = max(worst, *inverse_representation_residuals(sym, v, w, duals))

@@ -27,10 +27,6 @@ from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
     FusionSequence,
     classify,
-    fusion_analysis_ambient,
-    fusion_bounds,
-    inverse_frame_operator,
-    is_fusion_frame,
     scale_weights,
 )
 from fusionframes.instances import InstanceSpec, generate_instance, random_spanning_dims
@@ -40,7 +36,7 @@ from fusionframes.multipliers import (
     inverse_representation_residuals,
 )
 from fusionframes.numerics import ToleranceConfig
-from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_frame_operator_bounds
+from fusionframes.ovf import canonical_ov_dual, frame_bounds, frame_operator_inverse, is_frame
 
 LOOSE = ToleranceConfig(eq_rel=1e-6, rank_rel=1e-8)
 
@@ -73,13 +69,13 @@ def _without_wall_time(report):
 def test_cached_arrays_are_read_only():
     inst = _instance()
     w, sym = inst.w, inst.symbol
-    a = embed_fusion(w)
+    a = w.embedding
     canonical_ov_dual(a)
     arrays = [
         w.weights,
         w.projections,
         a.frame_operator_inv,
-        fusion_analysis_ambient(w),
+        w.embedding.analysis,
         a.blocks,
         a.frame_operator,
         a.canonical_analysis,
@@ -109,11 +105,11 @@ def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeyp
     invs = _counting(monkeypatch, "inv")
     for tol in (ToleranceConfig(), LOOSE):
         for f in (inst.w, inst.v):
-            fusion_bounds(f, tol)
-            is_fusion_frame(f, tol)
+            frame_bounds(f.embedding, tol)
+            is_frame(f.embedding, tol)
             classify(f, tol)
-            inverse_frame_operator(f, tol)
-            canonical_ov_dual(embed_fusion(f), tol)
+            frame_operator_inverse(f.embedding, tol)
+            canonical_ov_dual(f.embedding, tol)
     assert len(eigs) == 2
     assert len(invs) == 2
 
@@ -121,21 +117,18 @@ def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeyp
 def test_bounds_are_clipped_per_call_on_the_cached_eigenvalues():
     inst = _instance()
     for f in (inst.w, inst.v):
-        a = embed_fusion(f)
+        a = f.embedding
         assert a.frame_eigs[0] > 0.0  # a frame: no clip applies
-        assert fusion_bounds(f) == fusion_bounds(f, LOOSE) == a.frame_eigs
-        s, lo_a, hi_a = ovf_frame_operator_bounds(a)
-        assert s is a.frame_operator
-        assert (lo_a, hi_a) == ovf_frame_operator_bounds(a, LOOSE)[1:] == a.frame_eigs
+        assert frame_bounds(a) == frame_bounds(a, LOOSE) == a.frame_eigs
 
 
 def test_frame_operator_and_embedding_are_shared():
     inst = _instance()
-    assert embed_fusion(inst.w) is embed_fusion(inst.w) is inst.w.embedding
-    assert embed_fusion(inst.w) is not embed_fusion(inst.v)
+    assert inst.w.embedding is inst.w.embedding
+    assert inst.w.embedding is not inst.v.embedding
     cached = {k for k, v in vars(FusionSequence).items() if isinstance(v, cached_property)}
     assert cached == {"projections", "embedding", "analysis_svals", "synthesis_svals"}
-    t = fusion_analysis_ambient(inst.w)
+    t = inst.w.embedding.analysis
     assert np.shares_memory(t, inst.w.embedding.blocks) and not t.flags.writeable
 
 
@@ -153,10 +146,10 @@ def test_one_inv_and_no_solve_per_embedded_frame_across_the_duals_and_multiplier
         assert len(report["checks"]) == len(checks.SUITES[suite])
     assert solves == []
     for f in (inst.w, inst.v):
-        a = embed_fusion(f)
+        a = f.embedding
         assert sum(np.array_equal(args[0], a.frame_operator) for args in invs) == 1
-        assert inverse_frame_operator(f) is a.frame_operator_inv
-        t_dual = ovf.ovf_analysis(a) @ a.frame_operator_inv
+        assert frame_operator_inverse(a) is a.frame_operator_inv
+        t_dual = a.analysis @ a.frame_operator_inv
         np.testing.assert_array_equal(a.canonical_analysis, t_dual)
 
 
@@ -183,7 +176,7 @@ def test_no_kernel_projector_is_kept():
     inst = _instance()
     for suite in ("duals", "multipliers"):
         run_suite(suite, [inst])
-    a = embed_fusion(inst.w)
+    a = inst.w.embedding
     n, count = inst.w.ambient_dim, inst.w.count
     kept = [
         item
@@ -242,9 +235,9 @@ def test_one_inverse_frame_operator_per_sequence_across_duals_and_multipliers(mo
     for suite in ("duals", "multipliers"):
         report = run_suite(suite, [inst])
         assert report["summary"]["fail"] == 0
-    s_w = embed_fusion(inst.w).frame_operator
-    assert sum(np.array_equal(args[0], s_w) for args in calls) == 1
-    assert inverse_frame_operator(inst.w) is inverse_frame_operator(inst.w, LOOSE)
+    a = inst.w.embedding
+    assert sum(np.array_equal(args[0], a.frame_operator) for args in calls) == 1
+    assert frame_operator_inverse(a) is frame_operator_inverse(a, LOOSE)
 
 
 def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(monkeypatch):
@@ -347,11 +340,11 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     assert len(calls("kernel_parts")) == 3
     assert len(calls("range_basis")) == 3
     assert not any(
-        args[0] is embed_fusion(inst.w) for args in calls("range_basis", "inverse_multiplier_dual")
+        args[0] is inst.w.embedding for args in calls("range_basis", "inverse_multiplier_dual")
     )
     probed = [args[0] for args in calls("range_basis", "inverse_multiplier_uniqueness")]
     assert len(probed) == 2
-    assert probed[0] is embed_fusion(inst.v) and probed[1] is embed_fusion(inst.w)
+    assert probed[0] is inst.v.embedding and probed[1] is inst.w.embedding
     for name in ("invertible_multiplier_frames", "excess_invariance"):
         assert len(calls("excess", name)) == 4
     # the second consequence check reads every spectrum the first one took
@@ -428,8 +421,8 @@ def test_one_certificate_spectrum_per_frame_and_cut_across_the_duals_suite(monke
     # of [T S^-1 | P_ker], taken by dual_span, the first of them; a tolerance
     # with another rank_rel but the same cut of Q reads it again
     inst = _instance()
-    a = embed_fusion(inst.w)
-    m, n = ovf.ovf_analysis(a).shape
+    a = inst.w.embedding
+    m, n = a.analysis.shape
     events = _per_check(monkeypatch)
     for tol in (ToleranceConfig(), LOOSE):
         report = run_suite("duals", [inst], tol)

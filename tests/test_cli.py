@@ -309,6 +309,47 @@ def test_malformed_documents_exit_2_with_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err[0]
 
 
+@pytest.mark.parametrize("case", ["zero_frame", "duals_are_frames", "frame_scaled"])
+def test_stored_local_frames_that_do_not_reconstruct_exit_2_at_load(tmp_path, capsys, case):
+    # a zeroed local.frames[0] used to load and abort local_equivalence with
+    # residual 1e300 and exit 1
+    base = tmp_path / "base.json"
+    assert main(["gen", "--dim", "4", "--blocks", "3", "--dims", "2,2,3", "--seed", "3",
+                 "--local", "1", "-o", str(base)]) == 0
+    doc = json.loads(base.read_text())
+    local = doc["local"]
+    phi = np.frombuffer(base64.b64decode(local["frames"][0]), dtype="<c16")
+    if case == "zero_frame":
+        local["frames"][0] = _b64(np.zeros_like(phi))
+    elif case == "duals_are_frames":
+        local["duals"][0] = local["frames"][0]
+    else:
+        local["frames"][0] = _b64((1.0 + 1e-6) * phi)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "--suite", "local", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "local.frames[0]" in err[0]
+
+
+def test_stored_local_frames_of_generated_families_reconstruct_within_rounding(tmp_path):
+    # the load-time test leaves a wide margin on every family gen writes
+    from fusionframes.instances import load_instance
+
+    worst = 0.0
+    for redundancy, seed in ((0, 1), (3, 2), (64, 3)):
+        out = tmp_path / f"r{redundancy}.json"
+        assert main(["gen", "--dim", "6", "--blocks", "4", "--dims", "1,0,4,6", "--seed",
+                     str(seed), "--local", str(redundancy), "-o", str(out)]) == 0
+        inst = load_instance(out)
+        for i, (phi, dual) in enumerate(zip(inst.local.frames, inst.local.duals)):
+            if phi is not None:
+                recon = dual.vectors.T @ phi.vectors.conj()
+                worst = max(worst, float(np.linalg.norm(recon - inst.w.projections[i])))
+    assert worst < 1e-12
+
+
 def test_weights_that_overflow_the_frame_operator_exit_2_with_one_error_line(tmp_path, capsys):
     # w_i^2 overflows: gen used to write this file and check to crash in eigvalsh
     out = tmp_path / "e.json"

@@ -27,11 +27,10 @@ from fusionframes.exceptions import ContractViolationError, NotAFrameError
 from fusionframes.fusion import (
     FusionSequence,
     Subspace,
-    fusion_analysis_ambient,
     projection,
 )
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis, sweep_dual_family
+from fusionframes.ovf import canonical_ov_dual, sweep_dual_family
 
 
 def _projection_blocks(f):
@@ -145,8 +144,8 @@ def test_generate_dual_scaled_target():
 
 def test_generate_dual_with_kernel_term(diag_pair, rng):
     l = random_annihilating_ovf(diag_pair, rng)
-    t_w = fusion_analysis_ambient(diag_pair)
-    assert spectral_norm(ovf_analysis(l).conj().T @ t_w) <= 1e-10
+    t_w = diag_pair.embedding.analysis
+    assert spectral_norm(l.analysis.conj().T @ t_w) <= 1e-10
     gd = generate_fusion_dual(diag_pair, np.eye(2), l)
     np.testing.assert_allclose(gd.composite, np.eye(2), atol=1e-12)
     assert kpp_dual_check(gd.v, diag_pair, gd.q).kind == "dual"
@@ -187,14 +186,14 @@ def test_fusion_dual_to_ovf(diag_pair):
     b = fusion_dual_to_ovf(gd.v, gd.q)
     np.testing.assert_allclose(b.blocks[0], np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(b.blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
-    t_w = fusion_analysis_ambient(diag_pair)
+    t_w = diag_pair.embedding.analysis
     np.testing.assert_allclose(
-        ovf_analysis(b).conj().T @ t_w, np.eye(2), atol=1e-13
+        b.analysis.conj().T @ t_w, np.eye(2), atol=1e-13
     )
     scaled = generate_fusion_dual(diag_pair, 2.0 * np.eye(2))
     b2 = fusion_dual_to_ovf(scaled.v, scaled.q)
     np.testing.assert_allclose(
-        ovf_analysis(b2).conj().T @ t_w, 2 * np.eye(2), atol=1e-13
+        b2.analysis.conj().T @ t_w, 2 * np.eye(2), atol=1e-13
     )
 
 
@@ -258,9 +257,9 @@ def _reference_separation(w, w_prime, tol=DEFAULT_TOL, threshold=None):
     """
     if threshold is None:
         threshold = 10.0 * tol.eq_rel
-    a = embed_fusion(w)
+    a = w.embedding
     t_dual = canonical_ov_dual(a, tol).analysis
-    t_prime = fusion_analysis_ambient(w_prime)
+    t_prime = w_prime.embedding.analysis
     eye = np.eye(w.ambient_dim)
     worst = 0.0
     checked = 0
@@ -279,7 +278,7 @@ def _separate(w, w_prime, tol, threshold=None):
     if threshold is None:
         res = find_separating_dual(w, w_prime, tol)
         return res.witness, res.residual, res.checked
-    return sweep_dual_family(embed_fusion(w), fusion_analysis_ambient(w_prime), threshold, tol)
+    return sweep_dual_family(w.embedding, w_prime.embedding.analysis, threshold, tol)
 
 
 def _assert_same_separation(w, w_prime, tol, threshold=None):
@@ -322,11 +321,11 @@ def _exact_separation(w, w_prime, tol, threshold=None):
 
     Returns (witness index, witness perturbation, residual, checked).
     """
-    a = embed_fusion(w)
+    a = w.embedding
     if threshold is None:
         threshold = 10.0 * tol.eq_rel
     worst, checked = 0.0, 0
-    for residuals in dual_family_residuals(a, fusion_analysis_ambient(w_prime), tol):
+    for residuals in dual_family_residuals(a, w_prime.embedding.analysis, tol):
         above = np.flatnonzero(residuals > threshold)
         if above.size:
             index = checked + int(above[0])

@@ -13,14 +13,14 @@ from fusionframes.frames import (
     sample_ordinary_duals,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import embed_ordinary, is_ovf_frame, ovf_frame_operator_bounds
+from fusionframes.ovf import embed_ordinary, frame_bounds, is_frame
 
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
 E2 = np.array([0.0, 1.0], dtype=np.complex128)
 
 
 def _bounds(phi):
-    return ovf_frame_operator_bounds(embed_ordinary(phi))[1:]
+    return frame_bounds(embed_ordinary(phi))
 
 
 def test_bounds_parseval():
@@ -38,7 +38,7 @@ def test_bounds_rank_deficient():
     phi = VectorFrame(np.array([E1]))
     lo, hi = _bounds(phi)
     assert lo == pytest.approx(0.0, abs=1e-15) and hi == pytest.approx(1.0)
-    assert not is_ovf_frame(embed_ordinary(phi))
+    assert not is_frame(embed_ordinary(phi))
 
 
 def test_canonical_dual_examples():
@@ -60,7 +60,7 @@ def test_canonical_dual_reconstructs_random_frames(rng):
         count = int(rng.integers(n, 17))
         vecs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
         phi = VectorFrame(vecs)
-        if not is_ovf_frame(embed_ordinary(phi)):
+        if not is_frame(embed_ordinary(phi)):
             continue
         dual = canonical_dual_ordinary(phi)
         recon = ordinary_multiplier(np.ones(count), phi, dual)

@@ -23,8 +23,6 @@ from fusionframes.fusion import (
     build_local_frames,
     classify,
     excess,
-    fusion_analysis_ambient,
-    fusion_bounds,
     fusion_synthesis_kw,
     projection,
     random_subspace,
@@ -32,7 +30,7 @@ from fusionframes.fusion import (
     scale_weights,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import embed_fusion
+from fusionframes.ovf import frame_bounds, is_frame
 
 
 def test_projection_examples():
@@ -72,14 +70,14 @@ def test_weights_whose_frame_operator_overflows_are_rejected():
 
 def test_analysis_ambient_examples(diag_pair):
     single = FusionSequence((Subspace.full(2),), np.array([1.0]))
-    np.testing.assert_allclose(fusion_analysis_ambient(single), np.eye(2))
-    stacked = fusion_analysis_ambient(diag_pair)
+    np.testing.assert_allclose(single.embedding.analysis, np.eye(2))
+    stacked = diag_pair.embedding.analysis
     np.testing.assert_allclose(stacked[:2], np.diag([1.0, 0.0]))
     np.testing.assert_allclose(stacked[2:], np.diag([0.0, 2.0]))
     with_zero = FusionSequence(
         (Subspace.full(2), Subspace.zero(2)), np.array([1.0, 0.0])
     )
-    np.testing.assert_allclose(fusion_analysis_ambient(with_zero)[2:], np.zeros((2, 2)))
+    np.testing.assert_allclose(with_zero.embedding.analysis[2:], np.zeros((2, 2)))
 
 
 def test_synthesis_kw_examples():
@@ -94,7 +92,7 @@ def test_synthesis_kw_examples():
 
 
 def _frame_operator(f):
-    return embed_fusion(f).frame_operator
+    return f.embedding.frame_operator
 
 
 def test_frame_operator_examples(diag_pair):
@@ -106,12 +104,12 @@ def test_frame_operator_examples(diag_pair):
 
 
 def test_bounds_examples(diag_pair):
-    assert fusion_bounds(diag_pair) == pytest.approx((1.0, 4.0))
+    assert frame_bounds(diag_pair.embedding) == pytest.approx((1.0, 4.0))
     partial = FusionSequence((line([1.0, 0.0]),), np.array([1.0]))
-    lo, hi = fusion_bounds(partial)
+    lo, hi = frame_bounds(partial.embedding)
     assert lo == pytest.approx(0.0, abs=1e-15) and hi == pytest.approx(1.0)
     double = FusionSequence((Subspace.full(2), Subspace.full(2)), np.array([1.0, 1.0]))
-    assert fusion_bounds(double) == pytest.approx((2.0, 2.0))
+    assert frame_bounds(double.embedding) == pytest.approx((2.0, 2.0))
 
 
 def test_classify_examples():
@@ -269,7 +267,7 @@ def test_sandwich_matches_the_per_block_loops(rng):
         assert np.array_equal(
             sandwich(v, w, v.weights * w.weights, r), reference_composite(v, w, r)
         )
-        if not fusion.is_fusion_frame(w):
+        if not is_frame(w.embedding):
             continue
         gavruta_cases += 1
         s_inv = np.linalg.inv(_frame_operator(w))
@@ -299,9 +297,7 @@ def test_projection_stack_is_cached_and_read_only(rng, monkeypatch):
     assert stack.shape == (7, 5, 5) and w.projections is stack
     for sub, p in zip(w.subspaces, stack):
         assert np.array_equal(p, original(sub))
-    fusion_bounds(w)
-    fusion_analysis_ambient(w)
-    embed_fusion(w)
+    frame_bounds(w.embedding)
     fusion.block_deviation(w, v)
     multipliers.assemble_multiplier(sym, v, w)
     multipliers.schatten_checks(sym, v, w, 2.0)

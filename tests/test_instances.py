@@ -8,7 +8,8 @@ import pytest
 
 from fusionframes.exceptions import ContractViolationError, PreconditionError
 from fusionframes import instances
-from fusionframes.fusion import FusionSequence, Subspace, fusion_bounds, is_fusion_frame
+from fusionframes.fusion import FusionSequence, Subspace
+from fusionframes.ovf import frame_bounds, is_frame
 from fusionframes.instances import (
     InstanceSpec,
     cross_swap_instance,
@@ -153,9 +154,9 @@ def test_random_partition(rng):
 def test_random_fusion_frame_conditioned(rng):
     for _ in range(10):
         f = random_fusion_frame(4, 3, rng)
-        lo, hi = fusion_bounds(f)
+        lo, hi = frame_bounds(f.embedding)
         assert lo > 0 and hi / lo <= 1e4
-        assert is_fusion_frame(f)
+        assert is_frame(f.embedding)
 
 
 def test_random_riesz_basis(rng):
@@ -174,7 +175,7 @@ def test_random_invertible_matrix(rng):
 def test_cross_swap_instance_shape():
     inst = cross_swap_instance()
     assert inst.w.ambient_dim == 2 and inst.w.count == 2
-    assert is_fusion_frame(inst.w) and is_fusion_frame(inst.v)
+    assert is_frame(inst.w.embedding) and is_frame(inst.v.embedding)
 
 
 def test_random_fusion_frame_that_cannot_span_is_typed():

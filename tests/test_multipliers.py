@@ -5,7 +5,7 @@ import pytest
 
 from conftest import coordinate_decomposition, line, reference_block_diag
 from fusionframes.exceptions import ContractViolationError, PreconditionError
-from fusionframes.fusion import FusionSequence, Subspace, build_local_frames, fusion_analysis_ambient
+from fusionframes.fusion import FusionSequence, Subspace, build_local_frames
 from fusionframes.multipliers import (
     Symbol,
     assemble_multiplier,
@@ -21,7 +21,7 @@ from fusionframes.multipliers import (
     schatten_checks,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, embed_fusion, ovf_analysis, sample_ov_duals
+from fusionframes.ovf import canonical_ov_dual, sample_ov_duals
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -43,8 +43,8 @@ def unitary_swap_symbol():
 
 
 def _sampled_duals(v, rng, count=5):
-    a = embed_fusion(v)
-    t = ovf_analysis(a)
+    a = v.embedding
+    t = a.analysis
     seeds = [
         rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(count - 1)
     ]
@@ -144,9 +144,9 @@ def test_assembly_route_equivalence(rng):
         sym = random_symbol("random_C_holding", n, count, rng)
         rep = assemble_multiplier(sym, v, w)
         route = (
-            fusion_analysis_ambient(v).conj().T
+            v.embedding.analysis.conj().T
             @ reference_block_diag(sym)
-            @ fusion_analysis_ambient(w)
+            @ w.embedding.analysis
         )
         assert spectral_norm(rep.matrix - route) <= DEFAULT_TOL.eq_rel * max(
             1.0, spectral_norm(rep.matrix)

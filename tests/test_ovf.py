@@ -14,17 +14,17 @@ from conftest import (
 from fusionframes import ovf
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
 from fusionframes.frames import VectorFrame
-from fusionframes.fusion import FusionSequence, Subspace, fusion_bounds, random_subspace
+from fusionframes.fusion import FusionSequence, Subspace, random_subspace
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
     canonical_ov_dual,
     dual_span_dimension,
-    embed_fusion,
     embed_ordinary,
+    frame_bounds,
+    frame_operator_inverse,
+    is_frame,
     null_bessel_certificate,
-    ovf_analysis,
-    ovf_frame_operator_bounds,
     sample_ov_duals,
     sweep_dual_family,
 )
@@ -32,24 +32,20 @@ from fusionframes.ovf import (
 
 def test_analysis_stacking(diag_pair):
     single = OVFrame(np.eye(2)[None])
-    np.testing.assert_allclose(ovf_analysis(single), np.eye(2))
+    np.testing.assert_allclose(single.analysis, np.eye(2))
     emb = embed_ordinary(VectorFrame(np.eye(2)))
-    np.testing.assert_allclose(ovf_analysis(emb), np.eye(2))
+    np.testing.assert_allclose(emb.analysis, np.eye(2))
     zeros = OVFrame(np.zeros((2, 2, 2)))
-    np.testing.assert_allclose(ovf_analysis(zeros), np.zeros((4, 2)))
+    np.testing.assert_allclose(zeros.analysis, np.zeros((4, 2)))
 
 
 def test_frame_operator_bounds(diag_pair):
-    a = embed_fusion(diag_pair)
-    s, lo, hi = ovf_frame_operator_bounds(a)
-    np.testing.assert_allclose(s, np.diag([1.0, 4.0]))
-    assert (lo, hi) == pytest.approx((1.0, 4.0))
-    ident = OVFrame(np.eye(2)[None])
-    _, lo, hi = ovf_frame_operator_bounds(ident)
-    assert (lo, hi) == pytest.approx((1.0, 1.0))
+    a = diag_pair.embedding
+    np.testing.assert_allclose(a.frame_operator, np.diag([1.0, 4.0]))
+    assert frame_bounds(a) == pytest.approx((1.0, 4.0))
+    assert frame_bounds(OVFrame(np.eye(2)[None])) == pytest.approx((1.0, 1.0))
     row = embed_ordinary(VectorFrame(np.array([[1.0, 0.0]])))
-    _, lo, _ = ovf_frame_operator_bounds(row)
-    assert lo == pytest.approx(0.0, abs=1e-15)
+    assert frame_bounds(row)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_embeddings_preserve_bounds(rng):
@@ -57,35 +53,34 @@ def test_embeddings_preserve_bounds(rng):
 
     vecs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     phi = VectorFrame(vecs)
-    _, lo, hi = ovf_frame_operator_bounds(embed_ordinary(phi))
     ev = np.linalg.eigvalsh(vecs.T @ vecs.conj())
-    assert (lo, hi) == pytest.approx((ev[0], ev[-1]), rel=1e-12)
+    assert frame_bounds(embed_ordinary(phi)) == pytest.approx((ev[0], ev[-1]), rel=1e-12)
     np.testing.assert_allclose(
-        ovf_frame_operator_bounds(embed_ordinary(VectorFrame(np.array([[2.0, 0.0]]))))[0],
+        embed_ordinary(VectorFrame(np.array([[2.0, 0.0]]))).frame_operator,
         np.diag([4.0, 0.0]),
     )
     f = random_fusion_frame(4, 3, rng)
-    _, lo, hi = ovf_frame_operator_bounds(embed_fusion(f))
-    assert (lo, hi) == pytest.approx(fusion_bounds(f), rel=1e-12)
+    ev = np.linalg.eigvalsh(np.sum(f.weights[:, None, None] ** 2 * f.projections, axis=0))
+    assert frame_bounds(f.embedding) == pytest.approx((ev[0], ev[-1]), rel=1e-12)
 
 
 def test_embed_fusion_blocks(diag_pair):
-    blocks = embed_fusion(diag_pair).blocks
+    blocks = diag_pair.embedding.blocks
     np.testing.assert_allclose(blocks[0], np.diag([1.0, 0.0]))
     np.testing.assert_allclose(blocks[1], np.diag([0.0, 2.0]))
     with_zero = FusionSequence(
         (Subspace.full(2), Subspace.zero(2)), np.array([1.0, 0.0])
     )
-    np.testing.assert_allclose(embed_fusion(with_zero).blocks[1], np.zeros((2, 2)))
+    np.testing.assert_allclose(with_zero.embedding.blocks[1], np.zeros((2, 2)))
     single = FusionSequence((Subspace.full(2),), np.array([1.0]))
-    np.testing.assert_allclose(embed_fusion(single).blocks[0], np.eye(2))
+    np.testing.assert_allclose(single.embedding.blocks[0], np.eye(2))
 
 
 def test_canonical_dual_examples(diag_pair):
     onb = embed_ordinary(VectorFrame(np.eye(2)))
     cand = canonical_ov_dual(onb)
     np.testing.assert_allclose(cand.analysis, np.eye(2), atol=1e-14)
-    a = embed_fusion(diag_pair)
+    a = diag_pair.embedding
     cand = canonical_ov_dual(a)
     np.testing.assert_allclose(cand.blocks[0], np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(cand.blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
@@ -94,8 +89,35 @@ def test_canonical_dual_examples(diag_pair):
         canonical_ov_dual(deficient)
 
 
+def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
+    # S^-1 and T S^-1 are read only behind frame_operator_inverse, whose error
+    # names both clipped bounds
+    from fusionframes import duality, multipliers
+
+    a = diag_pair.embedding
+    assert is_frame(a) and frame_operator_inverse(a) is a.frame_operator_inv
+    n = 2
+    partial = FusionSequence((Subspace(np.eye(n)[:, :1]),) * 2, np.array([1.0, 1.0]))
+    deficient = partial.embedding
+    assert not is_frame(deficient)
+    readers = [
+        lambda: frame_operator_inverse(deficient),
+        lambda: canonical_ov_dual(deficient),
+        lambda: sample_ov_duals(deficient, [np.zeros((2 * n, n))], DEFAULT_TOL),
+        lambda: sweep_dual_family(deficient, deficient.analysis, 1.0, DEFAULT_TOL),
+        lambda: dual_span_dimension(deficient),
+        lambda: duality.gavruta_dual_check(partial, partial),
+        lambda: duality.canonical_gavruta_dual(partial),
+        lambda: duality.generate_fusion_dual(partial, np.eye(n)),
+        lambda: multipliers.gavruta_multiplier(np.ones(2), partial, partial),
+    ]
+    for read in readers:
+        with pytest.raises(NotAFrameError, match=r"alpha=0\.000e\+00, beta=2\.000e\+00"):
+            read()
+
+
 def test_sample_dual_zero_seed_is_canonical(diag_pair):
-    a = embed_fusion(diag_pair)
+    a = diag_pair.embedding
     zero = sample_ov_duals(a, [np.zeros((4, 2))], DEFAULT_TOL)[0]
     np.testing.assert_allclose(zero.analysis, canonical_ov_dual(a).analysis)
 
@@ -109,22 +131,22 @@ def test_sample_dual_trivial_kernel(rng):
 
 
 def test_sample_dual_noncanonical_still_dual(diag_pair, rng):
-    a = embed_fusion(diag_pair)
+    a = diag_pair.embedding
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     cand = sample_ov_duals(a, [g], DEFAULT_TOL)[0]
     assert spectral_norm(cand.perturbation) > 1e-3
-    assert ovf.duality_defects([cand.analysis], ovf_analysis(a))[0] <= DEFAULT_TOL.eq_rel
+    assert ovf.duality_defects([cand.analysis], a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_dual_span_examples(diag_pair):
     single = OVFrame(np.eye(3)[None])
     assert dual_span_dimension(single) == 3
-    assert dual_span_dimension(embed_fusion(diag_pair)) == 4
+    assert dual_span_dimension(diag_pair.embedding) == 4
     assert dual_span_dimension(embed_ordinary(VectorFrame(np.eye(2)))) == 2
 
 
 def test_null_certificate_examples(diag_pair):
-    assert null_bessel_certificate(embed_fusion(diag_pair)) == 0
+    assert null_bessel_certificate(diag_pair.embedding) == 0
     assert null_bessel_certificate(embed_ordinary(VectorFrame(np.eye(2)))) == 0
 
 
@@ -142,7 +164,7 @@ def test_dual_family_population(rng):
         assert null_bessel_certificate(a) == 0
         g = rng.standard_normal((count * k, n)) + 1j * rng.standard_normal((count * k, n))
         (cand,) = sample_ov_duals(a, [g], DEFAULT_TOL)
-        assert ovf.duality_defects([cand.analysis], ovf_analysis(a))[0] <= DEFAULT_TOL.eq_rel
+        assert ovf.duality_defects([cand.analysis], a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_ovframe_shape_validation():
@@ -168,7 +190,7 @@ def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
     stacked_rows = [t_dual.conj().T]
     for l in list(reference_dual_perturbations(a, tol))[1:]:
         stacked_rows.append((t_dual + l).conj().T)
-    nullity = ovf_analysis(a).shape[0] - rank_tol(np.vstack(stacked_rows), tol)
+    nullity = a.analysis.shape[0] - rank_tol(np.vstack(stacked_rows), tol)
     return int(nullity * a.domain_dim)
 
 
@@ -191,7 +213,7 @@ def _random_frames(rng, count=30):
     for i in range(count):
         n = int(rng.integers(1, 5))
         if i % 2:
-            frames.append(embed_fusion(random_fusion_frame(n, int(rng.integers(1, 4)), rng)))
+            frames.append(random_fusion_frame(n, int(rng.integers(1, 4)), rng).embedding)
         else:
             k = int(rng.integers(1, 4))
             blocks = max(int(rng.integers(1, 4)), -(-n // k))
@@ -202,9 +224,9 @@ def _random_frames(rng, count=30):
 def _structured_frames():
     """Coordinate-aligned frames, whose analyses have exact (and negative) zeros."""
     return [
-        embed_fusion(coordinate_decomposition(2, [1.0, 2.0])),
-        embed_fusion(coordinate_decomposition(3, [1.0, 0.5, 2.0])),
-        embed_fusion(FusionSequence((Subspace.full(2), Subspace.zero(2)), np.array([1.0, 0.0]))),
+        coordinate_decomposition(2, [1.0, 2.0]).embedding,
+        coordinate_decomposition(3, [1.0, 0.5, 2.0]).embedding,
+        FusionSequence((Subspace.full(2), Subspace.zero(2)), np.array([1.0, 0.0])).embedding,
         embed_ordinary(VectorFrame(np.eye(3))),
     ]
 
@@ -217,7 +239,7 @@ def test_structured_certificates_match_reference(rng):
 
 def test_sweep_bound_dominates_reference(rng):
     for a in _structured_frames() + _random_frames(rng):
-        t = ovf_analysis(a)
+        t = a.analysis
         others = (t, t + 0.1 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)))
         for t_prime in others:
             batches = list(dual_family_residuals(a, t_prime))
@@ -248,8 +270,8 @@ def test_sweep_annihilator_check_uses_the_call_tolerance(diag_pair):
     # ||T|| = 2 and every kernel column has norm at most 1, so each scale is at
     # most 2: row defects of sqrt(2) 1e-7 exceed the default eq_rel and stay
     # within 1e-6
-    a = embed_fusion(diag_pair)
-    t = ovf_analysis(a)
+    a = diag_pair.embedding
+    t = a.analysis
     q = ovf.range_basis(a)
     exact = ovf.kernel_parts(a, [t])[0]
     norms = ovf._check_annihilator(a, q, exact, DEFAULT_TOL)
@@ -261,8 +283,8 @@ def test_sweep_annihilator_check_uses_the_call_tolerance(diag_pair):
 
 def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
     # an empty range basis makes P_ker = I, which does not annihilate T
-    a = embed_fusion(diag_pair)
-    t = ovf_analysis(a)
+    a = diag_pair.embedding
+    t = a.analysis
     monkeypatch.setattr(ovf, "range_basis", lambda a, tol=DEFAULT_TOL: np.zeros((t.shape[0], 0)))
     # the canonical dual has L = 0 and needs no projector: below a negative
     # threshold it is the witness, and nothing else is swept
@@ -283,7 +305,7 @@ def test_structured_certificates_at_scale():
     from fusionframes.instances import random_fusion_frame
 
     w = random_fusion_frame(32, 8, np.random.default_rng(3))
-    a = embed_fusion(w)
+    a = w.embedding
     start = time.perf_counter()
     assert dual_span_dimension(a) == 256
     assert null_bessel_certificate(a) == 0
@@ -300,7 +322,7 @@ def test_sampled_duals_match_per_dual_loop(rng):
 
     for _ in range(30):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-        a = embed_fusion(random_fusion_frame(n, count, rng))
+        a = random_fusion_frame(n, count, rng).embedding
         seed = int(rng.integers(2**32))
         got = checks._sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
         want = reference_sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
@@ -334,10 +356,10 @@ def test_sampled_duals_share_one_projector(monkeypatch, diag_pair, rng):
     real = ovf.range_basis
     monkeypatch.setattr(ovf, "range_basis", lambda *args: calls.append(real(*args)) or calls[-1])
     seeds = [rng.standard_normal((4, 2)) for _ in range(4)]
-    duals = ovf.sample_ov_duals(embed_fusion(diag_pair), seeds, DEFAULT_TOL)
+    duals = ovf.sample_ov_duals(diag_pair.embedding, seeds, DEFAULT_TOL)
     assert len(duals) == 4 and len(calls) == 1 and calls[0].shape == (4, 2)
     with pytest.raises(ContractViolationError):
-        ovf.sample_ov_duals(embed_fusion(diag_pair), seeds + [np.zeros((2, 2))], DEFAULT_TOL)
+        ovf.sample_ov_duals(diag_pair.embedding, seeds + [np.zeros((2, 2))], DEFAULT_TOL)
 
 
 def _projector_population(rng):
@@ -365,13 +387,13 @@ def test_implicit_kernel_projection_matches_dense_reference(rng):
     eps = np.finfo(float).eps
     full_blocks = ones = 0
     for w in _projector_population(rng):
-        a = embed_fusion(w)
-        t = ovf_analysis(a)
+        a = w.embedding
+        t = a.analysis
         lo, hi = a.frame_eigs
         pker = reference_kernel_projector(a, DEFAULT_TOL)
         bound = 8 * t.shape[0] * eps * np.sqrt(hi / lo)
         seed = int(rng.integers(2**32))
-        drawn = ovf_analysis(duality.random_annihilating_ovf(w, np.random.default_rng(seed)))
+        drawn = duality.random_annihilating_ovf(w, np.random.default_rng(seed)).analysis
         g_rng = np.random.default_rng(seed)  # the draw random_annihilating_ovf made
         g = g_rng.standard_normal(t.shape) + 1j * g_rng.standard_normal(t.shape)
         assert spectral_norm(drawn - pker @ g) <= bound * spectral_norm(g)
@@ -405,8 +427,8 @@ def test_analysis_norm_is_the_largest_singular_value_of_the_analysis():
             dims[:] = 0  # every block zero: T = 0
         weights = np.where(dims > 0, rng.uniform(0.5, 2.0, count), 0.0)
         subs = tuple(random_subspace(n, int(d), rng) for d in dims)
-        a = embed_fusion(FusionSequence(subs, weights))
-        want = np.linalg.svd(ovf_analysis(a), compute_uv=False)[0]
+        a = FusionSequence(subs, weights).embedding
+        want = np.linalg.svd(a.analysis, compute_uv=False)[0]
         assert abs(a.analysis_norm - want) <= 4 * n * np.finfo(float).eps * want
 
 
@@ -417,15 +439,15 @@ def test_duality_defects_match_per_dual_loop(rng):
 
     for _ in range(30):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-        a = embed_fusion(random_fusion_frame(n, count, rng))
+        a = random_fusion_frame(n, count, rng).embedding
         duals = [canonical_ov_dual(a)] + checks._sampled_duals(a, 4, rng, DEFAULT_TOL)
-        t = ovf_analysis(a)
+        t = a.analysis
         analyses = [d.analysis for d in duals]
         want = [spectral_norm(d.conj().T @ t - np.eye(n)) for d in analyses]
         assert ovf.duality_defects(analyses, t).tolist() == want
         assert ovf.duality_defects(np.array(analyses), t).tolist() == want
         assert [ovf.duality_defects([d], t)[0] for d in analyses] == want
-    other = canonical_ov_dual(embed_fusion(coordinate_decomposition(n + 1)))
+    other = canonical_ov_dual(coordinate_decomposition(n + 1).embedding)
     for bad in (analyses + [other.analysis], []):
         with pytest.raises(ContractViolationError):
             ovf.duality_defects(bad, t)
@@ -436,11 +458,11 @@ def _certificate_population(rng):
     zero blocks and N = 1 operator-valued frames."""
     from fusionframes.instances import random_fusion_frame, random_ov_frame
 
-    frames = [embed_fusion(w) for w in _projector_population(rng)]
+    frames = [w.embedding for w in _projector_population(rng)]
     for n in (1, 2, 4):
         w = random_fusion_frame(n, 3, rng)
         subs = (Subspace.zero(n),) + w.subspaces + (Subspace.zero(n),)
-        frames.append(embed_fusion(FusionSequence(subs, np.concatenate([[0.0], w.weights, [0.0]]))))
+        frames.append(FusionSequence(subs, np.concatenate([[0.0], w.weights, [0.0]])).embedding)
         frames.append(random_ov_frame(n, n + 1, 1, rng))
     return frames
 
@@ -456,7 +478,7 @@ def test_cached_spectrum_ranks_match_dense_reference(rng):
     coarse = ToleranceConfig(rank_rel=0.031)
     short_cuts = ones = full_blocks = zero_blocks = 0
     for a in _certificate_population(rng):
-        m, n = ovf_analysis(a).shape
+        m, n = a.analysis.shape
         cuts = set()
         for tol in (DEFAULT_TOL, coarse):
             c = canonical_ov_dual(a, tol).analysis
@@ -488,8 +510,8 @@ def test_kernel_columns_match_dense_reference(rng):
 
     eps = np.finfo(float).eps
     for w in _projector_population(rng):
-        a = embed_fusion(w)
-        t = ovf_analysis(a)
+        a = w.embedding
+        t = a.analysis
         lo, hi = a.frame_eigs
         bound = 8 * t.shape[0] * eps * np.sqrt(hi / lo)
         pker = reference_kernel_projector(a, DEFAULT_TOL)

@@ -24,10 +24,10 @@ from fusionframes.duality import (
     random_annihilating_ovf,
 )
 from fusionframes.exceptions import ContractViolationError
-from fusionframes.fusion import FusionSequence, build_local_frames, is_fusion_frame, random_subspace
+from fusionframes.fusion import FusionSequence, build_local_frames, random_subspace
 from fusionframes.instances import InstanceSpec, generate_instance, random_invertible_matrix
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norms
-from fusionframes.ovf import DualCandidate, embed_fusion, ovf_analysis
+from fusionframes.ovf import DualCandidate, is_frame
 
 LAPACK = ("svd", "eigvalsh", "solve", "inv", "qr", "pinv")
 
@@ -47,7 +47,7 @@ def _population():
             symbol_mode="random_C_holding", seed=700 + k,
         )
         inst = generate_instance(spec)
-        if is_fusion_frame(inst.w):
+        if is_frame(inst.w.embedding):
             out.append(inst)
     return out
 
@@ -68,9 +68,9 @@ def test_population_covers_the_corners():
 
 def test_stacked_annihilation_matches_the_per_candidate_check():
     for inst in POPULATION:
-        a = embed_fusion(inst.w)
+        a = inst.w.embedding
         rng = np.random.default_rng(inst.seed)
-        seeds = [_complex(rng, ovf_analysis(a).shape) for _ in range(5)]
+        seeds = [_complex(rng, a.analysis.shape) for _ in range(5)]
         cands = ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)
         stack = np.array([cand.perturbation for cand in cands])
         got = ovf.annihilation_defects(a, stack)
@@ -90,9 +90,9 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
 
     monkeypatch.setattr(ovf, "annihilation_defects", counted)
     inst = POPULATION[-1]
-    a = embed_fusion(inst.w)
+    a = inst.w.embedding
     rng = np.random.default_rng(5)
-    seeds = [_complex(rng, ovf_analysis(a).shape) for _ in range(4)]
+    seeds = [_complex(rng, a.analysis.shape) for _ in range(4)]
     cands = [ovf.canonical_ov_dual(a)] + ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)
     assert checked == [1, 4]
     checked.clear()
@@ -100,14 +100,15 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
     DualCandidate(a, cands[2].perturbation, cands[2].analysis)
     assert checked == [1]
     checked.clear()
-    witness = ovf.sweep_dual_family(a, 2.0 * ovf_analysis(a), 0.5, DEFAULT_TOL)[0]
+    witness = ovf.sweep_dual_family(a, 2.0 * a.analysis, 0.5, DEFAULT_TOL)[0]
     assert witness is not None and checked == [1]
 
 
 def test_one_non_annihilating_perturbation_in_a_valid_stack_is_rejected():
     for inst in POPULATION:
-        a = embed_fusion(inst.w)
-        t, t_dual = ovf._canonical_analysis(a, DEFAULT_TOL)
+        a = inst.w.embedding
+        ovf.frame_operator_inverse(a, DEFAULT_TOL)
+        t, t_dual = a.analysis, a.canonical_analysis
         rng = np.random.default_rng(inst.seed)
         seeds = [_complex(rng, t.shape) for _ in range(5)]
         stack = np.array([cand.perturbation for cand in ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)])
@@ -170,9 +171,9 @@ def test_canonical_gavruta_dual_matches_the_per_block_spans():
 def test_batched_representation_residual_matches_the_per_dual_loop():
     for inst in POPULATION:
         w, n = inst.w, inst.w.ambient_dim
-        a = embed_fusion(w)
+        a = w.embedding
         rng = np.random.default_rng(inst.seed)
-        seeds = [_complex(rng, ovf_analysis(a).shape) for _ in range(4)]
+        seeds = [_complex(rng, a.analysis.shape) for _ in range(4)]
         duals = [ovf.canonical_ov_dual(a)] + ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)
         stacked_q = _complex(rng, (w.count * n, n))
         inv_blocks = _complex(rng, (w.count, n, n))
@@ -234,9 +235,9 @@ def test_lapack_calls_do_not_grow_with_the_block_count(monkeypatch):
         u = random_invertible_matrix(n, rng)
         l = random_annihilating_ovf(w, rng)
         gd = generate_fusion_dual(w, u, l)  # fills the caches of W
-        a = embed_fusion(w)
+        a = w.embedding
         duals = [ovf.canonical_ov_dual(a)] + ovf.sample_ov_duals(
-            a, [_complex(rng, ovf_analysis(a).shape) for _ in range(4)], DEFAULT_TOL
+            a, [_complex(rng, a.analysis.shape) for _ in range(4)], DEFAULT_TOL
         )
         args = (
             _complex(rng, (count * n, n)), _complex(rng, (count, n, n)), duals, _complex(rng, (n, n))

@@ -227,7 +227,7 @@ def test_annihilating_probe_matches_inline_draw(rng):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         w = _sequence(n, count, rng)
         seed = int(rng.integers(2**32))
-        got = ovf.ovf_analysis(duality.random_annihilating_ovf(w, np.random.default_rng(seed)))
+        got = duality.random_annihilating_ovf(w, np.random.default_rng(seed)).analysis
         assert np.array_equal(got, reference_probe(w, np.random.default_rng(seed), DEFAULT_TOL))
 
 
@@ -240,7 +240,7 @@ def test_representation_residuals_match_block_loop(rng):
         sym = random_symbol("random_C_holding", n, count, rng)
         if not assemble_multiplier(sym, v, w).invertible:
             continue
-        a_v = ovf.embed_fusion(v)
+        a_v = v.embedding
         duals = [ovf.canonical_ov_dual(a_v)] + checks._sampled_duals(a_v, 4, rng, DEFAULT_TOL)
         seed = int(rng.integers(2**32))
         representation = inverse_representation_residuals(sym, v, w, duals)[1]
