@@ -25,9 +25,9 @@ from .fusion import (
     LocalFrameFamily,
     Subspace,
     build_local_frames,
-    classify,
     excess,
     fusion_synthesis_kw,
+    is_riesz_fusion_basis,
     projection,
     random_subspace,
 )

@@ -92,20 +92,12 @@ def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
 def _run_canonical_dual(inst, rng, tol):
     a = inst.w.embedding
     cand = ovf.canonical_ov_dual(a, tol)
-    return CheckResult(float(ovf.duality_defects([cand.analysis], a.analysis)[0]))
-
-
-def _sampled_duals(a, count, rng, tol):
-    """``count`` kernel-perturbed duals of ``a``, each from a complex Gaussian seed."""
-    shape = a.analysis.shape
-    seeds = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count)]
-    return ovf.sample_ov_duals(a, seeds, tol)
+    return CheckResult(float(ovf.duality_defects(cand.analysis[None], a.analysis)[0]))
 
 
 def _run_sampled_duals(inst, rng, tol):
     a = inst.w.embedding
-    duals = _sampled_duals(a, 5, rng, tol)
-    defects = ovf.duality_defects([d.analysis for d in duals], a.analysis)
+    defects = ovf.duality_defects(ovf.sample_ov_duals(a, 5, rng, tol), a.analysis)
     return CheckResult(float(defects.max()))
 
 
@@ -134,7 +126,7 @@ def _run_left_inverse_span(inst, rng, tol):
 def _run_kpp_construction(inst, rng, tol):
     n = inst.w.ambient_dim
     u = random_invertible_matrix(n, rng)
-    l = duality.random_annihilating_ovf(inst.w, rng, tol)
+    l = ovf.kernel_samples(inst.w.embedding, 1, rng, tol)[0]
     gd = duality.generate_fusion_dual(inst.w, u, l, tol)
     residual = spectral_norm(gd.composite - u) / max(1.0, spectral_norm(u))
     adm = duality.is_admissible(gd.q, gd.v, inst.w, tol)
@@ -145,7 +137,7 @@ def _run_kpp_construction(inst, rng, tol):
 
 def _run_kpp_verdict(inst, rng, tol):
     n = inst.w.ambient_dim
-    l = duality.random_annihilating_ovf(inst.w, rng, tol)
+    l = ovf.kernel_samples(inst.w.embedding, 1, rng, tol)[0]
     gd = duality.generate_fusion_dual(inst.w, np.eye(n), l, tol)
     verdict = duality.kpp_dual_check(gd.v, inst.w, gd.q, tol)
     residual = verdict.residual_to_identity
@@ -298,9 +290,11 @@ def _run_excess_invariance(inst, rng, tol):
 
 
 def _v_duals(inst, rng, tol):
-    """The canonical and four sampled duals of {u_i P_{V_i}}, drawn from ``rng``."""
+    """The analyses of the canonical and four sampled duals of {u_i P_{V_i}}, as one
+    stack, drawn from ``rng``."""
     a_v = inst.v.embedding
-    return [ovf.canonical_ov_dual(a_v, tol)] + _sampled_duals(a_v, 4, rng, tol)
+    canonical = ovf.canonical_ov_dual(a_v, tol).analysis
+    return np.concatenate([canonical[None], ovf.sample_ov_duals(a_v, 4, rng, tol)])
 
 
 def _run_inverse_representation(inst, rng, tol):

@@ -11,8 +11,9 @@ The composite and the S_W^-1-weighted composite of the classical
 reconstruction are both :func:`fusion.sandwich` over the sequences' cached
 projections. This module checks the definition for a given Q, checks the
 classical S^-1-weighted reconstruction, constructs duals from an invertible
-target operator, and searches the operator-valued dual family for a dual that
-separates two fusion frames.
+target operator and a stacked L with L^* T_W,w = 0 (such as one drawn by
+:func:`ovf.kernel_samples`), and searches the operator-valued dual family for
+a dual that separates two fusion frames.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .ovf import (
     annihilation_defects,
     frame_operator_inverse,
     is_frame,
-    kernel_parts,
     sweep_dual_family,
 )
 
@@ -61,7 +61,6 @@ __all__ = [
     "canonical_gavruta_dual",
     "hmbz_dual_check",
     "GeneratedDual",
-    "random_annihilating_ovf",
     "generate_fusion_dual",
     "fusion_dual_to_ovf",
     "SeparationResult",
@@ -146,7 +145,7 @@ def kpp_dual_check(
     q_blocks,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> DualVerdict:
-    """Assemble the composite for Q and classify it."""
+    """Assemble the composite for Q and decide its kind."""
     q = np.asarray(q_blocks, dtype=np.complex128)
     report = is_admissible(q, v, w, tol)
     comp = sandwich(v, w, v.weights * w.weights, q)
@@ -229,32 +228,20 @@ class GeneratedDual:
     operators: np.ndarray
 
 
-def random_annihilating_ovf(
-    w: FusionSequence,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> OVFrame:
-    """Random operator sequence L with T_L^* T_W,w = 0, for dual generation: the
-    stacked L is P_ker G for a complex Gaussian G (see :func:`ovf.kernel_parts`)."""
-    n = w.ambient_dim
-    g = rng.standard_normal((w.count * n, n)) + 1j * rng.standard_normal((w.count * n, n))
-    (stacked,) = kernel_parts(w.embedding, [g], tol)
-    return OVFrame(stacked.reshape(w.count, n, n))
-
-
 def generate_fusion_dual(
     w: FusionSequence,
     u,
-    l: Optional[OVFrame] = None,
+    l: Optional[np.ndarray] = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> GeneratedDual:
     """Construct a (generalized) dual of W whose composite equals U.
 
-    Builds A_i = (w_i U S_W^-1 + L_i^*) P_{W_i}, then takes V_i as the range
-    of A_i, u_i = ||A_i||, and Q_i = A_i / u_i, from one batched product and the
-    one stacked SVD of :func:`_ranges`. The returned Q is admissible
-    by construction and the composite reproduces U; with U = I the output
-    passes :func:`kpp_dual_check` with kind "dual".
+    Builds A_i = (w_i U S_W^-1 + L_i^*) P_{W_i}, with L_i block i of the stacked
+    (N n) x n ``l`` (zero when None; see :func:`ovf.kernel_samples`), then takes
+    V_i as the range of A_i, u_i = ||A_i||, and Q_i = A_i / u_i, from one batched
+    product and the one stacked SVD of :func:`_ranges`. The returned Q is
+    admissible by construction and the composite reproduces U; with U = I the
+    output passes :func:`kpp_dual_check` with kind "dual".
     """
     s_inv = frame_operator_inverse(w.embedding, tol)
     n = w.ambient_dim
@@ -263,16 +250,13 @@ def generate_fusion_dual(
         raise ContractViolationError(f"target operator must be {n} x {n}, got {u.shape}")
     if not clears_inv_cutoff(*extreme_singular_values(u), tol):
         raise ContractViolationError("target operator must be invertible at tolerance")
-    if l is None:
-        l_blocks = np.zeros((w.count, n, n), dtype=np.complex128)
-    else:
-        if l.blocks.shape != (w.count, n, n):
-            raise ContractViolationError(
-                f"annihilating sequence must have shape {(w.count, n, n)}, got {l.blocks.shape}"
-            )
-        annihilation_defects(w.embedding, l.analysis[None], tol)
-        l_blocks = l.blocks
-    l_adj = l_blocks.conj().transpose(0, 2, 1)
+    l = np.zeros((w.count * n, n), dtype=np.complex128) if l is None else as_matrix(l)
+    if l.shape != (w.count * n, n):
+        raise ContractViolationError(
+            f"annihilating sequence must have shape {(w.count * n, n)}, got {l.shape}"
+        )
+    annihilation_defects(w.embedding, l[None], tol)
+    l_adj = l.reshape(w.count, n, n).conj().transpose(0, 2, 1)
     ops = (w.weights[:, None, None] * (u @ s_inv) + l_adj) @ w.projections
     subs, ranks, ss = _ranges(ops, tol)
     live = ranks > 0

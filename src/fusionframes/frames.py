@@ -1,7 +1,9 @@
 """Ordinary vector frames in C^n: multipliers, sampled duals, inverse representation.
 
 Bounds and the frame test of a vector frame are those of its embedding
-(:func:`ovf.embed_ordinary`)."""
+(:func:`ovf.embed_ordinary`), and its sampled duals are the embedding's
+canonical dual and the analysis stack of :func:`ovf.sample_ov_duals`, read
+back as vectors."""
 
 from __future__ import annotations
 
@@ -76,10 +78,9 @@ def sample_ordinary_duals(
     ``sum_i <x, d_i> phi_i = x``.
     """
     a = ovf.embed_ordinary(phi)
-    shape = phi.vectors.shape
-    seeds = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count - 1)]
-    duals = [ovf.canonical_ov_dual(a, tol)] + ovf.sample_ov_duals(a, seeds, tol)
-    return [VectorFrame(d.analysis.conj()) for d in duals]
+    canonical = ovf.canonical_ov_dual(a, tol).analysis
+    duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, count - 1, rng, tol)])
+    return [VectorFrame(d.conj()) for d in duals]
 
 
 SAMPLED_DUALS = 5  # duals over which the inverse representation residual is taken

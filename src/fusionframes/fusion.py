@@ -47,7 +47,7 @@ from .numerics import (
     spectral_norms,
     svals_rank,
 )
-from .ovf import OVFrame, frame_bounds, is_frame
+from .ovf import OVFrame
 
 __all__ = [
     "Subspace",
@@ -59,8 +59,7 @@ __all__ = [
     "sandwich",
     "block_deviation",
     "fusion_synthesis_kw",
-    "FusionClassification",
-    "classify",
+    "is_riesz_fusion_basis",
     "excess",
     "scale_weights",
     "LocalFrameFamily",
@@ -252,28 +251,11 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
     return np.hstack([w * s.basis for s, w in zip(f.subspaces, f.weights)])
 
 
-@dataclass(frozen=True)
-class FusionClassification:
-    bessel: bool
-    frame: bool
-    riesz_fusion_basis: bool
-    lower: float
-    upper: float
-
-
-def classify(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> FusionClassification:
-    """Bessel / frame / Riesz flags.
-
-    In finite dimensions every fusion sequence is Bessel. The Riesz flag
-    requires the subspace dimensions to sum to n with the K_W synthesis
-    having full rank n.
-    """
-    lo, hi = frame_bounds(f.embedding, tol)
-    n, total = f.ambient_dim, sum(f.dims)
-    riesz = total == n and svals_rank(f.synthesis_svals, n, tol) == n
-    return FusionClassification(
-        bessel=True, frame=is_frame(f.embedding, tol), riesz_fusion_basis=riesz, lower=lo, upper=hi
-    )
+def is_riesz_fusion_basis(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """The subspace dimensions sum to n and the K_W synthesis has full rank n at
+    ``tol``, read from the singular values cached on ``f``."""
+    n = f.ambient_dim
+    return sum(f.dims) == n and svals_rank(f.synthesis_svals, n, tol) == n
 
 
 def excess(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):

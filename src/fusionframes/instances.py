@@ -459,6 +459,14 @@ def _check_symbol(symbol: Symbol, v: FusionSequence, w: FusionSequence) -> None:
         raise ContractViolationError("symbol: sum_i |m_i| v_i w_i sigma_max(R_i) overflows")
 
 
+def _named(field: str, build, *args):
+    """``build(*args)``, its ContractViolationError prefixed with ``field``."""
+    try:
+        return build(*args)
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"{field}: {exc}") from exc
+
+
 def _instance_from_doc(doc: dict, decode) -> Instance:
     n, blocks, seed = (_integer(doc, key) for key in ("n", "blocks", "seed"))
     mode = doc["symbol_mode"]
@@ -467,16 +475,12 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
         obj = doc[name]
         dims = [_integer(item, "dim") for item in obj["subspaces"]]
         _check_sizes(n, blocks, dims, mode, seed)
-        subs = tuple(
-            Subspace(_finite(decode, item["basis"], (n, d), f"{name}.subspaces[{i}].basis"))
-            for i, (item, d) in enumerate(zip(obj["subspaces"], dims))
-        )
+        subs = []
+        for i, (item, d) in enumerate(zip(obj["subspaces"], dims)):
+            field = f"{name}.subspaces[{i}].basis"
+            subs.append(_named(field, Subspace, _finite(decode, item["basis"], (n, d), field)))
         weights = _floats(obj["weights"], (blocks,), f"{name}.weights")
-        # other invalid weights are left to the FusionSequence check
-        valid = np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
-        if valid and not frame_operator_fits(weights):
-            raise ContractViolationError(f"{name}.weights: they overflow the frame operator")
-        sequences.append(FusionSequence(subs, weights))
+        sequences.append(_named(f"{name}.weights", FusionSequence, tuple(subs), weights))
     w, v = sequences
     symbol = Symbol(
         _finite(decode, doc["symbol"]["m"], (blocks,), "symbol.m"),

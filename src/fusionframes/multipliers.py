@@ -36,10 +36,12 @@ closed-form inverse M^-1 with L and Q_dagger
 read only after the caller's cutoffs have passed. The inverse representation
 splits into its two halves, :func:`inverse_representation_residuals` (duality
 and representation) and :func:`inverse_representation_probe` (uniqueness),
-one per check. The sampled duals they are handed are re-validated against
-T_V with one batched SVD (:func:`ovf.duality_defects`), and the probe's kernel direction
-is drawn through the cached range basis of T_W, so no (N n) x (N n)
-projector is formed on this path. The frame facts of V and W are read
+one per check. They are handed the sampled duals of {u_i P_{V_i}} as one
+(c, N n, n) stack of analyses, re-validated against T_V with one batched
+SVD (:func:`ovf.duality_defects`), and the probe's kernel direction is drawn
+by :func:`ovf.kernel_samples` through the cached range basis of T_W, so no
+(N n) x (N n) projector is formed on this path. The Riesz verdict reads
+:func:`fusion.is_riesz_fusion_basis`. The frame facts of V and W are read
 through their embeddings: beta_V and beta_W of the norm bound from
 :func:`ovf.frame_bounds`, ||T_V|| and ||T_W|| from
 :attr:`ovf.OVFrame.analysis_norm`, and S_W^-1 only behind the frame test of
@@ -50,18 +52,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .duality import random_annihilating_ovf
 from .exceptions import ContractViolationError, PreconditionError
 from .frames import VectorFrame, ordinary_multiplier
 from .fusion import (
     FusionSequence,
     LocalFrameFamily,
-    classify,
     excess,
+    is_riesz_fusion_basis,
     sandwich,
     scale_weights,
 )
@@ -77,7 +78,7 @@ from .numerics import (
     spectrum_schatten_norm,
     svals_rank,
 )
-from .ovf import DualCandidate, duality_defects, frame_bounds, frame_operator_inverse, is_frame
+from .ovf import duality_defects, frame_bounds, frame_operator_inverse, is_frame, kernel_samples
 
 __all__ = [
     "Symbol",
@@ -364,10 +365,10 @@ def riesz_multiplier_verdict(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> RieszMultiplierVerdict:
     _check_triple(sym, v, w)
-    if not classify(w, tol).riesz_fusion_basis:
+    if not is_riesz_fusion_basis(w, tol):
         raise PreconditionError("the analyzed sequence must be a Riesz fusion basis")
     cond = condition_c(sym, tol)
-    v_riesz = classify(v, tol).riesz_fusion_basis
+    v_riesz = is_riesz_fusion_basis(v, tol)
     report = assemble_multiplier(sym, v, w, tol)
     actual = report.invertible
     if cond.near_threshold:
@@ -467,16 +468,18 @@ def invertible_multiplier_consequences(
 def _representation_residual(
     stacked_q: np.ndarray,
     inv_blocks: np.ndarray,
-    duals: Sequence[DualCandidate],
+    duals: np.ndarray,
     m_inv: np.ndarray,
 ) -> float:
-    """max over the duals D of ||M^-1 - sum_i Q_i^* (m_i R_i)^-1 D_i|| / ||M^-1||, the
-    sums of all duals formed together, block by block in block order, and their
-    norms taken by one batched SVD."""
+    """max over the dual analyses D of the (c, N n, n) stack ``duals`` of
+    ||M^-1 - sum_i Q_i^* (m_i R_i)^-1 D_i|| / ||M^-1||, the sums of all duals formed
+    together, block by block in block order, and their norms taken by one batched
+    SVD."""
     q_adj_inv = stacked_q.reshape(inv_blocks.shape).conj().transpose(0, 2, 1) @ inv_blocks
+    blocks = duals.reshape(len(duals), *inv_blocks.shape)
     reps = np.zeros((len(duals), *m_inv.shape), dtype=np.complex128)
     for i, term in enumerate(q_adj_inv):
-        reps += term @ np.array([cand.blocks[i] for cand in duals])
+        reps += term @ blocks[:, i]
     return float(spectral_norms(m_inv - reps).max()) / spectral_norm(m_inv)
 
 
@@ -484,7 +487,7 @@ def _closed_form(
     sym: Symbol,
     v: FusionSequence,
     w: FusionSequence,
-    sampled_duals: Sequence[DualCandidate],
+    sampled_duals: np.ndarray,
     tol: ToleranceConfig,
 ):
     """``(M^-1, stacked Q_dagger, (m_i R_i)^-1)`` from the memos on ``sym``, once the
@@ -495,29 +498,24 @@ def _closed_form(
         raise PreconditionError("the two-sided symbol bound must hold")
     if not assemble_multiplier(sym, v, w, tol).invertible:
         raise PreconditionError("the multiplier must be invertible")
-    if not sampled_duals:
-        raise ContractViolationError("at least one sampled dual is required")
-    n = w.ambient_dim
-    shapes_ok = all(cand.base.blocks.shape == (v.count, n, n) for cand in sampled_duals)
-    analyses = [cand.analysis for cand in sampled_duals]
-    t_v = v.embedding.analysis
-    if not shapes_ok or np.any(duality_defects(analyses, t_v) > 10 * tol.eq_rel):
+    if np.any(duality_defects(sampled_duals, v.embedding.analysis) > 10 * tol.eq_rel):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
     frame_operator_inverse(w.embedding, tol)  # the frame test of W, raising NotAFrameError
     m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
-    return m_inv, q_dagger.reshape(w.count * n, n), sym.inverse_blocks
+    return m_inv, q_dagger.reshape(w.count * w.ambient_dim, w.ambient_dim), sym.inverse_blocks
 
 
 def inverse_representation_residuals(
     sym: Symbol,
     v: FusionSequence,
     w: FusionSequence,
-    sampled_duals: Sequence[DualCandidate],
+    sampled_duals: np.ndarray,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple:
     """``(duality, representation)`` residuals of the closed-form dual Q_dagger:
     ||Q_dagger^* T_W - I|| and the worst relative gap of
-    M^-1 = T_Qd^* D_(mR)^-1 T_D over the supplied duals D of {u_i P_{V_i}}."""
+    M^-1 = T_Qd^* D_(mR)^-1 T_D over the duals of {u_i P_{V_i}} whose analyses T_D
+    the (c, N n, n) stack ``sampled_duals`` holds."""
     m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
     n = w.ambient_dim
     duality_residual = spectral_norm(stacked_q.conj().T @ w.embedding.analysis - np.eye(n))
@@ -528,7 +526,7 @@ def inverse_representation_probe(
     sym: Symbol,
     v: FusionSequence,
     w: FusionSequence,
-    sampled_duals: Sequence[DualCandidate],
+    sampled_duals: np.ndarray,
     rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
@@ -536,7 +534,7 @@ def inverse_representation_probe(
     from ``rng`` and scaled to PROBE_SCALE ||Q_dagger||: how badly a perturbed
     closed-form dual breaks the inverse representation."""
     m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
-    e = random_annihilating_ovf(w, rng, tol).analysis
+    e = kernel_samples(w.embedding, 1, rng, tol)[0]
     e_norm = spectral_norm(e)
     if e_norm > 0.0:
         e = e * (PROBE_SCALE * spectral_norm(stacked_q) / e_norm)

@@ -11,7 +11,8 @@ Q, an orthonormal basis of ran(T_A): the leading left singular vectors of
 T_A up to the rank cutoff (:func:`range_basis`). Everything reads P_ker
 through Q: P_ker G = G - Q (Q^* G) (:func:`kernel_parts`), its column r is
 e_r - Q Q[r, :]^* and that column's norm is sqrt(1 - ||Q[r, :]||^2), at
-O(N k n^2) work and O(N k n) memory.
+O(N k n^2) work and O(N k n) memory. Every kernel perturbation L = P_ker G
+of the package, for a complex Gaussian G, is drawn by :func:`kernel_samples`.
 
 The family is spanned by the canonical dual and the N*k*n members
 T_A S_A^-1 + P_ker E_rs. Each P_ker E_rs is zero except for column s, which
@@ -25,12 +26,15 @@ whose norm is the norm of row r of P_ker^* T', so the sweep decides each
 stacked row r by two bounds from one SVD and one product, and takes a
 batched SVD of a row's members only where the bounds leave it undecided.
 
-Each dual candidate is checked to annihilate T_A exactly once, at the
-caller's eq_rel. Canonical, sampled and swept candidates are built a stack
-at a time and checked by two stacked SVDs of n x n matrices per stack
-(:func:`annihilation_defects`), ||L^* T_A|| and ||L^* L||, and by none for
-the canonical dual's L = 0; a candidate constructed directly is checked the
-same way, as a stack of one, at the default eq_rel.
+Perturbations are checked to annihilate T_A at the caller's eq_rel by two
+stacked SVDs of n x n matrices per stack (:func:`annihilation_defects`),
+||L^* T_A|| and ||L^* L||, and by none for a stack of zeros. Sampled duals
+travel as one (c, N k, n) stack of analyses (:func:`sample_ov_duals`),
+checked once as one stack. A :class:`DualCandidate` records one dual built
+on its own, the canonical dual, the sweep's witness or a dual constructed
+directly, and its constructor checks its L as a stack of one. The swept
+members are checked all at once from their column norms
+(:func:`_check_annihilator`), so only the witness is checked twice.
 
 Which object caches which fact, each read-only, built on first use and free
 of any tolerance:
@@ -88,6 +92,7 @@ __all__ = [
     "duality_defects",
     "range_basis",
     "kernel_parts",
+    "kernel_samples",
     "canonical_ov_dual",
     "sample_ov_duals",
     "sweep_dual_family",
@@ -205,24 +210,19 @@ class DualCandidate:
 
     ``perturbation`` is the stacked L and ``analysis`` the stacked analysis
     of the dual itself. Membership of L in the annihilator of T_A is checked
-    once per candidate: at construction here, and by :func:`_candidates` for
-    the candidates this module builds a stack at a time.
+    at construction, at ``tol``, as a stack of one.
     """
 
     base: OVFrame
     perturbation: np.ndarray
     analysis: np.ndarray
+    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
         l = as_matrix(self.perturbation)
         object.__setattr__(self, "perturbation", l)
         object.__setattr__(self, "analysis", as_matrix(self.analysis))
-        annihilation_defects(self.base, l[None])
-
-    @property
-    def blocks(self) -> np.ndarray:
-        n_blocks, k, n = self.base.blocks.shape
-        return self.analysis.reshape(n_blocks, k, n)
+        annihilation_defects(self.base, l[None], self.tol)
 
 
 def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -245,33 +245,15 @@ def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) 
     return defects
 
 
-def _candidates(
-    a: OVFrame, stack: np.ndarray, analyses: np.ndarray, tol: ToleranceConfig
-) -> list:
-    """DualCandidates of ``a`` with the perturbations of a (c, N k, n) stack and
-    their analyses, the annihilator condition checked at ``tol`` once for the whole
-    stack (:func:`annihilation_defects`) and not again per candidate."""
-    analyses = finite_array(analyses, 3, "dual analyses")
-    annihilation_defects(a, stack, tol)
-    out = []
-    for l, d in zip(stack, analyses):
-        cand = object.__new__(DualCandidate)
-        for name, value in (("base", a), ("perturbation", l), ("analysis", d)):
-            object.__setattr__(cand, name, value)
-        out.append(cand)
-    return out
-
-
-def duality_defects(analyses, t: np.ndarray) -> np.ndarray:
-    """||D^* T - I|| for each dual analysis D of ``analyses``, a (c, m, n) stack or a
-    list of m x n matrices, against the m x n analysis ``t``, from one n x n product
-    per member and one batched SVD; each entry is bit-for-bit the spectral norm of
-    that member's matrix. Only n x n products are stacked, so no copy of the
-    analyses is made."""
-    if len(analyses) == 0 or any(np.shape(d) != t.shape for d in analyses):
+def duality_defects(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """||D^* T - I|| for each dual analysis D of ``analyses``, a (c, m, n) stack,
+    against the m x n analysis ``t``, from one n x n product per member and one
+    batched SVD; each entry is bit-for-bit the spectral norm of that member's
+    matrix. Only n x n products are stacked, so no copy of the analyses is made."""
+    shape = np.shape(analyses)
+    if len(shape) != 3 or not shape[0] or shape[1:] != t.shape:
         raise ContractViolationError(
-            f"dual analyses must be one or more {t.shape} matrices, "
-            f"got shapes {sorted({np.shape(d) for d in analyses})}"
+            f"dual analyses must be a stack of one or more {t.shape} matrices, got shape {shape}"
         )
     return spectral_norms(np.array([d.conj().T @ t for d in analyses]) - np.eye(t.shape[1]))
 
@@ -287,7 +269,7 @@ def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCan
     """The dual with L = 0, read off from T_A S_A^-1."""
     frame_operator_inverse(a, tol)
     t_dual = a.canonical_analysis
-    return _candidates(a, np.zeros((1, *t_dual.shape), dtype=np.complex128), t_dual[None], tol)[0]
+    return DualCandidate(a, np.zeros_like(t_dual), t_dual, tol)
 
 
 def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -297,19 +279,27 @@ def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> lis
     return [g - q @ (q.conj().T @ g) for g in stacked]
 
 
-def sample_ov_duals(a: OVFrame, seeds, tol: ToleranceConfig) -> list:
-    """Duals T_A S_A^-1 + P_ker G, one per seed G, sharing T_A S_A^-1 and the range
-    basis (see :func:`kernel_parts`)."""
+def kernel_samples(
+    a: OVFrame, count: int, rng: np.random.Generator, tol: ToleranceConfig = DEFAULT_TOL
+) -> np.ndarray:
+    """A (count, N k, n) stack of kernel perturbations P_ker G, one per complex
+    Gaussian G of the shape of T_A, drawn from ``rng`` member by member, real part
+    then imaginary part. Every kernel perturbation of the package is drawn here."""
+    shape = a.analysis.shape
+    draws = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count))
+    return np.array(kernel_parts(a, draws, tol), dtype=np.complex128).reshape(-1, *shape)
+
+
+def sample_ov_duals(
+    a: OVFrame, count: int, rng: np.random.Generator, tol: ToleranceConfig
+) -> np.ndarray:
+    """The (count, N k, n) stack of dual analyses T_A S_A^-1 + L, L the kernel
+    perturbations of :func:`kernel_samples`, once ``a`` passes the frame test; the
+    L stack is checked to annihilate T_A once, at ``tol``."""
     frame_operator_inverse(a, tol)
-    t_dual = a.canonical_analysis
-    seeds = [as_matrix(g) for g in seeds]
-    for g in seeds:
-        if g.shape != t_dual.shape:
-            raise ContractViolationError(
-                f"perturbation seed must have shape {t_dual.shape}, got {g.shape}"
-            )
-    stack = np.array(kernel_parts(a, seeds, tol), dtype=np.complex128).reshape(-1, *t_dual.shape)
-    return _candidates(a, stack, t_dual + stack, tol)
+    stack = kernel_samples(a, count, rng, tol)
+    annihilation_defects(a, stack, tol)
+    return a.canonical_analysis + stack
 
 
 def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
@@ -325,11 +315,11 @@ def _family_member(
     """Member ``index`` of the dual family, checked at ``tol``: L = 0 for index 0,
     then P_ker E_rs in row-major order of (r, s); ``q`` is the range basis, unused
     for index 0."""
-    l = np.zeros((1, *t_dual.shape), dtype=np.complex128)
+    l = np.zeros_like(t_dual)
     if index:
         r, s = divmod(index - 1, t_dual.shape[1])
-        l[0, :, s] = _kernel_column(q, r)
-    return _candidates(a, l, t_dual + l, tol)[0]
+        l[:, s] = _kernel_column(q, r)
+    return DualCandidate(a, l, t_dual + l, tol)
 
 
 def _check_annihilator(

@@ -358,8 +358,8 @@ def reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n):
     worst = 0.0
     count = stacked_q.shape[0] // n
     q_blocks = stacked_q.reshape(count, n, n)
-    for cand in duals:
-        d_blocks = cand.blocks
+    for d in duals:
+        d_blocks = d.reshape(count, n, n)
         rep = np.zeros((n, n), dtype=np.complex128)
         for i in range(count):
             rep += q_blocks[i].conj().T @ inv_blocks[i] @ d_blocks[i]
@@ -646,7 +646,10 @@ def reference_dual_representation_residual(stacked_q, inv_blocks, duals, m_inv):
 
     q_adj_inv = stacked_q.reshape(inv_blocks.shape).conj().transpose(0, 2, 1) @ inv_blocks
     scale = spectral_norm(m_inv)
-    return max(spectral_norm(m_inv - block_sum(q_adj_inv @ cand.blocks)) / scale for cand in duals)
+    return max(
+        spectral_norm(m_inv - block_sum(q_adj_inv @ d.reshape(inv_blocks.shape))) / scale
+        for d in duals
+    )
 
 
 def reference_local_frame_equivalence(sym, v, w, family, tol):

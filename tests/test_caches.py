@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from conftest import reference_inverse_representation
-from fusionframes import checks, duality, multipliers, ovf
+from fusionframes import checks, multipliers, ovf
 from fusionframes.checks import run_suite
 from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
     FusionSequence,
-    classify,
+    is_riesz_fusion_basis,
     scale_weights,
 )
 from fusionframes.instances import InstanceSpec, generate_instance, random_spanning_dims
@@ -107,7 +107,7 @@ def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeyp
         for f in (inst.w, inst.v):
             frame_bounds(f.embedding, tol)
             is_frame(f.embedding, tol)
-            classify(f, tol)
+            is_riesz_fusion_basis(f, tol)
             frame_operator_inverse(f.embedding, tol)
             canonical_ov_dual(f.embedding, tol)
     assert len(eigs) == 2
@@ -302,7 +302,6 @@ def _per_check(monkeypatch):
     parts = recorder("kernel_parts", ovf.kernel_parts)
     basis = recorder("range_basis", ovf.range_basis)
     monkeypatch.setattr(ovf, "kernel_parts", parts)
-    monkeypatch.setattr(duality, "kernel_parts", parts)
     monkeypatch.setattr(ovf, "range_basis", basis)
     monkeypatch.setattr(multipliers, "excess", recorder("excess", multipliers.excess))
 

@@ -21,7 +21,6 @@ from fusionframes.duality import (
     index_zero_set,
     is_admissible,
     kpp_dual_check,
-    random_annihilating_ovf,
 )
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
 from fusionframes.fusion import (
@@ -30,7 +29,7 @@ from fusionframes.fusion import (
     projection,
 )
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, sweep_dual_family
+from fusionframes.ovf import canonical_ov_dual, kernel_samples, sweep_dual_family
 
 
 def _projection_blocks(f):
@@ -143,9 +142,9 @@ def test_generate_dual_scaled_target():
 
 
 def test_generate_dual_with_kernel_term(diag_pair, rng):
-    l = random_annihilating_ovf(diag_pair, rng)
+    (l,) = kernel_samples(diag_pair.embedding, 1, rng)
     t_w = diag_pair.embedding.analysis
-    assert spectral_norm(l.analysis.conj().T @ t_w) <= 1e-10
+    assert spectral_norm(l.conj().T @ t_w) <= 1e-10
     gd = generate_fusion_dual(diag_pair, np.eye(2), l)
     np.testing.assert_allclose(gd.composite, np.eye(2), atol=1e-12)
     assert kpp_dual_check(gd.v, diag_pair, gd.q).kind == "dual"
@@ -154,11 +153,11 @@ def test_generate_dual_with_kernel_term(diag_pair, rng):
 def test_generate_dual_rejects_bad_inputs(diag_pair):
     with pytest.raises(ContractViolationError):
         generate_fusion_dual(diag_pair, np.diag([1.0, 0.0]))
-    from fusionframes.ovf import OVFrame
-
-    not_annihilating = OVFrame(np.array([np.eye(2), np.eye(2)], dtype=complex))
-    with pytest.raises(ContractViolationError):
+    not_annihilating = np.vstack([np.eye(2), np.eye(2)]).astype(complex)
+    with pytest.raises(ContractViolationError, match="does not annihilate"):
         generate_fusion_dual(diag_pair, np.eye(2), not_annihilating)
+    with pytest.raises(ContractViolationError, match=r"must have shape \(4, 2\)"):
+        generate_fusion_dual(diag_pair, np.eye(2), np.zeros((2, 2)))
 
 
 def test_generated_duals_on_random_population(rng):
@@ -168,7 +167,7 @@ def test_generated_duals_on_random_population(rng):
         n = int(rng.integers(2, 7))
         w = random_fusion_frame(n, int(rng.integers(1, 5)), rng)
         u = np.eye(n, dtype=complex) if trial % 4 == 0 else random_invertible_matrix(n, rng)
-        l = random_annihilating_ovf(w, rng)
+        (l,) = kernel_samples(w.embedding, 1, rng)
         gd = generate_fusion_dual(w, u, l)
         assert spectral_norm(gd.composite - u) <= DEFAULT_TOL.eq_rel * max(
             1.0, spectral_norm(u)

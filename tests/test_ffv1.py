@@ -215,8 +215,17 @@ def _poison(path):
         (_set(("v", "subspaces", 2, "dim"), 3), "0 <= d <= n"),
         (_set(("w", "weights"), [1.0, 0.0]), "w.weights"),
         (_set(("v", "weights", 0), "1.0"), "v.weights"),
-        (_set(("w", "weights", 2), 1e308), "w.weights: they overflow the frame operator"),
-        (_set(("v", "weights", 0), 2e154), "v.weights: they overflow the frame operator"),
+        (_set(("w", "weights", 2), 1e308), "w.weights: weights too large"),
+        (_set(("v", "weights", 0), 2e154), "v.weights: weights too large"),
+        pytest.param(_set(("w", "subspaces", 2, "basis"), [[[1.0, 0.0], [1.0, 0.0]]] * 2),
+                     "w.subspaces[2].basis: basis columns are not orthonormal",
+                     id="basis with two equal columns"),
+        pytest.param(_set(("w", "weights", 2), 0.0),
+                     "w.weights: block 2: zero subspace and zero weight must coincide",
+                     id="zero weight on a nonzero block"),
+        pytest.param(_set(("v", "weights", 0), -1.0),
+                     "v.weights: weights must be finite and non-negative",
+                     id="negative weight"),
         (_set(("symbol", "m", 1), [1.0, 0.0, 5.0]), "symbol.m"),
         (_set(("symbol", "m", 1), 1.0), "symbol.m"),
         (_set(("symbol", "r", 0, 0), [[1.0, 0.0]]), "symbol.r"),

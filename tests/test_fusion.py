@@ -1,5 +1,6 @@
 """Fusion sequences: projections, operators, bounds, excess, local frames."""
 
+import re
 import time
 
 import numpy as np
@@ -21,9 +22,9 @@ from fusionframes.fusion import (
     FusionSequence,
     Subspace,
     build_local_frames,
-    classify,
     excess,
     fusion_synthesis_kw,
+    is_riesz_fusion_basis,
     projection,
     random_subspace,
     sandwich,
@@ -114,14 +115,49 @@ def test_bounds_examples(diag_pair):
 
 def test_classify_examples():
     std = coordinate_decomposition(3)
-    c = classify(std)
-    assert c.bessel and c.frame and c.riesz_fusion_basis
+    assert is_frame(std.embedding) and is_riesz_fusion_basis(std)
     over = FusionSequence((line([1.0, 0.0]), Subspace.full(2)), np.array([1.0, 1.0]))
-    c = classify(over)
-    assert c.frame and not c.riesz_fusion_basis
+    assert is_frame(over.embedding) and not is_riesz_fusion_basis(over)
     single = FusionSequence((line([1.0, 0.0]),), np.array([1.0]))
-    c = classify(single)
-    assert c.bessel and not c.frame and not c.riesz_fusion_basis
+    assert not is_frame(single.embedding) and not is_riesz_fusion_basis(single)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Subspace(np.array([[1.0, 1.0], [0.0, 0.0]])), "basis columns are not orthonormal"),
+        (lambda: Subspace(np.array([[2.0], [0.0]])), "basis columns are not orthonormal"),
+        (lambda: Subspace(np.ones((1, 2))), "subspace dimension 2 exceeds ambient 1"),
+        (lambda: FusionSequence((), np.array([])), "needs at least one block"),
+        (
+            lambda: FusionSequence((Subspace.full(2),), np.array([1.0, 1.0])),
+            "1 subspaces but 2 weights",
+        ),
+        (
+            lambda: FusionSequence((Subspace.full(2), Subspace.full(3)), np.array([1.0, 1.0])),
+            "subspaces live in different ambient spaces",
+        ),
+        (
+            lambda: FusionSequence((Subspace.full(2),), np.array([np.nan])),
+            "weights must be finite and non-negative",
+        ),
+        (
+            lambda: FusionSequence((Subspace.full(2),), np.array([-1.0])),
+            "weights must be finite and non-negative",
+        ),
+        (
+            lambda: FusionSequence((Subspace.full(2),), np.array([np.inf])),
+            "weights must be finite and non-negative",
+        ),
+    ],
+    ids=[
+        "equal columns", "column of norm 2", "dim above ambient", "no block",
+        "weight count", "ambient mismatch", "NaN weight", "negative weight", "infinite weight",
+    ],
+)
+def test_constructor_rejections_name_the_rule(build, message):
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        build()
 
 
 def test_excess_examples():
@@ -139,7 +175,7 @@ def test_riesz_has_zero_kw_excess(rng):
     for _ in range(20):
         n = int(rng.integers(2, 7))
         f = random_riesz_basis(n, rng, count=int(rng.integers(1, n + 1)))
-        assert classify(f).riesz_fusion_basis
+        assert is_riesz_fusion_basis(f)
         assert excess(f)[1] == 0
         assert sum(f.dims) == n
 

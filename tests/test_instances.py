@@ -160,10 +160,10 @@ def test_random_fusion_frame_conditioned(rng):
 
 
 def test_random_riesz_basis(rng):
-    from fusionframes.fusion import classify
+    from fusionframes.fusion import is_riesz_fusion_basis
 
     f = random_riesz_basis(5, rng, count=3)
-    assert classify(f).riesz_fusion_basis
+    assert is_riesz_fusion_basis(f)
 
 
 def test_random_invertible_matrix(rng):

@@ -43,12 +43,10 @@ def unitary_swap_symbol():
 
 
 def _sampled_duals(v, rng, count=5):
+    """The analyses of the canonical and ``count - 1`` sampled duals of v, one stack."""
     a = v.embedding
-    t = a.analysis
-    seeds = [
-        rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape) for _ in range(count - 1)
-    ]
-    return [canonical_ov_dual(a)] + sample_ov_duals(a, seeds, DEFAULT_TOL)
+    canonical = canonical_ov_dual(a).analysis
+    return np.concatenate([canonical[None], sample_ov_duals(a, count - 1, rng, DEFAULT_TOL)])
 
 
 def test_block_diag_examples():

@@ -24,10 +24,19 @@ from fusionframes.ovf import (
     frame_bounds,
     frame_operator_inverse,
     is_frame,
+    kernel_samples,
     null_bessel_certificate,
     sample_ov_duals,
     sweep_dual_family,
 )
+
+
+class _ZeroNormal:
+    """A generator stand-in whose every Gaussian draw is zero, so every kernel
+    perturbation P_ker G is P_ker 0 = 0."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
 def test_analysis_stacking(diag_pair):
@@ -81,9 +90,9 @@ def test_canonical_dual_examples(diag_pair):
     cand = canonical_ov_dual(onb)
     np.testing.assert_allclose(cand.analysis, np.eye(2), atol=1e-14)
     a = diag_pair.embedding
-    cand = canonical_ov_dual(a)
-    np.testing.assert_allclose(cand.blocks[0], np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(cand.blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
+    blocks = canonical_ov_dual(a).analysis.reshape(2, 2, 2)
+    np.testing.assert_allclose(blocks[0], np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
     deficient = embed_ordinary(VectorFrame(np.array([[1.0, 0.0]])))
     with pytest.raises(NotAFrameError):
         canonical_ov_dual(deficient)
@@ -103,7 +112,7 @@ def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
     readers = [
         lambda: frame_operator_inverse(deficient),
         lambda: canonical_ov_dual(deficient),
-        lambda: sample_ov_duals(deficient, [np.zeros((2 * n, n))], DEFAULT_TOL),
+        lambda: sample_ov_duals(deficient, 1, _ZeroNormal(), DEFAULT_TOL),
         lambda: sweep_dual_family(deficient, deficient.analysis, 1.0, DEFAULT_TOL),
         lambda: dual_span_dimension(deficient),
         lambda: duality.gavruta_dual_check(partial, partial),
@@ -118,24 +127,24 @@ def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
 
 def test_sample_dual_zero_seed_is_canonical(diag_pair):
     a = diag_pair.embedding
-    zero = sample_ov_duals(a, [np.zeros((4, 2))], DEFAULT_TOL)[0]
-    np.testing.assert_allclose(zero.analysis, canonical_ov_dual(a).analysis)
+    zero = sample_ov_duals(a, 2, _ZeroNormal(), DEFAULT_TOL)
+    assert zero.shape == (2, 4, 2)
+    np.testing.assert_allclose(zero[1], canonical_ov_dual(a).analysis)
+    assert sample_ov_duals(a, 0, _ZeroNormal(), DEFAULT_TOL).shape == (0, 4, 2)
 
 
 def test_sample_dual_trivial_kernel(rng):
-    # square invertible stack: the annihilator is trivial, every seed gives L = 0
+    # square invertible stack: the annihilator is trivial, every draw gives L = 0
     single = OVFrame((np.eye(2) + 0.1 * rng.standard_normal((2, 2)))[None])
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    cand = sample_ov_duals(single, [g], DEFAULT_TOL)[0]
-    assert spectral_norm(cand.perturbation) <= 1e-12
+    (l,) = kernel_samples(single, 1, rng)
+    assert spectral_norm(l) <= 1e-12
 
 
 def test_sample_dual_noncanonical_still_dual(diag_pair, rng):
     a = diag_pair.embedding
-    g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    cand = sample_ov_duals(a, [g], DEFAULT_TOL)[0]
-    assert spectral_norm(cand.perturbation) > 1e-3
-    assert ovf.duality_defects([cand.analysis], a.analysis)[0] <= DEFAULT_TOL.eq_rel
+    (dual,) = sample_ov_duals(a, 1, rng, DEFAULT_TOL)
+    assert spectral_norm(dual - canonical_ov_dual(a).analysis) > 1e-3
+    assert ovf.duality_defects(dual[None], a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_dual_span_examples(diag_pair):
@@ -162,16 +171,15 @@ def test_dual_family_population(rng):
         a = random_ov_frame(n, k, count, rng)
         assert dual_span_dimension(a) == count * k
         assert null_bessel_certificate(a) == 0
-        g = rng.standard_normal((count * k, n)) + 1j * rng.standard_normal((count * k, n))
-        (cand,) = sample_ov_duals(a, [g], DEFAULT_TOL)
-        assert ovf.duality_defects([cand.analysis], a.analysis)[0] <= DEFAULT_TOL.eq_rel
+        duals = sample_ov_duals(a, 1, rng, DEFAULT_TOL)
+        assert ovf.duality_defects(duals, a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
 
 def test_ovframe_shape_validation():
     with pytest.raises(ContractViolationError):
         OVFrame(np.zeros((2, 2)))
     with pytest.raises(ContractViolationError):
-        sample_ov_duals(OVFrame(np.eye(2)[None]), [np.zeros((3, 2))], DEFAULT_TOL)
+        ovf.duality_defects(np.zeros((1, 3, 2)), OVFrame(np.eye(2)[None]).analysis)
 
 
 # Reference copies of the member-wise certificates and sweep that the
@@ -281,7 +289,24 @@ def test_sweep_annihilator_check_uses_the_call_tolerance(diag_pair):
         ovf._check_annihilator(a, q, pt, DEFAULT_TOL)
 
 
-def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
+def test_sweep_witness_is_checked_at_the_call_tolerance():
+    # rank_rel = 0.5 cuts Q to nothing, so P_ker = I and the first kernel member
+    # misses L^* T = 0 by 0.61 ||T||: within the call's eq_rel of 0.5 (scaled by
+    # ||T|| ||L||), far beyond the default; the witness is built at the call's
+    # tolerance, as every member was swept at it
+    from fusionframes.instances import InstanceSpec, generate_instance
+
+    spec = InstanceSpec(6, 4, (5, 5, 2, 3), (0.5, 2.0), "random_C_holding", 15)
+    a = generate_instance(spec).w.embedding
+    loose = ToleranceConfig(eq_rel=0.5, rank_rel=0.5)
+    witness, residual, checked = sweep_dual_family(a, a.analysis, loose.eq_rel, loose)
+    assert witness is not None and witness.tol is loose and checked == 2
+    assert residual > loose.eq_rel
+    with pytest.raises(ContractViolationError, match="does not annihilate"):
+        ovf.annihilation_defects(a, witness.perturbation[None])
+
+
+def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair, rng):
     # an empty range basis makes P_ker = I, which does not annihilate T
     a = diag_pair.embedding
     t = a.analysis
@@ -296,7 +321,7 @@ def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair):
         ovf._family_member(a, canonical_ov_dual(a).analysis, ovf.range_basis(a), 1, DEFAULT_TOL)
     # sampled duals project through the range basis: a wrong one is caught too
     with pytest.raises(ContractViolationError):
-        ovf.sample_ov_duals(a, [np.ones(t.shape)], DEFAULT_TOL)
+        ovf.sample_ov_duals(a, 1, rng, DEFAULT_TOL)
 
 
 def test_structured_certificates_at_scale():
@@ -317,22 +342,22 @@ def test_structured_certificates_at_scale():
 
 def test_sampled_duals_match_per_dual_loop(rng):
     from conftest import reference_sampled_duals
-    from fusionframes import checks
     from fusionframes.instances import random_fusion_frame
 
     for _ in range(30):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         a = random_fusion_frame(n, count, rng).embedding
         seed = int(rng.integers(2**32))
-        got = checks._sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
+        got = sample_ov_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
+        drawn = kernel_samples(a, 5, np.random.default_rng(seed))
         want = reference_sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
-        assert len(got) == len(want) == 5
-        for cand, (l, analysis) in zip(got, want):
-            assert np.array_equal(cand.perturbation, l)
-            assert np.array_equal(cand.analysis, analysis)
-        g = want[0][0]
-        batched = ovf.sample_ov_duals(a, [g, 2.0 * g], DEFAULT_TOL)[0]
-        assert np.array_equal(sample_ov_duals(a, [g], DEFAULT_TOL)[0].analysis, batched.analysis)
+        assert got.shape == drawn.shape == (5, *a.analysis.shape) and len(want) == 5
+        for dual, l, (l_want, analysis) in zip(got, drawn, want):
+            assert np.array_equal(l, l_want)
+            assert np.array_equal(dual, analysis)
+        # members are drawn one by one, so a member does not depend on the count
+        first = sample_ov_duals(a, 1, np.random.default_rng(seed), DEFAULT_TOL)
+        assert np.array_equal(first[0], got[0])
 
 
 def test_sampled_ordinary_duals_match_per_dual_loop(rng):
@@ -355,11 +380,8 @@ def test_sampled_duals_share_one_projector(monkeypatch, diag_pair, rng):
     calls = []
     real = ovf.range_basis
     monkeypatch.setattr(ovf, "range_basis", lambda *args: calls.append(real(*args)) or calls[-1])
-    seeds = [rng.standard_normal((4, 2)) for _ in range(4)]
-    duals = ovf.sample_ov_duals(diag_pair.embedding, seeds, DEFAULT_TOL)
-    assert len(duals) == 4 and len(calls) == 1 and calls[0].shape == (4, 2)
-    with pytest.raises(ContractViolationError):
-        ovf.sample_ov_duals(diag_pair.embedding, seeds + [np.zeros((2, 2))], DEFAULT_TOL)
+    duals = ovf.sample_ov_duals(diag_pair.embedding, 4, rng, DEFAULT_TOL)
+    assert duals.shape == (4, 4, 2) and len(calls) == 1 and calls[0].shape == (4, 2)
 
 
 def _projector_population(rng):
@@ -380,8 +402,8 @@ def test_implicit_kernel_projection_matches_dense_reference(rng):
     # different SVDs of T, so they agree to within the perturbation of the
     # computed range, at most 8 m eps kappa(T) ||G|| for T of m rows and
     # condition kappa(T) = sqrt(beta / alpha)
-    from conftest import reference_kernel_projector
-    from fusionframes import duality, checks
+    from conftest import reference_kernel_projector, reference_probe
+    from fusionframes import checks
     from fusionframes.instances import InstanceSpec, generate_instance
 
     eps = np.finfo(float).eps
@@ -393,12 +415,11 @@ def test_implicit_kernel_projection_matches_dense_reference(rng):
         pker = reference_kernel_projector(a, DEFAULT_TOL)
         bound = 8 * t.shape[0] * eps * np.sqrt(hi / lo)
         seed = int(rng.integers(2**32))
-        drawn = duality.random_annihilating_ovf(w, np.random.default_rng(seed)).analysis
-        g_rng = np.random.default_rng(seed)  # the draw random_annihilating_ovf made
+        (drawn,) = kernel_samples(a, 1, np.random.default_rng(seed))
+        g_rng = np.random.default_rng(seed)  # the draw kernel_samples made
         g = g_rng.standard_normal(t.shape) + 1j * g_rng.standard_normal(t.shape)
         assert spectral_norm(drawn - pker @ g) <= bound * spectral_norm(g)
-        l = ovf.sample_ov_duals(a, [g], DEFAULT_TOL)[0].perturbation
-        assert np.array_equal(l, drawn)
+        assert np.array_equal(drawn, reference_probe(w, np.random.default_rng(seed), DEFAULT_TOL))
         ones += w.ambient_dim == 1
         if w.count == 1:
             # ker T^* = 0: the projection is rounding noise on both routes
@@ -434,21 +455,19 @@ def test_analysis_norm_is_the_largest_singular_value_of_the_analysis():
 
 def test_duality_defects_match_per_dual_loop(rng):
     # one batched SVD gives bit for bit the per-dual spectral norms
-    from fusionframes import checks
     from fusionframes.instances import random_fusion_frame
 
     for _ in range(30):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         a = random_fusion_frame(n, count, rng).embedding
-        duals = [canonical_ov_dual(a)] + checks._sampled_duals(a, 4, rng, DEFAULT_TOL)
+        canonical = canonical_ov_dual(a).analysis
+        analyses = np.concatenate([canonical[None], sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
         t = a.analysis
-        analyses = [d.analysis for d in duals]
         want = [spectral_norm(d.conj().T @ t - np.eye(n)) for d in analyses]
         assert ovf.duality_defects(analyses, t).tolist() == want
-        assert ovf.duality_defects(np.array(analyses), t).tolist() == want
-        assert [ovf.duality_defects([d], t)[0] for d in analyses] == want
+        assert [ovf.duality_defects(d[None], t)[0] for d in analyses] == want
     other = canonical_ov_dual(coordinate_decomposition(n + 1).embedding)
-    for bad in (analyses + [other.analysis], []):
+    for bad in (other.analysis[None], analyses[:0], analyses[0]):
         with pytest.raises(ContractViolationError):
             ovf.duality_defects(bad, t)
 

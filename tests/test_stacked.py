@@ -21,7 +21,6 @@ from fusionframes.duality import (
     canonical_gavruta_dual,
     generate_fusion_dual,
     is_admissible,
-    random_annihilating_ovf,
 )
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, build_local_frames, random_subspace
@@ -69,10 +68,7 @@ def test_population_covers_the_corners():
 def test_stacked_annihilation_matches_the_per_candidate_check():
     for inst in POPULATION:
         a = inst.w.embedding
-        rng = np.random.default_rng(inst.seed)
-        seeds = [_complex(rng, a.analysis.shape) for _ in range(5)]
-        cands = ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)
-        stack = np.array([cand.perturbation for cand in cands])
+        stack = ovf.kernel_samples(a, 5, np.random.default_rng(inst.seed))
         got = ovf.annihilation_defects(a, stack)
         assert np.array_equal(got, reference_annihilation_defects(a, stack))
         canonical = ovf.canonical_ov_dual(a)
@@ -91,32 +87,29 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
     monkeypatch.setattr(ovf, "annihilation_defects", counted)
     inst = POPULATION[-1]
     a = inst.w.embedding
-    rng = np.random.default_rng(5)
-    seeds = [_complex(rng, a.analysis.shape) for _ in range(4)]
-    cands = [ovf.canonical_ov_dual(a)] + ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)
+    canonical = ovf.canonical_ov_dual(a)
+    duals = ovf.sample_ov_duals(a, 4, np.random.default_rng(5), DEFAULT_TOL)
     assert checked == [1, 4]
     checked.clear()
     # a candidate constructed directly is a stack of one
-    DualCandidate(a, cands[2].perturbation, cands[2].analysis)
+    DualCandidate(a, duals[1] - canonical.analysis, duals[1])
     assert checked == [1]
     checked.clear()
     witness = ovf.sweep_dual_family(a, 2.0 * a.analysis, 0.5, DEFAULT_TOL)[0]
     assert witness is not None and checked == [1]
 
 
-def test_one_non_annihilating_perturbation_in_a_valid_stack_is_rejected():
+def test_one_non_annihilating_perturbation_in_a_valid_stack_is_rejected(monkeypatch):
+    draw = ovf.kernel_samples
     for inst in POPULATION:
         a = inst.w.embedding
-        ovf.frame_operator_inverse(a, DEFAULT_TOL)
-        t, t_dual = a.analysis, a.canonical_analysis
-        rng = np.random.default_rng(inst.seed)
-        seeds = [_complex(rng, t.shape) for _ in range(5)]
-        stack = np.array([cand.perturbation for cand in ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)])
-        ovf._candidates(a, stack, t_dual + stack, DEFAULT_TOL)
+        stack = draw(a, 5, np.random.default_rng(inst.seed))
+        ovf.annihilation_defects(a, stack)
         # T_A^* T_A = S_A is invertible, so L = T_A annihilates nothing
-        stack[3] = t
+        stack[3] = a.analysis
+        monkeypatch.setattr(ovf, "kernel_samples", lambda *args: stack)
         for check in (
-            lambda: ovf._candidates(a, stack, t_dual + stack, DEFAULT_TOL),
+            lambda: ovf.sample_ov_duals(a, 5, None, DEFAULT_TOL),
             lambda: ovf.annihilation_defects(a, stack),
             lambda: reference_annihilation_defects(a, stack),
         ):
@@ -144,8 +137,9 @@ def test_stacked_dual_generator_matches_the_per_block_loop():
         w, n = inst.w, inst.w.ambient_dim
         rng = np.random.default_rng(inst.seed)
         u = random_invertible_matrix(n, rng)
-        l = random_annihilating_ovf(w, rng)
-        for l_arg, l_blocks in ((None, np.zeros((w.count, n, n), dtype=complex)), (l, l.blocks)):
+        (l,) = ovf.kernel_samples(w.embedding, 1, rng)
+        blocks = l.reshape(w.count, n, n)
+        for l_arg, l_blocks in ((None, np.zeros((w.count, n, n), dtype=complex)), (l, blocks)):
             gd = generate_fusion_dual(w, u, l_arg)
             v, q, comp, ops = reference_generated_dual(w, u, l_blocks, DEFAULT_TOL)
             assert np.array_equal(gd.v.weights, v.weights)
@@ -173,8 +167,8 @@ def test_batched_representation_residual_matches_the_per_dual_loop():
         w, n = inst.w, inst.w.ambient_dim
         a = w.embedding
         rng = np.random.default_rng(inst.seed)
-        seeds = [_complex(rng, a.analysis.shape) for _ in range(4)]
-        duals = [ovf.canonical_ov_dual(a)] + ovf.sample_ov_duals(a, seeds, DEFAULT_TOL)
+        canonical = ovf.canonical_ov_dual(a).analysis
+        duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
         stacked_q = _complex(rng, (w.count * n, n))
         inv_blocks = _complex(rng, (w.count, n, n))
         m_inv = _complex(rng, (n, n))
@@ -233,12 +227,11 @@ def test_lapack_calls_do_not_grow_with_the_block_count(monkeypatch):
             tuple(random_subspace(n, d, rng) for d in dims), rng.uniform(0.5, 2.0, size=count)
         )
         u = random_invertible_matrix(n, rng)
-        l = random_annihilating_ovf(w, rng)
+        (l,) = ovf.kernel_samples(w.embedding, 1, rng)
         gd = generate_fusion_dual(w, u, l)  # fills the caches of W
         a = w.embedding
-        duals = [ovf.canonical_ov_dual(a)] + ovf.sample_ov_duals(
-            a, [_complex(rng, a.analysis.shape) for _ in range(4)], DEFAULT_TOL
-        )
+        canonical = ovf.canonical_ov_dual(a).analysis
+        duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
         args = (
             _complex(rng, (count * n, n)), _complex(rng, (count, n, n)), duals, _complex(rng, (n, n))
         )
@@ -263,7 +256,7 @@ def test_lapack_calls_do_not_grow_with_the_block_count(monkeypatch):
 
 def test_dual_generator_checks_its_sequence_at_the_call_tolerance(diag_pair):
     # T_L^* T_W = 1e-6 sum_i w_i P_i: beyond the default eq_rel, within 1e-3
-    near = ovf.OVFrame(1e-6 * np.array([np.eye(2), np.eye(2)], dtype=complex))
+    near = 1e-6 * np.vstack([np.eye(2), np.eye(2)]).astype(complex)
     with pytest.raises(ContractViolationError, match="does not annihilate"):
         generate_fusion_dual(diag_pair, np.eye(2), near)
     loose = ToleranceConfig(eq_rel=1e-3)

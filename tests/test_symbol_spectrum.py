@@ -20,7 +20,7 @@ from conftest import (
     reference_representation_residual,
     reference_schatten,
 )
-from fusionframes import checks, duality, ovf
+from fusionframes import checks, ovf
 from fusionframes.cli import main
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, random_subspace
@@ -227,7 +227,7 @@ def test_annihilating_probe_matches_inline_draw(rng):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         w = _sequence(n, count, rng)
         seed = int(rng.integers(2**32))
-        got = duality.random_annihilating_ovf(w, np.random.default_rng(seed)).analysis
+        (got,) = ovf.kernel_samples(w.embedding, 1, np.random.default_rng(seed))
         assert np.array_equal(got, reference_probe(w, np.random.default_rng(seed), DEFAULT_TOL))
 
 
@@ -241,7 +241,8 @@ def test_representation_residuals_match_block_loop(rng):
         if not assemble_multiplier(sym, v, w).invertible:
             continue
         a_v = v.embedding
-        duals = [ovf.canonical_ov_dual(a_v)] + checks._sampled_duals(a_v, 4, rng, DEFAULT_TOL)
+        canonical = ovf.canonical_ov_dual(a_v).analysis
+        duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a_v, 4, rng, DEFAULT_TOL)])
         seed = int(rng.integers(2**32))
         representation = inverse_representation_residuals(sym, v, w, duals)[1]
         probe = inverse_representation_probe(sym, v, w, duals, rng=np.random.default_rng(seed))
