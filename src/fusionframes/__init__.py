@@ -54,10 +54,8 @@ from .multipliers import (
     Symbol,
     assemble_multiplier,
     condition_c,
-    gavruta_multiplier,
     invertible_multiplier_consequences,
     local_frame_equivalence,
-    projection_composition_multiplier,
     riesz_multiplier_verdict,
     schatten_checks,
 )

@@ -323,13 +323,14 @@ _CROSS = cross_swap_instance()  # the crossed pair in C^2, the same for every in
 
 
 def _run_contrast(inst, rng, tol):
-    ones = np.ones(2)
+    v, w = _CROSS.v, _CROSS.w
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    proj = multipliers.projection_composition_multiplier(ones, _CROSS.v, _CROSS.w)
-    gav = multipliers.gavruta_multiplier(ones, _CROSS.v, _CROSS.w, tol)
-    sym = multipliers.assemble_multiplier(_CROSS.symbol, _CROSS.v, _CROSS.w, tol).matrix
-    residual = max(spectral_norm(proj), spectral_norm(gav), spectral_norm(sym - swap))
-    return CheckResult(residual)
+    s_inv = ovf.frame_operator_inverse(w.embedding, tol)
+    # the commonly used forms are the symbols R_i = I and R_i = S_W^-1
+    plain = multipliers.Symbol.identity(2, 2).assembled(v, w)[1]
+    weighted = multipliers.Symbol(np.ones(2), [s_inv, s_inv]).assembled(v, w)[1]
+    sym = multipliers.assemble_multiplier(_CROSS.symbol, v, w, tol).matrix
+    return CheckResult(max(float(plain[0]), float(weighted[0]), spectral_norm(sym - swap)))
 
 
 # --- local suite -----------------------------------------------------------
@@ -373,8 +374,7 @@ def _run_local_negative(inst, rng, tol):
 
 
 def _run_schatten_blocks(inst, rng, tol):
-    rep = multipliers.schatten_checks(inst.symbol, inst.v, inst.w, 2.0, tol)
-    return CheckResult(rep.block_sval_defect)
+    return CheckResult(inst.symbol.block_sval_defect)
 
 
 def _schatten_excess(value: str, bound: str):
@@ -653,7 +653,7 @@ _RAW_CHECKS = [
         _eq,
         "eq_rel",
         _always,
-        _schatten_excess("block_power", "rank_bound"),
+        _schatten_excess("block_norm", "rank_bound"),
     ),
 ]
 

@@ -9,8 +9,9 @@ equal to the identity (generalized dual: merely invertible). Admissibility
 pins Q_i to act from W_i into V_i with unit norm off the zero-index set.
 The composite and the S_W^-1-weighted composite of the classical
 reconstruction are both :func:`fusion.sandwich` over the sequences' cached
-projections. This module checks the definition for a given Q, checks the
-classical S^-1-weighted reconstruction, constructs duals from an invertible
+projections, with the middle stack Q or S_W^-1 broadcast to every block.
+This module checks the definition for a given Q, checks the classical
+S^-1-weighted reconstruction, constructs duals from an invertible
 target operator and a stacked L with L^* T_W,w = 0 (such as one drawn by
 :func:`ovf.kernel_samples`), and searches the operator-valued dual family for
 a dual that separates two fusion frames.
@@ -179,7 +180,7 @@ def gavruta_dual_check(
         raise ContractViolationError("sequences have different lengths")
     s_inv = frame_operator_inverse(w.embedding, tol)
     n = w.ambient_dim
-    comp = sandwich(v, w, w.weights * v.weights, s_inv)
+    comp = sandwich(v, w, w.weights * v.weights, np.broadcast_to(s_inv, (w.count, n, n)))
     return float(np.linalg.norm(comp - np.eye(n)) / np.sqrt(n))
 
 

@@ -5,23 +5,26 @@ subject to the compatibility rule that a weight vanishes exactly when its
 subspace is zero. Each fact that no tolerance enters has one owner, which
 builds it read-only on first use:
 
-* the sequence owns the (N, n, n) stack of its projections P_i, the
-  singular values of its stacked analysis and of its K_W synthesis, and its
+* the sequence owns the (N, n, n) stack of its projections P_i and its
   embedding;
 * the embedding, the operator-valued frame {w_i P_i} (:class:`ovf.OVFrame`),
-  owns the blocks w_i P_i, which are the stacked analysis, the frame
+  owns the blocks w_i P_i, which are the stacked analysis T, the frame
   operator S, the extreme eigenvalues of S (so the bounds and ||T||), S^-1
-  from one inv, and the thin SVD of the analysis that the range basis needs.
+  from one inv, and the one thin SVD of T.
 
 Every caller reads these facts through ``f.embedding``: the analysis
 ``f.embedding.analysis``, the bounds :func:`ovf.frame_bounds`, the frame test
 :func:`ovf.is_frame` and S^-1 behind that test
 (:func:`ovf.frame_operator_inverse`), so a sequence and its embedding cannot
-disagree about being a frame. Tolerance rules (the eigenvalue clip, the
-invertibility cutoff, ranks) are applied at each call on top of the cached
-facts. :func:`sandwich` builds every block sum sum_i c_i P_{V_i} X_i P_{W_i}
-(dual composites and multipliers) from the projection stacks. Two
-coefficient spaces appear throughout:
+disagree about being a frame. The rank of T, cut from its one SVD by
+:func:`ovf.range_basis`, gives both excess numbers and the Riesz test, since
+the K_W synthesis has the nonzero singular values of T. Tolerance rules (the
+eigenvalue clip, the invertibility cutoff, ranks) are applied at each call on
+top of the cached facts. :func:`sandwich` builds every block sum
+sum_i c_i P_{V_i} X_i P_{W_i} (dual composites and multipliers) from the
+projection stacks and an (N, n, n) stack of the X_i.
+
+Two coefficient spaces appear throughout:
 
 * the ambient stacked space C^(N*n), where block i of the analysis operator
   is w_i P_i, and
@@ -39,15 +42,8 @@ import numpy as np
 
 from .exceptions import ContractViolationError
 from .frames import VectorFrame
-from .numerics import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_matrix,
-    singular_values,
-    spectral_norms,
-    svals_rank,
-)
-from .ovf import OVFrame
+from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norms
+from .ovf import OVFrame, range_basis
 
 __all__ = [
     "Subspace",
@@ -198,22 +194,6 @@ class FusionSequence:
         return stack
 
     @cached_property
-    def analysis_svals(self) -> np.ndarray:
-        """Read-only singular values of the stacked analysis ``embedding.analysis``,
-        from one values-only SVD on first use."""
-        s = singular_values(self.embedding.analysis)
-        s.flags.writeable = False
-        return s
-
-    @cached_property
-    def synthesis_svals(self) -> np.ndarray:
-        """Read-only singular values of :func:`fusion_synthesis_kw`, from one SVD on
-        first use."""
-        s = singular_values(fusion_synthesis_kw(self))
-        s.flags.writeable = False
-        return s
-
-    @cached_property
     def embedding(self) -> OVFrame:
         """The B(C^n)-valued frame with read-only blocks w_i P_i, built on first use."""
         blocks = self.weights[:, None, None] * self.projections
@@ -230,13 +210,15 @@ def block_sum(stack: np.ndarray) -> np.ndarray:
     return total
 
 
-def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle=None) -> np.ndarray:
-    """sum_i coeffs_i P_{V_i} X_i P_{W_i}, with ``middle`` an (N, n, n) stack
-    of the X_i, one shared n x n matrix, or None for P_{V_i} P_{W_i}."""
+def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle) -> np.ndarray:
+    """sum_i coeffs_i P_{V_i} X_i P_{W_i}, with ``middle`` the (N, n, n) stack of the X_i."""
     if v.count != w.count or v.ambient_dim != w.ambient_dim:
         raise ContractViolationError("sequences must share length and ambient dimension")
-    inner = v.projections if middle is None else v.projections @ middle
-    return block_sum(np.asarray(coeffs)[:, None, None] * (inner @ w.projections))
+    if np.shape(middle) != v.projections.shape:
+        raise ContractViolationError(
+            f"middle must be a {v.projections.shape} stack, got shape {np.shape(middle)}"
+        )
+    return block_sum(np.asarray(coeffs)[:, None, None] * (v.projections @ middle @ w.projections))
 
 
 def block_deviation(f: FusionSequence, g: FusionSequence) -> float:
@@ -252,24 +234,23 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
 
 
 def is_riesz_fusion_basis(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """The subspace dimensions sum to n and the K_W synthesis has full rank n at
-    ``tol``, read from the singular values cached on ``f``."""
+    """The subspace dimensions sum to n and the analysis has rank n at ``tol``, read
+    from :func:`ovf.range_basis` (the K_W synthesis has the same rank; see
+    :func:`excess`)."""
     n = f.ambient_dim
-    return sum(f.dims) == n and svals_rank(f.synthesis_svals, n, tol) == n
+    return sum(f.dims) == n and range_basis(f.embedding, tol).shape[1] == n
 
 
 def excess(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
-    """Excess in the ambient stacked space and in K_W.
+    """Excess in the ambient stacked space and in K_W: (N n - r, sum(d_i) - r).
 
-    The ambient number is N*n minus the rank of the stacked analysis
-    operator (the kernel dimension of its adjoint); the K_W number is
-    sum(d_i) minus the rank of the block-column synthesis. Both ranks are taken
-    at ``tol`` from the singular values cached on ``f``.
+    r is the rank of the stacked analysis T at ``tol``, the column count of
+    :func:`ovf.range_basis`, from the one SVD cached on the embedding. It is also
+    the rank of the K_W synthesis: with J = blockdiag(B_1, ..., B_N), an isometry,
+    T = J [w_1 B_1 | ... | w_N B_N]^*, so both have the same nonzero singular values.
     """
-    size, total = f.count * f.ambient_dim, sum(f.dims)
-    ambient = size - svals_rank(f.analysis_svals, size, tol)
-    kw = total - svals_rank(f.synthesis_svals, max(f.ambient_dim, total), tol)
-    return int(ambient), int(kw)
+    r = range_basis(f.embedding, tol).shape[1]
+    return int(f.count * f.ambient_dim - r), int(sum(f.dims) - r)
 
 
 def scale_weights(f: FusionSequence, factors) -> FusionSequence:

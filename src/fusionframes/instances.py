@@ -1,9 +1,9 @@
 """Instance generation and the ffv2 on-disk format (ffv1 is still read).
 
-Generators are deterministic in the supplied seed or generator object.
-Populations meant for theorem checks enforce a conditioning floor, since a
-fixed relative tolerance is meaningless on arbitrarily ill-conditioned
-draws; the floors are generous (condition numbers up to 1e4).
+Generators are deterministic in the supplied seed or generator object. No
+generator here redraws to meet a conditioning floor: instances are drawn
+once from their spec, and the checks apply their own cutoffs to whatever
+conditioning a draw has, flagging near-cutoff symbols indeterminate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ContractViolationError, FusionFrameError, PreconditionError
+from .exceptions import ContractViolationError, FusionFrameError
 from .fusion import (
     MAX_REDUNDANCY,
     FusionSequence,
@@ -28,8 +28,7 @@ from .fusion import (
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
-from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, singular_values, svd
-from .ovf import OVFrame, frame_bounds
+from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, svd
 
 __all__ = [
     "SYMBOL_MODES",
@@ -39,9 +38,7 @@ __all__ = [
     "cross_swap_instance",
     "random_partition",
     "random_spanning_dims",
-    "random_fusion_frame",
     "random_riesz_basis",
-    "random_ov_frame",
     "random_invertible_matrix",
     "random_symbol",
     "instance_to_json",
@@ -51,9 +48,6 @@ __all__ = [
 ]
 
 SYMBOL_MODES = ("identity", "random_C_holding", "random_C_failing", "adversarial")
-MAX_COND = 1e4  # largest condition number of a random fusion frame
-MIN_COND_RATIO = 1e-2  # least sigma_min / sigma_max of a random operator-valued frame
-MAX_DRAWS = 10_000  # draws before a conditioned generator gives up
 
 
 @dataclass(frozen=True)
@@ -139,24 +133,6 @@ def random_spanning_dims(n: int, count: int, rng: np.random.Generator) -> tuple:
     return tuple(dims)
 
 
-def random_fusion_frame(
-    n: int,
-    count: int,
-    rng: np.random.Generator,
-    dims: Optional[tuple] = None,
-    weight_range: tuple = (0.5, 2.0),
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> FusionSequence:
-    """A random fusion frame of condition at most ``MAX_COND`` (``MAX_DRAWS`` tries)."""
-    for _ in range(MAX_DRAWS):
-        use_dims = random_spanning_dims(n, count, rng) if dims is None else tuple(dims)
-        f = _random_sequence(n, use_dims, weight_range, rng)
-        lo, hi = frame_bounds(f.embedding, tol)
-        if lo > 0.0 and hi / lo <= MAX_COND:
-            return f
-    raise PreconditionError(f"no fusion frame of condition <= {MAX_COND} in {MAX_DRAWS} draws")
-
-
 def random_riesz_basis(
     n: int,
     rng: np.random.Generator,
@@ -179,27 +155,6 @@ def random_riesz_basis(
         weights.append(float(rng.uniform(lo, hi)))
         start += d
     return FusionSequence(tuple(subs), np.asarray(weights))
-
-
-def random_ov_frame(
-    n: int,
-    k: int,
-    count: int,
-    rng: np.random.Generator,
-) -> OVFrame:
-    """Random operator-valued frame with sigma_min(T) >= ``MIN_COND_RATIO`` * sigma_max
-    (``MAX_DRAWS`` tries)."""
-    if count * k < n:
-        raise ContractViolationError("need count * k >= n for a frame")
-    for _ in range(MAX_DRAWS):
-        blocks = (
-            rng.standard_normal((count, k, n)) + 1j * rng.standard_normal((count, k, n))
-        ) / np.sqrt(2.0 * count * k)
-        a = OVFrame(blocks)
-        s = singular_values(a.analysis)
-        if s[-1] >= MIN_COND_RATIO * s[0]:
-            return a
-    raise PreconditionError(f"no frame of ratio {MIN_COND_RATIO} in {MAX_DRAWS} draws")
 
 
 def random_invertible_matrix(

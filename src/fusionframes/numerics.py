@@ -189,9 +189,12 @@ def clip_eig_bounds(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def spectrum_schatten_norm(s: np.ndarray, p: float) -> float:
-    """``(sum_i s_i**p) ** (1/p)`` of singular values ``s``, summed in the order given."""
+    """``(sum_i s_i**p) ** (1/p)`` of singular values ``s``, taken as
+    ``s_max * (sum_i (s_i / s_max)**p) ** (1/p)``, summed in the order given, so it
+    overflows only where the norm itself does."""
     if p < 1:
         raise ContractViolationError(f"Schatten norm needs p >= 1, got {p}")
-    if s.size == 0:
+    top = float(np.max(s, initial=0.0))
+    if top == 0.0:
         return 0.0
-    return float(np.sum(s**p) ** (1.0 / p))
+    return top * float(np.sum((s / top) ** p) ** (1.0 / p))

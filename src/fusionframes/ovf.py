@@ -42,11 +42,13 @@ of any tolerance:
 * an :class:`OVFrame` caches its frame operator S_A = T_A^* T_A, the
   extreme eigenvalues of its Hermitian part, from which its bounds, its
   frame test and ||T_A|| = sqrt(beta) are read, S_A^-1 from one inv,
-  T_A S_A^-1 from that inverse, the thin SVD factors (U, s) of T_A, taken
-  only for the range basis, and, per rank cut of Q, the spectrum of B;
+  T_A S_A^-1 from that inverse, the thin SVD factors (U, s) of T_A, the one
+  factorization of T_A, and, per rank cut of Q, the spectrum of B;
 * a fusion sequence caches no operator fact beside these: its embedding
   ``f.embedding``, the OVFrame {w_i P_i}, owns its blocks, its stacked
-  analysis, its S, its eigenvalues, its S^-1 and so its bounds and frame test.
+  analysis, its S, its eigenvalues, its S^-1 and so its bounds and frame test,
+  and the SVD whose rank cut (:func:`range_basis`) gives its excess and Riesz
+  test.
 
 Tolerance rules are applied per call on top of the cached facts: the
 eigenvalue clip of :func:`frame_bounds`, the one place frame bounds are
@@ -161,7 +163,8 @@ class OVFrame:
     @cached_property
     def analysis_svd(self) -> tuple:
         """Read-only thin SVD factors ``(U, s)`` of T_A, non-increasing s, from one
-        SVD on first use; taken only for the range basis (see :func:`range_basis`)."""
+        SVD on first use: the one factorization of T_A, read through its rank cut
+        :func:`range_basis`."""
         u, s, _ = svd(self.analysis)
         u.flags.writeable = False
         s.flags.writeable = False
@@ -260,7 +263,8 @@ def duality_defects(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis Q of ran(T_A): the cached left singular vectors of T_A
-    whose singular values clear the rank cutoff at ``tol``."""
+    whose singular values clear the rank cutoff at ``tol``; its column count is
+    the rank of T_A, which every rank read of T_A takes from here."""
     u, s = a.analysis_svd
     return u[:, : svals_rank(s, max(a.analysis.shape), tol)]
 

@@ -4,10 +4,10 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from fusionframes.exceptions import ContractViolationError, FusionFrameError
+from fusionframes.exceptions import ContractViolationError, FusionFrameError, PreconditionError
 from fusionframes.frames import VectorFrame
 from fusionframes.fusion import FusionSequence, LocalFrameFamily, Subspace
-from fusionframes.instances import Instance
+from fusionframes.instances import Instance, _random_sequence, random_spanning_dims
 from fusionframes.multipliers import Symbol
 from fusionframes.numerics import (
     DEFAULT_TOL,
@@ -21,6 +21,7 @@ from fusionframes.numerics import (
 from fusionframes.ovf import (
     OVFrame,
     _check_annihilator,
+    frame_bounds,
     frame_operator_inverse,
     kernel_parts,
     range_basis,
@@ -30,6 +31,49 @@ from fusionframes.ovf import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)
+
+
+# Conditioned generators of the test populations: a fixed relative tolerance
+# is meaningless on arbitrarily ill-conditioned draws, so these redraw until
+# a generous floor holds.
+
+MAX_COND = 1e4  # largest condition number of a random fusion frame
+MIN_COND_RATIO = 1e-2  # least sigma_min / sigma_max of a random operator-valued frame
+MAX_DRAWS = 10_000  # draws before a conditioned generator gives up
+
+
+def random_fusion_frame(
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+    dims: Optional[tuple] = None,
+    weight_range: tuple = (0.5, 2.0),
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> FusionSequence:
+    """A random fusion frame of condition at most ``MAX_COND`` (``MAX_DRAWS`` tries)."""
+    for _ in range(MAX_DRAWS):
+        use_dims = random_spanning_dims(n, count, rng) if dims is None else tuple(dims)
+        f = _random_sequence(n, use_dims, weight_range, rng)
+        lo, hi = frame_bounds(f.embedding, tol)
+        if lo > 0.0 and hi / lo <= MAX_COND:
+            return f
+    raise PreconditionError(f"no fusion frame of condition <= {MAX_COND} in {MAX_DRAWS} draws")
+
+
+def random_ov_frame(n: int, k: int, count: int, rng: np.random.Generator) -> OVFrame:
+    """Random operator-valued frame with sigma_min(T) >= ``MIN_COND_RATIO`` * sigma_max
+    (``MAX_DRAWS`` tries)."""
+    if count * k < n:
+        raise ContractViolationError("need count * k >= n for a frame")
+    for _ in range(MAX_DRAWS):
+        blocks = (
+            rng.standard_normal((count, k, n)) + 1j * rng.standard_normal((count, k, n))
+        ) / np.sqrt(2.0 * count * k)
+        a = OVFrame(blocks)
+        s = singular_values(a.analysis)
+        if s[-1] >= MIN_COND_RATIO * s[0]:
+            return a
+    raise PreconditionError(f"no frame of ratio {MIN_COND_RATIO} in {MAX_DRAWS} draws")
 
 
 # Dense reference kernels: the library reads ranks, Schatten norms and duals
@@ -258,8 +302,10 @@ def reference_block_diag(sym):
 
 
 def reference_schatten(sym, v, w, p, tol):
-    """(composite_bound, block_power, rank_bound), as schatten_checks computed
-    them with SVDs of the dense block diagonal and of both analysis operators."""
+    """(composite_bound, block_norm, rank_bound), as schatten_checks computes them,
+    with SVDs of the dense block diagonal, of both analysis operators and of each
+    block R_i; the rank bound is the Schatten p-norm of the block maxima
+    |m_i| ||R_i||, each repeated rank(R_i) times."""
     from fusionframes.numerics import spectral_norm
 
     d = reference_block_diag(sym)
@@ -268,14 +314,12 @@ def reference_schatten(sym, v, w, p, tol):
         * spectral_norm(w.embedding.analysis)
         * schatten_norm(d, p)
     )
-    lhs_c = schatten_norm(d, p) ** p
-    rhs_c = float(
-        sum(
-            rank_tol(sym.r[i], tol) * abs(sym.m[i]) ** p * spectral_norm(sym.r[i]) ** p
-            for i in range(sym.count)
-        )
-    )
-    return float(rhs), float(lhs_c), rhs_c
+    tops = [
+        abs(sym.m[i]) * spectral_norm(sym.r[i])
+        for i in range(sym.count)
+        for _ in range(rank_tol(sym.r[i], tol))
+    ]
+    return float(rhs), schatten_norm(d, p), spectrum_schatten_norm(np.array(tops), p)
 
 
 def reference_block_scaling_defect(sym):

@@ -1,13 +1,13 @@
 """Facts cached on the immutable objects: read-only, computed once, tolerance-free,
 each by one owner.
 
-A FusionSequence caches its projections, the singular values of its analysis
-and K_W synthesis and its operator-valued embedding {w_i P_i}. The embedding,
-an OVFrame, owns the sequence's operator facts: its blocks (the stacked
-analysis), the frame operator S, the extreme eigenvalues of S, so the bounds,
-the frame test and ||T|| of both, S^-1 from one inv and T S^-1 from it, the
-thin SVD factors of T, taken only for the range basis, and per rank cut the
-spectrum of [T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
+A FusionSequence caches its projections and its operator-valued embedding
+{w_i P_i}. The embedding, an OVFrame, owns the sequence's operator facts: its
+blocks (the stacked analysis), the frame operator S, the extreme eigenvalues
+of S, so the bounds, the frame test and ||T|| of both, S^-1 from one inv and
+T S^-1 from it, the one thin SVD of T, whose rank cut gives the range basis,
+both excess numbers and the Riesz test, and per rank cut the spectrum of
+[T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
 spectra, its inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the
 assembled multiplier with its spectrum and the closed-form inverse
 representation. Tolerance rules are applied per call on top of these, so one
@@ -26,10 +26,16 @@ from fusionframes.checks import run_suite
 from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
     FusionSequence,
+    excess,
     is_riesz_fusion_basis,
     scale_weights,
 )
-from fusionframes.instances import InstanceSpec, generate_instance, random_spanning_dims
+from fusionframes.instances import (
+    InstanceSpec,
+    generate_instance,
+    random_riesz_basis,
+    random_spanning_dims,
+)
 from fusionframes.multipliers import (
     assemble_multiplier,
     inverse_representation_probe,
@@ -127,7 +133,7 @@ def test_frame_operator_and_embedding_are_shared():
     assert inst.w.embedding is inst.w.embedding
     assert inst.w.embedding is not inst.v.embedding
     cached = {k for k, v in vars(FusionSequence).items() if isinstance(v, cached_property)}
-    assert cached == {"projections", "embedding", "analysis_svals", "synthesis_svals"}
+    assert cached == {"projections", "embedding"}
     t = inst.w.embedding.analysis
     assert np.shares_memory(t, inst.w.embedding.blocks) and not t.flags.writeable
 
@@ -191,6 +197,22 @@ def test_no_kernel_projector_is_kept():
     u, s = a.analysis_svd
     assert u.shape == (count * n, n) and s.shape == (n,)
     assert np.shares_memory(ovf.range_basis(a), u)
+
+
+def test_one_svd_of_the_analysis_serves_range_basis_excess_and_riesz_test(monkeypatch):
+    # the K_W synthesis has the nonzero singular values of T, so one rank cut of
+    # the embedding's cached SVD gives both excess numbers and the Riesz test
+    fresh = (_instance(seed=5).w, random_riesz_basis(4, np.random.default_rng(1), count=2))
+    svds = _counting(monkeypatch, "svd")
+    for f in fresh:
+        assert "embedding" not in vars(f)
+        for tol in (ToleranceConfig(), LOOSE):
+            r = ovf.range_basis(f.embedding, tol).shape[1]
+            n, size, total = f.ambient_dim, f.count * f.ambient_dim, sum(f.dims)
+            assert excess(f, tol) == (size - r, total - r)
+            assert is_riesz_fusion_basis(f, tol) == (total == n and r == n)
+    assert len(svds) == 2
+    assert [np.shape(args[0]) for args in svds] == [(12, 4), (8, 4)]
 
 
 @pytest.mark.parametrize("order", [(ToleranceConfig(), LOOSE), (LOOSE, ToleranceConfig())])
@@ -362,7 +384,7 @@ def test_invertible_multiplier_memos_are_read_only_and_small():
     memos = [sym.inverse_blocks, *sym.inverse_closed_form(v, w)]
     assert sym.inverse_closed_form(v, w)[2] is memos[3]
     for f in (w, v, *scaled):
-        memos += [f.analysis_svals, f.synthesis_svals]
+        memos += [*f.embedding.analysis_svd]
     for arr in memos:
         assert not arr.flags.writeable
         assert arr.size <= count * n * n

@@ -15,6 +15,8 @@ import pytest
 import fusionframes
 from fusionframes.cli import main
 from fusionframes.exceptions import NumericFailureError
+from fusionframes.instances import load_instance
+from fusionframes.multipliers import schatten_checks
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
@@ -139,6 +141,30 @@ def test_exit_code_symbol_whose_products_overflow(tmp_path, capsys):
             assert main(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot load instance: symbol: ")
+
+
+def test_schatten_norms_stay_finite_on_a_loadable_symbol_with_a_huge_scalar(tmp_path, capsys):
+    # m_0 = 1e80 passes every load rule and every bound is a finite float, but a
+    # direct sum of s_i^4 overflows, which made both Schatten bounds read
+    # inf <= inf at p = 4 and pass without certifying anything
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    m = np.frombuffer(base64.b64decode(doc["symbol"]["m"]), dtype="<c16").copy()
+    m[0] = 1e80
+    doc["symbol"]["m"] = _b64(m)
+    path = tmp_path / "huge_m0.json"
+    path.write_text(json.dumps(doc))
+    inst = load_instance(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", "--suite", "schatten", str(path)]) == 0
+        rep = schatten_checks(inst.symbol, inst.v, inst.w, 4.0)
+    assert json.loads(capsys.readouterr().out)["summary"] == {
+        "pass": 3, "fail": 0, "indeterminate": 0
+    }
+    values = dataclasses.astuple(rep)
+    assert np.all(np.isfinite(values))
+    assert 1e80 < rep.composite_norm <= rep.composite_bound
+    assert rep.block_norm <= rep.rank_bound
 
 
 def test_exit_code_bad_suite():

@@ -9,6 +9,7 @@ from conftest import (
     coordinate_decomposition,
     dual_family_residuals,
     line,
+    random_fusion_frame,
     reference_dual_perturbations,
 )
 from fusionframes.duality import (
@@ -106,8 +107,6 @@ def test_gavruta_examples(diag_pair):
 
 
 def test_gavruta_canonical_on_random_frames(rng):
-    from fusionframes.instances import random_fusion_frame
-
     for _ in range(100):
         n = int(rng.integers(2, 7))
         w = random_fusion_frame(n, int(rng.integers(1, 5)), rng)
@@ -161,7 +160,7 @@ def test_generate_dual_rejects_bad_inputs(diag_pair):
 
 
 def test_generated_duals_on_random_population(rng):
-    from fusionframes.instances import random_fusion_frame, random_invertible_matrix
+    from fusionframes.instances import random_invertible_matrix
 
     for trial in range(50):
         n = int(rng.integers(2, 7))
@@ -238,8 +237,6 @@ def test_separating_dual_rotated_frame_pair():
 
 
 def test_separation_soundness_random(rng):
-    from fusionframes.instances import random_fusion_frame
-
     for _ in range(10):
         n = int(rng.integers(2, 6))
         w = random_fusion_frame(n, int(rng.integers(1, 4)), rng)
@@ -296,8 +293,6 @@ def _assert_same_separation(w, w_prime, tol, threshold=None):
 
 
 def test_batched_separation_matches_reference(rng):
-    from fusionframes.instances import random_fusion_frame
-
     witnesses = set()
     for _ in range(30):
         n = int(rng.integers(1, 5))
@@ -337,7 +332,6 @@ def _exact_separation(w, w_prime, tol, threshold=None):
 
 def _soundness_frames(rng):
     """n = 1, N = 1, zero blocks, coordinate-aligned and random fusion frames."""
-    from fusionframes.instances import random_fusion_frame
 
     frames = []
     for n in range(1, 5):

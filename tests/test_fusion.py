@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     coordinate_decomposition,
     line,
+    random_fusion_frame,
     reference_composite,
     reference_gavruta_composite,
     reference_gavruta_multiplier,
@@ -181,8 +182,6 @@ def test_riesz_has_zero_kw_excess(rng):
 
 
 def test_frame_operator_is_analysis_gram(rng):
-    from fusionframes.instances import random_fusion_frame
-
     for _ in range(20):
         n = int(rng.integers(2, 7))
         f = random_fusion_frame(n, int(rng.integers(1, 5)), rng)
@@ -224,8 +223,6 @@ def test_local_frames_zero_subspace():
 
 
 def test_local_frames_vectors_live_in_subspace(rng):
-    from fusionframes.instances import random_fusion_frame
-
     f = random_fusion_frame(5, 3, rng)
     fam = build_local_frames(f, 2, rng)
     assert 0.0 < fam.alpha <= fam.beta
@@ -236,8 +233,6 @@ def test_local_frames_vectors_live_in_subspace(rng):
 
 
 def test_local_reconstruction(rng):
-    from fusionframes.instances import random_fusion_frame
-
     for _ in range(10):
         n = int(rng.integers(2, 6))
         f = random_fusion_frame(n, int(rng.integers(1, 4)), rng)
@@ -279,6 +274,8 @@ def _complex(rng, shape):
 
 
 def test_sandwich_matches_the_per_block_loops(rng):
+    # the commonly used multipliers are the symbols R_i = I and R_i = S_W^-1,
+    # and a shared S_W^-1 enters the sandwich broadcast to every block
     shapes = [(16, 24), (1, 24), (16, 1), (2, 1)] + [
         (int(rng.integers(1, 17)), int(rng.integers(1, 25))) for _ in range(116)
     ]
@@ -293,12 +290,10 @@ def test_sandwich_matches_the_per_block_loops(rng):
         assert np.array_equal(
             duality.kpp_dual_check(v, w, r).composite, reference_composite(v, w, r)
         )
+        assert np.array_equal(sym.assembled(v, w)[0], reference_multiplier(m, r, v, w))
+        plain = multipliers.Symbol(m, np.broadcast_to(np.eye(n), (count, n, n)))
         assert np.array_equal(
-            multipliers.assemble_multiplier(sym, v, w).matrix, reference_multiplier(m, r, v, w)
-        )
-        assert np.array_equal(
-            multipliers.projection_composition_multiplier(m, v, w),
-            reference_projection_composition(m, v, w),
+            plain.assembled(v, w)[0], reference_projection_composition(m, v, w)
         )
         assert np.array_equal(
             sandwich(v, w, v.weights * w.weights, r), reference_composite(v, w, r)
@@ -307,20 +302,26 @@ def test_sandwich_matches_the_per_block_loops(rng):
             continue
         gavruta_cases += 1
         s_inv = np.linalg.inv(_frame_operator(w))
+        shared = np.broadcast_to(s_inv, (count, n, n))
         assert np.array_equal(
-            multipliers.gavruta_multiplier(m, v, w), reference_gavruta_multiplier(m, v, w, s_inv)
+            multipliers.Symbol(m, shared).assembled(v, w)[0],
+            reference_gavruta_multiplier(m, v, w, s_inv),
         )
         comp = reference_gavruta_composite(v, w, s_inv)
         assert duality.gavruta_dual_check(v, w) == float(
             np.linalg.norm(comp - np.eye(n)) / np.sqrt(n)
         )
-        assert np.array_equal(sandwich(v, w, w.weights * v.weights, s_inv), comp)
+        assert np.array_equal(sandwich(v, w, w.weights * v.weights, shared), comp)
     assert gavruta_cases >= 60
 
 
 def test_sandwich_rejects_mismatched_sequences():
+    std2, std3 = coordinate_decomposition(2), coordinate_decomposition(3)
     with pytest.raises(ContractViolationError):
-        sandwich(coordinate_decomposition(2), coordinate_decomposition(3), np.ones(2))
+        sandwich(std2, std3, np.ones(2), np.zeros((2, 2, 2)))
+    # one middle form: a shared matrix is broadcast by the caller, not here
+    with pytest.raises(ContractViolationError):
+        sandwich(std2, std2, np.ones(2), np.eye(2))
 
 
 def test_projection_stack_is_cached_and_read_only(rng, monkeypatch):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_fusion_frame
 from fusionframes.exceptions import ContractViolationError, PreconditionError
 from fusionframes import instances
 from fusionframes.fusion import FusionSequence, Subspace
@@ -16,7 +17,6 @@ from fusionframes.instances import (
     generate_instance,
     instance_from_json,
     instance_to_json,
-    random_fusion_frame,
     random_invertible_matrix,
     random_partition,
     random_riesz_basis,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    random_fusion_frame,
     reference_adversarial_symbol,
     reference_block_diag,
     reference_block_scaling_defect,
@@ -28,7 +29,6 @@ from fusionframes.instances import (
     SYMBOL_MODES,
     Instance,
     load_instance,
-    random_fusion_frame,
     random_symbol,
 )
 from fusionframes.multipliers import (
@@ -102,8 +102,8 @@ def _schatten_instance(rng, n=3, count=4):
 
 
 def test_schatten_suite_takes_no_block_diagonal_svd(monkeypatch, rng):
-    # three Schatten checks make seven schatten_checks calls; the block
-    # diagonal's spectrum is the cached union of the block spectra, and the
+    # three Schatten checks make six schatten_checks calls, three per bound; the
+    # block diagonal's spectrum is the cached union of the block spectra, and the
     # scaling identity behind it is checked once per symbol by one batched SVD
     n, count = 3, 4
     inst = _schatten_instance(rng, n, count)
@@ -188,10 +188,9 @@ def test_schatten_checks_match_three_svd_reference(rng):
         rel = 100 * sym.count * sym.dim * eps
         for p in (1.0, 2.0, 4.0):
             rep = schatten_checks(sym, v, w, p)
-            composite, power, rank_bound = reference_schatten(sym, v, w, p, DEFAULT_TOL)
-            assert rep.block_sval_defect == reference_block_scaling_defect(sym)
+            composite, block_norm, rank_bound = reference_schatten(sym, v, w, p, DEFAULT_TOL)
             assert rep.composite_bound == pytest.approx(composite, rel=3 * rel, abs=1e-300)
-            assert rep.block_power == pytest.approx(power, rel=p * rel, abs=1e-300)
+            assert rep.block_norm == pytest.approx(block_norm, rel=rel, abs=1e-300)
             assert rep.rank_bound == rank_bound
 
 
