@@ -34,7 +34,14 @@ from .instances import (
     random_riesz_basis,
     random_symbol,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm, spectral_norms
+from .numerics import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    relative_defect,
+    saturated_product,
+    spectral_norm,
+    spectral_norms,
+)
 from .ovf import frame_bounds, is_frame
 
 __all__ = ["CheckResult", "Check", "CHECKS", "SUITES", "run_suite", "describe_check"]
@@ -128,7 +135,7 @@ def _run_kpp_construction(inst, rng, tol):
     u = random_invertible_matrix(n, rng)
     l = ovf.kernel_samples(inst.w.embedding, 1, rng, tol)[0]
     gd = duality.generate_fusion_dual(inst.w, u, l, tol)
-    residual = spectral_norm(gd.composite - u) / max(1.0, spectral_norm(u))
+    residual = relative_defect(spectral_norm(gd.composite - u), spectral_norm(u))
     adm = duality.is_admissible(gd.q, gd.v, inst.w, tol)
     if not adm.admissible:
         residual = max(residual, 1.0)
@@ -206,7 +213,7 @@ def _run_separating_distinct(inst, rng, tol):
 def _run_norm_bound(inst, rng, tol):
     rep = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol)
     excessive = max(0.0, rep.sigma_max - rep.norm_bound)
-    return CheckResult(excessive / max(1.0, rep.norm_bound))
+    return CheckResult(relative_defect(excessive, rep.norm_bound))
 
 
 def _run_assembly_routes(inst, rng, tol):
@@ -215,7 +222,7 @@ def _run_assembly_routes(inst, rng, tol):
     # and block i of T_V, T_W is an embedding's block u_i P_{V_i}, w_i P_{W_i}
     t_v, t_w = inst.v.embedding.blocks, inst.w.embedding.blocks
     route = block_sum(t_v.conj().transpose(0, 2, 1) @ inst.symbol.blocks @ t_w)
-    residual = spectral_norm(rep.matrix - route) / max(1.0, rep.sigma_max)
+    residual = relative_defect(spectral_norm(rep.matrix - route), rep.sigma_max)
     return CheckResult(residual)
 
 
@@ -227,7 +234,8 @@ def _run_condition_c_coherence(inst, rng, tol):
     else:
         residual = 0.0 if rep.semi_normalized else 1.0
         min_m = float(np.min(np.abs(sym.m)))
-        residual = max(residual, max(0.0, rep.lower_witness - min_m) / max(1.0, rep.lower_witness))
+        shortfall = max(0.0, rep.lower_witness - min_m)
+        residual = max(residual, relative_defect(shortfall, rep.lower_witness))
         inv_blocks = multipliers.inverse_symbol_blocks(sym, tol)
         defects = spectral_norms(sym.blocks @ inv_blocks - np.eye(sym.dim))
         result = CheckResult(max(residual, float(defects.max())))
@@ -358,12 +366,13 @@ def _run_local_negative(inst, rng, tol):
     # ||R_i||. The broken lift is T_V^* D' T_W with blocks m_i R_i S_i, S_i the
     # local frame operator of block i with ||S_i|| <= beta. So the residual
     # ||M - M_b|| / max(1, ||M||) is at most reach = sqrt(beta_V beta_W)
-    # max_live |m_i| ||R_i|| (1 + beta), 0 if m vanishes on every live block.
+    # max_live |m_i| ||R_i|| (1 + beta), 0 if m vanishes on every live block
+    # and saturated at the largest float like the norm bound.
     live = inst.v.weights * inst.w.weights > 0.0
     sym = inst.symbol
     symbol_sup = float(np.max(np.abs(sym.m[live]) * sym.svals[live, 0], initial=0.0))
     beta_v, beta_w = frame_bounds(inst.v.embedding, tol)[1], frame_bounds(inst.w.embedding, tol)[1]
-    reach = float(np.sqrt(beta_v * beta_w)) * symbol_sup * (1.0 + family.beta)
+    reach = saturated_product(np.sqrt(beta_v), np.sqrt(beta_w), symbol_sup, 1.0 + family.beta)
     if reach < 1e-3:
         detail = f"the control can reach at most {reach:.3e} < 1e-3"
         return CheckResult(shortfall, indeterminate=True, detail=detail)
@@ -384,7 +393,7 @@ def _schatten_excess(value: str, bound: str):
         for p in (1.0, 2.0, 4.0):
             rep = multipliers.schatten_checks(inst.symbol, inst.v, inst.w, p, tol)
             lhs, rhs = getattr(rep, value), getattr(rep, bound)
-            worst = max(worst, max(0.0, lhs - rhs) / max(1.0, rhs))
+            worst = max(worst, relative_defect(max(0.0, lhs - rhs), rhs))
         return CheckResult(worst)
 
     return run

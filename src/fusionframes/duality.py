@@ -38,6 +38,7 @@ from .numerics import (
     as_matrix,
     clears_inv_cutoff,
     extreme_singular_values,
+    relative_defect,
     spectral_norm,
     spectral_norms,
     svals_rank,
@@ -47,6 +48,7 @@ from .ovf import (
     DualCandidate,
     OVFrame,
     annihilation_defects,
+    dual_slack,
     frame_operator_inverse,
     is_frame,
     sweep_dual_family,
@@ -118,8 +120,7 @@ def is_admissible(
             np.abs(norms - 1.0),
         ]
     )
-    bound = tol.eq_rel * np.maximum(1.0, norms)
-    ok = not np.any(defects[live] > bound[:, None])
+    ok = not np.any(relative_defect(defects[live], norms[:, None]) > tol.eq_rel)
     return AdmissibilityReport(admissible=ok, defects=tuple(map(tuple, defects.tolist())))
 
 
@@ -305,11 +306,11 @@ def find_separating_dual(
 
     The deterministic sweep tries the canonical dual first, then all the
     elementary-matrix kernel perturbations in row-major order. A candidate
-    separates when ||T_D^* T_{W'} - I|| exceeds 10 * eq_rel. :func:`ovf.sweep_dual_family`
-    decides whole stacked rows of the family by rank-one bounds and takes
-    exact residuals only where the bounds leave a row undecided, so the
-    witness, its residual and ``checked`` are those of a member by member
-    sweep; only the witness is built as a DualCandidate. When no candidate
+    separates when ||T_D^* T_{W'} - I|| exceeds :func:`ovf.dual_slack`.
+    :func:`ovf.sweep_dual_family` decides whole stacked rows of the family by
+    rank-one bounds and takes exact residuals only where the bounds leave a row
+    undecided, so the witness, its residual and ``checked`` are those of a
+    member by member sweep; only the witness is built as a DualCandidate. When no candidate
     separates, ``residual`` is a certified upper bound on the swept
     residuals, and the two sequences agree blockwise up to tolerance.
     """
@@ -319,7 +320,7 @@ def find_separating_dual(
         raise NotAFrameError("separating-dual search requires two fusion frames")
     deviation = block_deviation(w, w_prime)
     witness, residual, checked = sweep_dual_family(
-        w.embedding, w_prime.embedding.analysis, 10.0 * tol.eq_rel, tol
+        w.embedding, w_prime.embedding.analysis, dual_slack(tol), tol
     )
     return SeparationResult(
         witness=witness, residual=residual, block_deviation=deviation, checked=checked

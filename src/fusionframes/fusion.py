@@ -42,7 +42,14 @@ import numpy as np
 
 from .exceptions import ContractViolationError
 from .frames import VectorFrame
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norms
+from .numerics import (
+    DEFAULT_TOL,
+    FLOAT_MAX,
+    ToleranceConfig,
+    as_matrix,
+    relative_defect,
+    spectral_norms,
+)
 from .ovf import OVFrame, range_basis
 
 __all__ = [
@@ -77,7 +84,7 @@ class Subspace:
             raise ContractViolationError(f"subspace dimension {d} exceeds ambient {n}")
         if d:
             gram = b.conj().T @ b
-            if float(np.linalg.norm(gram - np.eye(d))) > DEFAULT_TOL.eq_rel * max(1.0, d):
+            if relative_defect(np.linalg.norm(gram - np.eye(d)), d) > DEFAULT_TOL.eq_rel:
                 raise ContractViolationError("basis columns are not orthonormal")
 
     @classmethod
@@ -121,9 +128,6 @@ def projection(w: Subspace) -> np.ndarray:
     return w.basis @ w.basis.conj().T
 
 
-_FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
 def frame_operator_fits(weights) -> bool:
     """sum_i w_i^2, which bounds every entry of S = sum_i w_i^2 P_i, is at most the
     largest float, for finite non-negative weights. Compared as
@@ -131,7 +135,7 @@ def frame_operator_fits(weights) -> bool:
     top = float(np.max(weights, initial=0.0))
     if top == 0.0:
         return True
-    return top <= np.sqrt(_FLOAT_MAX / float(np.sum((weights / top) ** 2)))
+    return top <= np.sqrt(FLOAT_MAX / float(np.sum((weights / top) ** 2)))
 
 
 @dataclass(frozen=True, eq=False)

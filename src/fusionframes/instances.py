@@ -28,7 +28,7 @@ from .fusion import (
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
-from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, svd
+from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, relative_defect, svd
 
 __all__ = [
     "SYMBOL_MODES",
@@ -459,11 +459,11 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
             dual = _finite(decode, duals[i], phi.shape, f"local.duals[{i}]")
             # the Subspace rule: sum_j dual_j phi_j^* must be P_{W_i} in Frobenius norm
             defect = float(np.linalg.norm(dual.T @ phi.conj() - w.projections[i]))
-            limit = DEFAULT_TOL.eq_rel * max(1.0, w.dims[i])
-            if defect > limit:
+            if relative_defect(defect, w.dims[i]) > DEFAULT_TOL.eq_rel:
                 raise ContractViolationError(
                     f"local.frames[{i}], local.duals[{i}]: sum_j dual_j phi_j^* is "
-                    f"{defect:.3e} from P_W_{i} in Frobenius norm (limit {limit:.3e})"
+                    f"{defect:.3e} from P_W_{i} in Frobenius norm (limit "
+                    f"{DEFAULT_TOL.eq_rel:.0e} relative to max(1, dim))"
                 )
             frames[i], duals[i] = VectorFrame(phi), VectorFrame(dual)
         alpha, beta = (_number(obj, key, f"local.{key}") for key in ("alpha", "beta"))

@@ -73,13 +73,22 @@ from .numerics import (
     clears_inv_cutoff,
     finite_array,
     near_inv_cutoff,
+    relative_defect,
+    saturated_product,
     singular_values,
     spectral_norm,
     spectral_norms,
     spectrum_schatten_norm,
     svals_rank,
 )
-from .ovf import duality_defects, frame_bounds, frame_operator_inverse, is_frame, kernel_samples
+from .ovf import (
+    dual_slack,
+    duality_defects,
+    frame_bounds,
+    frame_operator_inverse,
+    is_frame,
+    kernel_samples,
+)
 
 __all__ = [
     "Symbol",
@@ -161,12 +170,12 @@ class Symbol:
 
     @cached_property
     def block_sval_defect(self) -> float:
-        """max_i ||sigma(m_i R_i) - |m_i| sigma(R_i)||_inf / max(1, ||D_mR||), from one
+        """max_i ||sigma(m_i R_i) - |m_i| sigma(R_i)||_inf relative to ||D_mR||, from one
         batched SVD of :attr:`blocks` on first use: how far the stack that is applied
         as D_mR lies from the scaled block spectra :attr:`block_diag_svals` is built from."""
         s = singular_values(self.blocks)
         defect = float(np.max(np.abs(s - np.abs(self.m)[:, None] * self.svals)))
-        return defect / max(1.0, float(self.block_diag_svals[0]))
+        return relative_defect(defect, float(self.block_diag_svals[0]))
 
     @property
     def r_sup(self) -> float:
@@ -324,12 +333,14 @@ def assemble_multiplier(
 
     The matrix and its spectrum are those memoized on ``sym``; invertibility
     and the norm bound are derived from its extreme singular values at ``tol``.
+    The norm bound sqrt(beta_V) sqrt(beta_W) m_sup r_sup saturates at the largest
+    float, so it stays finite and still bounds sigma_max.
     """
     mat, s = sym.assembled(v, w)
     sigma_min, sigma_max = float(s[-1]), float(s[0])
     _, beta_v = frame_bounds(v.embedding, tol)
     _, beta_w = frame_bounds(w.embedding, tol)
-    bound = float(np.sqrt(beta_v * beta_w) * sym.m_sup * sym.r_sup)
+    bound = saturated_product(np.sqrt(beta_v), np.sqrt(beta_w), sym.m_sup, sym.r_sup)
     return MultiplierReport(
         matrix=mat,
         sigma_min=sigma_min,
@@ -497,7 +508,7 @@ def _closed_form(
         raise PreconditionError("the two-sided symbol bound must hold")
     if not assemble_multiplier(sym, v, w, tol).invertible:
         raise PreconditionError("the multiplier must be invertible")
-    if np.any(duality_defects(sampled_duals, v.embedding.analysis) > 10 * tol.eq_rel):
+    if np.any(duality_defects(sampled_duals, v.embedding.analysis) > dual_slack(tol)):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
     frame_operator_inverse(w.embedding, tol)  # the frame test of W, raising NotAFrameError
     m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
@@ -554,11 +565,11 @@ def local_frame_equivalence(
     with analysis vectors w_i phi_ij, synthesis vectors
     u_i P_{V_i} R_i dual_ij, and the symbol entry m_i repeated per local
     vector. The returned value is ||M_fusion - M_lifted|| relative to
-    max(1, ||M_fusion||). Each block's synthesis vectors are one matrix
-    product, u_i P_{V_i} R_i [dual_i1 ... dual_ik]. That the local frames span
-    their subspaces is not re-tested here: :func:`fusion.build_local_frames`
-    spans by construction, and loading a stored family checks that each frame
-    and its duals reconstruct P_{W_i}.
+    ||M_fusion|| (:func:`numerics.relative_defect`). Each block's synthesis
+    vectors are one matrix product, u_i P_{V_i} R_i [dual_i1 ... dual_ik].
+    That the local frames span their subspaces is not re-tested here:
+    :func:`fusion.build_local_frames` spans by construction, and loading a
+    stored family checks that each frame and its duals reconstruct P_{W_i}.
     """
     _check_triple(sym, v, w)
     if len(family.frames) != w.count:
@@ -582,7 +593,7 @@ def local_frame_equivalence(
         VectorFrame(np.vstack(synth_rows)),
         VectorFrame(np.vstack(anal_rows)),
     )
-    return spectral_norm(m_fusion - m_lifted) / max(1.0, spectral_norm(m_fusion))
+    return relative_defect(spectral_norm(m_fusion - m_lifted), spectral_norm(m_fusion))
 
 
 @dataclass(frozen=True)

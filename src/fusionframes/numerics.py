@@ -7,12 +7,15 @@ one matrix or of an (m, r, c) stack, goes through :func:`svd` or
 :class:`NumericFailureError`; so does the ``eigvalsh`` of :func:`eig_extremes`.
 All rank, equality, and invertibility decisions route through one
 :class:`ToleranceConfig` so that no two checks can disagree about what
-counts as zero; an inverse is taken only where the caller has already
-applied the invertibility cutoff to the same singular values.
+counts as zero, and every relative residual and every ``eq_rel`` test takes
+its comparison scale from one rule, :func:`relative_defect`; an inverse is
+taken only where the caller has already applied the invertibility cutoff to
+the same singular values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,9 @@ from .exceptions import ContractViolationError, NumericFailureError
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "FLOAT_MAX",
+    "relative_defect",
+    "saturated_product",
     "finite_array",
     "as_matrix",
     "svd",
@@ -46,8 +52,8 @@ class ToleranceConfig:
         Singular values below ``rank_rel * max(rows, cols) * s_max`` are
         treated as zero when ranking.
     eq_rel
-        Two operators are equal when their difference has norm at most
-        ``eq_rel`` times the comparison scale.
+        Two operators are equal when the :func:`relative_defect` of their
+        difference's norm against the comparison scale is at most ``eq_rel``.
     inv_rel
         A square operator is invertible when ``s_min > inv_rel * s_max``.
     """
@@ -66,6 +72,26 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def relative_defect(defect, scale):
+    """``defect / max(1, scale)``, elementwise: the one comparison-scale rule, so a
+    relative residual reads ``relative_defect(d, s)`` and an equality test
+    ``relative_defect(d, s) <= eq_rel``. The scale floors at 1, and a NaN scale
+    falls back to 1 (``np.fmax``), as Python's ``max(1.0, nan)`` does."""
+    return defect / np.fmax(1.0, scale)
+
+
+def saturated_product(*factors) -> float:
+    """The product of finite non-negative factors, taken left to right, with an
+    overflow saturated at :data:`FLOAT_MAX`: a norm bound formed this way stays
+    finite and still bounds every finite norm the exact product bounds. A zero
+    factor gives 0, so an overflowed partial product never meets it."""
+    if 0.0 in factors:
+        return 0.0
+    return min(math.prod(map(float, factors)), FLOAT_MAX)
 
 
 def finite_array(a, ndim: int, name: str) -> np.ndarray:
@@ -181,9 +207,9 @@ def eig_extremes(a):
 
 def clip_eig_bounds(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL):
     """Frame bounds ``(lo, hi)`` from the extreme eigenvalues of a Hermitian positive
-    semidefinite matrix, with a rounding-level negative ``lo`` (within
-    ``eq_rel * max(1, hi)``) clipped to 0."""
-    if lo < 0.0 and abs(lo) <= tol.eq_rel * max(1.0, hi):
+    semidefinite matrix, with a rounding-level negative ``lo`` (its
+    :func:`relative_defect` against ``hi`` at most ``eq_rel``) clipped to 0."""
+    if lo < 0.0 and relative_defect(abs(lo), hi) <= tol.eq_rel:
         lo = 0.0
     return lo, hi
 

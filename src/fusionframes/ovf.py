@@ -74,6 +74,7 @@ from .numerics import (
     clip_eig_bounds,
     eig_extremes,
     finite_array,
+    relative_defect,
     singular_values,
     spectral_norms,
     svals_rank,
@@ -92,6 +93,7 @@ __all__ = [
     "DualCandidate",
     "annihilation_defects",
     "duality_defects",
+    "dual_slack",
     "range_basis",
     "kernel_parts",
     "kernel_samples",
@@ -229,9 +231,10 @@ class DualCandidate:
 
 
 def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The DualCandidate condition ||L^* T_A|| <= eq_rel max(1, ||T_A|| ||L||), at
-    ``tol``, for each L of a (c, N k, n) stack, from two stacked SVDs of n x n matrices:
-    ||L^* T_A|| and ||L|| = ||L^* L||^(1/2). Returns the defects ||L^* T_A||, or
+    """The DualCandidate condition, ||L^* T_A|| relative to ||T_A|| ||L||
+    (:func:`numerics.relative_defect`) at most eq_rel at ``tol``, for each L of a
+    (c, N k, n) stack, from two stacked SVDs of n x n matrices: ||L^* T_A|| and
+    ||L|| = ||L^* L||^(1/2). Returns the defects ||L^* T_A||, or
     raises :class:`ContractViolationError` naming the worst one. A stack of zeros,
     such as the canonical dual's L = 0, has zero defects and takes no SVD."""
     if not stack.any():
@@ -239,7 +242,7 @@ def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) 
     adj = stack.conj().transpose(0, 2, 1)
     defects = spectral_norms(adj @ a.analysis)
     l_norms = np.sqrt(spectral_norms(adj @ stack))
-    bad = defects > tol.eq_rel * np.maximum(1.0, a.analysis_norm * l_norms)
+    bad = relative_defect(defects, a.analysis_norm * l_norms) > tol.eq_rel
     if np.any(bad):
         raise ContractViolationError(
             "perturbation does not annihilate the analysis operator "
@@ -259,6 +262,12 @@ def duality_defects(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
             f"dual analyses must be a stack of one or more {t.shape} matrices, got shape {shape}"
         )
     return spectral_norms(np.array([d.conj().T @ t for d in analyses]) - np.eye(t.shape[1]))
+
+
+def dual_slack(tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """10 eq_rel, the one threshold on :func:`duality_defects`: a sampled dual
+    must stay within it, and a separating dual must exceed it."""
+    return 10.0 * tol.eq_rel
 
 
 def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -338,8 +347,7 @@ def _check_annihilator(
     """
     col_norms = np.sqrt(np.maximum(0.0, 1.0 - np.linalg.norm(q, axis=1) ** 2))
     defects = np.linalg.norm(pt, axis=1)
-    scales = np.maximum(1.0, a.analysis_norm * col_norms)
-    if np.any(defects > tol.eq_rel * scales):
+    if np.any(relative_defect(defects, a.analysis_norm * col_norms) > tol.eq_rel):
         raise ContractViolationError("perturbation does not annihilate the analysis operator")
     return col_norms
 

@@ -16,7 +16,7 @@ import fusionframes
 from fusionframes.cli import main
 from fusionframes.exceptions import NumericFailureError
 from fusionframes.instances import load_instance
-from fusionframes.multipliers import schatten_checks
+from fusionframes.multipliers import assemble_multiplier, schatten_checks
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
@@ -141,6 +141,51 @@ def test_exit_code_symbol_whose_products_overflow(tmp_path, capsys):
             assert main(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot load instance: symbol: ")
+
+
+def _huge_norm_bound_instance(case: str) -> dict:
+    """A loadable instance on which sqrt(beta_V beta_W) m_sup overflows, and so does
+    its product with r_sup unless every R_i is 0."""
+    if case == "m0_2e307":
+        doc = json.loads(GOLDEN_INSTANCE.read_text())
+        m = np.frombuffer(base64.b64decode(doc["symbol"]["m"]), dtype="<c16").copy()
+        m[0] = 2e307
+        doc["symbol"]["m"] = _b64(m)
+        return doc
+    doc = json.loads(GOLDEN_INSTANCE_FFV1.read_text())
+    doc["symbol"]["m"][0] = [1e300, 0.0]
+    for key in ("v", "w"):
+        doc[key]["weights"][:2] = [1e-10, 1e10]
+    if case.endswith("zero_r"):
+        n = doc["n"]
+        doc["symbol"]["r"] = [[[[0.0, 0.0]] * n] * n] * doc["blocks"]
+    return doc
+
+
+@pytest.mark.parametrize("case, bound", [
+    ("m0_2e307", np.finfo(np.float64).max),
+    ("ffv1_m0_1e300_spread_weights", np.finfo(np.float64).max),
+    ("ffv1_m0_1e300_spread_weights_zero_r", 0.0),
+])
+def test_a_norm_bound_that_overflows_saturates_without_a_warning(tmp_path, capsys, case, bound):
+    # the bound sqrt(beta_V beta_W) m_sup r_sup used to overflow to inf with a
+    # RuntimeWarning, a traceback under warnings as errors; saturated at the
+    # largest float it is finite and still bounds sigma_max, and with r_sup = 0
+    # it is 0, not the NaN of inf * 0
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(_huge_norm_bound_instance(case)))
+    inst = load_instance(path)
+    reports = {suite: tmp_path / f"{suite}.json" for suite in ("multipliers", "local")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for suite, report in reports.items():
+            assert main(["check", "--suite", suite, str(path), "--report", str(report)]) == 0
+        rep = assemble_multiplier(inst.symbol, inst.v, inst.w)
+    capsys.readouterr()
+    checks = json.loads(reports["multipliers"].read_text())["checks"]
+    entry = next(e for e in checks if e["name"] == "multiplier_norm_bound")
+    assert entry["verdict"] == "pass" and entry["residual"] == 0.0
+    assert rep.sigma_max <= rep.norm_bound == bound
 
 
 def test_schatten_norms_stay_finite_on_a_loadable_symbol_with_a_huge_scalar(tmp_path, capsys):

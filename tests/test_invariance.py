@@ -1,11 +1,15 @@
-"""Verdicts do not depend on the basis of C^n or on the order of the blocks.
+"""Verdicts do not depend on the basis of C^n, on the order of the blocks, or
+on a moderate common scale of the weights.
 
 Every statement the checks certify is invariant under a unitary change of
-basis, W_i -> U W_i, V_i -> U V_i, R_i -> U R_i U^*, and under one
-permutation of the blocks applied to W, V, m and R alike. So the ordered
-verdicts of ``run_suite("all")`` must be the same for an instance and its
-transformed copy. Rescaling the weights is not such a symmetry of the
-verdicts: it moves the conditioning that near-cutoff verdicts depend on.
+basis, W_i -> U W_i, V_i -> U V_i, R_i -> U R_i U^*, under one permutation
+of the blocks applied to W, V, m and R alike, and under a rescaling of the
+weights of W and V by one factor c, which scales the frame bounds by c^2 and
+the duals by 1/c. So the ordered verdicts of ``run_suite("all")`` must be the
+same for an instance and its transformed copy. The scalings pinned here are
+c = 2^k for k in {-4, -2, 2, 4}, exact in binary, which put the comparison
+scales max(1, .) of the residuals on both sides of 1. Far larger or smaller
+factors still move verdicts, because some checks keep an absolute scale.
 """
 
 import numpy as np
@@ -49,6 +53,15 @@ def _transformed(inst: Instance, u: np.ndarray, perm: np.ndarray) -> Instance:
     return Instance(inst.seed, inst.symbol_mode, move(inst.w), move(inst.v), symbol)
 
 
+def _scaled(inst: Instance, c: float) -> Instance:
+    """The instance with the weights of W and V multiplied by ``c``."""
+
+    def scale(f: FusionSequence) -> FusionSequence:
+        return FusionSequence(f.subspaces, c * f.weights)
+
+    return Instance(inst.seed, inst.symbol_mode, scale(inst.w), scale(inst.v), inst.symbol)
+
+
 def _verdicts(instances) -> list:
     report = run_suite("all", instances)
     return [(e["trial"], e["name"], e["verdict"]) for e in report["checks"]]
@@ -64,13 +77,19 @@ def test_the_population_has_zero_blocks_and_reaches_every_check(baseline):
     assert {name for _, name, _ in baseline} == set(CHECKS)
 
 
-@pytest.mark.parametrize("change", ["unitary", "permutation", "both"])
+@pytest.mark.parametrize(
+    "change", ["unitary", "permutation", "both"] + [f"scale 2^{k}" for k in (-4, -2, 2, 4)]
+)
 def test_verdicts_are_invariant(baseline, change):
-    rng = np.random.default_rng(2024)
-    moved = []
-    for inst in INSTANCES:
-        n, count = inst.w.ambient_dim, inst.w.count
-        u = random_subspace(n, n, rng).basis if change != "permutation" else np.eye(n)
-        perm = rng.permutation(count) if change != "unitary" else np.arange(count)
-        moved.append(_transformed(inst, u, perm))
+    if change.startswith("scale"):
+        c = 2.0 ** int(change.split("^")[1])
+        moved = [_scaled(inst, c) for inst in INSTANCES]
+    else:
+        rng = np.random.default_rng(2024)
+        moved = []
+        for inst in INSTANCES:
+            n, count = inst.w.ambient_dim, inst.w.count
+            u = random_subspace(n, n, rng).basis if change != "permutation" else np.eye(n)
+            perm = rng.permutation(count) if change != "unitary" else np.arange(count)
+            moved.append(_transformed(inst, u, perm))
     assert _verdicts(moved) == baseline

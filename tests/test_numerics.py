@@ -18,6 +18,7 @@ from fusionframes.numerics import (
     clip_eig_bounds,
     extreme_singular_values,
     near_inv_cutoff,
+    relative_defect,
     singular_values,
     spectral_norm,
     spectral_norms,
@@ -85,6 +86,27 @@ def test_every_svd_of_the_package_goes_through_numerics():
     direct = re.compile(r"linalg\.svd\b|from\s+numpy\.linalg\s+import[^\n]*\bsvd\b")
     callers = sorted(p.name for p in package.glob("*.py") if direct.search(p.read_text()))
     assert callers == ["numerics.py"]
+
+
+def test_the_comparison_scale_floor_is_written_only_in_numerics():
+    # every relative residual and eq_rel test takes its scale from relative_defect
+    package = Path(numerics.__file__).parent
+    floor = re.compile(r"\b(?:max|maximum|fmax)\(1\.0,")
+    writers = sorted(p.name for p in package.glob("*.py") if floor.search(p.read_text()))
+    assert writers == ["numerics.py"]
+
+
+def test_relative_defect_is_the_defect_over_max_one_scale_bit_for_bit():
+    scales = [0.0, 0.5, 1.0, 2.0, np.inf, np.nan]
+    defects = [0.0, 3e-9, 0.75, 7.0, 1e300]
+    for x in defects:
+        for scale in scales:
+            got = relative_defect(x, scale)
+            assert np.float64(got).tobytes() == np.float64(x / max(1.0, scale)).tobytes()
+    # elementwise, with broadcasting, as the stacked tests apply it
+    x = np.array(defects)[:, None] * np.ones(len(scales))
+    want = np.array([[xi / max(1.0, s) for s in scales] for xi in defects])
+    assert relative_defect(x, np.array(scales)).tobytes() == want.tobytes()
 
 
 def test_eigvalsh_failure_is_a_numeric_failure():
