@@ -10,6 +10,7 @@ pure function of (instance, tolerances).
 
 from __future__ import annotations
 
+import functools
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -330,7 +331,10 @@ def _run_inverse_uniqueness(inst, rng, tol):
 _CROSS = cross_swap_instance()  # the crossed pair in C^2, the same for every instance
 
 
-def _run_contrast(inst, rng, tol):
+@functools.cache
+def _contrast_residual(tol: ToleranceConfig) -> float:
+    """The contrast on the crossed pair, which depends on the tolerances only, so it is
+    computed once per ToleranceConfig."""
     v, w = _CROSS.v, _CROSS.w
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     s_inv = ovf.frame_operator_inverse(w.embedding, tol)
@@ -338,7 +342,11 @@ def _run_contrast(inst, rng, tol):
     plain = multipliers.Symbol.identity(2, 2).assembled(v, w)[1]
     weighted = multipliers.Symbol(np.ones(2), [s_inv, s_inv]).assembled(v, w)[1]
     sym = multipliers.assemble_multiplier(_CROSS.symbol, v, w, tol).matrix
-    return CheckResult(max(float(plain[0]), float(weighted[0]), spectral_norm(sym - swap)))
+    return max(float(plain[0]), float(weighted[0]), spectral_norm(sym - swap))
+
+
+def _run_contrast(inst, rng, tol):
+    return CheckResult(_contrast_residual(tol))
 
 
 # --- local suite -----------------------------------------------------------

@@ -27,9 +27,9 @@ import numpy as np
 from .exceptions import ContractViolationError, NotAFrameError
 from .fusion import (
     FusionSequence,
-    Subspace,
     block_deviation,
     fusion_synthesis_kw,
+    leading_subspaces,
     sandwich,
 )
 from .numerics import (
@@ -191,7 +191,7 @@ def _ranges(ops: np.ndarray, tol: ToleranceConfig):
     left singular vectors."""
     uu, ss, _ = svd(ops)
     ranks = svals_rank(ss, ops.shape[1], tol)
-    return tuple(Subspace(u[:, :r]) for u, r in zip(uu, ranks)), ranks, ss
+    return leading_subspaces(uu, ranks), ranks, ss
 
 
 def canonical_gavruta_dual(

@@ -54,7 +54,12 @@ from .ovf import OVFrame, range_basis
 
 __all__ = [
     "Subspace",
+    "orthonormal_subspaces",
+    "leading_subspaces",
+    "subspace_draw",
+    "haar_subspaces",
     "random_subspace",
+    "random_orthogonal_split",
     "projection",
     "frame_operator_fits",
     "FusionSequence",
@@ -70,6 +75,18 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _orthonormality_faults(stack: np.ndarray) -> np.ndarray:
+    """The orthonormality rule on a (k, n, d) stack: True where a matrix B fails it,
+    that is where ||B^* B - I|| in Frobenius norm, relative to max(1, d)
+    (:func:`relative_defect`), exceeds ``eq_rel`` at the default tolerance or is NaN.
+    A non-finite entry makes B^* B non-finite, and so does an overflow, so both fail."""
+    d = stack.shape[-1]
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    defects = relative_defect(np.linalg.norm(gram - np.eye(d), axis=(1, 2)), d)
+    return ~(defects <= DEFAULT_TOL.eq_rel)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of C^n held as an n x d matrix with orthonormal columns."""
@@ -82,10 +99,8 @@ class Subspace:
         n, d = b.shape
         if d > n:
             raise ContractViolationError(f"subspace dimension {d} exceeds ambient {n}")
-        if d:
-            gram = b.conj().T @ b
-            if relative_defect(np.linalg.norm(gram - np.eye(d)), d) > DEFAULT_TOL.eq_rel:
-                raise ContractViolationError("basis columns are not orthonormal")
+        if d and _orthonormality_faults(b[None])[0]:
+            raise ContractViolationError("basis columns are not orthonormal")
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -104,6 +119,93 @@ class Subspace:
         return self.basis.shape[1]
 
 
+def _held(basis: np.ndarray) -> Subspace:
+    """A Subspace on ``basis``, a finite complex128 matrix that has already passed the
+    orthonormality rule, without a second test."""
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "basis", basis)
+    return sub
+
+
+def _subspaces_by_shape(mats, per_shape, names=None) -> tuple:
+    """One Subspace per matrix of ``mats``, with each shape's matrices handled as one
+    (k, n, d) stack: ``per_shape`` maps it to the stack of their bases, which then
+    passes the orthonormality rule once. A failure raises ContractViolationError
+    naming the first faulty matrix in list order by ``names[i]`` (default
+    ``basis i``), as non-finite if it has a NaN or infinite entry."""
+    groups: dict = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    subs = [None] * len(mats)
+    first = None  # (index, finite) of the first faulty matrix
+    for (_, d), idx in groups.items():
+        if d == 0:  # an empty basis has nothing to test
+            for i in idx:
+                subs[i] = _held(mats[i])
+            continue
+        bases = per_shape(mats[idx[0]][None] if len(idx) == 1 else np.stack([mats[i] for i in idx]))
+        faulty = _orthonormality_faults(bases)
+        if faulty.any():
+            j = int(np.argmax(faulty))
+            if first is None or idx[j] < first[0]:
+                first = idx[j], bool(np.isfinite(bases[j]).all())
+        for i, b in zip(idx, bases):
+            subs[i] = _held(b)
+    if first is not None:
+        i, finite = first
+        name = f"basis {i}" if names is None else names[i]
+        raise ContractViolationError(
+            f"{name}: basis columns are not orthonormal" if finite
+            else f"{name} contains NaN or Inf entries"
+        )
+    return tuple(subs)
+
+
+def orthonormal_subspaces(bases, names=None) -> tuple:
+    """One :class:`Subspace` per n x d complex128 matrix of ``bases``, any mix of shapes,
+    under the rules of :class:`Subspace` (finite entries, orthonormal columns) applied
+    once per distinct shape to the stack of the matrices of that shape, not once per
+    matrix. A failure names the first faulty matrix in list order by ``names[i]``
+    (default ``basis i``)."""
+    return _subspaces_by_shape(list(bases), lambda stack: stack, names)
+
+
+def leading_subspaces(stack: np.ndarray, ranks) -> tuple:
+    """The subspace spanned by the first ``ranks[i]`` columns of matrix i of a (k, n, m)
+    stack, for each i. The orthonormality rule runs once, as by
+    :func:`orthonormal_subspaces`, on the whole stack; each leading block, whose Gram
+    matrix is a leading block of its matrix's, is held without a second test."""
+    whole = orthonormal_subspaces(stack)
+    return tuple(_held(sub.basis[:, :r]) for sub, r in zip(whole, ranks))
+
+
+def subspace_draw(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """The n x d complex Gaussian draw whose column span is a Haar-random
+    d-dimensional subspace of C^n (see :func:`haar_subspaces`)."""
+    if d < 0 or d > n:
+        raise ContractViolationError(f"need 0 <= d <= n, got d={d}, n={n}")
+    return (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2.0)
+
+
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """The Q factors of the QR factorizations of a (k, n, d) stack, one stacked LAPACK
+    call, each column scaled by the conjugate phase of its diagonal entry of R."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[np.abs(diag) == 0.0] = 1.0
+    phases = diag / np.abs(diag)
+    return q * phases.conj()[:, None, :]
+
+
+def haar_subspaces(draws) -> tuple:
+    """The Haar-random subspaces spanned by :func:`subspace_draw` draws of any mix of
+    dimensions: one phase-fixed QR per distinct dimension, which makes each draw
+    unitarily invariant, and the bases then tested as by
+    :func:`orthonormal_subspaces`. Each basis is bit for bit the one the draw would
+    give alone, since a stacked QR runs the same LAPACK routine on every matrix."""
+    return _subspaces_by_shape(list(draws), _phase_fixed_q)
+
+
 def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     """Haar-random d-dimensional subspace of C^n.
 
@@ -111,16 +213,19 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     Gaussian matrix, which makes the draw unitarily invariant and exactly
     reproducible for a fixed generator state.
     """
-    if d < 0 or d > n:
-        raise ContractViolationError(f"need 0 <= d <= n, got d={d}, n={n}")
-    if d == 0:
-        return Subspace.zero(n)
-    g = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) == 0.0] = 1.0
-    phases = diag / np.abs(diag)
-    return Subspace(q * phases.conj()[None, :])
+    return haar_subspaces([subspace_draw(n, d, rng)])[0]
+
+
+def random_orthogonal_split(n: int, dims, rng: np.random.Generator) -> tuple:
+    """Mutually orthogonal subspaces of C^n of the given dims, spanned by consecutive
+    column blocks of one Haar unitary (``random_subspace(n, n, rng)``). The unitary
+    passes the orthonormality rule once; each block, whose Gram matrix is a diagonal
+    block of the unitary's, is held without a second test."""
+    if sum(dims) != n or any(d < 0 for d in dims):
+        raise ContractViolationError(f"dims {tuple(dims)} must be non-negative and sum to {n}")
+    unitary = random_subspace(n, n, rng).basis
+    stops = np.cumsum(dims)
+    return tuple(_held(unitary[:, stop - d : stop]) for d, stop in zip(dims, stops))
 
 
 def projection(w: Subspace) -> np.ndarray:
@@ -307,30 +412,36 @@ def build_local_frames(
     B (C C^*) B^*, whose pseudoinverse is B (C C^*)^-1 B^*, so the duals are
     B (C C^*)^-1 C: one d x d solve against the Gram matrix C C^*, whose
     eigenvalues are the bounds, and no n x n pseudoinverse.
+
+    The draws are taken block by block in order; the blocks of each distinct
+    dimension are then factored together, one stacked QR, ``eigvalsh`` and
+    ``solve`` per dimension, which give each block bit for bit its own factors.
     """
     if not 0 <= redundancy <= MAX_REDUNDANCY:
         raise ContractViolationError(
             f"local redundancy must be in 0..{MAX_REDUNDANCY}, got {redundancy}"
         )
-    frames: list[Optional[VectorFrame]] = []
-    duals: list[Optional[VectorFrame]] = []
+    groups: dict = {}
+    coeffs = {}
+    for i, d in enumerate(f.dims):
+        if d:
+            shape = (d, d + redundancy)
+            coeffs[i] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            groups.setdefault(d, []).append(i)
+    frames: list[Optional[VectorFrame]] = [None] * f.count
+    duals: list[Optional[VectorFrame]] = [None] * f.count
     alpha, beta = np.inf, 0.0
-    for sub in f.subspaces:
-        d = sub.dim
-        if d == 0:
-            frames.append(None)
-            duals.append(None)
-            continue
-        count = d + redundancy
-        coeff = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
-        coeff[:, :d] = np.linalg.qr(coeff[:, :d])[0]
-        coeff[:, d:] /= np.linalg.norm(coeff[:, d:], axis=0, keepdims=True)
-        gram = coeff @ coeff.conj().T
+    for d, idx in groups.items():
+        coeff = np.stack([coeffs[i] for i in idx])
+        coeff[:, :, :d] = np.linalg.qr(coeff[:, :, :d])[0]
+        coeff[:, :, d:] /= np.linalg.norm(coeff[:, :, d:], axis=1, keepdims=True)
+        gram = coeff @ coeff.conj().transpose(0, 2, 1)
         ev = np.linalg.eigvalsh(gram)
-        alpha = min(alpha, float(ev[0]))
-        beta = max(beta, float(ev[-1]))
-        frames.append(VectorFrame((sub.basis @ coeff).T))
-        duals.append(VectorFrame((sub.basis @ np.linalg.solve(gram, coeff)).T))
+        alpha = min(alpha, float(ev[:, 0].min()))
+        beta = max(beta, float(ev[:, -1].max()))
+        bases = np.stack([f.subspaces[i].basis for i in idx])
+        for i, frame, dual in zip(idx, bases @ coeff, bases @ np.linalg.solve(gram, coeff)):
+            frames[i], duals[i] = VectorFrame(frame.T), VectorFrame(dual.T)
     if not np.isfinite(alpha):
         alpha = 0.0
     return LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)

@@ -24,7 +24,10 @@ from .fusion import (
     Subspace,
     build_local_frames,
     frame_operator_fits,
-    random_subspace,
+    haar_subspaces,
+    orthonormal_subspaces,
+    random_orthogonal_split,
+    subspace_draw,
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
@@ -117,12 +120,14 @@ def random_partition(n: int, count: int, rng: np.random.Generator) -> tuple:
 
 
 def _random_sequence(n, dims, weight_range, rng) -> FusionSequence:
+    """Each block's subspace draw, then its weight, in block order; the draws are
+    orthonormalized together by :func:`fusion.haar_subspaces`."""
     lo, hi = weight_range
-    subs, weights = [], []
+    draws, weights = [], []
     for d in dims:
-        subs.append(random_subspace(n, d, rng))
+        draws.append(subspace_draw(n, d, rng))
         weights.append(float(rng.uniform(lo, hi)) if d > 0 else 0.0)
-    return FusionSequence(tuple(subs), np.asarray(weights))
+    return FusionSequence(haar_subspaces(draws), np.asarray(weights))
 
 
 def random_spanning_dims(n: int, count: int, rng: np.random.Generator) -> tuple:
@@ -147,14 +152,22 @@ def random_riesz_basis(
         dims = random_partition(n, count, rng)
     if sum(dims) != n or any(d <= 0 for d in dims):
         raise ContractViolationError("Riesz dims must be positive and sum to n")
-    unitary = random_subspace(n, n, rng).basis
+    subs = random_orthogonal_split(n, dims, rng)
     lo, hi = weight_range
-    subs, weights, start = [], [], 0
-    for d in dims:
-        subs.append(Subspace(unitary[:, start : start + d]))
-        weights.append(float(rng.uniform(lo, hi)))
-        start += d
-    return FusionSequence(tuple(subs), np.asarray(weights))
+    weights = [float(rng.uniform(lo, hi)) for _ in dims]
+    return FusionSequence(subs, np.asarray(weights))
+
+
+def _invertible_stack(count: int, n: int, rng, s_min: float, s_max: float) -> np.ndarray:
+    """``count`` random n x n matrices, each with its singular values rescaled affinely
+    onto [s_min, s_max] (all to s_max when they are equal): one Gaussian draw,
+    real then imaginary part per matrix, and one stacked SVD."""
+    g = rng.standard_normal((count, 2, n, n))
+    u, s, vh = svd(g[:, 0] + 1j * g[:, 1])
+    span = s[:, :1] - s[:, -1:]
+    flat = span == 0.0
+    scaled = s_min + (s_max - s_min) * (s - s[:, -1:]) / np.where(flat, 1.0, span)
+    return (u * np.where(flat, s_max, scaled)[:, None, :]) @ vh
 
 
 def random_invertible_matrix(
@@ -164,13 +177,7 @@ def random_invertible_matrix(
     s_max: float = 2.0,
 ) -> np.ndarray:
     """Random matrix with singular values rescaled into [s_min, s_max]."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    u, s, vh = svd(g)
-    if s[0] == s[-1]:
-        scaled = np.full(n, s_max)
-    else:
-        scaled = s_min + (s_max - s_min) * (s - s[-1]) / (s[0] - s[-1])
-    return u @ np.diag(scaled) @ vh
+    return _invertible_stack(1, n, rng, s_min, s_max)[0]
 
 
 def _annulus(rng) -> complex:
@@ -198,7 +205,7 @@ def random_symbol(
         raise ContractViolationError(f"unknown symbol mode {mode!r}")
     if mode == "identity":
         return Symbol.identity(n, count)
-    r = np.array([random_invertible_matrix(n, rng, 0.5, 2.0) for _ in range(count)])
+    r = _invertible_stack(count, n, rng, 0.5, 2.0)
     m = np.array([_annulus(rng) for _ in range(count)])
     if mode == "random_C_holding":
         return Symbol(m, r)
@@ -422,6 +429,34 @@ def _named(field: str, build, *args):
         raise ContractViolationError(f"{field}: {exc}") from exc
 
 
+def _check_reconstruction(w: FusionSequence, frames: list, duals: list) -> None:
+    """The Subspace rule on stored local frames: sum_j dual_j phi_j^* must be P_{W_i}
+    in Frobenius norm, tested once per frame shape; a failure names the first faulty
+    block."""
+    shapes: dict = {}
+    for i in np.flatnonzero(w.dims):
+        shapes.setdefault(frames[i].shape, []).append(i)
+    dims = np.array(w.dims)
+    first = None  # (block, defect) of the first faulty block
+    for idx in shapes.values():
+        phi, dual = np.stack([frames[i] for i in idx]), np.stack([duals[i] for i in idx])
+        defects = np.linalg.norm(
+            dual.transpose(0, 2, 1) @ phi.conj() - w.projections[idx], axis=(1, 2)
+        )
+        bad = relative_defect(defects, dims[idx]) > DEFAULT_TOL.eq_rel
+        if bad.any():
+            j = int(np.argmax(bad))
+            if first is None or idx[j] < first[0]:
+                first = idx[j], float(defects[j])
+    if first is not None:
+        i, defect = first
+        raise ContractViolationError(
+            f"local.frames[{i}], local.duals[{i}]: sum_j dual_j phi_j^* is "
+            f"{defect:.3e} from P_W_{i} in Frobenius norm (limit "
+            f"{DEFAULT_TOL.eq_rel:.0e} relative to max(1, dim))"
+        )
+
+
 def _instance_from_doc(doc: dict, decode) -> Instance:
     n, blocks, seed = (_integer(doc, key) for key in ("n", "blocks", "seed"))
     mode = doc["symbol_mode"]
@@ -430,12 +465,14 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
         obj = doc[name]
         dims = [_integer(item, "dim") for item in obj["subspaces"]]
         _check_sizes(n, blocks, dims, mode, seed)
-        subs = []
-        for i, (item, d) in enumerate(zip(obj["subspaces"], dims)):
-            field = f"{name}.subspaces[{i}].basis"
-            subs.append(_named(field, Subspace, _finite(decode, item["basis"], (n, d), field)))
+        fields = [f"{name}.subspaces[{i}].basis" for i in range(blocks)]
+        bases = [
+            decode(item["basis"], (n, d), field)
+            for item, d, field in zip(obj["subspaces"], dims, fields)
+        ]
+        subs = orthonormal_subspaces(bases, fields)
         weights = _floats(obj["weights"], (blocks,), f"{name}.weights")
-        sequences.append(_named(f"{name}.weights", FusionSequence, tuple(subs), weights))
+        sequences.append(_named(f"{name}.weights", FusionSequence, subs, weights))
     w, v = sequences
     symbol = Symbol(
         _finite(decode, doc["symbol"]["m"], (blocks,), "symbol.m"),
@@ -455,17 +492,11 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
         if not [fr is None for fr in frames] == [du is None for du in duals] == nulls:
             raise ContractViolationError("local: frames, duals null exactly on zero blocks")
         for i in np.flatnonzero(w.dims):
-            phi = _finite(decode, frames[i], (None, n), f"local.frames[{i}]")
-            dual = _finite(decode, duals[i], phi.shape, f"local.duals[{i}]")
-            # the Subspace rule: sum_j dual_j phi_j^* must be P_{W_i} in Frobenius norm
-            defect = float(np.linalg.norm(dual.T @ phi.conj() - w.projections[i]))
-            if relative_defect(defect, w.dims[i]) > DEFAULT_TOL.eq_rel:
-                raise ContractViolationError(
-                    f"local.frames[{i}], local.duals[{i}]: sum_j dual_j phi_j^* is "
-                    f"{defect:.3e} from P_W_{i} in Frobenius norm (limit "
-                    f"{DEFAULT_TOL.eq_rel:.0e} relative to max(1, dim))"
-                )
-            frames[i], duals[i] = VectorFrame(phi), VectorFrame(dual)
+            frames[i] = _finite(decode, frames[i], (None, n), f"local.frames[{i}]")
+            duals[i] = _finite(decode, duals[i], frames[i].shape, f"local.duals[{i}]")
+        _check_reconstruction(w, frames, duals)
+        frames = [None if a is None else VectorFrame(a) for a in frames]
+        duals = [None if a is None else VectorFrame(a) for a in duals]
         alpha, beta = (_number(obj, key, f"local.{key}") for key in ("alpha", "beta"))
         # with no nonzero block the bounds are over nothing, and gen writes 0 and 0
         if not (0.0 < alpha <= beta if any(w.dims) else alpha == beta == 0.0):

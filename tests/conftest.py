@@ -356,14 +356,73 @@ def reference_coherence_defects(sym, inv_blocks):
     return [spectral_norm(sym.m[i] * sym.r[i] @ inv_blocks[i] - eye) for i in range(sym.count)]
 
 
-def reference_adversarial_symbol(n, count, rng, tol):
-    """random_symbol("adversarial", ...) with its per-block delta loop."""
-    from fusionframes.instances import _annulus, random_invertible_matrix
-    from fusionframes.multipliers import Symbol
-    from fusionframes.numerics import singular_values
+# The per-block draw loops that the stacked generators replaced: each draw
+# factored by its own LAPACK call. The generators must match them bit for bit,
+# generator state included.
 
-    r = np.array([random_invertible_matrix(n, rng, 0.5, 2.0) for _ in range(count)])
+
+def reference_subspace(n, d, rng):
+    """random_subspace with its own QR."""
+    if d == 0:
+        return Subspace.zero(n)
+    g = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r).copy()
+    diag[np.abs(diag) == 0.0] = 1.0
+    phases = diag / np.abs(diag)
+    return Subspace(q * phases.conj()[None, :])
+
+
+def reference_random_sequence(n, dims, weight_range, rng):
+    """instances._random_sequence with one QR per block."""
+    lo, hi = weight_range
+    subs, weights = [], []
+    for d in dims:
+        subs.append(reference_subspace(n, d, rng))
+        weights.append(float(rng.uniform(lo, hi)) if d > 0 else 0.0)
+    return FusionSequence(tuple(subs), np.asarray(weights))
+
+
+def reference_riesz_basis(n, rng, count=None, dims=None, weight_range=(0.5, 2.0)):
+    """random_riesz_basis with each column block of the unitary tested as a Subspace."""
+    from fusionframes.instances import random_partition
+
+    if dims is None:
+        dims = random_partition(n, count, rng)
+    unitary = reference_subspace(n, n, rng).basis
+    lo, hi = weight_range
+    subs, weights, start = [], [], 0
+    for d in dims:
+        subs.append(Subspace(unitary[:, start : start + d]))
+        weights.append(float(rng.uniform(lo, hi)))
+        start += d
+    return FusionSequence(tuple(subs), np.asarray(weights))
+
+
+def reference_invertible_matrix(n, rng, s_min=0.3, s_max=2.0):
+    """random_invertible_matrix with its own SVD."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, s, vh = np.linalg.svd(g, full_matrices=False)
+    if s[0] == s[-1]:
+        scaled = np.full(n, s_max)
+    else:
+        scaled = s_min + (s_max - s_min) * (s - s[-1]) / (s[0] - s[-1])
+    return u @ np.diag(scaled) @ vh
+
+
+def reference_random_symbol(mode, n, count, rng, tol=DEFAULT_TOL):
+    """random_symbol with one SVD per block and the adversarial per-block delta loop."""
+    from fusionframes.instances import _annulus
+
+    if mode == "identity":
+        return Symbol.identity(n, count)
+    r = np.array([reference_invertible_matrix(n, rng, 0.5, 2.0) for _ in range(count)])
     m = np.array([_annulus(rng) for _ in range(count)])
+    if mode == "random_C_holding":
+        return Symbol(m, r)
+    if mode == "random_C_failing":
+        m[rng.choice(count, size=max(1, count // 3), replace=False)] = 0.0
+        return Symbol(m, r)
     sym = Symbol(m, r)
     delta = max(abs(sym.m[i]) * singular_values(sym.r[i])[0] for i in range(count))
     ratio = tol.inv_rel * float(np.exp(rng.uniform(np.log(1 / 3), np.log(3.0))))
@@ -373,6 +432,31 @@ def reference_adversarial_symbol(n, count, rng, tol):
     r = r.copy()
     r[0] = u @ np.diag(s) @ vh
     return Symbol(m, r)
+
+
+def reference_local_frames(f, redundancy, rng):
+    """build_local_frames with one QR, eigvalsh and solve per block."""
+    frames, duals = [], []
+    alpha, beta = np.inf, 0.0
+    for sub in f.subspaces:
+        d = sub.dim
+        if d == 0:
+            frames.append(None)
+            duals.append(None)
+            continue
+        count = d + redundancy
+        coeff = rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))
+        coeff[:, :d] = np.linalg.qr(coeff[:, :d])[0]
+        coeff[:, d:] /= np.linalg.norm(coeff[:, d:], axis=0, keepdims=True)
+        gram = coeff @ coeff.conj().T
+        ev = np.linalg.eigvalsh(gram)
+        alpha = min(alpha, float(ev[0]))
+        beta = max(beta, float(ev[-1]))
+        frames.append(VectorFrame((sub.basis @ coeff).T))
+        duals.append(VectorFrame((sub.basis @ np.linalg.solve(gram, coeff)).T))
+    if not np.isfinite(alpha):
+        alpha = 0.0
+    return LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)
 
 
 def reference_sampled_duals(a, count, rng, tol, canonical=False):

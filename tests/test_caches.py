@@ -21,11 +21,12 @@ import numpy as np
 import pytest
 
 from conftest import reference_inverse_representation
-from fusionframes import checks, multipliers, ovf
+from fusionframes import checks, fusion, multipliers, ovf
 from fusionframes.checks import run_suite
 from fusionframes.duality import canonical_gavruta_dual, generate_fusion_dual
 from fusionframes.fusion import (
     FusionSequence,
+    build_local_frames,
     excess,
     is_riesz_fusion_basis,
     scale_weights,
@@ -33,8 +34,11 @@ from fusionframes.fusion import (
 from fusionframes.instances import (
     InstanceSpec,
     generate_instance,
+    load_instance,
     random_riesz_basis,
     random_spanning_dims,
+    random_symbol,
+    save_instance,
 )
 from fusionframes.multipliers import (
     assemble_multiplier,
@@ -472,3 +476,80 @@ def test_no_dense_kernel_operand_in_the_suite(monkeypatch, suite):
     report = run_suite(suite, [inst])
     assert report["summary"]["fail"] == 0
     assert operands and max(operands) < size
+
+
+# The draw and load paths factor and test each distinct block dimension once.
+REPEATED_DIMS = (1, 2, 3, 0, 1, 2, 3, 3, 2, 1, 0, 2)
+
+
+def _repeated_dims_instance(local):
+    spec = InstanceSpec(
+        n=4, blocks=len(REPEATED_DIMS), dims=REPEATED_DIMS, weight_range=(0.5, 2.0),
+        symbol_mode="random_C_holding", seed=11,
+    )
+    return generate_instance(spec, local_redundancy=local)
+
+
+def test_local_frames_take_one_qr_eigvalsh_and_solve_per_distinct_dim(monkeypatch):
+    w = _repeated_dims_instance(None).w
+    for redundancy in (0, 2):
+        calls = {name: _counting(monkeypatch, name) for name in ("qr", "eigvalsh", "solve")}
+        build_local_frames(w, redundancy, np.random.default_rng(redundancy))
+        for name, args in calls.items():
+            # dims 1, 2 and 3 hold 3, 4 and 3 blocks
+            assert sorted(np.shape(a[0]) for a in args) == [(3, 1, 1), (3, 3, 3), (4, 2, 2)], name
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("mode", ["random_C_holding", "random_C_failing"])
+def test_random_symbol_takes_one_svd(monkeypatch, mode):
+    svds = _counting(monkeypatch, "svd")
+    random_symbol(mode, 4, 9, np.random.default_rng(0))
+    assert [np.shape(args[0]) for args in svds] == [(9, 4, 4)]
+
+
+def test_a_riesz_pair_tests_orthonormality_once_per_unitary(monkeypatch):
+    inst = _repeated_dims_instance(None)
+    norms = _counting(monkeypatch, "norm")
+    w, v, count = checks._riesz_pair(inst, np.random.default_rng(1))
+    assert count == 4 and w.count == v.count == 4
+    assert [np.shape(args[0]) for args in norms] == [(1, 4, 4)] * 2
+
+
+def test_the_ranges_of_a_dual_construction_are_tested_once(monkeypatch):
+    # one orthonormality test of the whole stack of left singular vectors, not
+    # one per block range
+    inst = _repeated_dims_instance(None)
+    calls = []
+    rule = fusion._orthonormality_faults
+
+    def counted(stack):
+        calls.append(np.shape(stack))
+        return rule(stack)
+
+    monkeypatch.setattr(fusion, "_orthonormality_faults", counted)
+    dual = canonical_gavruta_dual(inst.w)
+    assert calls == [(inst.w.count, 4, 4)]
+    assert dual.dims == inst.w.dims
+
+
+def test_loading_tests_bases_and_local_frames_once_per_shape(monkeypatch, tmp_path):
+    # three distinct nonzero dims in each of W and V, and three local frame shapes
+    inst = _repeated_dims_instance(1)
+    save_instance(inst, tmp_path / "inst.json")
+    norms = _counting(monkeypatch, "norm")
+    loaded = load_instance(tmp_path / "inst.json")
+    assert len(norms) == 9
+    assert all(a.basis.tobytes() == b.basis.tobytes() for a, b in zip(loaded.w.subspaces, inst.w.subspaces))
+
+
+def test_the_contrast_is_computed_once_per_tolerance(monkeypatch):
+    contrast = checks.CHECKS["symbol_vs_projection_contrast"]
+    inst = _instance()
+    first = {tol: contrast.run(inst, None, tol).residual for tol in (ToleranceConfig(), LOOSE)}
+    others = [_instance(seed=seed) for seed in (3, 5)]
+    svds = _counting(monkeypatch, "svd")
+    for other in others:
+        for tol in (ToleranceConfig(), LOOSE):
+            assert contrast.run(other, None, tol).residual == first[tol]
+    assert svds == []

@@ -274,6 +274,36 @@ def test_malformed_documents_name_what_is_wrong(mutate, field):
         instance_from_json(json.dumps(doc))
 
 
+def test_the_first_faulty_basis_or_local_frame_is_named_across_shapes():
+    # bases and local frames are tested once per shape, and a fault is named in
+    # block order, a non-finite entry before a defect
+    spec = InstanceSpec(
+        n=3, blocks=4, dims=(2, 1, 2, 1), weight_range=(0.5, 2.0),
+        symbol_mode="random_C_holding", seed=8,
+    )
+    base = json.loads(instance_to_json(generate_instance(spec, local_redundancy=1)))
+    skew, nan = _b64(np.ones((3, 1))), _b64(np.full((3, 2), np.nan))
+    overflow = _b64(np.array([[1e200 + 1e200j], [-1e200 + 1e200j], [0.0]]))
+    cases = [
+        ({1: skew, 2: nan}, "w.subspaces[1].basis: basis columns are not orthonormal"),
+        ({3: skew, 2: nan}, "w.subspaces[2].basis contains NaN or Inf entries"),
+        ({3: overflow}, "w.subspaces[3].basis: basis columns are not orthonormal"),
+    ]
+    for bases, message in cases:
+        doc = json.loads(json.dumps(base))
+        for i, value in bases.items():
+            doc["w"]["subspaces"][i]["basis"] = value
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            instance_from_json(json.dumps(doc))
+    for doubled, first in (((2, 1), 1), ((3, 0), 0)):
+        doc = json.loads(json.dumps(base))
+        for i in doubled:
+            dual = base64.b64decode(doc["local"]["duals"][i])
+            doc["local"]["duals"][i] = _b64(2.0 * np.frombuffer(dual, dtype="<c16"))
+        with pytest.raises(ContractViolationError, match=re.escape(f"local.frames[{first}], ")):
+            instance_from_json(json.dumps(doc))
+
+
 def test_deeply_nested_json_is_typed():
     with pytest.raises(ContractViolationError):
         instance_from_json("[" * 100_000 + "]" * 100_000)

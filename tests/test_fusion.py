@@ -129,6 +129,10 @@ def test_classify_examples():
         (lambda: Subspace(np.array([[1.0, 1.0], [0.0, 0.0]])), "basis columns are not orthonormal"),
         (lambda: Subspace(np.array([[2.0], [0.0]])), "basis columns are not orthonormal"),
         (lambda: Subspace(np.ones((1, 2))), "subspace dimension 2 exceeds ambient 1"),
+        (
+            lambda: Subspace(np.array([[1e200 + 1e200j], [-1e200 + 1e200j]])),
+            "basis columns are not orthonormal",
+        ),
         (lambda: FusionSequence((), np.array([])), "needs at least one block"),
         (
             lambda: FusionSequence((Subspace.full(2),), np.array([1.0, 1.0])),
@@ -152,7 +156,7 @@ def test_classify_examples():
         ),
     ],
     ids=[
-        "equal columns", "column of norm 2", "dim above ambient", "no block",
+        "equal columns", "column of norm 2", "dim above ambient", "Gram matrix NaN", "no block",
         "weight count", "ambient mismatch", "NaN weight", "negative weight", "infinite weight",
     ],
 )

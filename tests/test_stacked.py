@@ -1,13 +1,20 @@
 """One stacked LAPACK call per operator family, against the per-candidate,
 per-block and per-vector loops it replaced (references in conftest): dual
 candidate validation, admissibility, the dual generator, the inverse
-representation residual, the local lift and the local duals."""
+representation residual, the local lift and the local duals, and, bit for bit
+with the generator state, the draws of sequences, Riesz bases, symbols and
+local frames."""
 
 import numpy as np
 import pytest
 
 from conftest import (
     reference_admissibility,
+    reference_invertible_matrix,
+    reference_local_frames,
+    reference_random_sequence,
+    reference_random_symbol,
+    reference_riesz_basis,
     reference_annihilation_defects,
     reference_dual_representation_residual,
     reference_canonical_gavruta_dual,
@@ -24,7 +31,15 @@ from fusionframes.duality import (
 )
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, build_local_frames, random_subspace
-from fusionframes.instances import InstanceSpec, generate_instance, random_invertible_matrix
+from fusionframes.instances import (
+    SYMBOL_MODES,
+    InstanceSpec,
+    _random_sequence,
+    generate_instance,
+    random_invertible_matrix,
+    random_riesz_basis,
+    random_symbol,
+)
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norms
 from fusionframes.ovf import DualCandidate, is_frame
 
@@ -202,6 +217,109 @@ def test_coordinate_local_duals_match_the_pinv_reference(n, dims):
                 continue
             assert got.vectors.shape == want.vectors.shape == (d + redundancy, n)
             assert np.abs(got.vectors - want.vectors).max() <= 2 * (n + d) * eps
+
+
+# Shapes with repeated dims, zero blocks, n = 1 and n = 64.
+DRAW_SHAPES = [
+    (1, (1,)),
+    (1, (0, 1, 0)),
+    (3, (0, 3, 1, 0)),
+    (4, (2, 2, 2, 4)),
+    (5, (1, 1, 1, 1, 1)),
+    (6, (2, 0, 3, 2, 6, 2, 3)),
+    (64, (1, 64, 1, 33)),
+]
+
+
+def _same_bits(got, want):
+    """Equal shapes and equal bytes, signed zeros included; None matches None."""
+    if got is None or want is None:
+        return got is None and want is None
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _same_sequence(got, want):
+    return _same_bits(got.weights, want.weights) and all(
+        _same_bits(a.basis, b.basis) for a, b in zip(got.subspaces, want.subspaces)
+    ) and got.count == want.count
+
+
+def _twin_rngs(*seed):
+    return np.random.default_rng(list(seed)), np.random.default_rng(list(seed))
+
+
+@pytest.mark.parametrize("n, dims", DRAW_SHAPES)
+def test_stacked_sequence_draws_match_the_per_block_loop(n, dims):
+    got_rng, want_rng = _twin_rngs(n, len(dims))
+    got = _random_sequence(n, dims, (0.5, 2.0), got_rng)
+    want = reference_random_sequence(n, dims, (0.5, 2.0), want_rng)
+    assert _same_sequence(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n, dims", DRAW_SHAPES)
+def test_stacked_local_frames_match_the_per_block_loop(n, dims):
+    w = reference_random_sequence(n, dims, (0.5, 2.0), np.random.default_rng(n))
+    for redundancy in range(4):
+        got_rng, want_rng = _twin_rngs(n, redundancy)
+        got = build_local_frames(w, redundancy, got_rng)
+        want = reference_local_frames(w, redundancy, want_rng)
+        for a, b in zip(got.frames + got.duals, want.frames + want.duals):
+            assert _same_bits(getattr(a, "vectors", None), getattr(b, "vectors", None))
+        assert _same_bits(np.float64(got.alpha), np.float64(want.alpha))
+        assert _same_bits(np.float64(got.beta), np.float64(want.beta))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", SYMBOL_MODES)
+@pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (2, 5), (4, 4), (12, 24), (64, 2)])
+def test_stacked_symbol_draws_match_the_per_block_loop(mode, n, count):
+    got_rng, want_rng = _twin_rngs(n, count, SYMBOL_MODES.index(mode))
+    got = random_symbol(mode, n, count, got_rng)
+    want = reference_random_symbol(mode, n, count, want_rng)
+    assert _same_bits(got.m, want.m) and _same_bits(got.r, want.r)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 64])
+def test_invertible_matrix_matches_its_own_svd(n):
+    got_rng, want_rng = _twin_rngs(n)
+    for s_min, s_max in ((0.3, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        got = random_invertible_matrix(n, got_rng, s_min, s_max)
+        assert _same_bits(got, reference_invertible_matrix(n, want_rng, s_min, s_max))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n, dims", [(1, (1,)), (4, (1, 3)), (5, (1, 1, 1, 1, 1)), (12, (6, 1, 2, 3))])
+def test_riesz_bases_match_the_per_block_slices(n, dims):
+    for by_dims in (True, False):
+        got_rng, want_rng = _twin_rngs(n, len(dims), by_dims)
+        kwargs = {"dims": dims} if by_dims else {"count": len(dims)}
+        got = random_riesz_basis(n, got_rng, **kwargs)
+        assert _same_sequence(got, reference_riesz_basis(n, want_rng, **kwargs))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", SYMBOL_MODES)
+def test_generated_instances_match_the_per_block_draws(mode):
+    # the whole gen path: W, V, the symbol and the local frames, in that order
+    for k, (n, dims) in enumerate(DRAW_SHAPES[:-1]):
+        redundancy = k % 4
+        spec = InstanceSpec(
+            n=n, blocks=len(dims), dims=dims, weight_range=(0.5, 2.0), symbol_mode=mode, seed=k,
+        )
+        got = generate_instance(spec, local_redundancy=redundancy)
+        rng = np.random.default_rng(k)
+        w = reference_random_sequence(n, dims, (0.5, 2.0), rng)
+        v = reference_random_sequence(n, dims, (0.5, 2.0), rng)
+        sym = reference_random_symbol(mode, n, len(dims), rng)
+        local = reference_local_frames(w, redundancy, rng)
+        assert _same_sequence(got.w, w) and _same_sequence(got.v, v)
+        assert _same_bits(got.symbol.m, sym.m) and _same_bits(got.symbol.r, sym.r)
+        for a, b in zip(got.local.frames + got.local.duals, local.frames + local.duals):
+            assert _same_bits(getattr(a, "vectors", None), getattr(b, "vectors", None))
+        assert (got.local.alpha, got.local.beta) == (local.alpha, local.beta)
 
 
 def _lapack_calls(monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import (
     random_fusion_frame,
-    reference_adversarial_symbol,
     reference_block_diag,
     reference_block_scaling_defect,
     reference_block_sval_defect,
@@ -18,6 +17,7 @@ from conftest import (
     reference_inverse_symbol_blocks,
     reference_probe,
     reference_r_sup,
+    reference_random_symbol,
     reference_representation_residual,
     reference_schatten,
 )
@@ -216,7 +216,7 @@ def test_adversarial_symbols_match_per_block_delta():
     for seed in range(220):
         rng = np.random.default_rng(seed)
         n, count = int(rng.integers(1, 13)), int(rng.integers(1, 9))
-        want = reference_adversarial_symbol(n, count, np.random.default_rng([seed, 1]), DEFAULT_TOL)
+        want = reference_random_symbol("adversarial", n, count, np.random.default_rng([seed, 1]))
         got = random_symbol("adversarial", n, count, np.random.default_rng([seed, 1]))
         assert np.array_equal(got.m, want.m) and np.array_equal(got.r, want.r)
 
