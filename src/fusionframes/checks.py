@@ -283,7 +283,7 @@ def _run_riesz_symbol_iff(inst, rng, tol):
 def _run_invertible_consequences(inst, rng, tol):
     rep = multipliers.invertible_multiplier_consequences(inst.symbol, inst.v, inst.w, tol)
     ok = rep.all_frames and rep.lower_bound_ok
-    detail = f"reweighted lower bound {rep.bounds_w_scaled[0]:.3e} vs {rep.lower_bound_rhs:.3e}"
+    detail = f"reweighted lower bound {rep.lower_bound_lhs:.3e} vs {rep.lower_bound_rhs:.3e}"
     return CheckResult(0.0 if ok else 1.0, detail=detail)
 
 

@@ -28,6 +28,7 @@ from .exceptions import ContractViolationError, NotAFrameError
 from .fusion import (
     FusionSequence,
     block_deviation,
+    check_pairing,
     fusion_synthesis_kw,
     leading_subspaces,
     sandwich,
@@ -72,11 +73,9 @@ __all__ = [
 
 
 def index_zero_set(v: FusionSequence, w: FusionSequence) -> frozenset:
-    """Indices where either sequence has a zero block."""
-    if v.count != w.count:
-        raise ContractViolationError(
-            f"sequences have different lengths: {v.count} and {w.count}"
-        )
+    """Indices where either sequence has a zero block, for two sequences under the
+    pairing rule of :func:`fusion.check_pairing`."""
+    check_pairing(v, w)
     return frozenset(
         i for i in range(v.count) if v.weights[i] == 0.0 or w.weights[i] == 0.0
     )
@@ -177,8 +176,7 @@ def gavruta_dual_check(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Normalized residual of sum_i w_i u_i P_{V_i} S_W^-1 P_{W_i} = I."""
-    if v.count != w.count:
-        raise ContractViolationError("sequences have different lengths")
+    check_pairing(v, w)  # before the weights of V and W are multiplied
     s_inv = frame_operator_inverse(w.embedding, tol)
     n = w.ambient_dim
     comp = sandwich(v, w, w.weights * v.weights, np.broadcast_to(s_inv, (w.count, n, n)))
@@ -206,9 +204,9 @@ def hmbz_dual_check(
     v: FusionSequence,
     w: FusionSequence,
     q_kw,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Residual of T_V^* Q T_W = I for a given K_W -> K_V coordinate operator."""
+    check_pairing(v, w)
     q = as_matrix(q_kw)
     synth_v = fusion_synthesis_kw(v)
     synth_w = fusion_synthesis_kw(w)
@@ -314,8 +312,6 @@ def find_separating_dual(
     separates, ``residual`` is a certified upper bound on the swept
     residuals, and the two sequences agree blockwise up to tolerance.
     """
-    if w.count != w_prime.count or w.ambient_dim != w_prime.ambient_dim:
-        raise ContractViolationError("sequences must share length and ambient dimension")
     if not is_frame(w.embedding, tol) or not is_frame(w_prime.embedding, tol):
         raise NotAFrameError("separating-dual search requires two fusion frames")
     deviation = block_deviation(w, w_prime)

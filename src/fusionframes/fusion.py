@@ -2,8 +2,9 @@
 
 A fusion sequence is a list of subspaces of C^n with non-negative weights,
 subject to the compatibility rule that a weight vanishes exactly when its
-subspace is zero. Each fact that no tolerance enters has one owner, which
-builds it read-only on first use:
+subspace is zero; two sequences pair by :func:`check_pairing`. Each fact that no
+tolerance enters has one owner, which builds it on first use and returns it
+through :func:`numerics.read_only`:
 
 * the sequence owns the (N, n, n) stack of its projections P_i and its
   embedding;
@@ -23,6 +24,9 @@ eigenvalue clip, the invertibility cutoff, ranks) are applied at each call on
 top of the cached facts. :func:`sandwich` builds every block sum
 sum_i c_i P_{V_i} X_i P_{W_i} (dual composites and multipliers) from the
 projection stacks and an (N, n, n) stack of the X_i.
+
+Bases of one shape are tested, and local frames of one dimension factored, as
+one stack from :func:`numerics.by_shape`.
 
 Two coefficient spaces appear throughout:
 
@@ -47,6 +51,8 @@ from .numerics import (
     FLOAT_MAX,
     ToleranceConfig,
     as_matrix,
+    by_shape,
+    read_only,
     relative_defect,
     spectral_norms,
 )
@@ -63,6 +69,7 @@ __all__ = [
     "projection",
     "frame_operator_fits",
     "FusionSequence",
+    "check_pairing",
     "block_sum",
     "sandwich",
     "block_deviation",
@@ -129,33 +136,23 @@ def _held(basis: np.ndarray) -> Subspace:
 
 def _subspaces_by_shape(mats, per_shape, names=None) -> tuple:
     """One Subspace per matrix of ``mats``, with each shape's matrices handled as one
-    (k, n, d) stack: ``per_shape`` maps it to the stack of their bases, which then
-    passes the orthonormality rule once. A failure raises ContractViolationError
+    (k, n, d) stack from :func:`numerics.by_shape`: ``per_shape`` maps it to the
+    stack of their bases, which then passes the orthonormality rule once. A failure raises ContractViolationError
     naming the first faulty matrix in list order by ``names[i]`` (default
     ``basis i``), as non-finite if it has a NaN or infinite entry."""
-    groups: dict = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(i)
     subs = [None] * len(mats)
-    first = None  # (index, finite) of the first faulty matrix
-    for (_, d), idx in groups.items():
-        if d == 0:  # an empty basis has nothing to test
-            for i in idx:
-                subs[i] = _held(mats[i])
-            continue
-        bases = per_shape(mats[idx[0]][None] if len(idx) == 1 else np.stack([mats[i] for i in idx]))
-        faulty = _orthonormality_faults(bases)
-        if faulty.any():
-            j = int(np.argmax(faulty))
-            if first is None or idx[j] < first[0]:
-                first = idx[j], bool(np.isfinite(bases[j]).all())
-        for i, b in zip(idx, bases):
+    faulty = np.zeros(len(mats), dtype=bool)
+    for idx, stack in by_shape(mats):
+        if stack.shape[-1]:  # an empty basis has nothing to test
+            stack = per_shape(stack)
+            faulty[idx] = _orthonormality_faults(stack)
+        for i, b in zip(idx, stack):
             subs[i] = _held(b)
-    if first is not None:
-        i, finite = first
+    if faulty.any():
+        i = int(np.argmax(faulty))
         name = f"basis {i}" if names is None else names[i]
         raise ContractViolationError(
-            f"{name}: basis columns are not orthonormal" if finite
+            f"{name}: basis columns are not orthonormal" if np.isfinite(subs[i].basis).all()
             else f"{name} contains NaN or Inf entries"
         )
     return tuple(subs)
@@ -257,8 +254,7 @@ class FusionSequence:
 
     def __post_init__(self):
         subs = tuple(self.subspaces)
-        wts = np.array(self.weights, dtype=np.float64).ravel()
-        wts.flags.writeable = False
+        wts = read_only(np.array(self.weights, dtype=np.float64).ravel())
         object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "weights", wts)
         if len(subs) == 0:
@@ -298,16 +294,19 @@ class FusionSequence:
     @cached_property
     def projections(self) -> np.ndarray:
         """Read-only (N, n, n) stack of the projections P_i, built on first use."""
-        stack = np.array([projection(s) for s in self.subspaces])
-        stack.flags.writeable = False
-        return stack
+        return read_only(np.array([projection(s) for s in self.subspaces]))
 
     @cached_property
     def embedding(self) -> OVFrame:
         """The B(C^n)-valued frame with read-only blocks w_i P_i, built on first use."""
-        blocks = self.weights[:, None, None] * self.projections
-        blocks.flags.writeable = False
-        return OVFrame(blocks)
+        return OVFrame(read_only(self.weights[:, None, None] * self.projections))
+
+
+def check_pairing(v: FusionSequence, w: FusionSequence) -> None:
+    """The pairing rule of every operation on two sequences: they share length and
+    ambient dimension, or ContractViolationError."""
+    if v.count != w.count or v.ambient_dim != w.ambient_dim:
+        raise ContractViolationError("sequences must share length and ambient dimension")
 
 
 def block_sum(stack: np.ndarray) -> np.ndarray:
@@ -321,8 +320,7 @@ def block_sum(stack: np.ndarray) -> np.ndarray:
 
 def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle) -> np.ndarray:
     """sum_i coeffs_i P_{V_i} X_i P_{W_i}, with ``middle`` the (N, n, n) stack of the X_i."""
-    if v.count != w.count or v.ambient_dim != w.ambient_dim:
-        raise ContractViolationError("sequences must share length and ambient dimension")
+    check_pairing(v, w)
     if np.shape(middle) != v.projections.shape:
         raise ContractViolationError(
             f"middle must be a {v.projections.shape} stack, got shape {np.shape(middle)}"
@@ -332,8 +330,7 @@ def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle) -> np.ndarray
 
 def block_deviation(f: FusionSequence, g: FusionSequence) -> float:
     """max_i ||w_i P_i - w'_i P'_i||, the largest blockwise distance of two sequences."""
-    if f.count != g.count or f.ambient_dim != g.ambient_dim:
-        raise ContractViolationError("sequences must share length and ambient dimension")
+    check_pairing(f, g)
     return float(spectral_norms(f.embedding.blocks - g.embedding.blocks).max())
 
 
@@ -421,18 +418,17 @@ def build_local_frames(
         raise ContractViolationError(
             f"local redundancy must be in 0..{MAX_REDUNDANCY}, got {redundancy}"
         )
-    groups: dict = {}
-    coeffs = {}
-    for i, d in enumerate(f.dims):
-        if d:
-            shape = (d, d + redundancy)
-            coeffs[i] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            groups.setdefault(d, []).append(i)
+    dims = f.dims
+    live = [i for i, d in enumerate(dims) if d]
+    draws = []
+    for i in live:
+        shape = (dims[i], dims[i] + redundancy)
+        draws.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     frames: list[Optional[VectorFrame]] = [None] * f.count
     duals: list[Optional[VectorFrame]] = [None] * f.count
     alpha, beta = np.inf, 0.0
-    for d, idx in groups.items():
-        coeff = np.stack([coeffs[i] for i in idx])
+    for idx, coeff in by_shape(draws):
+        idx, d = [live[j] for j in idx], coeff.shape[1]
         coeff[:, :, :d] = np.linalg.qr(coeff[:, :, :d])[0]
         coeff[:, :, d:] /= np.linalg.norm(coeff[:, :, d:], axis=1, keepdims=True)
         gram = coeff @ coeff.conj().transpose(0, 2, 1)

@@ -31,7 +31,7 @@ from .fusion import (
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
-from .numerics import DEFAULT_TOL, ToleranceConfig, finite_array, relative_defect, svd
+from .numerics import DEFAULT_TOL, ToleranceConfig, by_shape, finite_array, relative_defect, svd
 
 __all__ = [
     "SYMBOL_MODES",
@@ -433,26 +433,20 @@ def _check_reconstruction(w: FusionSequence, frames: list, duals: list) -> None:
     """The Subspace rule on stored local frames: sum_j dual_j phi_j^* must be P_{W_i}
     in Frobenius norm, tested once per frame shape; a failure names the first faulty
     block."""
-    shapes: dict = {}
-    for i in np.flatnonzero(w.dims):
-        shapes.setdefault(frames[i].shape, []).append(i)
-    dims = np.array(w.dims)
-    first = None  # (block, defect) of the first faulty block
-    for idx in shapes.values():
-        phi, dual = np.stack([frames[i] for i in idx]), np.stack([duals[i] for i in idx])
-        defects = np.linalg.norm(
+    live = np.flatnonzero(w.dims)
+    defects = np.zeros(w.count)
+    for idx, phi in by_shape([frames[i] for i in live]):
+        idx = live[idx]
+        dual = np.stack([duals[i] for i in idx])
+        defects[idx] = np.linalg.norm(
             dual.transpose(0, 2, 1) @ phi.conj() - w.projections[idx], axis=(1, 2)
         )
-        bad = relative_defect(defects, dims[idx]) > DEFAULT_TOL.eq_rel
-        if bad.any():
-            j = int(np.argmax(bad))
-            if first is None or idx[j] < first[0]:
-                first = idx[j], float(defects[j])
-    if first is not None:
-        i, defect = first
+    bad = relative_defect(defects, np.array(w.dims)) > DEFAULT_TOL.eq_rel
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ContractViolationError(
             f"local.frames[{i}], local.duals[{i}]: sum_j dual_j phi_j^* is "
-            f"{defect:.3e} from P_W_{i} in Frobenius norm (limit "
+            f"{defects[i]:.3e} from P_W_{i} in Frobenius norm (limit "
             f"{DEFAULT_TOL.eq_rel:.0e} relative to max(1, dim))"
         )
 

@@ -33,11 +33,12 @@ kept on the symbol, each formed once: the blocks (m_i R_i)^-1, the
 |m|-scaled sequences (:meth:`Symbol.scaled`, whose embeddings' cached bounds
 and analysis SVD serve both consequence checks) and, per (V, W) pair, the
 closed-form inverse M^-1 with L and Q_dagger
-(:meth:`Symbol.inverse_closed_form`). The inverse and the closed form are
-read only after the caller's cutoffs have passed. The inverse representation
-splits into its two halves, :func:`inverse_representation_residuals` (duality
-and representation) and :func:`inverse_representation_probe` (uniqueness),
-one per check. They are handed the sampled duals of {u_i P_{V_i}} as one
+(:meth:`Symbol.inverse_closed_form`), the facts per sequence or pair in
+:func:`numerics.memo` tables and every array through :func:`numerics.read_only`.
+The inverse and the closed form are read only after the caller's cutoffs have
+passed. The inverse representation splits into its two halves,
+:func:`inverse_representation_residuals` (duality and representation) and
+:func:`inverse_representation_probe` (uniqueness), one per check. They are handed the sampled duals of {u_i P_{V_i}} as one
 (c, N n, n) stack of analyses, re-validated against T_V with one batched
 SVD (:func:`ovf.duality_defects`), and the probe's kernel direction is drawn
 by :func:`ovf.kernel_samples` through the cached range basis of T_W, so no
@@ -62,6 +63,7 @@ from .frames import VectorFrame, ordinary_multiplier
 from .fusion import (
     FusionSequence,
     LocalFrameFamily,
+    check_pairing,
     excess,
     is_riesz_fusion_basis,
     sandwich,
@@ -72,7 +74,9 @@ from .numerics import (
     ToleranceConfig,
     clears_inv_cutoff,
     finite_array,
+    memo,
     near_inv_cutoff,
+    read_only,
     relative_defect,
     saturated_product,
     singular_values,
@@ -148,25 +152,19 @@ class Symbol:
     def svals(self) -> np.ndarray:
         """Read-only (N, n) singular values of the R_i, non-increasing, from one batched
         SVD on first use."""
-        s = singular_values(self.r)
-        s.flags.writeable = False
-        return s
+        return read_only(singular_values(self.r))
 
     @cached_property
     def block_diag_svals(self) -> np.ndarray:
         """Read-only singular values of D_mR, non-increasing: the sorted union of the
         |m_i| sigma(R_i), built from :attr:`svals` on first use. D_mR is block
         diagonal with blocks m_i R_i, so this union is its spectrum."""
-        s = np.sort((np.abs(self.m)[:, None] * self.svals).ravel())[::-1]
-        s.flags.writeable = False
-        return s
+        return read_only(np.sort((np.abs(self.m)[:, None] * self.svals).ravel())[::-1])
 
     @cached_property
     def blocks(self) -> np.ndarray:
         """Read-only (N, n, n) stack of the blocks m_i R_i of D_mR, formed on first use."""
-        b = self.m[:, None, None] * self.r
-        b.flags.writeable = False
-        return b
+        return read_only(self.m[:, None, None] * self.r)
 
     @cached_property
     def block_sval_defect(self) -> float:
@@ -182,62 +180,42 @@ class Symbol:
         """sup_i ||R_i||, the ell-infinity norm of the operator sequence."""
         return float(self.svals.max(initial=0.0))
 
-    @cached_property
-    def _assembled(self) -> dict:
-        """(V, W) -> (M, singular values of M), filled by :meth:`assembled`."""
-        return {}
-
     def assembled(self, v: FusionSequence, w: FusionSequence) -> tuple:
         """``(M, s)`` for M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and its
         non-increasing singular values s, both read-only. Built on first use per
         (V, W) pair, keyed by the identity of the two sequences, and kept as long
-        as the symbol is."""
-        key = (v, w)
-        if key not in self._assembled:
+        as the symbol is, in the memo table ``_assembled``."""
+
+        def build():
             _check_triple(self, v, w)
             mat = sandwich(v, w, self.m * v.weights * w.weights, self.r)
-            s = singular_values(mat)
-            mat.flags.writeable = False
-            s.flags.writeable = False
-            self._assembled[key] = (mat, s)
-        return self._assembled[key]
+            return read_only((mat, singular_values(mat)))
+
+        return memo(self, "_assembled", (v, w), build)
 
     @cached_property
     def inverse_blocks(self) -> np.ndarray:
         """Read-only blocks (m_i R_i)^-1 from one batched inv on first use; read them
         only once the two-sided symbol bound has passed (see :func:`inverse_symbol_blocks`)."""
-        inv = np.linalg.inv(self.blocks)
-        inv.flags.writeable = False
-        return inv
-
-    @cached_property
-    def _scaled(self) -> dict:
-        """f -> ``scale_weights(f, m)``, filled by :meth:`scaled`."""
-        return {}
+        return read_only(np.linalg.inv(self.blocks))
 
     def scaled(self, f: FusionSequence) -> FusionSequence:
         """The sequence with weights |m_i| f_i, built on first use per sequence, keyed
-        by its identity, so its own cached facts serve every later caller."""
-        if f not in self._scaled:
-            self._scaled[f] = scale_weights(f, self.m)
-        return self._scaled[f]
-
-    @cached_property
-    def _inverses(self) -> dict:
-        """(V, W) -> (M^-1, L, Q_dagger), filled by :meth:`inverse_closed_form`."""
-        return {}
+        by its identity, in the memo table ``_scaled``, so its own cached facts serve
+        every later caller."""
+        return memo(self, "_scaled", f, lambda: scale_weights(f, self.m))
 
     def inverse_closed_form(self, v: FusionSequence, w: FusionSequence) -> tuple:
         """``(M^-1, L, Q_dagger)`` for the memoized M of (V, W), all read-only, from
-        one inv on first use per pair, keyed like :meth:`assembled`. Read it only
-        once M is invertible and W is a frame at the caller's tolerance (see
-        :func:`inverse_representation_residuals`).
+        one inv on first use per pair, keyed like :meth:`assembled`, in the memo
+        table ``_inverses``. Read it only once M is invertible and W is a frame at
+        the caller's tolerance (see :func:`inverse_representation_residuals`).
 
         L_i = u_i R_i^* P_{V_i} M^-* - (w_i / conj(m_i)) P_{W_i} S_W^-1, the second
         term only where m_i != 0, and Q_dagger_i = w_i P_{W_i} S_W^-1 + conj(m_i) L_i.
         """
-        key = (v, w)
-        if key not in self._inverses:
+
+        def build():
             m_inv = np.linalg.inv(self.assembled(v, w)[0])
             pw_s_inv = w.projections @ w.embedding.frame_operator_inv
             m_conj = np.conj(self.m)
@@ -246,10 +224,9 @@ class Symbol:
             nz = self.m != 0.0
             l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
             q_dagger = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
-            for arr in (m_inv, l_blocks, q_dagger):
-                arr.flags.writeable = False
-            self._inverses[key] = (m_inv, l_blocks, q_dagger)
-        return self._inverses[key]
+            return read_only((m_inv, l_blocks, q_dagger))
+
+        return memo(self, "_inverses", (v, w), build)
 
 
 def inverse_symbol_blocks(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -313,13 +290,13 @@ class MultiplierReport:
 
 
 def _check_triple(sym: Symbol, v: FusionSequence, w: FusionSequence):
-    if not (sym.count == v.count == w.count):
+    """The pairing rule of :func:`fusion.check_pairing` on V and W, and the symbol
+    sized to them."""
+    check_pairing(v, w)
+    if (sym.count, sym.dim) != (v.count, v.ambient_dim):
         raise ContractViolationError(
-            f"lengths disagree: symbol {sym.count}, V {v.count}, W {w.count}"
-        )
-    if not (sym.dim == v.ambient_dim == w.ambient_dim):
-        raise ContractViolationError(
-            f"ambient dimensions disagree: symbol {sym.dim}, V {v.ambient_dim}, W {w.ambient_dim}"
+            f"symbol of {sym.count} blocks on C^{sym.dim} does not fit sequences "
+            f"of {v.count} blocks on C^{v.ambient_dim}"
         )
 
 
@@ -406,9 +383,11 @@ class InvertibleMultiplierReport:
     """What an invertible multiplier forces on its two sequences.
 
     Bounds are (alpha, beta) pairs for (W,w), (V,u), (W,|m|w), (V,|m|u);
-    the reweighted lower bound must clear 1/(beta_V ||R||_inf^2 ||M^-1||^2).
-    Excess equalities use the ambient stacked space. Fields are None when
-    the corresponding hypothesis (m bounded below, symbol bound) is off.
+    the reweighted lower bound alpha must clear sigma_min(M)^2 / (beta_V ||R||_inf^2),
+    compared without overflow as ``lower_bound_lhs`` = sqrt(alpha) sqrt(beta_V)
+    ||R||_inf (saturated) >= ``lower_bound_rhs`` = sqrt(1 - LOWER_BOUND_REL)
+    sigma_min(M). Excess equalities use the ambient stacked space. Fields are None
+    when the corresponding hypothesis (m bounded below, symbol bound) is off.
     """
 
     bounds_w: tuple
@@ -416,6 +395,7 @@ class InvertibleMultiplierReport:
     bounds_w_scaled: tuple
     bounds_v_scaled: tuple
     all_frames: bool
+    lower_bound_lhs: float
     lower_bound_rhs: float
     lower_bound_ok: bool
     excess_w: int
@@ -445,10 +425,8 @@ def invertible_multiplier_consequences(
     seqs = (w, v, w_scaled, v_scaled)
     bounds = [frame_bounds(seq.embedding, tol) for seq in seqs]
     all_frames = all(is_frame(seq.embedding, tol) for seq in seqs)
-    beta_v = bounds[1][1]
-    # ||M^-1|| = 1 / sigma_min(M)
-    rhs = report.sigma_min**2 / (beta_v * sym.r_sup**2)
-    lower_ok = bounds[2][0] >= (1.0 - LOWER_BOUND_REL) * rhs
+    lhs = saturated_product(np.sqrt(max(bounds[2][0], 0.0)), np.sqrt(bounds[1][1]), sym.r_sup)
+    rhs = np.sqrt(1.0 - LOWER_BOUND_REL) * report.sigma_min
     e_w = excess(w, tol)[0]
     e_v = excess(v, tol)[0]
     e_ws = excess(w_scaled, tol)[0]
@@ -463,8 +441,9 @@ def invertible_multiplier_consequences(
         bounds_w_scaled=bounds[2],
         bounds_v_scaled=bounds[3],
         all_frames=all_frames,
+        lower_bound_lhs=lhs,
         lower_bound_rhs=rhs,
-        lower_bound_ok=bool(lower_ok),
+        lower_bound_ok=bool(lhs >= rhs),
         excess_w=e_w,
         excess_v=e_v,
         excess_w_scaled=e_ws,

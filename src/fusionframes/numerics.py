@@ -11,6 +11,10 @@ counts as zero, and every relative residual and every ``eq_rel`` test takes
 its comparison scale from one rule, :func:`relative_defect`; an inverse is
 taken only where the caller has already applied the invertibility cutoff to
 the same singular values.
+
+Every cached fact is frozen by :func:`read_only`, every memo table is kept by
+:func:`memo`, and matrices of one shape go to LAPACK as one stack grouped by
+:func:`by_shape`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ __all__ = [
     "eig_extremes",
     "clip_eig_bounds",
     "spectrum_schatten_norm",
+    "read_only",
+    "memo",
+    "by_shape",
 ]
 
 
@@ -224,3 +231,32 @@ def spectrum_schatten_norm(s: np.ndarray, p: float) -> float:
     if top == 0.0:
         return 0.0
     return top * float(np.sum((s / top) ** p) ** (1.0 / p))
+
+
+def read_only(value):
+    """Freeze an array, or each array of a tuple, and return it: every fact cached on
+    a frame, symbol or multiplier is returned through here, so no caller can write
+    into an array another caller reads."""
+    for arr in value if isinstance(value, tuple) else (value,):
+        arr.flags.writeable = False
+    return value
+
+
+def memo(owner, table: str, key, build):
+    """Entry ``key`` of the memo table ``table``, a dict in ``owner.__dict__`` beside
+    its cached properties: ``build()`` on first use per key, the same object after.
+    Sequences hash by identity, so a key of sequences names the operands."""
+    entries = vars(owner).setdefault(table, {})
+    if key not in entries:
+        entries[key] = build()
+    return entries[key]
+
+
+def by_shape(arrays) -> list:
+    """``(indices, stack)`` for each distinct shape of ``arrays``, in order of first
+    appearance: the list indices of the arrays of that shape, increasing, and the
+    (k, ...) stack of those arrays, so that one LAPACK call serves a whole shape."""
+    groups: dict = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return [(idx, np.array([arrays[i] for i in idx])) for idx in groups.values()]

@@ -36,8 +36,9 @@ directly, and its constructor checks its L as a stack of one. The swept
 members are checked all at once from their column norms
 (:func:`_check_annihilator`), so only the witness is checked twice.
 
-Which object caches which fact, each read-only, built on first use and free
-of any tolerance:
+Which object caches which fact, each built on first use, free of any
+tolerance and returned through :func:`numerics.read_only`; the spectra per rank
+cut are kept in a :func:`numerics.memo` table:
 
 * an :class:`OVFrame` caches its frame operator S_A = T_A^* T_A, the
   extreme eigenvalues of its Hermitian part, from which its bounds, its
@@ -74,6 +75,8 @@ from .numerics import (
     clip_eig_bounds,
     eig_extremes,
     finite_array,
+    memo,
+    read_only,
     relative_defect,
     singular_values,
     spectral_norms,
@@ -136,9 +139,7 @@ class OVFrame:
     def frame_operator(self) -> np.ndarray:
         """Read-only S_A = T_A^* T_A, built on first use."""
         t = self.analysis
-        s = t.conj().T @ t
-        s.flags.writeable = False
-        return s
+        return read_only(t.conj().T @ t)
 
     @cached_property
     def frame_eigs(self) -> tuple:
@@ -150,33 +151,20 @@ class OVFrame:
     def frame_operator_inv(self) -> np.ndarray:
         """Read-only S_A^-1 from one inv on first use; read it only once the frame
         test has passed (see :func:`frame_operator_inverse`)."""
-        inv = np.linalg.inv(self.frame_operator)
-        inv.flags.writeable = False
-        return inv
+        return read_only(np.linalg.inv(self.frame_operator))
 
     @cached_property
     def canonical_analysis(self) -> np.ndarray:
         """Read-only T_A S_A^-1, from the cached inverse on first use; read it only once
         the frame test has passed (see :func:`frame_operator_inverse`)."""
-        t_dual = self.analysis @ self.frame_operator_inv
-        t_dual.flags.writeable = False
-        return t_dual
+        return read_only(self.analysis @ self.frame_operator_inv)
 
     @cached_property
     def analysis_svd(self) -> tuple:
         """Read-only thin SVD factors ``(U, s)`` of T_A, non-increasing s, from one
         SVD on first use: the one factorization of T_A, read through its rank cut
         :func:`range_basis`."""
-        u, s, _ = svd(self.analysis)
-        u.flags.writeable = False
-        s.flags.writeable = False
-        return u, s
-
-    @cached_property
-    def _family_svals(self) -> dict:
-        """Rank cut of Q -> spectrum of [T_A S_A^-1 | P_ker], filled by
-        :func:`_dual_family_svals`."""
-        return {}
+        return read_only(svd(self.analysis)[:2])
 
     @property
     def analysis_norm(self) -> float:
@@ -421,7 +409,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
 def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:
     """Read-only non-increasing singular values of B = [T_A S_A^-1 | P_ker], taken
     once per frame and rank cut of Q, the only input ``tol`` enters, without
-    forming B.
+    forming B, and kept in the memo table ``a._family_svals``.
 
     With C = T_A S_A^-1, BB^* - I = C C^* - Q Q^*, whose range lies in
     span[Q | C]. So for Z, the orthonormal QR factor of [Q | C] with p <= r + n
@@ -432,15 +420,14 @@ def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:
     frame_operator_inverse(a, tol)
     t_dual = a.canonical_analysis
     q = range_basis(a, tol)
-    cut = q.shape[1]
-    if cut not in a._family_svals:
+
+    def build():
         z_adj = np.linalg.qr(np.hstack([q, t_dual]))[0].conj().T
         zb = np.hstack([z_adj @ t_dual, z_adj - (z_adj @ q) @ q.conj().T])
         ones = np.ones(q.shape[0] - z_adj.shape[0])
-        s = np.sort(np.concatenate([singular_values(zb), ones]))[::-1]
-        s.flags.writeable = False
-        a._family_svals[cut] = s
-    return a._family_svals[cut]
+        return read_only(np.sort(np.concatenate([singular_values(zb), ones]))[::-1])
+
+    return memo(a, "_family_svals", q.shape[1], build)
 
 
 def _dual_span_rank(a: OVFrame, tol: ToleranceConfig) -> int:

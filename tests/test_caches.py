@@ -377,6 +377,48 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     assert calls("eigvalsh", "excess_invariance") == []
 
 
+CACHING = (FusionSequence, ovf.OVFrame, multipliers.Symbol)
+
+
+def _cached_values(obj):
+    """``(name, value)`` for each cached property computed on ``obj`` and for each
+    entry of its memo tables, the dicts held beside those properties."""
+    props = {name for name, attr in vars(type(obj)).items() if isinstance(attr, cached_property)}
+    for name, value in vars(obj).items():
+        if name in props:
+            yield name, value
+        elif isinstance(value, dict):
+            yield from ((name, entry) for entry in value.values())
+
+
+def test_every_cached_fact_and_memo_entry_is_read_only():
+    # walks every object the suite cached facts on, from the instance's sequences
+    # and symbol, so a fact added without numerics.read_only fails here
+    inst = _instance()
+    assert run_suite("all", [inst])["summary"]["fail"] == 0
+    todo, seen, computed = [inst.w, inst.v, inst.symbol], set(), set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        for name, value in _cached_values(obj):
+            computed.add(f"{type(obj).__name__}.{name}")
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, CACHING):
+                    todo.append(part)
+                elif isinstance(part, np.ndarray):
+                    assert not part.flags.writeable, f"{type(obj).__name__}.{name}"
+    every = {
+        f"{cls.__name__}.{name}"
+        for cls in CACHING
+        for name, attr in vars(cls).items()
+        if isinstance(attr, cached_property)
+    }
+    tables = {"OVFrame._family_svals", "Symbol._assembled", "Symbol._scaled", "Symbol._inverses"}
+    assert every | tables <= computed
+
+
 def test_invertible_multiplier_memos_are_read_only_and_small():
     inst = _instance()
     sym, v, w = inst.symbol, inst.v, inst.w

@@ -15,8 +15,9 @@ import pytest
 import fusionframes
 from fusionframes.cli import main
 from fusionframes.exceptions import NumericFailureError
-from fusionframes.instances import load_instance
-from fusionframes.multipliers import assemble_multiplier, schatten_checks
+from fusionframes.fusion import FusionSequence
+from fusionframes.instances import load_instance, save_instance
+from fusionframes.multipliers import Symbol, assemble_multiplier, schatten_checks
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
@@ -210,6 +211,32 @@ def test_schatten_norms_stay_finite_on_a_loadable_symbol_with_a_huge_scalar(tmp_
     assert np.all(np.isfinite(values))
     assert 1e80 < rep.composite_norm <= rep.composite_bound
     assert rep.block_norm <= rep.rank_bound
+
+
+@pytest.mark.parametrize("case", ["weights_1e150", "weights_1e-100_blocks_1e-70"])
+def test_the_reweighted_lower_bound_is_compared_at_any_scale(tmp_path, capsys, case):
+    # sigma_min^2 / (beta_V r_sup^2), formed in Python floats, raised OverflowError
+    # on the first instance and ZeroDivisionError on the second, both loadable, so
+    # check died with a traceback
+    path, report = tmp_path / "inst.json", tmp_path / "report.json"
+    gen = ["gen", "--dim", "3", "--blocks", "3", "--dims", "1,1,1", "-o", str(path)]
+    if case == "weights_1e150":
+        assert main(gen + ["--weights", "1e150,1e150"]) == 0
+    else:
+        assert main(gen) == 0
+        inst = load_instance(path)
+        tiny = [FusionSequence(f.subspaces, 1e-100 * f.weights) for f in (inst.w, inst.v)]
+        symbol = Symbol(inst.symbol.m, 1e-70 * inst.symbol.r)
+        save_instance(dataclasses.replace(inst, w=tiny[0], v=tiny[1], symbol=symbol), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["check", "--suite", "multipliers", str(path), "--report", str(report)])
+    capsys.readouterr()
+    # the inverse checks may still abort at these scales (weight-scale invariance)
+    assert code in (0, 1)
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    for name in ("invertible_multiplier_frames", "excess_invariance"):
+        assert entries[name]["verdict"] == "pass"
 
 
 def test_exit_code_bad_suite():

@@ -58,6 +58,36 @@ def test_index_zero_set():
         index_zero_set(std, with_zero)
 
 
+def _lines(n, count):
+    """``count`` coordinate lines of C^n, cycling through the axes, unit weights."""
+    eye = np.eye(n, dtype=np.complex128)
+    return FusionSequence(tuple(Subspace(eye[:, [i % n]]) for i in range(count)), np.ones(count))
+
+
+C4_FRAME = FusionSequence(  # three blocks of dims 2, 1, 1 spanning C^4
+    (Subspace(np.eye(4)[:, :2]), line([0, 0, 1, 0]), line([0, 0, 0, 1])), np.ones(3)
+)
+
+
+@pytest.mark.parametrize("other", [C4_FRAME, _lines(3, 4)], ids=["ambient_c4", "length_4"])
+def test_every_pairing_of_two_fusion_frames_applies_one_rule(other):
+    # V and W must share length and ambient dimension; with V in C^3 and W in C^4,
+    # kpp_dual_check and hmbz_dual_check used to raise numpy's bare ValueError
+    v = _lines(3, 3)
+    q = _projection_blocks(v)
+    calls = [
+        lambda: kpp_dual_check(v, other, q),
+        lambda: hmbz_dual_check(v, other, np.zeros((3, sum(other.dims)))),
+        lambda: index_zero_set(v, other),
+        lambda: gavruta_dual_check(v, other),
+        lambda: gavruta_dual_check(other, v),
+        lambda: find_separating_dual(v, other),
+    ]
+    for call in calls:
+        with pytest.raises(ContractViolationError, match="share length and ambient dimension"):
+            call()
+
+
 def test_admissibility_examples():
     std = coordinate_decomposition(2)
     good = _projection_blocks(std)
