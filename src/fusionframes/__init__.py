@@ -17,6 +17,7 @@ from .exceptions import (
 from .numerics import DEFAULT_TOL, ToleranceConfig
 from .frames import (
     VectorFrame,
+    embed_ordinary,
     inverse_representation_ordinary,
     ordinary_multiplier,
 )
@@ -36,7 +37,6 @@ from .ovf import (
     OVFrame,
     canonical_ov_dual,
     dual_span_dimension,
-    embed_ordinary,
     frame_bounds,
     is_frame,
     null_bessel_certificate,

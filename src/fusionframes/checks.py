@@ -43,7 +43,7 @@ from .numerics import (
     spectral_norm,
     spectral_norms,
 )
-from .ovf import frame_bounds, is_frame
+from .ovf import is_frame
 
 __all__ = ["CheckResult", "Check", "CHECKS", "SUITES", "run_suite", "describe_check"]
 
@@ -99,8 +99,7 @@ def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
 
 def _run_canonical_dual(inst, rng, tol):
     a = inst.w.embedding
-    cand = ovf.canonical_ov_dual(a, tol)
-    return CheckResult(float(ovf.duality_defects(cand.analysis[None], a.analysis)[0]))
+    return CheckResult(float(ovf.duality_defects(ovf.canonical_ov_dual(a, tol)[None], a.analysis)[0]))
 
 
 def _run_sampled_duals(inst, rng, tol):
@@ -298,17 +297,9 @@ def _run_excess_invariance(inst, rng, tol):
     return CheckResult(float(mismatch))
 
 
-def _v_duals(inst, rng, tol):
-    """The analyses of the canonical and four sampled duals of {u_i P_{V_i}}, as one
-    stack, drawn from ``rng``."""
-    a_v = inst.v.embedding
-    canonical = ovf.canonical_ov_dual(a_v, tol).analysis
-    return np.concatenate([canonical[None], ovf.sample_ov_duals(a_v, 4, rng, tol)])
-
-
 def _run_inverse_representation(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
-    duals = _v_duals(inst, rng, tol)
+    duals = ovf.canonical_and_sampled_duals(v.embedding, 5, rng, tol)
     residuals = multipliers.inverse_representation_residuals(sym, v, w, duals, tol)
     near = multipliers.condition_c(sym, tol).near_threshold
     return CheckResult(max(residuals), indeterminate=near)
@@ -316,7 +307,7 @@ def _run_inverse_representation(inst, rng, tol):
 
 def _run_inverse_uniqueness(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
-    duals = _v_duals(inst, rng, tol)
+    duals = ovf.canonical_and_sampled_duals(v.embedding, 5, rng, tol)
     probe = multipliers.inverse_representation_probe(sym, v, w, duals, rng, tol)  # draws after the duals
     shortfall = max(0.0, (1e-4 - probe) / 1e-4)
     # W is a frame, so T_W has rank n and ker T_W^* has dimension (N - 1) n
@@ -379,8 +370,8 @@ def _run_local_negative(inst, rng, tol):
     live = inst.v.weights * inst.w.weights > 0.0
     sym = inst.symbol
     symbol_sup = float(np.max(np.abs(sym.m[live]) * sym.svals[live, 0], initial=0.0))
-    beta_v, beta_w = frame_bounds(inst.v.embedding, tol)[1], frame_bounds(inst.w.embedding, tol)[1]
-    reach = saturated_product(np.sqrt(beta_v), np.sqrt(beta_w), symbol_sup, 1.0 + family.beta)
+    norms = inst.v.embedding.analysis_norm, inst.w.embedding.analysis_norm
+    reach = saturated_product(*norms, symbol_sup, 1.0 + family.beta)
     if reach < 1e-3:
         detail = f"the control can reach at most {reach:.3e} < 1e-3"
         return CheckResult(shortfall, indeterminate=True, detail=detail)

@@ -39,6 +39,7 @@ from .numerics import (
     as_matrix,
     clears_inv_cutoff,
     extreme_singular_values,
+    read_only,
     relative_defect,
     spectral_norm,
     spectral_norms,
@@ -276,7 +277,7 @@ def fusion_dual_to_ovf(v: FusionSequence, q_blocks) -> OVFrame:
     if q.ndim != 3 or q.shape[0] != v.count:
         raise ContractViolationError("one square block per index required")
     return OVFrame(
-        np.array([v.weights[i] * q[i].conj().T for i in range(v.count)])
+        read_only(np.array([v.weights[i] * q[i].conj().T for i in range(v.count)]))
     )
 
 

@@ -1,9 +1,8 @@
 """Ordinary vector frames in C^n: multipliers, sampled duals, inverse representation.
 
 Bounds and the frame test of a vector frame are those of its embedding
-(:func:`ovf.embed_ordinary`), and its sampled duals are the embedding's
-canonical dual and the analysis stack of :func:`ovf.sample_ov_duals`, read
-back as vectors."""
+(:func:`embed_ordinary`), and its sampled duals are the analysis stack of
+:func:`ovf.canonical_and_sampled_duals` on the embedding, read back as vectors."""
 
 from __future__ import annotations
 
@@ -19,11 +18,13 @@ from .numerics import (
     as_matrix,
     clears_inv_cutoff,
     extreme_singular_values,
+    read_only,
     spectral_norm,
 )
 
 __all__ = [
     "VectorFrame",
+    "embed_ordinary",
     "ordinary_multiplier",
     "sample_ordinary_duals",
     "inverse_representation_ordinary",
@@ -46,6 +47,11 @@ class VectorFrame:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
+
+
+def embed_ordinary(phi: VectorFrame) -> ovf.OVFrame:
+    """Vectors as rank-one analysis functionals: block i is the row phi_i^*."""
+    return ovf.OVFrame(read_only(phi.vectors.conj()[:, None, :]))
 
 
 def ordinary_multiplier(m, synth: VectorFrame, anal: VectorFrame) -> np.ndarray:
@@ -77,9 +83,7 @@ def sample_ordinary_duals(
     embedded frame, so each returned frame ``d`` satisfies
     ``sum_i <x, d_i> phi_i = x``.
     """
-    a = ovf.embed_ordinary(phi)
-    canonical = ovf.canonical_ov_dual(a, tol).analysis
-    duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, count - 1, rng, tol)])
+    duals = ovf.canonical_and_sampled_duals(embed_ordinary(phi), count, rng, tol)
     return [VectorFrame(d.conj()) for d in duals]
 
 

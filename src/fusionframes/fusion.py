@@ -52,6 +52,7 @@ from .numerics import (
     ToleranceConfig,
     as_matrix,
     by_shape,
+    owned,
     read_only,
     relative_defect,
     spectral_norms,
@@ -96,12 +97,12 @@ def _orthonormality_faults(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^n held as an n x d matrix with orthonormal columns."""
+    """A subspace of C^n held as a read-only n x d matrix with orthonormal columns."""
 
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_matrix(self.basis)
+        b = owned(as_matrix(self.basis))
         object.__setattr__(self, "basis", b)
         n, d = b.shape
         if d > n:
@@ -127,10 +128,10 @@ class Subspace:
 
 
 def _held(basis: np.ndarray) -> Subspace:
-    """A Subspace on ``basis``, a finite complex128 matrix that has already passed the
-    orthonormality rule, without a second test."""
+    """A Subspace on ``basis``, frozen in place: a finite complex128 matrix the package
+    built, which has already passed the orthonormality rule, held without a second test."""
     sub = object.__new__(Subspace)
-    object.__setattr__(sub, "basis", basis)
+    object.__setattr__(sub, "basis", read_only(basis))
     return sub
 
 
@@ -245,8 +246,8 @@ class FusionSequence:
     """Weighted subspaces (W_i, w_i) sharing one ambient space.
 
     Equality and hashing are by identity, so a sequence can key the
-    multiplier memo of a :class:`multipliers.Symbol`. The weights are a
-    read-only copy of the array given.
+    multiplier memo of a :class:`multipliers.Symbol`. The weights are held
+    read-only (:func:`numerics.owned`).
     """
 
     subspaces: tuple
@@ -254,7 +255,7 @@ class FusionSequence:
 
     def __post_init__(self):
         subs = tuple(self.subspaces)
-        wts = read_only(np.array(self.weights, dtype=np.float64).ravel())
+        wts = owned(np.asarray(self.weights, dtype=np.float64).ravel())
         object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "weights", wts)
         if len(subs) == 0:

@@ -31,7 +31,7 @@ from .fusion import (
 )
 from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
-from .numerics import DEFAULT_TOL, ToleranceConfig, by_shape, finite_array, relative_defect, svd
+from .numerics import DEFAULT_TOL, ToleranceConfig, by_shape, finite_array, read_only, relative_defect, svd
 
 __all__ = [
     "SYMBOL_MODES",
@@ -342,9 +342,9 @@ _DECODERS = {"ffv1": _decode_pairs, "ffv2": _decode_bytes}
 
 
 def _finite(decode, value, shape: tuple, field: str) -> np.ndarray:
-    """The decoded array, or a ContractViolationError naming ``field`` if any entry
-    is NaN or infinite."""
-    return finite_array(decode(value, shape, field), len(shape), field)
+    """The decoded array, frozen in place, or a ContractViolationError naming
+    ``field`` if any entry is NaN or infinite."""
+    return read_only(finite_array(decode(value, shape, field), len(shape), field))
 
 
 def instance_to_json(inst: Instance) -> str:

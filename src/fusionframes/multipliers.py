@@ -44,10 +44,9 @@ SVD (:func:`ovf.duality_defects`), and the probe's kernel direction is drawn
 by :func:`ovf.kernel_samples` through the cached range basis of T_W, so no
 (N n) x (N n) projector is formed on this path. The Riesz verdict reads
 :func:`fusion.is_riesz_fusion_basis`. The frame facts of V and W are read
-through their embeddings: beta_V and beta_W of the norm bound from
-:func:`ovf.frame_bounds`, ||T_V|| and ||T_W|| from
-:attr:`ovf.OVFrame.analysis_norm`, and S_W^-1 only behind the frame test of
-:func:`ovf.frame_operator_inverse`.
+through their embeddings: the bounds from :func:`ovf.frame_bounds`, ||T_V||
+and ||T_W|| of every norm bound from :attr:`ovf.OVFrame.analysis_norm`, and
+S_W^-1 only behind the frame test of :func:`ovf.frame_operator_inverse`.
 """
 
 from __future__ import annotations
@@ -76,6 +75,7 @@ from .numerics import (
     finite_array,
     memo,
     near_inv_cutoff,
+    owned,
     read_only,
     relative_defect,
     saturated_product,
@@ -115,7 +115,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Symbol:
-    """Scalar sequence m with an operator sequence R, one pair per block."""
+    """Scalar sequence m with an operator sequence R, one pair per block, both held
+    read-only (:func:`numerics.owned`)."""
 
     m: np.ndarray
     r: np.ndarray
@@ -129,8 +130,8 @@ class Symbol:
             raise ContractViolationError(
                 f"{m.size} scalars but {r.shape[0]} operator blocks"
             )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", owned(m))
+        object.__setattr__(self, "r", owned(r))
 
     @classmethod
     def identity(cls, n: int, count: int) -> "Symbol":
@@ -310,14 +311,13 @@ def assemble_multiplier(
 
     The matrix and its spectrum are those memoized on ``sym``; invertibility
     and the norm bound are derived from its extreme singular values at ``tol``.
-    The norm bound sqrt(beta_V) sqrt(beta_W) m_sup r_sup saturates at the largest
+    The norm bound ||T_V|| ||T_W|| m_sup r_sup saturates at the largest
     float, so it stays finite and still bounds sigma_max.
     """
     mat, s = sym.assembled(v, w)
     sigma_min, sigma_max = float(s[-1]), float(s[0])
-    _, beta_v = frame_bounds(v.embedding, tol)
-    _, beta_w = frame_bounds(w.embedding, tol)
-    bound = saturated_product(np.sqrt(beta_v), np.sqrt(beta_w), sym.m_sup, sym.r_sup)
+    norms = v.embedding.analysis_norm, w.embedding.analysis_norm
+    bound = saturated_product(*norms, sym.m_sup, sym.r_sup)
     return MultiplierReport(
         matrix=mat,
         sigma_min=sigma_min,
@@ -425,7 +425,7 @@ def invertible_multiplier_consequences(
     seqs = (w, v, w_scaled, v_scaled)
     bounds = [frame_bounds(seq.embedding, tol) for seq in seqs]
     all_frames = all(is_frame(seq.embedding, tol) for seq in seqs)
-    lhs = saturated_product(np.sqrt(max(bounds[2][0], 0.0)), np.sqrt(bounds[1][1]), sym.r_sup)
+    lhs = saturated_product(np.sqrt(max(bounds[2][0], 0.0)), v.embedding.analysis_norm, sym.r_sup)
     rhs = np.sqrt(1.0 - LOWER_BOUND_REL) * report.sigma_min
     e_w = excess(w, tol)[0]
     e_v = excess(v, tol)[0]
@@ -604,7 +604,7 @@ def schatten_checks(
     tops = np.hypot(sym.m.real, sym.m.imag) * sym.svals[:, 0]
     return SchattenReport(
         composite_norm=spectrum_schatten_norm(sym.assembled(v, w)[1], p),
-        composite_bound=float(v.embedding.analysis_norm * w.embedding.analysis_norm * d_norm),
+        composite_bound=saturated_product(v.embedding.analysis_norm, w.embedding.analysis_norm, d_norm),
         block_norm=d_norm,
         rank_bound=spectrum_schatten_norm(np.repeat(tops, ranks), p),
     )

@@ -12,7 +12,8 @@ its comparison scale from one rule, :func:`relative_defect`; an inverse is
 taken only where the caller has already applied the invertibility cutoff to
 the same singular values.
 
-Every cached fact is frozen by :func:`read_only`, every memo table is kept by
+Every cached fact is frozen by :func:`read_only`, every array a frame, sequence,
+symbol, subspace or candidate is handed is held by :func:`owned`, every memo table by
 :func:`memo`, and matrices of one shape go to LAPACK as one stack grouped by
 :func:`by_shape`.
 """
@@ -46,6 +47,7 @@ __all__ = [
     "clip_eig_bounds",
     "spectrum_schatten_norm",
     "read_only",
+    "owned",
     "memo",
     "by_shape",
 ]
@@ -240,6 +242,12 @@ def read_only(value):
     for arr in value if isinstance(value, tuple) else (value,):
         arr.flags.writeable = False
     return value
+
+
+def owned(a: np.ndarray) -> np.ndarray:
+    """``a`` when it is read-only, else a read-only copy, so no later write by the
+    caller reaches an object that holds it or a fact cached from it."""
+    return read_only(a.copy()) if a.flags.writeable else a
 
 
 def memo(owner, table: str, key, build):

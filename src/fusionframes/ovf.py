@@ -22,17 +22,18 @@ their adjoints the row space of B^*. Both rank certificates read one
 spectrum of B per frame and rank cut, taken from a matrix of at most
 (r + n) rows (:func:`_dual_family_svals`). The reconstruction residual of
 member (r, s) is that of the canonical dual updated by a rank-one term
-whose norm is the norm of row r of P_ker^* T', so the sweep decides each
-stacked row r by two bounds from one SVD and one product, and takes a
-batched SVD of a row's members only where the bounds leave it undecided.
+whose norm is the norm of row r of P_ker^* T', so the sweep bounds each
+stacked row r from one SVD and one product, and takes one batched SVD of a
+row's members only where the bound leaves it undecided.
 
 Perturbations are checked to annihilate T_A at the caller's eq_rel by two
 stacked SVDs of n x n matrices per stack (:func:`annihilation_defects`),
 ||L^* T_A|| and ||L^* L||, and by none for a stack of zeros. Sampled duals
 travel as one (c, N k, n) stack of analyses (:func:`sample_ov_duals`),
-checked once as one stack. A :class:`DualCandidate` records one dual built
-on its own, the canonical dual, the sweep's witness or a dual constructed
-directly, and its constructor checks its L as a stack of one. The swept
+checked once as one stack, behind the canonical analysis T_A S_A^-1 in
+:func:`canonical_and_sampled_duals`. A :class:`DualCandidate` records one
+dual built on its own, the sweep's witness or one constructed directly; it
+checks its L as a stack of one and derives its analysis from L. The swept
 members are checked all at once from their column norms
 (:func:`_check_annihilator`), so only the witness is checked twice.
 
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from .numerics import (
     eig_extremes,
     finite_array,
     memo,
+    owned,
     read_only,
     relative_defect,
     singular_values,
@@ -84,15 +85,11 @@ from .numerics import (
     svd,
 )
 
-if TYPE_CHECKING:  # frames imports this module at load time
-    from .frames import VectorFrame
-
 __all__ = [
     "OVFrame",
     "frame_bounds",
     "is_frame",
     "frame_operator_inverse",
-    "embed_ordinary",
     "DualCandidate",
     "annihilation_defects",
     "duality_defects",
@@ -102,6 +99,7 @@ __all__ = [
     "kernel_samples",
     "canonical_ov_dual",
     "sample_ov_duals",
+    "canonical_and_sampled_duals",
     "sweep_dual_family",
     "dual_span_dimension",
     "null_bessel_certificate",
@@ -110,12 +108,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OVFrame:
-    """A sequence of k x n operator blocks, stored as an (N, k, n) array."""
+    """A sequence of k x n operator blocks, held as a read-only (N, k, n) array."""
 
     blocks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", finite_array(self.blocks, 3, "operator blocks"))
+        object.__setattr__(self, "blocks", owned(finite_array(self.blocks, 3, "operator blocks")))
 
     @property
     def count(self) -> int:
@@ -143,9 +141,9 @@ class OVFrame:
 
     @cached_property
     def frame_eigs(self) -> tuple:
-        """Extreme eigenvalues (lo, hi) of the Hermitian part of S_A, unclipped, on first use."""
+        """Unclipped extreme eigenvalues (lo, hi) of S_A / 2 + S_A^* / 2, which cannot overflow."""
         s = self.frame_operator
-        return eig_extremes((s + s.conj().T) / 2.0)
+        return eig_extremes(s / 2.0 + s.conj().T / 2.0)
 
     @cached_property
     def frame_operator_inv(self) -> np.ndarray:
@@ -192,30 +190,28 @@ def frame_operator_inverse(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np
     return a.frame_operator_inv
 
 
-def embed_ordinary(phi: VectorFrame) -> OVFrame:
-    """Vectors as rank-one analysis functionals: block i is the row phi_i^*."""
-    return OVFrame(phi.vectors.conj()[:, None, :])
-
-
 @dataclass(frozen=True)
 class DualCandidate:
-    """A member T_A S_A^-1 + L of the dual family of ``base``.
-
-    ``perturbation`` is the stacked L and ``analysis`` the stacked analysis
-    of the dual itself. Membership of L in the annihilator of T_A is checked
-    at construction, at ``tol``, as a stack of one.
+    """A member T_A S_A^-1 + L of the dual family of ``base``, ``perturbation`` the
+    stacked L, held read-only. The frame test of ``base`` and the membership of L in
+    the annihilator of T_A are checked at construction, at ``tol``, L as a stack of
+    one; the stacked analysis of the dual is derived from L.
     """
 
     base: OVFrame
     perturbation: np.ndarray
-    analysis: np.ndarray
     tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
-        l = as_matrix(self.perturbation)
+        frame_operator_inverse(self.base, self.tol)
+        l = owned(as_matrix(self.perturbation))
         object.__setattr__(self, "perturbation", l)
-        object.__setattr__(self, "analysis", as_matrix(self.analysis))
         annihilation_defects(self.base, l[None], self.tol)
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        """Read-only T_A S_A^-1 + L, formed on first use."""
+        return read_only(self.base.canonical_analysis + self.perturbation)
 
 
 def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -266,11 +262,10 @@ def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return u[:, : svals_rank(s, max(a.analysis.shape), tol)]
 
 
-def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> DualCandidate:
-    """The dual with L = 0, read off from T_A S_A^-1."""
+def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The canonical dual's read-only analysis T_A S_A^-1, behind the frame test at ``tol``."""
     frame_operator_inverse(a, tol)
-    t_dual = a.canonical_analysis
-    return DualCandidate(a, np.zeros_like(t_dual), t_dual, tol)
+    return a.canonical_analysis
 
 
 def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -303,6 +298,12 @@ def sample_ov_duals(
     return a.canonical_analysis + stack
 
 
+def canonical_and_sampled_duals(a: OVFrame, count: int, rng, tol: ToleranceConfig) -> np.ndarray:
+    """The (count, N k, n) stack of the canonical dual's analysis followed by the
+    ``count - 1`` sampled analyses of :func:`sample_ov_duals`, drawn from ``rng``."""
+    return np.concatenate([canonical_ov_dual(a, tol)[None], sample_ov_duals(a, count - 1, rng, tol)])
+
+
 def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
     """P_ker[:, r] = e_r - Q Q[r, :]^* for the range basis ``q``."""
     e_r = np.zeros(q.shape[0], dtype=np.complex128)
@@ -310,17 +311,15 @@ def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
     return e_r - q @ q[r].conj()
 
 
-def _family_member(
-    a: OVFrame, t_dual: np.ndarray, q, index: int, tol: ToleranceConfig
-) -> DualCandidate:
+def _family_member(a: OVFrame, q, index: int, tol: ToleranceConfig) -> DualCandidate:
     """Member ``index`` of the dual family, checked at ``tol``: L = 0 for index 0,
     then P_ker E_rs in row-major order of (r, s); ``q`` is the range basis, unused
     for index 0."""
-    l = np.zeros_like(t_dual)
+    l = np.zeros(a.analysis.shape, dtype=np.complex128)
     if index:
-        r, s = divmod(index - 1, t_dual.shape[1])
+        r, s = divmod(index - 1, l.shape[1])
         l[:, s] = _kernel_column(q, r)
-    return DualCandidate(a, l, t_dual + l, tol)
+    return DualCandidate(a, read_only(l), tol)
 
 
 def _check_annihilator(
@@ -355,12 +354,10 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
     where x_r^* is row r of P_ker^* T'. By Weyl's inequality every member of
     stacked row r has a residual within ||x_r|| of ||A||, the canonical
     dual's residual, so one product decides whole rows: a row is below the
-    threshold when ||A|| + ||x_r|| + margin <= threshold, and above it when
-    | ||A|| - ||x_r|| | - margin > threshold; only then is its first member
-    computed. Other rows go through a batched SVD of their members. Every
-    residual this returns for a member is the bit-for-bit spectral norm
-    of that member's residual matrix, so the witness is the one a member by
-    member sweep finds.
+    threshold when ||A|| + ||x_r|| + margin <= threshold, and those rows enter
+    the bound at once. Each other row takes one batched SVD of its members
+    (:func:`duality_defects`), each entry bit for bit that member's spectral
+    norm, so the witness is the one a member by member sweep finds.
 
     The margin covers the rounding in both the bound and the member-wise
     residual. With u the unit roundoff, m x n the shape of T_A and
@@ -380,7 +377,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
     rows, cols = t.shape
     base = float(duality_defects(t_dual[None], t_prime)[0])
     if base > threshold:
-        return _family_member(a, t_dual, None, 0, tol), base, 1
+        return _family_member(a, None, 0, tol), base, 1
     q = range_basis(a, tol)
     pt, x = kernel_parts(a, [t, t_prime], tol)
     col_norms = _check_annihilator(a, q, pt, tol)
@@ -388,21 +385,18 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
     size = (np.linalg.norm(t_dual) + col_norms.max()) * np.linalg.norm(t_prime)
     margin = 8.0 * (rows + cols) * np.finfo(float).eps * (size + np.sqrt(cols))
     upper = base + x_norms + margin
-    above_all = np.abs(base - x_norms) - margin > threshold
-    worst = base
-    for r in range(rows):
-        if upper[r] <= threshold:
-            worst = max(worst, float(upper[r]))
-        else:
-            members = np.arange(1 if above_all[r] else cols)
-            d = np.repeat(t_dual[None], members.size, axis=0)
-            d[members, :, members] += _kernel_column(q, r)
-            res = duality_defects(d, t_prime)
-            above = np.flatnonzero(res > threshold)
-            if above.size:
-                index = 1 + r * cols + int(above[0])
-                return _family_member(a, t_dual, q, index, tol), float(res[above[0]]), index + 1
-            worst = max(worst, float(res.max()))
+    decided = upper <= threshold
+    worst = float(np.max(upper[decided], initial=base))
+    members = np.arange(cols)
+    for r in np.flatnonzero(~decided).tolist():
+        d = np.repeat(t_dual[None], cols, axis=0)
+        d[members, :, members] += _kernel_column(q, r)
+        res = duality_defects(d, t_prime)
+        above = np.flatnonzero(res > threshold)
+        if above.size:
+            index = 1 + r * cols + int(above[0])
+            return _family_member(a, q, index, tol), float(res[above[0]]), index + 1
+        worst = max(worst, float(res.max()))
     return None, worst, 1 + rows * cols
 
 

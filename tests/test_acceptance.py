@@ -88,7 +88,7 @@ def test_criterion_01_dual_reconstruction():
         if count * k < n:
             count = int(np.ceil(n / k))
         a = random_ov_frame(n, k, count, rng)
-        canonical = canonical_ov_dual(a).analysis
+        canonical = canonical_ov_dual(a)
         duals = np.concatenate([canonical[None], sample_ov_duals(a, 20, rng, DEFAULT_TOL)])
         worst = max(worst, float(duality_defects(duals, a.analysis).max()))
     _verdict(1, "dual reconstruction", worst <= EQ, f"max residual {worst:.3e}")
@@ -243,7 +243,7 @@ def test_criterion_09_inverse_representation():
         if not rep0.invertible or rep0.sigma_min < 1e-3 * rep0.sigma_max:
             continue
         a_v = v.embedding
-        canonical = canonical_ov_dual(a_v).analysis
+        canonical = canonical_ov_dual(a_v)
         duals = np.concatenate([canonical[None], sample_ov_duals(a_v, 4, rng, DEFAULT_TOL)])
         worst = max(worst, *inverse_representation_residuals(sym, v, w, duals))
         probe_min = min(probe_min, inverse_representation_probe(sym, v, w, duals, rng=rng))

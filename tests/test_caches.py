@@ -108,6 +108,45 @@ def test_weights_are_a_copy_of_the_array_given():
     assert f.weights[0] == inst.w.weights[0]
 
 
+
+def test_a_write_to_an_array_given_leaves_the_cached_facts_alone():
+    # a frame, symbol and subspace hold a read-only copy of a writeable array, so
+    # a later write by the caller reaches neither the object nor a fact cached on it
+    b = np.array([np.eye(2)] * 2, dtype=np.complex128)
+    a = ovf.OVFrame(b)
+    assert frame_bounds(a) == (2.0, 2.0)
+    b *= 3
+    assert frame_bounds(a) == (2.0, 2.0)
+    assert np.array_equal(a.blocks, np.array([np.eye(2)] * 2))
+
+    r = np.array([np.eye(2)] * 2, dtype=np.complex128)
+    sym = multipliers.Symbol(np.ones(2), r)
+    assert sym.r_sup == 1.0
+    r *= 5
+    assert sym.r_sup == 1.0 and np.array_equal(sym.r, np.array([np.eye(2)] * 2))
+
+    e = np.array([[1.0], [0.0]], dtype=np.complex128)
+    sub = fusion.Subspace(e)
+    f = FusionSequence((sub,), [1.0])
+    want = np.diag([1.0, 0.0])
+    assert np.array_equal(f.projections[0], want)
+    e *= 2
+    assert np.array_equal(sub.basis, [[1.0], [0.0]])
+    assert np.array_equal(f.projections[0], want)
+    assert np.array_equal(fusion.projection(sub), want)
+    for held in (a.blocks, sym.m, sym.r, sub.basis):
+        assert not held.flags.writeable
+
+
+def test_an_array_the_package_built_is_frozen_in_place_not_copied():
+    f = _instance().w
+    # the embedding's blocks and a generated basis are frozen where they were built,
+    # so a frame or subspace on them holds them as they are
+    blocks = f.embedding.blocks
+    assert not blocks.flags.writeable and ovf.OVFrame(blocks).blocks is blocks
+    basis = f.subspaces[0].basis
+    assert not basis.flags.writeable and fusion.Subspace(basis).basis is basis
+
 def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeypatch):
     # the sequence and its embedding share one S, one eigvalsh and one inv
     inst = _instance()
@@ -462,17 +501,17 @@ def test_split_inverse_checks_match_one_full_representation():
     for inst, twin in _c_holding_instances(20):
         sym, v, w = inst.symbol, inst.v, inst.w
         rng = checks._check_rng(inst.seed, dual)
-        residuals = inverse_representation_residuals(sym, v, w, checks._v_duals(inst, rng, tol), tol)
+        residuals = inverse_representation_residuals(sym, v, w, ovf.canonical_and_sampled_duals(v.embedding, 5, rng, tol), tol)
         rng = checks._check_rng(inst.seed, unique)
-        probe = inverse_representation_probe(sym, v, w, checks._v_duals(inst, rng, tol), rng, tol)
+        probe = inverse_representation_probe(sym, v, w, ovf.canonical_and_sampled_duals(v.embedding, 5, rng, tol), rng, tol)
 
         # the memo-free one-pass computation the two halves replaced, per
         # check rng, on the fresh twin
         rng = checks._check_rng(inst.seed, dual)
-        duals = checks._v_duals(twin, rng, tol)
+        duals = ovf.canonical_and_sampled_duals(twin.v.embedding, 5, rng, tol)
         full_dual = reference_inverse_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
         rng = checks._check_rng(inst.seed, unique)
-        duals = checks._v_duals(twin, rng, tol)
+        duals = ovf.canonical_and_sampled_duals(twin.v.embedding, 5, rng, tol)
         full_unique = reference_inverse_representation(twin.symbol, twin.v, twin.w, duals, tol, rng)
         assert residuals == full_dual[:2]
         assert probe == full_unique[2]

@@ -18,6 +18,7 @@ from fusionframes.exceptions import NumericFailureError
 from fusionframes.fusion import FusionSequence
 from fusionframes.instances import load_instance, save_instance
 from fusionframes.multipliers import Symbol, assemble_multiplier, schatten_checks
+from fusionframes.ovf import frame_bounds
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
@@ -238,6 +239,34 @@ def test_the_reweighted_lower_bound_is_compared_at_any_scale(tmp_path, capsys, c
     for name in ("invertible_multiplier_frames", "excess_invariance"):
         assert entries[name]["verdict"] == "pass"
 
+
+
+def test_frame_bounds_of_a_frame_operator_near_the_largest_float_are_finite(tmp_path, capsys):
+    # S = w^2 I with w = 1.3e154 loads, since sum_i w_i^2 fits the float range, but
+    # S + S^* overflowed: the bounds read NaN, every frame-gated check was skipped,
+    # and check --suite all passed 8 of 8, two of them against NaN bounds; with
+    # finite bounds the Schatten composite bound at p = 1 read inf <= inf and passed
+    path = tmp_path / "big.json"
+    gen = ["gen", "--dim", "2", "--blocks", "1", "--dims", "2", "--weights", "1.3e154,1.3e154"]
+    assert main(gen + ["--symbol", "identity", "-o", str(path)]) == 0
+    inst = load_instance(path)
+    lo, hi = frame_bounds(inst.w.embedding)
+    assert 0.0 < lo <= hi < np.inf
+    entries = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for suite in ("schatten", "multipliers", "duals"):
+            report = tmp_path / f"{suite}.json"
+            assert main(["check", "--suite", suite, str(path), "--report", str(report)]) == 1
+            entries.update((e["name"], e) for e in json.loads(report.read_text())["checks"])
+        rep = assemble_multiplier(inst.symbol, inst.v, inst.w)
+    capsys.readouterr()
+    # the frame-gated checks run
+    assert {"ovf_canonical_dual", "invertible_multiplier_frames"} <= set(entries)
+    composite = entries["schatten_composite_bound"]
+    assert composite["verdict"] == "fail" and composite["residual"] == np.inf
+    assert entries["multiplier_norm_bound"]["verdict"] == "pass"
+    assert rep.sigma_max <= rep.norm_bound < np.inf
 
 def test_exit_code_bad_suite():
     with pytest.raises(SystemExit) as info:

@@ -284,7 +284,7 @@ def _reference_separation(w, w_prime, tol=DEFAULT_TOL, threshold=None):
     if threshold is None:
         threshold = 10.0 * tol.eq_rel
     a = w.embedding
-    t_dual = canonical_ov_dual(a, tol).analysis
+    t_dual = canonical_ov_dual(a, tol)
     t_prime = w_prime.embedding.analysis
     eye = np.eye(w.ambient_dim)
     worst = 0.0

@@ -140,7 +140,8 @@ def test_ffv1_documents_reload_through_ffv2_bit_for_bit():
         _assert_bit_identical(got, want)
         for a in _arrays(got):
             if isinstance(a, np.ndarray) and a.dtype.kind == "c":
-                assert a.dtype.isnative and a.flags.writeable
+                # held read-only, frozen in place by the loader
+                assert a.dtype.isnative and not a.flags.writeable
                 while a.base is not None:  # a view of a native copy, not of the bytes
                     a = a.base
                 assert isinstance(a, np.ndarray) and a.flags.owndata

@@ -8,12 +8,13 @@ from conftest import canonical_dual_ordinary
 from fusionframes.exceptions import ContractViolationError, NotInvertibleError
 from fusionframes.frames import (
     VectorFrame,
+    embed_ordinary,
     inverse_representation_ordinary,
     ordinary_multiplier,
     sample_ordinary_duals,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import embed_ordinary, frame_bounds, is_frame
+from fusionframes.ovf import frame_bounds, is_frame
 
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
 E2 = np.array([0.0, 1.0], dtype=np.complex128)

@@ -45,7 +45,7 @@ def unitary_swap_symbol():
 def _sampled_duals(v, rng, count=5):
     """The analyses of the canonical and ``count - 1`` sampled duals of v, one stack."""
     a = v.embedding
-    canonical = canonical_ov_dual(a).analysis
+    canonical = canonical_ov_dual(a)
     return np.concatenate([canonical[None], sample_ov_duals(a, count - 1, rng, DEFAULT_TOL)])
 
 

@@ -15,14 +15,13 @@ from conftest import (
 )
 from fusionframes import ovf
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
-from fusionframes.frames import VectorFrame
+from fusionframes.frames import VectorFrame, embed_ordinary
 from fusionframes.fusion import FusionSequence, Subspace, random_subspace
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
     canonical_ov_dual,
     dual_span_dimension,
-    embed_ordinary,
     frame_bounds,
     frame_operator_inverse,
     is_frame,
@@ -87,10 +86,9 @@ def test_embed_fusion_blocks(diag_pair):
 
 def test_canonical_dual_examples(diag_pair):
     onb = embed_ordinary(VectorFrame(np.eye(2)))
-    cand = canonical_ov_dual(onb)
-    np.testing.assert_allclose(cand.analysis, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(canonical_ov_dual(onb), np.eye(2), atol=1e-14)
     a = diag_pair.embedding
-    blocks = canonical_ov_dual(a).analysis.reshape(2, 2, 2)
+    blocks = canonical_ov_dual(a).reshape(2, 2, 2)
     np.testing.assert_allclose(blocks[0], np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
     deficient = embed_ordinary(VectorFrame(np.array([[1.0, 0.0]])))
@@ -113,6 +111,8 @@ def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
         lambda: frame_operator_inverse(deficient),
         lambda: canonical_ov_dual(deficient),
         lambda: sample_ov_duals(deficient, 1, _ZeroNormal(), DEFAULT_TOL),
+        lambda: ovf.canonical_and_sampled_duals(deficient, 2, _ZeroNormal(), DEFAULT_TOL),
+        lambda: ovf.DualCandidate(deficient, np.zeros(deficient.analysis.shape)),
         lambda: sweep_dual_family(deficient, deficient.analysis, 1.0, DEFAULT_TOL),
         lambda: dual_span_dimension(deficient),
         lambda: duality.gavruta_dual_check(partial, partial),
@@ -128,7 +128,7 @@ def test_sample_dual_zero_seed_is_canonical(diag_pair):
     a = diag_pair.embedding
     zero = sample_ov_duals(a, 2, _ZeroNormal(), DEFAULT_TOL)
     assert zero.shape == (2, 4, 2)
-    np.testing.assert_allclose(zero[1], canonical_ov_dual(a).analysis)
+    np.testing.assert_allclose(zero[1], canonical_ov_dual(a))
     assert sample_ov_duals(a, 0, _ZeroNormal(), DEFAULT_TOL).shape == (0, 4, 2)
 
 
@@ -142,7 +142,7 @@ def test_sample_dual_trivial_kernel(rng):
 def test_sample_dual_noncanonical_still_dual(diag_pair, rng):
     a = diag_pair.embedding
     (dual,) = sample_ov_duals(a, 1, rng, DEFAULT_TOL)
-    assert spectral_norm(dual - canonical_ov_dual(a).analysis) > 1e-3
+    assert spectral_norm(dual - canonical_ov_dual(a)) > 1e-3
     assert ovf.duality_defects(dual[None], a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
 
@@ -184,14 +184,14 @@ def test_ovframe_shape_validation():
 
 
 def _reference_dual_span_dimension(a, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a, tol).analysis
+    t_dual = canonical_ov_dual(a, tol)
     pieces = [t_dual]
     pieces.extend(list(reference_dual_perturbations(a, tol))[1:])
     return rank_tol(np.hstack(pieces), tol)
 
 
 def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a, tol).analysis
+    t_dual = canonical_ov_dual(a, tol)
     stacked_rows = [t_dual.conj().T]
     for l in list(reference_dual_perturbations(a, tol))[1:]:
         stacked_rows.append((t_dual + l).conj().T)
@@ -200,7 +200,7 @@ def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
 
 
 def _reference_residuals(a, t_prime, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a, tol).analysis
+    t_dual = canonical_ov_dual(a, tol)
     eye = np.eye(a.domain_dim)
     return np.array(
         [
@@ -263,11 +263,13 @@ def test_sweep_bound_dominates_reference(rng):
 def test_family_members_match_reference(rng):
     for a in _random_frames(rng, count=6):
         reference = list(reference_dual_perturbations(a, DEFAULT_TOL))
-        t_dual = canonical_ov_dual(a).analysis
         q = ovf.range_basis(a)
         for index, l in enumerate(reference):
-            member = ovf._family_member(a, t_dual, q, index, DEFAULT_TOL)
+            member = ovf._family_member(a, q, index, DEFAULT_TOL)
             np.testing.assert_array_equal(member.perturbation, l)
+            # the analysis is derived from L, read-only
+            np.testing.assert_array_equal(member.analysis, a.canonical_analysis + l)
+            assert not member.analysis.flags.writeable
 
 
 def test_sweep_annihilator_check_uses_the_call_tolerance(diag_pair):
@@ -314,7 +316,7 @@ def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair, rng):
     with pytest.raises(ContractViolationError):
         sweep_dual_family(a, t, 1e-7, DEFAULT_TOL)
     with pytest.raises(ContractViolationError):
-        ovf._family_member(a, canonical_ov_dual(a).analysis, ovf.range_basis(a), 1, DEFAULT_TOL)
+        ovf._family_member(a, ovf.range_basis(a), 1, DEFAULT_TOL)
     # sampled duals project through the range basis: a wrong one is caught too
     with pytest.raises(ContractViolationError):
         ovf.sample_ov_duals(a, 1, rng, DEFAULT_TOL)
@@ -452,14 +454,14 @@ def test_duality_defects_match_per_dual_loop(rng):
     for _ in range(30):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         a = random_fusion_frame(n, count, rng).embedding
-        canonical = canonical_ov_dual(a).analysis
+        canonical = canonical_ov_dual(a)
         analyses = np.concatenate([canonical[None], sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
         t = a.analysis
         want = [spectral_norm(d.conj().T @ t - np.eye(n)) for d in analyses]
         assert ovf.duality_defects(analyses, t).tolist() == want
         assert [ovf.duality_defects(d[None], t)[0] for d in analyses] == want
     other = canonical_ov_dual(coordinate_decomposition(n + 1).embedding)
-    for bad in (other.analysis[None], analyses[:0], analyses[0]):
+    for bad in (other[None], analyses[:0], analyses[0]):
         with pytest.raises(ContractViolationError):
             ovf.duality_defects(bad, t)
 
@@ -491,7 +493,7 @@ def test_cached_spectrum_ranks_match_dense_reference(rng):
         m, n = a.analysis.shape
         cuts = set()
         for tol in (DEFAULT_TOL, coarse):
-            c = canonical_ov_dual(a, tol).analysis
+            c = canonical_ov_dual(a, tol)
             pker = reference_kernel_projector(a, tol)
             dense = np.hstack([c, pker])
             assert dual_span_dimension(a, tol) == rank_tol(dense, tol)

@@ -240,7 +240,7 @@ def test_representation_residuals_match_block_loop(rng):
         if not assemble_multiplier(sym, v, w).invertible:
             continue
         a_v = v.embedding
-        canonical = ovf.canonical_ov_dual(a_v).analysis
+        canonical = ovf.canonical_ov_dual(a_v)
         duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a_v, 4, rng, DEFAULT_TOL)])
         seed = int(rng.integers(2**32))
         representation = inverse_representation_residuals(sym, v, w, duals)[1]
