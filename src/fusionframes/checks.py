@@ -5,7 +5,9 @@ on a concrete instance, returning a residual that is compared against a
 tolerance derived from the active ToleranceConfig. Checks draw any extra
 structure they need (Riesz pairs, local frames, perturbed copies) from a
 generator seeded by the instance seed and the check name, so a report is a
-pure function of (instance, tolerances).
+pure function of (instance, tolerances). Each check is one :class:`Check`
+record naming its suite; ``CHECKS`` and ``SUITES`` are read off the one list of
+records, and the ``"all"`` suite runs them in its order.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class Check:
     name: str
+    suite: str
     statement: str
     anchor: str
     tolerance: Callable[[ToleranceConfig], float]
@@ -78,20 +81,15 @@ def _both_frames(inst: Instance, tol: ToleranceConfig) -> bool:
     return is_frame(inst.w.embedding, tol) and is_frame(inst.v.embedding, tol)
 
 
-def _invertible_multiplier(inst: Instance, tol: ToleranceConfig) -> bool:
-    return multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol).invertible
-
-
 def _invertible_over_frames(inst: Instance, tol: ToleranceConfig) -> bool:
-    return _both_frames(inst, tol) and _invertible_multiplier(inst, tol)
+    return (
+        _both_frames(inst, tol)
+        and multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol).invertible
+    )
 
 
 def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
-    return (
-        _both_frames(inst, tol)
-        and multipliers.condition_c(inst.symbol, tol).holds
-        and _invertible_multiplier(inst, tol)
-    )
+    return _invertible_over_frames(inst, tol) and multipliers.condition_c(inst.symbol, tol).holds
 
 
 # --- duals suite -----------------------------------------------------------
@@ -135,9 +133,9 @@ def _run_kpp_construction(inst, rng, tol):
     u = random_invertible_matrix(n, rng)
     l = ovf.kernel_samples(inst.w.embedding, 1, rng, tol)[0]
     gd = duality.generate_fusion_dual(inst.w, u, l, tol)
-    residual = relative_defect(spectral_norm(gd.composite - u), spectral_norm(u))
-    adm = duality.is_admissible(gd.q, gd.v, inst.w, tol)
-    if not adm.admissible:
+    verdict = duality.kpp_dual_check(gd.v, inst.w, gd.q, tol)
+    residual = relative_defect(spectral_norm(verdict.composite - u), spectral_norm(u))
+    if not verdict.admissibility.admissible:
         residual = max(residual, 1.0)
     return CheckResult(residual)
 
@@ -409,9 +407,8 @@ def _exact(tol: ToleranceConfig) -> float:
     return 0.0
 
 
-_RAW_CHECKS = [
-    # duals
-    (
+_REGISTRY = [
+    Check(
         "ovf_canonical_dual",
         "duals",
         "The canonical operator-valued dual reconstructs: T_dual(0)^* T_A = I.",
@@ -421,7 +418,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_canonical_dual,
     ),
-    (
+    Check(
         "ovf_sampled_duals",
         "duals",
         "Every kernel-perturbed dual reconstructs: T_dual(L)^* T_A = I for L = P_ker(T_A^*) G.",
@@ -431,7 +428,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_sampled_duals,
     ),
-    (
+    Check(
         "dual_span",
         "duals",
         "The analysis ranges of the dual family jointly span the stacked space.",
@@ -441,7 +438,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_dual_span,
     ),
-    (
+    Check(
         "null_dual_certificate",
         "duals",
         "Only the zero sequence is orthogonal to every member of the dual family.",
@@ -451,7 +448,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_null_certificate,
     ),
-    (
+    Check(
         "left_inverse_span",
         "duals",
         "Each dual synthesis left-inverts the fusion analysis operator and "
@@ -462,7 +459,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_left_inverse_span,
     ),
-    (
+    Check(
         "kpp_construction",
         "duals",
         "The constructive dual generator reproduces its target operator.",
@@ -472,7 +469,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_kpp_construction,
     ),
-    (
+    Check(
         "kpp_verdict_dual",
         "duals",
         "With identity target the generated pair passes the duality check with kind 'dual'.",
@@ -482,7 +479,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_kpp_verdict,
     ),
-    (
+    Check(
         "gavruta_canonical",
         "duals",
         "The S^-1-image sequence with the same weights reconstructs the identity.",
@@ -492,7 +489,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_gavruta_canonical,
     ),
-    (
+    Check(
         "separating_dual_self",
         "duals",
         "No dual of W separates W from itself.",
@@ -502,7 +499,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_separating_self,
     ),
-    (
+    Check(
         "separating_dual_distinct",
         "duals",
         "A genuinely different fusion frame is separated by some dual of W.",
@@ -512,8 +509,7 @@ _RAW_CHECKS = [
         _w_frame,
         _run_separating_distinct,
     ),
-    # multipliers
-    (
+    Check(
         "multiplier_norm_bound",
         "multipliers",
         "The multiplier norm is controlled by the bounds and the symbol.",
@@ -523,7 +519,7 @@ _RAW_CHECKS = [
         _always,
         _run_norm_bound,
     ),
-    (
+    Check(
         "multiplier_assembly_routes",
         "multipliers",
         "Blockwise assembly agrees with the analysis/block-diagonal/synthesis route.",
@@ -533,7 +529,7 @@ _RAW_CHECKS = [
         _always,
         _run_assembly_routes,
     ),
-    (
+    Check(
         "condition_c_coherence",
         "multipliers",
         "The two-sided symbol bound forces semi-normalization and blockwise inverses.",
@@ -543,7 +539,7 @@ _RAW_CHECKS = [
         _always,
         _run_condition_c_coherence,
     ),
-    (
+    Check(
         "riesz_symbol_iff",
         "multipliers",
         "Over Riesz decompositions, invertibility of the multiplier matches the "
@@ -554,7 +550,7 @@ _RAW_CHECKS = [
         _always,
         _run_riesz_symbol_iff,
     ),
-    (
+    Check(
         "invertible_multiplier_frames",
         "multipliers",
         "An invertible multiplier forces all four weighted sequences to be frames, "
@@ -565,7 +561,7 @@ _RAW_CHECKS = [
         _invertible_over_frames,
         _run_invertible_consequences,
     ),
-    (
+    Check(
         "excess_invariance",
         "multipliers",
         "Stacked-space excess is preserved under |m|-reweighting and shared "
@@ -576,7 +572,7 @@ _RAW_CHECKS = [
         _invertible_over_frames,
         _run_excess_invariance,
     ),
-    (
+    Check(
         "inverse_multiplier_dual",
         "multipliers",
         "The closed-form operator-valued dual represents the inverse multiplier "
@@ -587,7 +583,7 @@ _RAW_CHECKS = [
         _c_holding_invertible,
         _run_inverse_representation,
     ),
-    (
+    Check(
         "inverse_multiplier_uniqueness",
         "multipliers",
         "Perturbing the closed-form dual in a kernel direction breaks the "
@@ -598,7 +594,7 @@ _RAW_CHECKS = [
         _c_holding_invertible,
         _run_inverse_uniqueness,
     ),
-    (
+    Check(
         "symbol_vs_projection_contrast",
         "multipliers",
         "On the crossed pair the projection-composition and S^-1-weighted "
@@ -609,8 +605,7 @@ _RAW_CHECKS = [
         _always,
         _run_contrast,
     ),
-    # local
-    (
+    Check(
         "local_equivalence",
         "local",
         "The fusion multiplier equals its lift through local frames and their "
@@ -621,7 +616,7 @@ _RAW_CHECKS = [
         _both_frames,
         _run_local_equivalence,
     ),
-    (
+    Check(
         "local_negative_control",
         "local",
         "Replacing the local duals by the frames themselves breaks the lift.",
@@ -631,8 +626,7 @@ _RAW_CHECKS = [
         _both_frames,
         _run_local_negative,
     ),
-    # schatten
-    (
+    Check(
         "schatten_block_svals",
         "schatten",
         "Each block m_i R_i of the block diagonal has the singular values of R_i "
@@ -643,7 +637,7 @@ _RAW_CHECKS = [
         _always,
         _run_schatten_blocks,
     ),
-    (
+    Check(
         "schatten_composite_bound",
         "schatten",
         "Schatten norms of the multiplier are controlled through the block diagonal.",
@@ -653,7 +647,7 @@ _RAW_CHECKS = [
         _always,
         _schatten_excess("composite_norm", "composite_bound"),
     ),
-    (
+    Check(
         "schatten_rank_bound",
         "schatten",
         "Block ranks bound the Schatten mass of the block diagonal.",
@@ -666,20 +660,12 @@ _RAW_CHECKS = [
 ]
 
 
-CHECKS: Dict[str, Check] = {}
-SUITES: Dict[str, List[str]] = {"duals": [], "multipliers": [], "local": [], "schatten": []}
-for name, suite, statement, anchor, tol_fn, tol_desc, applies, runner in _RAW_CHECKS:
-    CHECKS[name] = Check(
-        name=name,
-        statement=statement,
-        anchor=anchor,
-        tolerance=tol_fn,
-        tolerance_desc=tol_desc,
-        applies=applies,
-        run=runner,
-    )
-    SUITES[suite].append(name)
-SUITES["all"] = [name for names in (SUITES[s] for s in ("duals", "multipliers", "local", "schatten")) for name in names]
+CHECKS: Dict[str, Check] = {c.name: c for c in _REGISTRY}
+SUITES: Dict[str, List[str]] = {
+    suite: [c.name for c in _REGISTRY if c.suite == suite]
+    for suite in ("duals", "multipliers", "local", "schatten")
+}
+SUITES["all"] = [c.name for c in _REGISTRY]
 
 
 def _check_rng(seed: int, name: str) -> np.random.Generator:

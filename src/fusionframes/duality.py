@@ -14,7 +14,9 @@ This module checks the definition for a given Q, checks the classical
 S^-1-weighted reconstruction, constructs duals from an invertible
 target operator and a stacked L with L^* T_W,w = 0 (such as one drawn by
 :func:`ovf.kernel_samples`), and searches the operator-valued dual family for
-a dual that separates two fusion frames.
+a dual that separates two fusion frames. The composite for Q is formed only by
+:func:`kpp_dual_check`: the generator returns V, Q and its operators, and a
+generated dual is verified by that check.
 """
 
 from __future__ import annotations
@@ -225,7 +227,6 @@ class GeneratedDual:
 
     v: FusionSequence
     q: np.ndarray
-    composite: np.ndarray
     operators: np.ndarray
 
 
@@ -241,8 +242,9 @@ def generate_fusion_dual(
     (N n) x n ``l`` (zero when None; see :func:`ovf.kernel_samples`), then takes
     V_i as the range of A_i, u_i = ||A_i||, and Q_i = A_i / u_i, from one batched
     product and the one stacked SVD of :func:`_ranges`. The returned Q is
-    admissible by construction and the composite reproduces U; with U = I the
-    output passes :func:`kpp_dual_check` with kind "dual".
+    admissible by construction and the composite reproduces U. The generator does
+    not form the composite: :func:`kpp_dual_check` forms it and verifies Q, and with
+    U = I the output passes it with kind "dual".
     """
     s_inv = frame_operator_inverse(w.embedding, tol)
     n = w.ambient_dim
@@ -266,9 +268,7 @@ def generate_fusion_dual(
     norms = np.where(live, ss[:, 0], 0.0)
     q_blocks = np.zeros_like(ops)
     q_blocks[live] = ops[live] / norms[live, None, None]
-    v = FusionSequence(subs, norms)
-    comp = sandwich(v, w, v.weights * w.weights, q_blocks)
-    return GeneratedDual(v=v, q=q_blocks, composite=comp, operators=ops)
+    return GeneratedDual(v=FusionSequence(subs, norms), q=q_blocks, operators=ops)
 
 
 def fusion_dual_to_ovf(v: FusionSequence, q_blocks) -> OVFrame:

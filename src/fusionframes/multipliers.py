@@ -26,8 +26,9 @@ diagonal, so its spectrum is the union of the |m_i| sigma(R_i)
 union, sigma(m_i R_i) = |m_i| sigma(R_i): ``Symbol.block_sval_defect`` compares
 one batched SVD of the stack with the scaled block spectra, once per symbol.
 The symbol also memoizes, per (V, W) pair, the assembled multiplier with its
-whole spectrum from one SVD (:meth:`Symbol.assembled`): ||M||, ||M||_p and
-||M^-1|| = 1 / sigma_min are read from it, and invertibility and the norm
+whole spectrum from one SVD (:meth:`Symbol.assembled`): ||M|| (also the scale
+of the local-frame lift's gap), ||M||_p and ||M^-1|| = 1 / sigma_min are read
+from it, and invertibility and the norm
 bound are derived from it at each call's tolerance. Three more facts are
 kept on the symbol, each formed once: the blocks (m_i R_i)^-1, the
 |m|-scaled sequences (:meth:`Symbol.scaled`, whose embeddings' cached bounds
@@ -40,7 +41,8 @@ passed. The inverse representation splits into its two halves,
 :func:`inverse_representation_residuals` (duality and representation) and
 :func:`inverse_representation_probe` (uniqueness), one per check. They are handed the sampled duals of {u_i P_{V_i}} as one
 (c, N n, n) stack of analyses, re-validated against T_V with one batched
-SVD (:func:`ovf.duality_defects`), and the probe's kernel direction is drawn
+SVD (:func:`ovf.duality_defects`), the reader that also gives Q_dagger's
+duality residual ||Q_dagger^* T_W - I||, and the probe's kernel direction is drawn
 by :func:`ovf.kernel_samples` through the cached range basis of T_W, so no
 (N n) x (N n) projector is formed on this path. The Riesz verdict reads
 :func:`fusion.is_riesz_fusion_basis`. The frame facts of V and W are read
@@ -362,11 +364,10 @@ def riesz_multiplier_verdict(
         consistent = True
     elif v_riesz:
         consistent = cond.holds == actual
-    elif cond.holds:
-        # invertibility is then equivalent to V being Riesz, which it is not
-        consistent = actual == v_riesz
     else:
-        consistent = True
+        # under the symbol bound invertibility is equivalent to V being Riesz,
+        # which it is not; without the bound nothing is predicted
+        consistent = not (cond.holds and actual)
     return RieszMultiplierVerdict(
         predicted_by_c=cond.holds,
         actually_invertible=actual,
@@ -506,8 +507,7 @@ def inverse_representation_residuals(
     M^-1 = T_Qd^* D_(mR)^-1 T_D over the duals of {u_i P_{V_i}} whose analyses T_D
     the (c, N n, n) stack ``sampled_duals`` holds."""
     m_inv, stacked_q, inv_blocks = _closed_form(sym, v, w, sampled_duals, tol)
-    n = w.ambient_dim
-    duality_residual = spectral_norm(stacked_q.conj().T @ w.embedding.analysis - np.eye(n))
+    duality_residual = float(duality_defects(stacked_q[None], w.embedding.analysis)[0])
     return duality_residual, _representation_residual(stacked_q, inv_blocks, sampled_duals, m_inv)
 
 
@@ -544,7 +544,8 @@ def local_frame_equivalence(
     with analysis vectors w_i phi_ij, synthesis vectors
     u_i P_{V_i} R_i dual_ij, and the symbol entry m_i repeated per local
     vector. The returned value is ||M_fusion - M_lifted|| relative to
-    ||M_fusion|| (:func:`numerics.relative_defect`). Each block's synthesis
+    ||M_fusion|| (:func:`numerics.relative_defect`), the latter read from the
+    spectrum cached with M (:func:`assemble_multiplier`). Each block's synthesis
     vectors are one matrix product, u_i P_{V_i} R_i [dual_i1 ... dual_ik].
     That the local frames span their subspaces is not re-tested here:
     :func:`fusion.build_local_frames` spans by construction, and loading a
@@ -566,13 +567,13 @@ def local_frame_equivalence(
         anal_rows.append(w.weights[i] * phi.vectors)
         synth_rows.append(v.weights[i] * (v.projections[i] @ (sym.r[i] @ dual.vectors.T)).T)
         m_hat.append(np.full(phi.count, sym.m[i]))
-    m_fusion = assemble_multiplier(sym, v, w, tol).matrix
+    rep = assemble_multiplier(sym, v, w, tol)
     m_lifted = ordinary_multiplier(
         np.concatenate(m_hat),
         VectorFrame(np.vstack(synth_rows)),
         VectorFrame(np.vstack(anal_rows)),
     )
-    return relative_defect(spectral_norm(m_fusion - m_lifted), spectral_norm(m_fusion))
+    return relative_defect(spectral_norm(rep.matrix - m_lifted), rep.sigma_max)
 
 
 @dataclass(frozen=True)

@@ -263,7 +263,9 @@ def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The canonical dual's read-only analysis T_A S_A^-1, behind the frame test at ``tol``."""
+    """The canonical dual's read-only analysis T_A S_A^-1, behind the frame test at
+    ``tol``: every reader of T_A S_A^-1 in this module but :class:`DualCandidate` takes
+    it from here."""
     frame_operator_inverse(a, tol)
     return a.canonical_analysis
 
@@ -292,10 +294,10 @@ def sample_ov_duals(
     """The (count, N k, n) stack of dual analyses T_A S_A^-1 + L, L the kernel
     perturbations of :func:`kernel_samples`, once ``a`` passes the frame test; the
     L stack is checked to annihilate T_A once, at ``tol``."""
-    frame_operator_inverse(a, tol)
+    t_dual = canonical_ov_dual(a, tol)
     stack = kernel_samples(a, count, rng, tol)
     annihilation_defects(a, stack, tol)
-    return a.canonical_analysis + stack
+    return t_dual + stack
 
 
 def canonical_and_sampled_duals(a: OVFrame, count: int, rng, tol: ToleranceConfig) -> np.ndarray:
@@ -367,8 +369,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
     subtracting I by u F each, and each largest singular value by about n u F
     (backward stable SVD); 8 (m + n) u F covers the sum for both.
     """
-    frame_operator_inverse(a, tol)
-    t, t_dual = a.analysis, a.canonical_analysis
+    t, t_dual = a.analysis, canonical_ov_dual(a, tol)
     t_prime = as_matrix(t_prime)
     if t_prime.shape != t.shape:
         raise ContractViolationError(
@@ -411,8 +412,7 @@ def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:
     Z^* B = [Z^* C | Z^* - (Z^* Q) Q^*] together with N k - p ones, exactly. B^* = [C^* ; P_ker] has the same
     spectrum.
     """
-    frame_operator_inverse(a, tol)
-    t_dual = a.canonical_analysis
+    t_dual = canonical_ov_dual(a, tol)
     q = range_basis(a, tol)
 
     def build():

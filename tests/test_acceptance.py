@@ -105,7 +105,7 @@ def test_criterion_02_constructive_duals():
         u = np.eye(n, dtype=complex) if identity_case else random_invertible_matrix(n, rng)
         (l,) = kernel_samples(w.embedding, 1, rng)
         gd = generate_fusion_dual(w, u, l)
-        worst = max(worst, spectral_norm(gd.composite - u) / max(1.0, spectral_norm(u)))
+        worst = max(worst, spectral_norm(kpp_dual_check(gd.v, w, gd.q).composite - u) / max(1.0, spectral_norm(u)))
         ok = ok and is_admissible(gd.q, gd.v, w).admissible
         if identity_case:
             ok = ok and kpp_dual_check(gd.v, w, gd.q).kind == "dual"

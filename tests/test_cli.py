@@ -268,6 +268,44 @@ def test_frame_bounds_of_a_frame_operator_near_the_largest_float_are_finite(tmp_
     assert entries["multiplier_norm_bound"]["verdict"] == "pass"
     assert rep.sigma_max <= rep.norm_bound < np.inf
 
+def test_loose_rank_tolerance_reaches_the_rank_certificate(tmp_path):
+    report = tmp_path / "r.json"
+    args = ["check", "--suite", "duals", str(GOLDEN_INSTANCE), "--tol-rank", "0.3"]
+    assert main(args + ["--report", str(report)]) == 1
+    entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+    assert entries["dual_span"]["verdict"] == "fail"
+    assert entries["dual_span"]["residual"] > 0.0
+
+
+def test_check_usage_errors_exit_2_with_one_error_line(capsys):
+    cases = (
+        (["--tol-eq", "0", str(GOLDEN_INSTANCE)], "error: eq_rel must lie strictly between 0 and 1"),
+        (["--random", "0"], "error: --random needs a positive count"),
+    )
+    for extra, message in cases:
+        assert main(["check", "--suite", "duals", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_report_path_in_a_missing_directory_exits_2_without_stdout(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    assert main(["check", "--suite", "schatten", str(GOLDEN_INSTANCE), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not report.exists()
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    from fusionframes.checks import run_suite
+    from fusionframes.exceptions import ContractViolationError
+
+    with pytest.raises(ContractViolationError, match="unknown suite 'bogus'"):
+        run_suite("bogus", [])
+
+
 def test_exit_code_bad_suite():
     with pytest.raises(SystemExit) as info:
         main(["check", "--suite", "bogus", str(GOLDEN_INSTANCE)])

@@ -159,14 +159,14 @@ def test_generate_dual_diag_example(diag_pair):
     np.testing.assert_allclose(gd.operators[1], np.diag([0.0, 0.5]), atol=1e-14)
     np.testing.assert_allclose(gd.v.weights, [1.0, 0.5])
     np.testing.assert_allclose(gd.q[1], np.diag([0.0, 1.0]), atol=1e-14)
-    np.testing.assert_allclose(gd.composite, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(kpp_dual_check(gd.v, diag_pair, gd.q).composite, np.eye(2), atol=1e-14)
     assert kpp_dual_check(gd.v, diag_pair, gd.q).kind == "dual"
 
 
 def test_generate_dual_scaled_target():
     std = coordinate_decomposition(2)
     gd = generate_fusion_dual(std, 2.0 * np.eye(2))
-    np.testing.assert_allclose(gd.composite, 2 * np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(kpp_dual_check(gd.v, std, gd.q).composite, 2 * np.eye(2), atol=1e-13)
     assert kpp_dual_check(gd.v, std, gd.q).kind == "generalized_dual"
 
 
@@ -175,7 +175,7 @@ def test_generate_dual_with_kernel_term(diag_pair, rng):
     t_w = diag_pair.embedding.analysis
     assert spectral_norm(l.conj().T @ t_w) <= 1e-10
     gd = generate_fusion_dual(diag_pair, np.eye(2), l)
-    np.testing.assert_allclose(gd.composite, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(kpp_dual_check(gd.v, diag_pair, gd.q).composite, np.eye(2), atol=1e-12)
     assert kpp_dual_check(gd.v, diag_pair, gd.q).kind == "dual"
 
 
@@ -198,7 +198,7 @@ def test_generated_duals_on_random_population(rng):
         u = np.eye(n, dtype=complex) if trial % 4 == 0 else random_invertible_matrix(n, rng)
         (l,) = kernel_samples(w.embedding, 1, rng)
         gd = generate_fusion_dual(w, u, l)
-        assert spectral_norm(gd.composite - u) <= DEFAULT_TOL.eq_rel * max(
+        assert spectral_norm(kpp_dual_check(gd.v, w, gd.q).composite - u) <= DEFAULT_TOL.eq_rel * max(
             1.0, spectral_norm(u)
         )
         assert is_admissible(gd.q, gd.v, w).admissible

@@ -175,6 +175,18 @@ def test_riesz_verdict_overcomplete_v_records_flags():
     assert verdict.consistent
 
 
+def test_riesz_verdict_without_the_bound_over_a_non_riesz_v_is_consistent():
+    # the bound fails (m_2 = 0), V is not Riesz (e_1 twice) and the symbol is far
+    # from the cutoff: nothing is predicted, and M = P_{e_1} is singular
+    w = coordinate_decomposition(2)
+    v = FusionSequence((line([1.0, 0.0]), line([1.0, 0.0])), np.array([1.0, 1.0]))
+    sym = Symbol([1.0, 0.0], np.array([np.eye(2), np.eye(2)]))
+    verdict = riesz_multiplier_verdict(sym, v, w)
+    assert not verdict.predicted_by_c and not verdict.actually_invertible
+    assert not verdict.v_is_riesz and not verdict.indeterminate
+    assert verdict.consistent
+
+
 def test_riesz_verdict_requires_riesz_w():
     v = coordinate_decomposition(2)
     w = FusionSequence((Subspace.full(2), line([1.0, 0.0])), np.array([1.0, 1.0]))

@@ -28,6 +28,7 @@ from fusionframes.duality import (
     canonical_gavruta_dual,
     generate_fusion_dual,
     is_admissible,
+    kpp_dual_check,
 )
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, build_local_frames, random_subspace
@@ -162,7 +163,7 @@ def test_stacked_dual_generator_matches_the_per_block_loop():
             assert np.array_equal(gd.v.weights, v.weights)
             for got, want in zip(gd.v.subspaces, v.subspaces):
                 assert np.array_equal(got.basis, want.basis)
-            for got, want in ((gd.q, q), (gd.composite, comp), (gd.operators, ops)):
+            for got, want in ((gd.q, q), (kpp_dual_check(gd.v, w, gd.q).composite, comp), (gd.operators, ops)):
                 assert np.array_equal(got, want)
 
 
