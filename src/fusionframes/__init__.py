@@ -37,7 +37,6 @@ from .ovf import (
     OVFrame,
     canonical_ov_dual,
     dual_span_dimension,
-    frame_bounds,
     is_frame,
     null_bessel_certificate,
 )

@@ -50,7 +50,7 @@ from .ovf import is_frame
 __all__ = ["CheckResult", "Check", "CHECKS", "SUITES", "run_suite", "describe_check"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     residual: float
     indeterminate: bool = False
@@ -102,7 +102,7 @@ def _run_canonical_dual(inst, rng, tol):
 
 def _run_sampled_duals(inst, rng, tol):
     a = inst.w.embedding
-    defects = ovf.duality_defects(ovf.sample_ov_duals(a, 5, rng, tol), a.analysis)
+    defects = ovf.duality_defects(ovf.sample_ov_duals(a, ovf.SAMPLED_DUALS, rng, tol), a.analysis)
     return CheckResult(float(defects.max()))
 
 
@@ -128,12 +128,17 @@ def _run_left_inverse_span(inst, rng, tol):
     return CheckResult(max(worst, float(abs(rank - want))))
 
 
+def _kpp_generated_verdict(w, u, rng, tol):
+    """The KPP verdict on the dual of ``w`` generated for target ``u`` from one kernel
+    perturbation L, drawn from ``rng`` after any draw of ``u``."""
+    l = ovf.kernel_samples(w.embedding, 1, rng, tol)[0]
+    gd = duality.generate_fusion_dual(w, u, l, tol)
+    return duality.kpp_dual_check(gd.v, w, gd.q, tol)
+
+
 def _run_kpp_construction(inst, rng, tol):
-    n = inst.w.ambient_dim
-    u = random_invertible_matrix(n, rng)
-    l = ovf.kernel_samples(inst.w.embedding, 1, rng, tol)[0]
-    gd = duality.generate_fusion_dual(inst.w, u, l, tol)
-    verdict = duality.kpp_dual_check(gd.v, inst.w, gd.q, tol)
+    u = random_invertible_matrix(inst.w.ambient_dim, rng)
+    verdict = _kpp_generated_verdict(inst.w, u, rng, tol)
     residual = relative_defect(spectral_norm(verdict.composite - u), spectral_norm(u))
     if not verdict.admissibility.admissible:
         residual = max(residual, 1.0)
@@ -141,10 +146,7 @@ def _run_kpp_construction(inst, rng, tol):
 
 
 def _run_kpp_verdict(inst, rng, tol):
-    n = inst.w.ambient_dim
-    l = ovf.kernel_samples(inst.w.embedding, 1, rng, tol)[0]
-    gd = duality.generate_fusion_dual(inst.w, np.eye(n), l, tol)
-    verdict = duality.kpp_dual_check(gd.v, inst.w, gd.q, tol)
+    verdict = _kpp_generated_verdict(inst.w, np.eye(inst.w.ambient_dim), rng, tol)
     residual = verdict.residual_to_identity
     if verdict.kind != "dual":
         residual = max(residual, 1.0)
@@ -228,7 +230,7 @@ def _run_condition_c_coherence(inst, rng, tol):
     sym = inst.symbol
     rep = multipliers.condition_c(sym, tol)
     if not rep.holds:
-        result = CheckResult(0.0, detail="two-sided bound does not hold; nothing to certify")
+        residual, detail = 0.0, "two-sided bound does not hold; nothing to certify"
     else:
         residual = 0.0 if rep.semi_normalized else 1.0
         min_m = float(np.min(np.abs(sym.m)))
@@ -236,17 +238,16 @@ def _run_condition_c_coherence(inst, rng, tol):
         residual = max(residual, relative_defect(shortfall, rep.lower_witness))
         inv_blocks = multipliers.inverse_symbol_blocks(sym, tol)
         defects = spectral_norms(sym.blocks @ inv_blocks - np.eye(sym.dim))
-        result = CheckResult(max(residual, float(defects.max())))
+        residual, detail = max(residual, float(defects.max())), ""
     if rep.near_threshold:
         # the policy of riesz_symbol_iff and the inverse checks: near the
         # cutoff the blockwise inverses are as ill-conditioned as the cutoff
         # allows, so their defects are tolerance noise
-        result.indeterminate = True
-        result.detail = (
+        detail = (
             f"gamma {rep.gamma:.3e} is within a factor 10 of the cutoff "
             f"inv_rel * delta = {tol.inv_rel * rep.delta:.3e}"
         )
-    return result
+    return CheckResult(residual, indeterminate=rep.near_threshold, detail=detail)
 
 
 def _riesz_pair(inst, rng):
@@ -297,7 +298,7 @@ def _run_excess_invariance(inst, rng, tol):
 
 def _run_inverse_representation(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
-    duals = ovf.canonical_and_sampled_duals(v.embedding, 5, rng, tol)
+    duals = ovf.canonical_and_sampled_duals(v.embedding, ovf.SAMPLED_DUALS, rng, tol)
     residuals = multipliers.inverse_representation_residuals(sym, v, w, duals, tol)
     near = multipliers.condition_c(sym, tol).near_threshold
     return CheckResult(max(residuals), indeterminate=near)
@@ -305,7 +306,7 @@ def _run_inverse_representation(inst, rng, tol):
 
 def _run_inverse_uniqueness(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
-    duals = ovf.canonical_and_sampled_duals(v.embedding, 5, rng, tol)
+    duals = ovf.canonical_and_sampled_duals(v.embedding, ovf.SAMPLED_DUALS, rng, tol)
     probe = multipliers.inverse_representation_probe(sym, v, w, duals, rng, tol)  # draws after the duals
     shortfall = max(0.0, (1e-4 - probe) / 1e-4)
     # W is a frame, so T_W has rank n and ker T_W^* has dimension (N - 1) n

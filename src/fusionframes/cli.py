@@ -125,6 +125,10 @@ def _cmd_check(args) -> int:
             if args.random <= 0:
                 print("error: --random needs a positive count", file=sys.stderr)
                 return EXIT_USAGE
+            if not 0 <= args.seed <= 2**64 - args.random:  # each seed + t is a 64-bit seed
+                print(f"error: --seed must lie in [0, 2**64 - COUNT], got {args.seed}",
+                      file=sys.stderr)
+                return EXIT_USAGE
             instances = [
                 generate_instance(_default_random_spec(args.seed + t))
                 for t in range(args.random)

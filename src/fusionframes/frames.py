@@ -87,15 +87,12 @@ def sample_ordinary_duals(
     return [VectorFrame(d.conj()) for d in duals]
 
 
-SAMPLED_DUALS = 5  # duals over which the inverse representation residual is taken
-
-
 def inverse_representation_ordinary(
     m,
     synth: VectorFrame,
     anal: VectorFrame,
+    rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
 ):
     """Inverse of an invertible vector multiplier as a reciprocal multiplier.
 
@@ -103,7 +100,8 @@ def inverse_representation_ordinary(
     from zero, the frame ``psi_dag_i = M^-1 (m_i synth_i)`` represents the
     inverse: ``M^-1 = ordinary_multiplier(1/m, psi_dag, d)`` for every dual
     ``d`` of the synthesis frame. Returns ``(psi_dag, residual)`` where the
-    residual is the worst relative deviation over sampled duals.
+    residual is the worst relative deviation over the canonical dual and
+    ``ovf.SAMPLED_DUALS - 1`` duals drawn from ``rng``.
     """
     m = np.asarray(m, dtype=np.complex128).ravel()
     mat = ordinary_multiplier(m, synth, anal)
@@ -117,11 +115,9 @@ def inverse_representation_ordinary(
         raise ContractViolationError("symbol is not semi-normalized: zero entry")
     minv = np.linalg.inv(mat)
     psi_dag = VectorFrame((minv @ (m[:, None] * synth.vectors).T).T)
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
     residual = 0.0
     scale = spectral_norm(minv)
-    for d in sample_ordinary_duals(synth, SAMPLED_DUALS, rng, tol):
+    for d in sample_ordinary_duals(synth, ovf.SAMPLED_DUALS, rng, tol):
         rep = ordinary_multiplier(1.0 / m, psi_dag, d)
         residual = max(residual, spectral_norm(minv - rep) / scale)
     return psi_dag, residual

@@ -10,18 +10,18 @@ through :func:`numerics.read_only`:
   embedding;
 * the embedding, the operator-valued frame {w_i P_i} (:class:`ovf.OVFrame`),
   owns the blocks w_i P_i, which are the stacked analysis T, the frame
-  operator S, the extreme eigenvalues of S (so the bounds and ||T||), S^-1
-  from one inv, and the one thin SVD of T.
+  operator S, the frame bounds (so ||T||), S^-1 from one inv, and the one
+  thin SVD of T.
 
 Every caller reads these facts through ``f.embedding``: the analysis
-``f.embedding.analysis``, the bounds :func:`ovf.frame_bounds`, the frame test
+``f.embedding.analysis``, the bounds ``f.embedding.frame_bounds``, the frame test
 :func:`ovf.is_frame` and S^-1 behind that test
 (:func:`ovf.frame_operator_inverse`), so a sequence and its embedding cannot
 disagree about being a frame. The rank of T, cut from its one SVD by
 :func:`ovf.range_basis`, gives both excess numbers and the Riesz test, since
 the K_W synthesis has the nonzero singular values of T. Tolerance rules (the
-eigenvalue clip, the invertibility cutoff, ranks) are applied at each call on
-top of the cached facts. :func:`sandwich` builds every block sum
+invertibility cutoff, ranks) are applied at each call on top of the cached
+facts. :func:`sandwich` builds every block sum
 sum_i c_i P_{V_i} X_i P_{W_i} (dual composites and multipliers) from the
 projection stacks and an (N, n, n) stack of the X_i.
 

@@ -46,7 +46,7 @@ duality residual ||Q_dagger^* T_W - I||, and the probe's kernel direction is dra
 by :func:`ovf.kernel_samples` through the cached range basis of T_W, so no
 (N n) x (N n) projector is formed on this path. The Riesz verdict reads
 :func:`fusion.is_riesz_fusion_basis`. The frame facts of V and W are read
-through their embeddings: the bounds from :func:`ovf.frame_bounds`, ||T_V||
+through their embeddings: the cached :attr:`ovf.OVFrame.frame_bounds`, ||T_V||
 and ||T_W|| of every norm bound from :attr:`ovf.OVFrame.analysis_norm`, and
 S_W^-1 only behind the frame test of :func:`ovf.frame_operator_inverse`.
 """
@@ -90,7 +90,6 @@ from .numerics import (
 from .ovf import (
     dual_slack,
     duality_defects,
-    frame_bounds,
     frame_operator_inverse,
     is_frame,
     kernel_samples,
@@ -424,9 +423,9 @@ def invertible_multiplier_consequences(
     w_scaled = sym.scaled(w)
     v_scaled = sym.scaled(v)
     seqs = (w, v, w_scaled, v_scaled)
-    bounds = [frame_bounds(seq.embedding, tol) for seq in seqs]
+    bounds = [seq.embedding.frame_bounds for seq in seqs]
     all_frames = all(is_frame(seq.embedding, tol) for seq in seqs)
-    lhs = saturated_product(np.sqrt(max(bounds[2][0], 0.0)), v.embedding.analysis_norm, sym.r_sup)
+    lhs = saturated_product(np.sqrt(bounds[2][0]), v.embedding.analysis_norm, sym.r_sup)
     rhs = np.sqrt(1.0 - LOWER_BOUND_REL) * report.sigma_min
     e_w = excess(w, tol)[0]
     e_v = excess(v, tol)[0]

@@ -5,6 +5,9 @@ checked for finiteness by :func:`finite_array`. Every SVD in the package, of
 one matrix or of an (m, r, c) stack, goes through :func:`svd` or
 :func:`singular_values`, which take either and report non-convergence as
 :class:`NumericFailureError`; so does the ``eigvalsh`` of :func:`eig_extremes`.
+Each SVD operand passes :func:`finite_array` first: LAPACK's SVD raises on a NaN
+but may never return on an infinite entry, so an overflowed operand must end
+in :class:`ContractViolationError` before it, not in a hang.
 All rank, equality, and invertibility decisions route through one
 :class:`ToleranceConfig` so that no two checks can disagree about what
 counts as zero, and every relative residual and every ``eq_rel`` test takes
@@ -44,7 +47,6 @@ __all__ = [
     "clears_inv_cutoff",
     "near_inv_cutoff",
     "eig_extremes",
-    "clip_eig_bounds",
     "spectrum_schatten_norm",
     "read_only",
     "owned",
@@ -212,15 +214,6 @@ def eig_extremes(a):
             f"eigvalsh did not converge on a matrix of shape {np.shape(a)}"
         ) from exc
     return float(w[0]), float(w[-1])
-
-
-def clip_eig_bounds(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL):
-    """Frame bounds ``(lo, hi)`` from the extreme eigenvalues of a Hermitian positive
-    semidefinite matrix, with a rounding-level negative ``lo`` (its
-    :func:`relative_defect` against ``hi`` at most ``eq_rel``) clipped to 0."""
-    if lo < 0.0 and relative_defect(abs(lo), hi) <= tol.eq_rel:
-        lo = 0.0
-    return lo, hi
 
 
 def spectrum_schatten_norm(s: np.ndarray, p: float) -> float:

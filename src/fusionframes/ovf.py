@@ -41,22 +41,22 @@ Which object caches which fact, each built on first use, free of any
 tolerance and returned through :func:`numerics.read_only`; the spectra per rank
 cut are kept in a :func:`numerics.memo` table:
 
-* an :class:`OVFrame` caches its frame operator S_A = T_A^* T_A, the
-  extreme eigenvalues of its Hermitian part, from which its bounds, its
+* an :class:`OVFrame` caches its frame operator S_A = T_A^* T_A, its bounds
+  (the extreme eigenvalues of its Hermitian part, floored at 0), from which its
   frame test and ||T_A|| = sqrt(beta) are read, S_A^-1 from one inv,
   T_A S_A^-1 from that inverse, the thin SVD factors (U, s) of T_A, the one
   factorization of T_A, and, per rank cut of Q, the spectrum of B;
 * a fusion sequence caches no operator fact beside these: its embedding
   ``f.embedding``, the OVFrame {w_i P_i}, owns its blocks, its stacked
-  analysis, its S, its eigenvalues, its S^-1 and so its bounds and frame test,
+  analysis, its S, its bounds and so its frame test, its S^-1,
   and the SVD whose rank cut (:func:`range_basis`) gives its excess and Riesz
   test.
 
-Tolerance rules are applied per call on top of the cached facts: the
-eigenvalue clip of :func:`frame_bounds`, the one place frame bounds are
-read; the invertibility cutoff of :func:`is_frame`, the one frame test,
-which :func:`frame_operator_inverse` applies before S_A^-1 or T_A S_A^-1 is
-read; and the rank cutoff that cuts Q from U.
+Tolerance rules are applied per call on top of the cached facts, each only
+where it decides: the invertibility cutoff of :func:`is_frame`, the one frame
+test, which :func:`frame_operator_inverse` applies before S_A^-1 or
+T_A S_A^-1 is read; the rank cutoff that cuts Q from U; and the annihilation
+test of :func:`_require_annihilation`.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from .numerics import (
     ToleranceConfig,
     as_matrix,
     clears_inv_cutoff,
-    clip_eig_bounds,
     eig_extremes,
     finite_array,
     memo,
@@ -87,7 +86,6 @@ from .numerics import (
 
 __all__ = [
     "OVFrame",
-    "frame_bounds",
     "is_frame",
     "frame_operator_inverse",
     "DualCandidate",
@@ -140,10 +138,12 @@ class OVFrame:
         return read_only(t.conj().T @ t)
 
     @cached_property
-    def frame_eigs(self) -> tuple:
-        """Unclipped extreme eigenvalues (lo, hi) of S_A / 2 + S_A^* / 2, which cannot overflow."""
+    def frame_bounds(self) -> tuple:
+        """Frame bounds (alpha, beta) of every frame and fusion sequence: the extreme
+        eigenvalues of S_A / 2 + S_A^* / 2, which cannot overflow, floored at 0."""
         s = self.frame_operator
-        return eig_extremes(s / 2.0 + s.conj().T / 2.0)
+        lo, hi = eig_extremes(s / 2.0 + s.conj().T / 2.0)
+        return max(lo, 0.0), max(hi, 0.0)
 
     @cached_property
     def frame_operator_inv(self) -> np.ndarray:
@@ -166,26 +166,20 @@ class OVFrame:
 
     @property
     def analysis_norm(self) -> float:
-        """||T_A|| = sqrt(beta), beta the largest cached eigenvalue of S_A = T_A^* T_A."""
-        return float(np.sqrt(max(self.frame_eigs[1], 0.0)))
-
-
-def frame_bounds(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
-    """Frame bounds (alpha, beta): the extreme eigenvalues of S_A, clipped at ``tol``.
-    The bounds of every frame and fusion sequence are read here."""
-    return clip_eig_bounds(*a.frame_eigs, tol)
+        """||T_A|| = sqrt(beta), beta the cached upper frame bound."""
+        return float(np.sqrt(self.frame_bounds[1]))
 
 
 def is_frame(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """The frame test: the clipped bounds clear the invertibility cutoff at ``tol``."""
-    return clears_inv_cutoff(*frame_bounds(a, tol), tol)
+    """The frame test: the cached bounds clear the invertibility cutoff at ``tol``."""
+    return clears_inv_cutoff(*a.frame_bounds, tol)
 
 
 def frame_operator_inverse(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The read-only S_A^-1 cached on ``a``, once ``a`` passes the frame test at
     ``tol``; the one gate in front of S_A^-1 and T_A S_A^-1."""
     if not is_frame(a, tol):
-        lo, hi = frame_bounds(a, tol)
+        lo, hi = a.frame_bounds
         raise NotAFrameError(f"not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})")
     return a.frame_operator_inv
 
@@ -214,24 +208,28 @@ class DualCandidate:
         return read_only(self.base.canonical_analysis + self.perturbation)
 
 
-def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The DualCandidate condition, ||L^* T_A|| relative to ||T_A|| ||L||
-    (:func:`numerics.relative_defect`) at most eq_rel at ``tol``, for each L of a
-    (c, N k, n) stack, from two stacked SVDs of n x n matrices: ||L^* T_A|| and
-    ||L|| = ||L^* L||^(1/2). Returns the defects ||L^* T_A||, or
-    raises :class:`ContractViolationError` naming the worst one. A stack of zeros,
-    such as the canonical dual's L = 0, has zero defects and takes no SVD."""
-    if not stack.any():
-        return np.zeros(len(stack))
-    adj = stack.conj().transpose(0, 2, 1)
-    defects = spectral_norms(adj @ a.analysis)
-    l_norms = np.sqrt(spectral_norms(adj @ stack))
+def _require_annihilation(a: OVFrame, defects, l_norms, tol: ToleranceConfig) -> None:
+    """The DualCandidate condition: each defect ||L^* T_A|| relative to ||T_A|| ||L||,
+    ``l_norms`` the ||L||, at most eq_rel at ``tol`` (:func:`numerics.relative_defect`),
+    or :class:`ContractViolationError` naming the worst defect."""
     bad = relative_defect(defects, a.analysis_norm * l_norms) > tol.eq_rel
     if np.any(bad):
         raise ContractViolationError(
             "perturbation does not annihilate the analysis operator "
             f"(defect {defects[bad].max():.3e})"
         )
+
+
+def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The DualCandidate condition (:func:`_require_annihilation`) for each L of a
+    (c, N k, n) stack, from two stacked SVDs of n x n matrices: ||L^* T_A|| and
+    ||L|| = ||L^* L||^(1/2). Returns the defects ||L^* T_A||. A stack of zeros,
+    such as the canonical dual's L = 0, has zero defects and takes no SVD."""
+    if not stack.any():
+        return np.zeros(len(stack))
+    adj = stack.conj().transpose(0, 2, 1)
+    defects = spectral_norms(adj @ a.analysis)
+    _require_annihilation(a, defects, np.sqrt(spectral_norms(adj @ stack)), tol)
     return defects
 
 
@@ -246,6 +244,9 @@ def duality_defects(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
             f"dual analyses must be a stack of one or more {t.shape} matrices, got shape {shape}"
         )
     return spectral_norms(np.array([d.conj().T @ t for d in analyses]) - np.eye(t.shape[1]))
+
+
+SAMPLED_DUALS = 5  # duals per sampled-dual check: the canonical dual and four drawn
 
 
 def dual_slack(tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -327,17 +328,15 @@ def _family_member(a: OVFrame, q, index: int, tol: ToleranceConfig) -> DualCandi
 def _check_annihilator(
     a: OVFrame, q: np.ndarray, pt: np.ndarray, tol: ToleranceConfig
 ) -> np.ndarray:
-    """The DualCandidate condition L^* T = 0 at ``tol`` for every L = P_ker E_rs at
-    once, given the range basis ``q`` and ``pt`` = P_ker^* T_A.
+    """The DualCandidate condition (:func:`_require_annihilation`) for every
+    L = P_ker E_rs at once, given the range basis ``q`` and ``pt`` = P_ker^* T_A.
 
     (P_ker E_rs)^* T is zero except for row s, which is row r of P_ker^* T,
     and ||P_ker E_rs|| = ||P_ker[:, r]|| = sqrt(1 - ||Q[r, :]||^2). Returns
     these column norms.
     """
     col_norms = np.sqrt(np.maximum(0.0, 1.0 - np.linalg.norm(q, axis=1) ** 2))
-    defects = np.linalg.norm(pt, axis=1)
-    if np.any(relative_defect(defects, a.analysis_norm * col_norms) > tol.eq_rel):
-        raise ContractViolationError("perturbation does not annihilate the analysis operator")
+    _require_annihilation(a, np.linalg.norm(pt, axis=1), col_norms, tol)
     return col_norms
 
 

@@ -21,7 +21,6 @@ from fusionframes.numerics import (
 from fusionframes.ovf import (
     OVFrame,
     _check_annihilator,
-    frame_bounds,
     frame_operator_inverse,
     kernel_parts,
     range_basis,
@@ -54,7 +53,7 @@ def random_fusion_frame(
     for _ in range(MAX_DRAWS):
         use_dims = random_spanning_dims(n, count, rng) if dims is None else tuple(dims)
         f = _random_sequence(n, use_dims, weight_range, rng)
-        lo, hi = frame_bounds(f.embedding, tol)
+        lo, hi = f.embedding.frame_bounds
         if lo > 0.0 and hi / lo <= MAX_COND:
             return f
     raise PreconditionError(f"no fusion frame of condition <= {MAX_COND} in {MAX_DRAWS} draws")

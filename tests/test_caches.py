@@ -46,7 +46,7 @@ from fusionframes.multipliers import (
     inverse_representation_residuals,
 )
 from fusionframes.numerics import ToleranceConfig
-from fusionframes.ovf import canonical_ov_dual, frame_bounds, frame_operator_inverse, is_frame
+from fusionframes.ovf import canonical_ov_dual, frame_operator_inverse, is_frame
 
 LOOSE = ToleranceConfig(eq_rel=1e-6, rank_rel=1e-8)
 
@@ -114,9 +114,9 @@ def test_a_write_to_an_array_given_leaves_the_cached_facts_alone():
     # a later write by the caller reaches neither the object nor a fact cached on it
     b = np.array([np.eye(2)] * 2, dtype=np.complex128)
     a = ovf.OVFrame(b)
-    assert frame_bounds(a) == (2.0, 2.0)
+    assert a.frame_bounds == (2.0, 2.0)
     b *= 3
-    assert frame_bounds(a) == (2.0, 2.0)
+    assert a.frame_bounds == (2.0, 2.0)
     assert np.array_equal(a.blocks, np.array([np.eye(2)] * 2))
 
     r = np.array([np.eye(2)] * 2, dtype=np.complex128)
@@ -154,7 +154,7 @@ def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeyp
     invs = _counting(monkeypatch, "inv")
     for tol in (ToleranceConfig(), LOOSE):
         for f in (inst.w, inst.v):
-            frame_bounds(f.embedding, tol)
+            f.embedding.frame_bounds
             is_frame(f.embedding, tol)
             is_riesz_fusion_basis(f, tol)
             frame_operator_inverse(f.embedding, tol)
@@ -163,12 +163,17 @@ def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeyp
     assert len(invs) == 2
 
 
-def test_bounds_are_clipped_per_call_on_the_cached_eigenvalues():
+def test_one_cached_bounds_tuple_serves_the_frame_test_under_every_tolerance(monkeypatch):
+    # no tolerance enters the bounds: one eigvalsh gives one tuple, which the frame
+    # test reads under each ToleranceConfig
     inst = _instance()
+    eigs = _counting(monkeypatch, "eigvalsh")
     for f in (inst.w, inst.v):
         a = f.embedding
-        assert a.frame_eigs[0] > 0.0  # a frame: no clip applies
-        assert frame_bounds(a) == frame_bounds(a, LOOSE) == a.frame_eigs
+        bounds = a.frame_bounds
+        assert is_frame(a) and is_frame(a, LOOSE)
+        assert a.frame_bounds is bounds and bounds[0] > 0.0
+    assert len(eigs) == 2
 
 
 def test_frame_operator_and_embedding_are_shared():

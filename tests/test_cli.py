@@ -18,7 +18,6 @@ from fusionframes.exceptions import NumericFailureError
 from fusionframes.fusion import FusionSequence
 from fusionframes.instances import load_instance, save_instance
 from fusionframes.multipliers import Symbol, assemble_multiplier, schatten_checks
-from fusionframes.ovf import frame_bounds
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
@@ -250,7 +249,7 @@ def test_frame_bounds_of_a_frame_operator_near_the_largest_float_are_finite(tmp_
     gen = ["gen", "--dim", "2", "--blocks", "1", "--dims", "2", "--weights", "1.3e154,1.3e154"]
     assert main(gen + ["--symbol", "identity", "-o", str(path)]) == 0
     inst = load_instance(path)
-    lo, hi = frame_bounds(inst.w.embedding)
+    lo, hi = inst.w.embedding.frame_bounds
     assert 0.0 < lo <= hi < np.inf
     entries = {}
     with warnings.catch_warnings():
@@ -281,6 +280,8 @@ def test_check_usage_errors_exit_2_with_one_error_line(capsys):
     cases = (
         (["--tol-eq", "0", str(GOLDEN_INSTANCE)], "error: eq_rel must lie strictly between 0 and 1"),
         (["--random", "0"], "error: --random needs a positive count"),
+        (["--random", "1", "--seed", "-5"], "error: --seed must lie in [0, 2**64 - COUNT]"),
+        (["--random", "2", "--seed", str(2**64 - 1)], "error: --seed must lie in [0, 2**64 - COUNT]"),
     )
     for extra, message in cases:
         assert main(["check", "--suite", "duals", *extra]) == 2

@@ -449,3 +449,17 @@ def test_separation_bound_soundness(monkeypatch, rng):
                 np.testing.assert_array_equal(witness.perturbation, l)
                 witnesses.add(index)
     assert len(witnesses) > 10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda w: is_admissible(np.ones((3, 2, 2)), w, w), "expected 2 square blocks of size 2"),
+        (lambda w: generate_fusion_dual(w, np.eye(3)), "target operator must be 2 x 2"),
+        (lambda w: fusion_dual_to_ovf(w, np.ones((3, 2, 2))), "one square block per index required"),
+    ],
+    ids=["admissibility_blocks", "generator_target", "dual_to_ovf_blocks"],
+)
+def test_duality_shape_contracts_raise_contract_violations(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call(coordinate_decomposition(2))

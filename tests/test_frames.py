@@ -14,14 +14,14 @@ from fusionframes.frames import (
     sample_ordinary_duals,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import frame_bounds, is_frame
+from fusionframes.ovf import is_frame
 
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
 E2 = np.array([0.0, 1.0], dtype=np.complex128)
 
 
 def _bounds(phi):
-    return frame_bounds(embed_ordinary(phi))
+    return embed_ordinary(phi).frame_bounds
 
 
 def test_bounds_parseval():
@@ -108,14 +108,14 @@ def test_multiplier_sesquilinearity(rng):
 
 def test_inverse_representation_identity_symbol():
     onb = VectorFrame(np.eye(2))
-    psi, residual = inverse_representation_ordinary(np.ones(2), onb, onb)
+    psi, residual = inverse_representation_ordinary(np.ones(2), onb, onb, np.random.default_rng(0x5EED))
     np.testing.assert_allclose(psi.vectors, np.eye(2), atol=1e-12)
     assert residual <= DEFAULT_TOL.eq_rel
 
 
 def test_inverse_representation_diagonal_symbol():
     onb = VectorFrame(np.eye(2))
-    psi, residual = inverse_representation_ordinary([2.0, 4.0], onb, onb)
+    psi, residual = inverse_representation_ordinary([2.0, 4.0], onb, onb, np.random.default_rng(0x5EED))
     np.testing.assert_allclose(psi.vectors, np.eye(2), atol=1e-12)
     assert residual <= DEFAULT_TOL.eq_rel
 
@@ -123,7 +123,7 @@ def test_inverse_representation_diagonal_symbol():
 def test_inverse_representation_singular_symbol():
     onb = VectorFrame(np.eye(2))
     with pytest.raises(NotInvertibleError):
-        inverse_representation_ordinary([1.0, 0.0], onb, onb)
+        inverse_representation_ordinary([1.0, 0.0], onb, onb, np.random.default_rng(0x5EED))
 
 
 def test_inverse_representation_random_redundant(rng):
@@ -139,3 +139,21 @@ def test_inverse_representation_random_redundant(rng):
             continue
         _, residual = inverse_representation_ordinary(m, phi, psi, rng=rng)
         assert residual <= DEFAULT_TOL.eq_rel
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ordinary_multiplier(np.ones(2), VectorFrame(np.eye(2)), VectorFrame(np.ones((2, 3)))),
+         "live in different spaces"),
+        # M = e1 e1^* + e2 e2^* = I is invertible, but the symbol vanishes on phi_3
+        (lambda: inverse_representation_ordinary(
+            [1.0, 1.0, 0.0], VectorFrame(np.array([E1, E2, E1 + E2])),
+            VectorFrame(np.array([E1, E2, E1 + E2])), np.random.default_rng(0x5EED),
+        ), "symbol is not semi-normalized: zero entry"),
+    ],
+    ids=["multiplier_spaces", "zero_symbol_entry"],
+)
+def test_vector_multiplier_contracts_raise_contract_violations(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call()

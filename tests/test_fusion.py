@@ -32,7 +32,7 @@ from fusionframes.fusion import (
     scale_weights,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import frame_bounds, is_frame
+from fusionframes.ovf import is_frame
 
 
 def test_projection_examples():
@@ -106,12 +106,12 @@ def test_frame_operator_examples(diag_pair):
 
 
 def test_bounds_examples(diag_pair):
-    assert frame_bounds(diag_pair.embedding) == pytest.approx((1.0, 4.0))
+    assert diag_pair.embedding.frame_bounds == pytest.approx((1.0, 4.0))
     partial = FusionSequence((line([1.0, 0.0]),), np.array([1.0]))
-    lo, hi = frame_bounds(partial.embedding)
+    lo, hi = partial.embedding.frame_bounds
     assert lo == pytest.approx(0.0, abs=1e-15) and hi == pytest.approx(1.0)
     double = FusionSequence((Subspace.full(2), Subspace.full(2)), np.array([1.0, 1.0]))
-    assert frame_bounds(double.embedding) == pytest.approx((2.0, 2.0))
+    assert double.embedding.frame_bounds == pytest.approx((2.0, 2.0))
 
 
 def test_classify_examples():
@@ -338,10 +338,27 @@ def test_projection_stack_is_cached_and_read_only(rng, monkeypatch):
     assert stack.shape == (7, 5, 5) and w.projections is stack
     for sub, p in zip(w.subspaces, stack):
         assert np.array_equal(p, original(sub))
-    frame_bounds(w.embedding)
+    w.embedding.frame_bounds
     fusion.block_deviation(w, v)
     multipliers.assemble_multiplier(sym, v, w)
     multipliers.schatten_checks(sym, v, w, 2.0)
     assert len(calls) == 2 * 7
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fusion.random_orthogonal_split(3, (1, 1), np.random.default_rng(0)),
+         r"dims \(1, 1\) must be non-negative and sum to 3"),
+        (lambda: fusion.random_orthogonal_split(2, (3, -1), np.random.default_rng(0)),
+         r"dims \(3, -1\) must be non-negative and sum to 2"),
+        (lambda: scale_weights(coordinate_decomposition(2), [1.0]),
+         "one scale factor per block required"),
+    ],
+    ids=["split_sum", "split_negative", "scale_factor_count"],
+)
+def test_fusion_contracts_raise_contract_violations(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call()

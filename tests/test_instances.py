@@ -1,5 +1,7 @@
 """Instance specs, generators, and ffv2 round-trips."""
 
+import dataclasses
+import re
 import time
 import warnings
 
@@ -10,7 +12,7 @@ from conftest import random_fusion_frame
 from fusionframes.exceptions import ContractViolationError, PreconditionError
 from fusionframes import instances
 from fusionframes.fusion import FusionSequence, Subspace
-from fusionframes.ovf import frame_bounds, is_frame
+from fusionframes.ovf import is_frame
 from fusionframes.instances import (
     InstanceSpec,
     cross_swap_instance,
@@ -154,7 +156,7 @@ def test_random_partition(rng):
 def test_random_fusion_frame_conditioned(rng):
     for _ in range(10):
         f = random_fusion_frame(4, 3, rng)
-        lo, hi = frame_bounds(f.embedding)
+        lo, hi = f.embedding.frame_bounds
         assert lo > 0 and hi / lo <= 1e4
         assert is_frame(f.embedding)
 
@@ -210,3 +212,30 @@ def test_symbol_overflowing_on_a_zero_block_is_named_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ContractViolationError, match=r"sigma_max\(R_i\) overflows on block 1"):
             instances._check_symbol(sym, f, f)
+
+
+def _reloaded_with_symbol(m):
+    # weights 1, so |m_i| v_i w_i sigma_max(R_i) = |m_i| on every block
+    inst = generate_instance(spec(weight_range=(1.0, 1.0)))
+    sym = Symbol(m, np.array([np.eye(3)] * 2))
+    return instance_from_json(instance_to_json(dataclasses.replace(inst, symbol=sym)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: random_riesz_basis(3, np.random.default_rng(0)), "give either dims or a block count"),
+        (lambda: random_riesz_basis(3, np.random.default_rng(0), dims=(1, 1)),
+         "Riesz dims must be positive and sum to n"),
+        (lambda: random_riesz_basis(3, np.random.default_rng(0), dims=(3, 0)),
+         "Riesz dims must be positive and sum to n"),
+        (lambda: random_symbol("bogus", 2, 2, np.random.default_rng(0)), "unknown symbol mode 'bogus'"),
+        # each block's term is 1e308, finite, but their sum is not
+        (lambda: _reloaded_with_symbol(np.full(2, 1e308)),
+         re.escape("symbol: sum_i |m_i| v_i w_i sigma_max(R_i) overflows")),
+    ],
+    ids=["riesz_without_dims", "riesz_dims_sum", "riesz_zero_dim", "symbol_mode", "symbol_sum_overflow"],
+)
+def test_generator_and_loader_contracts_raise_contract_violations(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call()

@@ -442,3 +442,34 @@ def test_schatten_random_population(rng):
         sym = Symbol(m, r)
         assert sym.block_sval_defect <= DEFAULT_TOL.eq_rel
         assert set(schatten_verdicts(sym, v, w).values()) == {"pass"}
+
+
+def _one_block_local_family():
+    # one local frame, for sequences of two blocks below
+    one_block = FusionSequence((Subspace.full(2),), np.ones(1))
+    return build_local_frames(one_block, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Symbol(np.ones(2), np.ones((3, 2, 2))), ContractViolationError,
+         "2 scalars but 3 operator blocks"),
+        (lambda: inverse_symbol_blocks(Symbol(np.array([1.0, 0.0]), np.array([np.eye(2)] * 2))),
+         PreconditionError, "blockwise inversion requires the two-sided symbol bound"),
+        (lambda: condition_c(Symbol(np.ones(0), np.ones((0, 2, 2)))), ContractViolationError,
+         "empty symbol"),
+        # on the crossed pair sum_i P_{V_i} P_{W_i} = 0 although the identity symbol holds C
+        (lambda: inverse_representation_residuals(
+            Symbol.identity(2, 2), *cross_pair(), canonical_ov_dual(cross_pair()[0].embedding)[None]
+        ), PreconditionError, "the multiplier must be invertible"),
+        (lambda: local_frame_equivalence(
+            Symbol.identity(2, 2), *cross_pair(), _one_block_local_family()
+        ), ContractViolationError, "local family length does not match"),
+    ],
+    ids=["symbol_lengths", "inverse_blocks_without_c", "empty_symbol", "closed_form_singular",
+         "local_family_length"],
+)
+def test_multiplier_contracts_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

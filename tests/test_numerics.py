@@ -15,7 +15,6 @@ from fusionframes.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     clears_inv_cutoff,
-    clip_eig_bounds,
     extreme_singular_values,
     near_inv_cutoff,
     relative_defect,
@@ -78,6 +77,33 @@ def test_svd_non_convergence_is_a_numeric_failure(monkeypatch, name):
     operand = np.eye(2)[None] if stacked else np.eye(2)
     with pytest.raises(NumericFailureError):
         getattr(numerics, name.removeprefix("stacked_"))(operand)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, 0.0), np.nan])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "svd",
+        "stacked_svd",
+        "singular_values",
+        "stacked_singular_values",
+        "spectral_norm",
+        "spectral_norms",
+        "extreme_singular_values",
+    ],
+)
+def test_no_svd_reader_hands_lapack_a_nonfinite_operand(monkeypatch, name, bad):
+    # LAPACK's SVD raises on a NaN, but on an infinite entry it may never return,
+    # so the finiteness scan must stop the operand before np.linalg.svd sees it
+    def unreachable(*args, **kwargs):
+        pytest.fail("np.linalg.svd was handed a non-finite operand")
+
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    operand = np.ones((5, 3), dtype=np.complex128)
+    operand[0, 0] = bad
+    stacked = name.startswith("stacked_") or name == "spectral_norms"
+    with pytest.raises(ContractViolationError, match="NaN or Inf"):
+        getattr(numerics, name.removeprefix("stacked_"))(operand[None] if stacked else operand)
 
 
 def test_every_svd_of_the_package_goes_through_numerics():
@@ -206,15 +232,6 @@ def test_pinv_moore_penrose_identities(rng):
         assert spectral_norm(ap @ a @ ap - ap) <= DEFAULT_TOL.eq_rel * max(1.0, spectral_norm(ap))
         assert spectral_norm((a @ ap).conj().T - a @ ap) <= DEFAULT_TOL.eq_rel * scale
         assert spectral_norm((ap @ a).conj().T - ap @ a) <= DEFAULT_TOL.eq_rel * scale
-
-
-def test_clipped_eig_bounds():
-    assert clip_eig_bounds(1.0, 4.0) == (1.0, 4.0)
-    assert clip_eig_bounds(1.0, 1.0) == (1.0, 1.0)
-    assert clip_eig_bounds(0.0, 5.0) == (0.0, 5.0)
-    # rounding below zero is clipped; a genuinely negative eigenvalue is not
-    assert clip_eig_bounds(-1e-12, 3.0) == (0.0, 3.0)
-    assert clip_eig_bounds(-1e-3, 3.0) == (-1e-3, 3.0)
 
 
 def test_inv_cutoff_rules():

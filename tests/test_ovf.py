@@ -22,7 +22,6 @@ from fusionframes.ovf import (
     OVFrame,
     canonical_ov_dual,
     dual_span_dimension,
-    frame_bounds,
     frame_operator_inverse,
     is_frame,
     kernel_samples,
@@ -52,24 +51,39 @@ def test_analysis_stacking(diag_pair):
 def test_frame_operator_bounds(diag_pair):
     a = diag_pair.embedding
     np.testing.assert_allclose(a.frame_operator, np.diag([1.0, 4.0]))
-    assert frame_bounds(a) == pytest.approx((1.0, 4.0))
-    assert frame_bounds(OVFrame(np.eye(2)[None])) == pytest.approx((1.0, 1.0))
+    assert a.frame_bounds == pytest.approx((1.0, 4.0))
+    assert OVFrame(np.eye(2)[None]).frame_bounds == pytest.approx((1.0, 1.0))
     row = embed_ordinary(VectorFrame(np.array([[1.0, 0.0]])))
-    assert frame_bounds(row)[0] == pytest.approx(0.0, abs=1e-15)
+    assert row.frame_bounds[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_frame_bounds_floor_a_rounding_level_eigenvalue_at_zero(rng):
+    # S_A of a rank-deficient T_A is positive semidefinite, so its lower bound is 0
+    # whichever sign the rounding of its smallest eigenvalue takes
+    negative = 0
+    for _ in range(20):
+        t = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        a = OVFrame((t @ rng.standard_normal((2, 4))).reshape(3, 2, 4))  # rank 2 < n = 4
+        s = a.frame_operator
+        ev = np.linalg.eigvalsh(s / 2.0 + s.conj().T / 2.0)
+        negative += ev[0] < 0.0
+        assert a.frame_bounds == (max(float(ev[0]), 0.0), float(ev[-1]))
+        assert not is_frame(a)
+    assert negative  # the floor was exercised
 
 
 def test_embeddings_preserve_bounds(rng):
     vecs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     phi = VectorFrame(vecs)
     ev = np.linalg.eigvalsh(vecs.T @ vecs.conj())
-    assert frame_bounds(embed_ordinary(phi)) == pytest.approx((ev[0], ev[-1]), rel=1e-12)
+    assert embed_ordinary(phi).frame_bounds == pytest.approx((ev[0], ev[-1]), rel=1e-12)
     np.testing.assert_allclose(
         embed_ordinary(VectorFrame(np.array([[2.0, 0.0]]))).frame_operator,
         np.diag([4.0, 0.0]),
     )
     f = random_fusion_frame(4, 3, rng)
     ev = np.linalg.eigvalsh(np.sum(f.weights[:, None, None] ** 2 * f.projections, axis=0))
-    assert frame_bounds(f.embedding) == pytest.approx((ev[0], ev[-1]), rel=1e-12)
+    assert f.embedding.frame_bounds == pytest.approx((ev[0], ev[-1]), rel=1e-12)
 
 
 def test_embed_fusion_blocks(diag_pair):
@@ -406,7 +420,7 @@ def test_implicit_kernel_projection_matches_dense_reference(rng):
     for w in _projector_population(rng):
         a = w.embedding
         t = a.analysis
-        lo, hi = a.frame_eigs
+        lo, hi = a.frame_bounds
         pker = reference_kernel_projector(a, DEFAULT_TOL)
         bound = 8 * t.shape[0] * eps * np.sqrt(hi / lo)
         seed = int(rng.integers(2**32))
@@ -524,7 +538,7 @@ def test_kernel_columns_match_dense_reference(rng):
     for w in _projector_population(rng):
         a = w.embedding
         t = a.analysis
-        lo, hi = a.frame_eigs
+        lo, hi = a.frame_bounds
         bound = 8 * t.shape[0] * eps * np.sqrt(hi / lo)
         pker = reference_kernel_projector(a, DEFAULT_TOL)
         q = ovf.range_basis(a)
@@ -534,3 +548,10 @@ def test_kernel_columns_match_dense_reference(rng):
             assert np.array_equal(col, reference_kernel_column(q, r))
             assert np.linalg.norm(col - pker[:, r]) <= bound
             assert abs(norms[r] ** 2 - np.linalg.norm(pker[:, r]) ** 2) <= 2 * bound
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (5, 2), (4, 3)])
+def test_sweep_rejects_a_second_analysis_of_another_shape(diag_pair, shape):
+    # T_A of the diagonal pair is 4 x 2
+    with pytest.raises(ContractViolationError, match=r"second analysis operator must have shape \(4, 2\)"):
+        sweep_dual_family(diag_pair.embedding, np.ones(shape), 1.0, DEFAULT_TOL)
