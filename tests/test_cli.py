@@ -27,6 +27,13 @@ GEN_ARGS = [
     "gen", "--dim", "3", "--blocks", "3", "--dims", "1,2,2",
     "--symbol", "random_C_holding", "--seed", "42",
 ]
+# stored local frames: ffv2 local arrays, the loader's reconstruction rule and the
+# lift on stored frames, with one zero block
+GOLDEN_INSTANCE_LOCAL = DATA / "golden_instance_local.json"
+GOLDEN_REPORT_LOCAL = DATA / "golden_report_local.json"
+LOCAL_GEN_ARGS = [
+    "gen", "--dim", "5", "--blocks", "4", "--dims", "1,2,0,4", "--local", "2", "--seed", "3",
+]
 
 
 def _strip_wall_time(text: str) -> dict:
@@ -53,6 +60,20 @@ def test_check_report_matches_golden(tmp_path):
     code = main(["check", "--suite", "all", str(GOLDEN_INSTANCE), "--report", str(out)])
     assert code == 0
     assert _strip_wall_time(out.read_text()) == _strip_wall_time(GOLDEN_REPORT.read_text())
+
+
+def test_gen_with_local_frames_matches_golden(tmp_path):
+    out = tmp_path / "inst.json"
+    assert main(LOCAL_GEN_ARGS + ["-o", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_INSTANCE_LOCAL.read_bytes()
+
+
+def test_check_report_on_stored_local_frames_matches_golden(tmp_path):
+    assert json.loads(GOLDEN_INSTANCE_LOCAL.read_text())["local"] is not None
+    out = tmp_path / "report.json"
+    code = main(["check", "--suite", "all", str(GOLDEN_INSTANCE_LOCAL), "--report", str(out)])
+    assert code == 0
+    assert _strip_wall_time(out.read_text()) == _strip_wall_time(GOLDEN_REPORT_LOCAL.read_text())
 
 
 def test_check_report_on_the_ffv1_golden_instance_matches_golden(tmp_path):
