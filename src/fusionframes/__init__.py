@@ -16,7 +16,6 @@ from .exceptions import (
 )
 from .numerics import DEFAULT_TOL, ToleranceConfig
 from .frames import (
-    VectorFrame,
     embed_ordinary,
     inverse_representation_ordinary,
     ordinary_multiplier,

@@ -16,7 +16,7 @@ import functools
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterable, List
 
 import numpy as np
 
@@ -677,7 +677,7 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
 
 def run_suite(
     suite: str,
-    instances: Sequence[Instance],
+    instances: Iterable[Instance],
     tol: ToleranceConfig = DEFAULT_TOL,
     base_seed: int = 0,
 ) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -58,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("instance", nargs="?", default=None, help="ffv2 or ffv1 instance file")
     check.add_argument("--random", type=int, default=None, metavar="COUNT",
                        help="run on COUNT freshly generated instances instead of a file")
-    check.add_argument("--seed", type=int, default=0, help="base seed for --random")
+    check.add_argument("--seed", type=int, default=None,
+                       help="base seed for --random (default 0); a file carries its own")
     check.add_argument("--report", default=None, help="write the JSON report here")
     check.add_argument("--tol-eq", type=float, default=None, help="override eq_rel")
     check.add_argument("--tol-rank", type=float, default=None, help="override rank_rel")
@@ -107,6 +109,10 @@ def _cmd_check(args) -> int:
     if (args.instance is None) == (args.random is None):
         print("error: give exactly one of an instance file or --random COUNT", file=sys.stderr)
         return EXIT_USAGE
+    if args.instance is not None and args.seed is not None:
+        print("error: --seed applies to --random only; an instance file's checks seed "
+              "from the file's own seed", file=sys.stderr)
+        return EXIT_USAGE
     overrides = {}
     if args.tol_eq is not None:
         overrides["eq_rel"] = args.tol_eq
@@ -119,24 +125,27 @@ def _cmd_check(args) -> int:
         return EXIT_USAGE
     try:
         if args.instance is not None:
-            instances = [load_instance(args.instance)]
-            base_seed = instances[0].seed
+            pending = deque([load_instance(args.instance)])
+            base_seed = pending[0].seed
         else:
+            base_seed = 0 if args.seed is None else args.seed
             if args.random <= 0:
                 print("error: --random needs a positive count", file=sys.stderr)
                 return EXIT_USAGE
-            if not 0 <= args.seed <= 2**64 - args.random:  # each seed + t is a 64-bit seed
-                print(f"error: --seed must lie in [0, 2**64 - COUNT], got {args.seed}",
+            if not 0 <= base_seed <= 2**64 - args.random:  # each seed + t is a 64-bit seed
+                print(f"error: --seed must lie in [0, 2**64 - COUNT], got {base_seed}",
                       file=sys.stderr)
                 return EXIT_USAGE
-            instances = [
-                generate_instance(_default_random_spec(args.seed + t))
+            pending = deque(
+                generate_instance(_default_random_spec(base_seed + t))
                 for t in range(args.random)
-            ]
-            base_seed = args.seed
+            )
     except (FusionFrameError, OSError, ValueError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # each instance, and every fact its checks cached on it, is released once its
+    # checks have run, not kept until the report is written
+    instances = (pending.popleft() for _ in range(len(pending)))
     report = run_suite(args.suite, instances, tol, base_seed=base_seed)
     text = json.dumps(report, indent=2) + "\n"
     if args.report:

@@ -1,12 +1,12 @@
 """Ordinary vector frames in C^n: multipliers, sampled duals, inverse representation.
 
+A frame of k vectors in C^n is a (k, n) complex128 array, one vector per row;
+each function here passes it through :func:`numerics.as_matrix` on entry.
 Bounds and the frame test of a vector frame are those of its embedding
 (:func:`embed_ordinary`), and its sampled duals are the analysis stack of
 :func:`ovf.canonical_and_sampled_duals` on the embedding, read back as vectors."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "VectorFrame",
     "embed_ordinary",
     "ordinary_multiplier",
     "sample_ordinary_duals",
@@ -31,48 +30,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VectorFrame:
-    """A finite sequence of vectors in C^n, stored as the rows of a matrix."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", as_matrix(self.vectors))
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-
-def embed_ordinary(phi: VectorFrame) -> ovf.OVFrame:
+def embed_ordinary(phi) -> ovf.OVFrame:
     """Vectors as rank-one analysis functionals: block i is the row phi_i^*."""
-    return ovf.OVFrame(read_only(phi.vectors.conj()[:, None, :]))
+    return ovf.OVFrame(read_only(as_matrix(phi).conj()[:, None, :]))
 
 
-def ordinary_multiplier(m, synth: VectorFrame, anal: VectorFrame) -> np.ndarray:
+def ordinary_multiplier(m, synth, anal) -> np.ndarray:
     """Matrix of x -> sum_i m_i <x, anal_i> synth_i.
 
     Synthesis and analysis roles are explicit arguments; there is no hidden
     convention about which frame analyzes and which reconstructs.
     """
     m = np.asarray(m, dtype=np.complex128).ravel()
-    if len(m) != synth.count or synth.count != anal.count:
+    synth, anal = as_matrix(synth), as_matrix(anal)
+    if len(m) != len(synth) or len(synth) != len(anal):
         raise ContractViolationError(
-            f"length mismatch: {len(m)} symbols, {synth.count} synthesis and "
-            f"{anal.count} analysis vectors"
+            f"length mismatch: {len(m)} symbols, {len(synth)} synthesis and "
+            f"{len(anal)} analysis vectors"
         )
-    if synth.dim != anal.dim:
+    if synth.shape[1] != anal.shape[1]:
         raise ContractViolationError("synthesis and analysis frames live in different spaces")
-    return synth.vectors.T @ (m[:, None] * anal.vectors.conj())
+    return synth.T @ (m[:, None] * anal.conj())
 
 
 def sample_ordinary_duals(
-    phi: VectorFrame,
+    phi,
     count: int,
     rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -84,13 +66,13 @@ def sample_ordinary_duals(
     ``sum_i <x, d_i> phi_i = x``.
     """
     duals = ovf.canonical_and_sampled_duals(embed_ordinary(phi), count, rng, tol)
-    return [VectorFrame(d.conj()) for d in duals]
+    return [d.conj() for d in duals]
 
 
 def inverse_representation_ordinary(
     m,
-    synth: VectorFrame,
-    anal: VectorFrame,
+    synth,
+    anal,
     rng: np.random.Generator,
     tol: ToleranceConfig = DEFAULT_TOL,
 ):
@@ -104,6 +86,7 @@ def inverse_representation_ordinary(
     ``ovf.SAMPLED_DUALS - 1`` duals drawn from ``rng``.
     """
     m = np.asarray(m, dtype=np.complex128).ravel()
+    synth = as_matrix(synth)
     mat = ordinary_multiplier(m, synth, anal)
     sigma_min, sigma_max = extreme_singular_values(mat)
     if not clears_inv_cutoff(sigma_min, sigma_max, tol):
@@ -114,7 +97,7 @@ def inverse_representation_ordinary(
     if np.min(np.abs(m)) == 0.0:
         raise ContractViolationError("symbol is not semi-normalized: zero entry")
     minv = np.linalg.inv(mat)
-    psi_dag = VectorFrame((minv @ (m[:, None] * synth.vectors).T).T)
+    psi_dag = (minv @ (m[:, None] * synth).T).T
     residual = 0.0
     scale = spectral_norm(minv)
     for d in sample_ordinary_duals(synth, ovf.SAMPLED_DUALS, rng, tol):

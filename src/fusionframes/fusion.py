@@ -40,12 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .exceptions import ContractViolationError
-from .frames import VectorFrame
 from .numerics import (
     DEFAULT_TOL,
     FLOAT_MAX,
@@ -380,15 +378,24 @@ MAX_REDUNDANCY = 64  # local vectors beyond a basis per block; the n and N limit
 class LocalFrameFamily:
     """Per-block vector frames spanning each nonzero subspace, with duals.
 
-    ``frames[i]`` and ``duals[i]`` are None exactly when block i is the zero
-    subspace. ``alpha``/``beta`` witness the uniform local bounds
-    inf alpha_i and sup beta_i over the nonzero blocks.
+    A frame of k vectors in C^n is a (k, n) complex128 array, one vector per row,
+    as in :mod:`frames`. ``frames[i]`` and ``duals[i]`` are None exactly when block
+    i is the zero subspace; the others are held read-only (:func:`numerics.owned`).
+    ``redundancy`` is the number of vectors each frame has beyond a basis of its
+    subspace. ``alpha``/``beta`` witness the uniform local bounds inf alpha_i and
+    sup beta_i over the nonzero blocks.
     """
 
     frames: tuple
     duals: tuple
+    redundancy: int
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        for name in ("frames", "duals"):
+            held = tuple(None if a is None else owned(as_matrix(a)) for a in getattr(self, name))
+            object.__setattr__(self, name, held)
 
 
 def build_local_frames(
@@ -425,8 +432,7 @@ def build_local_frames(
     for i in live:
         shape = (dims[i], dims[i] + redundancy)
         draws.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    frames: list[Optional[VectorFrame]] = [None] * f.count
-    duals: list[Optional[VectorFrame]] = [None] * f.count
+    frames, duals = [None] * f.count, [None] * f.count
     alpha, beta = np.inf, 0.0
     for idx, coeff in by_shape(draws):
         idx, d = [live[j] for j in idx], coeff.shape[1]
@@ -438,7 +444,7 @@ def build_local_frames(
         beta = max(beta, float(ev[:, -1].max()))
         bases = np.stack([f.subspaces[i].basis for i in idx])
         for i, frame, dual in zip(idx, bases @ coeff, bases @ np.linalg.solve(gram, coeff)):
-            frames[i], duals[i] = VectorFrame(frame.T), VectorFrame(dual.T)
+            frames[i], duals[i] = read_only(frame.T), read_only(dual.T)
     if not np.isfinite(alpha):
         alpha = 0.0
-    return LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)
+    return LocalFrameFamily(tuple(frames), tuple(duals), redundancy, alpha, beta)

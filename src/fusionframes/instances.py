@@ -29,7 +29,6 @@ from .fusion import (
     random_orthogonal_split,
     subspace_draw,
 )
-from .frames import VectorFrame
 from .multipliers import Symbol, condition_c
 from .numerics import DEFAULT_TOL, ToleranceConfig, by_shape, finite_array, read_only, relative_defect, svd
 
@@ -106,7 +105,6 @@ class Instance:
     v: FusionSequence
     symbol: Symbol
     local: Optional[LocalFrameFamily] = None
-    local_redundancy: Optional[int] = None
 
 
 def random_partition(n: int, count: int, rng: np.random.Generator) -> tuple:
@@ -138,23 +136,13 @@ def random_spanning_dims(n: int, count: int, rng: np.random.Generator) -> tuple:
     return tuple(dims)
 
 
-def random_riesz_basis(
-    n: int,
-    rng: np.random.Generator,
-    count: Optional[int] = None,
-    dims: Optional[tuple] = None,
-    weight_range: tuple = (0.5, 2.0),
-) -> FusionSequence:
-    """A fusion Riesz basis from a Haar unitary partitioned into blocks."""
-    if dims is None:
-        if count is None:
-            raise ContractViolationError("give either dims or a block count")
-        dims = random_partition(n, count, rng)
+def random_riesz_basis(n: int, rng: np.random.Generator, dims: tuple) -> FusionSequence:
+    """A fusion Riesz basis from a Haar unitary partitioned into blocks of ``dims``,
+    with weights uniform in [0.5, 2]."""
     if sum(dims) != n or any(d <= 0 for d in dims):
         raise ContractViolationError("Riesz dims must be positive and sum to n")
     subs = random_orthogonal_split(n, dims, rng)
-    lo, hi = weight_range
-    weights = [float(rng.uniform(lo, hi)) for _ in dims]
+    weights = [float(rng.uniform(0.5, 2.0)) for _ in dims]
     return FusionSequence(subs, np.asarray(weights))
 
 
@@ -252,7 +240,6 @@ def generate_instance(
         v=v,
         symbol=symbol,
         local=local,
-        local_redundancy=local_redundancy,
     )
 
 
@@ -364,9 +351,9 @@ def instance_to_json(inst: Instance) -> str:
     doc["local"] = None
     if inst.local is not None:
         fam = inst.local
-        doc["local"] = {"redundancy": inst.local_redundancy, "alpha": fam.alpha, "beta": fam.beta}
+        doc["local"] = {"redundancy": fam.redundancy, "alpha": fam.alpha, "beta": fam.beta}
         for key, frames in (("frames", fam.frames), ("duals", fam.duals)):
-            doc["local"][key] = [None if fr is None else _encode(fr.vectors) for fr in frames]
+            doc["local"][key] = [None if fr is None else _encode(fr) for fr in frames]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -473,7 +460,7 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
         _finite(decode, doc["symbol"]["r"], (blocks, n, n), "symbol.r"),
     )
     _check_symbol(symbol, v, w)
-    local = redundancy = None
+    local = None
     if doc.get("local"):
         obj = doc["local"]
         redundancy = obj.get("redundancy")
@@ -489,16 +476,14 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
             frames[i] = _finite(decode, frames[i], (None, n), f"local.frames[{i}]")
             duals[i] = _finite(decode, duals[i], frames[i].shape, f"local.duals[{i}]")
         _check_reconstruction(w, frames, duals)
-        frames = [None if a is None else VectorFrame(a) for a in frames]
-        duals = [None if a is None else VectorFrame(a) for a in duals]
         alpha, beta = (_number(obj, key, f"local.{key}") for key in ("alpha", "beta"))
         # with no nonzero block the bounds are over nothing, and gen writes 0 and 0
         if not (0.0 < alpha <= beta if any(w.dims) else alpha == beta == 0.0):
             raise ContractViolationError(
                 f"local.alpha, local.beta must satisfy 0 < alpha <= beta, got {alpha!r}, {beta!r}"
             )
-        local = LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)
-    return Instance(seed, mode, w, v, symbol, local=local, local_redundancy=redundancy)
+        local = LocalFrameFamily(tuple(frames), tuple(duals), redundancy, alpha, beta)
+    return Instance(seed, mode, w, v, symbol, local=local)
 
 
 def save_instance(inst: Instance, path) -> None:

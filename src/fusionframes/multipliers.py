@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ContractViolationError, PreconditionError
-from .frames import VectorFrame, ordinary_multiplier
+from .frames import ordinary_multiplier
 from .fusion import (
     FusionSequence,
     LocalFrameFamily,
@@ -563,15 +563,11 @@ def local_frame_equivalence(
         dual = family.duals[i]
         if phi is None or dual is None:
             raise PreconditionError(f"block {i} has no local frame")
-        anal_rows.append(w.weights[i] * phi.vectors)
-        synth_rows.append(v.weights[i] * (v.projections[i] @ (sym.r[i] @ dual.vectors.T)).T)
-        m_hat.append(np.full(phi.count, sym.m[i]))
+        anal_rows.append(w.weights[i] * phi)
+        synth_rows.append(v.weights[i] * (v.projections[i] @ (sym.r[i] @ dual.T)).T)
+        m_hat.append(np.full(len(phi), sym.m[i]))
     rep = assemble_multiplier(sym, v, w, tol)
-    m_lifted = ordinary_multiplier(
-        np.concatenate(m_hat),
-        VectorFrame(np.vstack(synth_rows)),
-        VectorFrame(np.vstack(anal_rows)),
-    )
+    m_lifted = ordinary_multiplier(np.concatenate(m_hat), np.vstack(synth_rows), np.vstack(anal_rows))
     return relative_defect(spectral_norm(rep.matrix - m_lifted), rep.sigma_max)
 
 

@@ -16,9 +16,9 @@ taken only where the caller has already applied the invertibility cutoff to
 the same singular values.
 
 Every cached fact is frozen by :func:`read_only`, every array a frame, sequence,
-symbol, subspace or candidate is handed is held by :func:`owned`, every memo table by
-:func:`memo`, and matrices of one shape go to LAPACK as one stack grouped by
-:func:`by_shape`.
+symbol, subspace, candidate or local-frame family is handed is held by :func:`owned`,
+every memo table by :func:`memo`, and matrices of one shape go to LAPACK as one
+stack grouped by :func:`by_shape`.
 """
 
 from __future__ import annotations

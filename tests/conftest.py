@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fusionframes.exceptions import ContractViolationError, FusionFrameError, PreconditionError
-from fusionframes.frames import VectorFrame
 from fusionframes.fusion import FusionSequence, LocalFrameFamily, Subspace
 from fusionframes.instances import Instance, _random_sequence, random_spanning_dims
 from fusionframes.multipliers import Symbol
@@ -97,11 +96,10 @@ def schatten_norm(a, p: float) -> float:
     return spectrum_schatten_norm(singular_values(a), p)
 
 
-def canonical_dual_ordinary(phi: VectorFrame, tol: ToleranceConfig = DEFAULT_TOL) -> VectorFrame:
+def canonical_dual_ordinary(phi, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Dual vectors psi_i = pinv(S) phi_i, S = sum_i phi_i phi_i^*, computed within the
     span of phi."""
-    v = phi.vectors
-    return VectorFrame((pinv(v.T @ v.conj(), tol) @ v.T).T)
+    return (pinv(phi.T @ phi.conj(), tol) @ phi.T).T
 
 
 def line(vec) -> Subspace:
@@ -382,18 +380,13 @@ def reference_random_sequence(n, dims, weight_range, rng):
     return FusionSequence(tuple(subs), np.asarray(weights))
 
 
-def reference_riesz_basis(n, rng, count=None, dims=None, weight_range=(0.5, 2.0)):
+def reference_riesz_basis(n, rng, dims):
     """random_riesz_basis with each column block of the unitary tested as a Subspace."""
-    from fusionframes.instances import random_partition
-
-    if dims is None:
-        dims = random_partition(n, count, rng)
     unitary = reference_subspace(n, n, rng).basis
-    lo, hi = weight_range
     subs, weights, start = [], [], 0
     for d in dims:
         subs.append(Subspace(unitary[:, start : start + d]))
-        weights.append(float(rng.uniform(lo, hi)))
+        weights.append(float(rng.uniform(0.5, 2.0)))
         start += d
     return FusionSequence(tuple(subs), np.asarray(weights))
 
@@ -451,11 +444,11 @@ def reference_local_frames(f, redundancy, rng):
         ev = np.linalg.eigvalsh(gram)
         alpha = min(alpha, float(ev[0]))
         beta = max(beta, float(ev[-1]))
-        frames.append(VectorFrame((sub.basis @ coeff).T))
-        duals.append(VectorFrame((sub.basis @ np.linalg.solve(gram, coeff)).T))
+        frames.append((sub.basis @ coeff).T)
+        duals.append((sub.basis @ np.linalg.solve(gram, coeff)).T)
     if not np.isfinite(alpha):
         alpha = 0.0
-    return LocalFrameFamily(tuple(frames), tuple(duals), alpha, beta)
+    return LocalFrameFamily(tuple(frames), tuple(duals), redundancy, alpha, beta)
 
 
 def reference_sampled_duals(a, count, rng, tol, canonical=False):
@@ -585,16 +578,16 @@ def _sequence_in(obj: dict, n: int) -> FusionSequence:
     return FusionSequence(tuple(subs), np.asarray(obj["weights"], dtype=np.float64))
 
 
-def _vecframe_out(frame: Optional[VectorFrame]) -> Optional[list]:
+def _vecframe_out(frame: Optional[np.ndarray]) -> Optional[list]:
     if frame is None:
         return None
-    return _matrix_out(frame.vectors)
+    return _matrix_out(frame)
 
 
-def _vecframe_in(rows, n: int) -> Optional[VectorFrame]:
+def _vecframe_in(rows, n: int) -> Optional[np.ndarray]:
     if rows is None:
         return None
-    return VectorFrame(_matrix_in(rows, expect_cols=n))
+    return _matrix_in(rows, expect_cols=n)
 
 
 def reference_instance_to_json(inst: Instance) -> str:
@@ -614,7 +607,7 @@ def reference_instance_to_json(inst: Instance) -> str:
     }
     if inst.local is not None:
         doc["local"] = {
-            "redundancy": inst.local_redundancy,
+            "redundancy": inst.local.redundancy,
             "alpha": inst.local.alpha,
             "beta": inst.local.beta,
             "frames": [_vecframe_out(fr) for fr in inst.local.frames],
@@ -650,13 +643,12 @@ def _instance_from_doc(doc: dict) -> Instance:
         np.array([_matrix_in(ri) for ri in doc["symbol"]["r"]]),
     )
     local = None
-    redundancy = None
     if doc.get("local"):
         obj = doc["local"]
-        redundancy = obj.get("redundancy")
         local = LocalFrameFamily(
             frames=tuple(_vecframe_in(fr, n) for fr in obj["frames"]),
             duals=tuple(_vecframe_in(du, n) for du in obj["duals"]),
+            redundancy=obj.get("redundancy"),
             alpha=float(obj["alpha"]),
             beta=float(obj["beta"]),
         )
@@ -667,7 +659,6 @@ def _instance_from_doc(doc: dict) -> Instance:
         v=v,
         symbol=symbol,
         local=local,
-        local_redundancy=redundancy,
     )
 
 
@@ -792,15 +783,15 @@ def reference_local_frame_equivalence(sym, v, w, family, tol):
         phi = family.frames[i]
         dual = family.duals[i]
         p_v = v.projections[i]
-        for j in range(phi.count):
-            anal_rows.append(w.weights[i] * phi.vectors[j])
-            synth_rows.append(v.weights[i] * (p_v @ (sym.r[i] @ dual.vectors[j])))
+        for j in range(len(phi)):
+            anal_rows.append(w.weights[i] * phi[j])
+            synth_rows.append(v.weights[i] * (p_v @ (sym.r[i] @ dual[j])))
             m_hat.append(sym.m[i])
     m_fusion = assemble_multiplier(sym, v, w, tol).matrix
     m_lifted = ordinary_multiplier(
         np.asarray(m_hat),
-        VectorFrame(np.array(synth_rows)),
-        VectorFrame(np.array(anal_rows)),
+        np.array(synth_rows),
+        np.array(anal_rows),
     )
     return spectral_norm(m_fusion - m_lifted) / max(1.0, spectral_norm(m_fusion))
 

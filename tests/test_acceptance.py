@@ -264,7 +264,9 @@ def test_criterion_10_local_frame_equivalence():
         family = build_local_frames(w, trial % 4, rng)
         worst = max(worst, local_frame_equivalence(sym, v, w, family))
         family = build_local_frames(w, 1 + trial % 3, rng)
-        broken = LocalFrameFamily(family.frames, family.frames, family.alpha, family.beta)
+        broken = LocalFrameFamily(
+            family.frames, family.frames, family.redundancy, family.alpha, family.beta
+        )
         control_min = min(control_min, local_frame_equivalence(sym, v, w, broken))
     _verdict(
         10,

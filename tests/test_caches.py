@@ -35,6 +35,7 @@ from fusionframes.instances import (
     InstanceSpec,
     generate_instance,
     load_instance,
+    random_partition,
     random_riesz_basis,
     random_spanning_dims,
     random_symbol,
@@ -250,7 +251,8 @@ def test_no_kernel_projector_is_kept():
 def test_one_svd_of_the_analysis_serves_range_basis_excess_and_riesz_test(monkeypatch):
     # the K_W synthesis has the nonzero singular values of T, so one rank cut of
     # the embedding's cached SVD gives both excess numbers and the Riesz test
-    fresh = (_instance(seed=5).w, random_riesz_basis(4, np.random.default_rng(1), count=2))
+    rng = np.random.default_rng(1)
+    fresh = (_instance(seed=5).w, random_riesz_basis(4, rng, dims=random_partition(4, 2, rng)))
     svds = _counting(monkeypatch, "svd")
     for f in fresh:
         assert "embedding" not in vars(f)

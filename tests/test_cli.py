@@ -16,7 +16,7 @@ import fusionframes
 from fusionframes.cli import main
 from fusionframes.exceptions import NumericFailureError
 from fusionframes.fusion import FusionSequence
-from fusionframes.instances import load_instance, save_instance
+from fusionframes.instances import generate_instance, load_instance, save_instance
 from fusionframes.multipliers import Symbol, assemble_multiplier, schatten_checks
 
 DATA = Path(__file__).parent / "data"
@@ -303,12 +303,38 @@ def test_check_usage_errors_exit_2_with_one_error_line(capsys):
         (["--random", "0"], "error: --random needs a positive count"),
         (["--random", "1", "--seed", "-5"], "error: --seed must lie in [0, 2**64 - COUNT]"),
         (["--random", "2", "--seed", str(2**64 - 1)], "error: --seed must lie in [0, 2**64 - COUNT]"),
+        # a file's checks seed from the file, so a --seed beside it would be ignored
+        ([str(GOLDEN_INSTANCE), "--seed", "3"], "error: --seed applies to --random only"),
     )
     for extra, message in cases:
         assert main(["check", "--suite", "duals", *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_check_random_releases_each_instance_once_its_checks_have_run(monkeypatch, capsys):
+    import weakref
+
+    from fusionframes import checks, cli
+
+    generated, live = [], []
+
+    def generate(spec):
+        inst = generate_instance(spec)
+        generated.append(weakref.ref(inst))
+        return inst
+
+    probe = checks.CHECKS["schatten_rank_bound"]
+
+    def run(inst, rng, tol):
+        live.append(sum(ref() is not None for ref in generated))
+        return probe.run(inst, rng, tol)
+
+    monkeypatch.setattr(cli, "generate_instance", generate)
+    monkeypatch.setitem(checks.CHECKS, probe.name, dataclasses.replace(probe, run=run))
+    assert main(["check", "--suite", "schatten", "--random", "4"]) == 0
+    assert live == [4, 3, 2, 1]
 
 
 def test_report_path_in_a_missing_directory_exits_2_without_stdout(tmp_path, capsys):
@@ -532,7 +558,7 @@ def test_stored_local_frames_of_generated_families_reconstruct_within_rounding(t
         inst = load_instance(out)
         for i, (phi, dual) in enumerate(zip(inst.local.frames, inst.local.duals)):
             if phi is not None:
-                recon = dual.vectors.T @ phi.vectors.conj()
+                recon = dual.T @ phi.conj()
                 worst = max(worst, float(np.linalg.norm(recon - inst.w.projections[i])))
     assert worst < 1e-12
 

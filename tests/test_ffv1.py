@@ -52,14 +52,14 @@ POPULATION = _population()
 
 def _arrays(inst: Instance):
     """Every array and scalar an instance carries, in a fixed order."""
-    out = [inst.seed, inst.symbol_mode, inst.local_redundancy]
+    out = [inst.seed, inst.symbol_mode]
     for seq in (inst.w, inst.v):
         out.append(seq.weights)
         out.extend(s.basis for s in seq.subspaces)
     out += [inst.symbol.m, inst.symbol.r]
     if inst.local is not None:
-        out += [inst.local.alpha, inst.local.beta]
-        out.extend(fr and fr.vectors for fr in inst.local.frames + inst.local.duals)
+        out += [inst.local.redundancy, inst.local.alpha, inst.local.beta]
+        out.extend(inst.local.frames + inst.local.duals)
     return out
 
 
@@ -80,7 +80,7 @@ def test_population_covers_the_corners():
     assert any(
         inst.local is not None and 0 in inst.w.dims for inst in POPULATION
     )
-    assert any(inst.local_redundancy == 0 for inst in POPULATION)
+    assert any(inst.local is not None and inst.local.redundancy == 0 for inst in POPULATION)
 
 
 def _pairs_to_base64(doc):

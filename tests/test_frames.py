@@ -7,7 +7,6 @@ import pytest
 from conftest import canonical_dual_ordinary
 from fusionframes.exceptions import ContractViolationError, NotInvertibleError
 from fusionframes.frames import (
-    VectorFrame,
     embed_ordinary,
     inverse_representation_ordinary,
     ordinary_multiplier,
@@ -25,33 +24,33 @@ def _bounds(phi):
 
 
 def test_bounds_parseval():
-    onb = VectorFrame(np.eye(2))
+    onb = np.eye(2)
     assert _bounds(onb) == pytest.approx((1.0, 1.0))
 
 
 def test_bounds_redundant():
-    phi = VectorFrame(np.array([E1, E1, E2]))
+    phi = np.array([E1, E1, E2])
     np.testing.assert_allclose(embed_ordinary(phi).frame_operator, np.diag([2.0, 1.0]))
     assert _bounds(phi) == pytest.approx((1.0, 2.0))
 
 
 def test_bounds_rank_deficient():
-    phi = VectorFrame(np.array([E1]))
+    phi = np.array([E1])
     lo, hi = _bounds(phi)
     assert lo == pytest.approx(0.0, abs=1e-15) and hi == pytest.approx(1.0)
     assert not is_frame(embed_ordinary(phi))
 
 
 def test_canonical_dual_examples():
-    onb = VectorFrame(np.eye(3))
-    np.testing.assert_allclose(canonical_dual_ordinary(onb).vectors, np.eye(3), atol=1e-14)
-    twice = VectorFrame(np.array([E1, E1]))
+    onb = np.eye(3)
+    np.testing.assert_allclose(canonical_dual_ordinary(onb), np.eye(3), atol=1e-14)
+    twice = np.array([E1, E1])
     np.testing.assert_allclose(
-        canonical_dual_ordinary(twice).vectors, np.array([E1 / 2, E1 / 2]), atol=1e-14
+        canonical_dual_ordinary(twice), np.array([E1 / 2, E1 / 2]), atol=1e-14
     )
-    scaled = VectorFrame(np.array([2 * E1, E2]))
+    scaled = np.array([2 * E1, E2])
     np.testing.assert_allclose(
-        canonical_dual_ordinary(scaled).vectors, np.array([E1 / 2, E2]), atol=1e-14
+        canonical_dual_ordinary(scaled), np.array([E1 / 2, E2]), atol=1e-14
     )
 
 
@@ -60,7 +59,7 @@ def test_canonical_dual_reconstructs_random_frames(rng):
         n = int(rng.integers(1, 9))
         count = int(rng.integers(n, 17))
         vecs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-        phi = VectorFrame(vecs)
+        phi = vecs
         if not is_frame(embed_ordinary(phi)):
             continue
         dual = canonical_dual_ordinary(phi)
@@ -68,60 +67,60 @@ def test_canonical_dual_reconstructs_random_frames(rng):
         assert spectral_norm(recon - np.eye(n)) <= 1e-7
         # the library's canonical dual, T S^-1 of the embedding, is the same frame
         (canonical,) = sample_ordinary_duals(phi, 1, rng)
-        assert spectral_norm(canonical.vectors - dual.vectors) <= 1e-7 * max(
-            1.0, spectral_norm(dual.vectors)
+        assert spectral_norm(canonical - dual) <= 1e-7 * max(
+            1.0, spectral_norm(dual)
         )
 
 
 def test_multiplier_examples():
-    onb = VectorFrame(np.eye(2))
+    onb = np.eye(2)
     np.testing.assert_allclose(ordinary_multiplier(np.ones(2), onb, onb), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(
         ordinary_multiplier([2.0, 3.0], onb, onb), np.diag([2.0, 3.0]), atol=1e-15
     )
     swapped = ordinary_multiplier(
         np.ones(2),
-        VectorFrame(np.array([E2, E1])),
-        VectorFrame(np.array([E1, E2])),
+        np.array([E2, E1]),
+        np.array([E1, E2]),
     )
     np.testing.assert_allclose(swapped, np.array([[0, 1], [1, 0]]), atol=1e-15)
 
 
 def test_multiplier_length_mismatch():
-    onb = VectorFrame(np.eye(2))
+    onb = np.eye(2)
     with pytest.raises(ContractViolationError):
         ordinary_multiplier(np.ones(3), onb, onb)
 
 
 def test_multiplier_sesquilinearity(rng):
     n, count = 3, 5
-    synth = VectorFrame(rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
-    anal = VectorFrame(rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
+    synth = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    anal = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     m = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     c = complex(rng.standard_normal(), rng.standard_normal())
     base = ordinary_multiplier(m, synth, anal)
-    scaled_synth = ordinary_multiplier(m, VectorFrame(c * synth.vectors), anal)
+    scaled_synth = ordinary_multiplier(m, c * synth, anal)
     np.testing.assert_allclose(scaled_synth, c * base, atol=1e-12)
-    scaled_anal = ordinary_multiplier(m, synth, VectorFrame(c * anal.vectors))
+    scaled_anal = ordinary_multiplier(m, synth, c * anal)
     np.testing.assert_allclose(scaled_anal, np.conj(c) * base, atol=1e-12)
 
 
 def test_inverse_representation_identity_symbol():
-    onb = VectorFrame(np.eye(2))
+    onb = np.eye(2)
     psi, residual = inverse_representation_ordinary(np.ones(2), onb, onb, np.random.default_rng(0x5EED))
-    np.testing.assert_allclose(psi.vectors, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(psi, np.eye(2), atol=1e-12)
     assert residual <= DEFAULT_TOL.eq_rel
 
 
 def test_inverse_representation_diagonal_symbol():
-    onb = VectorFrame(np.eye(2))
+    onb = np.eye(2)
     psi, residual = inverse_representation_ordinary([2.0, 4.0], onb, onb, np.random.default_rng(0x5EED))
-    np.testing.assert_allclose(psi.vectors, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(psi, np.eye(2), atol=1e-12)
     assert residual <= DEFAULT_TOL.eq_rel
 
 
 def test_inverse_representation_singular_symbol():
-    onb = VectorFrame(np.eye(2))
+    onb = np.eye(2)
     with pytest.raises(NotInvertibleError):
         inverse_representation_ordinary([1.0, 0.0], onb, onb, np.random.default_rng(0x5EED))
 
@@ -130,8 +129,8 @@ def test_inverse_representation_random_redundant(rng):
     for _ in range(10):
         n = int(rng.integers(2, 6))
         count = n + int(rng.integers(0, 3))
-        phi = VectorFrame(rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
-        psi = VectorFrame(rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
+        phi = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        psi = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
         m = np.exp(1j * rng.uniform(0, 2 * np.pi, count)) * rng.uniform(0.5, 2.0, count)
         mat = ordinary_multiplier(m, phi, psi)
         s = np.linalg.svd(mat, compute_uv=False)
@@ -144,12 +143,12 @@ def test_inverse_representation_random_redundant(rng):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: ordinary_multiplier(np.ones(2), VectorFrame(np.eye(2)), VectorFrame(np.ones((2, 3)))),
+        (lambda: ordinary_multiplier(np.ones(2), np.eye(2), np.ones((2, 3))),
          "live in different spaces"),
         # M = e1 e1^* + e2 e2^* = I is invertible, but the symbol vanishes on phi_3
         (lambda: inverse_representation_ordinary(
-            [1.0, 1.0, 0.0], VectorFrame(np.array([E1, E2, E1 + E2])),
-            VectorFrame(np.array([E1, E2, E1 + E2])), np.random.default_rng(0x5EED),
+            [1.0, 1.0, 0.0], np.array([E1, E2, E1 + E2]),
+            np.array([E1, E2, E1 + E2]), np.random.default_rng(0x5EED),
         ), "symbol is not semi-normalized: zero entry"),
     ],
     ids=["multiplier_spaces", "zero_symbol_entry"],

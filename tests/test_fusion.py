@@ -21,6 +21,7 @@ from fusionframes.exceptions import ContractViolationError
 from fusionframes.frames import ordinary_multiplier
 from fusionframes.fusion import (
     FusionSequence,
+    LocalFrameFamily,
     Subspace,
     build_local_frames,
     excess,
@@ -175,11 +176,11 @@ def test_excess_examples():
 
 
 def test_riesz_has_zero_kw_excess(rng):
-    from fusionframes.instances import random_riesz_basis
+    from fusionframes.instances import random_partition, random_riesz_basis
 
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        f = random_riesz_basis(n, rng, count=int(rng.integers(1, n + 1)))
+        f = random_riesz_basis(n, rng, dims=random_partition(n, int(rng.integers(1, n + 1)), rng))
         assert is_riesz_fusion_basis(f)
         assert excess(f)[1] == 0
         assert sum(f.dims) == n
@@ -204,20 +205,19 @@ def test_local_frames_redundancy_zero_on_lines():
     std = coordinate_decomposition(2)
     fam = build_local_frames(std, 0, np.random.default_rng(3))
     for i, (phi, dual) in enumerate(zip(fam.frames, fam.duals)):
-        assert phi.count == 1
-        assert np.linalg.norm(phi.vectors[0]) == pytest.approx(1.0)
-        np.testing.assert_allclose(phi.vectors, dual.vectors, atol=1e-12)
+        assert len(phi) == 1
+        assert np.linalg.norm(phi[0]) == pytest.approx(1.0)
+        np.testing.assert_allclose(phi, dual, atol=1e-12)
 
 
 def test_local_duals_for_repeated_vector():
     w = line([1.0, 0.0])
     v = w.basis[:, 0]
     from conftest import canonical_dual_ordinary
-    from fusionframes.frames import VectorFrame
 
-    phi = VectorFrame(np.array([v, v]))
+    phi = np.array([v, v])
     dual = canonical_dual_ordinary(phi)
-    np.testing.assert_allclose(dual.vectors, np.array([v / 2, v / 2]), atol=1e-14)
+    np.testing.assert_allclose(dual, np.array([v / 2, v / 2]), atol=1e-14)
 
 
 def test_local_frames_zero_subspace():
@@ -226,13 +226,30 @@ def test_local_frames_zero_subspace():
     assert fam.frames[1] is None and fam.duals[1] is None
 
 
+def test_local_frame_family_holds_its_frames_and_duals_read_only(rng):
+    # a caller's later write into an array it handed the family does not reach it
+    f = random_fusion_frame(4, 3, rng)
+    built = build_local_frames(f, 1, rng)
+    assert all(not a.flags.writeable for a in built.frames + built.duals if a is not None)
+    mine = [None if a is None else np.array(a) for a in built.frames + built.duals]
+    k = len(built.frames)
+    fam = LocalFrameFamily(tuple(mine[:k]), tuple(mine[k:]), 1, built.alpha, built.beta)
+    for a, held, want in zip(mine, fam.frames + fam.duals, built.frames + built.duals):
+        if a is None:
+            assert held is None
+            continue
+        a[...] = 0.0
+        assert not held.flags.writeable
+        assert held.tobytes() == want.tobytes()
+
+
 def test_local_frames_vectors_live_in_subspace(rng):
     f = random_fusion_frame(5, 3, rng)
     fam = build_local_frames(f, 2, rng)
     assert 0.0 < fam.alpha <= fam.beta
     for sub, phi in zip(f.subspaces, fam.frames):
         p = projection(sub)
-        for vec in phi.vectors:
+        for vec in phi:
             assert np.linalg.norm(p @ vec - vec) <= DEFAULT_TOL.eq_rel
 
 
@@ -246,7 +263,7 @@ def test_local_reconstruction(rng):
             if phi is None:
                 continue
             p = projection(sub)
-            recon = ordinary_multiplier(np.ones(phi.count), dual, phi)
+            recon = ordinary_multiplier(np.ones(len(phi)), dual, phi)
             for x in basis:
                 err = np.linalg.norm(recon @ (p @ x) - p @ x)
                 assert err <= DEFAULT_TOL.eq_rel
@@ -260,7 +277,7 @@ def test_local_frame_bounds_hold_by_construction():
         f = FusionSequence((random_subspace(64, d, rng),), np.array([1.0]))
         for redundancy in range(4):
             fam = build_local_frames(f, redundancy, rng)
-            assert fam.frames[0].count == d + redundancy
+            assert len(fam.frames[0]) == d + redundancy
             assert fam.alpha >= 1.0 - 1e-12
             assert fam.beta <= 1.0 + redundancy + 1e-12
     assert time.perf_counter() - start < 5.0

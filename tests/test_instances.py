@@ -120,7 +120,7 @@ def test_round_trip_preserves_everything(rng):
     np.testing.assert_array_equal(back.symbol.r, inst.symbol.r)
     assert back.local is not None
     for f1, f2 in zip(back.local.frames, inst.local.frames):
-        np.testing.assert_array_equal(f1.vectors, f2.vectors)
+        np.testing.assert_array_equal(f1, f2)
     assert instance_to_json(back) == text
 
 
@@ -164,7 +164,7 @@ def test_random_fusion_frame_conditioned(rng):
 def test_random_riesz_basis(rng):
     from fusionframes.fusion import is_riesz_fusion_basis
 
-    f = random_riesz_basis(5, rng, count=3)
+    f = random_riesz_basis(5, rng, dims=random_partition(5, 3, rng))
     assert is_riesz_fusion_basis(f)
 
 
@@ -224,7 +224,6 @@ def _reloaded_with_symbol(m):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: random_riesz_basis(3, np.random.default_rng(0)), "give either dims or a block count"),
         (lambda: random_riesz_basis(3, np.random.default_rng(0), dims=(1, 1)),
          "Riesz dims must be positive and sum to n"),
         (lambda: random_riesz_basis(3, np.random.default_rng(0), dims=(3, 0)),
@@ -234,7 +233,7 @@ def _reloaded_with_symbol(m):
         (lambda: _reloaded_with_symbol(np.full(2, 1e308)),
          re.escape("symbol: sum_i |m_i| v_i w_i sigma_max(R_i) overflows")),
     ],
-    ids=["riesz_without_dims", "riesz_dims_sum", "riesz_zero_dim", "symbol_mode", "symbol_sum_overflow"],
+    ids=["riesz_dims_sum", "riesz_zero_dim", "symbol_mode", "symbol_sum_overflow"],
 )
 def test_generator_and_loader_contracts_raise_contract_violations(call, message):
     with pytest.raises(ContractViolationError, match=message):

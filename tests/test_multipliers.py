@@ -350,14 +350,14 @@ def test_local_equivalence_negative_control(rng):
     w = random_fusion_frame(n, count, rng, dims=v.dims)
     sym = random_symbol("random_C_holding", n, count, rng)
     fam = build_local_frames(w, 2, rng)
-    broken = LocalFrameFamily(fam.frames, fam.frames, fam.alpha, fam.beta)
+    broken = LocalFrameFamily(fam.frames, fam.frames, fam.redundancy, fam.alpha, fam.beta)
     assert local_frame_equivalence(sym, v, w, broken) > 1e-3
 
 
 def test_local_equivalence_requires_spanning(diag_pair):
     from fusionframes.fusion import LocalFrameFamily
 
-    fam = LocalFrameFamily((None, None), (None, None), 1.0, 1.0)
+    fam = LocalFrameFamily((None, None), (None, None), 0, 1.0, 1.0)
     with pytest.raises(PreconditionError):
         local_frame_equivalence(Symbol.identity(2, 2), diag_pair, diag_pair, fam)
 

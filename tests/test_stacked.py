@@ -38,6 +38,7 @@ from fusionframes.instances import (
     _random_sequence,
     generate_instance,
     random_invertible_matrix,
+    random_partition,
     random_riesz_basis,
     random_symbol,
 )
@@ -218,8 +219,8 @@ def test_coordinate_local_duals_match_the_pinv_reference(n, dims):
             if d == 0:
                 assert got is None and want is None
                 continue
-            assert got.vectors.shape == want.vectors.shape == (d + redundancy, n)
-            assert np.abs(got.vectors - want.vectors).max() <= 2 * (n + d) * eps
+            assert got.shape == want.shape == (d + redundancy, n)
+            assert np.abs(got - want).max() <= 2 * (n + d) * eps
 
 
 # Shapes with repeated dims, zero blocks, n = 1 and n = 64.
@@ -298,9 +299,10 @@ def test_invertible_matrix_matches_its_own_svd(n):
 def test_riesz_bases_match_the_per_block_slices(n, dims):
     for by_dims in (True, False):
         got_rng, want_rng = _twin_rngs(n, len(dims), by_dims)
-        kwargs = {"dims": dims} if by_dims else {"count": len(dims)}
-        got = random_riesz_basis(n, got_rng, **kwargs)
-        assert _same_sequence(got, reference_riesz_basis(n, want_rng, **kwargs))
+        got_dims = dims if by_dims else random_partition(n, len(dims), got_rng)
+        want_dims = dims if by_dims else random_partition(n, len(dims), want_rng)
+        got = random_riesz_basis(n, got_rng, dims=got_dims)
+        assert _same_sequence(got, reference_riesz_basis(n, want_rng, dims=want_dims))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
