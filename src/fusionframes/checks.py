@@ -39,6 +39,7 @@ from .instances import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    INV_REL,
     ToleranceConfig,
     relative_defect,
     saturated_product,
@@ -74,22 +75,22 @@ def _always(inst: Instance, tol: ToleranceConfig) -> bool:
 
 
 def _w_frame(inst: Instance, tol: ToleranceConfig) -> bool:
-    return is_frame(inst.w.embedding, tol)
+    return is_frame(inst.w.embedding)
 
 
 def _both_frames(inst: Instance, tol: ToleranceConfig) -> bool:
-    return is_frame(inst.w.embedding, tol) and is_frame(inst.v.embedding, tol)
+    return is_frame(inst.w.embedding) and is_frame(inst.v.embedding)
 
 
 def _invertible_over_frames(inst: Instance, tol: ToleranceConfig) -> bool:
     return (
         _both_frames(inst, tol)
-        and multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol).invertible
+        and multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w).invertible
     )
 
 
 def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
-    return _invertible_over_frames(inst, tol) and multipliers.condition_c(inst.symbol, tol).holds
+    return _invertible_over_frames(inst, tol) and multipliers.condition_c(inst.symbol).holds
 
 
 # --- duals suite -----------------------------------------------------------
@@ -97,7 +98,7 @@ def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
 
 def _run_canonical_dual(inst, rng, tol):
     a = inst.w.embedding
-    return CheckResult(float(ovf.duality_defects(ovf.canonical_ov_dual(a, tol)[None], a.analysis)[0]))
+    return CheckResult(float(ovf.duality_defects(ovf.canonical_ov_dual(a)[None], a.analysis)[0]))
 
 
 def _run_sampled_duals(inst, rng, tol):
@@ -155,7 +156,7 @@ def _run_kpp_verdict(inst, rng, tol):
 
 def _run_gavruta_canonical(inst, rng, tol):
     dual = duality.canonical_gavruta_dual(inst.w, tol)
-    return CheckResult(duality.gavruta_dual_check(dual, inst.w, tol))
+    return CheckResult(duality.gavruta_dual_check(dual, inst.w))
 
 
 def _run_separating_self(inst, rng, tol):
@@ -169,7 +170,7 @@ def _run_separating_self(inst, rng, tol):
 _PERTURB_ATTEMPTS = 100
 
 
-def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
+def _perturbed_copy(w: FusionSequence, rng) -> FusionSequence:
     """A fusion frame differing from w by at least 0.1 in some block.
 
     Random weight doublings and subspace redraws come first. They cannot
@@ -190,7 +191,7 @@ def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
             subs = list(w.subspaces)
             subs[idx] = random_subspace(w.ambient_dim, subs[idx].dim, rng)
             cand = FusionSequence(tuple(subs), w.weights.copy())
-        if block_deviation(w, cand) >= 0.1 and is_frame(cand.embedding, tol):
+        if block_deviation(w, cand) >= 0.1 and is_frame(cand.embedding):
             return cand
     weights = w.weights.copy()
     weights[int(np.flatnonzero(weights)[0])] += 0.1
@@ -198,7 +199,7 @@ def _perturbed_copy(w: FusionSequence, rng, tol) -> FusionSequence:
 
 
 def _run_separating_distinct(inst, rng, tol):
-    other = _perturbed_copy(inst.w, rng, tol)
+    other = _perturbed_copy(inst.w, rng)
     res = duality.find_separating_dual(inst.w, other, tol)
     ok = res.witness is not None
     return CheckResult(
@@ -211,13 +212,13 @@ def _run_separating_distinct(inst, rng, tol):
 
 
 def _run_norm_bound(inst, rng, tol):
-    rep = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol)
+    rep = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w)
     excessive = max(0.0, rep.sigma_max - rep.norm_bound)
     return CheckResult(relative_defect(excessive, rep.norm_bound))
 
 
 def _run_assembly_routes(inst, rng, tol):
-    rep = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w, tol)
+    rep = multipliers.assemble_multiplier(inst.symbol, inst.v, inst.w)
     # T_V^* D_mR T_W block by block: D_mR is block diagonal with blocks m_i R_i,
     # and block i of T_V, T_W is an embedding's block u_i P_{V_i}, w_i P_{W_i}
     t_v, t_w = inst.v.embedding.blocks, inst.w.embedding.blocks
@@ -228,7 +229,7 @@ def _run_assembly_routes(inst, rng, tol):
 
 def _run_condition_c_coherence(inst, rng, tol):
     sym = inst.symbol
-    rep = multipliers.condition_c(sym, tol)
+    rep = multipliers.condition_c(sym)
     if not rep.holds:
         residual, detail = 0.0, "two-sided bound does not hold; nothing to certify"
     else:
@@ -236,7 +237,7 @@ def _run_condition_c_coherence(inst, rng, tol):
         min_m = float(np.min(np.abs(sym.m)))
         shortfall = max(0.0, rep.lower_witness - min_m)
         residual = max(residual, relative_defect(shortfall, rep.lower_witness))
-        inv_blocks = multipliers.inverse_symbol_blocks(sym, tol)
+        inv_blocks = multipliers.inverse_symbol_blocks(sym)
         defects = spectral_norms(sym.blocks @ inv_blocks - np.eye(sym.dim))
         residual, detail = max(residual, float(defects.max())), ""
     if rep.near_threshold:
@@ -245,7 +246,7 @@ def _run_condition_c_coherence(inst, rng, tol):
         # allows, so their defects are tolerance noise
         detail = (
             f"gamma {rep.gamma:.3e} is within a factor 10 of the cutoff "
-            f"inv_rel * delta = {tol.inv_rel * rep.delta:.3e}"
+            f"INV_REL * delta = {INV_REL * rep.delta:.3e}"
         )
     return CheckResult(residual, indeterminate=rep.near_threshold, detail=detail)
 
@@ -265,7 +266,7 @@ def _run_riesz_symbol_iff(inst, rng, tol):
     n = inst.w.ambient_dim
     w, v, count = _riesz_pair(inst, rng)
     mode = inst.symbol_mode if inst.symbol_mode != "identity" else "random_C_holding"
-    sym = random_symbol(mode, n, count, rng, tol)
+    sym = random_symbol(mode, n, count, rng)
     verdict = multipliers.riesz_multiplier_verdict(sym, v, w, tol)
     detail = (
         f"predicted {verdict.predicted_by_c}, actual {verdict.actually_invertible}, "
@@ -300,7 +301,7 @@ def _run_inverse_representation(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
     duals = ovf.canonical_and_sampled_duals(v.embedding, ovf.SAMPLED_DUALS, rng, tol)
     residuals = multipliers.inverse_representation_residuals(sym, v, w, duals, tol)
-    near = multipliers.condition_c(sym, tol).near_threshold
+    near = multipliers.condition_c(sym).near_threshold
     return CheckResult(max(residuals), indeterminate=near)
 
 
@@ -314,7 +315,7 @@ def _run_inverse_uniqueness(inst, rng, tol):
         detail = "ker T_W^* is trivial (one full block), so the probe has no direction"
         return CheckResult(shortfall, indeterminate=True, detail=detail)
     detail = f"probe residual {probe:.3e}"
-    near = multipliers.condition_c(sym, tol).near_threshold
+    near = multipliers.condition_c(sym).near_threshold
     return CheckResult(shortfall, indeterminate=near, detail=detail)
 
 
@@ -322,21 +323,21 @@ _CROSS = cross_swap_instance()  # the crossed pair in C^2, the same for every in
 
 
 @functools.cache
-def _contrast_residual(tol: ToleranceConfig) -> float:
-    """The contrast on the crossed pair, which depends on the tolerances only, so it is
-    computed once per ToleranceConfig."""
+def _contrast_residual() -> float:
+    """The contrast on the crossed pair, which depends on no input, so it is computed
+    once per process."""
     v, w = _CROSS.v, _CROSS.w
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    s_inv = ovf.frame_operator_inverse(w.embedding, tol)
+    s_inv = ovf.frame_operator_inverse(w.embedding)
     # the commonly used forms are the symbols R_i = I and R_i = S_W^-1
-    plain = multipliers.Symbol.identity(2, 2).assembled(v, w)[1]
-    weighted = multipliers.Symbol(np.ones(2), [s_inv, s_inv]).assembled(v, w)[1]
-    sym = multipliers.assemble_multiplier(_CROSS.symbol, v, w, tol).matrix
-    return max(float(plain[0]), float(weighted[0]), spectral_norm(sym - swap))
+    plain = multipliers.assemble_multiplier(multipliers.Symbol.identity(2, 2), v, w)
+    weighted = multipliers.assemble_multiplier(multipliers.Symbol(np.ones(2), [s_inv, s_inv]), v, w)
+    sym = multipliers.assemble_multiplier(_CROSS.symbol, v, w).matrix
+    return max(plain.sigma_max, weighted.sigma_max, spectral_norm(sym - swap))
 
 
 def _run_contrast(inst, rng, tol):
-    return CheckResult(_contrast_residual(tol))
+    return CheckResult(_contrast_residual())
 
 
 # --- local suite -----------------------------------------------------------
@@ -350,14 +351,14 @@ def _local_family(inst, rng):
 
 def _run_local_equivalence(inst, rng, tol):
     family = _local_family(inst, rng)
-    residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, family, tol)
+    residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, family)
     return CheckResult(residual)
 
 
 def _run_local_negative(inst, rng, tol):
     family = build_local_frames(inst.w, 1 + int(rng.integers(0, 3)), rng)
     broken = replace(family, duals=family.frames)
-    residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, broken, tol)
+    residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, broken)
     shortfall = max(0.0, (1e-3 - residual) / 1e-3)
     # Only live blocks, u_i w_i > 0, enter M = T_V^* D T_W, D acting as m_i R_i
     # there and as 0 elsewhere, so ||M|| <= sqrt(beta_V beta_W) max_live |m_i|

@@ -159,7 +159,7 @@ def kpp_dual_check(
         kind = "none"
     elif residual <= tol.eq_rel:
         kind = "dual"
-    elif clears_inv_cutoff(sigma_min, sigma_max, tol):
+    elif clears_inv_cutoff(sigma_min, sigma_max):
         kind = "generalized_dual"
     else:
         kind = "none"
@@ -173,14 +173,10 @@ def kpp_dual_check(
     )
 
 
-def gavruta_dual_check(
-    v: FusionSequence,
-    w: FusionSequence,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def gavruta_dual_check(v: FusionSequence, w: FusionSequence) -> float:
     """Normalized residual of sum_i w_i u_i P_{V_i} S_W^-1 P_{W_i} = I."""
     check_pairing(v, w)  # before the weights of V and W are multiplied
-    s_inv = frame_operator_inverse(w.embedding, tol)
+    s_inv = frame_operator_inverse(w.embedding)
     n = w.ambient_dim
     comp = sandwich(v, w, w.weights * v.weights, np.broadcast_to(s_inv, (w.count, n, n)))
     return float(np.linalg.norm(comp - np.eye(n)) / np.sqrt(n))
@@ -199,7 +195,7 @@ def canonical_gavruta_dual(
     w: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL
 ) -> FusionSequence:
     """The classical dual (S_W^-1 W_i, w_i), with S_W^-1 W_i the range of S_W^-1 P_{W_i}."""
-    subs, _, _ = _ranges(frame_operator_inverse(w.embedding, tol) @ w.projections, tol)
+    subs, _, _ = _ranges(frame_operator_inverse(w.embedding) @ w.projections, tol)
     return FusionSequence(subs, w.weights.copy())
 
 
@@ -246,12 +242,12 @@ def generate_fusion_dual(
     not form the composite: :func:`kpp_dual_check` forms it and verifies Q, and with
     U = I the output passes it with kind "dual".
     """
-    s_inv = frame_operator_inverse(w.embedding, tol)
+    s_inv = frame_operator_inverse(w.embedding)
     n = w.ambient_dim
     u = as_matrix(u)
     if u.shape != (n, n):
         raise ContractViolationError(f"target operator must be {n} x {n}, got {u.shape}")
-    if not clears_inv_cutoff(*extreme_singular_values(u), tol):
+    if not clears_inv_cutoff(*extreme_singular_values(u)):
         raise ContractViolationError("target operator must be invertible at tolerance")
     l = np.zeros((w.count * n, n), dtype=np.complex128) if l is None else as_matrix(l)
     if l.shape != (w.count * n, n):
@@ -313,7 +309,7 @@ def find_separating_dual(
     separates, ``residual`` is a certified upper bound on the swept
     residuals, and the two sequences agree blockwise up to tolerance.
     """
-    if not is_frame(w.embedding, tol) or not is_frame(w_prime.embedding, tol):
+    if not is_frame(w.embedding) or not is_frame(w_prime.embedding):
         raise NotAFrameError("separating-dual search requires two fusion frames")
     deviation = block_deviation(w, w_prime)
     witness, residual, checked = sweep_dual_family(

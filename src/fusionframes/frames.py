@@ -89,7 +89,7 @@ def inverse_representation_ordinary(
     synth = as_matrix(synth)
     mat = ordinary_multiplier(m, synth, anal)
     sigma_min, sigma_max = extreme_singular_values(mat)
-    if not clears_inv_cutoff(sigma_min, sigma_max, tol):
+    if not clears_inv_cutoff(sigma_min, sigma_max):
         raise NotInvertibleError(
             f"multiplier is singular at tolerance (sigma_min={sigma_min:.3e})",
             sigma_min=sigma_min,

@@ -30,7 +30,7 @@ from .fusion import (
     subspace_draw,
 )
 from .multipliers import Symbol, condition_c
-from .numerics import DEFAULT_TOL, ToleranceConfig, by_shape, finite_array, read_only, relative_defect, svd
+from .numerics import DEFAULT_TOL, INV_REL, by_shape, finite_array, read_only, relative_defect, svd
 
 __all__ = [
     "SYMBOL_MODES",
@@ -175,13 +175,7 @@ def _annulus(rng) -> complex:
     return complex(radius * np.cos(angle), radius * np.sin(angle))
 
 
-def random_symbol(
-    mode: str,
-    n: int,
-    count: int,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Symbol:
+def random_symbol(mode: str, n: int, count: int, rng: np.random.Generator) -> Symbol:
     """Symbols by population: identity, clearly two-sided, clearly failing, near cutoff.
 
     The failing mode zeroes scalar entries rather than merely making some
@@ -202,8 +196,8 @@ def random_symbol(
         m[kill] = 0.0
         return Symbol(m, r)
     # adversarial: push gamma into the indeterminate band around the cutoff
-    delta = condition_c(Symbol(m, r), tol).delta
-    ratio = tol.inv_rel * float(np.exp(rng.uniform(np.log(1 / 3), np.log(3.0))))
+    delta = condition_c(Symbol(m, r)).delta
+    ratio = INV_REL * float(np.exp(rng.uniform(np.log(1 / 3), np.log(3.0))))
     target = ratio * delta / abs(m[0])
     u, s, vh = svd(r[0])
     s[-1] = target
@@ -212,11 +206,7 @@ def random_symbol(
     return Symbol(m, r)
 
 
-def generate_instance(
-    spec: InstanceSpec,
-    local_redundancy: Optional[int] = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Instance:
+def generate_instance(spec: InstanceSpec, local_redundancy: Optional[int] = None) -> Instance:
     """Deterministically expand a spec into a concrete instance."""
     if (
         spec.symbol_mode == "adversarial"
@@ -228,7 +218,7 @@ def generate_instance(
     rng = np.random.default_rng(spec.seed)
     w = _random_sequence(spec.n, spec.dims, spec.weight_range, rng)
     v = _random_sequence(spec.n, spec.dims, spec.weight_range, rng)
-    symbol = random_symbol(spec.symbol_mode, spec.n, spec.blocks, rng, tol)
+    symbol = random_symbol(spec.symbol_mode, spec.n, spec.blocks, rng)
     _check_symbol(symbol, v, w)
     local = None
     if local_redundancy is not None:

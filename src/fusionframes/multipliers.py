@@ -25,12 +25,14 @@ diagonal, so its spectrum is the union of the |m_i| sigma(R_i)
 ``schatten_block_svals`` check certifies is the scaling identity behind that
 union, sigma(m_i R_i) = |m_i| sigma(R_i): ``Symbol.block_sval_defect`` compares
 one batched SVD of the stack with the scaled block spectra, once per symbol.
-The symbol also memoizes, per (V, W) pair, the assembled multiplier with its
-whole spectrum from one SVD (:meth:`Symbol.assembled`): ||M|| (also the scale
-of the local-frame lift's gap), ||M||_p and ||M^-1|| = 1 / sigma_min are read
-from it, and invertibility and the norm
-bound are derived from it at each call's tolerance. Three more facts are
-kept on the symbol, each formed once: the blocks (m_i R_i)^-1, the
+The symbol also memoizes, per (V, W) pair, the whole report of
+:func:`assemble_multiplier`: M with its spectrum from one SVD, its
+invertibility against the one cutoff :data:`numerics.INV_REL` and its norm
+bound, none of which depends on a tolerance. ||M|| (also the scale of the
+local-frame lift's gap), ||M||_p and ||M^-1|| = 1 / sigma_min are read from
+it. The symbol bound of :func:`condition_c` reads the same cutoff, so it
+is a tolerance-free fact too. Three more facts are kept on the symbol, each
+formed once: the blocks (m_i R_i)^-1, the
 |m|-scaled sequences (:meth:`Symbol.scaled`, whose embeddings' cached bounds
 and analysis SVD serve both consequence checks) and, per (V, W) pair, the
 closed-form inverse M^-1 with L and Q_dagger
@@ -182,19 +184,6 @@ class Symbol:
         """sup_i ||R_i||, the ell-infinity norm of the operator sequence."""
         return float(self.svals.max(initial=0.0))
 
-    def assembled(self, v: FusionSequence, w: FusionSequence) -> tuple:
-        """``(M, s)`` for M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and its
-        non-increasing singular values s, both read-only. Built on first use per
-        (V, W) pair, keyed by the identity of the two sequences, and kept as long
-        as the symbol is, in the memo table ``_assembled``."""
-
-        def build():
-            _check_triple(self, v, w)
-            mat = sandwich(v, w, self.m * v.weights * w.weights, self.r)
-            return read_only((mat, singular_values(mat)))
-
-        return memo(self, "_assembled", (v, w), build)
-
     @cached_property
     def inverse_blocks(self) -> np.ndarray:
         """Read-only blocks (m_i R_i)^-1 from one batched inv on first use; read them
@@ -209,16 +198,16 @@ class Symbol:
 
     def inverse_closed_form(self, v: FusionSequence, w: FusionSequence) -> tuple:
         """``(M^-1, L, Q_dagger)`` for the memoized M of (V, W), all read-only, from
-        one inv on first use per pair, keyed like :meth:`assembled`, in the memo
-        table ``_inverses``. Read it only once M is invertible and W is a frame at
-        the caller's tolerance (see :func:`inverse_representation_residuals`).
+        one inv on first use per pair, keyed like :func:`assemble_multiplier`, in the
+        memo table ``_inverses``. Read it only once M is invertible and W is a frame
+        (see :func:`inverse_representation_residuals`).
 
         L_i = u_i R_i^* P_{V_i} M^-* - (w_i / conj(m_i)) P_{W_i} S_W^-1, the second
         term only where m_i != 0, and Q_dagger_i = w_i P_{W_i} S_W^-1 + conj(m_i) L_i.
         """
 
         def build():
-            m_inv = np.linalg.inv(self.assembled(v, w)[0])
+            m_inv = np.linalg.inv(assemble_multiplier(self, v, w).matrix)
             pw_s_inv = w.projections @ w.embedding.frame_operator_inv
             m_conj = np.conj(self.m)
             r_adj = v.weights[:, None, None] * self.r.conj().transpose(0, 2, 1)
@@ -231,10 +220,10 @@ class Symbol:
         return memo(self, "_inverses", (v, w), build)
 
 
-def inverse_symbol_blocks(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def inverse_symbol_blocks(sym: Symbol) -> np.ndarray:
     """The read-only blocks (m_i R_i)^-1 cached on ``sym``, once the two-sided
-    hypothesis holds at ``tol``."""
-    report = condition_c(sym, tol)
+    hypothesis holds."""
+    report = condition_c(sym)
     if not report.holds:
         raise PreconditionError(
             "blockwise inversion requires the two-sided symbol bound "
@@ -261,30 +250,32 @@ class ConditionCReport:
     near_threshold: bool
 
 
-def condition_c(sym: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionCReport:
+def condition_c(sym: Symbol) -> ConditionCReport:
     if sym.count == 0:
         raise ContractViolationError("empty symbol")
-    # np.hypot is abs() of each complex scalar; np.abs may differ by an ulp
-    m_mod = np.hypot(sym.m.real, sym.m.imag)
-    gamma = float(np.min(m_mod * sym.svals[:, -1]))
-    delta = float(np.max(m_mod * sym.svals[:, 0]))
+    m_abs = np.abs(sym.m)
+    gamma = float(np.min(m_abs * sym.svals[:, -1]))
+    delta = float(np.max(m_abs * sym.svals[:, 0]))
     r_sup = sym.r_sup
     lower_witness = gamma / r_sup if r_sup > 0.0 else 0.0
-    m_abs = np.abs(sym.m)
     semi = bool(np.min(m_abs) > 0.0 and np.all(np.isfinite(m_abs)))
     return ConditionCReport(
         gamma=gamma,
         delta=delta,
-        holds=clears_inv_cutoff(gamma, delta, tol),
+        holds=clears_inv_cutoff(gamma, delta),
         semi_normalized=semi,
         lower_witness=lower_witness,
-        near_threshold=near_inv_cutoff(gamma, delta, tol),
+        near_threshold=near_inv_cutoff(gamma, delta),
     )
 
 
 @dataclass(frozen=True)
 class MultiplierReport:
+    """M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and its non-increasing singular
+    values ``svals``, both read-only, with the facts read from them."""
+
     matrix: np.ndarray
+    svals: np.ndarray
     sigma_min: float
     sigma_max: float
     invertible: bool
@@ -302,30 +293,33 @@ def _check_triple(sym: Symbol, v: FusionSequence, w: FusionSequence):
         )
 
 
-def assemble_multiplier(
-    sym: Symbol,
-    v: FusionSequence,
-    w: FusionSequence,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> MultiplierReport:
+def assemble_multiplier(sym: Symbol, v: FusionSequence, w: FusionSequence) -> MultiplierReport:
     """Assemble sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and measure it.
 
-    The matrix and its spectrum are those memoized on ``sym``; invertibility
-    and the norm bound are derived from its extreme singular values at ``tol``.
-    The norm bound ||T_V|| ||T_W|| m_sup r_sup saturates at the largest
-    float, so it stays finite and still bounds sigma_max.
+    The report is built on first use per (V, W) pair, keyed by the identity of
+    the two sequences, and kept as long as the symbol is, in the memo table
+    ``_assembled``: M by :func:`fusion.sandwich`, its spectrum from one SVD, its
+    invertibility against :data:`numerics.INV_REL` and the norm bound
+    ||T_V|| ||T_W|| m_sup r_sup, which saturates at the largest float, so it
+    stays finite and still bounds sigma_max.
     """
-    mat, s = sym.assembled(v, w)
-    sigma_min, sigma_max = float(s[-1]), float(s[0])
-    norms = v.embedding.analysis_norm, w.embedding.analysis_norm
-    bound = saturated_product(*norms, sym.m_sup, sym.r_sup)
-    return MultiplierReport(
-        matrix=mat,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        invertible=clears_inv_cutoff(sigma_min, sigma_max, tol),
-        norm_bound=bound,
-    )
+
+    def build():
+        _check_triple(sym, v, w)
+        mat = sandwich(v, w, sym.m * v.weights * w.weights, sym.r)
+        s = singular_values(mat)
+        sigma_min, sigma_max = float(s[-1]), float(s[0])
+        norms = v.embedding.analysis_norm, w.embedding.analysis_norm
+        return MultiplierReport(
+            matrix=read_only(mat),
+            svals=read_only(s),
+            sigma_min=sigma_min,
+            sigma_max=sigma_max,
+            invertible=clears_inv_cutoff(sigma_min, sigma_max),
+            norm_bound=saturated_product(*norms, sym.m_sup, sym.r_sup),
+        )
+
+    return memo(sym, "_assembled", (v, w), build)
 
 
 @dataclass(frozen=True)
@@ -355,9 +349,9 @@ def riesz_multiplier_verdict(
     _check_triple(sym, v, w)
     if not is_riesz_fusion_basis(w, tol):
         raise PreconditionError("the analyzed sequence must be a Riesz fusion basis")
-    cond = condition_c(sym, tol)
+    cond = condition_c(sym)
     v_riesz = is_riesz_fusion_basis(v, tol)
-    report = assemble_multiplier(sym, v, w, tol)
+    report = assemble_multiplier(sym, v, w)
     actual = report.invertible
     if cond.near_threshold:
         consistent = True
@@ -417,14 +411,14 @@ def invertible_multiplier_consequences(
     w: FusionSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> InvertibleMultiplierReport:
-    report = assemble_multiplier(sym, v, w, tol)
+    report = assemble_multiplier(sym, v, w)
     if not report.invertible:
         raise PreconditionError("the multiplier must be invertible")
     w_scaled = sym.scaled(w)
     v_scaled = sym.scaled(v)
     seqs = (w, v, w_scaled, v_scaled)
     bounds = [seq.embedding.frame_bounds for seq in seqs]
-    all_frames = all(is_frame(seq.embedding, tol) for seq in seqs)
+    all_frames = all(is_frame(seq.embedding) for seq in seqs)
     lhs = saturated_product(np.sqrt(bounds[2][0]), v.embedding.analysis_norm, sym.r_sup)
     rhs = np.sqrt(1.0 - LOWER_BOUND_REL) * report.sigma_min
     e_w = excess(w, tol)[0]
@@ -434,7 +428,7 @@ def invertible_multiplier_consequences(
     m_min = float(np.min(np.abs(sym.m)))
     preserved_w = (e_w == e_ws) if m_min > 0.0 else None
     preserved_v = (e_v == e_vs) if m_min > 0.0 else None
-    pair_equal = (e_w == e_v) if condition_c(sym, tol).holds else None
+    pair_equal = (e_w == e_v) if condition_c(sym).holds else None
     return InvertibleMultiplierReport(
         bounds_w=bounds[0],
         bounds_v=bounds[1],
@@ -480,16 +474,16 @@ def _closed_form(
     tol: ToleranceConfig,
 ):
     """``(M^-1, stacked Q_dagger, (m_i R_i)^-1)`` from the memos on ``sym``, once the
-    symbol bound, the invertibility of M, the duals and the frame test of W pass at
-    ``tol``."""
+    symbol bound, the invertibility of M and the frame test of W pass and the duals
+    pass at ``tol``."""
     _check_triple(sym, v, w)
-    if not condition_c(sym, tol).holds:
+    if not condition_c(sym).holds:
         raise PreconditionError("the two-sided symbol bound must hold")
-    if not assemble_multiplier(sym, v, w, tol).invertible:
+    if not assemble_multiplier(sym, v, w).invertible:
         raise PreconditionError("the multiplier must be invertible")
     if np.any(duality_defects(sampled_duals, v.embedding.analysis) > dual_slack(tol)):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
-    frame_operator_inverse(w.embedding, tol)  # the frame test of W, raising NotAFrameError
+    frame_operator_inverse(w.embedding)  # the frame test of W, raising NotAFrameError
     m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
     return m_inv, q_dagger.reshape(w.count * w.ambient_dim, w.ambient_dim), sym.inverse_blocks
 
@@ -534,7 +528,6 @@ def local_frame_equivalence(
     v: FusionSequence,
     w: FusionSequence,
     family: LocalFrameFamily,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Relative gap between the fusion multiplier and its local-frame lift.
 
@@ -566,7 +559,7 @@ def local_frame_equivalence(
         anal_rows.append(w.weights[i] * phi)
         synth_rows.append(v.weights[i] * (v.projections[i] @ (sym.r[i] @ dual.T)).T)
         m_hat.append(np.full(len(phi), sym.m[i]))
-    rep = assemble_multiplier(sym, v, w, tol)
+    rep = assemble_multiplier(sym, v, w)
     m_lifted = ordinary_multiplier(np.concatenate(m_hat), np.vstack(synth_rows), np.vstack(anal_rows))
     return relative_defect(spectral_norm(rep.matrix - m_lifted), rep.sigma_max)
 
@@ -596,10 +589,9 @@ def schatten_checks(
     _check_triple(sym, v, w)
     d_norm = spectrum_schatten_norm(sym.block_diag_svals, p)
     ranks = svals_rank(sym.svals, sym.dim, tol)
-    # np.hypot is abs() of each complex scalar; np.abs may differ by an ulp
-    tops = np.hypot(sym.m.real, sym.m.imag) * sym.svals[:, 0]
+    tops = np.abs(sym.m) * sym.svals[:, 0]
     return SchattenReport(
-        composite_norm=spectrum_schatten_norm(sym.assembled(v, w)[1], p),
+        composite_norm=spectrum_schatten_norm(assemble_multiplier(sym, v, w).svals, p),
         composite_bound=saturated_product(v.embedding.analysis_norm, w.embedding.analysis_norm, d_norm),
         block_norm=d_norm,
         rank_bound=spectrum_schatten_norm(np.repeat(tops, ranks), p),

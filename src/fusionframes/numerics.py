@@ -8,12 +8,13 @@ one matrix or of an (m, r, c) stack, goes through :func:`svd` or
 Each SVD operand passes :func:`finite_array` first: LAPACK's SVD raises on a NaN
 but may never return on an infinite entry, so an overflowed operand must end
 in :class:`ContractViolationError` before it, not in a hang.
-All rank, equality, and invertibility decisions route through one
-:class:`ToleranceConfig` so that no two checks can disagree about what
-counts as zero, and every relative residual and every ``eq_rel`` test takes
-its comparison scale from one rule, :func:`relative_defect`; an inverse is
-taken only where the caller has already applied the invertibility cutoff to
-the same singular values.
+All rank and equality decisions route through one :class:`ToleranceConfig`
+so that no two checks can disagree about what counts as zero, and every
+relative residual and every ``eq_rel`` test takes its comparison scale from
+one rule, :func:`relative_defect`. Every invertibility decision, of a frame
+operator, a symbol block or a multiplier, goes through the one constant
+:data:`INV_REL` (:func:`clears_inv_cutoff`); an inverse is taken only where
+the caller has already applied that cutoff to the same singular values.
 
 Every cached fact is frozen by :func:`read_only`, every array a frame, sequence,
 symbol, subspace, candidate or local-frame family is handed is held by :func:`owned`,
@@ -33,6 +34,7 @@ from .exceptions import ContractViolationError, NumericFailureError
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "INV_REL",
     "FLOAT_MAX",
     "relative_defect",
     "saturated_product",
@@ -65,16 +67,13 @@ class ToleranceConfig:
     eq_rel
         Two operators are equal when the :func:`relative_defect` of their
         difference's norm against the comparison scale is at most ``eq_rel``.
-    inv_rel
-        A square operator is invertible when ``s_min > inv_rel * s_max``.
     """
 
     rank_rel: float = 1e-10
     eq_rel: float = 1e-8
-    inv_rel: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel", "eq_rel", "inv_rel"):
+        for name in ("rank_rel", "eq_rel"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ContractViolationError(
@@ -83,6 +82,8 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+INV_REL = 1e-8  # a square operator is invertible when s_min > INV_REL * s_max
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
 
@@ -193,14 +194,14 @@ def extreme_singular_values(a):
     return float(s[-1]), float(s[0])
 
 
-def clears_inv_cutoff(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """The invertibility rule ``lo > inv_rel * hi`` on extreme singular values or bounds."""
-    return bool(lo > tol.inv_rel * hi)
+def clears_inv_cutoff(lo: float, hi: float) -> bool:
+    """The invertibility rule ``lo > INV_REL * hi`` on extreme singular values or bounds."""
+    return bool(lo > INV_REL * hi)
 
 
-def near_inv_cutoff(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """``lo`` lies within a factor 10 of the cutoff ``inv_rel * hi``, on either side."""
-    cutoff = tol.inv_rel * hi
+def near_inv_cutoff(lo: float, hi: float) -> bool:
+    """``lo`` lies within a factor 10 of the cutoff ``INV_REL * hi``, on either side."""
+    cutoff = INV_REL * hi
     return bool(cutoff > 0.0 and cutoff / 10.0 < lo <= 10.0 * cutoff)
 
 

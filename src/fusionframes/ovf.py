@@ -52,10 +52,11 @@ cut are kept in a :func:`numerics.memo` table:
   and the SVD whose rank cut (:func:`range_basis`) gives its excess and Riesz
   test.
 
+The frame test :func:`is_frame` is a tolerance-free fact too: the cached
+bounds against the one invertibility cutoff :data:`numerics.INV_REL`, which
+:func:`frame_operator_inverse` applies before S_A^-1 or T_A S_A^-1 is read.
 Tolerance rules are applied per call on top of the cached facts, each only
-where it decides: the invertibility cutoff of :func:`is_frame`, the one frame
-test, which :func:`frame_operator_inverse` applies before S_A^-1 or
-T_A S_A^-1 is read; the rank cutoff that cuts Q from U; and the annihilation
+where it decides: the rank cutoff that cuts Q from U, and the annihilation
 test of :func:`_require_annihilation`.
 """
 
@@ -170,15 +171,16 @@ class OVFrame:
         return float(np.sqrt(self.frame_bounds[1]))
 
 
-def is_frame(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """The frame test: the cached bounds clear the invertibility cutoff at ``tol``."""
-    return clears_inv_cutoff(*a.frame_bounds, tol)
+def is_frame(a: OVFrame) -> bool:
+    """The frame test: the cached bounds clear the invertibility cutoff
+    :data:`numerics.INV_REL`."""
+    return clears_inv_cutoff(*a.frame_bounds)
 
 
-def frame_operator_inverse(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The read-only S_A^-1 cached on ``a``, once ``a`` passes the frame test at
-    ``tol``; the one gate in front of S_A^-1 and T_A S_A^-1."""
-    if not is_frame(a, tol):
+def frame_operator_inverse(a: OVFrame) -> np.ndarray:
+    """The read-only S_A^-1 cached on ``a``, once ``a`` passes the frame test; the
+    one gate in front of S_A^-1 and T_A S_A^-1."""
+    if not is_frame(a):
         lo, hi = a.frame_bounds
         raise NotAFrameError(f"not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})")
     return a.frame_operator_inv
@@ -187,9 +189,9 @@ def frame_operator_inverse(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np
 @dataclass(frozen=True)
 class DualCandidate:
     """A member T_A S_A^-1 + L of the dual family of ``base``, ``perturbation`` the
-    stacked L, held read-only. The frame test of ``base`` and the membership of L in
-    the annihilator of T_A are checked at construction, at ``tol``, L as a stack of
-    one; the stacked analysis of the dual is derived from L.
+    stacked L, held read-only. The frame test of ``base`` and, at ``tol``, the
+    membership of L in the annihilator of T_A are checked at construction, L as a
+    stack of one; the stacked analysis of the dual is derived from L.
     """
 
     base: OVFrame
@@ -197,7 +199,7 @@ class DualCandidate:
     tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
-        frame_operator_inverse(self.base, self.tol)
+        frame_operator_inverse(self.base)
         l = owned(as_matrix(self.perturbation))
         object.__setattr__(self, "perturbation", l)
         annihilation_defects(self.base, l[None], self.tol)
@@ -263,11 +265,11 @@ def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return u[:, : svals_rank(s, max(a.analysis.shape), tol)]
 
 
-def canonical_ov_dual(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The canonical dual's read-only analysis T_A S_A^-1, behind the frame test at
-    ``tol``: every reader of T_A S_A^-1 in this module but :class:`DualCandidate` takes
-    it from here."""
-    frame_operator_inverse(a, tol)
+def canonical_ov_dual(a: OVFrame) -> np.ndarray:
+    """The canonical dual's read-only analysis T_A S_A^-1, behind the frame test:
+    every reader of T_A S_A^-1 in this module but :class:`DualCandidate` takes it
+    from here."""
+    frame_operator_inverse(a)
     return a.canonical_analysis
 
 
@@ -295,7 +297,7 @@ def sample_ov_duals(
     """The (count, N k, n) stack of dual analyses T_A S_A^-1 + L, L the kernel
     perturbations of :func:`kernel_samples`, once ``a`` passes the frame test; the
     L stack is checked to annihilate T_A once, at ``tol``."""
-    t_dual = canonical_ov_dual(a, tol)
+    t_dual = canonical_ov_dual(a)
     stack = kernel_samples(a, count, rng, tol)
     annihilation_defects(a, stack, tol)
     return t_dual + stack
@@ -304,7 +306,7 @@ def sample_ov_duals(
 def canonical_and_sampled_duals(a: OVFrame, count: int, rng, tol: ToleranceConfig) -> np.ndarray:
     """The (count, N k, n) stack of the canonical dual's analysis followed by the
     ``count - 1`` sampled analyses of :func:`sample_ov_duals`, drawn from ``rng``."""
-    return np.concatenate([canonical_ov_dual(a, tol)[None], sample_ov_duals(a, count - 1, rng, tol)])
+    return np.concatenate([canonical_ov_dual(a)[None], sample_ov_duals(a, count - 1, rng, tol)])
 
 
 def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
@@ -368,7 +370,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
     subtracting I by u F each, and each largest singular value by about n u F
     (backward stable SVD); 8 (m + n) u F covers the sum for both.
     """
-    t, t_dual = a.analysis, canonical_ov_dual(a, tol)
+    t, t_dual = a.analysis, canonical_ov_dual(a)
     t_prime = as_matrix(t_prime)
     if t_prime.shape != t.shape:
         raise ContractViolationError(
@@ -411,7 +413,7 @@ def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:
     Z^* B = [Z^* C | Z^* - (Z^* Q) Q^*] together with N k - p ones, exactly. B^* = [C^* ; P_ker] has the same
     spectrum.
     """
-    t_dual = canonical_ov_dual(a, tol)
+    t_dual = canonical_ov_dual(a)
     q = range_basis(a, tol)
 
     def build():

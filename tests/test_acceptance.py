@@ -282,8 +282,8 @@ def test_criterion_11_comparison_contrast():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     # the commonly used forms are the symbols R_i = I and R_i = S_W^-1
     worst = max(
-        spectral_norm(Symbol.identity(2, 2).assembled(inst.v, inst.w)[0]),
-        spectral_norm(Symbol(np.ones(2), [s_inv, s_inv]).assembled(inst.v, inst.w)[0]),
+        spectral_norm(assemble_multiplier(Symbol.identity(2, 2), inst.v, inst.w).matrix),
+        spectral_norm(assemble_multiplier(Symbol(np.ones(2), [s_inv, s_inv]), inst.v, inst.w).matrix),
         spectral_norm(assemble_multiplier(inst.symbol, inst.v, inst.w).matrix - swap),
     )
     _verdict(11, "projection forms vanish, symbol form swaps", worst <= 1e-12,

@@ -46,7 +46,7 @@ from fusionframes.multipliers import (
     inverse_representation_probe,
     inverse_representation_residuals,
 )
-from fusionframes.numerics import ToleranceConfig
+from fusionframes.numerics import INV_REL, ToleranceConfig
 from fusionframes.ovf import canonical_ov_dual, frame_operator_inverse, is_frame
 
 LOOSE = ToleranceConfig(eq_rel=1e-6, rank_rel=1e-8)
@@ -156,23 +156,23 @@ def test_one_eigvalsh_per_sequence_across_bounds_frame_test_and_classify(monkeyp
     for tol in (ToleranceConfig(), LOOSE):
         for f in (inst.w, inst.v):
             f.embedding.frame_bounds
-            is_frame(f.embedding, tol)
+            is_frame(f.embedding)
             is_riesz_fusion_basis(f, tol)
-            frame_operator_inverse(f.embedding, tol)
-            canonical_ov_dual(f.embedding, tol)
+            frame_operator_inverse(f.embedding)
+            canonical_ov_dual(f.embedding)
     assert len(eigs) == 2
     assert len(invs) == 2
 
 
 def test_one_cached_bounds_tuple_serves_the_frame_test_under_every_tolerance(monkeypatch):
-    # no tolerance enters the bounds: one eigvalsh gives one tuple, which the frame
-    # test reads under each ToleranceConfig
+    # no tolerance enters the bounds or the frame test: one eigvalsh gives one
+    # tuple, which every frame test reads
     inst = _instance()
     eigs = _counting(monkeypatch, "eigvalsh")
     for f in (inst.w, inst.v):
         a = f.embedding
         bounds = a.frame_bounds
-        assert is_frame(a) and is_frame(a, LOOSE)
+        assert is_frame(a)
         assert a.frame_bounds is bounds and bounds[0] > 0.0
     assert len(eigs) == 2
 
@@ -279,7 +279,6 @@ def test_multiplier_memo_is_keyed_by_sequence_identity():
     inst = _instance()
     sym, v, w = inst.symbol, inst.v, inst.w
     first = assemble_multiplier(sym, v, w)
-    assert assemble_multiplier(sym, v, w, LOOSE).matrix is first.matrix
     scaled = scale_weights(w, 2.0 * np.ones(w.count))
     doubled = assemble_multiplier(sym, v, scaled)
     assert doubled.matrix is not first.matrix
@@ -290,15 +289,23 @@ def test_multiplier_memo_is_keyed_by_sequence_identity():
     assert assemble_multiplier(sym, v, w).matrix is first.matrix
 
 
-def test_invertibility_is_decided_per_call():
+def test_invertibility_is_one_constant_and_the_multiplier_report_one_fact():
+    # the invertibility cutoff is the constant INV_REL, not a tolerance field
+    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["rank_rel", "eq_rel"]
+    with pytest.raises(TypeError):
+        ToleranceConfig(inv_rel=0.5)
     inst = _instance()
     sym, v, w = inst.symbol, inst.v, inst.w
-    rep = assemble_multiplier(sym, v, w)
-    ratio = rep.sigma_min / rep.sigma_max
-    above = ToleranceConfig(inv_rel=min(0.999, 2.0 * ratio))
-    assert rep.invertible
-    assert not assemble_multiplier(sym, v, w, above).invertible
-    assert assemble_multiplier(sym, v, w).invertible
+    assert assemble_multiplier(sym, v, w) is assemble_multiplier(sym, v, w)
+    # coordinate lines of C^2 with R_i = I and m = (1, ratio): M = diag(1, ratio)
+    lines = FusionSequence(
+        (fusion.Subspace(np.eye(2)[:, :1]), fusion.Subspace(np.eye(2)[:, 1:])), np.ones(2)
+    )
+    eye = np.array([np.eye(2)] * 2)
+    for ratio, invertible in ((INV_REL / 2.0, False), (2.0 * INV_REL, True)):
+        rep = assemble_multiplier(multipliers.Symbol(np.array([1.0, ratio]), eye), lines, lines)
+        assert rep.sigma_min == pytest.approx(ratio, rel=1e-12)
+        assert rep.invertible is invertible
 
 
 def test_one_inverse_frame_operator_per_sequence_across_duals_and_multipliers(monkeypatch):
@@ -309,7 +316,7 @@ def test_one_inverse_frame_operator_per_sequence_across_duals_and_multipliers(mo
         assert report["summary"]["fail"] == 0
     a = inst.w.embedding
     assert sum(np.array_equal(args[0], a.frame_operator) for args in calls) == 1
-    assert frame_operator_inverse(a) is frame_operator_inverse(a, LOOSE)
+    assert frame_operator_inverse(a) is a.frame_operator_inv
 
 
 def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(monkeypatch):
@@ -450,6 +457,8 @@ def test_every_cached_fact_and_memo_entry_is_read_only():
         seen.add(id(obj))
         for name, value in _cached_values(obj):
             computed.add(f"{type(obj).__name__}.{name}")
+            if isinstance(value, multipliers.MultiplierReport):
+                value = tuple(vars(value).values())
             for part in value if isinstance(value, tuple) else (value,):
                 if isinstance(part, CACHING):
                     todo.append(part)

@@ -1,5 +1,6 @@
 """Admissibility, dual verdicts, the constructive generator, separation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,8 @@ from conftest import (
     random_fusion_frame,
     reference_dual_perturbations,
 )
+from fusionframes import duality
+from fusionframes.checks import run_suite
 from fusionframes.duality import (
     canonical_gavruta_dual,
     find_separating_dual,
@@ -24,6 +27,7 @@ from fusionframes.duality import (
     kpp_dual_check,
 )
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
+from fusionframes.instances import InstanceSpec, generate_instance
 from fusionframes.fusion import (
     FusionSequence,
     Subspace,
@@ -284,7 +288,7 @@ def _reference_separation(w, w_prime, tol=DEFAULT_TOL, threshold=None):
     if threshold is None:
         threshold = 10.0 * tol.eq_rel
     a = w.embedding
-    t_dual = canonical_ov_dual(a, tol)
+    t_dual = canonical_ov_dual(a)
     t_prime = w_prime.embedding.analysis
     eye = np.eye(w.ambient_dim)
     worst = 0.0
@@ -408,7 +412,7 @@ def _soundness_partners(w, rng):
     """Fusion frames to separate w from: itself and perturbed copies."""
     from fusionframes.checks import _perturbed_copy
 
-    partners = [w, _perturbed_copy(w, rng, DEFAULT_TOL)]
+    partners = [w, _perturbed_copy(w, rng)]
     # residuals of every member straddle the threshold 10 * eq_rel
     partners.append(FusionSequence(w.subspaces, w.weights * (1.0 + 10.0 * DEFAULT_TOL.eq_rel)))
     for size in (1.0, 20.0 * DEFAULT_TOL.eq_rel):
@@ -463,3 +467,19 @@ def test_separation_bound_soundness(monkeypatch, rng):
 def test_duality_shape_contracts_raise_contract_violations(call, message):
     with pytest.raises(ContractViolationError, match=message):
         call(coordinate_decomposition(2))
+
+
+def test_kpp_checks_fail_on_an_inadmissible_generated_dual(monkeypatch):
+    # Q_i + (I - P_{W_i}) leaves the composite sum_i u_i w_i P_{V_i} Q_i P_{W_i}
+    # as it is, so only the admissibility branch of each check can fail it
+    inst = generate_instance(InstanceSpec(4, 3, (1, 2, 4), (0.5, 2.0), "random_C_holding", 5))
+    generate = duality.generate_fusion_dual
+
+    def inadmissible(w, u, l, tol):
+        gd = generate(w, u, l, tol)
+        return dataclasses.replace(gd, q=gd.q + (np.eye(w.ambient_dim) - w.projections))
+
+    monkeypatch.setattr(duality, "generate_fusion_dual", inadmissible)
+    entries = {e["name"]: e for e in run_suite("duals", [inst])["checks"]}
+    for name in ("kpp_construction", "kpp_verdict_dual"):
+        assert entries[name]["verdict"] == "fail" and entries[name]["residual"] >= 1.0

@@ -311,10 +311,10 @@ def test_sandwich_matches_the_per_block_loops(rng):
         assert np.array_equal(
             duality.kpp_dual_check(v, w, r).composite, reference_composite(v, w, r)
         )
-        assert np.array_equal(sym.assembled(v, w)[0], reference_multiplier(m, r, v, w))
+        assert np.array_equal(multipliers.assemble_multiplier(sym, v, w).matrix, reference_multiplier(m, r, v, w))
         plain = multipliers.Symbol(m, np.broadcast_to(np.eye(n), (count, n, n)))
         assert np.array_equal(
-            plain.assembled(v, w)[0], reference_projection_composition(m, v, w)
+            multipliers.assemble_multiplier(plain, v, w).matrix, reference_projection_composition(m, v, w)
         )
         assert np.array_equal(
             sandwich(v, w, v.weights * w.weights, r), reference_composite(v, w, r)
@@ -325,7 +325,7 @@ def test_sandwich_matches_the_per_block_loops(rng):
         s_inv = np.linalg.inv(_frame_operator(w))
         shared = np.broadcast_to(s_inv, (count, n, n))
         assert np.array_equal(
-            multipliers.Symbol(m, shared).assembled(v, w)[0],
+            multipliers.assemble_multiplier(multipliers.Symbol(m, shared), v, w).matrix,
             reference_gavruta_multiplier(m, v, w, s_inv),
         )
         comp = reference_gavruta_composite(v, w, s_inv)

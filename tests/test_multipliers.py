@@ -377,9 +377,11 @@ def schatten_verdicts(sym, v, w):
 def test_comparison_multipliers_reconstruction():
     std = coordinate_decomposition(2)
     np.testing.assert_allclose(
-        Symbol.identity(2, 2).assembled(std, std)[0], np.diag([1.0, 1.0]), atol=1e-14
+        assemble_multiplier(Symbol.identity(2, 2), std, std).matrix, np.diag([1.0, 1.0]), atol=1e-14
     )
-    np.testing.assert_allclose(gavruta_symbol(std).assembled(std, std)[0], np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(
+        assemble_multiplier(gavruta_symbol(std), std, std).matrix, np.eye(2), atol=1e-14
+    )
 
 
 def test_comparison_multipliers_gavruta_canonical(diag_pair):
@@ -387,16 +389,18 @@ def test_comparison_multipliers_gavruta_canonical(diag_pair):
 
     dual = canonical_gavruta_dual(diag_pair)
     np.testing.assert_allclose(
-        gavruta_symbol(diag_pair).assembled(dual, diag_pair)[0], np.eye(2), atol=1e-13
+        assemble_multiplier(gavruta_symbol(diag_pair), dual, diag_pair).matrix, np.eye(2), atol=1e-13
     )
 
 
 def test_comparison_multipliers_vanish_on_cross():
     v, w = cross_pair()
     np.testing.assert_allclose(
-        Symbol.identity(2, 2).assembled(v, w)[0], np.zeros((2, 2)), atol=1e-15
+        assemble_multiplier(Symbol.identity(2, 2), v, w).matrix, np.zeros((2, 2)), atol=1e-15
     )
-    np.testing.assert_allclose(gavruta_symbol(w).assembled(v, w)[0], np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(
+        assemble_multiplier(gavruta_symbol(w), v, w).matrix, np.zeros((2, 2)), atol=1e-15
+    )
     rep = assemble_multiplier(rank_one_cross_symbol(), v, w)
     np.testing.assert_allclose(rep.matrix, SWAP, atol=1e-15)
     assert rep.invertible

@@ -198,14 +198,14 @@ def test_ovframe_shape_validation():
 
 
 def _reference_dual_span_dimension(a, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a, tol)
+    t_dual = canonical_ov_dual(a)
     pieces = [t_dual]
     pieces.extend(list(reference_dual_perturbations(a, tol))[1:])
     return rank_tol(np.hstack(pieces), tol)
 
 
 def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a, tol)
+    t_dual = canonical_ov_dual(a)
     stacked_rows = [t_dual.conj().T]
     for l in list(reference_dual_perturbations(a, tol))[1:]:
         stacked_rows.append((t_dual + l).conj().T)
@@ -214,7 +214,7 @@ def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
 
 
 def _reference_residuals(a, t_prime, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a, tol)
+    t_dual = canonical_ov_dual(a)
     eye = np.eye(a.domain_dim)
     return np.array(
         [
@@ -507,7 +507,7 @@ def test_cached_spectrum_ranks_match_dense_reference(rng):
         m, n = a.analysis.shape
         cuts = set()
         for tol in (DEFAULT_TOL, coarse):
-            c = canonical_ov_dual(a, tol)
+            c = canonical_ov_dual(a)
             pker = reference_kernel_projector(a, tol)
             dense = np.hstack([c, pker])
             assert dual_span_dimension(a, tol) == rank_tol(dense, tol)

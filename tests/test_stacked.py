@@ -203,7 +203,7 @@ def test_blockwise_local_lift_matches_the_per_vector_loop():
         for redundancy in (0, 1, 3):
             family = build_local_frames(w, redundancy, np.random.default_rng(inst.seed))
             got = multipliers.local_frame_equivalence(inst.symbol, inst.v, w, family)
-            want = reference_local_frame_equivalence(inst.symbol, inst.v, w, family, DEFAULT_TOL)
+            want = reference_local_frame_equivalence(inst.symbol, inst.v, w, family)
             assert got <= 1e-13 and abs(got - want) <= 4 * (n + max(w.dims) + redundancy) * eps
 
 
