@@ -34,7 +34,6 @@ from .fusion import (
 from .ovf import (
     DualCandidate,
     OVFrame,
-    canonical_ov_dual,
     dual_span_dimension,
     is_frame,
     null_bessel_certificate,

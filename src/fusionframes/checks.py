@@ -98,7 +98,7 @@ def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
 
 def _run_canonical_dual(inst, rng, tol):
     a = inst.w.embedding
-    return CheckResult(float(ovf.duality_defects(ovf.canonical_ov_dual(a)[None], a.analysis)[0]))
+    return CheckResult(float(ovf.duality_defects(a.canonical_analysis[None], a.analysis)[0]))
 
 
 def _run_sampled_duals(inst, rng, tol):
@@ -237,8 +237,7 @@ def _run_condition_c_coherence(inst, rng, tol):
         min_m = float(np.min(np.abs(sym.m)))
         shortfall = max(0.0, rep.lower_witness - min_m)
         residual = max(residual, relative_defect(shortfall, rep.lower_witness))
-        inv_blocks = multipliers.inverse_symbol_blocks(sym)
-        defects = spectral_norms(sym.blocks @ inv_blocks - np.eye(sym.dim))
+        defects = spectral_norms(sym.blocks @ sym.inverse_blocks - np.eye(sym.dim))
         residual, detail = max(residual, float(defects.max())), ""
     if rep.near_threshold:
         # the policy of riesz_symbol_iff and the inverse checks: near the
@@ -328,7 +327,7 @@ def _contrast_residual() -> float:
     once per process."""
     v, w = _CROSS.v, _CROSS.w
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    s_inv = ovf.frame_operator_inverse(w.embedding)
+    s_inv = w.embedding.frame_operator_inv
     # the commonly used forms are the symbols R_i = I and R_i = S_W^-1
     plain = multipliers.assemble_multiplier(multipliers.Symbol.identity(2, 2), v, w)
     weighted = multipliers.assemble_multiplier(multipliers.Symbol(np.ones(2), [s_inv, s_inv]), v, w)

@@ -53,7 +53,6 @@ from .ovf import (
     OVFrame,
     annihilation_defects,
     dual_slack,
-    frame_operator_inverse,
     is_frame,
     sweep_dual_family,
 )
@@ -176,7 +175,7 @@ def kpp_dual_check(
 def gavruta_dual_check(v: FusionSequence, w: FusionSequence) -> float:
     """Normalized residual of sum_i w_i u_i P_{V_i} S_W^-1 P_{W_i} = I."""
     check_pairing(v, w)  # before the weights of V and W are multiplied
-    s_inv = frame_operator_inverse(w.embedding)
+    s_inv = w.embedding.frame_operator_inv
     n = w.ambient_dim
     comp = sandwich(v, w, w.weights * v.weights, np.broadcast_to(s_inv, (w.count, n, n)))
     return float(np.linalg.norm(comp - np.eye(n)) / np.sqrt(n))
@@ -195,7 +194,7 @@ def canonical_gavruta_dual(
     w: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL
 ) -> FusionSequence:
     """The classical dual (S_W^-1 W_i, w_i), with S_W^-1 W_i the range of S_W^-1 P_{W_i}."""
-    subs, _, _ = _ranges(frame_operator_inverse(w.embedding) @ w.projections, tol)
+    subs, _, _ = _ranges(w.embedding.frame_operator_inv @ w.projections, tol)
     return FusionSequence(subs, w.weights.copy())
 
 
@@ -242,7 +241,7 @@ def generate_fusion_dual(
     not form the composite: :func:`kpp_dual_check` forms it and verifies Q, and with
     U = I the output passes it with kind "dual".
     """
-    s_inv = frame_operator_inverse(w.embedding)
+    s_inv = w.embedding.frame_operator_inv
     n = w.ambient_dim
     u = as_matrix(u)
     if u.shape != (n, n):

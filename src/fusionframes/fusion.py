@@ -15,10 +15,10 @@ through :func:`numerics.read_only`:
 
 Every caller reads these facts through ``f.embedding``: the analysis
 ``f.embedding.analysis``, the bounds ``f.embedding.frame_bounds``, the frame test
-:func:`ovf.is_frame` and S^-1 behind that test
-(:func:`ovf.frame_operator_inverse`), so a sequence and its embedding cannot
-disagree about being a frame. The rank of T, cut from its one SVD by
-:func:`ovf.range_basis`, gives both excess numbers and the Riesz test, since
+:func:`ovf.is_frame` and S^-1 (``f.embedding.frame_operator_inv``, which raises
+:class:`NotAFrameError` unless that test passes), so a sequence and its
+embedding cannot disagree about being a frame. The rank of T, cut from its one
+SVD by :func:`ovf.range_basis`, gives both excess numbers and the Riesz test, since
 the K_W synthesis has the nonzero singular values of T. Tolerance rules (the
 invertibility cutoff, ranks) are applied at each call on top of the cached
 facts. :func:`sandwich` builds every block sum

@@ -38,8 +38,11 @@ and analysis SVD serve both consequence checks) and, per (V, W) pair, the
 closed-form inverse M^-1 with L and Q_dagger
 (:meth:`Symbol.inverse_closed_form`), the facts per sequence or pair in
 :func:`numerics.memo` tables and every array through :func:`numerics.read_only`.
-The inverse and the closed form are read only after the caller's cutoffs have
-passed. The inverse representation splits into its two halves,
+The inverse blocks and the closed form each check their own hypothesis when
+built, and a build that fails caches nothing: the blocks raise
+:class:`PreconditionError` unless the symbol bound holds, and the closed form
+unless M is invertible, or :class:`NotAFrameError` unless W is a frame. The
+inverse representation splits into its two halves,
 :func:`inverse_representation_residuals` (duality and representation) and
 :func:`inverse_representation_probe` (uniqueness), one per check. They are handed the sampled duals of {u_i P_{V_i}} as one
 (c, N n, n) stack of analyses, re-validated against T_V with one batched
@@ -50,7 +53,7 @@ by :func:`ovf.kernel_samples` through the cached range basis of T_W, so no
 :func:`fusion.is_riesz_fusion_basis`. The frame facts of V and W are read
 through their embeddings: the cached :attr:`ovf.OVFrame.frame_bounds`, ||T_V||
 and ||T_W|| of every norm bound from :attr:`ovf.OVFrame.analysis_norm`, and
-S_W^-1 only behind the frame test of :func:`ovf.frame_operator_inverse`.
+S_W^-1 from :attr:`ovf.OVFrame.frame_operator_inv`, which carries the frame test.
 """
 
 from __future__ import annotations
@@ -92,14 +95,12 @@ from .numerics import (
 from .ovf import (
     dual_slack,
     duality_defects,
-    frame_operator_inverse,
     is_frame,
     kernel_samples,
 )
 
 __all__ = [
     "Symbol",
-    "inverse_symbol_blocks",
     "ConditionCReport",
     "condition_c",
     "MultiplierReport",
@@ -186,8 +187,15 @@ class Symbol:
 
     @cached_property
     def inverse_blocks(self) -> np.ndarray:
-        """Read-only blocks (m_i R_i)^-1 from one batched inv on first use; read them
-        only once the two-sided symbol bound has passed (see :func:`inverse_symbol_blocks`)."""
+        """Read-only blocks (m_i R_i)^-1 from one batched inv on first use, once the
+        two-sided symbol bound of :func:`condition_c` holds; :class:`PreconditionError`
+        otherwise."""
+        report = condition_c(self)
+        if not report.holds:
+            raise PreconditionError(
+                "blockwise inversion requires the two-sided symbol bound "
+                f"(gamma={report.gamma:.3e}, delta={report.delta:.3e})"
+            )
         return read_only(np.linalg.inv(self.blocks))
 
     def scaled(self, f: FusionSequence) -> FusionSequence:
@@ -199,15 +207,18 @@ class Symbol:
     def inverse_closed_form(self, v: FusionSequence, w: FusionSequence) -> tuple:
         """``(M^-1, L, Q_dagger)`` for the memoized M of (V, W), all read-only, from
         one inv on first use per pair, keyed like :func:`assemble_multiplier`, in the
-        memo table ``_inverses``. Read it only once M is invertible and W is a frame
-        (see :func:`inverse_representation_residuals`).
+        memo table ``_inverses``, once M is invertible (:class:`PreconditionError`
+        otherwise) and W is a frame (:attr:`ovf.OVFrame.frame_operator_inv`).
 
         L_i = u_i R_i^* P_{V_i} M^-* - (w_i / conj(m_i)) P_{W_i} S_W^-1, the second
         term only where m_i != 0, and Q_dagger_i = w_i P_{W_i} S_W^-1 + conj(m_i) L_i.
         """
 
         def build():
-            m_inv = np.linalg.inv(assemble_multiplier(self, v, w).matrix)
+            report = assemble_multiplier(self, v, w)
+            if not report.invertible:
+                raise PreconditionError("the multiplier must be invertible")
+            m_inv = np.linalg.inv(report.matrix)
             pw_s_inv = w.projections @ w.embedding.frame_operator_inv
             m_conj = np.conj(self.m)
             r_adj = v.weights[:, None, None] * self.r.conj().transpose(0, 2, 1)
@@ -218,18 +229,6 @@ class Symbol:
             return read_only((m_inv, l_blocks, q_dagger))
 
         return memo(self, "_inverses", (v, w), build)
-
-
-def inverse_symbol_blocks(sym: Symbol) -> np.ndarray:
-    """The read-only blocks (m_i R_i)^-1 cached on ``sym``, once the two-sided
-    hypothesis holds."""
-    report = condition_c(sym)
-    if not report.holds:
-        raise PreconditionError(
-            "blockwise inversion requires the two-sided symbol bound "
-            f"(gamma={report.gamma:.3e}, delta={report.delta:.3e})"
-        )
-    return sym.inverse_blocks
 
 
 @dataclass(frozen=True)
@@ -473,19 +472,15 @@ def _closed_form(
     sampled_duals: np.ndarray,
     tol: ToleranceConfig,
 ):
-    """``(M^-1, stacked Q_dagger, (m_i R_i)^-1)`` from the memos on ``sym``, once the
-    symbol bound, the invertibility of M and the frame test of W pass and the duals
-    pass at ``tol``."""
+    """``(M^-1, stacked Q_dagger, (m_i R_i)^-1)`` from the memos on ``sym``, each
+    behind its own hypothesis (the symbol bound, then the invertibility of M and the
+    frame test of W), once the duals pass at ``tol``."""
     _check_triple(sym, v, w)
-    if not condition_c(sym).holds:
-        raise PreconditionError("the two-sided symbol bound must hold")
-    if not assemble_multiplier(sym, v, w).invertible:
-        raise PreconditionError("the multiplier must be invertible")
+    inv_blocks = sym.inverse_blocks
+    m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
     if np.any(duality_defects(sampled_duals, v.embedding.analysis) > dual_slack(tol)):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
-    frame_operator_inverse(w.embedding)  # the frame test of W, raising NotAFrameError
-    m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
-    return m_inv, q_dagger.reshape(w.count * w.ambient_dim, w.ambient_dim), sym.inverse_blocks
+    return m_inv, q_dagger.reshape(w.count * w.ambient_dim, w.ambient_dim), inv_blocks
 
 
 def inverse_representation_residuals(

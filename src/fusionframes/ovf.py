@@ -43,9 +43,9 @@ cut are kept in a :func:`numerics.memo` table:
 
 * an :class:`OVFrame` caches its frame operator S_A = T_A^* T_A, its bounds
   (the extreme eigenvalues of its Hermitian part, floored at 0), from which its
-  frame test and ||T_A|| = sqrt(beta) are read, S_A^-1 from one inv,
-  T_A S_A^-1 from that inverse, the thin SVD factors (U, s) of T_A, the one
-  factorization of T_A, and, per rank cut of Q, the spectrum of B;
+  frame test and ||T_A|| = sqrt(beta) are read, S_A^-1 from one inv behind
+  that test, T_A S_A^-1 from that inverse, the thin SVD factors (U, s) of T_A,
+  the one factorization of T_A, and, per rank cut of Q, the spectrum of B;
 * a fusion sequence caches no operator fact beside these: its embedding
   ``f.embedding``, the OVFrame {w_i P_i}, owns its blocks, its stacked
   analysis, its S, its bounds and so its frame test, its S^-1,
@@ -53,11 +53,13 @@ cut are kept in a :func:`numerics.memo` table:
   test.
 
 The frame test :func:`is_frame` is a tolerance-free fact too: the cached
-bounds against the one invertibility cutoff :data:`numerics.INV_REL`, which
-:func:`frame_operator_inverse` applies before S_A^-1 or T_A S_A^-1 is read.
-Tolerance rules are applied per call on top of the cached facts, each only
-where it decides: the rank cutoff that cuts Q from U, and the annihilation
-test of :func:`_require_annihilation`.
+bounds against the one invertibility cutoff :data:`numerics.INV_REL`. It gates
+the facts that exist only for a frame: :attr:`OVFrame.frame_operator_inv`
+raises :class:`NotAFrameError` on a sequence that fails it, and caches nothing,
+and T_A S_A^-1 (:attr:`OVFrame.canonical_analysis`) is read through it, so
+neither can be read for a non-frame. Tolerance rules are applied per call on
+top of the cached facts, each only where it decides: the rank cutoff that cuts
+Q from U, and the annihilation test of :func:`_require_annihilation`.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ from .numerics import (
 __all__ = [
     "OVFrame",
     "is_frame",
-    "frame_operator_inverse",
     "DualCandidate",
     "annihilation_defects",
     "duality_defects",
@@ -96,7 +97,6 @@ __all__ = [
     "range_basis",
     "kernel_parts",
     "kernel_samples",
-    "canonical_ov_dual",
     "sample_ov_duals",
     "canonical_and_sampled_duals",
     "sweep_dual_family",
@@ -148,14 +148,17 @@ class OVFrame:
 
     @cached_property
     def frame_operator_inv(self) -> np.ndarray:
-        """Read-only S_A^-1 from one inv on first use; read it only once the frame
-        test has passed (see :func:`frame_operator_inverse`)."""
+        """Read-only S_A^-1 from one inv on first use, once the frame test
+        :func:`is_frame` passes; :class:`NotAFrameError` otherwise."""
+        if not is_frame(self):
+            lo, hi = self.frame_bounds
+            raise NotAFrameError(f"not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})")
         return read_only(np.linalg.inv(self.frame_operator))
 
     @cached_property
     def canonical_analysis(self) -> np.ndarray:
-        """Read-only T_A S_A^-1, from the cached inverse on first use; read it only once
-        the frame test has passed (see :func:`frame_operator_inverse`)."""
+        """Read-only T_A S_A^-1, the canonical dual's analysis, from the cached
+        inverse on first use, so behind the same frame test."""
         return read_only(self.analysis @ self.frame_operator_inv)
 
     @cached_property
@@ -177,15 +180,6 @@ def is_frame(a: OVFrame) -> bool:
     return clears_inv_cutoff(*a.frame_bounds)
 
 
-def frame_operator_inverse(a: OVFrame) -> np.ndarray:
-    """The read-only S_A^-1 cached on ``a``, once ``a`` passes the frame test; the
-    one gate in front of S_A^-1 and T_A S_A^-1."""
-    if not is_frame(a):
-        lo, hi = a.frame_bounds
-        raise NotAFrameError(f"not a frame at tolerance (alpha={lo:.3e}, beta={hi:.3e})")
-    return a.frame_operator_inv
-
-
 @dataclass(frozen=True)
 class DualCandidate:
     """A member T_A S_A^-1 + L of the dual family of ``base``, ``perturbation`` the
@@ -199,7 +193,7 @@ class DualCandidate:
     tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
-        frame_operator_inverse(self.base)
+        self.base.frame_operator_inv  # the frame test of the base, raising NotAFrameError
         l = owned(as_matrix(self.perturbation))
         object.__setattr__(self, "perturbation", l)
         annihilation_defects(self.base, l[None], self.tol)
@@ -265,14 +259,6 @@ def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return u[:, : svals_rank(s, max(a.analysis.shape), tol)]
 
 
-def canonical_ov_dual(a: OVFrame) -> np.ndarray:
-    """The canonical dual's read-only analysis T_A S_A^-1, behind the frame test:
-    every reader of T_A S_A^-1 in this module but :class:`DualCandidate` takes it
-    from here."""
-    frame_operator_inverse(a)
-    return a.canonical_analysis
-
-
 def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """P_ker G for each stacked matrix G, as G - Q (Q^* G) from one range basis Q,
     without forming P_ker."""
@@ -297,7 +283,7 @@ def sample_ov_duals(
     """The (count, N k, n) stack of dual analyses T_A S_A^-1 + L, L the kernel
     perturbations of :func:`kernel_samples`, once ``a`` passes the frame test; the
     L stack is checked to annihilate T_A once, at ``tol``."""
-    t_dual = canonical_ov_dual(a)
+    t_dual = a.canonical_analysis
     stack = kernel_samples(a, count, rng, tol)
     annihilation_defects(a, stack, tol)
     return t_dual + stack
@@ -306,7 +292,7 @@ def sample_ov_duals(
 def canonical_and_sampled_duals(a: OVFrame, count: int, rng, tol: ToleranceConfig) -> np.ndarray:
     """The (count, N k, n) stack of the canonical dual's analysis followed by the
     ``count - 1`` sampled analyses of :func:`sample_ov_duals`, drawn from ``rng``."""
-    return np.concatenate([canonical_ov_dual(a)[None], sample_ov_duals(a, count - 1, rng, tol)])
+    return np.concatenate([a.canonical_analysis[None], sample_ov_duals(a, count - 1, rng, tol)])
 
 
 def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:
@@ -370,7 +356,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
     subtracting I by u F each, and each largest singular value by about n u F
     (backward stable SVD); 8 (m + n) u F covers the sum for both.
     """
-    t, t_dual = a.analysis, canonical_ov_dual(a)
+    t, t_dual = a.analysis, a.canonical_analysis
     t_prime = as_matrix(t_prime)
     if t_prime.shape != t.shape:
         raise ContractViolationError(
@@ -413,7 +399,7 @@ def _dual_family_svals(a: OVFrame, tol: ToleranceConfig) -> np.ndarray:
     Z^* B = [Z^* C | Z^* - (Z^* Q) Q^*] together with N k - p ones, exactly. B^* = [C^* ; P_ker] has the same
     spectrum.
     """
-    t_dual = canonical_ov_dual(a)
+    t_dual = a.canonical_analysis
     q = range_basis(a, tol)
 
     def build():

@@ -46,10 +46,8 @@ from fusionframes.multipliers import (
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
 from fusionframes.ovf import (
-    canonical_ov_dual,
     dual_span_dimension,
     duality_defects,
-    frame_operator_inverse,
     is_frame,
     kernel_samples,
     null_bessel_certificate,
@@ -88,7 +86,7 @@ def test_criterion_01_dual_reconstruction():
         if count * k < n:
             count = int(np.ceil(n / k))
         a = random_ov_frame(n, k, count, rng)
-        canonical = canonical_ov_dual(a)
+        canonical = a.canonical_analysis
         duals = np.concatenate([canonical[None], sample_ov_duals(a, 20, rng, DEFAULT_TOL)])
         worst = max(worst, float(duality_defects(duals, a.analysis).max()))
     _verdict(1, "dual reconstruction", worst <= EQ, f"max residual {worst:.3e}")
@@ -243,7 +241,7 @@ def test_criterion_09_inverse_representation():
         if not rep0.invertible or rep0.sigma_min < 1e-3 * rep0.sigma_max:
             continue
         a_v = v.embedding
-        canonical = canonical_ov_dual(a_v)
+        canonical = a_v.canonical_analysis
         duals = np.concatenate([canonical[None], sample_ov_duals(a_v, 4, rng, DEFAULT_TOL)])
         worst = max(worst, *inverse_representation_residuals(sym, v, w, duals))
         probe_min = min(probe_min, inverse_representation_probe(sym, v, w, duals, rng=rng))
@@ -278,7 +276,7 @@ def test_criterion_10_local_frame_equivalence():
 
 def test_criterion_11_comparison_contrast():
     inst = cross_swap_instance()
-    s_inv = frame_operator_inverse(inst.w.embedding)
+    s_inv = inst.w.embedding.frame_operator_inv
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     # the commonly used forms are the symbols R_i = I and R_i = S_W^-1
     worst = max(

@@ -34,7 +34,7 @@ from fusionframes.fusion import (
     projection,
 )
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, kernel_samples, sweep_dual_family
+from fusionframes.ovf import kernel_samples, sweep_dual_family
 
 
 def _projection_blocks(f):
@@ -288,7 +288,7 @@ def _reference_separation(w, w_prime, tol=DEFAULT_TOL, threshold=None):
     if threshold is None:
         threshold = 10.0 * tol.eq_rel
     a = w.embedding
-    t_dual = canonical_ov_dual(a)
+    t_dual = a.canonical_analysis
     t_prime = w_prime.embedding.analysis
     eye = np.eye(w.ambient_dim)
     worst = 0.0

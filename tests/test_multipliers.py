@@ -14,14 +14,13 @@ from fusionframes.multipliers import (
     condition_c,
     inverse_representation_probe,
     inverse_representation_residuals,
-    inverse_symbol_blocks,
     invertible_multiplier_consequences,
     local_frame_equivalence,
     riesz_multiplier_verdict,
     schatten_checks,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import canonical_ov_dual, frame_operator_inverse, sample_ov_duals
+from fusionframes.ovf import sample_ov_duals
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -45,7 +44,7 @@ def unitary_swap_symbol():
 def _sampled_duals(v, rng, count=5):
     """The analyses of the canonical and ``count - 1`` sampled duals of v, one stack."""
     a = v.embedding
-    canonical = canonical_ov_dual(a)
+    canonical = a.canonical_analysis
     return np.concatenate([canonical[None], sample_ov_duals(a, count - 1, rng, DEFAULT_TOL)])
 
 
@@ -56,7 +55,7 @@ def test_block_diag_examples():
     assert d.shape == (2, 2, 2) and not d.flags.writeable and sym.blocks is d
     np.testing.assert_array_equal(d[0], 2 * np.eye(2))
     np.testing.assert_array_equal(d[1], 3 * np.eye(2))
-    inv = inverse_symbol_blocks(sym)
+    inv = sym.inverse_blocks
     for i in range(2):
         np.testing.assert_allclose(sym.m[i] * sym.r[i] @ inv[i], np.eye(2), atol=1e-14)
 
@@ -364,7 +363,7 @@ def test_local_equivalence_requires_spanning(diag_pair):
 
 def gavruta_symbol(w):
     """The S_W^-1-weighted form as a symbol: m = 1 and R_i = S_W^-1 on every block."""
-    s_inv = frame_operator_inverse(w.embedding)
+    s_inv = w.embedding.frame_operator_inv
     return Symbol(np.ones(w.count), np.broadcast_to(s_inv, (w.count, *s_inv.shape)))
 
 
@@ -459,21 +458,43 @@ def _one_block_local_family():
     [
         (lambda: Symbol(np.ones(2), np.ones((3, 2, 2))), ContractViolationError,
          "2 scalars but 3 operator blocks"),
-        (lambda: inverse_symbol_blocks(Symbol(np.array([1.0, 0.0]), np.array([np.eye(2)] * 2))),
+        (lambda: Symbol(np.array([1.0, 0.0]), np.array([np.eye(2)] * 2)).inverse_blocks,
          PreconditionError, "blockwise inversion requires the two-sided symbol bound"),
         (lambda: condition_c(Symbol(np.ones(0), np.ones((0, 2, 2)))), ContractViolationError,
          "empty symbol"),
         # on the crossed pair sum_i P_{V_i} P_{W_i} = 0 although the identity symbol holds C
         (lambda: inverse_representation_residuals(
-            Symbol.identity(2, 2), *cross_pair(), canonical_ov_dual(cross_pair()[0].embedding)[None]
+            Symbol.identity(2, 2), *cross_pair(), cross_pair()[0].embedding.canonical_analysis[None]
+        ), PreconditionError, "the multiplier must be invertible"),
+        # the hypotheses are checked in order, before the duals: on the crossed pair
+        # M is singular for both symbols below, and a stack of zeros is no dual
+        (lambda: inverse_representation_residuals(
+            Symbol(np.array([1.0, 0.0]), np.array([np.eye(2)] * 2)), *cross_pair(), np.zeros((1, 4, 2))
+        ), PreconditionError, "two-sided symbol bound"),
+        (lambda: inverse_representation_residuals(
+            Symbol.identity(2, 2), *cross_pair(), np.zeros((1, 4, 2))
         ), PreconditionError, "the multiplier must be invertible"),
         (lambda: local_frame_equivalence(
             Symbol.identity(2, 2), *cross_pair(), _one_block_local_family()
         ), ContractViolationError, "local family length does not match"),
     ],
     ids=["symbol_lengths", "inverse_blocks_without_c", "empty_symbol", "closed_form_singular",
-         "local_family_length"],
+         "order_symbol_bound_first", "order_invertibility_before_duals", "local_family_length"],
 )
 def test_multiplier_contracts_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_gated_inverse_facts_raise_and_cache_nothing():
+    # without the symbol bound the blocks (m_i R_i)^-1 are not formed
+    no_c = Symbol(np.array([1.0, 0.0]), np.array([np.eye(2)] * 2))
+    with pytest.raises(PreconditionError, match="two-sided symbol bound"):
+        no_c.inverse_blocks
+    assert "inverse_blocks" not in vars(no_c)
+    # on the crossed pair M = 0 for the identity symbol, which holds C: the closed
+    # form raises before its inv
+    sym = Symbol.identity(2, 2)
+    with pytest.raises(PreconditionError, match="the multiplier must be invertible"):
+        sym.inverse_closed_form(*cross_pair())
+    assert not vars(sym).get("_inverses")

@@ -20,9 +20,7 @@ from fusionframes.fusion import FusionSequence, Subspace, random_subspace
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
-    canonical_ov_dual,
     dual_span_dimension,
-    frame_operator_inverse,
     is_frame,
     kernel_samples,
     null_bessel_certificate,
@@ -100,30 +98,33 @@ def test_embed_fusion_blocks(diag_pair):
 
 def test_canonical_dual_examples(diag_pair):
     onb = embed_ordinary(np.eye(2))
-    np.testing.assert_allclose(canonical_ov_dual(onb), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(onb.canonical_analysis, np.eye(2), atol=1e-14)
     a = diag_pair.embedding
-    blocks = canonical_ov_dual(a).reshape(2, 2, 2)
+    blocks = a.canonical_analysis.reshape(2, 2, 2)
     np.testing.assert_allclose(blocks[0], np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
     deficient = embed_ordinary(np.array([[1.0, 0.0]]))
     with pytest.raises(NotAFrameError):
-        canonical_ov_dual(deficient)
+        deficient.canonical_analysis
 
 
 def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
-    # S^-1 and T S^-1 are read only behind frame_operator_inverse, whose error
-    # names both clipped bounds
+    # S^-1 and T S^-1 are read only through OVFrame.frame_operator_inv, whose
+    # frame test names both bounds and, when it fails, caches nothing
     from fusionframes import duality
 
+    gated = {"frame_operator_inv", "canonical_analysis"}
     a = diag_pair.embedding
-    assert is_frame(a) and frame_operator_inverse(a) is a.frame_operator_inv
+    assert is_frame(a) and not gated & vars(a).keys()
+    a.canonical_analysis
+    assert gated <= vars(a).keys()
     n = 2
     partial = FusionSequence((Subspace(np.eye(n)[:, :1]),) * 2, np.array([1.0, 1.0]))
     deficient = partial.embedding
     assert not is_frame(deficient)
     readers = [
-        lambda: frame_operator_inverse(deficient),
-        lambda: canonical_ov_dual(deficient),
+        lambda: deficient.frame_operator_inv,
+        lambda: deficient.canonical_analysis,
         lambda: sample_ov_duals(deficient, 1, _ZeroNormal(), DEFAULT_TOL),
         lambda: ovf.canonical_and_sampled_duals(deficient, 2, _ZeroNormal(), DEFAULT_TOL),
         lambda: ovf.DualCandidate(deficient, np.zeros(deficient.analysis.shape)),
@@ -136,13 +137,23 @@ def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
     for read in readers:
         with pytest.raises(NotAFrameError, match=r"alpha=0\.000e\+00, beta=2\.000e\+00"):
             read()
+    assert not gated & vars(deficient).keys()
+    # the coordinate lines of C^2 with weights 1 and sqrt(1e-9): S is invertible,
+    # but alpha / beta = 1e-9 lies below the invertibility cutoff
+    lines = (Subspace(np.eye(n)[:, :1]), Subspace(np.eye(n)[:, 1:]))
+    near = FusionSequence(lines, np.array([1.0, np.sqrt(1e-9)])).embedding
+    assert not is_frame(near)
+    for name in sorted(gated):
+        with pytest.raises(NotAFrameError, match=r"alpha=1\.000e-09, beta=1\.000e\+00"):
+            getattr(near, name)
+    assert not gated & vars(near).keys()
 
 
 def test_sample_dual_zero_seed_is_canonical(diag_pair):
     a = diag_pair.embedding
     zero = sample_ov_duals(a, 2, _ZeroNormal(), DEFAULT_TOL)
     assert zero.shape == (2, 4, 2)
-    np.testing.assert_allclose(zero[1], canonical_ov_dual(a))
+    np.testing.assert_allclose(zero[1], a.canonical_analysis)
     assert sample_ov_duals(a, 0, _ZeroNormal(), DEFAULT_TOL).shape == (0, 4, 2)
 
 
@@ -156,7 +167,7 @@ def test_sample_dual_trivial_kernel(rng):
 def test_sample_dual_noncanonical_still_dual(diag_pair, rng):
     a = diag_pair.embedding
     (dual,) = sample_ov_duals(a, 1, rng, DEFAULT_TOL)
-    assert spectral_norm(dual - canonical_ov_dual(a)) > 1e-3
+    assert spectral_norm(dual - a.canonical_analysis) > 1e-3
     assert ovf.duality_defects(dual[None], a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
 
@@ -198,14 +209,14 @@ def test_ovframe_shape_validation():
 
 
 def _reference_dual_span_dimension(a, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a)
+    t_dual = a.canonical_analysis
     pieces = [t_dual]
     pieces.extend(list(reference_dual_perturbations(a, tol))[1:])
     return rank_tol(np.hstack(pieces), tol)
 
 
 def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a)
+    t_dual = a.canonical_analysis
     stacked_rows = [t_dual.conj().T]
     for l in list(reference_dual_perturbations(a, tol))[1:]:
         stacked_rows.append((t_dual + l).conj().T)
@@ -214,7 +225,7 @@ def _reference_null_bessel_certificate(a, tol=DEFAULT_TOL):
 
 
 def _reference_residuals(a, t_prime, tol=DEFAULT_TOL):
-    t_dual = canonical_ov_dual(a)
+    t_dual = a.canonical_analysis
     eye = np.eye(a.domain_dim)
     return np.array(
         [
@@ -468,13 +479,13 @@ def test_duality_defects_match_per_dual_loop(rng):
     for _ in range(30):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         a = random_fusion_frame(n, count, rng).embedding
-        canonical = canonical_ov_dual(a)
+        canonical = a.canonical_analysis
         analyses = np.concatenate([canonical[None], sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
         t = a.analysis
         want = [spectral_norm(d.conj().T @ t - np.eye(n)) for d in analyses]
         assert ovf.duality_defects(analyses, t).tolist() == want
         assert [ovf.duality_defects(d[None], t)[0] for d in analyses] == want
-    other = canonical_ov_dual(coordinate_decomposition(n + 1).embedding)
+    other = coordinate_decomposition(n + 1).embedding.canonical_analysis
     for bad in (other[None], analyses[:0], analyses[0]):
         with pytest.raises(ContractViolationError):
             ovf.duality_defects(bad, t)
@@ -507,7 +518,7 @@ def test_cached_spectrum_ranks_match_dense_reference(rng):
         m, n = a.analysis.shape
         cuts = set()
         for tol in (DEFAULT_TOL, coarse):
-            c = canonical_ov_dual(a)
+            c = a.canonical_analysis
             pker = reference_kernel_projector(a, tol)
             dense = np.hstack([c, pker])
             assert dual_span_dimension(a, tol) == rank_tol(dense, tol)

@@ -88,8 +88,8 @@ def test_stacked_annihilation_matches_the_per_candidate_check():
         stack = ovf.kernel_samples(a, 5, np.random.default_rng(inst.seed))
         got = ovf.annihilation_defects(a, stack)
         assert np.array_equal(got, reference_annihilation_defects(a, stack))
-        canonical = ovf.canonical_ov_dual(a)
-        assert np.array_equal(canonical, a.canonical_analysis)
+        canonical = a.canonical_analysis
+        assert np.array_equal(canonical, a.analysis @ a.frame_operator_inv)
         # the canonical dual is the family member with L = 0
         assert np.array_equal(DualCandidate(a, np.zeros_like(canonical)).analysis, canonical)
 
@@ -105,7 +105,7 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
     monkeypatch.setattr(ovf, "annihilation_defects", counted)
     inst = POPULATION[-1]
     a = inst.w.embedding
-    canonical = ovf.canonical_ov_dual(a)
+    canonical = a.canonical_analysis
     duals = ovf.sample_ov_duals(a, 4, np.random.default_rng(5), DEFAULT_TOL)
     # the canonical dual is an array, not a candidate, so only the sampled stack is checked
     assert checked == [4]
@@ -186,7 +186,7 @@ def test_batched_representation_residual_matches_the_per_dual_loop():
         w, n = inst.w, inst.w.ambient_dim
         a = w.embedding
         rng = np.random.default_rng(inst.seed)
-        canonical = ovf.canonical_ov_dual(a)
+        canonical = a.canonical_analysis
         duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
         stacked_q = _complex(rng, (w.count * n, n))
         inv_blocks = _complex(rng, (w.count, n, n))
@@ -353,7 +353,7 @@ def test_lapack_calls_do_not_grow_with_the_block_count(monkeypatch):
         (l,) = ovf.kernel_samples(w.embedding, 1, rng)
         gd = generate_fusion_dual(w, u, l)  # fills the caches of W
         a = w.embedding
-        canonical = ovf.canonical_ov_dual(a)
+        canonical = a.canonical_analysis
         duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
         args = (
             _complex(rng, (count * n, n)), _complex(rng, (count, n, n)), duals, _complex(rng, (n, n))

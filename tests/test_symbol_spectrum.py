@@ -37,7 +37,6 @@ from fusionframes.multipliers import (
     condition_c,
     inverse_representation_probe,
     inverse_representation_residuals,
-    inverse_symbol_blocks,
     schatten_checks,
 )
 from fusionframes.numerics import DEFAULT_TOL, singular_values, spectral_norm
@@ -174,7 +173,7 @@ def test_spectrum_readers_match_per_block_loops(rng):
         assert sym.block_sval_defect == reference_block_scaling_defect(sym)
         assert sym.block_sval_defect <= DEFAULT_TOL.eq_rel
         if rep.holds:
-            inv_blocks = inverse_symbol_blocks(sym)
+            inv_blocks = sym.inverse_blocks
             assert np.array_equal(inv_blocks, reference_inverse_symbol_blocks(sym))
 
 
@@ -240,7 +239,7 @@ def test_representation_residuals_match_block_loop(rng):
         if not assemble_multiplier(sym, v, w).invertible:
             continue
         a_v = v.embedding
-        canonical = ovf.canonical_ov_dual(a_v)
+        canonical = a_v.canonical_analysis
         duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a_v, 4, rng, DEFAULT_TOL)])
         seed = int(rng.integers(2**32))
         representation = inverse_representation_residuals(sym, v, w, duals)[1]
