@@ -669,10 +669,27 @@ SUITES: Dict[str, List[str]] = {
 SUITES["all"] = [c.name for c in _REGISTRY]
 
 
+class _LazyGenerator:
+    """A ``np.random.Generator`` from ``SeedSequence(entropy)``, built on first use:
+    each attribute read is the built generator's, kept on first read, so every
+    draw is the one the generator gives."""
+
+    def __init__(self, entropy: list):
+        self._entropy = entropy
+        self._rng = None
+
+    def __getattr__(self, attr):
+        if self._rng is None:
+            self._rng = np.random.default_rng(np.random.SeedSequence(self._entropy))
+        value = getattr(self._rng, attr)
+        setattr(self, attr, value)
+        return value
+
+
 def _check_rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), zlib.crc32(name.encode("utf-8"))])
-    )
+    """The generator of one check run, from the instance seed and the check's name;
+    built on the check's first draw, since most checks draw nothing."""
+    return _LazyGenerator([int(seed), zlib.crc32(name.encode("utf-8"))])
 
 
 def run_suite(

@@ -7,6 +7,7 @@ fail), 1 when any check fails, 2 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import deque
@@ -30,6 +31,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionframes",

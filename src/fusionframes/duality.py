@@ -41,6 +41,7 @@ from .numerics import (
     as_matrix,
     clears_inv_cutoff,
     extreme_singular_values,
+    frobenius_screen,
     read_only,
     relative_defect,
     spectral_norm,
@@ -89,7 +90,10 @@ class AdmissibilityReport:
 
     Each row of ``defects`` is (kernel_defect, range_defect, norm_defect)
     for one index; unconstrained indices (inside the zero-index set) carry
-    zeros.
+    zeros. The kernel and range defects are certified upper bounds on
+    ||Q_i P_{W_i} - Q_i|| and ||P_{V_i} Q_i - Q_i|| where the Frobenius screen
+    decided and these spectral norms themselves where the SVD ran (always for an
+    inadmissible Q); nothing in the package reads them.
     """
 
     admissible: bool
@@ -102,8 +106,11 @@ def is_admissible(
     w: FusionSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> AdmissibilityReport:
-    """Check W_i-perp in ker(Q_i), ran(Q_i) in V_i, and ||Q_i|| = 1 off I_0, each
-    condition by one batched SVD over the blocks off I_0."""
+    """Check W_i-perp in ker(Q_i), ran(Q_i) in V_i, and ||Q_i|| = 1 off I_0, over the
+    blocks off I_0. ||Q_i|| comes from one batched SVD. When the norm condition
+    holds and :func:`numerics.frobenius_screen` passes both defect stacks against
+    ||Q_i||, Q is admissible without another SVD; otherwise one batched SVD per
+    defect stack decides."""
     q = np.asarray(q_blocks, dtype=np.complex128)
     if q.ndim != 3 or q.shape[0] != v.count or q.shape[1:] != (v.ambient_dim,) * 2:
         raise ContractViolationError(
@@ -113,14 +120,15 @@ def is_admissible(
     live = np.array([i not in zero_set for i in range(v.count)])
     q_live = q[live]
     norms = spectral_norms(q_live)
+    norm_defects = np.abs(norms - 1.0)
+    stacks = (q_live @ w.projections[live] - q_live, v.projections[live] @ q_live - q_live)
+    bounds = None
+    if not np.any(relative_defect(norm_defects, norms) > tol.eq_rel):
+        bounds = [frobenius_screen(x, tol.eq_rel, norms) for x in stacks]
+    if bounds is None or any(b is None for b in bounds):
+        bounds = [spectral_norms(x) for x in stacks]
     defects = np.zeros((v.count, 3))
-    defects[live] = np.column_stack(
-        [
-            spectral_norms(q_live @ w.projections[live] - q_live),
-            spectral_norms(v.projections[live] @ q_live - q_live),
-            np.abs(norms - 1.0),
-        ]
-    )
+    defects[live] = np.column_stack([*bounds, norm_defects])
     ok = not np.any(relative_defect(defects[live], norms[:, None]) > tol.eq_rel)
     return AdmissibilityReport(admissible=ok, defects=tuple(map(tuple, defects.tolist())))
 

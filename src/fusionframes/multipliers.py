@@ -45,9 +45,11 @@ unless M is invertible, or :class:`NotAFrameError` unless W is a frame. The
 inverse representation splits into its two halves,
 :func:`inverse_representation_residuals` (duality and representation) and
 :func:`inverse_representation_probe` (uniqueness), one per check. They are handed the sampled duals of {u_i P_{V_i}} as one
-(c, N n, n) stack of analyses, re-validated against T_V with one batched
-SVD (:func:`ovf.duality_defects`), the reader that also gives Q_dagger's
-duality residual ||Q_dagger^* T_W - I||, and the probe's kernel direction is drawn
+(c, N n, n) stack of analyses, re-validated against T_V from their gaps
+D^* T_V - I (:func:`ovf.duality_gaps`): a stack that
+:func:`numerics.frobenius_screen` passes takes no SVD, any other one batched
+SVD. :func:`ovf.duality_defects` gives Q_dagger's duality residual
+||Q_dagger^* T_W - I||, and the probe's kernel direction is drawn
 by :func:`ovf.kernel_samples` through the cached range basis of T_W, so no
 (N n) x (N n) projector is formed on this path. The Riesz verdict reads
 :func:`fusion.is_riesz_fusion_basis`. The frame facts of V and W are read
@@ -80,6 +82,7 @@ from .numerics import (
     ToleranceConfig,
     clears_inv_cutoff,
     finite_array,
+    frobenius_screen,
     memo,
     near_inv_cutoff,
     owned,
@@ -95,6 +98,7 @@ from .numerics import (
 from .ovf import (
     dual_slack,
     duality_defects,
+    duality_gaps,
     is_frame,
     kernel_samples,
 )
@@ -474,11 +478,14 @@ def _closed_form(
 ):
     """``(M^-1, stacked Q_dagger, (m_i R_i)^-1)`` from the memos on ``sym``, each
     behind its own hypothesis (the symbol bound, then the invertibility of M and the
-    frame test of W), once the duals pass at ``tol``."""
+    frame test of W), once the duals pass at ``tol``: each ||D^* T_V - I|| within
+    :func:`ovf.dual_slack`, passed by :func:`numerics.frobenius_screen` or else
+    decided by one batched SVD."""
     _check_triple(sym, v, w)
     inv_blocks = sym.inverse_blocks
     m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
-    if np.any(duality_defects(sampled_duals, v.embedding.analysis) > dual_slack(tol)):
+    gaps, slack = duality_gaps(sampled_duals, v.embedding.analysis), dual_slack(tol)
+    if frobenius_screen(gaps, slack) is None and np.any(spectral_norms(gaps) > slack):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")
     return m_inv, q_dagger.reshape(w.count * w.ambient_dim, w.ambient_dim), inv_blocks
 

@@ -7,7 +7,10 @@ one matrix or of an (m, r, c) stack, goes through :func:`svd` or
 :class:`NumericFailureError`; so does the ``eigvalsh`` of :func:`eig_extremes`.
 Each SVD operand passes :func:`finite_array` first: LAPACK's SVD raises on a NaN
 but may never return on an infinite entry, so an overflowed operand must end
-in :class:`ContractViolationError` before it, not in a hang.
+in :class:`ContractViolationError` before it, not in a hang. A guard that only
+compares spectral norms with a threshold first tries :func:`frobenius_screen`,
+which passes a stack on certified Frobenius bounds at :data:`SCREEN_MARGIN` of the
+threshold and takes no SVD; only a stack it leaves undecided takes the SVD.
 All rank and equality decisions route through one :class:`ToleranceConfig`
 so that no two checks can disagree about what counts as zero, and every
 relative residual and every ``eq_rel`` test takes its comparison scale from
@@ -46,6 +49,9 @@ __all__ = [
     "spectral_norm",
     "spectral_norms",
     "extreme_singular_values",
+    "SCREEN_MARGIN",
+    "frobenius_screen",
+    "gram_norm_floors",
     "clears_inv_cutoff",
     "near_inv_cutoff",
     "eig_extremes",
@@ -86,6 +92,8 @@ DEFAULT_TOL = ToleranceConfig()
 INV_REL = 1e-8  # a square operator is invertible when s_min > INV_REL * s_max
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
+EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).tiny)
 
 
 def relative_defect(defect, scale):
@@ -192,6 +200,46 @@ def extreme_singular_values(a):
     if not s.size:
         return 0.0, 0.0
     return float(s[-1]), float(s[0])
+
+
+SCREEN_MARGIN = 0.5  # a Frobenius bound passes a norm only within half its threshold
+
+
+def frobenius_screen(stack: np.ndarray, threshold: float, scale_lo=0.0):
+    """Certified upper bounds on the spectral norms of an (m, r, c) stack when every
+    one passes the screen at the finite ``threshold``, else None, from one sum of
+    squares and no SVD.
+
+    The bound on ||X||_2 is ||X||_F (||X||_2 <= ||X||_F <= sqrt(rank) ||X||_2,
+    Golub and Van Loan, Matrix Computations, 2.3), with r c tiny added under the
+    root for squares that underflow and a factor 1 + (r c + r + c) eps for the
+    rounding of the sum and the backward error of an SVD, so it bounds the
+    computed :func:`spectral_norms` too. The screen passes when every
+    ``scale_lo``, a lower bound of the comparison scale, is finite and each
+    bound's :func:`relative_defect` against its ``scale_lo`` is at most
+    :data:`SCREEN_MARGIN` times ``threshold``, which no infinite or NaN bound
+    is; a norm test ``relative_defect(norm, scale) <= threshold`` then passes
+    for every matrix, so a guard that tests it decides as the SVD would. A
+    stack that does not pass takes the SVD and its decision there, so an
+    overflowed product still ends in the SVD's :func:`finite_array` error."""
+    _, r, c = stack.shape
+    x = np.ascontiguousarray(stack).view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("kij,kij->k", x, x)
+        bounds = np.sqrt(squares + r * c * TINY) * (1.0 + (r * c + r + c) * EPS)
+    if np.isfinite(scale_lo).all() and (
+        relative_defect(bounds, scale_lo) <= SCREEN_MARGIN * threshold
+    ).all():
+        return bounds
+    return None
+
+
+def gram_norm_floors(grams: np.ndarray) -> np.ndarray:
+    """Lower bounds ||L||_2 >= (tr L^*L / n)^(1/2) from an (m, n, n) stack of Gram
+    matrices L^*L, one per matrix; infinite where the trace overflows."""
+    n = grams.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.einsum("kii->k", grams.real) / n)
 
 
 def clears_inv_cutoff(lo: float, hi: float) -> bool:

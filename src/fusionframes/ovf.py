@@ -26,9 +26,11 @@ whose norm is the norm of row r of P_ker^* T', so the sweep bounds each
 stacked row r from one SVD and one product, and takes one batched SVD of a
 row's members only where the bound leaves it undecided.
 
-Perturbations are checked to annihilate T_A at the caller's eq_rel by two
-stacked SVDs of n x n matrices per stack (:func:`annihilation_defects`),
-||L^* T_A|| and ||L^* L||, and by none for a stack of zeros. Sampled duals
+Perturbations are checked to annihilate T_A at the caller's eq_rel from two
+stacked n x n products per stack (:func:`annihilation_defects`), L^* T_A and
+L^* L: a stack whose Frobenius bounds pass :func:`numerics.frobenius_screen`
+takes no SVD, any other stack takes one stacked SVD of each, and a stack of
+zeros takes none. Sampled duals
 travel as one (c, N k, n) stack of analyses (:func:`sample_ov_duals`),
 checked once as one stack, behind the canonical analysis T_A S_A^-1 in
 :func:`canonical_and_sampled_duals`. A :class:`DualCandidate` records one
@@ -77,6 +79,8 @@ from .numerics import (
     clears_inv_cutoff,
     eig_extremes,
     finite_array,
+    frobenius_screen,
+    gram_norm_floors,
     memo,
     owned,
     read_only,
@@ -92,6 +96,7 @@ __all__ = [
     "is_frame",
     "DualCandidate",
     "annihilation_defects",
+    "duality_gaps",
     "duality_defects",
     "dual_slack",
     "range_basis",
@@ -218,28 +223,45 @@ def _require_annihilation(a: OVFrame, defects, l_norms, tol: ToleranceConfig) ->
 
 def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The DualCandidate condition (:func:`_require_annihilation`) for each L of a
-    (c, N k, n) stack, from two stacked SVDs of n x n matrices: ||L^* T_A|| and
-    ||L|| = ||L^* L||^(1/2). Returns the defects ||L^* T_A||. A stack of zeros,
-    such as the canonical dual's L = 0, has zero defects and takes no SVD."""
+    (c, N k, n) stack, from the n x n products L^* T_A and L^* L.
+
+    The stack passes without an SVD when :func:`numerics.frobenius_screen` passes
+    its ||L^* T_A|| against the scale floor ||T_A|| (tr L^* L / n)^(1/2), at most
+    ||T_A|| ||L|| (:func:`numerics.gram_norm_floors`); a screen pass implies the
+    SVD's pass. Any other stack is decided from two stacked SVDs, ||L^* T_A||
+    and ||L|| = ||L^* L||^(1/2). Returns, per L, a certified upper bound on
+    ||L^* T_A|| where the screen passed and ||L^* T_A|| itself where the SVD
+    ran; nothing in the package reads them. A stack of zeros, such as the
+    canonical dual's L = 0, has zero defects and takes no SVD."""
     if not stack.any():
         return np.zeros(len(stack))
     adj = stack.conj().transpose(0, 2, 1)
-    defects = spectral_norms(adj @ a.analysis)
-    _require_annihilation(a, defects, np.sqrt(spectral_norms(adj @ stack)), tol)
+    products, grams = adj @ a.analysis, adj @ stack
+    scale_lo = a.analysis_norm * gram_norm_floors(grams)
+    bounds = frobenius_screen(products, tol.eq_rel, scale_lo)
+    if bounds is not None:
+        return bounds
+    defects = spectral_norms(products)
+    _require_annihilation(a, defects, np.sqrt(spectral_norms(grams)), tol)
     return defects
 
 
-def duality_defects(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """||D^* T - I|| for each dual analysis D of ``analyses``, a (c, m, n) stack,
-    against the m x n analysis ``t``, from one n x n product per member and one
-    batched SVD; each entry is bit-for-bit the spectral norm of that member's
-    matrix. Only n x n products are stacked, so no copy of the analyses is made."""
+def duality_gaps(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (c, n, n) stack of D^* T - I for each dual analysis D of ``analyses``, a
+    (c, m, n) stack, against the m x n analysis ``t``, from one n x n product per
+    member. Only n x n products are stacked, so no copy of the analyses is made."""
     shape = np.shape(analyses)
     if len(shape) != 3 or not shape[0] or shape[1:] != t.shape:
         raise ContractViolationError(
             f"dual analyses must be a stack of one or more {t.shape} matrices, got shape {shape}"
         )
-    return spectral_norms(np.array([d.conj().T @ t for d in analyses]) - np.eye(t.shape[1]))
+    return np.array([d.conj().T @ t for d in analyses]) - np.eye(t.shape[1])
+
+
+def duality_defects(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """||D^* T - I|| for each member of :func:`duality_gaps`, from one batched SVD;
+    each entry is bit-for-bit the spectral norm of that member's matrix."""
+    return spectral_norms(duality_gaps(analyses, t))
 
 
 SAMPLED_DUALS = 5  # duals per sampled-dual check: the canonical dual and four drawn

@@ -594,6 +594,25 @@ def test_reference_command_matches_golden_reference(tmp_path):
     assert _strip_wall_time(out.read_text()) == _strip_wall_time(GOLDEN_REFERENCE.read_text())
 
 
+GUARD_GOLDENS = (
+    # the duals suite on d16 and the multipliers suite on w24, the CI's shapes
+    # where the annihilation, admissibility and sampled-dual guards run most
+    (["--dim", "16", "--blocks", "4", "--dims", "8,12,16,16", "--seed", "1"],
+     "duals", DATA / "golden_report_d16_duals.json"),
+    (["--dim", "12", "--blocks", "24", "--dims", ",".join(["1,2,3,4,5,6"] * 4),
+      "--symbol", "random_C_holding", "--local", "2", "--seed", "1"],
+     "multipliers", DATA / "golden_report_w24_multipliers.json"),
+)
+
+
+def test_guard_heavy_shapes_match_their_golden_reports(tmp_path):
+    for gen_args, suite, golden in GUARD_GOLDENS:
+        inst, out = tmp_path / f"{suite}.json", tmp_path / f"{suite}-report.json"
+        assert main(["gen", *gen_args, "-o", str(inst)]) == 0
+        assert main(["check", "--suite", suite, str(inst), "--report", str(out)]) == 0
+        assert _strip_wall_time(out.read_text()) == _strip_wall_time(golden.read_text())
+
+
 def test_condition_c_coherence_near_cutoff_is_indeterminate(tmp_path):
     # used to fail at 1.088e-8 against eq_rel 1e-8 while the other
     # near-cutoff checks on the same file read indeterminate

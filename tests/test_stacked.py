@@ -42,7 +42,7 @@ from fusionframes.instances import (
     random_riesz_basis,
     random_symbol,
 )
-from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norms
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm, spectral_norms
 from fusionframes.ovf import DualCandidate, is_frame
 
 LAPACK = ("svd", "eigvalsh", "solve", "inv", "qr", "pinv")
@@ -82,12 +82,35 @@ def test_population_covers_the_corners():
     assert any(0 in inst.w.dims for inst in POPULATION)
 
 
-def test_stacked_annihilation_matches_the_per_candidate_check():
+def _open_perturbation(a, l):
+    """L + d T_A S_A^-1 with d = 3/4 of the annihilation threshold for L: a dual
+    direction whose defect ||d I|| = d passes the test, while its Frobenius norm
+    d sqrt(n) is above half the threshold, so the Frobenius screen leaves it open."""
+    d = 0.75 * DEFAULT_TOL.eq_rel * max(1.0, a.analysis_norm * spectral_norm(l))
+    return l + d * a.canonical_analysis
+
+
+def test_stacked_annihilation_matches_the_per_candidate_check(monkeypatch):
+    # a drawn stack passes the Frobenius screen without an SVD, each defect then a
+    # certified bound between the reference and half the threshold (up to
+    # rounding); a stack the screen leaves open takes the two SVDs and matches the
+    # reference bit for bit
+    calls = _lapack_calls(monkeypatch)
     for inst in POPULATION:
         a = inst.w.embedding
         stack = ovf.kernel_samples(a, 5, np.random.default_rng(inst.seed))
+        want = reference_annihilation_defects(a, stack)
+        half = 0.5 * DEFAULT_TOL.eq_rel * np.fmax(1.0, a.analysis_norm * spectral_norms(stack))
+        calls.clear()
         got = ovf.annihilation_defects(a, stack)
-        assert np.array_equal(got, reference_annihilation_defects(a, stack))
+        assert "svd" not in calls
+        assert np.all(want <= got) and np.all(got <= half * (1.0 + 1e-12))
+        stack[0] = _open_perturbation(a, stack[0])
+        want = reference_annihilation_defects(a, stack)
+        calls.clear()
+        got = ovf.annihilation_defects(a, stack)
+        assert calls.count("svd") == 2
+        assert np.array_equal(got, want)
         canonical = a.canonical_analysis
         assert np.array_equal(canonical, a.analysis @ a.frame_operator_inv)
         # the canonical dual is the family member with L = 0
@@ -136,19 +159,39 @@ def test_one_non_annihilating_perturbation_in_a_valid_stack_is_rejected(monkeypa
                 check()
 
 
-def test_batched_admissibility_matches_the_per_block_loop():
+def test_batched_admissibility_matches_the_per_block_loop(monkeypatch):
+    # a generated Q passes the Frobenius screen after the one SVD of its norms, its
+    # kernel and range defects then certified bounds between the reference and
+    # half the threshold (up to rounding); an inadmissible Q takes the two defect
+    # SVDs and matches the reference bit for bit
+    calls = _lapack_calls(monkeypatch)
     for inst in POPULATION:
         w, n = inst.w, inst.w.ambient_dim
         rng = np.random.default_rng(inst.seed)
         gd = generate_fusion_dual(w, random_invertible_matrix(n, rng))
         random_q = _complex(rng, (w.count, n, n))
         for q, v in ((gd.q, gd.v), (random_q, inst.v), (gd.q, inst.v)):
-            report = is_admissible(q, v, w)
             ok, rows = reference_admissibility(q, v, w, DEFAULT_TOL)
+            want = np.array(rows)
+            calls.clear()
+            report = is_admissible(q, v, w)
+            got = np.array(report.defects)
             assert report.admissible == ok
-            assert np.array_equal(np.array(report.defects), np.array(rows))
+            if calls.count("svd") == 1:
+                assert ok
+                half = 0.5 * DEFAULT_TOL.eq_rel * np.fmax(1.0, spectral_norms(q))[:, None]
+                assert np.array_equal(got[:, 2], want[:, 2])
+                assert np.all(want[:, :2] <= got[:, :2])
+                assert np.all(got[:, :2] <= half * (1.0 + 1e-12))
+            else:
+                assert calls.count("svd") == 3
+                assert np.array_equal(got, want)
+        calls.clear()
         assert is_admissible(gd.q, gd.v, w).admissible
+        assert calls.count("svd") == 1
+        calls.clear()
         assert not is_admissible(random_q, inst.v, w).admissible
+        assert calls.count("svd") == 3
 
 
 def test_stacked_dual_generator_matches_the_per_block_loop():
@@ -359,22 +402,28 @@ def test_lapack_calls_do_not_grow_with_the_block_count(monkeypatch):
             _complex(rng, (count * n, n)), _complex(rng, (count, n, n)), duals, _complex(rng, (n, n))
         )
         calls = _lapack_calls(monkeypatch)
-        per_function = []
-        for run in (
-            lambda: is_admissible(gd.q, gd.v, w),
-            lambda: generate_fusion_dual(w, u, l),
-            lambda: multipliers._representation_residual(*args),
-        ):
-            calls.clear()
-            run()
-            per_function.append(list(calls))
-        counts.append(per_function)
+        per_input = []
+        # inputs the Frobenius screen decides, then inputs it leaves open: an
+        # inadmissible Q and an L with a dual direction at 3/4 of the threshold
+        for q, l_run in ((gd.q, l), (2.0 * gd.q, _open_perturbation(a, l))):
+            per_function = []
+            for run in (
+                lambda: is_admissible(q, gd.v, w),
+                lambda: generate_fusion_dual(w, u, l_run),
+                lambda: multipliers._representation_residual(*args),
+            ):
+                calls.clear()
+                run()
+                per_function.append(list(calls))
+            per_input.append(per_function)
+        counts.append(per_input)
         monkeypatch.undo()
     assert counts[0] == counts[1] == counts[2]
-    # three stacked norms; |U|'s extremes, the two annihilation norms and one
-    # stacked SVD; one stacked norm and ||M^-1||
-    assert [len(c) for c in counts[0]] == [3, 4, 2]
-    assert all(name == "svd" for c in counts[0] for name in c)
+    # decided: ||Q_i||; |U|'s extremes and one stacked SVD; one stacked norm and
+    # ||M^-1||. Open: three stacked norms; |U|'s extremes, the two annihilation
+    # norms and one stacked SVD; one stacked norm and ||M^-1||
+    assert [[len(c) for c in per_function] for per_function in counts[0]] == [[1, 2, 2], [3, 4, 2]]
+    assert all(name == "svd" for per_function in counts[0] for c in per_function for name in c)
 
 
 def test_dual_generator_checks_its_sequence_at_the_call_tolerance(diag_pair):
