@@ -130,24 +130,24 @@ def _run_left_inverse_span(inst, rng, tol):
 
 
 def _kpp_generated_verdict(w, u, rng, tol):
-    """The KPP verdict on the dual of ``w`` generated for target ``u`` from one kernel
-    perturbation L, drawn from ``rng`` after any draw of ``u``."""
+    """The dual of ``w`` generated for target ``u`` from one kernel perturbation L,
+    drawn from ``rng`` after any draw of ``u``, and its KPP verdict."""
     l = ovf.kernel_samples(w.embedding, 1, rng, tol)[0]
     gd = duality.generate_fusion_dual(w, u, l, tol)
-    return duality.kpp_dual_check(gd.v, w, gd.q, tol)
+    return gd, duality.kpp_dual_check(gd.v, w, gd.q, tol)
 
 
 def _run_kpp_construction(inst, rng, tol):
     u = random_invertible_matrix(inst.w.ambient_dim, rng)
-    verdict = _kpp_generated_verdict(inst.w, u, rng, tol)
-    residual = relative_defect(spectral_norm(verdict.composite - u), spectral_norm(u))
-    if not verdict.admissibility.admissible:
+    gd, verdict = _kpp_generated_verdict(inst.w, u, rng, tol)
+    residual = relative_defect(spectral_norm(verdict.composite - u), gd.u_norm)
+    if not verdict.admissible:
         residual = max(residual, 1.0)
     return CheckResult(residual)
 
 
 def _run_kpp_verdict(inst, rng, tol):
-    verdict = _kpp_generated_verdict(inst.w, np.eye(inst.w.ambient_dim), rng, tol)
+    _, verdict = _kpp_generated_verdict(inst.w, np.eye(inst.w.ambient_dim), rng, tol)
     residual = verdict.residual_to_identity
     if verdict.kind != "dual":
         residual = max(residual, 1.0)

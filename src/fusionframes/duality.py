@@ -15,13 +15,18 @@ S^-1-weighted reconstruction, constructs duals from an invertible
 target operator and a stacked L with L^* T_W,w = 0 (such as one drawn by
 :func:`ovf.kernel_samples`), and searches the operator-valued dual family for
 a dual that separates two fusion frames. The composite for Q is formed only by
-:func:`kpp_dual_check`: the generator returns V, Q and its operators, and a
-generated dual is verified by that check.
+:func:`kpp_dual_check`: the generator returns V, Q, its operators and ||U||,
+and a generated dual is verified by that check. Admissibility and the verdict
+take only the SVDs a decision reads: :func:`is_admissible` returns a bool and
+stops at the first condition that fails, and a :class:`DualVerdict` takes
+||comp - I|| and the composite's extreme singular values on first read, the
+extremes only for an admissible Q that is not a dual at tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,7 +57,7 @@ from .numerics import (
 from .ovf import (
     DualCandidate,
     OVFrame,
-    annihilation_defects,
+    check_annihilation,
     dual_slack,
     is_frame,
     sweep_dual_family,
@@ -60,7 +65,6 @@ from .ovf import (
 
 __all__ = [
     "index_zero_set",
-    "AdmissibilityReport",
     "is_admissible",
     "DualVerdict",
     "kpp_dual_check",
@@ -84,33 +88,18 @@ def index_zero_set(v: FusionSequence, w: FusionSequence) -> frozenset:
     )
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of the three per-index admissibility conditions.
-
-    Each row of ``defects`` is (kernel_defect, range_defect, norm_defect)
-    for one index; unconstrained indices (inside the zero-index set) carry
-    zeros. The kernel and range defects are certified upper bounds on
-    ||Q_i P_{W_i} - Q_i|| and ||P_{V_i} Q_i - Q_i|| where the Frobenius screen
-    decided and these spectral norms themselves where the SVD ran (always for an
-    inadmissible Q); nothing in the package reads them.
-    """
-
-    admissible: bool
-    defects: tuple
-
-
 def is_admissible(
     q_blocks,
     v: FusionSequence,
     w: FusionSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> AdmissibilityReport:
-    """Check W_i-perp in ker(Q_i), ran(Q_i) in V_i, and ||Q_i|| = 1 off I_0, over the
-    blocks off I_0. ||Q_i|| comes from one batched SVD. When the norm condition
-    holds and :func:`numerics.frobenius_screen` passes both defect stacks against
-    ||Q_i||, Q is admissible without another SVD; otherwise one batched SVD per
-    defect stack decides."""
+) -> bool:
+    """Whether W_i-perp in ker(Q_i), ran(Q_i) in V_i, and ||Q_i|| = 1 hold off I_0, each
+    defect relative to ||Q_i|| at most eq_rel. ||Q_i|| comes from one batched SVD,
+    and a Q that fails the norm condition takes no other. Each defect stack,
+    kernel then range, passes :func:`numerics.frobenius_screen` against ||Q_i||
+    or is decided by one batched SVD; a failed kernel condition decides before
+    the range condition is tested."""
     q = np.asarray(q_blocks, dtype=np.complex128)
     if q.ndim != 3 or q.shape[0] != v.count or q.shape[1:] != (v.ambient_dim,) * 2:
         raise ContractViolationError(
@@ -120,34 +109,47 @@ def is_admissible(
     live = np.array([i not in zero_set for i in range(v.count)])
     q_live = q[live]
     norms = spectral_norms(q_live)
-    norm_defects = np.abs(norms - 1.0)
+    if np.any(relative_defect(np.abs(norms - 1.0), norms) > tol.eq_rel):
+        return False
     stacks = (q_live @ w.projections[live] - q_live, v.projections[live] @ q_live - q_live)
-    bounds = None
-    if not np.any(relative_defect(norm_defects, norms) > tol.eq_rel):
-        bounds = [frobenius_screen(x, tol.eq_rel, norms) for x in stacks]
-    if bounds is None or any(b is None for b in bounds):
-        bounds = [spectral_norms(x) for x in stacks]
-    defects = np.zeros((v.count, 3))
-    defects[live] = np.column_stack([*bounds, norm_defects])
-    ok = not np.any(relative_defect(defects[live], norms[:, None]) > tol.eq_rel)
-    return AdmissibilityReport(admissible=ok, defects=tuple(map(tuple, defects.tolist())))
+    return all(
+        frobenius_screen(x, tol.eq_rel, norms) is not None
+        or not np.any(relative_defect(spectral_norms(x), norms) > tol.eq_rel)
+        for x in stacks
+    )
 
 
 @dataclass(frozen=True)
 class DualVerdict:
-    """Verdict for a given admissible candidate Q.
+    """Verdict for a candidate Q: the composite T_V^* D_Q T_W and whether Q is
+    admissible, each taken once by :func:`kpp_dual_check`. The residual and the
+    kind are computed on first read, and only the kind reads the composite's
+    extreme singular values, only for an admissible Q whose composite is not
+    the identity at tolerance.
 
     kind is "dual" when the composite is the identity at tolerance,
     "generalized_dual" when it is merely invertible, and "none" otherwise
-    (including inadmissible Q, whose diagnostics are attached).
+    (always for an inadmissible Q).
     """
 
-    kind: str
     composite: np.ndarray
-    sigma_min: float
-    sigma_max: float
-    residual_to_identity: float
-    admissibility: AdmissibilityReport
+    admissible: bool
+    tol: ToleranceConfig = DEFAULT_TOL
+
+    @cached_property
+    def residual_to_identity(self) -> float:
+        """||composite - I||, from one SVD."""
+        return spectral_norm(self.composite - np.eye(len(self.composite)))
+
+    @cached_property
+    def kind(self) -> str:
+        if not self.admissible:
+            return "none"
+        if self.residual_to_identity <= self.tol.eq_rel:
+            return "dual"
+        if clears_inv_cutoff(*extreme_singular_values(self.composite)):
+            return "generalized_dual"
+        return "none"
 
 
 def kpp_dual_check(
@@ -156,28 +158,11 @@ def kpp_dual_check(
     q_blocks,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> DualVerdict:
-    """Assemble the composite for Q and decide its kind."""
+    """Test Q for admissibility and assemble its composite; the verdict decides
+    its kind when read."""
     q = np.asarray(q_blocks, dtype=np.complex128)
-    report = is_admissible(q, v, w, tol)
-    comp = sandwich(v, w, v.weights * w.weights, q)
-    sigma_min, sigma_max = extreme_singular_values(comp)
-    residual = spectral_norm(comp - np.eye(v.ambient_dim))
-    if not report.admissible:
-        kind = "none"
-    elif residual <= tol.eq_rel:
-        kind = "dual"
-    elif clears_inv_cutoff(sigma_min, sigma_max):
-        kind = "generalized_dual"
-    else:
-        kind = "none"
-    return DualVerdict(
-        kind=kind,
-        composite=comp,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        residual_to_identity=residual,
-        admissibility=report,
-    )
+    admissible = is_admissible(q, v, w, tol)
+    return DualVerdict(sandwich(v, w, v.weights * w.weights, q), admissible, tol)
 
 
 def gavruta_dual_check(v: FusionSequence, w: FusionSequence) -> float:
@@ -226,11 +211,13 @@ def hmbz_dual_check(
 
 @dataclass(frozen=True)
 class GeneratedDual:
-    """Output of the constructive dual generator."""
+    """Output of the constructive dual generator; ``u_norm`` is ||U||, the largest
+    singular value that its invertibility gate on U took."""
 
     v: FusionSequence
     q: np.ndarray
     operators: np.ndarray
+    u_norm: float
 
 
 def generate_fusion_dual(
@@ -254,14 +241,15 @@ def generate_fusion_dual(
     u = as_matrix(u)
     if u.shape != (n, n):
         raise ContractViolationError(f"target operator must be {n} x {n}, got {u.shape}")
-    if not clears_inv_cutoff(*extreme_singular_values(u)):
+    u_min, u_norm = extreme_singular_values(u)
+    if not clears_inv_cutoff(u_min, u_norm):
         raise ContractViolationError("target operator must be invertible at tolerance")
     l = np.zeros((w.count * n, n), dtype=np.complex128) if l is None else as_matrix(l)
     if l.shape != (w.count * n, n):
         raise ContractViolationError(
             f"annihilating sequence must have shape {(w.count * n, n)}, got {l.shape}"
         )
-    annihilation_defects(w.embedding, l[None], tol)
+    check_annihilation(w.embedding, l[None], tol)
     l_adj = l.reshape(w.count, n, n).conj().transpose(0, 2, 1)
     ops = (w.weights[:, None, None] * (u @ s_inv) + l_adj) @ w.projections
     subs, ranks, ss = _ranges(ops, tol)
@@ -271,7 +259,7 @@ def generate_fusion_dual(
     norms = np.where(live, ss[:, 0], 0.0)
     q_blocks = np.zeros_like(ops)
     q_blocks[live] = ops[live] / norms[live, None, None]
-    return GeneratedDual(v=FusionSequence(subs, norms), q=q_blocks, operators=ops)
+    return GeneratedDual(v=FusionSequence(subs, norms), q=q_blocks, operators=ops, u_norm=u_norm)
 
 
 def fusion_dual_to_ovf(v: FusionSequence, q_blocks) -> OVFrame:

@@ -39,7 +39,8 @@ def ordinary_multiplier(m, synth, anal) -> np.ndarray:
     """Matrix of x -> sum_i m_i <x, anal_i> synth_i.
 
     Synthesis and analysis roles are explicit arguments; there is no hidden
-    convention about which frame analyzes and which reconstructs.
+    convention about which frame analyzes and which reconstructs. A matrix that
+    overflows raises :class:`ContractViolationError`.
     """
     m = np.asarray(m, dtype=np.complex128).ravel()
     synth, anal = as_matrix(synth), as_matrix(anal)
@@ -50,7 +51,11 @@ def ordinary_multiplier(m, synth, anal) -> np.ndarray:
         )
     if synth.shape[1] != anal.shape[1]:
         raise ContractViolationError("synthesis and analysis frames live in different spaces")
-    return synth.T @ (m[:, None] * anal.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = synth.T @ (m[:, None] * anal.conj())
+    if not np.isfinite(mat).all():
+        raise ContractViolationError("multiplier overflows the float range")
+    return mat
 
 
 def sample_ordinary_duals(

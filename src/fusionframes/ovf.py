@@ -27,10 +27,11 @@ stacked row r from one SVD and one product, and takes one batched SVD of a
 row's members only where the bound leaves it undecided.
 
 Perturbations are checked to annihilate T_A at the caller's eq_rel from two
-stacked n x n products per stack (:func:`annihilation_defects`), L^* T_A and
+stacked n x n products per stack (:func:`check_annihilation`), L^* T_A and
 L^* L: a stack whose Frobenius bounds pass :func:`numerics.frobenius_screen`
 takes no SVD, any other stack takes one stacked SVD of each, and a stack of
-zeros takes none. Sampled duals
+zeros takes none. The check raises or returns nothing; no defect value is
+kept. Sampled duals
 travel as one (c, N k, n) stack of analyses (:func:`sample_ov_duals`),
 checked once as one stack, behind the canonical analysis T_A S_A^-1 in
 :func:`canonical_and_sampled_duals`. A :class:`DualCandidate` records one
@@ -95,7 +96,7 @@ __all__ = [
     "OVFrame",
     "is_frame",
     "DualCandidate",
-    "annihilation_defects",
+    "check_annihilation",
     "duality_gaps",
     "duality_defects",
     "dual_slack",
@@ -201,7 +202,7 @@ class DualCandidate:
         self.base.frame_operator_inv  # the frame test of the base, raising NotAFrameError
         l = owned(as_matrix(self.perturbation))
         object.__setattr__(self, "perturbation", l)
-        annihilation_defects(self.base, l[None], self.tol)
+        check_annihilation(self.base, l[None], self.tol)
 
     @cached_property
     def analysis(self) -> np.ndarray:
@@ -221,29 +222,23 @@ def _require_annihilation(a: OVFrame, defects, l_norms, tol: ToleranceConfig) ->
         )
 
 
-def annihilation_defects(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def check_annihilation(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """The DualCandidate condition (:func:`_require_annihilation`) for each L of a
-    (c, N k, n) stack, from the n x n products L^* T_A and L^* L.
+    (c, N k, n) stack, from the n x n products L^* T_A and L^* L; returns nothing.
 
     The stack passes without an SVD when :func:`numerics.frobenius_screen` passes
     its ||L^* T_A|| against the scale floor ||T_A|| (tr L^* L / n)^(1/2), at most
     ||T_A|| ||L|| (:func:`numerics.gram_norm_floors`); a screen pass implies the
     SVD's pass. Any other stack is decided from two stacked SVDs, ||L^* T_A||
-    and ||L|| = ||L^* L||^(1/2). Returns, per L, a certified upper bound on
-    ||L^* T_A|| where the screen passed and ||L^* T_A|| itself where the SVD
-    ran; nothing in the package reads them. A stack of zeros, such as the
-    canonical dual's L = 0, has zero defects and takes no SVD."""
+    and ||L|| = ||L^* L||^(1/2). A stack of zeros, such as the canonical dual's
+    L = 0, passes and takes no SVD."""
     if not stack.any():
-        return np.zeros(len(stack))
+        return
     adj = stack.conj().transpose(0, 2, 1)
     products, grams = adj @ a.analysis, adj @ stack
     scale_lo = a.analysis_norm * gram_norm_floors(grams)
-    bounds = frobenius_screen(products, tol.eq_rel, scale_lo)
-    if bounds is not None:
-        return bounds
-    defects = spectral_norms(products)
-    _require_annihilation(a, defects, np.sqrt(spectral_norms(grams)), tol)
-    return defects
+    if frobenius_screen(products, tol.eq_rel, scale_lo) is None:
+        _require_annihilation(a, spectral_norms(products), np.sqrt(spectral_norms(grams)), tol)
 
 
 def duality_gaps(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -307,7 +302,7 @@ def sample_ov_duals(
     L stack is checked to annihilate T_A once, at ``tol``."""
     t_dual = a.canonical_analysis
     stack = kernel_samples(a, count, rng, tol)
-    annihilation_defects(a, stack, tol)
+    check_annihilation(a, stack, tol)
     return t_dual + stack
 
 

@@ -666,45 +666,39 @@ def _instance_from_doc(doc: dict) -> Instance:
 # operand, within rounding where a product changed shape.
 
 
-def reference_annihilation_defects(a, perturbations):
-    """||L^* T_A|| of each perturbation, checked one candidate at a time as
-    DualCandidate.__post_init__ did, with ||L|| from the whole (N k) x n L."""
+def reference_annihilation(a, perturbations):
+    """The annihilation test of each perturbation, one candidate at a time as
+    DualCandidate.__post_init__ did it, with ||L|| from the whole (N k) x n L;
+    raises on the first that fails."""
     from fusionframes.numerics import spectral_norm
 
     t = a.analysis
-    defects = []
     for l in perturbations:
         scale = max(1.0, a.analysis_norm * spectral_norm(l))
-        defect = spectral_norm(l.conj().T @ t)
-        if defect > DEFAULT_TOL.eq_rel * scale:
+        if spectral_norm(l.conj().T @ t) > DEFAULT_TOL.eq_rel * scale:
             raise ContractViolationError("perturbation does not annihilate the analysis operator")
-        defects.append(defect)
-    return np.array(defects)
 
 
 def reference_admissibility(q_blocks, v, w, tol):
-    """(admissible, defects), as is_admissible looped the blocks off I_0."""
+    """Whether Q is admissible, as is_admissible looped the blocks off I_0."""
     from fusionframes.duality import index_zero_set
     from fusionframes.numerics import spectral_norm
 
     q = np.asarray(q_blocks, dtype=np.complex128)
     zero_set = index_zero_set(v, w)
-    rows = []
-    ok = True
     for i in range(v.count):
         if i in zero_set:
-            rows.append((0.0, 0.0, 0.0))
             continue
         qi = q[i]
         norm_q = spectral_norm(qi)
-        kernel_defect = spectral_norm(qi @ w.projections[i] - qi)
-        range_defect = spectral_norm(v.projections[i] @ qi - qi)
-        norm_defect = abs(norm_q - 1.0)
-        rows.append((kernel_defect, range_defect, norm_defect))
-        bound = tol.eq_rel * max(1.0, norm_q)
-        if kernel_defect > bound or range_defect > bound or norm_defect > bound:
-            ok = False
-    return ok, tuple(rows)
+        defects = (
+            spectral_norm(qi @ w.projections[i] - qi),
+            spectral_norm(v.projections[i] @ qi - qi),
+            abs(norm_q - 1.0),
+        )
+        if max(defects) > tol.eq_rel * max(1.0, norm_q):
+            return False
+    return True
 
 
 def reference_generated_dual(w, u, l_blocks, tol):

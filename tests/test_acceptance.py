@@ -104,7 +104,7 @@ def test_criterion_02_constructive_duals():
         (l,) = kernel_samples(w.embedding, 1, rng)
         gd = generate_fusion_dual(w, u, l)
         worst = max(worst, spectral_norm(kpp_dual_check(gd.v, w, gd.q).composite - u) / max(1.0, spectral_norm(u)))
-        ok = ok and is_admissible(gd.q, gd.v, w).admissible
+        ok = ok and is_admissible(gd.q, gd.v, w)
         if identity_case:
             ok = ok and kpp_dual_check(gd.v, w, gd.q).kind == "dual"
     _verdict(2, "constructive dual generator", ok and worst <= EQ, f"max residual {worst:.3e}")

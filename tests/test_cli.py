@@ -265,7 +265,9 @@ def test_frame_bounds_of_a_frame_operator_near_the_largest_float_are_finite(tmp_
     # S = w^2 I with w = 1.3e154 loads, since sum_i w_i^2 fits the float range, but
     # S + S^* overflowed: the bounds read NaN, every frame-gated check was skipped,
     # and check --suite all passed 8 of 8, two of them against NaN bounds; with
-    # finite bounds the Schatten composite bound at p = 1 read inf <= inf and passed
+    # finite bounds the Schatten composite bound at p = 1 read inf <= inf and passed;
+    # the local lift, whose terms v_i w_i = 1.69e308 overflow in its matmul, ended
+    # the local suite in a traceback under warnings as errors
     path = tmp_path / "big.json"
     gen = ["gen", "--dim", "2", "--blocks", "1", "--dims", "2", "--weights", "1.3e154,1.3e154"]
     assert main(gen + ["--symbol", "identity", "-o", str(path)]) == 0
@@ -275,7 +277,7 @@ def test_frame_bounds_of_a_frame_operator_near_the_largest_float_are_finite(tmp_
     entries = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for suite in ("schatten", "multipliers", "duals"):
+        for suite in ("schatten", "multipliers", "duals", "local"):
             report = tmp_path / f"{suite}.json"
             assert main(["check", "--suite", suite, str(path), "--report", str(report)]) == 1
             entries.update((e["name"], e) for e in json.loads(report.read_text())["checks"])
@@ -287,6 +289,8 @@ def test_frame_bounds_of_a_frame_operator_near_the_largest_float_are_finite(tmp_
     assert composite["verdict"] == "fail" and composite["residual"] == np.inf
     assert entries["multiplier_norm_bound"]["verdict"] == "pass"
     assert rep.sigma_max <= rep.norm_bound < np.inf
+    assert entries["local_equivalence"]["verdict"] == "pass"
+    assert entries["local_negative_control"]["residual"] == 1e300  # aborted
 
 def test_loose_rank_tolerance_reaches_the_rank_certificate(tmp_path):
     report = tmp_path / "r.json"

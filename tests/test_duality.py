@@ -14,7 +14,8 @@ from conftest import (
     reference_dual_perturbations,
 )
 from fusionframes import duality
-from fusionframes.checks import run_suite
+from fusionframes.checks import CHECKS, run_suite
+from fusionframes.cli import main
 from fusionframes.duality import (
     canonical_gavruta_dual,
     find_separating_dual,
@@ -27,13 +28,13 @@ from fusionframes.duality import (
     kpp_dual_check,
 )
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
-from fusionframes.instances import InstanceSpec, generate_instance
+from fusionframes.instances import InstanceSpec, generate_instance, load_instance
 from fusionframes.fusion import (
     FusionSequence,
     Subspace,
     projection,
 )
-from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, singular_values, spectral_norm
 from fusionframes.ovf import kernel_samples, sweep_dual_family
 
 
@@ -92,40 +93,100 @@ def test_every_pairing_of_two_fusion_frames_applies_one_rule(other):
             call()
 
 
-def test_admissibility_examples():
+def _svd_operands(monkeypatch):
+    """The operand of every np.linalg.svd call from here on, in call order."""
+    operands = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        operands.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return operands
+
+
+def test_admissibility_examples(monkeypatch):
     std = coordinate_decomposition(2)
     good = _projection_blocks(std)
-    assert is_admissible(good, std, std).admissible
-    # identity blocks violate the kernel condition on proper subspaces
+    assert is_admissible(good, std, std)
+    calls = _svd_operands(monkeypatch)
+    # identity blocks have unit norm but violate the kernel condition on proper
+    # subspaces: the SVD of ||Q_i||, then the kernel defect stack's decides
     bad_kernel = np.array([np.eye(2), np.eye(2)], dtype=np.complex128)
-    report = is_admissible(bad_kernel, std, std)
-    assert not report.admissible
-    assert report.defects[0][0] > 0.1
-    # unit norm is required
-    report = is_admissible(2.0 * good, std, std)
-    assert not report.admissible
-    assert report.defects[0][2] == pytest.approx(1.0)
+    assert not is_admissible(bad_kernel, std, std)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], bad_kernel @ std.projections - bad_kernel)
+    assert np.linalg.norm(calls[1][0], 2) > 0.1
+    # unit norm is required: ||Q_i|| = 2 decides from the first SVD alone
+    calls.clear()
+    assert not is_admissible(2.0 * good, std, std)
+    assert len(calls) == 1
+
+
+def _kpp_examples():
+    """(V, Q, kind) for W the coordinate lines of C^2: the projections, the
+    projections against doubled weights of V, and a zero block off the zero-index
+    set, which breaks the unit-norm condition and leaves a singular composite."""
+    std = coordinate_decomposition(2)
+    q = _projection_blocks(std)
+    q_partial = q.copy()
+    q_partial[1] = 0.0
+    doubled = FusionSequence(std.subspaces, 2.0 * std.weights)
+    return [(std, q, "dual"), (doubled, q, "generalized_dual"), (std, q_partial, "none")]
 
 
 def test_kpp_verdict_examples():
     std = coordinate_decomposition(2)
-    q = _projection_blocks(std)
-    verdict = kpp_dual_check(std, std, q)
-    assert verdict.kind == "dual"
-    np.testing.assert_allclose(verdict.composite, np.eye(2), atol=1e-14)
+    composites = [np.eye(2), 2 * np.eye(2), None]
+    for (v, q, kind), want in zip(_kpp_examples(), composites):
+        verdict = kpp_dual_check(v, std, q)
+        assert verdict.kind == kind
+        if want is not None:
+            np.testing.assert_allclose(verdict.composite, want, atol=1e-14)
+    assert verdict.kind == "none" and not verdict.admissible
+    assert singular_values(verdict.composite)[-1] <= 1e-12
 
-    doubled = FusionSequence(std.subspaces, 2.0 * std.weights)
-    verdict = kpp_dual_check(doubled, std, q)
-    assert verdict.kind == "generalized_dual"
-    np.testing.assert_allclose(verdict.composite, 2 * np.eye(2), atol=1e-14)
 
-    q_partial = q.copy()
-    q_partial[1] = 0.0
-    # zero block off the zero-index set breaks the unit-norm condition and
-    # leaves a singular composite
-    verdict = kpp_dual_check(std, std, q_partial)
-    assert verdict.kind == "none"
-    assert verdict.sigma_min <= 1e-12
+def test_kpp_verdicts_take_only_the_svds_they_read(monkeypatch):
+    # ||Q_i|| decides the zero block alone; a dual adds ||comp - I||, and only a
+    # generalized dual adds the composite's extreme singular values
+    std = coordinate_decomposition(2)
+    calls = _svd_operands(monkeypatch)
+    for v, q, kind in _kpp_examples():
+        calls.clear()
+        verdict = kpp_dual_check(v, std, q)
+        assert len(calls) == 1
+        assert verdict.kind == kind
+        assert len(calls) == {"dual": 2, "generalized_dual": 3, "none": 1}[kind]
+        took_extremes = any(np.array_equal(a, verdict.composite) for a in calls)
+        assert took_extremes == (kind == "generalized_dual")
+
+
+def test_kpp_checks_take_five_and_four_svds_per_run(tmp_path, monkeypatch, capsys):
+    # on the CI's d16 instance, once the frame's cached facts exist:
+    # kpp_construction draws U (one SVD), gates it (one SVD, whose sigma_max is
+    # ||U||), takes the generator's stacked ranges, ||Q_i|| and ||comp - U||;
+    # kpp_verdict_dual takes no draw and ||comp - I|| in place of ||comp - U||
+    path = tmp_path / "d16.json"
+    assert main(["gen", "--dim", "16", "--blocks", "4", "--dims", "8,12,16,16",
+                 "--seed", "1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    inst = load_instance(path)
+    for name in ("kpp_construction", "kpp_verdict_dual"):
+        CHECKS[name].run(inst, np.random.default_rng(0), DEFAULT_TOL)
+    calls = _svd_operands(monkeypatch)
+    for name, want in (("kpp_construction", 5), ("kpp_verdict_dual", 4)):
+        for seed in range(3):
+            calls.clear()
+            result = CHECKS[name].run(inst, np.random.default_rng(seed), DEFAULT_TOL)
+            assert result.residual <= DEFAULT_TOL.eq_rel
+            assert len(calls) == want
+    # a Q whose norm condition fails is inadmissible after the one SVD of ||Q_i||
+    gd = generate_fusion_dual(inst.w, np.eye(inst.w.ambient_dim))
+    calls.clear()
+    assert not is_admissible(2.0 * gd.q, gd.v, inst.w)
+    assert len(calls) == 1
 
 
 def test_gavruta_examples(diag_pair):
@@ -205,7 +266,7 @@ def test_generated_duals_on_random_population(rng):
         assert spectral_norm(kpp_dual_check(gd.v, w, gd.q).composite - u) <= DEFAULT_TOL.eq_rel * max(
             1.0, spectral_norm(u)
         )
-        assert is_admissible(gd.q, gd.v, w).admissible
+        assert is_admissible(gd.q, gd.v, w)
         verdict = kpp_dual_check(gd.v, w, gd.q)
         if trial % 4 == 0:
             assert verdict.kind == "dual"

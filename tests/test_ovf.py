@@ -326,7 +326,7 @@ def test_sweep_witness_is_checked_at_the_call_tolerance():
     assert witness is not None and witness.tol is loose and checked == 2
     assert residual > loose.eq_rel
     with pytest.raises(ContractViolationError, match="does not annihilate"):
-        ovf.annihilation_defects(a, witness.perturbation[None])
+        ovf.check_annihilation(a, witness.perturbation[None])
 
 
 def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair, rng):
