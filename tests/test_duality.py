@@ -124,38 +124,40 @@ def test_admissibility_examples(monkeypatch):
     assert len(calls) == 1
 
 
-def _kpp_examples():
-    """(V, Q, kind) for W the coordinate lines of C^2: the projections, the
-    projections against doubled weights of V, and a zero block off the zero-index
-    set, which breaks the unit-norm condition and leaves a singular composite."""
+def test_kpp_verdict_examples():
+    std = coordinate_decomposition(2)
+    q = _projection_blocks(std)
+    verdict = kpp_dual_check(std, std, q)
+    assert verdict.kind == "dual"
+    np.testing.assert_allclose(verdict.composite, np.eye(2), atol=1e-14)
+
+    doubled = FusionSequence(std.subspaces, 2.0 * std.weights)
+    verdict = kpp_dual_check(doubled, std, q)
+    assert verdict.kind == "generalized_dual"
+    np.testing.assert_allclose(verdict.composite, 2 * np.eye(2), atol=1e-14)
+
+    q_partial = q.copy()
+    q_partial[1] = 0.0
+    # zero block off the zero-index set breaks the unit-norm condition and
+    # leaves a singular composite
+    verdict = kpp_dual_check(std, std, q_partial)
+    assert verdict.kind == "none"
+    assert singular_values(verdict.composite)[-1] <= 1e-12
+
+
+def test_kpp_verdicts_take_only_the_svds_they_read(monkeypatch):
+    # the cases of test_kpp_verdict_examples: ||Q_i|| decides the zero block
+    # alone; a dual adds ||comp - I||, and only a generalized dual adds the
+    # composite's extreme singular values
     std = coordinate_decomposition(2)
     q = _projection_blocks(std)
     q_partial = q.copy()
     q_partial[1] = 0.0
     doubled = FusionSequence(std.subspaces, 2.0 * std.weights)
-    return [(std, q, "dual"), (doubled, q, "generalized_dual"), (std, q_partial, "none")]
-
-
-def test_kpp_verdict_examples():
-    std = coordinate_decomposition(2)
-    composites = [np.eye(2), 2 * np.eye(2), None]
-    for (v, q, kind), want in zip(_kpp_examples(), composites):
-        verdict = kpp_dual_check(v, std, q)
-        assert verdict.kind == kind
-        if want is not None:
-            np.testing.assert_allclose(verdict.composite, want, atol=1e-14)
-    assert verdict.kind == "none" and not verdict.admissible
-    assert singular_values(verdict.composite)[-1] <= 1e-12
-
-
-def test_kpp_verdicts_take_only_the_svds_they_read(monkeypatch):
-    # ||Q_i|| decides the zero block alone; a dual adds ||comp - I||, and only a
-    # generalized dual adds the composite's extreme singular values
-    std = coordinate_decomposition(2)
     calls = _svd_operands(monkeypatch)
-    for v, q, kind in _kpp_examples():
+    for v, q_blocks, kind in ((std, q, "dual"), (doubled, q, "generalized_dual"), (std, q_partial, "none")):
         calls.clear()
-        verdict = kpp_dual_check(v, std, q)
+        verdict = kpp_dual_check(v, std, q_blocks)
         assert len(calls) == 1
         assert verdict.kind == kind
         assert len(calls) == {"dual": 2, "generalized_dual": 3, "none": 1}[kind]
