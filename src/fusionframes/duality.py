@@ -121,11 +121,11 @@ def is_admissible(
 
 @dataclass(frozen=True)
 class DualVerdict:
-    """Verdict for a candidate Q: the composite T_V^* D_Q T_W and whether Q is
-    admissible, each taken once by :func:`kpp_dual_check`. The residual and the
-    kind are computed on first read, and only the kind reads the composite's
-    extreme singular values, only for an admissible Q whose composite is not
-    the identity at tolerance.
+    """Verdict for a candidate Q at ``tol``: the composite T_V^* D_Q T_W, read-only,
+    and whether Q is admissible, each taken once by :func:`kpp_dual_check`. The
+    residual and the kind are computed on first read, and only the kind reads the
+    composite's extreme singular values, only for an admissible Q whose composite
+    is not the identity at tolerance.
 
     kind is "dual" when the composite is the identity at tolerance,
     "generalized_dual" when it is merely invertible, and "none" otherwise
@@ -134,7 +134,7 @@ class DualVerdict:
 
     composite: np.ndarray
     admissible: bool
-    tol: ToleranceConfig = DEFAULT_TOL
+    tol: ToleranceConfig
 
     @cached_property
     def residual_to_identity(self) -> float:
@@ -162,7 +162,7 @@ def kpp_dual_check(
     its kind when read."""
     q = np.asarray(q_blocks, dtype=np.complex128)
     admissible = is_admissible(q, v, w, tol)
-    return DualVerdict(sandwich(v, w, v.weights * w.weights, q), admissible, tol)
+    return DualVerdict(read_only(sandwich(v, w, v.weights * w.weights, q)), admissible, tol)
 
 
 def gavruta_dual_check(v: FusionSequence, w: FusionSequence) -> float:

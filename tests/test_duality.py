@@ -130,6 +130,9 @@ def test_kpp_verdict_examples():
     verdict = kpp_dual_check(std, std, q)
     assert verdict.kind == "dual"
     np.testing.assert_allclose(verdict.composite, np.eye(2), atol=1e-14)
+    # the kind is read from the composite when first asked for, so no caller may
+    # write into it
+    assert not verdict.composite.flags.writeable
 
     doubled = FusionSequence(std.subspaces, 2.0 * std.weights)
     verdict = kpp_dual_check(doubled, std, q)

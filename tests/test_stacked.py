@@ -156,28 +156,26 @@ def test_one_non_annihilating_perturbation_in_a_valid_stack_is_rejected(monkeypa
 
 def test_batched_admissibility_matches_the_per_block_loop(monkeypatch):
     # the batched test decides as the per-block reference does: an admissible Q
-    # passes the Frobenius screen after the one SVD of its norms, and an
-    # inadmissible Q stops at the first condition that fails, after one SVD for
-    # the norms and at most one per defect stack
+    # passes the Frobenius screen after the one SVD of its norms; a random Q fails
+    # the norm condition there; a generated Q against a V it was not generated for
+    # passes the kernel screen and fails the range condition at its SVD; a
+    # generated Q turned by a unitary keeps its norms and range and fails the
+    # kernel condition at its SVD, before the range condition is tested
     calls = _lapack_calls(monkeypatch)
     for inst in POPULATION:
         w, n = inst.w, inst.w.ambient_dim
         rng = np.random.default_rng(inst.seed)
         gd = generate_fusion_dual(w, random_invertible_matrix(n, rng))
         random_q = _complex(rng, (w.count, n, n))
-        for q, v in ((gd.q, gd.v), (random_q, inst.v), (gd.q, inst.v)):
+        turned_q = gd.q @ random_subspace(n, n, rng).basis
+        for q, v, failed in (
+            (gd.q, gd.v, None), (random_q, inst.v, 1), (gd.q, inst.v, 2), (turned_q, gd.v, 2)
+        ):
             want = reference_admissibility(q, v, w, DEFAULT_TOL)
             calls.clear()
             assert is_admissible(q, v, w) == want
-            svds = calls.count("svd")
-            assert svds == 1 if want else 1 <= svds <= 3
-        calls.clear()
-        assert is_admissible(gd.q, gd.v, w)
-        assert calls.count("svd") == 1
-        # ||Q_i|| is not 1, which the first SVD decides
-        calls.clear()
+            assert calls.count("svd") == (1 if want else failed)
         assert not is_admissible(random_q, inst.v, w)
-        assert calls.count("svd") == 1
 
 
 def test_stacked_dual_generator_matches_the_per_block_loop():
@@ -387,28 +385,42 @@ def test_lapack_calls_do_not_grow_with_the_block_count(monkeypatch):
         args = (
             _complex(rng, (count * n, n)), _complex(rng, (count, n, n)), duals, _complex(rng, (n, n))
         )
+        # rank-one blocks: ran(Q_0) and the complement of ker(Q_0) are 3-dimensional
+        lines = FusionSequence(tuple(random_subspace(n, 1, rng) for _ in dims), w.weights)
+        l_open = _open_perturbation(a, l)
         calls = _lapack_calls(monkeypatch)
         per_input = []
-        # inputs the Frobenius screen decides, then inputs it leaves open: an
-        # inadmissible Q and an L with a dual direction at 3/4 of the threshold
-        for q, l_run in ((gd.q, l), (2.0 * gd.q, _open_perturbation(a, l))):
+        # inputs the Frobenius screen decides, then inputs it leaves open: Q that
+        # fail the norm, the kernel and the range condition, and an L with a dual
+        # direction at 3/4 of the threshold
+        for runs in (
+            (
+                lambda: is_admissible(gd.q, gd.v, w),
+                lambda: generate_fusion_dual(w, u, l),
+            ),
+            (
+                lambda: not is_admissible(2.0 * gd.q, gd.v, w),
+                lambda: not is_admissible(gd.q, gd.v, lines),
+                lambda: not is_admissible(gd.q, lines, w),
+                lambda: generate_fusion_dual(w, u, l_open),
+            ),
+        ):
             per_function = []
-            for run in (
-                lambda: is_admissible(q, gd.v, w),
-                lambda: generate_fusion_dual(w, u, l_run),
-                lambda: multipliers._representation_residual(*args),
-            ):
+            for run in (*runs, lambda: multipliers._representation_residual(*args)):
                 calls.clear()
-                run()
+                assert run() is not False  # each admissibility decision is right
                 per_function.append(list(calls))
             per_input.append(per_function)
         counts.append(per_input)
         monkeypatch.undo()
     assert counts[0] == counts[1] == counts[2]
     # decided: ||Q_i||; |U|'s extremes and one stacked SVD; one stacked norm and
-    # ||M^-1||. Open: ||Q_i||, which decides 2 Q; |U|'s extremes, the two
-    # annihilation norms and one stacked SVD; one stacked norm and ||M^-1||
-    assert [[len(c) for c in per_function] for per_function in counts[0]] == [[1, 2, 2], [1, 4, 2]]
+    # ||M^-1||. Open: ||Q_i||, which decides 2 Q; ||Q_i|| and the kernel defects;
+    # ||Q_i|| and the range defects, after the kernel screen; |U|'s extremes, the
+    # two annihilation norms and one stacked SVD; one stacked norm and ||M^-1||
+    assert [[len(c) for c in per_function] for per_function in counts[0]] == [
+        [1, 2, 2], [1, 2, 2, 4, 2]
+    ]
     assert all(name == "svd" for per_function in counts[0] for c in per_function for name in c)
 
 
