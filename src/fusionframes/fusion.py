@@ -6,22 +6,22 @@ subspace is zero; two sequences pair by :func:`check_pairing`. Each fact that no
 tolerance enters has one owner, which builds it on first use and returns it
 through :func:`numerics.read_only`:
 
-* the sequence owns the (N, n, n) stack of its projections P_i and its
-  embedding;
+* the sequence owns the (N, n, n) stack of its projections P_i, its
+  embedding and the singular values of its K_W synthesis;
 * the embedding, the operator-valued frame {w_i P_i} (:class:`ovf.OVFrame`),
   owns the blocks w_i P_i, which are the stacked analysis T, the frame
   operator S, the frame bounds (so ||T||), S^-1 from one inv, and the one
-  thin SVD of T.
+  thin SVD of T, which only P_ker reads.
 
 Every caller reads these facts through ``f.embedding``: the analysis
 ``f.embedding.analysis``, the bounds ``f.embedding.frame_bounds``, the frame test
 :func:`ovf.is_frame` and S^-1 (``f.embedding.frame_operator_inv``, which raises
 :class:`NotAFrameError` unless that test passes), so a sequence and its
-embedding cannot disagree about being a frame. The rank of T, cut from its one
-SVD by :func:`ovf.range_basis`, gives both excess numbers and the Riesz test, since
-the K_W synthesis has the nonzero singular values of T. Tolerance rules (the
-invertibility cutoff, ranks) are applied at each call on top of the cached
-facts. :func:`sandwich` builds every block sum
+embedding cannot disagree about being a frame. The rank of T, cut from the K_W
+synthesis spectrum (the nonzero singular values of T) as :func:`ovf.range_basis`
+cuts, gives both excess numbers and the Riesz test with no embedding. Tolerance
+rules (the invertibility cutoff, ranks) are applied at each call on top of the
+cached facts. :func:`sandwich` builds every block sum
 sum_i c_i P_{V_i} X_i P_{W_i} (dual composites and multipliers) from the
 projection stacks and an (N, n, n) stack of the X_i.
 
@@ -53,9 +53,11 @@ from .numerics import (
     owned,
     read_only,
     relative_defect,
+    singular_values,
     spectral_norms,
+    svals_rank,
 )
-from .ovf import OVFrame, range_basis
+from .ovf import OVFrame
 
 __all__ = [
     "Subspace",
@@ -64,7 +66,7 @@ __all__ = [
     "subspace_draw",
     "haar_subspaces",
     "random_subspace",
-    "random_orthogonal_split",
+    "orthogonal_split",
     "projection",
     "frame_operator_fits",
     "FusionSequence",
@@ -212,16 +214,15 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     return haar_subspaces([subspace_draw(n, d, rng)])[0]
 
 
-def random_orthogonal_split(n: int, dims, rng: np.random.Generator) -> tuple:
+def orthogonal_split(unitary: Subspace, dims) -> tuple:
     """Mutually orthogonal subspaces of C^n of the given dims, spanned by consecutive
-    column blocks of one Haar unitary (``random_subspace(n, n, rng)``). The unitary
-    passes the orthonormality rule once; each block, whose Gram matrix is a diagonal
-    block of the unitary's, is held without a second test."""
+    column blocks of the n x n ``unitary``; each block, whose Gram matrix is a
+    diagonal block of the unitary's, is held without a second test."""
+    n = unitary.ambient_dim
     if sum(dims) != n or any(d < 0 for d in dims):
         raise ContractViolationError(f"dims {tuple(dims)} must be non-negative and sum to {n}")
-    unitary = random_subspace(n, n, rng).basis
     stops = np.cumsum(dims)
-    return tuple(_held(unitary[:, stop - d : stop]) for d, stop in zip(dims, stops))
+    return tuple(_held(unitary.basis[:, stop - d : stop]) for d, stop in zip(dims, stops))
 
 
 def projection(w: Subspace) -> np.ndarray:
@@ -300,6 +301,12 @@ class FusionSequence:
         """The B(C^n)-valued frame with read-only blocks w_i P_i, built on first use."""
         return OVFrame(read_only(self.weights[:, None, None] * self.projections))
 
+    @cached_property
+    def synthesis_svals(self) -> np.ndarray:
+        """Read-only singular values of :func:`fusion_synthesis_kw`, non-increasing,
+        from one values-only SVD on first use."""
+        return read_only(singular_values(fusion_synthesis_kw(self)))
+
 
 def check_pairing(v: FusionSequence, w: FusionSequence) -> None:
     """The pairing rule of every operation on two sequences: they share length and
@@ -338,23 +345,28 @@ def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
     return np.hstack([w * s.basis for s, w in zip(f.subspaces, f.weights)])
 
 
+def _rank(f: FusionSequence, tol: ToleranceConfig) -> int:
+    """The rank of T at ``tol`` (see :func:`excess`)."""
+    return int(svals_rank(f.synthesis_svals, f.count * f.ambient_dim, tol))
+
+
 def is_riesz_fusion_basis(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """The subspace dimensions sum to n and the analysis has rank n at ``tol``, read
-    from :func:`ovf.range_basis` (the K_W synthesis has the same rank; see
-    :func:`excess`)."""
+    as by :func:`excess`."""
     n = f.ambient_dim
-    return sum(f.dims) == n and range_basis(f.embedding, tol).shape[1] == n
+    return sum(f.dims) == n and _rank(f, tol) == n
 
 
 def excess(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
     """Excess in the ambient stacked space and in K_W: (N n - r, sum(d_i) - r).
 
-    r is the rank of the stacked analysis T at ``tol``, the column count of
-    :func:`ovf.range_basis`, from the one SVD cached on the embedding. It is also
-    the rank of the K_W synthesis: with J = blockdiag(B_1, ..., B_N), an isometry,
-    T = J [w_1 B_1 | ... | w_N B_N]^*, so both have the same nonzero singular values.
+    r is the rank of the stacked analysis T at ``tol``, cut from the cached
+    :attr:`FusionSequence.synthesis_svals` at the size N n of :func:`ovf.range_basis`.
+    With J = blockdiag(B_1, ..., B_N), an isometry, T = J [w_1 B_1 | ... | w_N B_N]^*,
+    so both have the same nonzero singular values, and r is the column count of
+    that basis in exact arithmetic; no embedding is built.
     """
-    r = range_basis(f.embedding, tol).shape[1]
+    r = _rank(f, tol)
     return int(f.count * f.ambient_dim - r), int(sum(f.dims) - r)
 
 

@@ -25,8 +25,8 @@ from .fusion import (
     build_local_frames,
     frame_operator_fits,
     haar_subspaces,
+    orthogonal_split,
     orthonormal_subspaces,
-    random_orthogonal_split,
     subspace_draw,
 )
 from .multipliers import Symbol, condition_c
@@ -40,7 +40,7 @@ __all__ = [
     "cross_swap_instance",
     "random_partition",
     "random_spanning_dims",
-    "random_riesz_basis",
+    "random_riesz_bases",
     "random_invertible_matrix",
     "random_symbol",
     "instance_to_json",
@@ -136,14 +136,20 @@ def random_spanning_dims(n: int, count: int, rng: np.random.Generator) -> tuple:
     return tuple(dims)
 
 
-def random_riesz_basis(n: int, rng: np.random.Generator, dims: tuple) -> FusionSequence:
-    """A fusion Riesz basis from a Haar unitary partitioned into blocks of ``dims``,
-    with weights uniform in [0.5, 2]."""
+def random_riesz_bases(n: int, rng: np.random.Generator, dims: tuple, count: int) -> tuple:
+    """``count`` fusion Riesz bases, each a Haar unitary partitioned into blocks of
+    ``dims``, with weights uniform in [0.5, 2]: per basis its draw, then its weights;
+    the draws are orthonormalized together by :func:`fusion.haar_subspaces`."""
     if sum(dims) != n or any(d <= 0 for d in dims):
         raise ContractViolationError("Riesz dims must be positive and sum to n")
-    subs = random_orthogonal_split(n, dims, rng)
-    weights = [float(rng.uniform(0.5, 2.0)) for _ in dims]
-    return FusionSequence(subs, np.asarray(weights))
+    draws, weights = [], []
+    for _ in range(count):
+        draws.append(subspace_draw(n, n, rng))
+        weights.append([float(rng.uniform(0.5, 2.0)) for _ in dims])
+    return tuple(
+        FusionSequence(orthogonal_split(unitary, dims), np.asarray(wts))
+        for unitary, wts in zip(haar_subspaces(draws), weights)
+    )
 
 
 def _invertible_stack(count: int, n: int, rng, s_min: float, s_max: float) -> np.ndarray:

@@ -26,15 +26,15 @@ diagonal, so its spectrum is the union of the |m_i| sigma(R_i)
 union, sigma(m_i R_i) = |m_i| sigma(R_i): ``Symbol.block_sval_defect`` compares
 one batched SVD of the stack with the scaled block spectra, once per symbol.
 The symbol also memoizes, per (V, W) pair, the whole report of
-:func:`assemble_multiplier`: M with its spectrum from one SVD, its
-invertibility against the one cutoff :data:`numerics.INV_REL` and its norm
-bound, none of which depends on a tolerance. ||M|| (also the scale of the
+:func:`assemble_multiplier`: M with its spectrum from one SVD and its
+invertibility against the one cutoff :data:`numerics.INV_REL`, free of any
+tolerance and of the embeddings. ||M|| (also the scale of the
 local-frame lift's gap), ||M||_p and ||M^-1|| = 1 / sigma_min are read from
 it. The symbol bound of :func:`condition_c` reads the same cutoff, so it
 is a tolerance-free fact too. Three more facts are kept on the symbol, each
 formed once: the blocks (m_i R_i)^-1, the
-|m|-scaled sequences (:meth:`Symbol.scaled`, whose embeddings' cached bounds
-and analysis SVD serve both consequence checks) and, per (V, W) pair, the
+|m|-scaled sequences (:meth:`Symbol.scaled`, whose cached bounds and K_W
+spectra serve both consequence checks) and, per (V, W) pair, the
 closed-form inverse M^-1 with L and Q_dagger
 (:meth:`Symbol.inverse_closed_form`), the facts per sequence or pair in
 :func:`numerics.memo` tables and every array through :func:`numerics.read_only`.
@@ -109,6 +109,7 @@ __all__ = [
     "condition_c",
     "MultiplierReport",
     "assemble_multiplier",
+    "norm_bound",
     "RieszMultiplierVerdict",
     "riesz_multiplier_verdict",
     "InvertibleMultiplierReport",
@@ -282,7 +283,6 @@ class MultiplierReport:
     sigma_min: float
     sigma_max: float
     invertible: bool
-    norm_bound: float
 
 
 def _check_triple(sym: Symbol, v: FusionSequence, w: FusionSequence):
@@ -301,10 +301,8 @@ def assemble_multiplier(sym: Symbol, v: FusionSequence, w: FusionSequence) -> Mu
 
     The report is built on first use per (V, W) pair, keyed by the identity of
     the two sequences, and kept as long as the symbol is, in the memo table
-    ``_assembled``: M by :func:`fusion.sandwich`, its spectrum from one SVD, its
-    invertibility against :data:`numerics.INV_REL` and the norm bound
-    ||T_V|| ||T_W|| m_sup r_sup, which saturates at the largest float, so it
-    stays finite and still bounds sigma_max.
+    ``_assembled``: M by :func:`fusion.sandwich`, its spectrum from one SVD and its
+    invertibility against :data:`numerics.INV_REL`.
     """
 
     def build():
@@ -312,17 +310,23 @@ def assemble_multiplier(sym: Symbol, v: FusionSequence, w: FusionSequence) -> Mu
         mat = sandwich(v, w, sym.m * v.weights * w.weights, sym.r)
         s = singular_values(mat)
         sigma_min, sigma_max = float(s[-1]), float(s[0])
-        norms = v.embedding.analysis_norm, w.embedding.analysis_norm
         return MultiplierReport(
             matrix=read_only(mat),
             svals=read_only(s),
             sigma_min=sigma_min,
             sigma_max=sigma_max,
             invertible=clears_inv_cutoff(sigma_min, sigma_max),
-            norm_bound=saturated_product(*norms, sym.m_sup, sym.r_sup),
         )
 
     return memo(sym, "_assembled", (v, w), build)
+
+
+def norm_bound(sym: Symbol, v: FusionSequence, w: FusionSequence) -> float:
+    """||T_V|| ||T_W|| m_sup r_sup, saturated at the largest float, so it stays
+    finite and still bounds sigma_max."""
+    _check_triple(sym, v, w)
+    norms = v.embedding.analysis_norm, w.embedding.analysis_norm
+    return saturated_product(*norms, sym.m_sup, sym.r_sup)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,8 @@ cut are kept in a :func:`numerics.memo` table:
   the one factorization of T_A, and, per rank cut of Q, the spectrum of B;
 * a fusion sequence caches no operator fact beside these: its embedding
   ``f.embedding``, the OVFrame {w_i P_i}, owns its blocks, its stacked
-  analysis, its S, its bounds and so its frame test, its S^-1,
-  and the SVD whose rank cut (:func:`range_basis`) gives its excess and Riesz
-  test.
+  analysis, its S, its bounds and so its frame test, its S^-1 and the SVD of
+  its range basis; its rank is read from the K_W synthesis spectrum.
 
 The frame test :func:`is_frame` is a tolerance-free fact too: the cached
 bounds against the one invertibility cutoff :data:`numerics.INV_REL`. It gates
@@ -170,8 +169,7 @@ class OVFrame:
     @cached_property
     def analysis_svd(self) -> tuple:
         """Read-only thin SVD factors ``(U, s)`` of T_A, non-increasing s, from one
-        SVD on first use: the one factorization of T_A, read through its rank cut
-        :func:`range_basis`."""
+        SVD on first use, read through its rank cut :func:`range_basis`."""
         return read_only(svd(self.analysis)[:2])
 
     @property
@@ -270,8 +268,8 @@ def dual_slack(tol: ToleranceConfig = DEFAULT_TOL) -> float:
 
 def range_basis(a: OVFrame, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis Q of ran(T_A): the cached left singular vectors of T_A
-    whose singular values clear the rank cutoff at ``tol``; its column count is
-    the rank of T_A, which every rank read of T_A takes from here."""
+    whose singular values clear the rank cutoff at ``tol``, so P_ker = I - Q Q^*. A
+    fusion sequence's rank reads cut its K_W spectrum at the same size instead."""
     u, s = a.analysis_svd
     return u[:, : svals_rank(s, max(a.analysis.shape), tol)]
 

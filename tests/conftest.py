@@ -381,7 +381,7 @@ def reference_random_sequence(n, dims, weight_range, rng):
 
 
 def reference_riesz_basis(n, rng, dims):
-    """random_riesz_basis with each column block of the unitary tested as a Subspace."""
+    """One basis of random_riesz_bases with each column block of the unitary tested as a Subspace."""
     unitary = reference_subspace(n, n, rng).basis
     subs, weights, start = [], [], 0
     for d in dims:

@@ -32,7 +32,7 @@ from fusionframes.instances import (
     cross_swap_instance,
     random_invertible_matrix,
     random_partition,
-    random_riesz_basis,
+    random_riesz_bases,
     random_symbol,
 )
 from fusionframes.multipliers import (
@@ -42,6 +42,7 @@ from fusionframes.multipliers import (
     inverse_representation_residuals,
     invertible_multiplier_consequences,
     local_frame_equivalence,
+    norm_bound,
     riesz_multiplier_verdict,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
@@ -191,8 +192,7 @@ def test_criterion_07_riesz_symbol_iff():
     for trial in range(100):
         n = int(rng.integers(2, 7))
         dims = random_partition(n, int(rng.integers(1, n + 1)), rng)
-        w = random_riesz_basis(n, rng, dims=dims)
-        v = random_riesz_basis(n, rng, dims=dims)
+        w, v = random_riesz_bases(n, rng, dims, 2)
         mode = "random_C_holding" if trial % 2 == 0 else "random_C_failing"
         sym = random_symbol(mode, n, len(dims), rng)
         verdict = riesz_multiplier_verdict(sym, v, w)
@@ -202,8 +202,7 @@ def test_criterion_07_riesz_symbol_iff():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         dims = random_partition(n, int(rng.integers(1, n + 1)), rng)
-        w = random_riesz_basis(n, rng, dims=dims)
-        v = random_riesz_basis(n, rng, dims=dims)
+        w, v = random_riesz_bases(n, rng, dims, 2)
         sym = random_symbol("adversarial", n, len(dims), rng)
         verdict = riesz_multiplier_verdict(sym, v, w)
         if not (verdict.indeterminate and verdict.consistent):
@@ -330,8 +329,8 @@ def test_criterion_13_norm_bound():
         w = random_fusion_frame(n, count, rng, dims=v.dims)
         mode = ("random_C_holding", "random_C_failing", "identity")[int(rng.integers(0, 3))]
         sym = random_symbol(mode, n, count, rng)
-        rep = assemble_multiplier(sym, v, w)
-        worst = max(worst, (rep.sigma_max - rep.norm_bound) / max(1.0, rep.norm_bound))
+        sigma_max, bound = assemble_multiplier(sym, v, w).sigma_max, norm_bound(sym, v, w)
+        worst = max(worst, (sigma_max - bound) / max(1.0, bound))
     _verdict(13, "multiplier norm bound", worst <= EQ, f"worst slack {worst:.3e}")
 
 

@@ -1,12 +1,13 @@
 """Facts cached on the immutable objects: read-only, computed once, tolerance-free,
 each by one owner.
 
-A FusionSequence caches its projections and its operator-valued embedding
-{w_i P_i}. The embedding, an OVFrame, owns the sequence's operator facts: its
-blocks (the stacked analysis), the frame operator S, the extreme eigenvalues
-of S, so the bounds, the frame test and ||T|| of both, S^-1 from one inv and
-T S^-1 from it, the one thin SVD of T, whose rank cut gives the range basis,
-both excess numbers and the Riesz test, and per rank cut the spectrum of
+A FusionSequence caches its projections, its operator-valued embedding
+{w_i P_i} and the spectrum of its K_W synthesis, whose rank cut gives both
+excess numbers and the Riesz test. The embedding, an OVFrame, owns the
+sequence's operator facts: its blocks (the stacked analysis), the frame
+operator S, the extreme eigenvalues of S, so the bounds, the frame test and
+||T|| of both, S^-1 from one inv and T S^-1 from it, the one thin SVD of T,
+whose rank cut gives the range basis, and per rank cut the spectrum of
 [T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
 spectra, its inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the
 assembled multiplier with its spectrum and the closed-form inverse
@@ -36,7 +37,7 @@ from fusionframes.instances import (
     generate_instance,
     load_instance,
     random_partition,
-    random_riesz_basis,
+    random_riesz_bases,
     random_spanning_dims,
     random_symbol,
     save_instance,
@@ -91,6 +92,7 @@ def test_cached_arrays_are_read_only():
         a.frame_operator,
         a.canonical_analysis,
         *a.analysis_svd,
+        w.synthesis_svals,
         sym.svals,
         sym.block_diag_svals,
         assemble_multiplier(sym, inst.v, w).matrix,
@@ -182,7 +184,7 @@ def test_frame_operator_and_embedding_are_shared():
     assert inst.w.embedding is inst.w.embedding
     assert inst.w.embedding is not inst.v.embedding
     cached = {k for k, v in vars(FusionSequence).items() if isinstance(v, cached_property)}
-    assert cached == {"projections", "embedding"}
+    assert cached == {"projections", "embedding", "synthesis_svals"}
     t = inst.w.embedding.analysis
     assert np.shares_memory(t, inst.w.embedding.blocks) and not t.flags.writeable
 
@@ -248,21 +250,45 @@ def test_no_kernel_projector_is_kept():
     assert np.shares_memory(ovf.range_basis(a), u)
 
 
-def test_one_svd_of_the_analysis_serves_range_basis_excess_and_riesz_test(monkeypatch):
-    # the K_W synthesis has the nonzero singular values of T, so one rank cut of
-    # the embedding's cached SVD gives both excess numbers and the Riesz test
+def test_one_values_only_svd_of_the_synthesis_serves_excess_and_riesz_test(monkeypatch):
+    # the K_W synthesis has the nonzero singular values of T, so one values-only
+    # SVD of it, cut where range_basis cuts, gives both excess numbers and the
+    # Riesz test under every tolerance, and no embedding is built
     rng = np.random.default_rng(1)
-    fresh = (_instance(seed=5).w, random_riesz_basis(4, rng, dims=random_partition(4, 2, rng)))
-    svds = _counting(monkeypatch, "svd")
-    for f in fresh:
-        assert "embedding" not in vars(f)
-        for tol in (ToleranceConfig(), LOOSE):
-            r = ovf.range_basis(f.embedding, tol).shape[1]
-            n, size, total = f.ambient_dim, f.count * f.ambient_dim, sum(f.dims)
-            assert excess(f, tol) == (size - r, total - r)
-            assert is_riesz_fusion_basis(f, tol) == (total == n and r == n)
-    assert len(svds) == 2
-    assert [np.shape(args[0]) for args in svds] == [(12, 4), (8, 4)]
+    fresh = (_instance(seed=5).w, random_riesz_bases(4, rng, random_partition(4, 2, rng), 1)[0])
+    calls = []
+    real = np.linalg.svd
+
+    def recorded(*args, **kw):
+        calls.append((np.shape(args[0]), kw.get("compute_uv", True)))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    got = {(i, tol): (excess(f, tol), is_riesz_fusion_basis(f, tol))
+           for i, f in enumerate(fresh) for tol in (ToleranceConfig(), LOOSE)}
+    assert calls == [((4, 7), False), ((4, 4), False)]
+    assert all("embedding" not in vars(f) for f in fresh)
+    monkeypatch.undo()
+    for (i, tol), answers in got.items():
+        f = fresh[i]
+        r = ovf.range_basis(f.embedding, tol).shape[1]
+        n, size, total = f.ambient_dim, f.count * f.ambient_dim, sum(f.dims)
+        assert answers == ((size - r, total - r), total == n and r == n)
+
+
+def test_assembling_a_multiplier_builds_no_embedding():
+    # M, its spectrum and its invertibility come from the projection stacks; the
+    # norm bound, which reads the embeddings' bounds, is formed only where read
+    inst = _instance()
+    rng = np.random.default_rng(4)
+    pairs = [(inst.v, inst.w), random_riesz_bases(4, rng, random_partition(4, 3, rng), 2)]
+    for v, w in pairs:
+        rep = assemble_multiplier(inst.symbol, v, w)
+        assert rep.sigma_max > 0.0
+        assert "embedding" not in vars(v) and "embedding" not in vars(w)
+        assert not hasattr(rep, "norm_bound")
+    assert rep.sigma_max <= multipliers.norm_bound(inst.symbol, v, w)
+    assert "embedding" in vars(v) and "embedding" in vars(w)
 
 
 @pytest.mark.parametrize("order", [(ToleranceConfig(), LOOSE), (LOOSE, ToleranceConfig())])
@@ -485,7 +511,7 @@ def test_invertible_multiplier_memos_are_read_only_and_small():
     memos = [sym.inverse_blocks, *sym.inverse_closed_form(v, w)]
     assert sym.inverse_closed_form(v, w)[2] is memos[3]
     for f in (w, v, *scaled):
-        memos += [*f.embedding.analysis_svd]
+        memos += [*f.embedding.analysis_svd, f.synthesis_svals]
     for arr in memos:
         assert not arr.flags.writeable
         assert arr.size <= count * n * n
@@ -605,12 +631,15 @@ def test_random_symbol_takes_one_svd(monkeypatch, mode):
     assert [np.shape(args[0]) for args in svds] == [(9, 4, 4)]
 
 
-def test_a_riesz_pair_tests_orthonormality_once_per_unitary(monkeypatch):
+def test_a_riesz_pair_takes_one_qr_and_one_orthonormality_test(monkeypatch):
+    # both unitaries of the pair are orthonormalized and tested as one stack
     inst = _repeated_dims_instance(None)
+    qrs = _counting(monkeypatch, "qr")
     norms = _counting(monkeypatch, "norm")
     w, v, count = checks._riesz_pair(inst, np.random.default_rng(1))
     assert count == 4 and w.count == v.count == 4
-    assert [np.shape(args[0]) for args in norms] == [(1, 4, 4)] * 2
+    assert [np.shape(args[0]) for args in qrs] == [(2, 4, 4)]
+    assert [np.shape(args[0]) for args in norms] == [(2, 4, 4)]
 
 
 def test_the_ranges_of_a_dual_construction_are_tested_once(monkeypatch):

@@ -17,7 +17,7 @@ from fusionframes.cli import main
 from fusionframes.exceptions import NumericFailureError
 from fusionframes.fusion import FusionSequence
 from fusionframes.instances import generate_instance, load_instance, save_instance
-from fusionframes.multipliers import Symbol, assemble_multiplier, schatten_checks
+from fusionframes.multipliers import Symbol, assemble_multiplier, norm_bound, schatten_checks
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
@@ -203,11 +203,12 @@ def test_a_norm_bound_that_overflows_saturates_without_a_warning(tmp_path, capsy
         for suite, report in reports.items():
             assert main(["check", "--suite", suite, str(path), "--report", str(report)]) == 0
         rep = assemble_multiplier(inst.symbol, inst.v, inst.w)
+        got = norm_bound(inst.symbol, inst.v, inst.w)
     capsys.readouterr()
     checks = json.loads(reports["multipliers"].read_text())["checks"]
     entry = next(e for e in checks if e["name"] == "multiplier_norm_bound")
     assert entry["verdict"] == "pass" and entry["residual"] == 0.0
-    assert rep.sigma_max <= rep.norm_bound == bound
+    assert rep.sigma_max <= got == bound
 
 
 def test_schatten_norms_stay_finite_on_a_loadable_symbol_with_a_huge_scalar(tmp_path, capsys):
@@ -282,13 +283,14 @@ def test_frame_bounds_of_a_frame_operator_near_the_largest_float_are_finite(tmp_
             assert main(["check", "--suite", suite, str(path), "--report", str(report)]) == 1
             entries.update((e["name"], e) for e in json.loads(report.read_text())["checks"])
         rep = assemble_multiplier(inst.symbol, inst.v, inst.w)
+        bound = norm_bound(inst.symbol, inst.v, inst.w)
     capsys.readouterr()
     # the frame-gated checks run
     assert {"ovf_canonical_dual", "invertible_multiplier_frames"} <= set(entries)
     composite = entries["schatten_composite_bound"]
     assert composite["verdict"] == "fail" and composite["residual"] == np.inf
     assert entries["multiplier_norm_bound"]["verdict"] == "pass"
-    assert rep.sigma_max <= rep.norm_bound < np.inf
+    assert rep.sigma_max <= bound < np.inf
     assert entries["local_equivalence"]["verdict"] == "pass"
     assert entries["local_negative_control"]["residual"] == 1e300  # aborted
 

@@ -16,7 +16,7 @@ from conftest import (
     reference_multiplier,
     reference_projection_composition,
 )
-from fusionframes import duality, fusion, multipliers
+from fusionframes import duality, fusion, multipliers, ovf
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.frames import ordinary_multiplier
 from fusionframes.fusion import (
@@ -32,7 +32,7 @@ from fusionframes.fusion import (
     sandwich,
     scale_weights,
 )
-from fusionframes.numerics import DEFAULT_TOL, spectral_norm
+from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from fusionframes.ovf import is_frame
 
 
@@ -176,14 +176,67 @@ def test_excess_examples():
 
 
 def test_riesz_has_zero_kw_excess(rng):
-    from fusionframes.instances import random_partition, random_riesz_basis
+    from fusionframes.instances import random_partition, random_riesz_bases
 
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        f = random_riesz_basis(n, rng, dims=random_partition(n, int(rng.integers(1, n + 1)), rng))
+        (f,) = random_riesz_bases(n, rng, random_partition(n, int(rng.integers(1, n + 1)), rng), 1)
         assert is_riesz_fusion_basis(f)
         assert excess(f)[1] == 0
         assert sum(f.dims) == n
+
+
+def _rank_read_inputs():
+    """The sequences whose ranks the checks read, by input: W, V, their |m|-scaled
+    copies and the Riesz pair of riesz_symbol_iff, on the generated-sweep population
+    and on the instances of the CI's gen steps."""
+    from test_generated_sweep import _specs
+
+    from fusionframes import checks
+    from fusionframes.instances import InstanceSpec, generate_instance
+
+    def gen(n, dims, weights=(0.5, 2.0), mode="random_C_holding", seed=1):
+        return generate_instance(InstanceSpec(n, len(dims), dims, weights, mode, seed))
+
+    inputs = {
+        "generated sweep": [generate_instance(spec) for spec, _ in _specs()],
+        "d16": [gen(16, (8, 12, 16, 16))],
+        "w24": [gen(12, (1, 2, 3, 4, 5, 6) * 4)],
+        "l64": [gen(64, tuple(range(1, 65)))],
+        "bessel pair": [gen(5, (1, 1), seed=0)],
+        "weights 1e150": [gen(3, (1, 1, 1), weights=(1e150, 1e150), seed=0)],
+        "weights 1.3e154": [gen(2, (2,), weights=(1.3e154, 1.3e154), mode="identity", seed=0)],
+    }
+    for name, insts in inputs.items():
+        seqs = []
+        for inst in insts:
+            rng = checks._check_rng(inst.seed, "riesz_symbol_iff")
+            w, v, _ = checks._riesz_pair(inst, rng)
+            seqs += [inst.w, inst.v, inst.symbol.scaled(inst.w), inst.symbol.scaled(inst.v), w, v]
+        yield name, seqs
+
+
+def test_the_synthesis_rank_is_the_rank_of_the_range_basis():
+    # excess and the Riesz test cut the K_W synthesis spectrum where range_basis
+    # cuts the spectrum of T; in exact arithmetic the two share their nonzero
+    # values, so a decision could move only where a value sits near the cut. The
+    # smallest distance of either spectrum to its cut is 5.8 decades at the default
+    # rank_rel and 3.8 at rank_rel = 1e-8, both on l64
+    loose = ToleranceConfig(rank_rel=1e-8)
+    closest = {}
+    for name, seqs in _rank_read_inputs():
+        for f in seqs:
+            n, size = f.ambient_dim, f.count * f.ambient_dim
+            for tol in (DEFAULT_TOL, loose):
+                r = ovf.range_basis(f.embedding, tol).shape[1]
+                assert excess(f, tol) == (size - r, sum(f.dims) - r), name
+                assert is_riesz_fusion_basis(f, tol) == (sum(f.dims) == n and r == n), name
+                for s in (f.synthesis_svals, f.embedding.analysis_svd[1]):
+                    s = s[s > 0.0]
+                    if s.size:
+                        decades = np.abs(np.log10(s / (tol.rank_rel * size * s[0])))
+                        closest[tol] = min(closest.get(tol, np.inf), float(decades.min()))
+    assert closest[DEFAULT_TOL] > 5.0 and closest[loose] > 3.0, closest
 
 
 def test_frame_operator_is_analysis_gram(rng):
@@ -367,9 +420,9 @@ def test_projection_stack_is_cached_and_read_only(rng, monkeypatch):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: fusion.random_orthogonal_split(3, (1, 1), np.random.default_rng(0)),
+        (lambda: fusion.orthogonal_split(Subspace.full(3), (1, 1)),
          r"dims \(1, 1\) must be non-negative and sum to 3"),
-        (lambda: fusion.random_orthogonal_split(2, (3, -1), np.random.default_rng(0)),
+        (lambda: fusion.orthogonal_split(Subspace.full(2), (3, -1)),
          r"dims \(3, -1\) must be non-negative and sum to 2"),
         (lambda: scale_weights(coordinate_decomposition(2), [1.0]),
          "one scale factor per block required"),

@@ -21,7 +21,7 @@ from fusionframes.instances import (
     instance_to_json,
     random_invertible_matrix,
     random_partition,
-    random_riesz_basis,
+    random_riesz_bases,
     random_symbol,
 )
 from fusionframes.multipliers import Symbol, condition_c
@@ -164,7 +164,7 @@ def test_random_fusion_frame_conditioned(rng):
 def test_random_riesz_basis(rng):
     from fusionframes.fusion import is_riesz_fusion_basis
 
-    f = random_riesz_basis(5, rng, dims=random_partition(5, 3, rng))
+    (f,) = random_riesz_bases(5, rng, random_partition(5, 3, rng), 1)
     assert is_riesz_fusion_basis(f)
 
 
@@ -224,9 +224,9 @@ def _reloaded_with_symbol(m):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: random_riesz_basis(3, np.random.default_rng(0), dims=(1, 1)),
+        (lambda: random_riesz_bases(3, np.random.default_rng(0), (1, 1), 1),
          "Riesz dims must be positive and sum to n"),
-        (lambda: random_riesz_basis(3, np.random.default_rng(0), dims=(3, 0)),
+        (lambda: random_riesz_bases(3, np.random.default_rng(0), (3, 0), 1),
          "Riesz dims must be positive and sum to n"),
         (lambda: random_symbol("bogus", 2, 2, np.random.default_rng(0)), "unknown symbol mode 'bogus'"),
         # each block's term is 1e308, finite, but their sum is not

@@ -16,6 +16,7 @@ from fusionframes.multipliers import (
     inverse_representation_residuals,
     invertible_multiplier_consequences,
     local_frame_equivalence,
+    norm_bound,
     riesz_multiplier_verdict,
     schatten_checks,
 )
@@ -127,7 +128,7 @@ def test_multiplier_norm_bound(rng):
         w = random_fusion_frame(n, count, rng, dims=v.dims)
         sym = random_symbol("random_C_holding", n, count, rng)
         rep = assemble_multiplier(sym, v, w)
-        assert rep.sigma_max <= rep.norm_bound * (1 + DEFAULT_TOL.eq_rel)
+        assert rep.sigma_max <= norm_bound(sym, v, w) * (1 + DEFAULT_TOL.eq_rel)
 
 
 def test_assembly_route_equivalence(rng):
@@ -194,25 +195,23 @@ def test_riesz_verdict_requires_riesz_w():
 
 
 def test_riesz_verdict_near_threshold_indeterminate(rng):
-    from fusionframes.instances import random_riesz_basis, random_symbol
+    from fusionframes.instances import random_riesz_bases, random_symbol
 
     dims = (1, 1, 1)
-    w = random_riesz_basis(3, rng, dims=dims)
-    v = random_riesz_basis(3, rng, dims=dims)
+    w, v = random_riesz_bases(3, rng, dims, 2)
     sym = random_symbol("adversarial", 3, 3, rng)
     verdict = riesz_multiplier_verdict(sym, v, w)
     assert verdict.indeterminate and verdict.consistent
 
 
 def test_riesz_verdict_population(rng):
-    from fusionframes.instances import random_partition, random_riesz_basis, random_symbol
+    from fusionframes.instances import random_partition, random_riesz_bases, random_symbol
 
     for trial in range(40):
         n = int(rng.integers(2, 7))
         count = int(rng.integers(1, n + 1))
         dims = random_partition(n, count, rng)
-        w = random_riesz_basis(n, rng, dims=dims)
-        v = random_riesz_basis(n, rng, dims=dims)
+        w, v = random_riesz_bases(n, rng, dims, 2)
         mode = "random_C_holding" if trial % 2 == 0 else "random_C_failing"
         sym = random_symbol(mode, n, count, rng)
         verdict = riesz_multiplier_verdict(sym, v, w)

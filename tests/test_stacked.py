@@ -39,7 +39,7 @@ from fusionframes.instances import (
     generate_instance,
     random_invertible_matrix,
     random_partition,
-    random_riesz_basis,
+    random_riesz_bases,
     random_symbol,
 )
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm, spectral_norms
@@ -328,8 +328,22 @@ def test_riesz_bases_match_the_per_block_slices(n, dims):
         got_rng, want_rng = _twin_rngs(n, len(dims), by_dims)
         got_dims = dims if by_dims else random_partition(n, len(dims), got_rng)
         want_dims = dims if by_dims else random_partition(n, len(dims), want_rng)
-        got = random_riesz_basis(n, got_rng, dims=got_dims)
+        (got,) = random_riesz_bases(n, got_rng, got_dims, 1)
         assert _same_sequence(got, reference_riesz_basis(n, want_rng, dims=want_dims))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_a_riesz_pair_is_two_single_draws():
+    # one stacked QR and one orthonormality test for the pair give each basis bit
+    # for bit its own draw, and the generator ends where two single draws leave it
+    for seed in range(300):
+        shape_rng = np.random.default_rng(seed)
+        n = int(shape_rng.integers(1, 17))
+        dims = random_partition(n, int(shape_rng.integers(1, n + 1)), shape_rng)
+        got_rng, want_rng = _twin_rngs(seed)
+        pair = random_riesz_bases(n, got_rng, dims, 2)
+        singles = [random_riesz_bases(n, want_rng, dims, 1)[0] for _ in range(2)]
+        assert all(_same_sequence(a, b) for a, b in zip(pair, singles, strict=True))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
