@@ -5,7 +5,9 @@ on a concrete instance, returning a residual that is compared against a
 tolerance derived from the active ToleranceConfig. Checks draw any extra
 structure they need (Riesz pairs, local frames, perturbed copies) from a
 generator seeded by the instance seed and the check name, so a report is a
-pure function of (instance, tolerances). Each check is one :class:`Check`
+pure function of (instance, tolerances); the two inverse-multiplier checks read
+one stack of sampled duals of V, drawn from the dual check's generator and kept
+on the instance. Each check is one :class:`Check`
 record naming its suite; ``CHECKS`` and ``SUITES`` are read off the one list of
 records, and the ``"all"`` suite runs them in its order.
 """
@@ -41,6 +43,8 @@ from .numerics import (
     DEFAULT_TOL,
     INV_REL,
     ToleranceConfig,
+    memo,
+    read_only,
     relative_defect,
     saturated_product,
     spectral_norm,
@@ -295,9 +299,23 @@ def _run_excess_invariance(inst, rng, tol):
     return CheckResult(float(mismatch))
 
 
+def _sampled_v_duals(inst, tol):
+    """V's read-only (SAMPLED_DUALS, N n, n) stack of dual analyses, drawn from the
+    generator of ``inverse_multiplier_dual`` on first use per tolerance and kept on
+    the instance, so both inverse checks read one stack, whichever runs first."""
+
+    def build():
+        rng = _check_rng(inst.seed, "inverse_multiplier_dual")
+        return read_only(
+            ovf.canonical_and_sampled_duals(inst.v.embedding, ovf.SAMPLED_DUALS, rng, tol)
+        )
+
+    return memo(inst, "_v_duals", tol, build)
+
+
 def _run_inverse_representation(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
-    duals = ovf.canonical_and_sampled_duals(v.embedding, ovf.SAMPLED_DUALS, rng, tol)
+    duals = _sampled_v_duals(inst, tol)
     residuals = multipliers.inverse_representation_residuals(sym, v, w, duals, tol)
     near = multipliers.condition_c(sym).near_threshold
     return CheckResult(max(residuals), indeterminate=near)
@@ -305,8 +323,8 @@ def _run_inverse_representation(inst, rng, tol):
 
 def _run_inverse_uniqueness(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
-    duals = ovf.canonical_and_sampled_duals(v.embedding, ovf.SAMPLED_DUALS, rng, tol)
-    probe = multipliers.inverse_representation_probe(sym, v, w, duals, rng, tol)  # draws after the duals
+    duals = _sampled_v_duals(inst, tol)
+    probe = multipliers.inverse_representation_probe(sym, v, w, duals, rng, tol)  # draws E only
     shortfall = max(0.0, (1e-4 - probe) / 1e-4)
     # W is a frame, so T_W has rank n and ker T_W^* has dimension (N - 1) n
     if w.count == 1:
@@ -587,7 +605,8 @@ _REGISTRY = [
         "inverse_multiplier_uniqueness",
         "multipliers",
         "Perturbing the closed-form dual in a kernel direction breaks the "
-        "inverse representation.",
+        "inverse representation through the sampled duals of {u_i P_{V_i}} "
+        "that inverse_multiplier_dual reads.",
         "perturbed Qd violates the representation by >= 1e-4 relative",
         _exact,
         "probe >= 1e-4",

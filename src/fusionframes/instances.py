@@ -145,9 +145,9 @@ def random_riesz_bases(n: int, rng: np.random.Generator, dims: tuple, count: int
     draws, weights = [], []
     for _ in range(count):
         draws.append(subspace_draw(n, n, rng))
-        weights.append([float(rng.uniform(0.5, 2.0)) for _ in dims])
+        weights.append(rng.uniform(0.5, 2.0, len(dims)))
     return tuple(
-        FusionSequence(orthogonal_split(unitary, dims), np.asarray(wts))
+        FusionSequence(orthogonal_split(unitary, dims), wts)
         for unitary, wts in zip(haar_subspaces(draws), weights)
     )
 
@@ -174,11 +174,13 @@ def random_invertible_matrix(
     return _invertible_stack(1, n, rng, s_min, s_max)[0]
 
 
-def _annulus(rng) -> complex:
-    """A random point of the annulus 0.5 <= |z| <= 2, radius and angle uniform."""
-    radius = rng.uniform(0.5, 2.0)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(radius * np.cos(angle), radius * np.sin(angle))
+def _annulus(rng, count: int) -> np.ndarray:
+    """``count`` random points of the annulus 0.5 <= |z| <= 2, radius and angle
+    uniform, drawn point by point, radius then angle."""
+    radius, angle = rng.uniform([0.5, 0.0], [2.0, 2.0 * np.pi], size=(count, 2)).T
+    points = np.empty(count, dtype=np.complex128)
+    points.real, points.imag = radius * np.cos(angle), radius * np.sin(angle)
+    return points
 
 
 def random_symbol(mode: str, n: int, count: int, rng: np.random.Generator) -> Symbol:
@@ -194,7 +196,7 @@ def random_symbol(mode: str, n: int, count: int, rng: np.random.Generator) -> Sy
     if mode == "identity":
         return Symbol.identity(n, count)
     r = _invertible_stack(count, n, rng, 0.5, 2.0)
-    m = np.array([_annulus(rng) for _ in range(count)])
+    m = _annulus(rng, count)
     if mode == "random_C_holding":
         return Symbol(m, r)
     if mode == "random_C_failing":

@@ -185,6 +185,27 @@ class Symbol:
         defect = float(np.max(np.abs(s - np.abs(self.m)[:, None] * self.svals)))
         return relative_defect(defect, float(self.block_diag_svals[0]))
 
+    @cached_property
+    def condition_c(self) -> "ConditionCReport":
+        """The :class:`ConditionCReport` of the symbol, read from :attr:`svals` on
+        first use: like them, a fact of the symbol alone, free of any tolerance."""
+        if self.count == 0:
+            raise ContractViolationError("empty symbol")
+        m_abs = np.abs(self.m)
+        gamma = float(np.min(m_abs * self.svals[:, -1]))
+        delta = float(np.max(m_abs * self.svals[:, 0]))
+        r_sup = self.r_sup
+        lower_witness = gamma / r_sup if r_sup > 0.0 else 0.0
+        semi = bool(np.min(m_abs) > 0.0 and np.all(np.isfinite(m_abs)))
+        return ConditionCReport(
+            gamma=gamma,
+            delta=delta,
+            holds=clears_inv_cutoff(gamma, delta),
+            semi_normalized=semi,
+            lower_witness=lower_witness,
+            near_threshold=near_inv_cutoff(gamma, delta),
+        )
+
     @property
     def r_sup(self) -> float:
         """sup_i ||R_i||, the ell-infinity norm of the operator sequence."""
@@ -195,7 +216,7 @@ class Symbol:
         """Read-only blocks (m_i R_i)^-1 from one batched inv on first use, once the
         two-sided symbol bound of :func:`condition_c` holds; :class:`PreconditionError`
         otherwise."""
-        report = condition_c(self)
+        report = self.condition_c
         if not report.holds:
             raise PreconditionError(
                 "blockwise inversion requires the two-sided symbol bound "
@@ -255,22 +276,8 @@ class ConditionCReport:
 
 
 def condition_c(sym: Symbol) -> ConditionCReport:
-    if sym.count == 0:
-        raise ContractViolationError("empty symbol")
-    m_abs = np.abs(sym.m)
-    gamma = float(np.min(m_abs * sym.svals[:, -1]))
-    delta = float(np.max(m_abs * sym.svals[:, 0]))
-    r_sup = sym.r_sup
-    lower_witness = gamma / r_sup if r_sup > 0.0 else 0.0
-    semi = bool(np.min(m_abs) > 0.0 and np.all(np.isfinite(m_abs)))
-    return ConditionCReport(
-        gamma=gamma,
-        delta=delta,
-        holds=clears_inv_cutoff(gamma, delta),
-        semi_normalized=semi,
-        lower_witness=lower_witness,
-        near_threshold=near_inv_cutoff(gamma, delta),
-    )
+    """The report of :attr:`Symbol.condition_c`, formed on first use per symbol."""
+    return sym.condition_c
 
 
 @dataclass(frozen=True)

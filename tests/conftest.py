@@ -402,14 +402,20 @@ def reference_invertible_matrix(n, rng, s_min=0.3, s_max=2.0):
     return u @ np.diag(scaled) @ vh
 
 
-def reference_random_symbol(mode, n, count, rng):
-    """random_symbol with one SVD per block and the adversarial per-block delta loop."""
-    from fusionframes.instances import _annulus
+def reference_annulus(rng):
+    """One point of random_symbol's annulus, by two scalar draws."""
+    radius = rng.uniform(0.5, 2.0)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(radius * np.cos(angle), radius * np.sin(angle))
 
+
+def reference_random_symbol(mode, n, count, rng):
+    """random_symbol with one SVD per block, scalar annulus draws and the adversarial
+    per-block delta loop."""
     if mode == "identity":
         return Symbol.identity(n, count)
     r = np.array([reference_invertible_matrix(n, rng, 0.5, 2.0) for _ in range(count)])
-    m = np.array([_annulus(rng) for _ in range(count)])
+    m = np.array([reference_annulus(rng) for _ in range(count)])
     if mode == "random_C_holding":
         return Symbol(m, r)
     if mode == "random_C_failing":

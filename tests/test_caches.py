@@ -16,6 +16,8 @@ object can serve runs under any tolerance.
 """
 
 import dataclasses
+import gc
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +49,7 @@ from fusionframes.multipliers import (
     inverse_representation_probe,
     inverse_representation_residuals,
 )
-from fusionframes.numerics import INV_REL, ToleranceConfig
+from fusionframes.numerics import DEFAULT_TOL, INV_REL, ToleranceConfig
 from fusionframes.ovf import is_frame
 
 LOOSE = ToleranceConfig(eq_rel=1e-6, rank_rel=1e-8)
@@ -439,21 +441,50 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     blocks = sym.m[:, None, None] * sym.r
     assert sum(np.array_equal(args[0], blocks) for args in calls("inv")) == 1
     # P_ker is applied implicitly from the range basis, never formed: one basis
-    # read per sampling of the V duals (two checks) and one for the probe's
-    # draw from ker T_W^*, each by one kernel_parts call
-    assert len(calls("kernel_parts")) == 3
-    assert len(calls("range_basis")) == 3
-    assert not any(
-        args[0] is inst.w.embedding for args in calls("range_basis", "inverse_multiplier_dual")
-    )
+    # read for the one sampling of the V duals, which both inverse checks share,
+    # and one for the probe's draw from ker T_W^*, each by one kernel_parts call
+    assert len(calls("kernel_parts")) == 2
+    assert len(calls("range_basis")) == 2
+    sampled = [args[0] for args in calls("range_basis", "inverse_multiplier_dual")]
+    assert len(sampled) == 1 and sampled[0] is inst.v.embedding
     probed = [args[0] for args in calls("range_basis", "inverse_multiplier_uniqueness")]
-    assert len(probed) == 2
-    assert probed[0] is inst.v.embedding and probed[1] is inst.w.embedding
+    assert len(probed) == 1 and probed[0] is inst.w.embedding
     for name in ("invertible_multiplier_frames", "excess_invariance"):
         assert len(calls("excess", name)) == 4
     # the second consequence check reads every spectrum the first one took
     assert calls("svd", "excess_invariance") == []
     assert calls("eigvalsh", "excess_invariance") == []
+
+
+def test_both_inverse_checks_read_one_sampled_dual_stack_of_v(monkeypatch):
+    # the uniqueness check reads the dual check's stack and draws only its probe,
+    # so its result is the same whichever check samples the stack first
+    inst = _instance()
+    seen = []
+
+    def recorded(fn):
+        def wrapper(sym, v, w, duals, *args):
+            seen.append(duals)
+            return fn(sym, v, w, duals, *args)
+
+        return wrapper
+
+    for name in ("inverse_representation_residuals", "inverse_representation_probe"):
+        monkeypatch.setattr(multipliers, name, recorded(getattr(multipliers, name)))
+    entries = {e["name"]: e for e in run_suite("multipliers", [inst])["checks"]}
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert not seen[0].flags.writeable
+    assert seen[0].shape == (ovf.SAMPLED_DUALS, *inst.v.embedding.analysis.shape)
+    fresh = _instance()
+    for name in ("inverse_multiplier_uniqueness", "inverse_multiplier_dual"):
+        alone = checks.CHECKS[name].run(fresh, checks._check_rng(fresh.seed, name), DEFAULT_TOL)
+        assert alone.residual == entries[name]["residual"]
+    assert len(seen) == 4 and seen[2] is seen[3] and np.array_equal(seen[2], seen[0])
+    # the stack is held by the instance only, so it goes when the instance does
+    stack = weakref.ref(seen[0])
+    del inst, seen
+    gc.collect()
+    assert stack() is None
 
 
 CACHING = (FusionSequence, ovf.OVFrame, multipliers.Symbol)

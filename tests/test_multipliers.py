@@ -107,6 +107,19 @@ def test_condition_c_examples():
     assert not singular.holds
 
 
+def test_condition_c_is_formed_once_per_symbol(monkeypatch):
+    # a fact of the symbol alone, like its singular values: the second read takes
+    # no SVD and returns the same report
+    sym = Symbol([1.0, 0.5j], np.array([np.eye(2), np.diag([2.0, 1.0]).astype(complex)]))
+    first = condition_c(sym)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+    assert condition_c(sym) is condition_c(sym) is first
+    assert sym.condition_c is first and calls == []
+    with pytest.raises(ContractViolationError):
+        condition_c(Symbol(np.zeros(0), np.zeros((0, 2, 2))))
+
+
 def test_condition_c_semi_normalization_witness(rng):
     from fusionframes.instances import random_symbol
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     reference_admissibility,
+    reference_annulus,
     reference_invertible_matrix,
     reference_local_frames,
     reference_random_sequence,
@@ -35,6 +36,7 @@ from fusionframes.fusion import FusionSequence, build_local_frames, random_subsp
 from fusionframes.instances import (
     SYMBOL_MODES,
     InstanceSpec,
+    _annulus,
     _random_sequence,
     generate_instance,
     random_invertible_matrix,
@@ -344,6 +346,22 @@ def test_a_riesz_pair_is_two_single_draws():
         pair = random_riesz_bases(n, got_rng, dims, 2)
         singles = [random_riesz_bases(n, want_rng, dims, 1)[0] for _ in range(2)]
         assert all(_same_sequence(a, b) for a, b in zip(pair, singles, strict=True))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_array_uniform_draws_are_the_scalar_draws():
+    # a basis's weights and the symbol's annulus are one uniform call each: bit for
+    # bit the scalar draws they replaced, and the generator ends where those leave it
+    for seed in range(300):
+        shape_rng = np.random.default_rng(seed)
+        n = int(shape_rng.integers(1, 17))
+        dims = random_partition(n, int(shape_rng.integers(1, n + 1)), shape_rng)
+        count = int(shape_rng.integers(1, 65))
+        got_rng, want_rng = _twin_rngs(seed)
+        (got,) = random_riesz_bases(n, got_rng, dims, 1)
+        assert _same_sequence(got, reference_riesz_basis(n, want_rng, dims=dims))
+        want = np.array([reference_annulus(want_rng) for _ in range(count)])
+        assert _same_bits(_annulus(got_rng, count), want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
