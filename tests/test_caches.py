@@ -9,9 +9,10 @@ operator S, the extreme eigenvalues of S, so the bounds, the frame test and
 ||T|| of both, S^-1 from one inv and T S^-1 from it, the one thin SVD of T,
 whose rank cut gives the range basis, and per rank cut the spectrum of
 [T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
-spectra, its inverse blocks, its |m|-scaled sequences and, per (V, W) pair, the
-assembled multiplier with its spectrum and the closed-form inverse
-representation. Tolerance rules are applied per call on top of these, so one
+spectra, its condition-C report, its inverse blocks, its |m|-scaled sequences
+and, per (V, W) pair, the assembled multiplier with its spectrum and the
+closed-form inverse representation. An instance keeps, per tolerance, the
+sampled duals of V that both inverse-multiplier checks read. Tolerance rules are applied per call on top of these, so one
 object can serve runs under any tolerance.
 """
 
