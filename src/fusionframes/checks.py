@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 import time
 import zlib
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .fusion import (
     FusionSequence,
     block_deviation,
     block_sum,
+    _held_local,
     build_local_frames,
     random_subspace,
 )
@@ -55,8 +56,7 @@ from .ovf import is_frame
 __all__ = ["CheckResult", "Check", "CHECKS", "SUITES", "run_suite", "describe_check"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     residual: float
     indeterminate: bool = False
     detail: str = ""
@@ -335,20 +335,18 @@ def _run_inverse_uniqueness(inst, rng, tol):
     return CheckResult(shortfall, indeterminate=near, detail=detail)
 
 
-_CROSS = cross_swap_instance()  # the crossed pair in C^2, the same for every instance
-
-
 @functools.cache
 def _contrast_residual() -> float:
-    """The contrast on the crossed pair, which depends on no input, so it is computed
-    once per process."""
-    v, w = _CROSS.v, _CROSS.w
+    """The contrast on the crossed pair in C^2, which depends on no input, so the pair
+    is built and the contrast computed once per process, on first use."""
+    cross = cross_swap_instance()
+    v, w = cross.v, cross.w
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     s_inv = w.embedding.frame_operator_inv
     # the commonly used forms are the symbols R_i = I and R_i = S_W^-1
     plain = multipliers.assemble_multiplier(multipliers.Symbol.identity(2, 2), v, w)
     weighted = multipliers.assemble_multiplier(multipliers.Symbol(np.ones(2), [s_inv, s_inv]), v, w)
-    sym = multipliers.assemble_multiplier(_CROSS.symbol, v, w).matrix
+    sym = multipliers.assemble_multiplier(cross.symbol, v, w).matrix
     return max(plain.sigma_max, weighted.sigma_max, spectral_norm(sym - swap))
 
 
@@ -373,7 +371,8 @@ def _run_local_equivalence(inst, rng, tol):
 
 def _run_local_negative(inst, rng, tol):
     family = build_local_frames(inst.w, 1 + int(rng.integers(0, 3)), rng)
-    broken = replace(family, duals=family.frames)
+    # the swapped family holds the same frozen frames, so it is held without a scan
+    broken = _held_local(family.frames, family.frames, family.redundancy, family.alpha, family.beta)
     residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, broken)
     shortfall = max(0.0, (1e-3 - residual) / 1e-3)
     # Only live blocks, u_i w_i > 0, enter M = T_V^* D T_W, D acting as m_i R_i

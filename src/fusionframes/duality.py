@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -119,7 +119,7 @@ def is_admissible(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualVerdict:
     """Verdict for a candidate Q at ``tol``: the composite T_V^* D_Q T_W, read-only,
     and whether Q is admissible, each taken once by :func:`kpp_dual_check`. The
@@ -209,8 +209,7 @@ def hmbz_dual_check(
     return spectral_norm(comp - np.eye(v.ambient_dim))
 
 
-@dataclass(frozen=True)
-class GeneratedDual:
+class GeneratedDual(NamedTuple):
     """Output of the constructive dual generator; ``u_norm`` is ||U||, the largest
     singular value that its invertibility gate on U took."""
 
@@ -272,8 +271,7 @@ def fusion_dual_to_ovf(v: FusionSequence, q_blocks) -> OVFrame:
     )
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(NamedTuple):
     """Outcome of the separating-dual sweep.
 
     ``witness`` is the first dual of W whose reconstruction of W' fails, or

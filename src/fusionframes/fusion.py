@@ -95,9 +95,10 @@ def _orthonormality_faults(stack: np.ndarray) -> np.ndarray:
     return ~(defects <= DEFAULT_TOL.eq_rel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^n held as a read-only n x d matrix with orthonormal columns."""
+    """A subspace of C^n held as a read-only n x d matrix with orthonormal columns.
+    Equality and hashing are by identity, as for every class that holds arrays."""
 
     basis: np.ndarray
 
@@ -386,7 +387,7 @@ def scale_weights(f: FusionSequence, factors) -> FusionSequence:
 MAX_REDUNDANCY = 64  # local vectors beyond a basis per block; the n and N limit of instances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalFrameFamily:
     """Per-block vector frames spanning each nonzero subspace, with duals.
 
@@ -395,7 +396,11 @@ class LocalFrameFamily:
     i is the zero subspace; the others are held read-only (:func:`numerics.owned`).
     ``redundancy`` is the number of vectors each frame has beyond a basis of its
     subspace. ``alpha``/``beta`` witness the uniform local bounds inf alpha_i and
-    sup beta_i over the nonzero blocks.
+    sup beta_i over the nonzero blocks. Equality and hashing are by identity.
+
+    Constructed here, every array is scanned for finiteness; a family the package
+    builds from arrays it has already scanned (:func:`build_local_frames`, a loaded
+    instance) is held through :func:`_held_local` without that second scan.
     """
 
     frames: tuple
@@ -408,6 +413,18 @@ class LocalFrameFamily:
         for name in ("frames", "duals"):
             held = tuple(None if a is None else owned(as_matrix(a)) for a in getattr(self, name))
             object.__setattr__(self, name, held)
+
+
+def _held_local(frames, duals, redundancy: int, alpha: float, beta: float) -> LocalFrameFamily:
+    """A LocalFrameFamily on ``frames`` and ``duals``, each array frozen in place: finite
+    complex128 matrices the package built or has already scanned, held without a
+    second scan."""
+    family = object.__new__(LocalFrameFamily)
+    values = (tuple(frames), tuple(duals), redundancy, alpha, beta)
+    for field, value in zip(("frames", "duals", "redundancy", "alpha", "beta"), values):
+        object.__setattr__(family, field, value)
+    read_only(tuple(a for a in family.frames + family.duals if a is not None))
+    return family
 
 
 def build_local_frames(
@@ -456,7 +473,7 @@ def build_local_frames(
         beta = max(beta, float(ev[:, -1].max()))
         bases = np.stack([f.subspaces[i].basis for i in idx])
         for i, frame, dual in zip(idx, bases @ coeff, bases @ np.linalg.solve(gram, coeff)):
-            frames[i], duals[i] = read_only(frame.T), read_only(dual.T)
+            frames[i], duals[i] = frame.T, dual.T
     if not np.isfinite(alpha):
         alpha = 0.0
-    return LocalFrameFamily(tuple(frames), tuple(duals), redundancy, alpha, beta)
+    return _held_local(frames, duals, redundancy, alpha, beta)

@@ -9,6 +9,7 @@ conditioning a draw has, flagging near-cutoff symbols indeterminate.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .fusion import (
     FusionSequence,
     LocalFrameFamily,
     Subspace,
+    _held_local,
     build_local_frames,
     frame_operator_fits,
     haar_subspaces,
@@ -95,9 +97,10 @@ def _check_sizes(n: int, blocks: int, dims, symbol_mode: str, seed: int) -> None
         raise ContractViolationError("seed must be a 64-bit unsigned integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """A concrete verification instance: two fusion sequences and a symbol."""
+    """A concrete verification instance: two fusion sequences and a symbol, equal
+    only to itself."""
 
     seed: int
     symbol_mode: str
@@ -305,7 +308,9 @@ def _decode_bytes(value, shape: tuple, field: str) -> np.ndarray:
             f"{field}: expected a base64 string, got {type(value).__name__}"
         )
     try:
-        raw = base64.b64decode(value, validate=True)
+        # the call base64.b64decode(value, validate=True) makes, whose ASCII test
+        # a2b_base64 applies to a str too
+        raw = binascii.a2b_base64(value, strict_mode=True)
     except ValueError as exc:
         raise ContractViolationError(f"{field}: not base64: {exc}") from None
     fixed = 16 * math.prod(k for k in shape if k is not None)  # bytes per step of a None axis
@@ -480,7 +485,8 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
             raise ContractViolationError(
                 f"local.alpha, local.beta must satisfy 0 < alpha <= beta, got {alpha!r}, {beta!r}"
             )
-        local = LocalFrameFamily(tuple(frames), tuple(duals), redundancy, alpha, beta)
+        # every array was scanned once by _finite above
+        local = _held_local(frames, duals, redundancy, alpha, beta)
     return Instance(seed, mode, w, v, symbol, local=local)
 
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -122,10 +122,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """Scalar sequence m with an operator sequence R, one pair per block, both held
-    read-only (:func:`numerics.owned`)."""
+    read-only (:func:`numerics.owned`). Equality and hashing are by identity."""
 
     m: np.ndarray
     r: np.ndarray
@@ -257,8 +257,7 @@ class Symbol:
         return memo(self, "_inverses", (v, w), build)
 
 
-@dataclass(frozen=True)
-class ConditionCReport:
+class ConditionCReport(NamedTuple):
     """Quantified form of the two-sided symbol hypothesis.
 
     gamma and delta are the tight constants min_j |m_j| s_min(R_j) and
@@ -280,8 +279,7 @@ def condition_c(sym: Symbol) -> ConditionCReport:
     return sym.condition_c
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
+class MultiplierReport(NamedTuple):
     """M = sum_i m_i u_i w_i P_{V_i} R_i P_{W_i} and its non-increasing singular
     values ``svals``, both read-only, with the facts read from them."""
 
@@ -336,8 +334,7 @@ def norm_bound(sym: Symbol, v: FusionSequence, w: FusionSequence) -> float:
     return saturated_product(*norms, sym.m_sup, sym.r_sup)
 
 
-@dataclass(frozen=True)
-class RieszMultiplierVerdict:
+class RieszMultiplierVerdict(NamedTuple):
     """Invertibility of a multiplier over Riesz decompositions vs its symbol.
 
     ``consistent`` compares the symbol prediction with the measured
@@ -386,8 +383,7 @@ def riesz_multiplier_verdict(
     )
 
 
-@dataclass(frozen=True)
-class InvertibleMultiplierReport:
+class InvertibleMultiplierReport(NamedTuple):
     """What an invertible multiplier forces on its two sequences.
 
     Bounds are (alpha, beta) pairs for (W,w), (V,u), (W,|m|w), (V,|m|u);
@@ -577,8 +573,7 @@ def local_frame_equivalence(
     return relative_defect(spectral_norm(rep.matrix - m_lifted), rep.sigma_max)
 
 
-@dataclass(frozen=True)
-class SchattenReport:
+class SchattenReport(NamedTuple):
     """Schatten p-norm facts about a multiplier, each pair compared as value <= bound
     by the checks: ``composite_norm`` = ||M||_p against ``composite_bound`` =
     ||T_V|| ||T_W|| ||D_mR||_p, and ``block_norm`` = ||D_mR||_p against

@@ -110,7 +110,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OVFrame:
     """A sequence of k x n operator blocks, held as a read-only (N, k, n) array."""
 
@@ -184,7 +184,7 @@ def is_frame(a: OVFrame) -> bool:
     return clears_inv_cutoff(*a.frame_bounds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCandidate:
     """A member T_A S_A^-1 + L of the dual family of ``base``, ``perturbation`` the
     stacked L, held read-only. The frame test of ``base`` and, at ``tol``, the

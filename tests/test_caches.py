@@ -516,7 +516,7 @@ def test_every_cached_fact_and_memo_entry_is_read_only():
         for name, value in _cached_values(obj):
             computed.add(f"{type(obj).__name__}.{name}")
             if isinstance(value, multipliers.MultiplierReport):
-                value = tuple(vars(value).values())
+                value = tuple(value)
             for part in value if isinstance(value, tuple) else (value,):
                 if isinstance(part, CACHING):
                     todo.append(part)

@@ -229,7 +229,7 @@ def test_schatten_norms_stay_finite_on_a_loadable_symbol_with_a_huge_scalar(tmp_
     assert json.loads(capsys.readouterr().out)["summary"] == {
         "pass": 3, "fail": 0, "indeterminate": 0
     }
-    values = dataclasses.astuple(rep)
+    values = tuple(rep)
     assert np.all(np.isfinite(values))
     assert 1e80 < rep.composite_norm <= rep.composite_bound
     assert rep.block_norm <= rep.rank_bound
@@ -600,14 +600,18 @@ def test_reference_command_matches_golden_reference(tmp_path):
     assert _strip_wall_time(out.read_text()) == _strip_wall_time(GOLDEN_REFERENCE.read_text())
 
 
+W24 = ["--dim", "12", "--blocks", "24", "--dims", ",".join(["1,2,3,4,5,6"] * 4),
+       "--symbol", "random_C_holding", "--local", "2", "--seed", "1"]
+
 GUARD_GOLDENS = (
     # the duals suite on d16 and the multipliers suite on w24, the CI's shapes
-    # where the annihilation, admissibility and sampled-dual guards run most
+    # where the annihilation, admissibility and sampled-dual guards run most; the
+    # local and schatten suites on w24 pin the stored local frames a load holds
     (["--dim", "16", "--blocks", "4", "--dims", "8,12,16,16", "--seed", "1"],
      "duals", DATA / "golden_report_d16_duals.json"),
-    (["--dim", "12", "--blocks", "24", "--dims", ",".join(["1,2,3,4,5,6"] * 4),
-      "--symbol", "random_C_holding", "--local", "2", "--seed", "1"],
-     "multipliers", DATA / "golden_report_w24_multipliers.json"),
+    (W24, "multipliers", DATA / "golden_report_w24_multipliers.json"),
+    (W24, "local", DATA / "golden_report_w24_local.json"),
+    (W24, "schatten", DATA / "golden_report_w24_schatten.json"),
 )
 
 

@@ -1,6 +1,5 @@
 """Admissibility, dual verdicts, the constructive generator, separation."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -543,7 +542,7 @@ def test_kpp_checks_fail_on_an_inadmissible_generated_dual(monkeypatch):
 
     def inadmissible(w, u, l, tol):
         gd = generate(w, u, l, tol)
-        return dataclasses.replace(gd, q=gd.q + (np.eye(w.ambient_dim) - w.projections))
+        return gd._replace(q=gd.q + (np.eye(w.ambient_dim) - w.projections))
 
     monkeypatch.setattr(duality, "generate_fusion_dual", inadmissible)
     entries = {e["name"]: e for e in run_suite("duals", [inst])["checks"]}

@@ -1,5 +1,6 @@
 """Instance specs, generators, and ffv2 round-trips."""
 
+import base64
 import dataclasses
 import re
 import time
@@ -238,3 +239,25 @@ def _reloaded_with_symbol(m):
 def test_generator_and_loader_contracts_raise_contract_violations(call, message):
     with pytest.raises(ContractViolationError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["A" * 22 + "==", "A" * 43 + "=", "AAAA", "AAA", "A===", "AAAA\n", "AA AA", "é", "AA=A", "====", ""],
+)
+def test_ffv2_strings_decode_as_b64decode_validates_them(value):
+    # the reader calls binascii.a2b_base64 in strict mode itself, as
+    # base64.b64decode(value, validate=True) does after its ASCII test
+    try:
+        want = base64.b64decode(value, validate=True)
+    except ValueError as exc:
+        with pytest.raises(ContractViolationError) as got:
+            instances._decode_bytes(value, (None,), "field")
+        assert str(got.value) == f"field: not base64: {exc}"
+    else:
+        if len(want) % 16 == 0 and want:
+            decoded = instances._decode_bytes(value, (None,), "field")
+            assert decoded.tobytes() == want
+        else:
+            with pytest.raises(ContractViolationError, match="bytes are not one or more rows"):
+                instances._decode_bytes(value, (None,), "field")
