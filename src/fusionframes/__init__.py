@@ -10,16 +10,11 @@ from .exceptions import (
     ContractViolationError,
     FusionFrameError,
     NotAFrameError,
-    NotInvertibleError,
     NumericFailureError,
     PreconditionError,
 )
 from .numerics import DEFAULT_TOL, ToleranceConfig
-from .frames import (
-    embed_ordinary,
-    inverse_representation_ordinary,
-    ordinary_multiplier,
-)
+from .frames import ordinary_multiplier
 from .fusion import (
     FusionSequence,
     LocalFrameFamily,
@@ -50,7 +45,6 @@ from .duality import (
 from .multipliers import (
     Symbol,
     assemble_multiplier,
-    condition_c,
     invertible_multiplier_consequences,
     local_frame_equivalence,
     riesz_multiplier_verdict,

@@ -94,7 +94,7 @@ def _invertible_over_frames(inst: Instance, tol: ToleranceConfig) -> bool:
 
 
 def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
-    return _invertible_over_frames(inst, tol) and multipliers.condition_c(inst.symbol).holds
+    return _invertible_over_frames(inst, tol) and inst.symbol.condition_c.holds
 
 
 # --- duals suite -----------------------------------------------------------
@@ -233,7 +233,7 @@ def _run_assembly_routes(inst, rng, tol):
 
 def _run_condition_c_coherence(inst, rng, tol):
     sym = inst.symbol
-    rep = multipliers.condition_c(sym)
+    rep = sym.condition_c
     if not rep.holds:
         residual, detail = 0.0, "two-sided bound does not hold; nothing to certify"
     else:
@@ -317,7 +317,7 @@ def _run_inverse_representation(inst, rng, tol):
     sym, v, w = inst.symbol, inst.v, inst.w
     duals = _sampled_v_duals(inst, tol)
     residuals = multipliers.inverse_representation_residuals(sym, v, w, duals, tol)
-    near = multipliers.condition_c(sym).near_threshold
+    near = sym.condition_c.near_threshold
     return CheckResult(max(residuals), indeterminate=near)
 
 
@@ -331,7 +331,7 @@ def _run_inverse_uniqueness(inst, rng, tol):
         detail = "ker T_W^* is trivial (one full block), so the probe has no direction"
         return CheckResult(shortfall, indeterminate=True, detail=detail)
     detail = f"probe residual {probe:.3e}"
-    near = multipliers.condition_c(sym).near_threshold
+    near = sym.condition_c.near_threshold
     return CheckResult(shortfall, indeterminate=near, detail=detail)
 
 

@@ -15,18 +15,6 @@ class NumericFailureError(FusionFrameError, RuntimeError):
     """A dense factorization failed to converge."""
 
 
-class NotInvertibleError(FusionFrameError, ValueError):
-    """An operator required to be invertible is singular at tolerance.
-
-    Carries ``sigma_min`` (the smallest singular value observed) so callers
-    can report how far from invertible the operator was.
-    """
-
-    def __init__(self, message: str, sigma_min: float = 0.0):
-        super().__init__(message)
-        self.sigma_min = float(sigma_min)
-
-
 class NotAFrameError(FusionFrameError, ValueError):
     """A sequence required to be a frame has no positive lower bound."""
 

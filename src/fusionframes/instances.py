@@ -31,7 +31,7 @@ from .fusion import (
     orthonormal_subspaces,
     subspace_draw,
 )
-from .multipliers import Symbol, condition_c
+from .multipliers import Symbol
 from .numerics import DEFAULT_TOL, INV_REL, by_shape, finite_array, read_only, relative_defect, svd
 
 __all__ = [
@@ -207,7 +207,7 @@ def random_symbol(mode: str, n: int, count: int, rng: np.random.Generator) -> Sy
         m[kill] = 0.0
         return Symbol(m, r)
     # adversarial: push gamma into the indeterminate band around the cutoff
-    delta = condition_c(Symbol(m, r)).delta
+    delta = Symbol(m, r).condition_c.delta
     ratio = INV_REL * float(np.exp(rng.uniform(np.log(1 / 3), np.log(3.0))))
     target = ratio * delta / abs(m[0])
     u, s, vh = svd(r[0])
@@ -301,8 +301,9 @@ def _decode_pairs(value, shape: tuple, field: str) -> np.ndarray:
 
 
 def _decode_bytes(value, shape: tuple, field: str) -> np.ndarray:
-    """The ffv2 complex array of ``shape`` that :func:`_encode` wrote, as an owned
-    native copy; a None axis takes the length the byte count gives, at least 1."""
+    """The ffv2 complex array of ``shape`` that :func:`_encode` wrote, as a read-only
+    complex128 view of the decoded bytes, so holding it takes no copy; a None axis
+    takes the length the byte count gives, at least 1."""
     if type(value) is not str:
         raise ContractViolationError(
             f"{field}: expected a base64 string, got {type(value).__name__}"
@@ -325,7 +326,7 @@ def _decode_bytes(value, shape: tuple, field: str) -> np.ndarray:
         raise ContractViolationError(
             f"{field}: {len(raw)} bytes, expected {fixed} for complex128 shape {shape}"
         )
-    return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
+    return np.frombuffer(raw, dtype="<c16").reshape(shape)
 
 
 _DECODERS = {"ffv1": _decode_pairs, "ffv2": _decode_bytes}
@@ -458,9 +459,10 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
         weights = _floats(obj["weights"], (blocks,), f"{name}.weights")
         sequences.append(_named(f"{name}.weights", FusionSequence, subs, weights))
     w, v = sequences
+    # the symbol scans its own arrays, under the same names
     symbol = Symbol(
-        _finite(decode, doc["symbol"]["m"], (blocks,), "symbol.m"),
-        _finite(decode, doc["symbol"]["r"], (blocks, n, n), "symbol.r"),
+        decode(doc["symbol"]["m"], (blocks,), "symbol.m"),
+        decode(doc["symbol"]["r"], (blocks, n, n), "symbol.r"),
     )
     _check_symbol(symbol, v, w)
     local = None

@@ -30,12 +30,12 @@ The symbol also memoizes, per (V, W) pair, the whole report of
 invertibility against the one cutoff :data:`numerics.INV_REL`, free of any
 tolerance and of the embeddings. ||M|| (also the scale of the
 local-frame lift's gap), ||M||_p and ||M^-1|| = 1 / sigma_min are read from
-it. The symbol bound of :func:`condition_c` reads the same cutoff, so it
+it. The symbol bound :attr:`Symbol.condition_c` reads the same cutoff, so it
 is a tolerance-free fact too. Three more facts are kept on the symbol, each
 formed once: the blocks (m_i R_i)^-1, the
 |m|-scaled sequences (:meth:`Symbol.scaled`, whose cached bounds and K_W
 spectra serve both consequence checks) and, per (V, W) pair, the
-closed-form inverse M^-1 with L and Q_dagger
+closed-form inverse M^-1 with Q_dagger
 (:meth:`Symbol.inverse_closed_form`), the facts per sequence or pair in
 :func:`numerics.memo` tables and every array through :func:`numerics.read_only`.
 The inverse blocks and the closed form each check their own hypothesis when
@@ -106,7 +106,6 @@ from .ovf import (
 __all__ = [
     "Symbol",
     "ConditionCReport",
-    "condition_c",
     "MultiplierReport",
     "assemble_multiplier",
     "norm_bound",
@@ -131,8 +130,8 @@ class Symbol:
     r: np.ndarray
 
     def __post_init__(self):
-        m = finite_array(np.ravel(self.m), 1, "symbol scalars")
-        r = finite_array(self.r, 3, "symbol blocks")
+        m = finite_array(np.ravel(self.m), 1, "symbol.m")
+        r = finite_array(self.r, 3, "symbol.r")
         if r.shape[1] != r.shape[2] or r.shape[1] == 0:
             raise ContractViolationError(f"expected (N, n, n) blocks with n >= 1, got {r.shape}")
         if m.size != r.shape[0]:
@@ -214,7 +213,7 @@ class Symbol:
     @cached_property
     def inverse_blocks(self) -> np.ndarray:
         """Read-only blocks (m_i R_i)^-1 from one batched inv on first use, once the
-        two-sided symbol bound of :func:`condition_c` holds; :class:`PreconditionError`
+        two-sided symbol bound of :attr:`condition_c` holds; :class:`PreconditionError`
         otherwise."""
         report = self.condition_c
         if not report.holds:
@@ -231,13 +230,14 @@ class Symbol:
         return memo(self, "_scaled", f, lambda: scale_weights(f, self.m))
 
     def inverse_closed_form(self, v: FusionSequence, w: FusionSequence) -> tuple:
-        """``(M^-1, L, Q_dagger)`` for the memoized M of (V, W), all read-only, from
+        """``(M^-1, Q_dagger)`` for the memoized M of (V, W), both read-only, from
         one inv on first use per pair, keyed like :func:`assemble_multiplier`, in the
         memo table ``_inverses``, once M is invertible (:class:`PreconditionError`
         otherwise) and W is a frame (:attr:`ovf.OVFrame.frame_operator_inv`).
 
+        Q_dagger_i = w_i P_{W_i} S_W^-1 + conj(m_i) L_i with
         L_i = u_i R_i^* P_{V_i} M^-* - (w_i / conj(m_i)) P_{W_i} S_W^-1, the second
-        term only where m_i != 0, and Q_dagger_i = w_i P_{W_i} S_W^-1 + conj(m_i) L_i.
+        term only where m_i != 0.
         """
 
         def build():
@@ -252,7 +252,7 @@ class Symbol:
             nz = self.m != 0.0
             l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
             q_dagger = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
-            return read_only((m_inv, l_blocks, q_dagger))
+            return read_only((m_inv, q_dagger))
 
         return memo(self, "_inverses", (v, w), build)
 
@@ -272,11 +272,6 @@ class ConditionCReport(NamedTuple):
     semi_normalized: bool
     lower_witness: float
     near_threshold: bool
-
-
-def condition_c(sym: Symbol) -> ConditionCReport:
-    """The report of :attr:`Symbol.condition_c`, formed on first use per symbol."""
-    return sym.condition_c
 
 
 class MultiplierReport(NamedTuple):
@@ -360,7 +355,7 @@ def riesz_multiplier_verdict(
     _check_triple(sym, v, w)
     if not is_riesz_fusion_basis(w, tol):
         raise PreconditionError("the analyzed sequence must be a Riesz fusion basis")
-    cond = condition_c(sym)
+    cond = sym.condition_c
     v_riesz = is_riesz_fusion_basis(v, tol)
     report = assemble_multiplier(sym, v, w)
     actual = report.invertible
@@ -438,7 +433,7 @@ def invertible_multiplier_consequences(
     m_min = float(np.min(np.abs(sym.m)))
     preserved_w = (e_w == e_ws) if m_min > 0.0 else None
     preserved_v = (e_v == e_vs) if m_min > 0.0 else None
-    pair_equal = (e_w == e_v) if condition_c(sym).holds else None
+    pair_equal = (e_w == e_v) if sym.condition_c.holds else None
     return InvertibleMultiplierReport(
         bounds_w=bounds[0],
         bounds_v=bounds[1],
@@ -490,7 +485,7 @@ def _closed_form(
     decided by one batched SVD."""
     _check_triple(sym, v, w)
     inv_blocks = sym.inverse_blocks
-    m_inv, _, q_dagger = sym.inverse_closed_form(v, w)
+    m_inv, q_dagger = sym.inverse_closed_form(v, w)
     gaps, slack = duality_gaps(sampled_duals, v.embedding.analysis), dual_slack(tol)
     if frobenius_screen(gaps, slack) is None and np.any(spectral_norms(gaps) > slack):
         raise ContractViolationError("sampled duals must be duals of {u_i P_{V_i}}")

@@ -96,6 +96,12 @@ def schatten_norm(a, p: float) -> float:
     return spectrum_schatten_norm(singular_values(a), p)
 
 
+def rank_one_frame(phi) -> OVFrame:
+    """The vectors phi_i, rows of a (k, n) array, as the rank-one operator-valued frame
+    whose block i is the analysis functional phi_i^*: a 1 x n block."""
+    return OVFrame(np.asarray(phi).conj()[:, None, :])
+
+
 def canonical_dual_ordinary(phi, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Dual vectors psi_i = pinv(S) phi_i, S = sum_i phi_i phi_i^*, computed within the
     span of phi."""

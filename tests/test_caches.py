@@ -541,7 +541,7 @@ def test_invertible_multiplier_memos_are_read_only_and_small():
     assert sym.scaled(w) is scaled[0] and sym.scaled(v) is scaled[1]
     assert "inverse_blocks" in vars(sym)
     memos = [sym.inverse_blocks, *sym.inverse_closed_form(v, w)]
-    assert sym.inverse_closed_form(v, w)[2] is memos[3]
+    assert len(memos) == 3 and sym.inverse_closed_form(v, w)[1] is memos[2]
     for f in (w, v, *scaled):
         memos += [*f.embedding.analysis_svd, f.synthesis_svals]
     for arr in memos:

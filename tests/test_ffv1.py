@@ -130,6 +130,13 @@ def test_signed_zeros_survive_the_reader():
     assert np.signbit(got.symbol.m[0].imag)
 
 
+def _owner(a):
+    """The object at the end of an array's chain of views."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a
+
+
 def test_ffv1_documents_reload_through_ffv2_bit_for_bit():
     texts = [reference_instance_to_json(inst) for inst in POPULATION] + [_signed_zero_text()]
     for text in texts:
@@ -140,11 +147,13 @@ def test_ffv1_documents_reload_through_ffv2_bit_for_bit():
         _assert_bit_identical(got, want)
         for a in _arrays(got):
             if isinstance(a, np.ndarray) and a.dtype.kind == "c":
-                # held read-only, frozen in place by the loader
+                # held read-only: a view of the decoded bytes, or of a native array
+                # the package built from them (the bases, stacked by shape)
                 assert a.dtype.isnative and not a.flags.writeable
-                while a.base is not None:  # a view of a native copy, not of the bytes
-                    a = a.base
-                assert isinstance(a, np.ndarray) and a.flags.owndata
+                owner = _owner(a)
+                assert isinstance(owner, bytes) or owner.flags.owndata
+        # the symbol holds its decoded arrays without a copy
+        assert all(isinstance(_owner(a), bytes) for a in (got.symbol.m, got.symbol.r))
     # the last text is the signed-zero document
     assert np.signbit(got.symbol.r[0, 0, 0].real) and np.signbit(got.symbol.m[0].imag)
 

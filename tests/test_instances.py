@@ -25,7 +25,7 @@ from fusionframes.instances import (
     random_riesz_bases,
     random_symbol,
 )
-from fusionframes.multipliers import Symbol, condition_c
+from fusionframes.multipliers import Symbol
 from fusionframes.numerics import singular_values
 
 
@@ -89,12 +89,12 @@ def test_zero_dims_force_zero_weight():
 
 def test_symbol_populations(rng):
     holding = random_symbol("random_C_holding", 4, 3, rng)
-    rep = condition_c(holding)
+    rep = holding.condition_c
     assert rep.holds and rep.gamma > 10 * 1e-8 * rep.delta
     failing = random_symbol("random_C_failing", 4, 3, rng)
-    assert condition_c(failing).gamma == 0.0
+    assert failing.condition_c.gamma == 0.0
     near = random_symbol("adversarial", 4, 3, rng)
-    rep = condition_c(near)
+    rep = near.condition_c
     assert rep.near_threshold
 
 

@@ -11,7 +11,6 @@ from fusionframes.instances import Instance
 from fusionframes.multipliers import (
     Symbol,
     assemble_multiplier,
-    condition_c,
     inverse_representation_probe,
     inverse_representation_residuals,
     invertible_multiplier_consequences,
@@ -93,17 +92,17 @@ def test_assemble_dimension_mismatch(diag_pair):
 
 def test_condition_c_examples():
     sym = Symbol([1.0, 0.5], np.array([np.eye(2), 2 * np.eye(2)]))
-    rep = condition_c(sym)
+    rep = sym.condition_c
     assert rep.gamma == pytest.approx(1.0) and rep.delta == pytest.approx(1.0)
     assert rep.holds and rep.semi_normalized and not rep.near_threshold
     assert rep.lower_witness == pytest.approx(0.5)
 
-    zero_entry = condition_c(Symbol([1.0, 0.0], np.array([np.eye(2)] * 2)))
+    zero_entry = Symbol([1.0, 0.0], np.array([np.eye(2)] * 2)).condition_c
     assert zero_entry.gamma == 0.0 and not zero_entry.holds
 
-    singular = condition_c(
-        Symbol([1.0, 1.0], np.array([np.eye(2), np.diag([1.0, 0.0]).astype(complex)]))
-    )
+    singular = Symbol(
+        [1.0, 1.0], np.array([np.eye(2), np.diag([1.0, 0.0]).astype(complex)])
+    ).condition_c
     assert not singular.holds
 
 
@@ -111,13 +110,12 @@ def test_condition_c_is_formed_once_per_symbol(monkeypatch):
     # a fact of the symbol alone, like its singular values: the second read takes
     # no SVD and returns the same report
     sym = Symbol([1.0, 0.5j], np.array([np.eye(2), np.diag([2.0, 1.0]).astype(complex)]))
-    first = condition_c(sym)
+    first = sym.condition_c
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
-    assert condition_c(sym) is condition_c(sym) is first
     assert sym.condition_c is first and calls == []
     with pytest.raises(ContractViolationError):
-        condition_c(Symbol(np.zeros(0), np.zeros((0, 2, 2))))
+        Symbol(np.zeros(0), np.zeros((0, 2, 2))).condition_c
 
 
 def test_condition_c_semi_normalization_witness(rng):
@@ -125,7 +123,7 @@ def test_condition_c_semi_normalization_witness(rng):
 
     for _ in range(20):
         sym = random_symbol("random_C_holding", 3, 4, rng)
-        rep = condition_c(sym)
+        rep = sym.condition_c
         assert rep.holds
         assert rep.semi_normalized
         assert np.min(np.abs(sym.m)) >= rep.lower_witness * (1 - 1e-12)
@@ -282,9 +280,8 @@ def test_inverse_representation_identity_case(diag_pair, rng):
     duals = _sampled_duals(diag_pair, rng)
     sym = Symbol.identity(2, 2)
     residuals = inverse_representation_residuals(sym, diag_pair, diag_pair, duals)
-    _, l_blocks, q_dagger = sym.inverse_closed_form(diag_pair, diag_pair)
-    assert spectral_norm(l_blocks[0]) <= 1e-13
-    assert spectral_norm(l_blocks[1]) <= 1e-13
+    # m = 1, so L = 0 exactly when Q_dagger_i = w_i P_{W_i} S_W^-1
+    _, q_dagger = sym.inverse_closed_form(diag_pair, diag_pair)
     s_inv = np.diag([1.0, 0.25])
     np.testing.assert_allclose(q_dagger[0], np.diag([1.0, 0.0]) @ s_inv, atol=1e-13)
     np.testing.assert_allclose(q_dagger[1], 2 * np.diag([0.0, 1.0]) @ s_inv, atol=1e-13)
@@ -472,7 +469,7 @@ def _one_block_local_family():
          "2 scalars but 3 operator blocks"),
         (lambda: Symbol(np.array([1.0, 0.0]), np.array([np.eye(2)] * 2)).inverse_blocks,
          PreconditionError, "blockwise inversion requires the two-sided symbol bound"),
-        (lambda: condition_c(Symbol(np.ones(0), np.ones((0, 2, 2)))), ContractViolationError,
+        (lambda: Symbol(np.ones(0), np.ones((0, 2, 2))).condition_c, ContractViolationError,
          "empty symbol"),
         # on the crossed pair sum_i P_{V_i} P_{W_i} = 0 although the identity symbol holds C
         (lambda: inverse_representation_residuals(

@@ -10,12 +10,12 @@ from conftest import (
     dual_family_residuals,
     random_fusion_frame,
     random_ov_frame,
+    rank_one_frame,
     rank_tol,
     reference_dual_perturbations,
 )
 from fusionframes import ovf
 from fusionframes.exceptions import ContractViolationError, NotAFrameError
-from fusionframes.frames import embed_ordinary
 from fusionframes.fusion import FusionSequence, Subspace, random_subspace
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from fusionframes.ovf import (
@@ -40,7 +40,7 @@ class _ZeroNormal:
 def test_analysis_stacking(diag_pair):
     single = OVFrame(np.eye(2)[None])
     np.testing.assert_allclose(single.analysis, np.eye(2))
-    emb = embed_ordinary(np.eye(2))
+    emb = rank_one_frame(np.eye(2))
     np.testing.assert_allclose(emb.analysis, np.eye(2))
     zeros = OVFrame(np.zeros((2, 2, 2)))
     np.testing.assert_allclose(zeros.analysis, np.zeros((4, 2)))
@@ -51,7 +51,7 @@ def test_frame_operator_bounds(diag_pair):
     np.testing.assert_allclose(a.frame_operator, np.diag([1.0, 4.0]))
     assert a.frame_bounds == pytest.approx((1.0, 4.0))
     assert OVFrame(np.eye(2)[None]).frame_bounds == pytest.approx((1.0, 1.0))
-    row = embed_ordinary(np.array([[1.0, 0.0]]))
+    row = rank_one_frame(np.array([[1.0, 0.0]]))
     assert row.frame_bounds[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -74,9 +74,9 @@ def test_embeddings_preserve_bounds(rng):
     vecs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     phi = vecs
     ev = np.linalg.eigvalsh(vecs.T @ vecs.conj())
-    assert embed_ordinary(phi).frame_bounds == pytest.approx((ev[0], ev[-1]), rel=1e-12)
+    assert rank_one_frame(phi).frame_bounds == pytest.approx((ev[0], ev[-1]), rel=1e-12)
     np.testing.assert_allclose(
-        embed_ordinary(np.array([[2.0, 0.0]])).frame_operator,
+        rank_one_frame(np.array([[2.0, 0.0]])).frame_operator,
         np.diag([4.0, 0.0]),
     )
     f = random_fusion_frame(4, 3, rng)
@@ -97,13 +97,13 @@ def test_embed_fusion_blocks(diag_pair):
 
 
 def test_canonical_dual_examples(diag_pair):
-    onb = embed_ordinary(np.eye(2))
+    onb = rank_one_frame(np.eye(2))
     np.testing.assert_allclose(onb.canonical_analysis, np.eye(2), atol=1e-14)
     a = diag_pair.embedding
     blocks = a.canonical_analysis.reshape(2, 2, 2)
     np.testing.assert_allclose(blocks[0], np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
-    deficient = embed_ordinary(np.array([[1.0, 0.0]]))
+    deficient = rank_one_frame(np.array([[1.0, 0.0]]))
     with pytest.raises(NotAFrameError):
         deficient.canonical_analysis
 
@@ -175,12 +175,12 @@ def test_dual_span_examples(diag_pair):
     single = OVFrame(np.eye(3)[None])
     assert dual_span_dimension(single) == 3
     assert dual_span_dimension(diag_pair.embedding) == 4
-    assert dual_span_dimension(embed_ordinary(np.eye(2))) == 2
+    assert dual_span_dimension(rank_one_frame(np.eye(2))) == 2
 
 
 def test_null_certificate_examples(diag_pair):
     assert null_bessel_certificate(diag_pair.embedding) == 0
-    assert null_bessel_certificate(embed_ordinary(np.eye(2))) == 0
+    assert null_bessel_certificate(rank_one_frame(np.eye(2))) == 0
 
 
 def test_dual_family_population(rng):
@@ -256,7 +256,7 @@ def _structured_frames():
         coordinate_decomposition(2, [1.0, 2.0]).embedding,
         coordinate_decomposition(3, [1.0, 0.5, 2.0]).embedding,
         FusionSequence((Subspace.full(2), Subspace.zero(2)), np.array([1.0, 0.0])).embedding,
-        embed_ordinary(np.eye(3)),
+        rank_one_frame(np.eye(3)),
     ]
 
 
@@ -382,18 +382,18 @@ def test_sampled_duals_match_per_dual_loop(rng):
 
 
 def test_sampled_ordinary_duals_match_per_dual_loop(rng):
+    # codomain k = 1: the frame of vectors phi_i, one analysis functional per block
     from conftest import reference_sampled_duals
-    from fusionframes.frames import sample_ordinary_duals
 
     for _ in range(20):
         n = int(rng.integers(1, 5))
         phi = rng.standard_normal((n + int(rng.integers(0, 4)), n)) + 0j
+        a = rank_one_frame(phi)
         seed = int(rng.integers(2**32))
-        got = sample_ordinary_duals(phi, 5, np.random.default_rng(seed))
-        want = reference_sampled_duals(
-            embed_ordinary(phi), 4, np.random.default_rng(seed), DEFAULT_TOL, canonical=True
-        )
-        assert [d.tobytes() for d in got] == [a.conj().tobytes() for _, a in want]
+        got = ovf.canonical_and_sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
+        want = reference_sampled_duals(a, 4, np.random.default_rng(seed), DEFAULT_TOL, canonical=True)
+        assert got.shape == (5, *a.analysis.shape)
+        assert [d.tobytes() for d in got] == [analysis.tobytes() for _, analysis in want]
 
 
 def test_sampled_duals_share_one_projector(monkeypatch, diag_pair, rng):

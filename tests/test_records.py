@@ -165,6 +165,25 @@ def test_a_loaded_local_family_is_scanned_once(monkeypatch):
     assert not any(name.startswith("local") for name in scans)
 
 
+def test_a_loaded_symbol_is_scanned_once_and_held_without_a_copy(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    decoded = {}
+    decode = instances._DECODERS["ffv2"]
+
+    def recorded(value, shape, field):
+        decoded[field] = decode(value, shape, field)
+        return decoded[field]
+
+    monkeypatch.setitem(instances._DECODERS, "ffv2", recorded)
+    inst = load_instance(GOLDEN_LOCAL)
+    assert scans["symbol.m"] == scans["symbol.r"] == 1
+    assert "symbol scalars" not in scans and "symbol blocks" not in scans
+    # the symbol holds the read-only complex128 arrays the reader decoded
+    for name in ("m", "r"):
+        held = getattr(inst.symbol, name)
+        assert not held.flags.writeable and np.shares_memory(held, decoded[f"symbol.{name}"])
+
+
 def test_the_negative_control_swaps_frames_without_a_scan(monkeypatch):
     inst = load_instance(GOLDEN_LOCAL)
     swapped = []

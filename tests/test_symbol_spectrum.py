@@ -34,7 +34,6 @@ from fusionframes.instances import (
 from fusionframes.multipliers import (
     Symbol,
     assemble_multiplier,
-    condition_c,
     inverse_representation_probe,
     inverse_representation_residuals,
     schatten_checks,
@@ -84,7 +83,7 @@ def test_svals_read_only_and_computed_once(monkeypatch, rng):
     with pytest.raises(ValueError):
         s[0, 0] = 0.0
     sym.r_sup
-    condition_c(sym)
+    sym.condition_c
     assert sym.svals is s
     assert shapes == [(4, 3, 3)]
 
@@ -167,7 +166,7 @@ def test_spectrum_readers_match_per_block_loops(rng):
     assert any(s.dim == 1 for s in syms) and any(s.count == 1 for s in syms)
     for sym in syms:
         assert sym.r_sup == reference_r_sup(sym)
-        rep = condition_c(sym)
+        rep = sym.condition_c
         assert (rep.gamma, rep.delta) == reference_condition_c_constants(sym)
         assert np.array_equal(sym.blocks, [sym.m[i] * sym.r[i] for i in range(sym.count)])
         assert sym.block_sval_defect == reference_block_scaling_defect(sym)
@@ -196,7 +195,7 @@ def test_schatten_checks_match_three_svd_reference(rng):
 def test_coherence_check_matches_per_block_loop(rng):
     compared = 0
     for sym in _symbol_population(rng):
-        rep = condition_c(sym)
+        rep = sym.condition_c
         if not rep.holds:
             continue
         v, w = _sequence(sym.dim, sym.count, rng), _sequence(sym.dim, sym.count, rng)
@@ -244,7 +243,7 @@ def test_representation_residuals_match_block_loop(rng):
         seed = int(rng.integers(2**32))
         representation = inverse_representation_residuals(sym, v, w, duals)[1]
         probe = inverse_representation_probe(sym, v, w, duals, rng=np.random.default_rng(seed))
-        stacked_q = sym.inverse_closed_form(v, w)[2].reshape(count * n, n)
+        stacked_q = sym.inverse_closed_form(v, w)[1].reshape(count * n, n)
         inv_blocks = reference_inverse_symbol_blocks(sym)
         m_inv = np.linalg.inv(assemble_multiplier(sym, v, w).matrix)
         want = reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n)
@@ -263,9 +262,9 @@ def test_near_cutoff_symbol_makes_inverse_representation_indeterminate(rng):
     v = random_fusion_frame(n, count, rng)
     w = random_fusion_frame(n, count, rng, dims=v.dims)
     syms = (random_symbol("adversarial", n, count, rng) for _ in range(100))
-    sym = next(s for s in syms if condition_c(s).holds and assemble_multiplier(s, v, w).invertible)
+    sym = next(s for s in syms if s.condition_c.holds and assemble_multiplier(s, v, w).invertible)
     inst = Instance(seed=0, symbol_mode="adversarial", w=w, v=v, symbol=sym)
-    assert condition_c(sym).near_threshold
+    assert sym.condition_c.near_threshold
     for name in ("inverse_multiplier_dual", "inverse_multiplier_uniqueness"):
         check = checks.CHECKS[name]
         assert check.applies(inst, DEFAULT_TOL)
