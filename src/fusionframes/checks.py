@@ -26,9 +26,9 @@ from . import duality, multipliers, ovf
 from .exceptions import ContractViolationError, FusionFrameError
 from .fusion import (
     FusionSequence,
+    _trusted,
     block_deviation,
     block_sum,
-    _held_local,
     build_local_frames,
     random_subspace,
 )
@@ -101,8 +101,7 @@ def _c_holding_invertible(inst: Instance, tol: ToleranceConfig) -> bool:
 
 
 def _run_canonical_dual(inst, rng, tol):
-    a = inst.w.embedding
-    return CheckResult(float(ovf.duality_defects(a.canonical_analysis[None], a.analysis)[0]))
+    return CheckResult(inst.w.embedding.canonical_defect)
 
 
 def _run_sampled_duals(inst, rng, tol):
@@ -372,7 +371,8 @@ def _run_local_equivalence(inst, rng, tol):
 def _run_local_negative(inst, rng, tol):
     family = build_local_frames(inst.w, 1 + int(rng.integers(0, 3)), rng)
     # the swapped family holds the same frozen frames, so it is held without a scan
-    broken = _held_local(family.frames, family.frames, family.redundancy, family.alpha, family.beta)
+    frames, rest = family.frames, (family.redundancy, family.alpha, family.beta)
+    broken = _trusted(type(family), frames, frames, *rest)
     residual = multipliers.local_frame_equivalence(inst.symbol, inst.v, inst.w, broken)
     shortfall = max(0.0, (1e-3 - residual) / 1e-3)
     # Only live blocks, u_i w_i > 0, enter M = T_V^* D T_W, D acting as m_i R_i

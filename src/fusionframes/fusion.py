@@ -26,7 +26,8 @@ sum_i c_i P_{V_i} X_i P_{W_i} (dual composites and multipliers) from the
 projection stacks and an (N, n, n) stack of the X_i.
 
 Bases of one shape are tested, and local frames of one dimension factored, as
-one stack from :func:`numerics.by_shape`.
+one stack from :func:`numerics.by_shape`; what the package builds is held by
+:func:`_trusted` without a test where its rules hold by construction.
 
 Two coefficient spaces appear throughout:
 
@@ -50,6 +51,7 @@ from .numerics import (
     ToleranceConfig,
     as_matrix,
     by_shape,
+    memo,
     owned,
     read_only,
     relative_defect,
@@ -128,28 +130,33 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _held(basis: np.ndarray) -> Subspace:
-    """A Subspace on ``basis``, frozen in place: a finite complex128 matrix the package
-    built, which has already passed the orthonormality rule, held without a second test."""
-    sub = object.__new__(Subspace)
-    object.__setattr__(sub, "basis", read_only(basis))
-    return sub
+def _trusted(cls, *values):
+    """A ``cls`` on ``values`` in field order, arrays (also in tuples) frozen in place and
+    ``__post_init__`` not run: the one path for a holder the package built whose rules
+    hold by construction. QR and SVD factors are orthonormal to O(n u) (Higham, 19.3)."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    return obj
 
 
-def _subspaces_by_shape(mats, per_shape, names=None) -> tuple:
-    """One Subspace per matrix of ``mats``, with each shape's matrices handled as one
-    (k, n, d) stack from :func:`numerics.by_shape`: ``per_shape`` maps it to the
-    stack of their bases, which then passes the orthonormality rule once. A failure raises ContractViolationError
-    naming the first faulty matrix in list order by ``names[i]`` (default
-    ``basis i``), as non-finite if it has a NaN or infinite entry."""
-    subs = [None] * len(mats)
-    faulty = np.zeros(len(mats), dtype=bool)
-    for idx, stack in by_shape(mats):
+def orthonormal_subspaces(bases, names=None) -> tuple:
+    """One :class:`Subspace` per n x d complex128 matrix of ``bases``, any mix of shapes,
+    under the rules of :class:`Subspace` applied once to the stack of each shape from
+    :func:`numerics.by_shape`, each basis then held as a row of its stack. A failure
+    raises ContractViolationError naming the first faulty matrix in list order by
+    ``names[i]`` (default ``basis i``), as non-finite if it has a NaN or Inf entry."""
+    bases = list(bases)
+    subs = [None] * len(bases)
+    faulty = np.zeros(len(bases), dtype=bool)
+    for idx, stack in by_shape(bases):
         if stack.shape[-1]:  # an empty basis has nothing to test
-            stack = per_shape(stack)
             faulty[idx] = _orthonormality_faults(stack)
         for i, b in zip(idx, stack):
-            subs[i] = _held(b)
+            subs[i] = _trusted(Subspace, b)
     if faulty.any():
         i = int(np.argmax(faulty))
         name = f"basis {i}" if names is None else names[i]
@@ -160,22 +167,11 @@ def _subspaces_by_shape(mats, per_shape, names=None) -> tuple:
     return tuple(subs)
 
 
-def orthonormal_subspaces(bases, names=None) -> tuple:
-    """One :class:`Subspace` per n x d complex128 matrix of ``bases``, any mix of shapes,
-    under the rules of :class:`Subspace` (finite entries, orthonormal columns) applied
-    once per distinct shape to the stack of the matrices of that shape, not once per
-    matrix. A failure names the first faulty matrix in list order by ``names[i]``
-    (default ``basis i``)."""
-    return _subspaces_by_shape(list(bases), lambda stack: stack, names)
-
-
 def leading_subspaces(stack: np.ndarray, ranks) -> tuple:
     """The subspace spanned by the first ``ranks[i]`` columns of matrix i of a (k, n, m)
-    stack, for each i. The orthonormality rule runs once, as by
-    :func:`orthonormal_subspaces`, on the whole stack; each leading block, whose Gram
-    matrix is a leading block of its matrix's, is held without a second test."""
-    whole = orthonormal_subspaces(stack)
-    return tuple(_held(sub.basis[:, :r]) for sub, r in zip(whole, ranks))
+    stack of U factors of :func:`numerics.svd`, whose operand passed its finiteness scan,
+    held without a test: each leading block of a U has orthonormal columns."""
+    return tuple(_trusted(Subspace, u[:, :r]) for u, r in zip(stack, ranks))
 
 
 def subspace_draw(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,10 +195,14 @@ def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
 def haar_subspaces(draws) -> tuple:
     """The Haar-random subspaces spanned by :func:`subspace_draw` draws of any mix of
     dimensions: one phase-fixed QR per distinct dimension, which makes each draw
-    unitarily invariant, and the bases then tested as by
-    :func:`orthonormal_subspaces`. Each basis is bit for bit the one the draw would
-    give alone, since a stacked QR runs the same LAPACK routine on every matrix."""
-    return _subspaces_by_shape(list(draws), _phase_fixed_q)
+    unitarily invariant, and each Q held without a test, bit for bit the one the draw
+    would give alone, since a stacked QR runs the same LAPACK routine on every matrix."""
+    draws = list(draws)
+    subs = [None] * len(draws)
+    for idx, g in by_shape(draws):
+        for i, b in zip(idx, _phase_fixed_q(g) if g.shape[-1] else g):
+            subs[i] = _trusted(Subspace, b)
+    return tuple(subs)
 
 
 def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
@@ -218,12 +218,12 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
 def orthogonal_split(unitary: Subspace, dims) -> tuple:
     """Mutually orthogonal subspaces of C^n of the given dims, spanned by consecutive
     column blocks of the n x n ``unitary``; each block, whose Gram matrix is a
-    diagonal block of the unitary's, is held without a second test."""
+    diagonal block of the unitary's, is held without a test."""
     n = unitary.ambient_dim
     if sum(dims) != n or any(d < 0 for d in dims):
         raise ContractViolationError(f"dims {tuple(dims)} must be non-negative and sum to {n}")
     stops = np.cumsum(dims)
-    return tuple(_held(unitary.basis[:, stop - d : stop]) for d, stop in zip(dims, stops))
+    return tuple(_trusted(Subspace, unitary.basis[:, stop - d : stop]) for d, stop in zip(dims, stops))
 
 
 def projection(w: Subspace) -> np.ndarray:
@@ -270,15 +270,16 @@ class FusionSequence:
             raise ContractViolationError(
                 "weights too large: sum_i w_i^2, the scale of the frame operator, overflows"
             )
-        n = subs[0].ambient_dim
-        for i, (sub, wt) in enumerate(zip(subs, wts)):
-            if sub.ambient_dim != n:
+        ambient, dims = np.array([s.basis.shape for s in subs]).T
+        bad = (ambient != ambient[0]) | ((dims == 0) != (wts == 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if ambient[i] != ambient[0]:
                 raise ContractViolationError("subspaces live in different ambient spaces")
-            if (sub.dim == 0) != (wt == 0.0):
-                raise ContractViolationError(
-                    f"block {i}: zero subspace and zero weight must coincide "
-                    f"(dim={sub.dim}, weight={wt})"
-                )
+            raise ContractViolationError(
+                f"block {i}: zero subspace and zero weight must coincide "
+                f"(dim={dims[i]}, weight={wts[i]})"
+            )
 
     @property
     def ambient_dim(self) -> int:
@@ -299,8 +300,9 @@ class FusionSequence:
 
     @cached_property
     def embedding(self) -> OVFrame:
-        """The B(C^n)-valued frame with read-only blocks w_i P_i, built on first use."""
-        return OVFrame(read_only(self.weights[:, None, None] * self.projections))
+        """The B(C^n)-valued frame {w_i P_i}, built on first use; its blocks, finite for
+        finite weights, are held without a scan."""
+        return _trusted(OVFrame, self.weights[:, None, None] * self.projections)
 
     @cached_property
     def synthesis_svals(self) -> np.ndarray:
@@ -336,9 +338,13 @@ def sandwich(v: FusionSequence, w: FusionSequence, coeffs, middle) -> np.ndarray
 
 
 def block_deviation(f: FusionSequence, g: FusionSequence) -> float:
-    """max_i ||w_i P_i - w'_i P'_i||, the largest blockwise distance of two sequences."""
+    """max_i ||w_i P_i - w'_i P'_i||, kept in ``g``'s memo table ``_deviations`` keyed
+    by ``f``, so a copy drawn from ``f`` carries its distance and ``f`` holds none."""
     check_pairing(f, g)
-    return float(spectral_norms(f.embedding.blocks - g.embedding.blocks).max())
+    if f is g:  # each block minus itself is exactly 0; a self key would be a cycle
+        return 0.0
+    blocks = f.embedding.blocks, g.embedding.blocks
+    return memo(g, "_deviations", f, lambda: float(spectral_norms(blocks[0] - blocks[1]).max()))
 
 
 def fusion_synthesis_kw(f: FusionSequence) -> np.ndarray:
@@ -399,8 +405,8 @@ class LocalFrameFamily:
     sup beta_i over the nonzero blocks. Equality and hashing are by identity.
 
     Constructed here, every array is scanned for finiteness; a family the package
-    builds from arrays it has already scanned (:func:`build_local_frames`, a loaded
-    instance) is held through :func:`_held_local` without that second scan.
+    builds (:func:`build_local_frames`, a loaded instance once scanned, the negative
+    control's swap) is held through :func:`_trusted` without that scan.
     """
 
     frames: tuple
@@ -413,18 +419,6 @@ class LocalFrameFamily:
         for name in ("frames", "duals"):
             held = tuple(None if a is None else owned(as_matrix(a)) for a in getattr(self, name))
             object.__setattr__(self, name, held)
-
-
-def _held_local(frames, duals, redundancy: int, alpha: float, beta: float) -> LocalFrameFamily:
-    """A LocalFrameFamily on ``frames`` and ``duals``, each array frozen in place: finite
-    complex128 matrices the package built or has already scanned, held without a
-    second scan."""
-    family = object.__new__(LocalFrameFamily)
-    values = (tuple(frames), tuple(duals), redundancy, alpha, beta)
-    for field, value in zip(("frames", "duals", "redundancy", "alpha", "beta"), values):
-        object.__setattr__(family, field, value)
-    read_only(tuple(a for a in family.frames + family.duals if a is not None))
-    return family
 
 
 def build_local_frames(
@@ -476,4 +470,4 @@ def build_local_frames(
             frames[i], duals[i] = frame.T, dual.T
     if not np.isfinite(alpha):
         alpha = 0.0
-    return _held_local(frames, duals, redundancy, alpha, beta)
+    return _trusted(LocalFrameFamily, tuple(frames), tuple(duals), redundancy, alpha, beta)

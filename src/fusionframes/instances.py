@@ -23,7 +23,7 @@ from .fusion import (
     FusionSequence,
     LocalFrameFamily,
     Subspace,
-    _held_local,
+    _trusted,
     build_local_frames,
     frame_operator_fits,
     haar_subspaces,
@@ -122,13 +122,14 @@ def random_partition(n: int, count: int, rng: np.random.Generator) -> tuple:
 
 def _random_sequence(n, dims, weight_range, rng) -> FusionSequence:
     """Each block's subspace draw, then its weight, in block order; the draws are
-    orthonormalized together by :func:`fusion.haar_subspaces`."""
+    orthonormalized together by :func:`fusion.haar_subspaces`, and the sequence, whose
+    rules a validated :class:`InstanceSpec` fixes, is held without a test."""
     lo, hi = weight_range
     draws, weights = [], []
     for d in dims:
         draws.append(subspace_draw(n, d, rng))
         weights.append(float(rng.uniform(lo, hi)) if d > 0 else 0.0)
-    return FusionSequence(haar_subspaces(draws), np.asarray(weights))
+    return _trusted(FusionSequence, haar_subspaces(draws), np.asarray(weights))
 
 
 def random_spanning_dims(n: int, count: int, rng: np.random.Generator) -> tuple:
@@ -140,17 +141,17 @@ def random_spanning_dims(n: int, count: int, rng: np.random.Generator) -> tuple:
 
 
 def random_riesz_bases(n: int, rng: np.random.Generator, dims: tuple, count: int) -> tuple:
-    """``count`` fusion Riesz bases, each a Haar unitary partitioned into blocks of
-    ``dims``, with weights uniform in [0.5, 2]: per basis its draw, then its weights;
-    the draws are orthonormalized together by :func:`fusion.haar_subspaces`."""
-    if sum(dims) != n or any(d <= 0 for d in dims):
+    """``count`` fusion Riesz bases, each a Haar unitary split into blocks of ``dims``
+    and held without a test, with weights uniform in [0.5, 2]: per basis its draw, then
+    its weights; the draws are orthonormalized together by :func:`fusion.haar_subspaces`."""
+    if not dims or sum(dims) != n or any(d <= 0 for d in dims):
         raise ContractViolationError("Riesz dims must be positive and sum to n")
     draws, weights = [], []
     for _ in range(count):
         draws.append(subspace_draw(n, n, rng))
         weights.append(rng.uniform(0.5, 2.0, len(dims)))
     return tuple(
-        FusionSequence(orthogonal_split(unitary, dims), wts)
+        _trusted(FusionSequence, orthogonal_split(unitary, dims), wts)
         for unitary, wts in zip(haar_subspaces(draws), weights)
     )
 
@@ -488,7 +489,7 @@ def _instance_from_doc(doc: dict, decode) -> Instance:
                 f"local.alpha, local.beta must satisfy 0 < alpha <= beta, got {alpha!r}, {beta!r}"
             )
         # every array was scanned once by _finite above
-        local = _held_local(frames, duals, redundancy, alpha, beta)
+        local = _trusted(LocalFrameFamily, tuple(frames), tuple(duals), redundancy, alpha, beta)
     return Instance(seed, mode, w, v, symbol, local=local)
 
 

@@ -1,16 +1,16 @@
 """Dense complex linear algebra with a single shared tolerance policy.
 
-Every matrix in the package is a numpy ``complex128`` array, coerced and
-checked for finiteness by :func:`finite_array`. Every SVD in the package, of
-one matrix or of an (m, r, c) stack, goes through :func:`svd` or
-:func:`singular_values`, which take either and report non-convergence as
-:class:`NumericFailureError`; so does the ``eigvalsh`` of :func:`eig_extremes`.
-Each SVD operand passes :func:`finite_array` first: LAPACK's SVD raises on a NaN
-but may never return on an infinite entry, so an overflowed operand must end
-in :class:`ContractViolationError` before it, not in a hang. A guard that only
-compares spectral norms with a threshold first tries :func:`frobenius_screen`,
-which passes a stack on certified Frobenius bounds at :data:`SCREEN_MARGIN` of the
-threshold and takes no SVD; only a stack it leaves undecided takes the SVD.
+Every matrix in the package is a numpy ``complex128`` array, coerced and checked for
+finiteness by :func:`finite_array` unless built finite (``fusion._trusted``). Every
+SVD in the package, of one matrix or of an (m, r, c) stack, goes through :func:`svd`
+or :func:`singular_values`, which take either and report non-convergence as
+:class:`NumericFailureError`; so does the ``eigvalsh`` of :func:`eig_extremes`. Each
+SVD operand passes :func:`finite_array` first: LAPACK's SVD raises on a NaN but may
+never return on an infinite entry, so an overflowed operand must end in
+:class:`ContractViolationError` before it, not in a hang. A guard that only compares
+spectral norms with a threshold first tries :func:`frobenius_screen`, which passes a
+stack on certified Frobenius bounds at :data:`SCREEN_MARGIN` of the threshold and
+takes no SVD; only a stack it leaves undecided takes the SVD.
 All rank and equality decisions route through one :class:`ToleranceConfig`
 so that no two checks can disagree about what counts as zero, and every
 relative residual and every ``eq_rel`` test takes its comparison scale from
@@ -19,10 +19,10 @@ operator, a symbol block or a multiplier, goes through the one constant
 :data:`INV_REL` (:func:`clears_inv_cutoff`); an inverse is taken only where
 the caller has already applied that cutoff to the same singular values.
 
-Every cached fact is frozen by :func:`read_only`, every array a frame, sequence,
-symbol, subspace, candidate or local-frame family is handed is held by :func:`owned`,
-every memo table by :func:`memo`, and matrices of one shape go to LAPACK as one
-stack grouped by :func:`by_shape`.
+Every cached fact is frozen by :func:`read_only`, every array handed to the public
+constructor of a frame, sequence, symbol, subspace, candidate or local-frame family
+is held by :func:`owned`, every memo table by :func:`memo`, and matrices of one
+shape go to LAPACK as one stack grouped by :func:`by_shape`.
 """
 
 from __future__ import annotations

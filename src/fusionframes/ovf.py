@@ -131,9 +131,9 @@ class OVFrame:
     def domain_dim(self) -> int:
         return self.blocks.shape[2]
 
-    @property
+    @cached_property
     def analysis(self) -> np.ndarray:
-        """The (N*k) x n stacked analysis T_A, a view of the blocks."""
+        """The (N*k) x n stacked analysis T_A, one view of the blocks for every read."""
         n_blocks, k, n = self.blocks.shape
         return self.blocks.reshape(n_blocks * k, n)
 
@@ -165,6 +165,11 @@ class OVFrame:
         """Read-only T_A S_A^-1, the canonical dual's analysis, from the cached
         inverse on first use, so behind the same frame test."""
         return read_only(self.analysis @ self.frame_operator_inv)
+
+    @cached_property
+    def canonical_defect(self) -> float:
+        """||(T_A S_A^-1)^* T_A - I||, the canonical dual's defect on T_A, from one SVD."""
+        return float(duality_defects(self.canonical_analysis[None], self.analysis)[0])
 
     @cached_property
     def analysis_svd(self) -> tuple:
@@ -378,7 +383,7 @@ def sweep_dual_family(a: OVFrame, t_prime, threshold: float, tol: ToleranceConfi
             f"second analysis operator must have shape {t.shape}, got {t_prime.shape}"
         )
     rows, cols = t.shape
-    base = float(duality_defects(t_dual[None], t_prime)[0])
+    base = a.canonical_defect if t_prime is t else float(duality_defects(t_dual[None], t_prime)[0])
     if base > threshold:
         return _family_member(a, None, 0, tol), base, 1
     q = range_basis(a, tol)
