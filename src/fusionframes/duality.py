@@ -15,7 +15,7 @@ S^-1-weighted reconstruction, constructs duals from an invertible
 target operator and a stacked L with L^* T_W,w = 0 (such as one drawn by
 :func:`ovf.kernel_samples`), and searches the operator-valued dual family for
 a dual that separates two fusion frames. The composite for Q is formed only by
-:func:`kpp_dual_check`: the generator returns V, Q, its operators and ||U||,
+:func:`kpp_dual_check`: the generator returns V, Q and ||U||,
 and a generated dual is verified by that check. Admissibility and the verdict
 take only the SVDs a decision reads: :func:`is_admissible` returns a bool and
 stops at the first condition that fails, and a :class:`DualVerdict` takes
@@ -215,7 +215,6 @@ class GeneratedDual(NamedTuple):
 
     v: FusionSequence
     q: np.ndarray
-    operators: np.ndarray
     u_norm: float
 
 
@@ -258,7 +257,7 @@ def generate_fusion_dual(
     norms = np.where(live, ss[:, 0], 0.0)
     q_blocks = np.zeros_like(ops)
     q_blocks[live] = ops[live] / norms[live, None, None]
-    return GeneratedDual(v=FusionSequence(subs, norms), q=q_blocks, operators=ops, u_norm=u_norm)
+    return GeneratedDual(v=FusionSequence(subs, norms), q=q_blocks, u_norm=u_norm)
 
 
 def fusion_dual_to_ovf(v: FusionSequence, q_blocks) -> OVFrame:

@@ -31,13 +31,12 @@ invertibility against the one cutoff :data:`numerics.INV_REL`, free of any
 tolerance and of the embeddings. ||M|| (also the scale of the
 local-frame lift's gap), ||M||_p and ||M^-1|| = 1 / sigma_min are read from
 it. The symbol bound :attr:`Symbol.condition_c` reads the same cutoff, so it
-is a tolerance-free fact too. Three more facts are kept on the symbol, each
-formed once: the blocks (m_i R_i)^-1, the
-|m|-scaled sequences (:meth:`Symbol.scaled`, whose cached bounds and K_W
-spectra serve both consequence checks) and, per (V, W) pair, the
-closed-form inverse M^-1 with Q_dagger
-(:meth:`Symbol.inverse_closed_form`), the facts per sequence or pair in
-:func:`numerics.memo` tables and every array through :func:`numerics.read_only`.
+is a tolerance-free fact too. Two more facts are kept on the symbol, each
+formed once: the blocks (m_i R_i)^-1 and, per (V, W) pair, the closed-form
+inverse M^-1 with Q_dagger (:meth:`Symbol.inverse_closed_form`), the latter in a
+:func:`numerics.memo` table and every array through :func:`numerics.read_only`.
+The |m|-scaled sequences of :func:`invertible_multiplier_consequences` are not
+kept: each call builds them again, so no scaled copy of V or W outlives it.
 The inverse blocks and the closed form each check their own hypothesis when
 built, and a build that fails caches nothing: the blocks raise
 :class:`PreconditionError` unless the symbol bound holds, and the closed form
@@ -223,12 +222,6 @@ class Symbol:
             )
         return read_only(np.linalg.inv(self.blocks))
 
-    def scaled(self, f: FusionSequence) -> FusionSequence:
-        """The sequence with weights |m_i| f_i, built on first use per sequence, keyed
-        by its identity, in the memo table ``_scaled``, so its own cached facts serve
-        every later caller."""
-        return memo(self, "_scaled", f, lambda: scale_weights(f, self.m))
-
     def inverse_closed_form(self, v: FusionSequence, w: FusionSequence) -> tuple:
         """``(M^-1, Q_dagger)`` for the memoized M of (V, W), both read-only, from
         one inv on first use per pair, keyed like :func:`assemble_multiplier`, in the
@@ -339,7 +332,6 @@ class RieszMultiplierVerdict(NamedTuple):
 
     predicted_by_c: bool
     actually_invertible: bool
-    v_is_riesz: bool
     indeterminate: bool
     consistent: bool
     gamma: float
@@ -370,7 +362,6 @@ def riesz_multiplier_verdict(
     return RieszMultiplierVerdict(
         predicted_by_c=cond.holds,
         actually_invertible=actual,
-        v_is_riesz=v_riesz,
         indeterminate=cond.near_threshold,
         consistent=consistent,
         gamma=cond.gamma,
@@ -381,18 +372,16 @@ def riesz_multiplier_verdict(
 class InvertibleMultiplierReport(NamedTuple):
     """What an invertible multiplier forces on its two sequences.
 
-    Bounds are (alpha, beta) pairs for (W,w), (V,u), (W,|m|w), (V,|m|u);
-    the reweighted lower bound alpha must clear sigma_min(M)^2 / (beta_V ||R||_inf^2),
-    compared without overflow as ``lower_bound_lhs`` = sqrt(alpha) sqrt(beta_V)
-    ||R||_inf (saturated) >= ``lower_bound_rhs`` = sqrt(1 - LOWER_BOUND_REL)
-    sigma_min(M). Excess equalities use the ambient stacked space. Fields are None
-    when the corresponding hypothesis (m bounded below, symbol bound) is off.
+    ``all_frames`` holds when (W,w), (V,u), (W,|m|w) and (V,|m|u) all pass the
+    frame test; the lower bound alpha of (W,|m|w) must clear
+    sigma_min(M)^2 / (beta_V ||R||_inf^2), compared without overflow as
+    ``lower_bound_lhs`` = sqrt(alpha) sqrt(beta_V) ||R||_inf (saturated) >=
+    ``lower_bound_rhs`` = sqrt(1 - LOWER_BOUND_REL) sigma_min(M). Excess
+    equalities use the ambient stacked space. ``excess_w_preserved`` is None
+    unless m is bounded below, and ``excess_pair_equal`` unless the symbol bound
+    holds.
     """
 
-    bounds_w: tuple
-    bounds_v: tuple
-    bounds_w_scaled: tuple
-    bounds_v_scaled: tuple
     all_frames: bool
     lower_bound_lhs: float
     lower_bound_rhs: float
@@ -402,7 +391,6 @@ class InvertibleMultiplierReport(NamedTuple):
     excess_w_scaled: int
     excess_v_scaled: int
     excess_w_preserved: Optional[bool]
-    excess_v_preserved: Optional[bool]
     excess_pair_equal: Optional[bool]
 
 
@@ -419,12 +407,11 @@ def invertible_multiplier_consequences(
     report = assemble_multiplier(sym, v, w)
     if not report.invertible:
         raise PreconditionError("the multiplier must be invertible")
-    w_scaled = sym.scaled(w)
-    v_scaled = sym.scaled(v)
-    seqs = (w, v, w_scaled, v_scaled)
-    bounds = [seq.embedding.frame_bounds for seq in seqs]
-    all_frames = all(is_frame(seq.embedding) for seq in seqs)
-    lhs = saturated_product(np.sqrt(bounds[2][0]), v.embedding.analysis_norm, sym.r_sup)
+    w_scaled = scale_weights(w, sym.m)
+    v_scaled = scale_weights(v, sym.m)
+    all_frames = all(is_frame(seq.embedding) for seq in (w, v, w_scaled, v_scaled))
+    alpha = w_scaled.embedding.frame_bounds[0]
+    lhs = saturated_product(np.sqrt(alpha), v.embedding.analysis_norm, sym.r_sup)
     rhs = np.sqrt(1.0 - LOWER_BOUND_REL) * report.sigma_min
     e_w = excess(w, tol)[0]
     e_v = excess(v, tol)[0]
@@ -432,13 +419,8 @@ def invertible_multiplier_consequences(
     e_vs = excess(v_scaled, tol)[0]
     m_min = float(np.min(np.abs(sym.m)))
     preserved_w = (e_w == e_ws) if m_min > 0.0 else None
-    preserved_v = (e_v == e_vs) if m_min > 0.0 else None
     pair_equal = (e_w == e_v) if sym.condition_c.holds else None
     return InvertibleMultiplierReport(
-        bounds_w=bounds[0],
-        bounds_v=bounds[1],
-        bounds_w_scaled=bounds[2],
-        bounds_v_scaled=bounds[3],
         all_frames=all_frames,
         lower_bound_lhs=lhs,
         lower_bound_rhs=rhs,
@@ -448,7 +430,6 @@ def invertible_multiplier_consequences(
         excess_w_scaled=e_ws,
         excess_v_scaled=e_vs,
         excess_w_preserved=preserved_w,
-        excess_v_preserved=preserved_v,
         excess_pair_equal=pair_equal,
     )
 
@@ -523,8 +504,9 @@ def inverse_representation_probe(
     e = kernel_samples(w.embedding, 1, rng, tol)[0]
     e_norm = spectral_norm(e)
     if e_norm > 0.0:
-        e = e * (PROBE_SCALE * spectral_norm(stacked_q) / e_norm)
-    return _representation_residual(stacked_q + e, inv_blocks, sampled_duals, m_inv)
+        e *= PROBE_SCALE * spectral_norm(stacked_q) / e_norm
+    e += stacked_q
+    return _representation_residual(e, inv_blocks, sampled_duals, m_inv)
 
 
 def local_frame_equivalence(

@@ -12,7 +12,8 @@ T_A up to the rank cutoff (:func:`range_basis`). Everything reads P_ker
 through Q: P_ker G = G - Q (Q^* G) (:func:`kernel_parts`), its column r is
 e_r - Q Q[r, :]^* and that column's norm is sqrt(1 - ||Q[r, :]||^2), at
 O(N k n^2) work and O(N k n) memory. Every kernel perturbation L = P_ker G
-of the package, for a complex Gaussian G, is drawn by :func:`kernel_samples`.
+of the package, for a complex Gaussian G, is drawn in place into its slot of a
+stack by :func:`_kernel_fill`.
 
 The family is spanned by the canonical dual and the N*k*n members
 T_A S_A^-1 + P_ker E_rs. Each P_ker E_rs is zero except for column s, which
@@ -31,14 +32,14 @@ stacked n x n products per stack (:func:`check_annihilation`), L^* T_A and
 L^* L: a stack whose Frobenius bounds pass :func:`numerics.frobenius_screen`
 takes no SVD, any other stack takes one stacked SVD of each, and a stack of
 zeros takes none. The check raises or returns nothing; no defect value is
-kept. Sampled duals
-travel as one (c, N k, n) stack of analyses (:func:`sample_ov_duals`),
-checked once as one stack, behind the canonical analysis T_A S_A^-1 in
-:func:`canonical_and_sampled_duals`. A :class:`DualCandidate` records one
-dual built on its own, the sweep's witness or one constructed directly; it
-checks its L as a stack of one and derives its analysis from L. The swept
-members are checked all at once from their column norms
-(:func:`_check_annihilator`), so only the witness is checked twice.
+kept. Sampled duals travel as one (c, N k, n) stack of analyses, allocated once
+by :func:`canonical_and_sampled_duals`: the canonical analysis T_A S_A^-1 in
+slot 0, each L drawn into its own slot and checked once as one stack before
+T_A S_A^-1 is added. A :class:`DualCandidate` records one dual built on its
+own, the sweep's witness or one constructed directly; it checks its L as a
+stack of one and derives its analysis from L. The swept members are checked
+all at once from their column norms (:func:`_check_annihilator`), so only the
+witness is checked twice.
 
 Which object caches which fact, each built on first use, free of any
 tolerance and returned through :func:`numerics.read_only`; the spectra per rank
@@ -102,7 +103,6 @@ __all__ = [
     "range_basis",
     "kernel_parts",
     "kernel_samples",
-    "sample_ov_duals",
     "canonical_and_sampled_duals",
     "sweep_dual_family",
     "dual_span_dimension",
@@ -262,7 +262,7 @@ def duality_defects(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:
     return spectral_norms(duality_gaps(analyses, t))
 
 
-SAMPLED_DUALS = 5  # duals per sampled-dual check: the canonical dual and four drawn
+SAMPLED_DUALS = 5  # sampled duals per check: canonical and four drawn, or five drawn
 
 
 def dual_slack(tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -286,33 +286,39 @@ def kernel_parts(a: OVFrame, stacked, tol: ToleranceConfig = DEFAULT_TOL) -> lis
     return [g - q @ (q.conj().T @ g) for g in stacked]
 
 
+def _kernel_fill(a: OVFrame, out: np.ndarray, rng, tol: ToleranceConfig) -> np.ndarray:
+    """Write P_ker G into each slot of the (c, N k, n) stack ``out`` and return it,
+    G a complex Gaussian drawn from ``rng`` slot by slot, real part then imaginary
+    part, projected in place through one range basis Q."""
+    q = range_basis(a, tol)
+    for slot in out:
+        slot.real = rng.standard_normal(slot.shape)
+        slot.imag = rng.standard_normal(slot.shape)
+        slot -= q @ (q.conj().T @ slot)
+    return out
+
+
 def kernel_samples(
     a: OVFrame, count: int, rng: np.random.Generator, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """A (count, N k, n) stack of kernel perturbations P_ker G, one per complex
-    Gaussian G of the shape of T_A, drawn from ``rng`` member by member, real part
-    then imaginary part. Every kernel perturbation of the package is drawn here."""
-    shape = a.analysis.shape
-    draws = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count))
-    return np.array(kernel_parts(a, draws, tol), dtype=np.complex128).reshape(-1, *shape)
-
-
-def sample_ov_duals(
-    a: OVFrame, count: int, rng: np.random.Generator, tol: ToleranceConfig
-) -> np.ndarray:
-    """The (count, N k, n) stack of dual analyses T_A S_A^-1 + L, L the kernel
-    perturbations of :func:`kernel_samples`, once ``a`` passes the frame test; the
-    L stack is checked to annihilate T_A once, at ``tol``."""
-    t_dual = a.canonical_analysis
-    stack = kernel_samples(a, count, rng, tol)
-    check_annihilation(a, stack, tol)
-    return t_dual + stack
+    Gaussian G of the shape of T_A, filled member by member (:func:`_kernel_fill`)."""
+    return _kernel_fill(a, np.empty((count, *a.analysis.shape), dtype=np.complex128), rng, tol)
 
 
 def canonical_and_sampled_duals(a: OVFrame, count: int, rng, tol: ToleranceConfig) -> np.ndarray:
-    """The (count, N k, n) stack of the canonical dual's analysis followed by the
-    ``count - 1`` sampled analyses of :func:`sample_ov_duals`, drawn from ``rng``."""
-    return np.concatenate([a.canonical_analysis[None], sample_ov_duals(a, count - 1, rng, tol)])
+    """The (count, N k, n) stack of dual analyses, allocated once: slot 0 the
+    canonical analysis T_A S_A^-1, once ``a`` passes the frame test, and each later
+    slot T_A S_A^-1 + L, L a kernel perturbation drawn into it from ``rng`` as
+    :func:`kernel_samples` draws. The L stack is checked to annihilate T_A once,
+    at ``tol``, before T_A S_A^-1 is added."""
+    t_dual = a.canonical_analysis
+    duals = np.empty((count, *t_dual.shape), dtype=np.complex128)
+    duals[0] = t_dual
+    sampled = _kernel_fill(a, duals[1:], rng, tol)
+    check_annihilation(a, sampled, tol)
+    sampled += t_dual
+    return duals
 
 
 def _kernel_column(q: np.ndarray, r: int) -> np.ndarray:

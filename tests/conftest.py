@@ -21,6 +21,7 @@ from fusionframes.numerics import (
 from fusionframes.ovf import (
     OVFrame,
     _check_annihilator,
+    check_annihilation,
     kernel_parts,
     range_basis,
 )
@@ -265,7 +266,7 @@ def reference_gavruta_multiplier(m, v, w, s_inv):
 
 
 # The per-block symbol-spectrum loops that Symbol.svals replaced, and the
-# per-dual sampling loops that ovf.sample_ov_duals replaced, kept verbatim
+# per-dual sampling loops that the stacked sampling replaced, kept verbatim
 # as the references the new code must reproduce bit for bit.
 
 
@@ -466,7 +467,7 @@ def reference_local_frames(f, redundancy, rng):
 def reference_sampled_duals(a, count, rng, tol, canonical=False):
     """(perturbation, analysis) pairs from the per-dual loop: each sampled dual
     recomputed the canonical analysis and the range basis Q, and applied
-    P_ker G = G - Q (Q^* G) as sample_ov_duals does."""
+    P_ker G = G - Q (Q^* G) as ovf.canonical_and_sampled_duals does."""
     t = a.analysis
     out = []
     if canonical:
@@ -478,6 +479,37 @@ def reference_sampled_duals(a, count, rng, tol, canonical=False):
         l = g - q @ (q.conj().T @ g)
         out.append((l, t_dual + l))
     return out
+
+
+# The list-copy-concatenate construction of the sampled-dual stack that one
+# allocation in ovf.canonical_and_sampled_duals replaced, kept verbatim: the
+# draws go through a list into an np.array copy, and the canonical analysis is
+# concatenated in front.
+
+
+def reference_kernel_samples(a, count, rng, tol=DEFAULT_TOL):
+    """A (count, N k, n) stack of kernel perturbations P_ker G, as kernel_samples
+    drew them through kernel_parts."""
+    shape = a.analysis.shape
+    draws = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(count))
+    return np.array(kernel_parts(a, draws, tol), dtype=np.complex128).reshape(-1, *shape)
+
+
+def reference_sample_ov_duals(a, count, rng, tol):
+    """The (count, N k, n) stack T_A S_A^-1 + L, the L stack checked once, as
+    sample_ov_duals built it."""
+    t_dual = a.canonical_analysis
+    stack = reference_kernel_samples(a, count, rng, tol)
+    check_annihilation(a, stack, tol)
+    return t_dual + stack
+
+
+def reference_canonical_and_sampled_duals(a, count, rng, tol):
+    """The canonical analysis followed by ``count - 1`` sampled analyses, as
+    canonical_and_sampled_duals concatenated them."""
+    return np.concatenate(
+        [a.canonical_analysis[None], reference_sample_ov_duals(a, count - 1, rng, tol)]
+    )
 
 
 def reference_representation_residual(stacked_q, inv_blocks, duals, m_inv, n):

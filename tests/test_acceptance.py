@@ -47,12 +47,12 @@ from fusionframes.multipliers import (
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
 from fusionframes.ovf import (
+    canonical_and_sampled_duals,
     dual_span_dimension,
     duality_defects,
     is_frame,
     kernel_samples,
     null_bessel_certificate,
-    sample_ov_duals,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -87,8 +87,7 @@ def test_criterion_01_dual_reconstruction():
         if count * k < n:
             count = int(np.ceil(n / k))
         a = random_ov_frame(n, k, count, rng)
-        canonical = a.canonical_analysis
-        duals = np.concatenate([canonical[None], sample_ov_duals(a, 20, rng, DEFAULT_TOL)])
+        duals = canonical_and_sampled_duals(a, 21, rng, DEFAULT_TOL)
         worst = max(worst, float(duality_defects(duals, a.analysis).max()))
     _verdict(1, "dual reconstruction", worst <= EQ, f"max residual {worst:.3e}")
 
@@ -224,7 +223,7 @@ def test_criterion_08_invertible_multiplier_consequences():
             continue
         rep = invertible_multiplier_consequences(sym, v, w)
         ok = ok and rep.all_frames and rep.lower_bound_ok
-        ok = ok and rep.excess_w_preserved and rep.excess_v_preserved
+        ok = ok and rep.excess_w_preserved and rep.excess_v == rep.excess_v_scaled
         ok = ok and rep.excess_pair_equal
         checked += 1
     _verdict(8, "invertible multiplier consequences", ok, f"{checked} instances checked")
@@ -239,9 +238,7 @@ def test_criterion_09_inverse_representation():
         rep0 = assemble_multiplier(sym, v, w)
         if not rep0.invertible or rep0.sigma_min < 1e-3 * rep0.sigma_max:
             continue
-        a_v = v.embedding
-        canonical = a_v.canonical_analysis
-        duals = np.concatenate([canonical[None], sample_ov_duals(a_v, 4, rng, DEFAULT_TOL)])
+        duals = canonical_and_sampled_duals(v.embedding, 5, rng, DEFAULT_TOL)
         worst = max(worst, *inverse_representation_residuals(sym, v, w, duals))
         probe_min = min(probe_min, inverse_representation_probe(sym, v, w, duals, rng=rng))
         checked += 1

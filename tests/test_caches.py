@@ -9,11 +9,12 @@ operator S, the extreme eigenvalues of S, so the bounds, the frame test and
 ||T|| of both, S^-1 from one inv and T S^-1 from it, the one thin SVD of T,
 whose rank cut gives the range basis, and per rank cut the spectrum of
 [T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
-spectra, its condition-C report, its inverse blocks, its |m|-scaled sequences
-and, per (V, W) pair, the assembled multiplier with its spectrum and the
-closed-form inverse representation. An instance keeps, per tolerance, the
-sampled duals of V that both inverse-multiplier checks read. Tolerance rules are applied per call on top of these, so one
-object can serve runs under any tolerance.
+spectra, its condition-C report, its inverse blocks and, per (V, W) pair, the
+assembled multiplier with its spectrum and the closed-form inverse
+representation; it keeps no |m|-scaled sequence. An instance keeps, per
+tolerance, the sampled duals of V that both inverse-multiplier checks read.
+Tolerance rules are applied per call on top of these, so one object can serve
+runs under any tolerance.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from fusionframes.fusion import (
     FusionSequence,
     build_local_frames,
     excess,
+    fusion_synthesis_kw,
     is_riesz_fusion_basis,
     scale_weights,
 )
@@ -393,7 +395,7 @@ def test_one_svd_of_the_multiplier_across_the_multipliers_and_schatten_suites(mo
 
 def _per_check(monkeypatch):
     """Record, per check of the registry, its calls of svd, eigvalsh, inv,
-    ``ovf.kernel_parts`` and ``ovf.range_basis`` (with the frame) and
+    ``ovf._kernel_fill`` and ``ovf.range_basis`` (with the frame) and
     ``multipliers.excess``."""
     current = [None]
     events = []
@@ -407,9 +409,9 @@ def _per_check(monkeypatch):
 
     for name in ("svd", "eigvalsh", "inv"):
         monkeypatch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
-    parts = recorder("kernel_parts", ovf.kernel_parts)
+    fill = recorder("kernel_fill", ovf._kernel_fill)
     basis = recorder("range_basis", ovf.range_basis)
-    monkeypatch.setattr(ovf, "kernel_parts", parts)
+    monkeypatch.setattr(ovf, "_kernel_fill", fill)
     monkeypatch.setattr(ovf, "range_basis", basis)
     monkeypatch.setattr(multipliers, "excess", recorder("excess", multipliers.excess))
 
@@ -443,8 +445,8 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     assert sum(np.array_equal(args[0], blocks) for args in calls("inv")) == 1
     # P_ker is applied implicitly from the range basis, never formed: one basis
     # read for the one sampling of the V duals, which both inverse checks share,
-    # and one for the probe's draw from ker T_W^*, each by one kernel_parts call
-    assert len(calls("kernel_parts")) == 2
+    # and one for the probe's draw from ker T_W^*, each filling its stack in place
+    assert len(calls("kernel_fill")) == 2
     assert len(calls("range_basis")) == 2
     sampled = [args[0] for args in calls("range_basis", "inverse_multiplier_dual")]
     assert len(sampled) == 1 and sampled[0] is inst.v.embedding
@@ -452,9 +454,13 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     assert len(probed) == 1 and probed[0] is inst.w.embedding
     for name in ("invertible_multiplier_frames", "excess_invariance"):
         assert len(calls("excess", name)) == 4
-    # the second consequence check reads every spectrum the first one took
-    assert calls("svd", "excess_invariance") == []
-    assert calls("eigvalsh", "excess_invariance") == []
+    # the second consequence check reads every spectrum of V and W the first one
+    # took; it rebuilds only the |m|-scaled W and V, which are not kept, and takes
+    # their frame bounds and K_W spectra again
+    scaled = [fusion_synthesis_kw(scale_weights(f, sym.m)) for f in (inst.w, inst.v)]
+    taken = [args[0] for args in calls("svd", "excess_invariance")]
+    assert len(taken) == 2 and all(map(np.array_equal, taken, scaled))
+    assert len(calls("eigvalsh", "excess_invariance")) == 2
 
 
 def test_both_inverse_checks_read_one_sampled_dual_stack_of_v(monkeypatch):
@@ -528,7 +534,7 @@ def test_every_cached_fact_and_memo_entry_is_read_only():
         for name, attr in vars(cls).items()
         if isinstance(attr, cached_property)
     }
-    tables = {"OVFrame._family_svals", "Symbol._assembled", "Symbol._scaled", "Symbol._inverses"}
+    tables = {"OVFrame._family_svals", "Symbol._assembled", "Symbol._inverses"}
     assert every | tables <= computed
 
 
@@ -537,12 +543,16 @@ def test_invertible_multiplier_memos_are_read_only_and_small():
     sym, v, w = inst.symbol, inst.v, inst.w
     run_suite("multipliers", [inst])
     n, count = w.ambient_dim, w.count
-    scaled = [sym.scaled(w), sym.scaled(v)]
-    assert sym.scaled(w) is scaled[0] and sym.scaled(v) is scaled[1]
+    # the symbol holds its cached facts and its per-pair memo tables, and no
+    # |m|-scaled sequence
+    props = {
+        name for name, attr in vars(multipliers.Symbol).items() if isinstance(attr, cached_property)
+    }
+    assert set(vars(sym)) <= {"m", "r", "_assembled", "_inverses"} | props
     assert "inverse_blocks" in vars(sym)
     memos = [sym.inverse_blocks, *sym.inverse_closed_form(v, w)]
     assert len(memos) == 3 and sym.inverse_closed_form(v, w)[1] is memos[2]
-    for f in (w, v, *scaled):
+    for f in (w, v):
         memos += [*f.embedding.analysis_svd, f.synthesis_svals]
     for arr in memos:
         assert not arr.flags.writeable

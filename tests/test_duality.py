@@ -224,8 +224,10 @@ def test_hmbz_given_q(diag_pair):
 
 def test_generate_dual_diag_example(diag_pair):
     gd = generate_fusion_dual(diag_pair, np.eye(2))
-    np.testing.assert_allclose(gd.operators[0], np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(gd.operators[1], np.diag([0.0, 0.5]), atol=1e-14)
+    # the operators A_i = (w_i S_W^-1) P_{W_i} are u_i Q_i
+    operators = gd.v.weights[:, None, None] * gd.q
+    np.testing.assert_allclose(operators[0], np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(operators[1], np.diag([0.0, 0.5]), atol=1e-14)
     np.testing.assert_allclose(gd.v.weights, [1.0, 0.5])
     np.testing.assert_allclose(gd.q[1], np.diag([0.0, 1.0]), atol=1e-14)
     np.testing.assert_allclose(kpp_dual_check(gd.v, diag_pair, gd.q).composite, np.eye(2), atol=1e-14)

@@ -1,8 +1,13 @@
-"""Every exported name of a library module is read by the package itself.
+"""Every exported name of a library module is read by the package itself, and so
+is every field of its records.
 
 A primitive that backs no check goes (ROADMAP item 10), so each name in the
 ``__all__`` of a library module must be read somewhere in ``src/``: as a name
-or an attribute, outside its own definition and outside ``__init__``.
+or an attribute, outside its own definition and outside ``__init__``. A record
+field that no check reads is a fact formed for nobody, so each field of a
+library ``NamedTuple`` must be read in ``src/`` as an attribute or named by a
+string constant, as the Schatten checks name the fields they read through
+``getattr``.
 """
 
 import ast
@@ -13,6 +18,8 @@ MODULES = ("numerics", "fusion", "ovf", "duality", "multipliers", "frames", "ins
 # the claim-1 bridges that ROADMAP item 10 wires into checks; until then only
 # the tests read them
 AWAITING_A_CHECK = {"duality.hmbz_dual_check", "duality.fusion_dual_to_ovf"}
+# the report schema has no place for a check's detail yet (ROADMAP item 1)
+UNREAD_FIELDS = {"checks.CheckResult.detail"}
 
 
 def _exports(tree: ast.Module) -> list:
@@ -58,4 +65,41 @@ def test_every_exported_name_is_read_in_the_package():
             )
             if not read and f"{module}.{name}" not in AWAITING_A_CHECK:
                 unread.append(f"{module}.{name}")
+    assert unread == []
+
+
+def _record_fields(tree: ast.Module) -> list:
+    """``(record, field)`` for each annotated field of each top-level class of
+    ``tree`` that derives from ``NamedTuple``."""
+    return [
+        (node.name, item.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def _field_reads(tree: ast.AST) -> set:
+    """Names read as an attribute, and string constants, anywhere in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_record_field_is_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    reads = set().union(*map(_field_reads, trees.values()))
+    fields = [
+        (f"{module}.{record}.{field}", field)
+        for module in MODULES
+        for record, field in _record_fields(trees[module])
+    ]
+    assert fields
+    unread = [name for name, field in fields if field not in reads and name not in UNREAD_FIELDS]
     assert unread == []

@@ -212,7 +212,8 @@ def _rank_read_inputs():
         for inst in insts:
             rng = checks._check_rng(inst.seed, "riesz_symbol_iff")
             w, v, _ = checks._riesz_pair(inst, rng)
-            seqs += [inst.w, inst.v, inst.symbol.scaled(inst.w), inst.symbol.scaled(inst.v), w, v]
+            scaled = [scale_weights(f, inst.symbol.m) for f in (inst.w, inst.v)]
+            seqs += [inst.w, inst.v, *scaled, w, v]
         yield name, seqs
 
 

@@ -6,7 +6,13 @@ import pytest
 from conftest import coordinate_decomposition, line, random_fusion_frame, reference_block_diag
 from fusionframes.checks import run_suite
 from fusionframes.exceptions import ContractViolationError, PreconditionError
-from fusionframes.fusion import FusionSequence, Subspace, build_local_frames
+from fusionframes.fusion import (
+    FusionSequence,
+    Subspace,
+    build_local_frames,
+    is_riesz_fusion_basis,
+    scale_weights,
+)
 from fusionframes.instances import Instance
 from fusionframes.multipliers import (
     Symbol,
@@ -20,7 +26,7 @@ from fusionframes.multipliers import (
     schatten_checks,
 )
 from fusionframes.numerics import DEFAULT_TOL, spectral_norm
-from fusionframes.ovf import sample_ov_duals
+from fusionframes.ovf import canonical_and_sampled_duals
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -43,9 +49,7 @@ def unitary_swap_symbol():
 
 def _sampled_duals(v, rng, count=5):
     """The analyses of the canonical and ``count - 1`` sampled duals of v, one stack."""
-    a = v.embedding
-    canonical = a.canonical_analysis
-    return np.concatenate([canonical[None], sample_ov_duals(a, count - 1, rng, DEFAULT_TOL)])
+    return canonical_and_sampled_duals(v.embedding, count, rng, DEFAULT_TOL)
 
 
 def test_block_diag_examples():
@@ -166,7 +170,7 @@ def test_riesz_verdict_swap_consistent():
     v, w = cross_pair()
     verdict = riesz_multiplier_verdict(unitary_swap_symbol(), v, w)
     assert verdict.predicted_by_c and verdict.actually_invertible
-    assert verdict.v_is_riesz and verdict.consistent and not verdict.indeterminate
+    assert is_riesz_fusion_basis(v) and verdict.consistent and not verdict.indeterminate
 
 
 def test_riesz_verdict_zero_entry_consistent():
@@ -181,7 +185,7 @@ def test_riesz_verdict_overcomplete_v_records_flags():
     w = coordinate_decomposition(2)
     v = FusionSequence((Subspace.full(2), line([1.0, 0.0])), np.array([1.0, 1.0]))
     verdict = riesz_multiplier_verdict(Symbol.identity(2, 2), v, w)
-    assert verdict.predicted_by_c and not verdict.v_is_riesz
+    assert verdict.predicted_by_c and not is_riesz_fusion_basis(v)
     assert not verdict.actually_invertible  # M collapses onto the first line
     assert verdict.consistent
 
@@ -194,7 +198,7 @@ def test_riesz_verdict_without_the_bound_over_a_non_riesz_v_is_consistent():
     sym = Symbol([1.0, 0.0], np.array([np.eye(2), np.eye(2)]))
     verdict = riesz_multiplier_verdict(sym, v, w)
     assert not verdict.predicted_by_c and not verdict.actually_invertible
-    assert not verdict.v_is_riesz and not verdict.indeterminate
+    assert not is_riesz_fusion_basis(v) and not verdict.indeterminate
     assert verdict.consistent
 
 
@@ -233,14 +237,17 @@ def test_riesz_verdict_population(rng):
 def test_invertible_consequences_identity(diag_pair):
     rep = invertible_multiplier_consequences(Symbol.identity(2, 2), diag_pair, diag_pair)
     assert rep.all_frames and rep.lower_bound_ok
-    assert rep.bounds_w == pytest.approx((1.0, 4.0))
-    assert rep.excess_w_preserved and rep.excess_v_preserved and rep.excess_pair_equal
+    # sqrt(alpha) sqrt(beta_V) ||R||_inf with alpha = 1 and beta_V = 4
+    assert rep.lower_bound_lhs == pytest.approx(2.0)
+    assert rep.excess_w_preserved and rep.excess_v == rep.excess_v_scaled and rep.excess_pair_equal
 
 
 def test_invertible_consequences_scaled_weights(diag_pair):
     sym = Symbol([1.0, 2.0], np.array([np.eye(2)] * 2))
     rep = invertible_multiplier_consequences(sym, diag_pair, diag_pair)
-    assert rep.bounds_w_scaled == pytest.approx((1.0, 16.0))
+    assert scale_weights(diag_pair, sym.m).embedding.frame_bounds == pytest.approx((1.0, 16.0))
+    # the reweighted lower bound reads alpha = 1 of (W, |m| w): sqrt(1) * 2 * 1
+    assert rep.lower_bound_lhs == pytest.approx(2.0)
     assert rep.all_frames and rep.lower_bound_ok
 
 
@@ -272,7 +279,8 @@ def test_invertible_multiplier_bound_random_population(rng):
             continue
         rep = invertible_multiplier_consequences(sym, v, w)
         assert rep.all_frames and rep.lower_bound_ok
-        assert rep.excess_w_preserved and rep.excess_v_preserved and rep.excess_pair_equal
+        assert rep.excess_w_preserved and rep.excess_pair_equal
+        assert rep.excess_v == rep.excess_v_scaled
         checked += 1
 
 

@@ -20,11 +20,11 @@ from fusionframes.fusion import FusionSequence, Subspace, random_subspace
 from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from fusionframes.ovf import (
     OVFrame,
+    canonical_and_sampled_duals,
     dual_span_dimension,
     is_frame,
     kernel_samples,
     null_bessel_certificate,
-    sample_ov_duals,
     sweep_dual_family,
 )
 
@@ -125,8 +125,8 @@ def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
     readers = [
         lambda: deficient.frame_operator_inv,
         lambda: deficient.canonical_analysis,
-        lambda: sample_ov_duals(deficient, 1, _ZeroNormal(), DEFAULT_TOL),
-        lambda: ovf.canonical_and_sampled_duals(deficient, 2, _ZeroNormal(), DEFAULT_TOL),
+        lambda: canonical_and_sampled_duals(deficient, 1, _ZeroNormal(), DEFAULT_TOL),
+        lambda: canonical_and_sampled_duals(deficient, 2, _ZeroNormal(), DEFAULT_TOL),
         lambda: ovf.DualCandidate(deficient, np.zeros(deficient.analysis.shape)),
         lambda: sweep_dual_family(deficient, deficient.analysis, 1.0, DEFAULT_TOL),
         lambda: dual_span_dimension(deficient),
@@ -151,10 +151,12 @@ def test_every_read_of_s_inverse_passes_one_frame_gate(diag_pair):
 
 def test_sample_dual_zero_seed_is_canonical(diag_pair):
     a = diag_pair.embedding
-    zero = sample_ov_duals(a, 2, _ZeroNormal(), DEFAULT_TOL)
-    assert zero.shape == (2, 4, 2)
-    np.testing.assert_allclose(zero[1], a.canonical_analysis)
-    assert sample_ov_duals(a, 0, _ZeroNormal(), DEFAULT_TOL).shape == (0, 4, 2)
+    zero = canonical_and_sampled_duals(a, 3, _ZeroNormal(), DEFAULT_TOL)
+    assert zero.shape == (3, 4, 2)
+    for dual in zero:
+        np.testing.assert_allclose(dual, a.canonical_analysis)
+    (alone,) = canonical_and_sampled_duals(a, 1, _ZeroNormal(), DEFAULT_TOL)
+    assert np.array_equal(alone, a.canonical_analysis)
 
 
 def test_sample_dual_trivial_kernel(rng):
@@ -166,7 +168,7 @@ def test_sample_dual_trivial_kernel(rng):
 
 def test_sample_dual_noncanonical_still_dual(diag_pair, rng):
     a = diag_pair.embedding
-    (dual,) = sample_ov_duals(a, 1, rng, DEFAULT_TOL)
+    dual = canonical_and_sampled_duals(a, 2, rng, DEFAULT_TOL)[1]
     assert spectral_norm(dual - a.canonical_analysis) > 1e-3
     assert ovf.duality_defects(dual[None], a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
@@ -193,7 +195,7 @@ def test_dual_family_population(rng):
         a = random_ov_frame(n, k, count, rng)
         assert dual_span_dimension(a) == count * k
         assert null_bessel_certificate(a) == 0
-        duals = sample_ov_duals(a, 1, rng, DEFAULT_TOL)
+        duals = canonical_and_sampled_duals(a, 2, rng, DEFAULT_TOL)[1:]
         assert ovf.duality_defects(duals, a.analysis)[0] <= DEFAULT_TOL.eq_rel
 
 
@@ -344,7 +346,7 @@ def test_batched_validation_rejects_bad_projector(monkeypatch, diag_pair, rng):
         ovf._family_member(a, ovf.range_basis(a), 1, DEFAULT_TOL)
     # sampled duals project through the range basis: a wrong one is caught too
     with pytest.raises(ContractViolationError):
-        ovf.sample_ov_duals(a, 1, rng, DEFAULT_TOL)
+        canonical_and_sampled_duals(a, 2, rng, DEFAULT_TOL)
 
 
 def test_structured_certificates_at_scale():
@@ -369,7 +371,7 @@ def test_sampled_duals_match_per_dual_loop(rng):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         a = random_fusion_frame(n, count, rng).embedding
         seed = int(rng.integers(2**32))
-        got = sample_ov_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
+        got = canonical_and_sampled_duals(a, 6, np.random.default_rng(seed), DEFAULT_TOL)[1:]
         drawn = kernel_samples(a, 5, np.random.default_rng(seed))
         want = reference_sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
         assert got.shape == drawn.shape == (5, *a.analysis.shape) and len(want) == 5
@@ -377,8 +379,8 @@ def test_sampled_duals_match_per_dual_loop(rng):
             assert np.array_equal(l, l_want)
             assert np.array_equal(dual, analysis)
         # members are drawn one by one, so a member does not depend on the count
-        first = sample_ov_duals(a, 1, np.random.default_rng(seed), DEFAULT_TOL)
-        assert np.array_equal(first[0], got[0])
+        first = canonical_and_sampled_duals(a, 2, np.random.default_rng(seed), DEFAULT_TOL)
+        assert np.array_equal(first[1], got[0])
 
 
 def test_sampled_ordinary_duals_match_per_dual_loop(rng):
@@ -390,7 +392,7 @@ def test_sampled_ordinary_duals_match_per_dual_loop(rng):
         phi = rng.standard_normal((n + int(rng.integers(0, 4)), n)) + 0j
         a = rank_one_frame(phi)
         seed = int(rng.integers(2**32))
-        got = ovf.canonical_and_sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
+        got = canonical_and_sampled_duals(a, 5, np.random.default_rng(seed), DEFAULT_TOL)
         want = reference_sampled_duals(a, 4, np.random.default_rng(seed), DEFAULT_TOL, canonical=True)
         assert got.shape == (5, *a.analysis.shape)
         assert [d.tobytes() for d in got] == [analysis.tobytes() for _, analysis in want]
@@ -401,8 +403,8 @@ def test_sampled_duals_share_one_projector(monkeypatch, diag_pair, rng):
     calls = []
     real = ovf.range_basis
     monkeypatch.setattr(ovf, "range_basis", lambda *args: calls.append(real(*args)) or calls[-1])
-    duals = ovf.sample_ov_duals(diag_pair.embedding, 4, rng, DEFAULT_TOL)
-    assert duals.shape == (4, 4, 2) and len(calls) == 1 and calls[0].shape == (4, 2)
+    duals = canonical_and_sampled_duals(diag_pair.embedding, 5, rng, DEFAULT_TOL)
+    assert duals.shape == (5, 4, 2) and len(calls) == 1 and calls[0].shape == (4, 2)
 
 
 def _projector_population(rng):
@@ -479,8 +481,7 @@ def test_duality_defects_match_per_dual_loop(rng):
     for _ in range(30):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         a = random_fusion_frame(n, count, rng).embedding
-        canonical = a.canonical_analysis
-        analyses = np.concatenate([canonical[None], sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
+        analyses = canonical_and_sampled_duals(a, 5, rng, DEFAULT_TOL)
         t = a.analysis
         want = [spectral_norm(d.conj().T @ t - np.eye(n)) for d in analyses]
         assert ovf.duality_defects(analyses, t).tolist() == want

@@ -34,21 +34,20 @@ GOLDEN_LOCAL = Path(__file__).parent / "data" / "golden_instance_local.json"
 
 RECORDS = {
     CheckResult: (("residual", "indeterminate", "detail"), {"indeterminate": False, "detail": ""}),
-    GeneratedDual: (("v", "q", "operators", "u_norm"), {}),
+    GeneratedDual: (("v", "q", "u_norm"), {}),
     SeparationResult: (("witness", "residual", "block_deviation", "checked"), {}),
     ConditionCReport: (
         ("gamma", "delta", "holds", "semi_normalized", "lower_witness", "near_threshold"), {}
     ),
     MultiplierReport: (("matrix", "svals", "sigma_min", "sigma_max", "invertible"), {}),
     RieszMultiplierVerdict: (
-        ("predicted_by_c", "actually_invertible", "v_is_riesz", "indeterminate",
-         "consistent", "gamma", "delta"),
+        ("predicted_by_c", "actually_invertible", "indeterminate", "consistent", "gamma",
+         "delta"),
         {},
     ),
     InvertibleMultiplierReport: (
-        ("bounds_w", "bounds_v", "bounds_w_scaled", "bounds_v_scaled", "all_frames",
-         "lower_bound_lhs", "lower_bound_rhs", "lower_bound_ok", "excess_w", "excess_v",
-         "excess_w_scaled", "excess_v_scaled", "excess_w_preserved", "excess_v_preserved",
+        ("all_frames", "lower_bound_lhs", "lower_bound_rhs", "lower_bound_ok", "excess_w",
+         "excess_v", "excess_w_scaled", "excess_v_scaled", "excess_w_preserved",
          "excess_pair_equal"),
         {},
     ),

@@ -17,9 +17,11 @@ from conftest import (
     reference_random_symbol,
     reference_riesz_basis,
     reference_annihilation,
+    reference_canonical_and_sampled_duals,
     reference_dual_representation_residual,
     reference_canonical_gavruta_dual,
     reference_generated_dual,
+    reference_kernel_samples,
     reference_local_duals,
     reference_local_frame_equivalence,
     reference_representation_residual,
@@ -114,6 +116,24 @@ def test_stacked_annihilation_matches_the_per_candidate_check(monkeypatch):
         assert np.array_equal(DualCandidate(a, np.zeros_like(canonical)).analysis, canonical)
 
 
+def test_one_allocation_matches_the_list_copy_concatenate_stack():
+    # the canonical slot draws nothing, so the drawn slots take the draws the
+    # reference makes, bit for bit, and a stack of one is the canonical analysis
+    for inst in POPULATION:
+        a = inst.w.embedding
+        for count in (1, 2, 5):
+            draws = [np.random.default_rng(inst.seed) for _ in range(2)]
+            got = ovf.canonical_and_sampled_duals(a, count, draws[0], DEFAULT_TOL)
+            want = reference_canonical_and_sampled_duals(a, count, draws[1], DEFAULT_TOL)
+            assert got.shape == want.shape == (count, *a.analysis.shape)
+            assert got.tobytes() == want.tobytes()
+        drawn = ovf.kernel_samples(a, 5, np.random.default_rng(inst.seed))
+        want = reference_kernel_samples(a, 5, np.random.default_rng(inst.seed))
+        assert drawn.tobytes() == want.tobytes()
+        (alone,) = ovf.canonical_and_sampled_duals(a, 1, None, DEFAULT_TOL)
+        assert alone.tobytes() == a.canonical_analysis.tobytes()
+
+
 def test_every_candidate_is_checked_exactly_once(monkeypatch):
     checked = []
     real = ovf.check_annihilation
@@ -126,7 +146,7 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
     inst = POPULATION[-1]
     a = inst.w.embedding
     canonical = a.canonical_analysis
-    duals = ovf.sample_ov_duals(a, 4, np.random.default_rng(5), DEFAULT_TOL)
+    duals = ovf.canonical_and_sampled_duals(a, 5, np.random.default_rng(5), DEFAULT_TOL)
     # the canonical dual is an array, not a candidate, so only the sampled stack is checked
     assert checked == [4]
     checked.clear()
@@ -139,16 +159,20 @@ def test_every_candidate_is_checked_exactly_once(monkeypatch):
 
 
 def test_one_non_annihilating_perturbation_in_a_valid_stack_is_rejected(monkeypatch):
-    draw = ovf.kernel_samples
+    def inject(a, out, rng, tol):
+        out[...] = stack
+        return out
+
     for inst in POPULATION:
         a = inst.w.embedding
-        stack = draw(a, 5, np.random.default_rng(inst.seed))
+        stack = reference_kernel_samples(a, 5, np.random.default_rng(inst.seed))
         ovf.check_annihilation(a, stack)
         # T_A^* T_A = S_A is invertible, so L = T_A annihilates nothing
         stack[3] = a.analysis
-        monkeypatch.setattr(ovf, "kernel_samples", lambda *args: stack)
+        # the sampled slots of the dual stack receive the stack as drawn
+        monkeypatch.setattr(ovf, "_kernel_fill", inject)
         for check in (
-            lambda: ovf.sample_ov_duals(a, 5, None, DEFAULT_TOL),
+            lambda: ovf.canonical_and_sampled_duals(a, 6, None, DEFAULT_TOL),
             lambda: ovf.check_annihilation(a, stack),
             lambda: reference_annihilation(a, stack),
         ):
@@ -193,8 +217,11 @@ def test_stacked_dual_generator_matches_the_per_block_loop():
             assert np.array_equal(gd.v.weights, v.weights)
             for got, want in zip(gd.v.subspaces, v.subspaces):
                 assert np.array_equal(got.basis, want.basis)
-            for got, want in ((gd.q, q), (kpp_dual_check(gd.v, w, gd.q).composite, comp), (gd.operators, ops)):
+            for got, want in ((gd.q, q), (kpp_dual_check(gd.v, w, gd.q).composite, comp)):
                 assert np.array_equal(got, want)
+            # each operator A_i is u_i Q_i, u_i = ||A_i||
+            atol = 1e-13 * max(1.0, np.abs(ops).max())
+            np.testing.assert_allclose(gd.v.weights[:, None, None] * gd.q, ops, rtol=0, atol=atol)
 
 
 def test_canonical_gavruta_dual_matches_the_per_block_spans():
@@ -215,8 +242,7 @@ def test_batched_representation_residual_matches_the_per_dual_loop():
         w, n = inst.w, inst.w.ambient_dim
         a = w.embedding
         rng = np.random.default_rng(inst.seed)
-        canonical = a.canonical_analysis
-        duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
+        duals = ovf.canonical_and_sampled_duals(a, 5, rng, DEFAULT_TOL)
         stacked_q = _complex(rng, (w.count * n, n))
         inv_blocks = _complex(rng, (w.count, n, n))
         m_inv = _complex(rng, (n, n))
@@ -412,8 +438,7 @@ def test_lapack_calls_do_not_grow_with_the_block_count(monkeypatch):
         (l,) = ovf.kernel_samples(w.embedding, 1, rng)
         gd = generate_fusion_dual(w, u, l)  # fills the caches of W
         a = w.embedding
-        canonical = a.canonical_analysis
-        duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a, 4, rng, DEFAULT_TOL)])
+        duals = ovf.canonical_and_sampled_duals(a, 5, rng, DEFAULT_TOL)
         args = (
             _complex(rng, (count * n, n)), _complex(rng, (count, n, n)), duals, _complex(rng, (n, n))
         )

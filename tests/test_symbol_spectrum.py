@@ -237,9 +237,7 @@ def test_representation_residuals_match_block_loop(rng):
         sym = random_symbol("random_C_holding", n, count, rng)
         if not assemble_multiplier(sym, v, w).invertible:
             continue
-        a_v = v.embedding
-        canonical = a_v.canonical_analysis
-        duals = np.concatenate([canonical[None], ovf.sample_ov_duals(a_v, 4, rng, DEFAULT_TOL)])
+        duals = ovf.canonical_and_sampled_duals(v.embedding, 5, rng, DEFAULT_TOL)
         seed = int(rng.integers(2**32))
         representation = inverse_representation_residuals(sym, v, w, duals)[1]
         probe = inverse_representation_probe(sym, v, w, duals, rng=np.random.default_rng(seed))
