@@ -6,8 +6,9 @@ subspace is zero; two sequences pair by :func:`check_pairing`. Each fact that no
 tolerance enters has one owner, which builds it on first use and returns it
 through :func:`numerics.read_only`:
 
-* the sequence owns the (N, n, n) stack of its projections P_i, its
-  embedding and the singular values of its K_W synthesis;
+* the sequence owns the tuple of its dimensions d_i, the (N, n, n) stack of
+  its projections P_i, its embedding and the singular values of its K_W
+  synthesis;
 * the embedding, the operator-valued frame {w_i P_i} (:class:`ovf.OVFrame`),
   owns the blocks w_i P_i, which are the stacked analysis T, the frame
   operator S, the frame bounds (so ||T||), S^-1 from one inv, and the one
@@ -27,7 +28,11 @@ projection stacks and an (N, n, n) stack of the X_i.
 
 Bases of one shape are tested, and local frames of one dimension factored, as
 one stack from :func:`numerics.by_shape`; what the package builds is held by
-:func:`_trusted` without a test where its rules hold by construction.
+:func:`_trusted` without a test where its rules hold by construction. The
+reweighted sequence of :func:`scale_weights` is held that way as a view of its
+parent: it shares the parent's subspaces and projection stack, replaces only
+the blocks the scaling empties (one zero subspace, and zeros in one masked
+copy of the stack), and tests only the rules a new weight can break.
 
 Two coefficient spaces appear throughout:
 
@@ -241,6 +246,17 @@ def frame_operator_fits(weights) -> bool:
     return top <= np.sqrt(FLOAT_MAX / float(np.sum((weights / top) ** 2)))
 
 
+def _check_weights(wts: np.ndarray) -> None:
+    """The rules a weight vector breaks alone: finite, non-negative, and a frame
+    operator that fits (:func:`frame_operator_fits`), or ContractViolationError."""
+    if not np.all(np.isfinite(wts)) or np.any(wts < 0):
+        raise ContractViolationError("weights must be finite and non-negative")
+    if not frame_operator_fits(wts):
+        raise ContractViolationError(
+            "weights too large: sum_i w_i^2, the scale of the frame operator, overflows"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class FusionSequence:
     """Weighted subspaces (W_i, w_i) sharing one ambient space.
@@ -264,12 +280,7 @@ class FusionSequence:
             raise ContractViolationError(
                 f"{len(subs)} subspaces but {wts.size} weights"
             )
-        if not np.all(np.isfinite(wts)) or np.any(wts < 0):
-            raise ContractViolationError("weights must be finite and non-negative")
-        if not frame_operator_fits(wts):
-            raise ContractViolationError(
-                "weights too large: sum_i w_i^2, the scale of the frame operator, overflows"
-            )
+        _check_weights(wts)
         ambient, dims = np.array([s.basis.shape for s in subs]).T
         bad = (ambient != ambient[0]) | ((dims == 0) != (wts == 0.0))
         if bad.any():
@@ -289,8 +300,9 @@ class FusionSequence:
     def count(self) -> int:
         return len(self.subspaces)
 
-    @property
-    def dims(self):
+    @cached_property
+    def dims(self) -> tuple:
+        """The subspace dimensions d_i, read once from the bases."""
         return tuple(s.dim for s in self.subspaces)
 
     @cached_property
@@ -378,16 +390,29 @@ def excess(f: FusionSequence, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def scale_weights(f: FusionSequence, factors) -> FusionSequence:
-    """New sequence with weights |c_i| * w_i; blocks scaled to zero are emptied."""
+    """The sequence (W_i, |c_i| w_i), a view of ``f`` held through :func:`_trusted`.
+
+    It shares the subspaces of ``f`` and its projection stack. A block that the
+    scaling empties (a new weight of 0 on a nonzero subspace) gets a zero subspace,
+    one per call, and the view then holds one copy of the stack with zeros on those
+    blocks. Only the rules a factor can break are tested, with the constructor's
+    messages: one factor per block, and new weights that pass :func:`_check_weights`;
+    ``f`` passed the others.
+    """
     factors = np.abs(np.asarray(factors, dtype=np.complex128).ravel())
     if factors.size != f.count:
         raise ContractViolationError("one scale factor per block required")
     new_w = factors * f.weights
-    subs = [
-        s if wt > 0.0 else Subspace.zero(f.ambient_dim)
-        for s, wt in zip(f.subspaces, new_w)
-    ]
-    return FusionSequence(tuple(subs), new_w)
+    _check_weights(new_w)
+    emptied = (new_w == 0.0) & (f.weights > 0.0)
+    subs, projections = f.subspaces, f.projections
+    if emptied.any():
+        zero = Subspace.zero(f.ambient_dim)
+        subs = tuple(zero if out else s for s, out in zip(subs, emptied))
+        projections = np.where(emptied[:, None, None], 0.0, projections)
+    view = _trusted(FusionSequence, subs, new_w)
+    object.__setattr__(view, "projections", read_only(projections))
+    return view
 
 
 MAX_REDUNDANCY = 64  # local vectors beyond a basis per block; the n and N limit of instances

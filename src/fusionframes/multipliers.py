@@ -36,7 +36,9 @@ formed once: the blocks (m_i R_i)^-1 and, per (V, W) pair, the closed-form
 inverse M^-1 with Q_dagger (:meth:`Symbol.inverse_closed_form`), the latter in a
 :func:`numerics.memo` table and every array through :func:`numerics.read_only`.
 The |m|-scaled sequences of :func:`invertible_multiplier_consequences` are not
-kept: each call builds them again, so no scaled copy of V or W outlives it.
+kept: each call builds them again as views of V and W (:func:`fusion.scale_weights`),
+which share their subspaces and projection stacks, so no scaled copy of V or W
+outlives the call and no projection is formed again.
 The inverse blocks and the closed form each check their own hypothesis when
 built, and a build that fails caches nothing: the blocks raise
 :class:`PreconditionError` unless the symbol bound holds, and the closed form

@@ -228,6 +228,8 @@ def _require_annihilation(a: OVFrame, defects, l_norms, tol: ToleranceConfig) ->
 def check_annihilation(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """The DualCandidate condition (:func:`_require_annihilation`) for each L of a
     (c, N k, n) stack, from the n x n products L^* T_A and L^* L; returns nothing.
+    Each L^* is formed in turn in one buffer, so no conjugate copy of the whole
+    stack is made.
 
     The stack passes without an SVD when :func:`numerics.frobenius_screen` passes
     its ||L^* T_A|| against the scale floor ||T_A|| (tr L^* L / n)^(1/2), at most
@@ -237,8 +239,13 @@ def check_annihilation(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) ->
     L = 0, passes and takes no SVD."""
     if not stack.any():
         return
-    adj = stack.conj().transpose(0, 2, 1)
-    products, grams = adj @ a.analysis, adj @ stack
+    n = a.analysis.shape[1]
+    products, grams = np.empty((2, len(stack), n, n), dtype=np.complex128)
+    conj = np.empty_like(stack[0])
+    for l, product, gram in zip(stack, products, grams):
+        adj = np.conjugate(l, out=conj).T
+        np.matmul(adj, a.analysis, out=product)
+        np.matmul(adj, l, out=gram)
     scale_lo = a.analysis_norm * gram_norm_floors(grams)
     if frobenius_screen(products, tol.eq_rel, scale_lo) is None:
         _require_annihilation(a, spectral_norms(products), np.sqrt(spectral_norms(grams)), tol)

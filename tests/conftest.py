@@ -387,6 +387,17 @@ def reference_random_sequence(n, dims, weight_range, rng):
     return FusionSequence(tuple(subs), np.asarray(weights))
 
 
+def reference_scale_weights(f, factors):
+    """fusion.scale_weights through the public constructor, a new zero subspace per
+    block of weight 0: every block tested again and every projection formed again."""
+    factors = np.abs(np.asarray(factors, dtype=np.complex128).ravel())
+    if factors.size != f.count:
+        raise ContractViolationError("one scale factor per block required")
+    new_w = factors * f.weights
+    subs = [s if wt > 0.0 else Subspace.zero(f.ambient_dim) for s, wt in zip(f.subspaces, new_w)]
+    return FusionSequence(tuple(subs), new_w)
+
+
 def reference_riesz_basis(n, rng, dims):
     """One basis of random_riesz_bases with each column block of the unitary tested as a Subspace."""
     unitary = reference_subspace(n, n, rng).basis

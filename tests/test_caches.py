@@ -189,7 +189,7 @@ def test_frame_operator_and_embedding_are_shared():
     assert inst.w.embedding is inst.w.embedding
     assert inst.w.embedding is not inst.v.embedding
     cached = {k for k, v in vars(FusionSequence).items() if isinstance(v, cached_property)}
-    assert cached == {"projections", "embedding", "synthesis_svals"}
+    assert cached == {"dims", "projections", "embedding", "synthesis_svals"}
     t = inst.w.embedding.analysis
     assert np.shares_memory(t, inst.w.embedding.blocks) and not t.flags.writeable
 
@@ -455,12 +455,37 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     for name in ("invertible_multiplier_frames", "excess_invariance"):
         assert len(calls("excess", name)) == 4
     # the second consequence check reads every spectrum of V and W the first one
-    # took; it rebuilds only the |m|-scaled W and V, which are not kept, and takes
-    # their frame bounds and K_W spectra again
+    # took; it rebuilds only the |m|-scaled views of W and V, which are not kept,
+    # and takes their frame bounds and K_W spectra again
     scaled = [fusion_synthesis_kw(scale_weights(f, sym.m)) for f in (inst.w, inst.v)]
     taken = [args[0] for args in calls("svd", "excess_invariance")]
     assert len(taken) == 2 and all(map(np.array_equal, taken, scaled))
     assert len(calls("eigvalsh", "excess_invariance")) == 2
+
+
+W24 = (1, 2, 3, 4, 5, 6) * 4
+
+
+@pytest.mark.parametrize("mode", ["random_C_holding", "random_C_failing"])
+def test_the_scaled_sequences_form_no_projection_and_run_no_constructor(monkeypatch, mode):
+    # once V and W hold their facts, the consequences of invertibility take only
+    # the facts of the |m|-scaled views: their two K_W spectra and two frame
+    # bounds, with four excess values; the views share the projections of V and W,
+    # or mask them where a vanished m_i empties a block
+    inst = generate_instance(InstanceSpec(12, 24, W24, (0.5, 2.0), mode, 1))
+    sym, v, w = inst.symbol, inst.v, inst.w
+    assert (mode == "random_C_failing") == (not np.all(sym.m))
+    multipliers.invertible_multiplier_consequences(sym, v, w)
+    runs, formed = [], []
+    post_init, projection = FusionSequence.__post_init__, fusion.projection
+    monkeypatch.setattr(FusionSequence, "__post_init__", lambda f: runs.append(f) or post_init(f))
+    monkeypatch.setattr(fusion, "projection", lambda s: formed.append(s) or projection(s))
+    excesses = []
+    monkeypatch.setattr(multipliers, "excess", lambda f, tol: excesses.append(f) or excess(f, tol))
+    svds, eigs = _counting(monkeypatch, "svd"), _counting(monkeypatch, "eigvalsh")
+    multipliers.invertible_multiplier_consequences(sym, v, w)
+    assert runs == [] and formed == []
+    assert len(excesses) == 4 and len(svds) == 2 and len(eigs) == 2
 
 
 def test_both_inverse_checks_read_one_sampled_dual_stack_of_v(monkeypatch):

@@ -602,22 +602,27 @@ def test_reference_command_matches_golden_reference(tmp_path):
 
 W24 = ["--dim", "12", "--blocks", "24", "--dims", ",".join(["1,2,3,4,5,6"] * 4),
        "--symbol", "random_C_holding", "--local", "2", "--seed", "1"]
+W24_FAILING = ["--dim", "12", "--blocks", "24", "--dims", ",".join(["1,2,3,4,5,6"] * 4),
+               "--symbol", "random_C_failing", "--local", "2", "--seed", "1"]
 
 GUARD_GOLDENS = (
     # the duals suite on d16 and the multipliers suite on w24, the CI's shapes
     # where the annihilation, admissibility and sampled-dual guards run most; the
-    # local and schatten suites on w24 pin the stored local frames a load holds
+    # local and schatten suites on w24 pin the stored local frames a load holds.
+    # The failing symbol zeroes 8 of the 24 m_i, so both |m|-scaled sequences of
+    # the consequence checks have 8 emptied blocks
     (["--dim", "16", "--blocks", "4", "--dims", "8,12,16,16", "--seed", "1"],
      "duals", DATA / "golden_report_d16_duals.json"),
     (W24, "multipliers", DATA / "golden_report_w24_multipliers.json"),
     (W24, "local", DATA / "golden_report_w24_local.json"),
     (W24, "schatten", DATA / "golden_report_w24_schatten.json"),
+    (W24_FAILING, "multipliers", DATA / "golden_report_w24_failing_multipliers.json"),
 )
 
 
 def test_guard_heavy_shapes_match_their_golden_reports(tmp_path):
     for gen_args, suite, golden in GUARD_GOLDENS:
-        inst, out = tmp_path / f"{suite}.json", tmp_path / f"{suite}-report.json"
+        inst, out = tmp_path / f"{golden.stem}.json", tmp_path / f"{golden.stem}-report.json"
         assert main(["gen", *gen_args, "-o", str(inst)]) == 0
         assert main(["check", "--suite", suite, str(inst), "--report", str(out)]) == 0
         assert _strip_wall_time(out.read_text()) == _strip_wall_time(golden.read_text())
