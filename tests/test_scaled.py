@@ -1,7 +1,8 @@
 """The |m|-reweighted sequence of fusion.scale_weights is a view of its parent:
-it shares the parent's subspaces and projection stack, empties the blocks whose
-new weight is 0, and holds, bit for bit, what the public constructor builds from
-the same subspaces and weights (conftest.reference_scale_weights)."""
+it shares the parent's subspaces and projection stack, empties the nonzero
+blocks whose new weight is 0, and holds, bit for bit, what the public
+constructor builds from the same subspaces and weights
+(conftest.reference_scale_weights)."""
 
 import warnings
 

@@ -4,7 +4,8 @@
 that the package built without running the rules of its public constructor: the
 phase-fixed QR factors of the Haar draws, their column blocks in a Riesz pair,
 the leading SVD U columns of the KPP and Gavruta dual ranges, the generated
-sequences, the embeddings w_i P_i and the local frames. This module records every
+sequences, the |m|-scaled views of scale_weights, the embeddings w_i P_i and the
+local frames. This module records every
 object held that way while the generated-sweep population is generated, checked,
 written and read back, rebuilds each through its public constructor, and requires
 the rebuild to pass with the same bytes.
@@ -92,6 +93,7 @@ def test_every_trusted_holder_passes_its_public_constructor(monkeypatch):
         ("Subspace", "orthonormal_subspaces"),
         ("FusionSequence", "_random_sequence"),
         ("FusionSequence", "random_riesz_bases"),
+        ("FusionSequence", "scale_weights"),
         ("OVFrame", "embedding"),
         ("LocalFrameFamily", "build_local_frames"),
         ("LocalFrameFamily", "_instance_from_doc"),
