@@ -35,10 +35,11 @@ is a tolerance-free fact too. Two more facts are kept on the symbol, each
 formed once: the blocks (m_i R_i)^-1 and, per (V, W) pair, the closed-form
 inverse M^-1 with Q_dagger (:meth:`Symbol.inverse_closed_form`), the latter in a
 :func:`numerics.memo` table and every array through :func:`numerics.read_only`.
-The |m|-scaled sequences of :func:`invertible_multiplier_consequences` are not
-kept: each call builds them again as views of V and W (:func:`fusion.scale_weights`),
-which share their subspaces and projection stacks, so no scaled copy of V or W
-outlives the call and no projection is formed again.
+The |m|-scaled sequences of :func:`invertible_multiplier_consequences` are kept
+too, one per sequence in the memo table ``_scaled``: views of V and W
+(:func:`fusion.scale_weights`) that share their subspaces and projection stacks,
+so each holds only its own embedding and the facts cached on it, and a second
+call reads their frame bounds and K_W spectra instead of taking them again.
 The inverse blocks and the closed form each check their own hypothesis when
 built, and a build that fails caches nothing: the blocks raise
 :class:`PreconditionError` unless the symbol bound holds, and the closed form
@@ -409,8 +410,8 @@ def invertible_multiplier_consequences(
     report = assemble_multiplier(sym, v, w)
     if not report.invertible:
         raise PreconditionError("the multiplier must be invertible")
-    w_scaled = scale_weights(w, sym.m)
-    v_scaled = scale_weights(v, sym.m)
+    w_scaled = memo(sym, "_scaled", w, lambda: scale_weights(w, sym.m))
+    v_scaled = memo(sym, "_scaled", v, lambda: scale_weights(v, sym.m))
     all_frames = all(is_frame(seq.embedding) for seq in (w, v, w_scaled, v_scaled))
     alpha = w_scaled.embedding.frame_bounds[0]
     lhs = saturated_product(np.sqrt(alpha), v.embedding.analysis_norm, sym.r_sup)

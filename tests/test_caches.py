@@ -11,7 +11,8 @@ whose rank cut gives the range basis, and per rank cut the spectrum of
 [T S^-1 | P_ker] that the dual-family certificates read. A Symbol caches its
 spectra, its condition-C report, its inverse blocks and, per (V, W) pair, the
 assembled multiplier with its spectrum and the closed-form inverse
-representation; it keeps no |m|-scaled sequence. An instance keeps, per
+representation, and per sequence its |m|-scaled view, which shares the
+sequence's subspaces and projections. An instance keeps, per
 tolerance, the sampled duals of V that both inverse-multiplier checks read.
 Tolerance rules are applied per call on top of these, so one object can serve
 runs under any tolerance.
@@ -454,13 +455,14 @@ def test_each_invertible_multiplier_fact_once_across_the_multipliers_suite(monke
     assert len(probed) == 1 and probed[0] is inst.w.embedding
     for name in ("invertible_multiplier_frames", "excess_invariance"):
         assert len(calls("excess", name)) == 4
-    # the second consequence check reads every spectrum of V and W the first one
-    # took; it rebuilds only the |m|-scaled views of W and V, which are not kept,
-    # and takes their frame bounds and K_W spectra again
+    # the first consequence check takes the K_W spectra of the |m|-scaled views
+    # of W and V, which the symbol keeps; the second one reads every spectrum and
+    # frame bound the first one took
     scaled = [fusion_synthesis_kw(scale_weights(f, sym.m)) for f in (inst.w, inst.v)]
-    taken = [args[0] for args in calls("svd", "excess_invariance")]
-    assert len(taken) == 2 and all(map(np.array_equal, taken, scaled))
-    assert len(calls("eigvalsh", "excess_invariance")) == 2
+    taken = [args[0] for args in calls("svd", "invertible_multiplier_frames")]
+    assert all(any(np.array_equal(t, kw) for t in taken) for kw in scaled)
+    assert calls("svd", "excess_invariance") == []
+    assert calls("eigvalsh", "excess_invariance") == []
 
 
 W24 = (1, 2, 3, 4, 5, 6) * 4
@@ -468,14 +470,18 @@ W24 = (1, 2, 3, 4, 5, 6) * 4
 
 @pytest.mark.parametrize("mode", ["random_C_holding", "random_C_failing"])
 def test_the_scaled_sequences_form_no_projection_and_run_no_constructor(monkeypatch, mode):
-    # once V and W hold their facts, the consequences of invertibility take only
-    # the facts of the |m|-scaled views: their two K_W spectra and two frame
-    # bounds, with four excess values; the views share the projections of V and W,
-    # or mask them where a vanished m_i empties a block
+    # once V and W hold their facts, the first consequences of invertibility on a
+    # fresh symbol take only the facts of the |m|-scaled views: their two K_W
+    # spectra and two frame bounds, with four excess values; the views share the
+    # projections of V and W, or mask them where a vanished m_i empties a block.
+    # The symbol keeps the views, so a repeat call takes none of these again
     inst = generate_instance(InstanceSpec(12, 24, W24, (0.5, 2.0), mode, 1))
     sym, v, w = inst.symbol, inst.v, inst.w
     assert (mode == "random_C_failing") == (not np.all(sym.m))
     multipliers.invertible_multiplier_consequences(sym, v, w)
+    fresh = multipliers.Symbol(sym.m, sym.r)
+    assemble_multiplier(fresh, v, w)
+    assert fresh.condition_c == sym.condition_c
     runs, formed = [], []
     post_init, projection = FusionSequence.__post_init__, fusion.projection
     monkeypatch.setattr(FusionSequence, "__post_init__", lambda f: runs.append(f) or post_init(f))
@@ -483,9 +489,13 @@ def test_the_scaled_sequences_form_no_projection_and_run_no_constructor(monkeypa
     excesses = []
     monkeypatch.setattr(multipliers, "excess", lambda f, tol: excesses.append(f) or excess(f, tol))
     svds, eigs = _counting(monkeypatch, "svd"), _counting(monkeypatch, "eigvalsh")
-    multipliers.invertible_multiplier_consequences(sym, v, w)
+    first = multipliers.invertible_multiplier_consequences(fresh, v, w)
     assert runs == [] and formed == []
     assert len(excesses) == 4 and len(svds) == 2 and len(eigs) == 2
+    del excesses[:], svds[:], eigs[:]
+    assert multipliers.invertible_multiplier_consequences(fresh, v, w) == first
+    assert runs == [] and formed == []
+    assert len(excesses) == 4 and svds == [] and eigs == []
 
 
 def test_both_inverse_checks_read_one_sampled_dual_stack_of_v(monkeypatch):
@@ -559,7 +569,7 @@ def test_every_cached_fact_and_memo_entry_is_read_only():
         for name, attr in vars(cls).items()
         if isinstance(attr, cached_property)
     }
-    tables = {"OVFrame._family_svals", "Symbol._assembled", "Symbol._inverses"}
+    tables = {"OVFrame._family_svals", "Symbol._assembled", "Symbol._inverses", "Symbol._scaled"}
     assert every | tables <= computed
 
 
@@ -568,12 +578,13 @@ def test_invertible_multiplier_memos_are_read_only_and_small():
     sym, v, w = inst.symbol, inst.v, inst.w
     run_suite("multipliers", [inst])
     n, count = w.ambient_dim, w.count
-    # the symbol holds its cached facts and its per-pair memo tables, and no
-    # |m|-scaled sequence
+    # the symbol holds its cached facts, its per-pair memo tables and the
+    # |m|-scaled view of each of V and W
     props = {
         name for name, attr in vars(multipliers.Symbol).items() if isinstance(attr, cached_property)
     }
-    assert set(vars(sym)) <= {"m", "r", "_assembled", "_inverses"} | props
+    assert set(vars(sym)) <= {"m", "r", "_assembled", "_inverses", "_scaled"} | props
+    assert set(vars(sym)["_scaled"]) == {v, w}
     assert "inverse_blocks" in vars(sym)
     memos = [sym.inverse_blocks, *sym.inverse_closed_form(v, w)]
     assert len(memos) == 3 and sym.inverse_closed_form(v, w)[1] is memos[2]

@@ -2,14 +2,19 @@
 it shares the parent's subspaces and projection stack, empties the nonzero
 blocks whose new weight is 0, and holds, bit for bit, what the public
 constructor builds from the same subspaces and weights
-(conftest.reference_scale_weights)."""
+(conftest.reference_scale_weights). The symbol keeps the view of each sequence,
+so the two checks that read the consequences of an invertible multiplier give
+the same results in any order, and a repeat call reads the same views."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import coordinate_decomposition, reference_scale_weights
+from fusionframes import checks, multipliers
 from fusionframes.exceptions import ContractViolationError
 from fusionframes.fusion import FusionSequence, Subspace, excess, scale_weights
 from fusionframes.instances import InstanceSpec, generate_instance
@@ -17,13 +22,14 @@ from fusionframes.numerics import DEFAULT_TOL, ToleranceConfig
 from test_generated_sweep import _specs
 
 W24_FAILING = InstanceSpec(12, 24, (1, 2, 3, 4, 5, 6) * 4, (0.5, 2.0), "random_C_failing", 1)
+# the generated sweep, which reaches zero-weight blocks and every symbol mode, and
+# the w24 shape with a failing symbol, whose m empties a third of the blocks
+SPECS = [spec for spec, _ in _specs()] + [W24_FAILING]
 
 
 def _scaled_pairs():
-    """(parent, factors) over the generated sweep, which reaches zero-weight blocks
-    and every symbol mode, and the w24 shape with a failing symbol; factors are the
-    symbol's m, so random_C_failing empties a third of the blocks."""
-    for spec in [spec for spec, _ in _specs()] + [W24_FAILING]:
+    """(parent, factors) over :data:`SPECS`; factors are the symbol's m."""
+    for spec in SPECS:
         inst = generate_instance(spec)
         for f in (inst.w, inst.v):
             yield f, inst.symbol.m
@@ -128,3 +134,57 @@ def test_a_factor_that_breaks_a_rule_raises_as_the_constructor_route(f, factors)
     got = _outcome(lambda: scale_weights(f, factors))
     assert got[0] is not None
     assert got == _outcome(lambda: reference_scale_weights(f, factors))
+
+
+CONSEQUENCES = ("invertible_multiplier_frames", "excess_invariance")
+
+
+def _run(spec, names):
+    """The results of the named checks, run in that order on one fresh instance of
+    ``spec``, each only where it applies."""
+    inst = generate_instance(spec)
+    out = {}
+    for name in names:
+        check = checks.CHECKS[name]
+        if check.applies(inst, DEFAULT_TOL):
+            out[name] = check.run(inst, checks._check_rng(inst.seed, name), DEFAULT_TOL)
+    return out
+
+
+def test_both_consequence_checks_give_the_same_results_in_any_order():
+    ran = 0
+    for spec in SPECS:
+        alone = {**_run(spec, CONSEQUENCES[:1]), **_run(spec, CONSEQUENCES[1:])}
+        assert _run(spec, CONSEQUENCES) == alone
+        assert _run(spec, CONSEQUENCES[::-1]) == alone
+        ran += len(alone) == 2
+    assert ran >= 200
+
+
+def test_a_repeat_call_reads_the_same_views_of_v_and_w(monkeypatch):
+    read = []
+    monkeypatch.setattr(multipliers, "excess", lambda f, tol: read.append(f) or excess(f, tol))
+    held = emptied_held = 0
+    for spec in SPECS:
+        inst = generate_instance(spec)
+        sym, v, w = inst.symbol, inst.v, inst.w
+        if not multipliers.assemble_multiplier(sym, v, w).invertible:
+            continue
+        read.clear()
+        first = multipliers.invertible_multiplier_consequences(sym, v, w)
+        assert multipliers.invertible_multiplier_consequences(sym, v, w) == first
+        assert read[:2] == [w, v] and read[4:6] == [w, v]
+        views = read[2:4]
+        assert read[6:] == views
+        for view, parent in zip(views, (w, v)):
+            emptied = (parent.weights > 0) & (sym.m == 0)
+            assert all(s is p for s, p, out in zip(view.subspaces, parent.subspaces, emptied) if not out)
+            emptied_held += bool(emptied.any())
+        held += 1
+    assert held >= 200 and emptied_held >= 50
+    # the views are held by the symbol only, so they go when the instance does
+    gone = [weakref.ref(view) for view in views]
+    del inst, sym, v, w, views, view
+    read.clear()
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
