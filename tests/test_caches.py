@@ -479,6 +479,7 @@ def test_the_scaled_sequences_form_no_projection_and_run_no_constructor(monkeypa
     sym, v, w = inst.symbol, inst.v, inst.w
     assert (mode == "random_C_failing") == (not np.all(sym.m))
     multipliers.invertible_multiplier_consequences(sym, v, w)
+    # the fresh symbol takes its own facts, M and the block spectra, before counting
     fresh = multipliers.Symbol(sym.m, sym.r)
     assemble_multiplier(fresh, v, w)
     assert fresh.condition_c == sym.condition_c
