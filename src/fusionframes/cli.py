@@ -107,6 +107,13 @@ def _default_random_spec(seed: int) -> InstanceSpec:
     )
 
 
+def _write_report(report: dict, fh) -> None:
+    """The bytes of ``json.dumps(report, indent=2) + "\\n"``, streamed into ``fh``
+    chunk by chunk, so neither the whole text nor a list of its chunks is held."""
+    json.dump(report, fh, indent=2)
+    fh.write("\n")
+
+
 def _cmd_check(args) -> int:
     if (args.instance is None) == (args.random is None):
         print("error: give exactly one of an instance file or --random COUNT", file=sys.stderr)
@@ -149,16 +156,15 @@ def _cmd_check(args) -> int:
     # checks have run, not kept until the report is written
     instances = (pending.popleft() for _ in range(len(pending)))
     report = run_suite(args.suite, instances, tol, base_seed=base_seed)
-    text = json.dumps(report, indent=2) + "\n"
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_report(report, fh)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        _write_report(report, sys.stdout)
     summary = report["summary"]
     print(
         f"{args.suite}: {summary['pass']} pass, {summary['fail']} fail, "

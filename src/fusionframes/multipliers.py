@@ -35,11 +35,15 @@ is a tolerance-free fact too. Two more facts are kept on the symbol, each
 formed once: the blocks (m_i R_i)^-1 and, per (V, W) pair, the closed-form
 inverse M^-1 with Q_dagger (:meth:`Symbol.inverse_closed_form`), the latter in a
 :func:`numerics.memo` table and every array through :func:`numerics.read_only`.
+Q_dagger is formed in place, in the stack P_{W_i} S_W^-1 it starts from, so its
+build holds at most two more (N, n, n) stacks at a time beside the one it returns.
 The |m|-scaled sequences of :func:`invertible_multiplier_consequences` are kept
-too, one per sequence in the memo table ``_scaled``: views of V and W
-(:func:`fusion.scale_weights`) that share their subspaces and projection stacks,
-so each holds only its own embedding and the facts cached on it, and a second
-call reads their frame bounds and K_W spectra instead of taking them again.
+too, one per sequence in the memo table ``_scaled``, each with its frame bounds:
+views of V and W (:func:`fusion.scale_weights`) that share their subspaces and
+projection stacks. The bounds are read from an embedding that is built once and
+not kept, so a view holds its weights and the K_W spectrum cached on it but no
+embedding, and a second call reads the bounds and spectra instead of taking them
+again.
 The inverse blocks and the closed form each check their own hypothesis when
 built, and a build that fails caches nothing: the blocks raise
 :class:`PreconditionError` unless the symbol bound holds, and the closed form
@@ -73,6 +77,7 @@ from .frames import ordinary_multiplier
 from .fusion import (
     FusionSequence,
     LocalFrameFamily,
+    _trusted,
     check_pairing,
     excess,
     is_riesz_fusion_basis,
@@ -98,10 +103,10 @@ from .numerics import (
     svals_rank,
 )
 from .ovf import (
+    OVFrame,
     dual_slack,
     duality_defects,
     duality_gaps,
-    is_frame,
     kernel_samples,
 )
 
@@ -243,12 +248,20 @@ class Symbol:
             m_inv = np.linalg.inv(report.matrix)
             pw_s_inv = w.projections @ w.embedding.frame_operator_inv
             m_conj = np.conj(self.m)
-            r_adj = v.weights[:, None, None] * self.r.conj().transpose(0, 2, 1)
-            l_blocks = r_adj @ v.projections @ m_inv.conj().T
-            nz = self.m != 0.0
-            l_blocks[nz] = l_blocks[nz] - (w.weights[nz] / m_conj[nz])[:, None, None] * pw_s_inv[nz]
-            q_dagger = w.weights[:, None, None] * pw_s_inv + m_conj[:, None, None] * l_blocks
-            return read_only((m_inv, q_dagger))
+            # every stack below is formed in place or dropped once read; products keep
+            # their operand order, since complex m * l and l * m can differ in the last bit
+            r_adj = np.conj(self.r)
+            np.multiply(v.weights[:, None, None], r_adj, out=r_adj)
+            l_blocks = r_adj.transpose(0, 2, 1) @ v.projections
+            del r_adj
+            l_blocks = l_blocks @ m_inv.conj().T
+            nz = np.flatnonzero(self.m)
+            for i, coeff in zip(nz, w.weights[nz] / m_conj[nz]):
+                l_blocks[i] -= coeff * pw_s_inv[i]
+            np.multiply(m_conj[:, None, None], l_blocks, out=l_blocks)
+            np.multiply(w.weights[:, None, None], pw_s_inv, out=pw_s_inv)
+            pw_s_inv += l_blocks
+            return read_only((m_inv, pw_s_inv))
 
         return memo(self, "_inverses", (v, w), build)
 
@@ -397,6 +410,14 @@ class InvertibleMultiplierReport(NamedTuple):
     excess_pair_equal: Optional[bool]
 
 
+def _bounded_view(f: FusionSequence, m: np.ndarray) -> tuple:
+    """``(view, frame_bounds)`` of the |m|-scaled view of ``f`` (:func:`fusion.scale_weights`),
+    the bounds from an embedding that is built for them alone and then dropped, so
+    the view holds none."""
+    view = scale_weights(f, m)
+    return view, _trusted(OVFrame, view.weights[:, None, None] * view.projections).frame_bounds
+
+
 PROBE_SCALE = 0.01  # size of the uniqueness probe relative to ||Q_dagger||
 LOWER_BOUND_REL = 1e-6  # relative margin allowed below the reweighted lower bound
 
@@ -410,10 +431,11 @@ def invertible_multiplier_consequences(
     report = assemble_multiplier(sym, v, w)
     if not report.invertible:
         raise PreconditionError("the multiplier must be invertible")
-    w_scaled = memo(sym, "_scaled", w, lambda: scale_weights(w, sym.m))
-    v_scaled = memo(sym, "_scaled", v, lambda: scale_weights(v, sym.m))
-    all_frames = all(is_frame(seq.embedding) for seq in (w, v, w_scaled, v_scaled))
-    alpha = w_scaled.embedding.frame_bounds[0]
+    w_scaled, w_scaled_bounds = memo(sym, "_scaled", w, lambda: _bounded_view(w, sym.m))
+    v_scaled, v_scaled_bounds = memo(sym, "_scaled", v, lambda: _bounded_view(v, sym.m))
+    bounds = (w.embedding.frame_bounds, v.embedding.frame_bounds, w_scaled_bounds, v_scaled_bounds)
+    all_frames = all(clears_inv_cutoff(*b) for b in bounds)  # the frame test of each
+    alpha = w_scaled_bounds[0]
     lhs = saturated_product(np.sqrt(alpha), v.embedding.analysis_norm, sym.r_sup)
     rhs = np.sqrt(1.0 - LOWER_BOUND_REL) * report.sigma_min
     e_w = excess(w, tol)[0]

@@ -51,7 +51,6 @@ __all__ = [
     "extreme_singular_values",
     "SCREEN_MARGIN",
     "frobenius_screen",
-    "gram_norm_floors",
     "clears_inv_cutoff",
     "near_inv_cutoff",
     "eig_extremes",
@@ -232,14 +231,6 @@ def frobenius_screen(stack: np.ndarray, threshold: float, scale_lo=0.0):
     ).all():
         return bounds
     return None
-
-
-def gram_norm_floors(grams: np.ndarray) -> np.ndarray:
-    """Lower bounds ||L||_2 >= (tr L^*L / n)^(1/2) from an (m, n, n) stack of Gram
-    matrices L^*L, one per matrix; infinite where the trace overflows."""
-    n = grams.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.einsum("kii->k", grams.real) / n)
 
 
 def clears_inv_cutoff(lo: float, hi: float) -> bool:

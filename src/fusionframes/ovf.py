@@ -27,15 +27,16 @@ whose norm is the norm of row r of P_ker^* T', so the sweep bounds each
 stacked row r from one SVD and one product, and takes one batched SVD of a
 row's members only where the bound leaves it undecided.
 
-Perturbations are checked to annihilate T_A at the caller's eq_rel from two
-stacked n x n products per stack (:func:`check_annihilation`), L^* T_A and
-L^* L: a stack whose Frobenius bounds pass :func:`numerics.frobenius_screen`
-takes no SVD, any other stack takes one stacked SVD of each, and a stack of
-zeros takes none. The check raises or returns nothing; no defect value is
-kept. Sampled duals travel as one (c, N k, n) stack of analyses, allocated once
-by :func:`canonical_and_sampled_duals`: the canonical analysis T_A S_A^-1 in
-slot 0, each L drawn into its own slot and checked once as one stack before
-T_A S_A^-1 is added. A :class:`DualCandidate` records one dual built on its
+Perturbations are checked to annihilate T_A at the caller's eq_rel from the
+stacked n x n products L^* T_A (:func:`check_annihilation`): a stack whose
+Frobenius bounds pass :func:`numerics.frobenius_screen` against the floor
+||T_A|| ||L||_F / n^(1/2) takes no SVD, any other stack takes one stacked SVD
+of the products and one of the L, and a stack of zeros takes none. The check
+raises or returns nothing; no defect value is kept. Sampled duals travel as
+one (c, N k, n) stack of analyses, allocated once by
+:func:`canonical_and_sampled_duals`: the canonical analysis T_A S_A^-1 in slot 0,
+each L drawn into its own slot and checked once as one stack before T_A S_A^-1
+is added. A :class:`DualCandidate` records one dual built on its
 own, the sweep's witness or one constructed directly; it checks its L as a
 stack of one and derives its analysis from L. The swept members are checked
 all at once from their column norms (:func:`_check_annihilator`), so only the
@@ -81,7 +82,6 @@ from .numerics import (
     eig_extremes,
     finite_array,
     frobenius_screen,
-    gram_norm_floors,
     memo,
     owned,
     read_only,
@@ -227,28 +227,27 @@ def _require_annihilation(a: OVFrame, defects, l_norms, tol: ToleranceConfig) ->
 
 def check_annihilation(a: OVFrame, stack, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """The DualCandidate condition (:func:`_require_annihilation`) for each L of a
-    (c, N k, n) stack, from the n x n products L^* T_A and L^* L; returns nothing.
-    Each L^* is formed in turn in one buffer, so no conjugate copy of the whole
-    stack is made.
+    (c, N k, n) stack, from the n x n products L^* T_A; returns nothing. Each L^* is
+    formed in turn in one buffer, so no conjugate copy of the whole stack is made.
 
     The stack passes without an SVD when :func:`numerics.frobenius_screen` passes
     its ||L^* T_A|| against the scale floor ||T_A|| (tr L^* L / n)^(1/2), at most
-    ||T_A|| ||L|| (:func:`numerics.gram_norm_floors`); a screen pass implies the
-    SVD's pass. Any other stack is decided from two stacked SVDs, ||L^* T_A||
-    and ||L|| = ||L^* L||^(1/2). A stack of zeros, such as the canonical dual's
-    L = 0, passes and takes no SVD."""
+    ||T_A|| ||L||, the trace taken as the sum of |L|^2 over the entries of L; a
+    screen pass implies the SVD's pass. Any other stack is decided from two stacked
+    SVDs, of the products and of the L. A stack of zeros, such as the canonical
+    dual's L = 0, passes and takes no SVD."""
     if not stack.any():
         return
     n = a.analysis.shape[1]
-    products, grams = np.empty((2, len(stack), n, n), dtype=np.complex128)
+    products = np.empty((len(stack), n, n), dtype=np.complex128)
     conj = np.empty_like(stack[0])
-    for l, product, gram in zip(stack, products, grams):
-        adj = np.conjugate(l, out=conj).T
-        np.matmul(adj, a.analysis, out=product)
-        np.matmul(adj, l, out=gram)
-    scale_lo = a.analysis_norm * gram_norm_floors(grams)
-    if frobenius_screen(products, tol.eq_rel, scale_lo) is None:
-        _require_annihilation(a, spectral_norms(products), np.sqrt(spectral_norms(grams)), tol)
+    for l, product in zip(stack, products):
+        np.matmul(np.conjugate(l, out=conj).T, a.analysis, out=product)
+    x = np.ascontiguousarray(stack).view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors = np.sqrt(np.einsum("kij,kij->k", x, x) / n)  # infinite where the sum overflows
+    if frobenius_screen(products, tol.eq_rel, a.analysis_norm * floors) is None:
+        _require_annihilation(a, spectral_norms(products), spectral_norms(stack), tol)
 
 
 def duality_gaps(analyses: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -586,6 +586,10 @@ def test_invertible_multiplier_memos_are_read_only_and_small():
     }
     assert set(vars(sym)) <= {"m", "r", "_assembled", "_inverses", "_scaled"} | props
     assert set(vars(sym)["_scaled"]) == {v, w}
+    # each view is held with its frame bounds, and not with the embedding they
+    # were read from
+    for view, bounds in vars(sym)["_scaled"].values():
+        assert "embedding" not in vars(view) and len(bounds) == 2
     assert "inverse_blocks" in vars(sym)
     memos = [sym.inverse_blocks, *sym.inverse_closed_form(v, w)]
     assert len(memos) == 3 and sym.inverse_closed_form(v, w)[1] is memos[2]

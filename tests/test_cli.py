@@ -424,6 +424,40 @@ def test_check_writes_to_stdout_without_report(capsys):
     assert doc["schema"] == "ffv1-report"
 
 
+def test_the_report_is_streamed_with_the_bytes_of_one_dumps(tmp_path, monkeypatch, capsys):
+    # 20,000 entries, among them the abort sentinel and non-finite residuals: their
+    # text alone is megabytes and its list of chunks tens of megabytes, while the
+    # stream holds a chunk at a time
+    import tracemalloc
+
+    from fusionframes import cli
+
+    residuals = [0.25, 1e300, float("inf"), float("nan"), 3.0e-17]
+    entries = [
+        {"name": "dual_span", "trial": t, "anchor": "Thm 3.4", "residual": residuals[t % 5],
+         "tolerance": 1e-8, "verdict": ("pass", "fail", "indeterminate")[t % 3]}
+        for t in range(20_000)
+    ]
+    report = {"schema": "ffv1-report", "suite": "all", "seed": 7, "checks": entries,
+              "summary": {"pass": 0, "fail": 0, "indeterminate": 0}, "wall_time": 1.5}
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: report)
+    want = json.dumps(report, indent=2) + "\n"
+    path = tmp_path / "r.json"
+    argv = ["check", "--suite", "all", str(GOLDEN_INSTANCE)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv + ["--report", str(path)]) == 0
+        lift = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == want.encode("utf-8")
+    assert lift < 2 * 2**20, f"lift {lift / 2**20:.1f} MiB"
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_single_small_full_block_gets_a_verdict(tmp_path):
     # no random weight doubling or subspace redraw moves the only block by
     # 0.1 here, so separating_dual_distinct needs its by-construction copy;

@@ -28,6 +28,8 @@ from fusionframes.fusion import FusionSequence, random_subspace
 from fusionframes.instances import (
     SYMBOL_MODES,
     Instance,
+    InstanceSpec,
+    generate_instance,
     load_instance,
     random_symbol,
 )
@@ -292,3 +294,25 @@ def test_schatten_suite_memory_stays_below_the_dense_block_diagonal(tmp_path):
         tracemalloc.stop()
     assert report["summary"]["fail"] == 0
     assert peak < dense_bytes / 2, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("mode", ["random_C_holding", "random_C_failing"])
+def test_the_closed_form_lifts_the_heap_by_at_most_four_stacks(mode):
+    # Q_dagger is formed in place in the stack P_{W_i} S_W^-1 it starts from, beside
+    # L and at most one more (N, n, n) stack at a time; the failing symbol zeroes
+    # some m_i, whose blocks skip the S_W^-1 term of L
+    inst = generate_instance(InstanceSpec(12, 24, (1, 2, 3, 4, 5, 6) * 4, (0.5, 2.0), mode, 1))
+    sym, v, w = inst.symbol, inst.v, inst.w
+    assert (mode == "random_C_failing") == (not np.all(sym.m))
+    # the facts the closed form reads, each cached before the count
+    assemble_multiplier(sym, v, w)
+    w.embedding.frame_operator_inv
+    v.projections
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        q_dagger = sym.inverse_closed_form(v, w)[1]
+        lift = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert lift <= 4 * q_dagger.nbytes, f"lift {lift / q_dagger.nbytes:.2f} stacks"
